@@ -198,6 +198,17 @@ def spectrum_empty(p, degree_cap: int | None = None) -> bool:
     return contains_one(basis)
 
 
+def _counit_character(p):
+    """The counit of a Hopf presentation as {generator name: scalar}, when
+    it kills the abelianized relations; None otherwise."""
+    from .presentations import abelianization
+
+    if getattr(p, "hopf", None) is None:
+        return None
+    point = {p.alphabet.names[i]: c for i, c in p.hopf.counit.items()}
+    return point if _point_kills(abelianization(p), point) else None
+
+
 def spectrum_witness(p):
     """A character as {generator name: scalar}, when one is exhibited.
 
@@ -207,10 +218,9 @@ def spectrum_witness(p):
     """
     from .presentations import abelianization
 
-    if getattr(p, "hopf", None) is not None:
-        point = {p.alphabet.names[i]: c for i, c in p.hopf.counit.items()}
-        if _point_kills(abelianization(p), point):
-            return point
+    point = _counit_character(p)
+    if point is not None:
+        return point
     cp = abelianization(p)
     basis = groebner(cp)
     if contains_one(basis):
@@ -299,23 +309,27 @@ def _substitute(g, values):
 def spectrum_report(p, degree_cap: int | None = None) -> Report:
     report = Report(f"spectrum({p.name})")
     with timed(report):
-        try:
-            empty = spectrum_empty(p, degree_cap)
-        except DegreeCapError as e:
-            report.add_undecided("spectrum emptiness", witness=str(e))
-            return report
-        if empty:
-            report.add("spectrum is empty (1 lies in the abelianized ideal)",
-                       True, witness="empty")
-        else:
+        # the counit, when it is a character, decides nonemptiness
+        # without a Groebner basis
+        w = _counit_character(p)
+        if w is None:
+            try:
+                empty = spectrum_empty(p, degree_cap)
+            except DegreeCapError as e:
+                report.add_undecided("spectrum emptiness", witness=str(e))
+                return report
+            if empty:
+                report.add("spectrum is empty (1 lies in the abelianized "
+                           "ideal)", True, witness="empty")
+                return report
             w = spectrum_witness(p)
-            if w is not None:
-                desc = ", ".join(f"{k} -> {_fmt(v)}" for k, v in w.items())
-                report.add("spectrum is nonempty", True,
-                           witness=f"character: {desc}")
-            else:
-                report.add("spectrum is nonempty", True,
-                           witness="nonempty, not enumerated")
+        if w is not None:
+            desc = ", ".join(f"{k} -> {_fmt(v)}" for k, v in w.items())
+            report.add("spectrum is nonempty", True,
+                       witness=f"character: {desc}")
+        else:
+            report.add("spectrum is nonempty", True,
+                       witness="nonempty, not enumerated")
     return report
 
 

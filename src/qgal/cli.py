@@ -22,10 +22,9 @@ from .ncpoly import ParseError, parse_expr
 from .presentations import CatalogError, CoactionData
 from .report import FAIL, PASS, Report, ReportItem, UNDECIDED
 
-CATALOG_NAMES = ("GLq2", "Uq2", "GLq2m2", "Uq2m2", "GLqm22", "Onp", "AuFG", "AuF")
-COACTION_TARGETS = ("GLq2m2", "Uq2m2", "AuFG")
 SUITES = ("hopf", "star", "coaction", "galois", "haar", "biunitarity",
           "cotensor", "spectrum", "all")
+STAR_SUITES = ("star", "biunitarity", "haar")
 
 
 class CliError(Exception):
@@ -37,16 +36,16 @@ def _completion_cap(default):
     return int(env) if env else default
 
 
+def _catalog_params(entry, args):
+    """The entry's parameters that the command line sets (--n, --p)."""
+    return {k: getattr(args, k) for k in entry.defaults
+            if getattr(args, k, None) is not None}
+
+
 def resolve_presentation(target, args):
-    if target in CATALOG_NAMES:
-        if target == "Onp":
-            return presentations.catalog("Onp", n=args.n or 2, p=args.p or 1)
-        if target == "AuFG":
-            return presentations.catalog("AuFG")
-        if target == "AuF":
-            F = presentations.matrix_fq(1)
-            return presentations.catalog("AuFG", F=F, G=F)
-        return presentations.catalog(target)
+    entry = presentations.CATALOG.get(target)
+    if entry is not None:
+        return presentations.catalog(target, **_catalog_params(entry, args))
     if os.path.exists(target):
         with open(target) as fh:
             text = fh.read()
@@ -56,12 +55,16 @@ def resolve_presentation(target, args):
 
 
 def resolve_coaction(target, args) -> CoactionData:
-    if target in COACTION_TARGETS:
-        return presentations.coaction(target)
-    if target in ("GLq2", "Uq2", "AuF"):
+    """The target's coaction; a Hopf algebra without one coacts on itself
+    by its coproduct."""
+    entry = presentations.CATALOG.get(target)
+    if entry is not None and entry.coaction is not None:
+        return presentations.coaction(target, **_catalog_params(entry, args))
+    if entry is not None:
         p = resolve_presentation(target, args)
-        return CoactionData(p, p, dict(p.hopf.delta))
-    if os.path.exists(target):
+        if p.hopf is not None:
+            return CoactionData(p, p, dict(p.hopf.delta))
+    elif os.path.exists(target):
         with open(target) as fh:
             text = fh.read()
         if "coaction " in text:
@@ -71,10 +74,9 @@ def resolve_coaction(target, args) -> CoactionData:
 
 
 def galois_witness_for(target, c: CoactionData):
-    if target in ("GLq2m2", "Uq2m2"):
-        return galois.glq_witness(c)
-    if target == "AuFG":
-        return galois.aufg_witness(c)
+    entry = presentations.CATALOG.get(target)
+    if entry is not None and entry.witness is not None:
+        return entry.galois_witness(c)
     if c.base is c.total and c.base.hopf is not None:
         return galois.hopf_witness(c.base)
     raise CliError(f"no Galois witness construction for {target!r}")
@@ -185,23 +187,28 @@ def _cotensor_report(target, args, spec, degree, with_gram):
     return report
 
 
-def run_all(target, args):
-    """Every suite that applies to the target, as one combined report."""
+def suites_for(target, args):
+    """The suites that apply to the target, read off its built data: the
+    suites in STAR_SUITES need a star structure, the coaction suites a
+    catalog coaction, and a Hopf algebra without one coacts on itself."""
     p = resolve_presentation(target, args)
-    suites = ["spectrum"]
-    if p.star is not None:
-        suites.insert(0, "star")
-    if p.hopf is not None:
-        suites.insert(0, "hopf")
-    if target in COACTION_TARGETS:
-        suites += ["coaction", "biunitarity", "haar", "cotensor"]
-        if target != "AuFG" or args.degree <= 1:
-            suites.append("galois")
+    entry = presentations.CATALOG.get(target)
+    suites = ["hopf"] if p.hopf is not None else []
+    suites += ["star", "spectrum"]
+    if entry is not None and entry.coaction is not None:
+        suites += ["coaction", "biunitarity", "haar", "cotensor", "galois"]
     elif p.hopf is not None:
         suites += ["haar", "galois"]
+    if p.star is None:
+        suites = [s for s in suites if s not in STAR_SUITES]
+    return suites
+
+
+def run_all(target, args):
+    """Every suite that applies to the target, as one combined report."""
     master = Report(f"all({target})")
     total_ms = 0.0
-    for suite in suites:
+    for suite in suites_for(target, args):
         sub = run_suite(target, suite, args)
         total_ms += sub.timing_ms
         n_fail = sum(1 for i in sub.items if i.status == FAIL)

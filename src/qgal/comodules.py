@@ -19,6 +19,7 @@ from .presentations import (
     counit_of_word,
     delta_ext,
     reduce_legs,
+    sandwich,
 )
 from .report import Report, timed
 from .scalars import Q, S_ONE, S_ZERO, ScalarC, ScalarQ
@@ -137,7 +138,7 @@ def unitarity_conjugator(v: Corep, F) -> Report:
     Finv = mat_inv(F)  # raises LinearSolveError when F is singular
     vbar = conjugate(v).matrix
     n = v.dim
-    w = _sandwich(F, vbar, Finv)
+    w = sandwich(F, vbar, Finv)
     wst = [[p.nf(p.star.apply(w[j][i])) for j in range(n)] for i in range(n)]
     report = Report(f"unitarity-conjugator({p.name}, dim {n})")
     with timed(report):
@@ -161,23 +162,6 @@ def _unitary_items(report, p, w, wst, n, label=""):
             s = p.nf(s - (one if i == j else NCPoly.zero(p.alphabet)))
             report.add(f"{label}(w* w)_{i + 1}{j + 1} = delta", s.is_zero(),
                        witness=s.pretty()[:120] if not s.is_zero() else "")
-
-
-def _sandwich(F, mat, Ginv):
-    n = len(F)
-    p = len(Ginv)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = None
-            for k in range(len(mat)):
-                for l in range(len(mat[0])):
-                    term = mat[k][l].scale(F[i][k] * Ginv[l][j])
-                    s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def _scal(x):

@@ -18,9 +18,11 @@ from .presentations import (
     MonomialOrder,
     Presentation,
     _finish,
+    _short,
     alpha_ext,
     catalog,
     reduce_legs,
+    sandwich,
 )
 from .report import Report, timed
 from .rewrite import word_basis
@@ -149,11 +151,6 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
     return report
 
 
-def _short(poly: NCPoly, limit=40) -> str:
-    s = poly.pretty()
-    return s if len(s) <= limit else s[: limit - 3] + "..."
-
-
 # ---------------------------------------------------------------------------
 # witness constructors for the catalog extensions
 # ---------------------------------------------------------------------------
@@ -197,8 +194,10 @@ _OPPOSITE_CACHE = {}
 
 def opposite(p: Presentation) -> Presentation:
     """Opposite presentation: every relation word reversed."""
-    if p.name in _OPPOSITE_CACHE:
-        return _OPPOSITE_CACHE[p.name]
+    # keyed by content: two file presentations may share a name
+    key = (p.alphabet, tuple(p.relations))
+    if key in _OPPOSITE_CACHE:
+        return _OPPOSITE_CACHE[key]
     rels = [
         NCPoly(p.alphabet, {tuple(reversed(wd)): coeff
                             for wd, coeff in rel.terms.items()})
@@ -206,7 +205,7 @@ def opposite(p: Presentation) -> Presentation:
     ]
     out = _finish(p.name + "^op", p.alphabet, rels, MonomialOrder(p.alphabet),
                   completion_degree=p.rewrite.completion_degree)
-    _OPPOSITE_CACHE[p.name] = out
+    _OPPOSITE_CACHE[key] = out
     return out
 
 
@@ -263,23 +262,7 @@ def _zbar_inverse(total: Presentation, n):
     Ginv = mat_inv([list(r) for r in G])
     Z = total.alphabet
     zbar = [[Z.gen(f"z{i}{j}s") for j in range(1, n + 1)] for i in range(1, n + 1)]
-    B = _mat_sandwich(F, zbar, Ginv)
+    B = sandwich(F, zbar, Ginv)
     Badj = [[total.star.apply(B[j][i]) for j in range(n)] for i in range(n)]
-    out = _mat_sandwich(Ginv, Badj, F)
+    out = sandwich(Ginv, Badj, F)
     return [[total.nf(e) for e in row] for row in out]
-
-
-def _mat_sandwich(F, mat, Ginv):
-    n, p = len(F), len(Ginv)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = None
-            for k in range(len(mat)):
-                for l in range(len(mat[0])):
-                    term = mat[k][l].scale(F[i][k] * Ginv[l][j])
-                    s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out

@@ -2,9 +2,7 @@
 
 Sparse rows are dicts keyed by an arbitrary hashable variable.  The
 incremental reducer is what the Haar solver feeds equations into; the
-nullspace routine backs the cotensor kernel computation.  Rows over Q(q)
-are content-stripped after cross-multiplication so intermediate
-coefficients stay small (fraction-free style elimination).
+nullspace routine backs the cotensor kernel computation.
 """
 
 from __future__ import annotations
@@ -22,22 +20,6 @@ class InconsistentSystemError(LinearSolveError):
 
 class NonUniqueSolutionError(LinearSolveError):
     pass
-
-
-def _strip_content(row, rhs=None):
-    """Divide a Q(q)-row by a common scalar so entries stay reduced.
-
-    Normalizes the row so some entry is 1; purely cosmetic for general
-    fields but keeps Q(q) numerators from swelling.
-    """
-    entries = list(row.values()) + ([rhs] if rhs is not None and not rhs.is_zero() else [])
-    if not entries:
-        return row, rhs
-    pivot = entries[0]
-    inv = pivot.inv()
-    new_row = {k: inv * v for k, v in row.items()}
-    new_rhs = None if rhs is None else inv * rhs
-    return new_row, new_rhs
 
 
 class RowReducer:
@@ -142,14 +124,10 @@ def nullspace(rows, variables, var_key=None):
     key = var_key or (lambda v: v)
     variables = sorted(variables, key=key)
     reducer = RowReducer(var_key=key)
-    zero = S_ZERO
     for row in rows:
         filtered = {k: v for k, v in row.items() if not v.is_zero()}
         if filtered:
-            try:
-                reducer.add_equation(filtered, _zero_like(next(iter(filtered.values()))))
-            except InconsistentSystemError:  # cannot happen: rhs is 0
-                raise
+            reducer.add_equation(filtered, _zero_like(next(iter(filtered.values()))))
     pivots = set(reducer.rows)
     free = [v for v in variables if v not in pivots]
     basis = []

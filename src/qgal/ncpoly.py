@@ -307,9 +307,6 @@ class TensorPoly:
                 out[key] = v
         return TensorPoly(alphabets, out)
 
-    def leg_poly(self, key_rest, leg) -> NCPoly:
-        raise NotImplementedError
-
     def __eq__(self, other):
         return (
             isinstance(other, TensorPoly)

@@ -2,11 +2,13 @@
 structure and coaction data, plus the structural verification operations
 (star well-definedness, Hopf axioms, comodule-algebra axioms).
 
-Catalog names: GLq2, GLq2m2, GLqm22, Uq2, Uq2m2, Onp, AuFG.
+The registry CATALOG holds one entry per catalog name: GLq2, Uq2, GLq2m2,
+Uq2m2, GLqm22, Onp, AuFG and AuF.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -147,29 +149,33 @@ _CACHE = {}
 def catalog(name, **params):
     """Build (and cache) a catalog presentation by name.
 
-    Returns the Presentation; Hopf data rides on presentation.hopf and
-    the associated coaction, when one exists, is available through
-    `coaction(name, **params)`.
+    Parameters left out take the entry's defaults before the cache key is
+    formed, so a call with the defaults spelled out shares the entry of
+    the call without them.  Returns the Presentation; Hopf data rides on
+    presentation.hopf and the associated coaction, when one exists, is
+    available through `coaction(name, **params)`.
     """
+    entry = _catalog_entry(name)
+    params = {**entry.defaults, **params}
     key = (name, _freeze(params))
     if key not in _CACHE:
-        _CACHE[key] = _build(name, params)
+        _CACHE[key] = entry.build(**params)
     return _CACHE[key]
 
 
 def coaction(name, **params) -> CoactionData:
     """Coaction data for the extensions in the catalog."""
-    if name == "GLq2m2":
-        return _coaction_glq_family(catalog("GLq2"), catalog("GLq2m2"))
-    if name == "Uq2m2":
-        return _coaction_glq_family(catalog("Uq2"), catalog("Uq2m2"))
-    if name == "AuFG":
-        F = params.get("F") or matrix_fq(1)
-        G = params.get("G") or matrix_fq(-1)
-        base = catalog("AuFG", F=F, G=F)
-        total = catalog("AuFG", F=F, G=G)
-        return _coaction_aufg(base, total)
-    raise CatalogError(f"no coaction data for {name!r}")
+    entry = _catalog_entry(name)
+    if entry.coaction is None:
+        raise CatalogError(f"no coaction data for {name!r}")
+    return entry.coaction(**{**entry.defaults, **params})
+
+
+def _catalog_entry(name) -> "CatalogEntry":
+    try:
+        return CATALOG[name]
+    except KeyError:
+        raise CatalogError(f"unknown catalog name {name!r}") from None
 
 
 def _freeze(params):
@@ -186,26 +192,6 @@ def _to_scalar(x):
     if isinstance(x, (ScalarQ, ScalarC)):
         return x
     return ScalarQ.from_fraction(Fraction(x))
-
-
-def _build(name, params):
-    if name == "GLq2":
-        return _build_glq2(star=False)
-    if name == "Uq2":
-        return _build_glq2(star=True)
-    if name == "GLq2m2":
-        return _build_glq2m2(star=False)
-    if name == "Uq2m2":
-        return _build_glq2m2(star=True)
-    if name == "GLqm22":
-        return _build_glqm22()
-    if name == "Onp":
-        return _build_onp(int(params["n"]), int(params["p"]))
-    if name == "AuFG":
-        F = params.get("F") or matrix_fq(1)
-        G = params.get("G") or matrix_fq(-1)
-        return _build_aufg(F, G)
-    raise CatalogError(f"unknown catalog name {name!r}")
 
 
 def matrix_fq(sign=1):
@@ -412,7 +398,7 @@ def _build_aufg(F, G):
     relations = _unitary_relations(A, z, z_star_t, n, p)
     # F zbar G^-1 unitary; zbar is the entrywise star (no transpose)
     zbar = [[A.gen(f"z{i}{j}s") for j in range(1, p + 1)] for i in range(1, n + 1)]
-    B = _scalar_sandwich(F, zbar, Ginv)
+    B = sandwich(F, zbar, Ginv)
     Bst = [[smap.apply(B[j][i]) for j in range(n)] for i in range(p)]
     relations += _unitary_relations(A, B, Bst, n, p)
     hopf = None
@@ -425,7 +411,7 @@ def _build_aufg(F, G):
     return pres
 
 
-def _scalar_sandwich(F, mat, Ginv):
+def sandwich(F, mat, Ginv):
     """F * mat * Ginv with scalar matrices F, Ginv and NCPoly mat."""
     n, p = len(F), len(Ginv)
     inner = len(mat)
@@ -463,9 +449,9 @@ def _auf_hopf(A: Alphabet, F, Finv, smap: StarMap, n):
             antipode[idx[f"z{i}{j}"]] = A.gen(f"z{j}{i}s")
     # S(zbar) = F^-1 (F zbar F^-1)^* F, the inverse of the conjugate matrix
     zbar = [[A.gen(f"z{i}{j}s") for j in range(1, n + 1)] for i in range(1, n + 1)]
-    B = _scalar_sandwich(F, zbar, Finv)
+    B = sandwich(F, zbar, Finv)
     Bst = [[smap.apply(B[j][i]) for j in range(n)] for i in range(n)]
-    S_zbar = _scalar_sandwich(Finv, Bst, F)
+    S_zbar = sandwich(Finv, Bst, F)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             antipode[idx[f"z{i}{j}s"]] = S_zbar[i - 1][j - 1]
@@ -489,6 +475,51 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
             alpha[Zi.index[f"z{i}{j}"]] = d
             alpha[Zi.index[f"z{i}{j}s"]] = ds
     return CoactionData(base, total, alpha)
+
+
+# ---------------------------------------------------------------------------
+# the catalog registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """How to build one catalog target, and the data that comes with it."""
+
+    build: Callable                  # (**params) -> Presentation
+    defaults: dict = field(default_factory=dict)
+    coaction: Callable | None = None   # (**params) -> CoactionData
+    witness: str | None = None       # galois constructor of the Galois witness
+
+    def galois_witness(self, c: CoactionData):
+        from . import galois  # galois imports this module
+
+        return getattr(galois, self.witness)(c)
+
+
+CATALOG = {
+    "GLq2": CatalogEntry(lambda: _build_glq2(star=False)),
+    "Uq2": CatalogEntry(lambda: _build_glq2(star=True)),
+    "GLq2m2": CatalogEntry(
+        lambda: _build_glq2m2(star=False),
+        coaction=lambda: _coaction_glq_family(catalog("GLq2"),
+                                              catalog("GLq2m2")),
+        witness="glq_witness"),
+    "Uq2m2": CatalogEntry(
+        lambda: _build_glq2m2(star=True),
+        coaction=lambda: _coaction_glq_family(catalog("Uq2"),
+                                              catalog("Uq2m2")),
+        witness="glq_witness"),
+    "GLqm22": CatalogEntry(_build_glqm22),
+    "Onp": CatalogEntry(_build_onp, defaults={"n": 2, "p": 1}),
+    "AuFG": CatalogEntry(
+        _build_aufg, defaults={"F": matrix_fq(1), "G": matrix_fq(-1)},
+        coaction=lambda F, G: _coaction_aufg(catalog("AuF", F=F),
+                                             catalog("AuFG", F=F, G=G)),
+        witness="aufg_witness"),
+    "AuF": CatalogEntry(lambda F: _build_aufg(F, F),
+                        defaults={"F": matrix_fq(1)}),
+}
 
 
 # ---------------------------------------------------------------------------

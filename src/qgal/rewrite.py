@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import kernel
 from .ncpoly import AlgebraError, Alphabet, NCPoly
 from .scalars import S_ONE
 
@@ -88,6 +87,33 @@ def orient(poly: NCPoly, order: MonomialOrder) -> RewriteRule | None:
     return RewriteRule(lead, rhs)
 
 
+def find_first_match(word, buckets):
+    """Leftmost occurrence of any rule lhs inside `word`.
+
+    `buckets` maps a first letter to a list of (lhs, rule_index) pairs,
+    with each bucket sorted longest lhs first so ties at one position
+    pick the longest (and thus most specific) rule.
+
+    Returns (position, rule_index, lhs_length) or None.
+    """
+    n = len(word)
+    for pos in range(n):
+        bucket = buckets.get(word[pos])
+        if not bucket:
+            continue
+        rest = n - pos
+        for lhs, idx in bucket:
+            m = len(lhs)
+            if m <= rest and word[pos : pos + m] == lhs:
+                return pos, idx, m
+    return None
+
+
+def has_subword(word, buckets):
+    """True when `word` contains some rule lhs (cheap normality test)."""
+    return find_first_match(word, buckets) is not None
+
+
 class RewriteSystem:
     """Immutable oriented rewriting system with a memoized normal form."""
 
@@ -109,7 +135,7 @@ class RewriteSystem:
     # -- normal form -------------------------------------------------------
 
     def is_normal_word(self, word) -> bool:
-        return not kernel.has_subword(word, self._buckets)
+        return not has_subword(word, self._buckets)
 
     def _nf_word(self, word):
         """Normal form of a single word as a map word -> scalar."""
@@ -118,7 +144,7 @@ class RewriteSystem:
         if hit is not None:
             return hit
         stack = [word]
-        find = kernel.find_first_match
+        find = find_first_match
         while stack:
             cur = stack[-1]
             if cur in cache:

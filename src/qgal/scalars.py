@@ -61,7 +61,10 @@ class LaurentPoly:
         return max(self.coeffs)
 
     def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.degree()]
+        # coefficients may be given as ints, and 1 / int is a float;
+        # converting here keeps every division in canonicalisation exact
+        c = self.coeffs[self.degree()]
+        return c if type(c) is Fraction else Fraction(c)
 
     def shift(self, k: int) -> "LaurentPoly":
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})

@@ -43,6 +43,11 @@ def c_uq():
     return coaction("Uq2m2")
 
 
+@pytest.fixture(scope="session")
+def c_aufg():
+    return coaction("AuFG")
+
+
 def random_scalar(rng, terms=3, exp=4):
     """Random nonzero-ish element of the q-rational scalar field."""
     total = ScalarQ.from_int(0)

@@ -20,7 +20,7 @@ from qgal.cotensor import compute_cotensor, cotensor_inner, verify_biunitarity
 from qgal.galois import glq_witness, verify_galois
 from qgal.haar import gram_positivity, haar_on_extension, haar_on_hopf
 from qgal.ncpoly import NCPoly
-from qgal.presentations import catalog, coaction, findim_rep_obstruction
+from qgal.presentations import catalog, findim_rep_obstruction
 from qgal.scalars import S_ONE, S_ZERO, ScalarQ
 from conftest import random_poly, random_scalar
 
@@ -46,11 +46,6 @@ def mu6(uq2, c_uq):
     starred degree-2 words reach degree 6)."""
     J = haar_on_hopf(uq2, d=6)
     return haar_on_extension(c_uq, J, 6)
-
-
-@pytest.fixture(scope="module")
-def c_aufg():
-    return coaction("AuFG")
 
 
 def test_criterion_01_galois(glq2m2):

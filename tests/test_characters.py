@@ -1,5 +1,6 @@
 import pytest
 
+from qgal import characters
 from qgal.characters import (
     CommutativePresentation,
     DegreeCapError,
@@ -101,6 +102,18 @@ def test_spectrum_reports(glq2m2, glq2):
     assert r.ok and any("empty" in i.desc for i in r.items)
     r2 = spectrum_report(glq2)
     assert r2.ok and any("character" in i.witness for i in r2.items)
+
+
+def test_spectrum_report_tries_counit_first(c_aufg, monkeypatch):
+    # the counit of AuF is a character; a Groebner basis of its
+    # abelianized relations passes the degree cap first
+    def no_groebner(*args, **kwargs):
+        raise AssertionError("Groebner basis computed")
+
+    monkeypatch.setattr(characters, "groebner", no_groebner)
+    r = spectrum_report(c_aufg.base)
+    assert r.ok
+    assert any("character" in i.witness for i in r.items)
 
 
 def test_star_spectrum_note(uq2m2):

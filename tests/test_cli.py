@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from qgal.cli import main
+from qgal.cli import main, suites_for
 
 QPLANE = """
 algebra qplane
@@ -50,6 +51,35 @@ def test_unknown_target_exits_3(capsys):
 def test_inapplicable_suite_exits_3(capsys):
     code, _, err = run(capsys, "verify", "GLq2", "--suite", "star")
     assert code == 3
+
+
+SUITES_ALL = {
+    "GLq2": ["hopf", "spectrum", "galois"],
+    "Uq2": ["hopf", "star", "spectrum", "haar", "galois"],
+    "GLq2m2": ["spectrum", "coaction", "cotensor", "galois"],
+    "Uq2m2": ["star", "spectrum", "coaction", "biunitarity", "haar",
+              "cotensor", "galois"],
+    "GLqm22": ["spectrum"],
+    "Onp": ["star", "spectrum"],
+    "AuF": ["hopf", "star", "spectrum", "haar", "galois"],
+    "AuFG": ["star", "spectrum", "coaction", "biunitarity", "haar",
+             "cotensor", "galois"],
+}
+
+
+def test_suites_for_each_catalog_target(c_aufg):
+    # c_aufg shares its total with the AuFG target, so nothing is rebuilt
+    for degree in (1, 2):
+        args = argparse.Namespace(n=None, p=None, degree=degree)
+        for target, suites in SUITES_ALL.items():
+            assert suites_for(target, args) == suites, target
+
+
+@pytest.mark.parametrize("target", ["GLq2", "GLq2m2"])
+def test_verify_all_without_star(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--suite", "all")
+    assert code == 0, err
+    assert "[PASS] all(" in out
 
 
 def test_q_zero_rejected(capsys):

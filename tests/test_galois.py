@@ -12,7 +12,12 @@ from qgal.galois import (
     verify_galois,
 )
 from qgal.ncpoly import NCPoly, TensorPoly
-from qgal.presentations import CoactionData, catalog, coaction
+from qgal.presentations import (
+    CoactionData,
+    catalog,
+    coaction,
+    parse_presentation_text,
+)
 from qgal.scalars import S_ONE
 
 
@@ -107,6 +112,16 @@ def test_opposite_presentation(glqm22):
         rev = NCPoly(op.alphabet, {tuple(reversed(w)): c
                                    for w, c in rel.terms.items()})
         assert op.nf(rev).is_zero()
+
+
+def test_opposite_keyed_by_content():
+    src = "algebra qplane\ngenerators x y\nrelation {}\n"
+    p1 = parse_presentation_text(src.format("y*x - q*x*y"))
+    p2 = parse_presentation_text(src.format("y*x - q^2*x*y"))
+    op1, op2 = opposite(p1), opposite(p2)
+    assert op2 is not op1
+    assert op1.relations == [p1.parse("x*y - q*y*x")]
+    assert op2.relations == [p2.parse("x*y - q^2*y*x")]
 
 
 def test_aufg_witness_validates():

@@ -1,7 +1,10 @@
+import argparse
 import dataclasses
 
 import pytest
 
+from qgal import presentations
+from qgal.cli import resolve_coaction, resolve_presentation
 from qgal.ncpoly import NCPoly, StarMap, TensorPoly
 from qgal.presentations import (
     CatalogError,
@@ -35,6 +38,19 @@ def test_catalog_shapes(glq2m2):
 def test_catalog_is_cached(uq2m2):
     assert catalog("Uq2m2") is uq2m2
     assert catalog("Onp", n=2, p=1) is catalog("Onp", n=2, p=1)
+    # defaults fill in before the cache key is formed
+    assert catalog("Onp") is catalog("Onp", n=2, p=1)
+
+
+def test_aufg_coaction_shares_the_catalog_entries(c_aufg):
+    args = argparse.Namespace(n=None, p=None, degree=2)
+    total = resolve_presentation("AuFG", args)
+    c = resolve_coaction("AuFG", args)
+    assert c.total is total is catalog("AuFG") is c_aufg.total
+    assert c.base is resolve_presentation("AuF", args) is c_aufg.base
+    assert c.base.hopf is not None and c.total.hopf is None
+    family = [k for k in presentations._CACHE if k[0] in ("AuF", "AuFG")]
+    assert len(family) == 2
 
 
 def test_verify_star_pass(uq2m2, uq2):

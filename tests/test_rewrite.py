@@ -9,6 +9,8 @@ from qgal.rewrite import (
     RewriteSystem,
     build_system,
     complete,
+    find_first_match,
+    has_subword,
     orient,
     word_basis,
 )
@@ -21,6 +23,13 @@ def test_normal_form_examples(glq2, glq2m2):
     assert glq2.nf(NCPoly.one(glq2.alphabet)) == NCPoly.one(glq2.alphabet)
     Z = glq2m2.parse
     assert glq2m2.nf(Z("z22*z11")) == Z("-z11*z22 + (q - q^-1)*z12*z21")
+
+
+def test_find_first_match_basics():
+    buckets = {1: [((1, 0), 0)]}
+    assert find_first_match((0, 1, 0, 2), buckets) == (1, 0, 2)
+    assert find_first_match((0, 2), buckets) is None
+    assert has_subword((1, 0), buckets)
 
 
 def test_word_basis_counts(glq2):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_nonzero_scalar, random_scalar
-from qgal.scalars import PoleError, Q, S_ONE, S_ZERO, ScalarC, ScalarQ
+from qgal.scalars import (
+    LaurentPoly,
+    PoleError,
+    Q,
+    S_ONE,
+    S_ZERO,
+    ScalarC,
+    ScalarQ,
+)
 
 
 def test_basic_identities():
@@ -29,6 +37,16 @@ def test_eval_examples():
     assert (Q - Q.inv()).eval(1.0) == pytest.approx(0.0)
     with pytest.raises(PoleError):
         (Q - S_ONE).inv().eval(1.0)
+
+
+def test_integer_coefficients_stay_exact():
+    a = ScalarQ(LaurentPoly({0: 1}), LaurentPoly({0: 1, 1: 1}))
+    b = ScalarQ(LaurentPoly({0: Fraction(1)}),
+                LaurentPoly({0: Fraction(1), 1: Fraction(1)}))
+    assert a == b
+    c = ScalarQ(LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: 3, 2: 3}))
+    assert all(type(v) is Fraction
+               for v in list(c.num.coeffs.values()) + list(c.den.coeffs.values()))
 
 
 def test_eval_at_zero_pole():
