@@ -130,7 +130,7 @@ def run_suite(target, suite, args):
     if suite == "biunitarity":
         c = resolve_coaction(target, args)
         v = comodules.fundamental(c.total)
-        return cotensor.verify_biunitarity(c, v.matrix, degree)
+        return cotensor.verify_biunitarity(c, v.matrix)
     if suite == "haar":
         import time
 

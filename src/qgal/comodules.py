@@ -239,7 +239,7 @@ def _gram_eigs(g, q0):
     return sorted(np.linalg.eigvalsh(m).tolist())
 
 
-def search_diagonal_gram(v: Corep, exp_range=4, q_samples=(0.5,)) -> UnitaryStructure:
+def search_diagonal_gram(v: Corep, exp_range=4) -> UnitaryStructure:
     """Search diagonal grams diag(q^{e_i}) (e_1 = 0) for one satisfying
     the comodule-invariance identity."""
     p = v.pres

@@ -152,7 +152,7 @@ def trivial_element(c: CoactionData) -> CotensorElement:
                            [NCPoly.one(c.total.alphabet)])
 
 
-def verify_biunitarity(c: CoactionData, zblock, d_unused: int = 0) -> Report:
+def verify_biunitarity(c: CoactionData, zblock) -> Report:
     """Both orthonormality families for a block of Z elements:
     sum_i star(z_ij) z_ik = delta_jk and sum_j z_ij star(z_kj) = delta_ik."""
     star = c.total.star

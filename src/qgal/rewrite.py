@@ -109,11 +109,6 @@ def find_first_match(word, buckets):
     return None
 
 
-def has_subword(word, buckets):
-    """True when `word` contains some rule lhs (cheap normality test)."""
-    return find_first_match(word, buckets) is not None
-
-
 class RewriteSystem:
     """Immutable oriented rewriting system with a memoized normal form."""
 
@@ -133,9 +128,6 @@ class RewriteSystem:
         self._nf_cache = {(): {(): S_ONE}}
 
     # -- normal form -------------------------------------------------------
-
-    def is_normal_word(self, word) -> bool:
-        return not has_subword(word, self._buckets)
 
     def _nf_word(self, word):
         """Normal form of a single word as a map word -> scalar."""
@@ -269,8 +261,14 @@ def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
 
 
 def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
-    """Reduce every rule by the others until no rule's polynomial changes."""
+    """Reduce every rule by the others until no rule's polynomial changes.
+
+    The oriented rules are kept next to their polynomials and oriented
+    again only when the polynomial changes; `orient` is pure, so this
+    returns the same rules as orienting every polynomial on every pass.
+    """
     polys = [r.as_poly(alphabet) for r in rules]
+    oriented = [orient(p, order) for p in polys]
     changed = True
     while changed:
         changed = False
@@ -278,26 +276,37 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
             if polys[i] is None:
                 continue
             others = [
-                orient(p, order)
-                for j, p in enumerate(polys)
-                if j != i and p is not None
+                r for j, r in enumerate(oriented) if j != i and r is not None
             ]
             rs = RewriteSystem(alphabet, others, order, completion_degree, rule_cap)
             reduced = rs.normal_form(polys[i])
             if reduced != polys[i]:
                 changed = True
                 polys[i] = None if reduced.is_zero() else reduced
-    return [orient(p, order) for p in polys if p is not None]
+                oriented[i] = orient(reduced, order)
+    return [r for r in oriented if r is not None]
 
 
 def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     """Bounded-degree completion: resolve all overlap obstructions of
-    degree <= d by adding oriented differences of divergent reductions."""
+    degree <= d by adding oriented differences of divergent reductions.
+
+    The result records d as its completion degree.  When `rs` is already
+    clean up to d, that is a system with the same rules that shares the
+    normal-form memo of `rs`.
+    """
     current = rs
     while True:
         obstructions = current._obstructions(d)
         if not obstructions:
-            return current
+            if d <= current.completion_degree:
+                return current
+            certified = RewriteSystem(
+                current.alphabet, current.rules, current.order, d,
+                current.rule_cap,
+            )
+            certified._nf_cache = current._nf_cache
+            return certified
         polys = [r.as_poly(current.alphabet) for r in current.rules]
         for ob in obstructions:
             polys.append(ob.diff)
@@ -325,9 +334,15 @@ def word_basis(rs: RewriteSystem, d: int):
     """All normal words of length <= d, sorted by the monomial order.
 
     Requires the system to be confluence-certified at degree d, so the
-    diamond lemma makes these a basis of the degree truncation.
+    diamond lemma makes these a basis of the degree truncation: raises
+    ConfluenceError when d exceeds the completion degree or an overlap
+    of degree <= d does not resolve.
     """
-    if rs._obstructions(min(d, rs.completion_degree)):
+    if d > rs.completion_degree:
+        raise ConfluenceError(
+            f"degree {d} exceeds completion bound {rs.completion_degree}"
+        )
+    if rs._obstructions(d):
         raise ConfluenceError(
             f"system is not locally confluent up to degree {d}"
         )

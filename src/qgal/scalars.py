@@ -174,22 +174,28 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q
 
 
+# The one denominator of every ScalarQ whose canonical denominator is 1.
+UNIT_DEN = LaurentPoly({0: Fraction(1)})
+
+
 class ScalarQ:
     """Element of the fraction field Q(q), kept in canonical reduced form.
 
     Canonical form: the denominator is an ordinary polynomial (lowest
     q-exponent 0, so its constant term is nonzero), monic, and coprime to
-    the numerator.  Equality and hashing go through this form.
+    the numerator.  Equality and hashing go through this form.  A
+    denominator equal to 1 is always the shared object UNIT_DEN.  A
+    scalar over UNIT_DEN is canonical whatever its numerator, and so are
+    sums and products of two of them, so those skip canonicalisation.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = None, _canonical=False):
-        if den is None:
-            den = LaurentPoly({0: Fraction(1)})
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = UNIT_DEN,
+                 _canonical=False):
         if den.is_zero():
             raise ZeroDivisionError("ScalarQ with zero denominator")
-        if not _canonical:
+        if not (_canonical or den is UNIT_DEN):
             num, den = _canonicalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -214,14 +220,14 @@ class ScalarQ:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num.coeffs == {0: Fraction(1)} and self.den.coeffs == {
-            0: Fraction(1)
-        }
+        return self.den is UNIT_DEN and self.num.coeffs == {0: 1}
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is UNIT_DEN and other.den is UNIT_DEN:
+            return ScalarQ(self.num + other.num)
         return ScalarQ(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -244,6 +250,8 @@ class ScalarQ:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den is UNIT_DEN and other.den is UNIT_DEN:
+            return ScalarQ(self.num * other.num)
         return ScalarQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -286,7 +294,7 @@ class ScalarQ:
         return self.num.eval(q0) / d
 
     def __repr__(self):
-        if self.den.coeffs == {0: Fraction(1)}:
+        if self.den is UNIT_DEN:
             return f"({self.num})"
         return f"({self.num}) / ({self.den})"
 
@@ -301,7 +309,7 @@ def _coerce(x):
 
 def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
-        return num, LaurentPoly({0: Fraction(1)})
+        return num, UNIT_DEN
     # shift the denominator so its lowest exponent is 0
     s = den.low()
     den = den.shift(-s)
@@ -317,7 +325,7 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     if lc != 1:
         den = den * (1 / lc)
         n0 = n0 * (1 / lc)
-    return n0.shift(t), den
+    return n0.shift(t), (UNIT_DEN if den.degree() == 0 else den)
 
 
 S_ZERO = ScalarQ.from_int(0)

@@ -110,10 +110,10 @@ def test_criterion_06_biunitarity(c_uq, uq2m2, c_aufg):
     with criterion(6, "biunitarity of the fundamental block and of the "
                       "universal unitary generator block", 10):
         v = fundamental(uq2m2)
-        assert verify_biunitarity(c_uq, v.matrix, 0).ok
+        assert verify_biunitarity(c_uq, v.matrix).ok
         Z = c_aufg.total.alphabet
         zblock = [[Z.gen(f"z{i}{j}") for j in (1, 2, 3)] for i in (1, 2, 3)]
-        assert verify_biunitarity(c_aufg, zblock, 0).ok
+        assert verify_biunitarity(c_aufg, zblock).ok
 
 
 def test_criterion_07_cotensor_dims(uq2, c_uq, mu6):

@@ -95,6 +95,6 @@ def test_kernel_membership_rejects_junk(c_uq):
 
 def test_biunitarity(c_uq, uq2m2):
     v = fundamental(uq2m2)
-    assert verify_biunitarity(c_uq, v.matrix, 0).ok
+    assert verify_biunitarity(c_uq, v.matrix).ok
     one = NCPoly.one(uq2m2.alphabet)
-    assert verify_biunitarity(c_uq, [[one]], 0).ok
+    assert verify_biunitarity(c_uq, [[one]]).ok

@@ -1,16 +1,17 @@
 import pytest
 
 from conftest import random_poly
+from qgal import rewrite
 from qgal.ncpoly import Alphabet, NCPoly, parse_expr
-from qgal.presentations import catalog
+from qgal.presentations import CATALOG, catalog, parse_presentation_text
 from qgal.rewrite import (
     CompletionBudgetError,
+    ConfluenceError,
     MonomialOrder,
     RewriteSystem,
     build_system,
     complete,
     find_first_match,
-    has_subword,
     orient,
     word_basis,
 )
@@ -29,7 +30,6 @@ def test_find_first_match_basics():
     buckets = {1: [((1, 0), 0)]}
     assert find_first_match((0, 1, 0, 2), buckets) == (1, 0, 2)
     assert find_first_match((0, 2), buckets) is None
-    assert has_subword((1, 0), buckets)
 
 
 def test_word_basis_counts(glq2):
@@ -37,6 +37,12 @@ def test_word_basis_counts(glq2):
     assert word_basis(rs, 0) == [()]
     assert len(word_basis(rs, 1)) == 6
     assert len(word_basis(rs, 2)) == 21
+
+
+def test_word_basis_refuses_degree_above_completion(glq2):
+    rs = glq2.rewrite
+    with pytest.raises(ConfluenceError):
+        word_basis(rs, rs.completion_degree + 1)
 
 
 def test_basis_words_are_normal(glq2, glq2m2, uq2m2):
@@ -124,3 +130,46 @@ def test_relations_reduce_to_zero(glq2, uq2, glq2m2, uq2m2, glqm22):
     for p in (glq2, uq2, glq2m2, uq2m2, glqm22):
         for rel in p.relations:
             assert p.nf(rel).is_zero()
+
+
+def test_clean_completion_records_its_degree(monkeypatch):
+    p = parse_presentation_text("algebra qplane\ngenerators x y\n"
+                                "relation y*x - q*x*y\n")
+    assert p.rewrite.completion_degree == 3
+    rules = p.rewrite.rules
+    p.ensure_degree(5)
+    assert p.rewrite.completion_degree == 5
+    assert p.rewrite.rules == rules
+    assert p.rewrite.check_overlaps(5) == []
+    scans = []
+    original = RewriteSystem._obstructions
+    monkeypatch.setattr(RewriteSystem, "_obstructions",
+                        lambda rs, d: scans.append(d) or original(rs, d))
+    p.ensure_degree(5)
+    assert scans == []
+
+
+def _assert_interreduced(rules):
+    """No word of any rule contains the lhs of another rule."""
+    for i, rule in enumerate(rules):
+        others = {}
+        for j, other in enumerate(rules):
+            if j != i:
+                others.setdefault(other.lhs[0], []).append((other.lhs, j))
+        for word in (rule.lhs, *rule.rhs.terms):
+            assert find_first_match(word, others) is None, (rule.lhs, word)
+
+
+def test_catalog_rules_are_interreduced(c_aufg):
+    for name in CATALOG:
+        _assert_interreduced(catalog(name).rewrite.rules)
+    _assert_interreduced(c_aufg.total.rewrite.rules)
+
+
+def test_aufg_build_orients_each_rule_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rewrite, "orient",
+                        lambda *a: calls.append(1) or orient(*a))
+    entry = CATALOG["AuFG"]
+    entry.build(**entry.defaults)
+    assert 0 < len(calls) < 2000

@@ -12,6 +12,7 @@ from qgal.scalars import (
     Q,
     S_ONE,
     S_ZERO,
+    UNIT_DEN,
     ScalarC,
     ScalarQ,
 )
@@ -95,6 +96,58 @@ def test_eval_is_ring_homomorphism(e1, e2, c1, c2):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
         assert (a + b).eval(q0) == pytest.approx(
             a.eval(q0) + b.eval(q0), rel=1e-12, abs=1e-12)
+
+
+# denominators of the oracle's operands: 1, 1+q, 1+q^2, 1-q+q^2
+ORACLE_DENS = [{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1}]
+
+oracle_scalars = st.builds(
+    lambda coeffs, den: ScalarQ(
+        LaurentPoly({e: Fraction(c) for e, c in coeffs.items()}),
+        LaurentPoly({e: Fraction(c) for e, c in ORACLE_DENS[den].items()})),
+    st.dictionaries(st.integers(-3, 3),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=6),
+                    max_size=3),
+    st.sampled_from([0, 0, 1, 2, 3]),
+)
+
+
+def _sympy_laurent(p, sp, q):
+    return sum((sp.Rational(c.numerator, c.denominator) * q**e
+                for e, c in p.coeffs.items()), sp.Integer(0))
+
+
+def _sympy_of(x, sp, q):
+    return _sympy_laurent(x.num, sp, q) / _sympy_laurent(x.den, sp, q)
+
+
+def _assert_canonical_and_equal(result, expected, sp, q):
+    assert sp.cancel(_sympy_of(result, sp, q) - expected) == 0
+    den = result.den
+    assert den.low() == 0 and den.leading_coeff() == 1
+    if not result.is_zero():
+        num = result.num.shift(-result.num.low())
+        g = sp.gcd(sp.Poly(_sympy_laurent(num, sp, q), q, domain="QQ"),
+                   sp.Poly(_sympy_laurent(den, sp, q), q, domain="QQ"))
+        assert g.degree() == 0
+    if den == LaurentPoly({0: Fraction(1)}):
+        # the shared unit, and the same value as canonicalisation builds
+        assert den is UNIT_DEN
+        again = ScalarQ(result.num, LaurentPoly({0: Fraction(1)}))
+        assert again == result and hash(again) == hash(result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_scalars, oracle_scalars)
+def test_arithmetic_against_sympy(a, b):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    sa, sb = _sympy_of(a, sp, q), _sympy_of(b, sp, q)
+    _assert_canonical_and_equal(a + b, sa + sb, sp, q)
+    _assert_canonical_and_equal(a * b, sa * sb, sp, q)
+    if not a.is_zero():
+        _assert_canonical_and_equal(a.inv(), 1 / sa, sp, q)
 
 
 def test_complex_scalars():
