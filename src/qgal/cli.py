@@ -8,7 +8,15 @@
 
 Targets are catalog names (GLq2, Uq2, GLq2m2, Uq2m2, GLqm22, Onp, AuFG,
 AuF) or presentation/coaction files in the text DSL.  Exit codes:
-0 pass, 1 fail, 2 undecided, 3 error.
+
+    0  pass
+    1  fail
+    2  undecided: an item of the report, or a computation that stopped
+       short (a non-unique linear solution, a completion budget, a
+       degree above the completion degree); the reason goes to stderr
+    3  usage, parse or algebra error (unknown target, a suite that needs
+       a star structure the target lacks, ...)
+    4  internal error, with its traceback on stderr
 """
 
 from __future__ import annotations
@@ -18,13 +26,18 @@ import os
 import sys
 
 from . import characters, comodules, cotensor, galois, haar, presentations
-from .ncpoly import ParseError, parse_expr
-from .presentations import CatalogError, CoactionData
+from .linalg import NonUniqueSolutionError
+from .ncpoly import AlgebraError, ParseError, parse_expr
+from .presentations import CoactionData
 from .report import FAIL, PASS, Report, ReportItem, UNDECIDED
+from .rewrite import CompletionBudgetError, ConfluenceError
 
 SUITES = ("hopf", "star", "coaction", "galois", "haar", "biunitarity",
           "cotensor", "spectrum", "all")
 STAR_SUITES = ("star", "biunitarity", "haar")
+# raised when a computation stops short of an answer: exit 2, not an error
+UNDECIDED_ERRORS = (NonUniqueSolutionError, CompletionBudgetError,
+                    ConfluenceError)
 
 
 class CliError(Exception):
@@ -167,9 +180,18 @@ def _cotensor_report(target, args, spec, degree, with_gram):
             f"dim(V wedge Z) = {dims[ds[-1]]} at degree {ds[-1]}", True,
             witness="; ".join(e.pretty() for e in elements))
         if len(ds) == 2:
-            report.add(
-                f"dimension stable from degree {ds[0]} to {ds[1]}", stable,
-                witness=f"dims {dims[ds[0]]} -> {dims[ds[1]]}")
+            desc = f"dimension stable from degree {ds[0]} to {ds[1]}"
+            witness = f"dims {dims[ds[0]]} -> {dims[ds[1]]}"
+            # a kernel vector pairs V's coefficients with elements of Z of
+            # at least their degree, so below it equal dimensions prove
+            # nothing
+            coeff_degree = max(e.degree() for row in v.matrix for e in row)
+            if ds[0] < coeff_degree:
+                report.add_undecided(desc, witness=(
+                    f"{witness}; degree {ds[0]} is below the comodule's "
+                    f"coefficient degree {coeff_degree}"))
+            else:
+                report.add(desc, stable, witness=witness)
         if with_gram and c.total.star is not None and c.base.hopf is not None \
                 and elements:
             _, mu = _haar_pair(c, max(e.degree() for e in elements))
@@ -352,15 +374,21 @@ def main(argv=None) -> int:
         if any(q0 == 0.0 for q0 in getattr(args, "q", [])):
             raise CliError("q = 0 is outside the valid parameter domain")
         return handlers[args.command](args)
+    except UNDECIDED_ERRORS as e:
+        print(f"undecided: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 3
-    except (CliError, CatalogError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except Exception as e:  # pragma: no cover - defensive
+    except (CliError, AlgebraError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except Exception as e:
+        import traceback  # only on this path: it would add to start-up
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import S_ONE, S_ZERO, ScalarQ
+from .scalars import S_ONE, S_ZERO, UNIT_DEN, ScalarQ
 
 Word = tuple
 
@@ -171,7 +171,7 @@ class NCPoly:
 def _scalar_str(c) -> str:
     """Render a scalar in the expression grammar (parenthesized if a sum)."""
     num, den = c.num, c.den
-    if den.coeffs == {0: Fraction(1)} and len(num.coeffs) == 1:
+    if den is UNIT_DEN and len(num.coeffs) == 1:
         ((e, f),) = num.coeffs.items()
         if e == 0:
             return str(f)
@@ -370,6 +370,11 @@ def extend_anti(images, alphabet):
 # ---------------------------------------------------------------------------
 
 
+DIGITS = frozenset("0123456789")
+# each level costs three stack frames (expr, term, factor)
+MAX_NESTING = 100
+
+
 class _Tokenizer:
     def __init__(self, src):
         self.src = src
@@ -403,9 +408,9 @@ class _Tokenizer:
                 self.tokens.append((ch, ch, line, start_col))
                 i += 1
                 col += 1
-            elif ch.isdigit():
+            elif ch in DIGITS:
                 j = i
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in DIGITS:
                     j += 1
                 self.tokens.append(("int", src[i:j], line, start_col))
                 col += j - i
@@ -427,6 +432,7 @@ class _Parser:
     def __init__(self, src, alphabet: Alphabet):
         self.tokens = _Tokenizer(src).tokens
         self.pos = 0
+        self.depth = 0
         self.alphabet = alphabet
 
     def peek(self):
@@ -446,6 +452,12 @@ class _Parser:
         if tok[0] != kind:
             self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
         return tok
+
+    def integer(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than int() converts
+            self.error(f"integer of {len(tok[1])} digits is too long", tok)
 
     def parse(self) -> NCPoly:
         out = self.expr()
@@ -484,19 +496,26 @@ class _Parser:
         kind, text = tok[0], tok[1]
         if kind == "(":
             self.next()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}", tok)
             out = self.expr()
+            self.depth -= 1
             close = self.next()
             if close[0] != ")":
                 self.error("expected ')'", close)
             return out
         if kind == "int":
             self.next()
-            num = int(text)
+            num = self.integer(tok)
             if self.peek()[0] == "/":
                 self.next()
                 dtok = self.expect("int")
+                den = self.integer(dtok)
+                if not den:
+                    self.error("division by zero", dtok)
                 return NCPoly.scalar(
-                    self.alphabet, ScalarQ.from_fraction(Fraction(num, int(dtok[1])))
+                    self.alphabet, ScalarQ.from_fraction(Fraction(num, den))
                 )
             return NCPoly.scalar(self.alphabet, ScalarQ.from_int(num))
         if kind == "ident":
@@ -510,7 +529,7 @@ class _Parser:
                         self.next()
                         sign = -1
                     etok = self.expect("int")
-                    k = sign * int(etok[1])
+                    k = sign * self.integer(etok)
                 return NCPoly.scalar(self.alphabet, ScalarQ.q_power(k))
             if text not in self.alphabet.index:
                 self.error(f"unknown generator {text!r}", tok)

@@ -730,7 +730,14 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
             raise CatalogError(f"line {lineno}: unknown directive {head!r}")
     if not name or not gen_names:
         raise CatalogError("presentation file needs 'algebra' and 'generators'")
-    A = Alphabet(gen_names)
+    # an identifier as the expression tokenizer reads one
+    bad = [g for g in gen_names if not (g[:1].isalpha() and g.isalnum())]
+    if bad:
+        raise CatalogError(f"generator names must be identifiers: {bad}")
+    try:
+        A = Alphabet(gen_names)
+    except AlgebraError as e:
+        raise CatalogError(str(e)) from None
     if order_names:
         if sorted(order_names) != sorted(gen_names):
             raise CatalogError("order line must list every generator once")
@@ -745,6 +752,9 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
             if gname not in A.index:
                 raise CatalogError(f"line {lineno}: unknown generator {gname!r}")
             images[A.index[gname]] = parse_expr(expr, A)
+        missing = [g for g in gen_names if A.index[g] not in images]
+        if missing:
+            raise CatalogError(f"star images missing for generators: {missing}")
         smap = StarMap(A, images)
     return _finish(name, A, relations, order, star=smap,
                    completion_degree=completion_degree)

@@ -18,34 +18,45 @@ class PoleError(ScalarError):
     """Denominator vanishes at the requested evaluation point."""
 
 
-def _clean(coeffs):
-    return {e: c for e, c in coeffs.items() if c}
+def _exact(c):
+    """c as a stored coefficient: an int when it is integral, otherwise a
+    Fraction (whose denominator is then > 1)."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class LaurentPoly:
     """Laurent polynomial in q with exact rational coefficients.
 
-    Stored as a finitely supported map exponent -> Fraction; zero
-    coefficients are never kept.
+    Stored as a finitely supported map exponent -> coefficient.  Each
+    stored coefficient is a nonzero int, or a Fraction whose denominator
+    is > 1: never a Fraction equal to an integer, and never a float.  An
+    int and a Fraction of equal value compare and hash alike, so the
+    choice does not show in equality or hashing.  The public constructor
+    normalises its input; the operations build their results through
+    _laurent, which takes over a dict that already holds this invariant.
     """
 
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        object.__setattr__(self, "coeffs", dict(_clean(coeffs or {})))
-        object.__setattr__(self, "_hash", None)
+        _set_coeffs(self, {e: _exact(c) for e, c in (coeffs or {}).items()
+                           if c})
+        _set_lp_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @staticmethod
     def from_fraction(c) -> "LaurentPoly":
-        c = Fraction(c)
-        return LaurentPoly({0: c} if c else {})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def q_power(k: int) -> "LaurentPoly":
-        return LaurentPoly({k: Fraction(1)})
+        return _laurent({k: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -61,44 +72,68 @@ class LaurentPoly:
         return max(self.coeffs)
 
     def leading_coeff(self) -> Fraction:
-        # coefficients may be given as ints, and 1 / int is a float;
+        # integral coefficients are ints, and 1 / int is a float;
         # converting here keeps every division in canonicalisation exact
         c = self.coeffs[self.degree()]
         return c if type(c) is Fraction else Fraction(c)
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        if not k:
+            return self
+        return _laurent({e + k: c for e, c in self.coeffs.items()})
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
+            if e in out:
+                v = out[e] + c
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
             else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+                out[e] = c
+        return _laurent(out)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _laurent({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return LaurentPoly({e: c * f for e, c in self.coeffs.items()})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return LaurentPoly(out)
+        a = self.coeffs
+        if type(other) is LaurentPoly:
+            b = other.coeffs
+            if len(a) == 1:
+                a, b = b, a
+        elif isinstance(other, (int, Fraction)):
+            b = {0: _exact(other)} if other else {}
+        else:
+            return NotImplemented
+        if len(b) == 1:
+            # a monomial factor: no two products share an exponent
+            ((k, f),) = b.items()
+            out = {e + k: c * f for e, c in a.items()}
+        else:
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = e1 + e2
+                    if e in out:
+                        v = out[e] + c1 * c2
+                        if v:
+                            out[e] = v
+                        else:
+                            del out[e]
+                    else:
+                        out[e] = c1 * c2
+        for e, v in out.items():
+            if type(v) is not int and v.denominator == 1:
+                out[e] = v.numerator
+        return _laurent(out)
 
     __rmul__ = __mul__
 
@@ -133,6 +168,19 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*q^{e}" if c != 1 else f"q^{e}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+_set_coeffs = LaurentPoly.coeffs.__set__
+_set_lp_hash = LaurentPoly._hash.__set__
+
+
+def _laurent(coeffs) -> LaurentPoly:
+    """A LaurentPoly that takes over coeffs, which must already hold the
+    coefficient invariant (nonzero, integral values as int)."""
+    p = object.__new__(LaurentPoly)
+    _set_coeffs(p, coeffs)
+    _set_lp_hash(p, None)
+    return p
 
 
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
@@ -175,7 +223,7 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 # The one denominator of every ScalarQ whose canonical denominator is 1.
-UNIT_DEN = LaurentPoly({0: Fraction(1)})
+UNIT_DEN = LaurentPoly({0: 1})
 
 
 class ScalarQ:
@@ -184,22 +232,25 @@ class ScalarQ:
     Canonical form: the denominator is an ordinary polynomial (lowest
     q-exponent 0, so its constant term is nonzero), monic, and coprime to
     the numerator.  Equality and hashing go through this form.  A
-    denominator equal to 1 is always the shared object UNIT_DEN.  A
-    scalar over UNIT_DEN is canonical whatever its numerator, and so are
-    sums and products of two of them, so those skip canonicalisation.
+    denominator equal to 1 is always the shared object UNIT_DEN.  The
+    public constructor canonicalises unless the denominator is UNIT_DEN:
+    a scalar over UNIT_DEN is canonical whatever its numerator.  Results
+    known to be canonical are built by _scalar, which takes over the pair
+    as it is: a negation, a sum with at most one denominator other than
+    UNIT_DEN, and a product of two scalars over UNIT_DEN or with a
+    monomial c*q^k over UNIT_DEN.
     """
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = UNIT_DEN,
-                 _canonical=False):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = UNIT_DEN):
         if den.is_zero():
             raise ZeroDivisionError("ScalarQ with zero denominator")
-        if not (_canonical or den is UNIT_DEN):
+        if den is not UNIT_DEN:
             num, den = _canonicalize(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_sq_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarQ is immutable")
@@ -217,17 +268,24 @@ class ScalarQ:
         return ScalarQ(LaurentPoly.q_power(k))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def is_one(self) -> bool:
         return self.den is UNIT_DEN and self.num.coeffs == {0: 1}
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is UNIT_DEN and other.den is UNIT_DEN:
-            return ScalarQ(self.num + other.num)
+        if type(other) is not ScalarQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # a/b + c = (a + cb)/b is still coprime: only two non-unit
+        # denominators need canonicalisation
+        if self.den is UNIT_DEN:
+            if other.den is UNIT_DEN:
+                return _scalar(self.num + other.num, UNIT_DEN)
+            return _scalar(self.num * other.den + other.num, other.den)
+        if other.den is UNIT_DEN:
+            return _scalar(self.num + other.num * self.den, self.den)
         return ScalarQ(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -235,7 +293,7 @@ class ScalarQ:
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarQ(-self.num, self.den, _canonical=True)
+        return _scalar(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -247,11 +305,19 @@ class ScalarQ:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is UNIT_DEN and other.den is UNIT_DEN:
-            return ScalarQ(self.num * other.num)
+        if type(other) is not ScalarQ:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # a monomial c*q^k is a unit of Q[q, 1/q], so a product with one
+        # keeps the other factor's denominator and coprimality
+        if self.den is UNIT_DEN:
+            if other.den is UNIT_DEN:
+                return _scalar(self.num * other.num, UNIT_DEN)
+            if len(self.num.coeffs) == 1:
+                return _scalar(self.num * other.num, other.den)
+        elif other.den is UNIT_DEN and len(other.num.coeffs) == 1:
+            return _scalar(self.num * other.num, self.den)
         return ScalarQ(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -297,6 +363,21 @@ class ScalarQ:
         if self.den is UNIT_DEN:
             return f"({self.num})"
         return f"({self.num}) / ({self.den})"
+
+
+_set_num = ScalarQ.num.__set__
+_set_den = ScalarQ.den.__set__
+_set_sq_hash = ScalarQ._hash.__set__
+
+
+def _scalar(num: LaurentPoly, den: LaurentPoly) -> ScalarQ:
+    """A ScalarQ that takes over (num, den), which must already be in
+    canonical form."""
+    x = object.__new__(ScalarQ)
+    _set_num(x, num)
+    _set_den(x, den)
+    _set_sq_hash(x, None)
+    return x
 
 
 def _coerce(x):

@@ -32,6 +32,41 @@ def test_groebner_small_oracle():
     assert reduce_poly(h, basis) == {}
 
 
+def _sympy_scalar(c, sp, q):
+    def laurent(p):
+        return sum((sp.Rational(v) * q**e for e, v in p.coeffs.items()),
+                   sp.Integer(0))
+    return laurent(c.num) / laurent(c.den)
+
+
+# <x^2 - y, x*y - x> (the ideal above), the unit ideal <x - 1, x - 2>,
+# and <(1+q) x^2 - y, x*y - q*x>, whose basis has a coefficient 1/(1+q)
+ORACLE_IDEALS = [
+    [P(((2, 0), S_ONE), ((0, 1), -S_ONE)), P(((1, 1), S_ONE), ((1, 0), -S_ONE))],
+    [P(((1, 0), S_ONE), ((0, 0), -S_ONE)),
+     P(((1, 0), S_ONE), ((0, 0), -(S_ONE + S_ONE)))],
+    [P(((2, 0), S_ONE + Q), ((0, 1), -S_ONE)), P(((1, 1), S_ONE), ((1, 0), -Q))],
+]
+
+
+@pytest.mark.parametrize("gens", ORACLE_IDEALS)
+def test_groebner_against_sympy(gens):
+    sp = pytest.importorskip("sympy")
+    q, x, y = sp.symbols("q x y")
+
+    def expr(poly):
+        return sum((_sympy_scalar(c, sp, q) * x**e[0] * y**e[1]
+                    for e, c in poly.items()), sp.Integer(0))
+
+    basis = groebner(CommutativePresentation(["x", "y"], gens))
+    oracle = sp.groebner([expr(g) for g in gens], x, y, order="grevlex",
+                         domain="QQ(q)")
+    # a reduced monic basis is unique, so the two agree element by element
+    assert len(basis) == len(oracle.polys)
+    assert {sp.Poly(expr(g), x, y, domain="QQ(q)") for g in basis} \
+        == set(oracle.polys)
+
+
 def test_unit_ideal():
     f = P(((1, 0), S_ONE), ((0, 0), -S_ONE))     # x - 1
     g = P(((1, 0), S_ONE), ((0, 0), -(S_ONE + S_ONE)))  # x - 2

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from qgal import cli
 from qgal.cli import main, suites_for
+from qgal.haar import HaarError
+from qgal.linalg import NonUniqueSolutionError
+from qgal.rewrite import CompletionBudgetError, ConfluenceError
 
 QPLANE = """
 algebra qplane
@@ -145,3 +149,48 @@ def test_cotensor_command(capsys):
     assert code == 0
     assert "dim(V wedge Z) = 2" in out
     assert "stable" in out
+
+
+def test_cotensor_below_coefficient_degree_is_undecided(capsys):
+    # V (x) V has coefficients of degree 2, so degrees 0 and 1 both give
+    # dimension 0; the true dimension, 4, appears at degree 2
+    code, out, _ = run(capsys, "cotensor", "Uq2m2", "--comodule", "tensor2",
+                       "--degree", "1")
+    assert code == 2
+    assert "[UNDECIDED]" in out
+    assert "below the comodule's coefficient degree 2" in out
+
+
+@pytest.mark.parametrize("error", [
+    NonUniqueSolutionError("2 free variables"),
+    CompletionBudgetError("budget of 5 rounds exhausted"),
+    ConfluenceError("degree 7 exceeds the completion degree 6"),
+])
+def test_stopped_computation_exits_2(monkeypatch, capsys, error):
+    def stop(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_verify", stop)
+    code, _, err = run(capsys, "verify", "Uq2m2", "--suite", "star")
+    assert code == 2
+    assert f"undecided: {type(error).__name__}: {error}" in err
+
+
+def test_algebra_error_exits_3(monkeypatch, capsys):
+    def refuse(args):
+        raise HaarError("Uq2 carries no star structure")
+
+    monkeypatch.setattr(cli, "cmd_haar", refuse)
+    code, _, err = run(capsys, "haar", "Uq2")
+    assert code == 3
+    assert "HaarError: Uq2 carries no star structure" in err
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def crash(args):
+        raise KeyError("x13")
+
+    monkeypatch.setattr(cli, "cmd_normalize", crash)
+    code, _, err = run(capsys, "normalize", "GLq2", "x12*x11")
+    assert code == 4
+    assert "internal error: KeyError" in err

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_nonzero_scalar, random_scalar
 from qgal.scalars import (
@@ -46,8 +46,30 @@ def test_integer_coefficients_stay_exact():
                 LaurentPoly({0: Fraction(1), 1: Fraction(1)}))
     assert a == b
     c = ScalarQ(LaurentPoly({0: 2, 1: 2}), LaurentPoly({0: 3, 2: 3}))
-    assert all(type(v) is Fraction
-               for v in list(c.num.coeffs.values()) + list(c.den.coeffs.values()))
+    # (2 + 2q) / (3 + 3q^2) is (2/3 + 2/3 q) / (1 + q^2) in canonical form
+    assert c.num.coeffs == {0: Fraction(2, 3), 1: Fraction(2, 3)}
+    assert c.den.coeffs == {0: 1, 2: 1}
+    assert_exact_coefficients(c)
+
+
+def assert_exact_coefficients(x):
+    """Every stored coefficient is an int, or a Fraction that is not an
+    integer; none is a float."""
+    for v in list(x.num.coeffs.values()) + list(x.den.coeffs.values()):
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), v
+
+
+def test_integral_results_are_stored_as_int():
+    half = ScalarQ(LaurentPoly({0: Fraction(1, 2), 2: Fraction(-1, 2)}))
+    total = half + half
+    assert total.num.coeffs == {0: 1, 2: -1}
+    assert all(type(v) is int for v in total.num.coeffs.values())
+    assert (half * ScalarQ.from_int(2)).num.coeffs == total.num.coeffs
+    assert (half - half).is_zero()
+    # the public constructor normalises integral Fractions to int
+    p = LaurentPoly({0: Fraction(4, 2), 1: Fraction(1, 3), 2: Fraction(0)})
+    assert p.coeffs == {0: 2, 1: Fraction(1, 3)} and type(p.coeffs[0]) is int
+    assert hash(p) == hash(LaurentPoly({0: Fraction(2), 1: Fraction(1, 3)}))
 
 
 def test_eval_at_zero_pole():
@@ -101,13 +123,18 @@ def test_eval_is_ring_homomorphism(e1, e2, c1, c2):
 # denominators of the oracle's operands: 1, 1+q, 1+q^2, 1-q+q^2
 ORACLE_DENS = [{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1}]
 
+# halves and thirds, so that sums and products often cancel to integers
+CANCELLING = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+              Fraction(1, 3), Fraction(2, 3), Fraction(-4, 3)]
+
 oracle_scalars = st.builds(
     lambda coeffs, den: ScalarQ(
         LaurentPoly({e: Fraction(c) for e, c in coeffs.items()}),
         LaurentPoly({e: Fraction(c) for e, c in ORACLE_DENS[den].items()})),
     st.dictionaries(st.integers(-3, 3),
-                    st.fractions(min_value=-4, max_value=4,
-                                 max_denominator=6),
+                    st.one_of(st.fractions(min_value=-4, max_value=4,
+                                           max_denominator=6),
+                              st.sampled_from(CANCELLING)),
                     max_size=3),
     st.sampled_from([0, 0, 1, 2, 3]),
 )
@@ -124,6 +151,7 @@ def _sympy_of(x, sp, q):
 
 def _assert_canonical_and_equal(result, expected, sp, q):
     assert sp.cancel(_sympy_of(result, sp, q) - expected) == 0
+    assert_exact_coefficients(result)
     den = result.den
     assert den.low() == 0 and den.leading_coeff() == 1
     if not result.is_zero():
@@ -138,8 +166,15 @@ def _assert_canonical_and_equal(result, expected, sp, q):
         assert again == result and hash(again) == hash(result)
 
 
+HALF_PLUS_HALF_Q = ScalarQ(LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)}))
+
+
 @settings(max_examples=150, deadline=None)
 @given(oracle_scalars, oracle_scalars)
+@example(HALF_PLUS_HALF_Q, HALF_PLUS_HALF_Q)
+@example(HALF_PLUS_HALF_Q,
+         ScalarQ(LaurentPoly({0: Fraction(3, 2), 1: Fraction(-1, 2)}),
+                 LaurentPoly({0: 1, 1: 1})))
 def test_arithmetic_against_sympy(a, b):
     sp = pytest.importorskip("sympy")
     q = sp.Symbol("q")
