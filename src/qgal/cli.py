@@ -7,7 +7,9 @@
     qgal parse <target> <expr>
 
 Targets are catalog names (GLq2, Uq2, GLq2m2, Uq2m2, GLqm22, Onp, AuFG,
-AuF) or presentation/coaction files in the text DSL.  Exit codes:
+AuF) or presentation/coaction files in the text DSL.  `normalize` first
+completes the target's rewrite system to the degree of the expression, so
+the normal form it prints is certified unique.  Exit codes:
 
     0  pass
     1  fail
@@ -44,11 +46,6 @@ class CliError(Exception):
     pass
 
 
-def _completion_cap(default):
-    env = os.environ.get("QGAL_DEGREE_CAP")
-    return int(env) if env else default
-
-
 def _catalog_params(entry, args):
     """The entry's parameters that the command line sets (--n, --p)."""
     return {k: getattr(args, k) for k in entry.defaults
@@ -62,8 +59,7 @@ def resolve_presentation(target, args):
     if os.path.exists(target):
         with open(target) as fh:
             text = fh.read()
-        return presentations.parse_presentation_text(
-            text, completion_degree=_completion_cap(3))
+        return presentations.parse_presentation_text(text)
     raise CliError(f"unknown target {target!r} (not a catalog name or file)")
 
 
@@ -344,7 +340,8 @@ def cmd_cotensor(args) -> int:
 
 def cmd_normalize(args) -> int:
     p = resolve_presentation(args.target, args)
-    poly = p.nf(parse_expr(args.expr, p.alphabet))
+    expr = parse_expr(args.expr, p.alphabet)
+    poly = p.ensure_degree(expr.degree()).nf(expr)
     if args.json:
         report = Report(f"normalize({args.target})")
         report.add("normal form", True, witness=poly.pretty())

@@ -16,7 +16,7 @@ from .comodules import Corep, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
-from .presentations import CoactionData, alpha_ext, reduce_legs
+from .presentations import CoactionData, extend_reduced, reduce_legs
 from .report import Report, timed
 from .rewrite import word_basis
 from .scalars import S_ONE, S_ZERO
@@ -46,14 +46,14 @@ class CotensorElement:
 def kernel_member(x: CotensorElement) -> bool:
     """Exact membership: for each k, sum_i v_ki (x) z_i = alpha_Z(z_k)."""
     c = x.coaction
-    c.total.ensure_degree(x.degree() + 1)
-    aext = alpha_ext(c)
+    total = c.total.ensure_degree(x.degree() + 1)
+    aext = extend_reduced(c.alpha, (c.base, total))
     v = x.comodule.matrix
     for k in range(x.comodule.dim):
         lhs = TensorPoly((c.base.alphabet, c.total.alphabet))
         for i in range(x.comodule.dim):
             lhs = lhs + TensorPoly.of(v[k][i], x.coeffs[i])
-        lhs = reduce_legs(lhs, (c.base.rewrite, c.total.rewrite))
+        lhs = reduce_legs(lhs, (c.base.rewrite, total.rewrite))
         rhs = TensorPoly((c.base.alphabet, c.total.alphabet))
         for word, coeff in x.coeffs[k].terms.items():
             rhs = rhs + aext(word).scale(coeff)
@@ -64,10 +64,11 @@ def kernel_member(x: CotensorElement) -> bool:
 
 def compute_cotensor(v: Corep, c: CoactionData, d: int):
     """Basis of the kernel of alpha_V (x) 1 - 1 (x) alpha_Z on
-    V (x) Z_{<= d}, by exact elimination over the normal-word basis."""
-    c.total.ensure_degree(d + 1)
-    zbasis = word_basis(c.total.rewrite, d)
-    aext = alpha_ext(c)
+    V (x) Z_{<= d}, by exact elimination over the normal-word basis.
+    The elements keep the caller's `c` as their coaction."""
+    total = c.total.ensure_degree(d + 1)
+    zbasis = word_basis(total.rewrite, d)
+    aext = extend_reduced(c.alpha, (c.base, total))
     n = v.dim
     rows = {}
 
@@ -88,7 +89,7 @@ def compute_cotensor(v: Corep, c: CoactionData, d: int):
             for (wa, wz), coeff in aext(b).terms.items():
                 bump((k, wa, wz), (k, b), -coeff)
     variables = [(i, b) for i in range(n) for b in zbasis]
-    order_key = c.total.rewrite.order.key
+    order_key = total.rewrite.order.key
     vecs = nullspace(rows.values(), variables,
                      var_key=lambda v_: (v_[0], order_key(v_[1])))
     out = []
@@ -115,7 +116,9 @@ def cotensor_inner(x: CotensorElement, y: CotensorElement,
     total = NCPoly.zero(c.total.alphabet)
     for zi, wi in zip(x.coeffs, y.coeffs):
         total = total + star.apply(zi) * wi
-    return mu(c.total.nf(total))
+    # star(z_i) * z'_i reaches past the elements' degree: certify the
+    # whole depth of mu
+    return mu(c.total.ensure_degree(max(map(len, mu.basis))).nf(total))
 
 
 def monoidal_constraint(x: CotensorElement, y: CotensorElement) -> CotensorElement:

@@ -10,9 +10,9 @@ witness properties are verified by rewriting before use, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .ncpoly import AlgebraError, NCPoly, TensorPoly, extend_anti, extend_to_words
+from .ncpoly import AlgebraError, NCPoly, TensorPoly, extend_anti
 from .presentations import (
     CoactionData,
     MonomialOrder,
@@ -21,6 +21,7 @@ from .presentations import (
     _short,
     alpha_ext,
     catalog,
+    extend_reduced,
     reduce_legs,
     sandwich,
 )
@@ -44,15 +45,6 @@ class GaloisWitness:
     phi: dict                          # generator index of T -> NCPoly over Z
 
 
-def delta_witness_ext(c: CoactionData, w: GaloisWitness):
-    ext = extend_to_words(w.delta, (c.total.alphabet, w.companion.alphabet))
-
-    def fn(word):
-        return reduce_legs(ext(word), (c.total.rewrite, w.companion.rewrite))
-
-    return fn
-
-
 def galois_map(x: NCPoly, y: NCPoly, c: CoactionData) -> TensorPoly:
     """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed."""
     aext = alpha_ext(c)
@@ -66,7 +58,7 @@ def galois_map(x: NCPoly, y: NCPoly, c: CoactionData) -> TensorPoly:
 def galois_inverse(a: NCPoly, y: NCPoly, w: GaloisWitness,
                    c: CoactionData) -> TensorPoly:
     """beta'(a (x) y), legs normal-formed over Z."""
-    dext = delta_witness_ext(c, w)
+    dext = extend_reduced(w.delta, (c.total, w.companion))
     phi_ext = extend_anti(w.phi, c.total.alphabet)
     Z = c.total.alphabet
     out = TensorPoly((Z, Z))
@@ -84,7 +76,7 @@ def validate_witness(c: CoactionData, w: GaloisWitness) -> Report:
     report = Report(
         f"witness({c.base.name} -> {c.total.name} (x) {w.companion.name})")
     with timed(report):
-        dext = delta_witness_ext(c, w)
+        dext = extend_reduced(w.delta, (c.total, w.companion))
         for rel in c.base.relations:
             t = TensorPoly((c.total.alphabet, w.companion.alphabet))
             for word, coeff in rel.terms.items():
@@ -108,9 +100,8 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
     report = Report(f"galois({c.total.name} over {c.base.name}, degree {d})")
     with timed(report):
         # the composites produce words up to triple the basis degree
-        c.total.ensure_degree(3 * d)
-        c.base.ensure_degree(max(d, 2))
-        w.companion.ensure_degree(max(d, 2))
+        c = c.ensure_degree(max(d, 2), 3 * d)
+        w = replace(w, companion=w.companion.ensure_degree(max(d, 2)))
         val = validate_witness(c, w)
         report.add("witness validated", val.ok)
         if not val.ok:
@@ -120,7 +111,6 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
             return report
         A, Z = c.base.alphabet, c.total.alphabet
         one_Z = NCPoly.one(Z)
-        aext = alpha_ext(c)
         for wd in word_basis(c.base.rewrite, d):
             a = NCPoly(A, {wd: S_ONE})
             t = galois_inverse(a, one_Z, w, c)
@@ -194,8 +184,9 @@ _OPPOSITE_CACHE = {}
 
 def opposite(p: Presentation) -> Presentation:
     """Opposite presentation: every relation word reversed."""
-    # keyed by content: two file presentations may share a name
-    key = (p.alphabet, tuple(p.relations))
+    # keyed by content and certified degree: two file presentations may
+    # share a name
+    key = (p.alphabet, tuple(p.relations), p.rewrite.completion_degree)
     if key in _OPPOSITE_CACHE:
         return _OPPOSITE_CACHE[key]
     rels = [

@@ -65,7 +65,7 @@ def haar_on_hopf(p: Presentation, h=None, d: int = 2) -> LinearFunctional:
     h = h or p.hopf
     if h is None:
         raise HaarError(f"{p.name} carries no Hopf data")
-    p.ensure_degree(d)
+    p = p.ensure_degree(d)
     basis = word_basis(p.rewrite, d)
     dext = delta_ext(p)
     reducer = RowReducer(var_key=lambda w: (len(w), w))
@@ -100,7 +100,7 @@ def haar_on_extension(c: CoactionData, J: LinearFunctional, d: int,
                       f=None) -> LinearFunctional:
     """mu = (J (x) f) alpha_Z on the degree-d truncation of Z."""
     f = f or unit_coefficient_functional()
-    c.total.ensure_degree(d)
+    c = c.ensure_degree(d, d)
     basis = word_basis(c.total.rewrite, d)
     aext = alpha_ext(c)
     values = {}
@@ -119,7 +119,7 @@ def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
     """(1 (x) mu) alpha_Z(b) = mu(b) * 1 for every basis word of Z."""
     report = Report(f"invariance({c.total.name}, degree {d})")
     with timed(report):
-        c.total.ensure_degree(d)
+        c = c.ensure_degree(d, d)
         basis = word_basis(c.total.rewrite, d)
         A = c.base.alphabet
         aext = alpha_ext(c)
@@ -146,6 +146,8 @@ def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
     """Exact Gram matrix mu(star(b) * w) over basis words of degree <= d."""
     if p.star is None:
         raise HaarError(f"{p.name} carries no star structure")
+    # star(b) * w reaches past d: certify the whole depth of mu
+    p = p.ensure_degree(max(map(len, mu.basis)))
     basis = [w for w in mu.basis if len(w) <= d]
     starred = [p.nf(p.star.apply(NCPoly(p.alphabet, {b: S_ONE}))) for b in basis]
     plain = [NCPoly(p.alphabet, {b: S_ONE}) for b in basis]

@@ -9,7 +9,7 @@ Uq2m2, GLqm22, Onp, AuFG and AuF.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .characters import CommutativePresentation
@@ -33,7 +33,7 @@ class CatalogError(AlgebraError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Presentation:
     name: str
     alphabet: Alphabet
@@ -42,16 +42,25 @@ class Presentation:
     star: StarMap | None = None
     hopf: "HopfData | None" = None
     meta: dict = field(default_factory=dict)
+    # degree -> the certified copy ensure_degree returned for it
+    _certified: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def nf(self, poly):
         return self.rewrite.normal_form(poly)
 
-    def ensure_degree(self, d: int):
-        """Recomplete the rewrite system so normal forms are certified
-        unique for all words of degree <= d."""
-        if d > self.rewrite.completion_degree:
-            self.rewrite = complete(self.rewrite, d)
-        return self
+    def ensure_degree(self, d: int) -> "Presentation":
+        """This presentation with normal forms certified unique for all
+        words of degree <= d: self when its completion degree reaches d,
+        otherwise a copy over the system completed to d.  The copy is
+        memoised, so one d always gives back the same object."""
+        if d <= self.rewrite.completion_degree:
+            return self
+        out = self._certified.get(d)
+        if out is None:
+            out = replace(self, rewrite=complete(self.rewrite, d))
+            self._certified[d] = out
+        return out
 
     def parse(self, src) -> NCPoly:
         return parse_expr(src, self.alphabet)
@@ -67,11 +76,20 @@ class HopfData:
     antipode: dict    # generator index -> NCPoly
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoactionData:
+    """A coaction alpha: Z -> A (x) Z of the base A on the total Z; frozen,
+    so a computation certifies its legs on the copy ensure_degree returns."""
+
     base: Presentation
     total: Presentation
     alpha: dict       # generator index of Z -> TensorPoly (A, Z)
+
+    def ensure_degree(self, d_base: int, d_total: int) -> "CoactionData":
+        """This coaction with the base certified to d_base and the total
+        to d_total (see Presentation.ensure_degree)."""
+        return replace(self, base=self.base.ensure_degree(d_base),
+                       total=self.total.ensure_degree(d_total))
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +97,22 @@ class CoactionData:
 # ---------------------------------------------------------------------------
 
 
+def extend_reduced(images, legs):
+    """The map given on generators by `images` extended multiplicatively
+    to words, each leg reduced by the presentation of its slot."""
+    ext = extend_to_words(images, tuple(p.alphabet for p in legs))
+    systems = tuple(p.rewrite for p in legs)
+    return lambda word: reduce_legs(ext(word), systems)
+
+
 def delta_ext(p: Presentation):
     """Delta extended to words of A, both legs reduced."""
-    ext = extend_to_words(p.hopf.delta, (p.alphabet, p.alphabet))
-
-    def fn(word):
-        return reduce_legs(ext(word), (p.rewrite, p.rewrite))
-
-    return fn
+    return extend_reduced(p.hopf.delta, (p, p))
 
 
 def alpha_ext(c: CoactionData):
     """Coaction extended to words of Z, both legs reduced."""
-    ext = extend_to_words(c.alpha, (c.base.alphabet, c.total.alphabet))
-
-    def fn(word):
-        return reduce_legs(ext(word), (c.base.rewrite, c.total.rewrite))
-
-    return fn
+    return extend_reduced(c.alpha, (c.base, c.total))
 
 
 def reduce_legs(t: TensorPoly, systems) -> TensorPoly:
@@ -202,20 +218,17 @@ def matrix_fq(sign=1):
 
 
 def _finish(name, alphabet, relations, order, star=None, hopf=None,
-            completion_degree=4, relations_from_rules=False):
+            completion_degree=4, relations_from_rules=False, meta=None):
     rs = build_system(alphabet, relations, order,
                       completion_degree=completion_degree)
     rs = complete(rs, completion_degree)
     for rel in relations:
         if not rs.normal_form(rel).is_zero():
             raise CatalogError(f"{name}: defining relation does not reduce to 0")
-    # snapshot of the confluent rule set at build time; later degree
-    # escalation may grow the live rule list, this one stays fixed
-    snapshot = [rule.as_poly(alphabet) for rule in rs.rules]
-    rels = snapshot if relations_from_rules else list(relations)
-    pres = Presentation(name, alphabet, rels, rs, star=star, hopf=hopf)
-    pres.meta["rule_relations"] = snapshot
-    return pres
+    if relations_from_rules:
+        relations = [rule.as_poly(alphabet) for rule in rs.rules]
+    return Presentation(name, alphabet, list(relations), rs, star=star,
+                        hopf=hopf, meta=meta or {})
 
 
 def _build_glq2(star: bool):
@@ -405,10 +418,8 @@ def _build_aufg(F, G):
     if F == G:
         hopf = _auf_hopf(A, F, Finv, smap, n)
     name = "AuF" if F == G else "AuFG"
-    pres = _finish(name, A, relations, MonomialOrder(A), star=smap, hopf=hopf,
-                   completion_degree=3)
-    pres.meta["FG"] = (F, G)
-    return pres
+    return _finish(name, A, relations, MonomialOrder(A), star=smap, hopf=hopf,
+                   completion_degree=3, meta={"FG": (F, G)})
 
 
 def sandwich(F, mat, Ginv):
@@ -538,8 +549,7 @@ def verify_star(p: Presentation) -> Report:
         raise CatalogError(f"{p.name} carries no star structure")
     report = Report(f"star({p.name})")
     with timed(report):
-        checked = p.meta.get("rule_relations") or [
-            rule.as_poly(p.alphabet) for rule in p.rewrite.rules]
+        checked = [rule.as_poly(p.alphabet) for rule in p.rewrite.rules]
         for k, rel in enumerate(checked):
             img = p.nf(p.star.apply(rel))
             report.add(f"star(relation {k + 1}) reduces to 0", img.is_zero(),
@@ -560,8 +570,7 @@ def verify_hopf(p: Presentation, h: HopfData | None = None) -> Report:
     A = p.alphabet
     rs = p.rewrite
     with timed(report):
-        dext_raw = extend_to_words(h.delta, (A, A))
-        dext = lambda w: reduce_legs(dext_raw(w), (rs, rs))
+        dext = extend_reduced(h.delta, (p, p))
         eps = counit_of_word(h)
         sext = extend_anti(h.antipode, A)
         for rel in p.relations:
@@ -600,8 +609,7 @@ def verify_coaction(c: CoactionData) -> Report:
     A, Z = c.base.alphabet, c.total.alphabet
     rsA, rsZ = c.base.rewrite, c.total.rewrite
     with timed(report):
-        aext_raw = extend_to_words(c.alpha, (A, Z))
-        aext = lambda w: reduce_legs(aext_raw(w), (rsA, rsZ))
+        aext = alpha_ext(c)
         for rel in c.total.relations:
             t = _apply_tensor_map(rel, aext, (A, Z))
             report.add("alpha kills relation " + _short(rel), t.is_zero(),
@@ -609,8 +617,7 @@ def verify_coaction(c: CoactionData) -> Report:
         if c.base.hopf is None:
             report.add_undecided("coassociativity (base has no Hopf data)")
         else:
-            dext_raw = extend_to_words(c.base.hopf.delta, (A, A))
-            dext = lambda w: reduce_legs(dext_raw(w), (rsA, rsA))
+            dext = delta_ext(c.base)
             eps = counit_of_word(c.base.hopf)
             for gi, name in enumerate(Z.names):
                 a = c.alpha[gi]

@@ -187,9 +187,6 @@ class RewriteSystem:
                     acc[w] = s
         return NCPoly(self.alphabet, acc)
 
-    def nf(self, poly: NCPoly) -> NCPoly:
-        return self.normal_form(poly)
-
     # -- overlaps and completion ------------------------------------------
 
     def check_overlaps(self, d: int):

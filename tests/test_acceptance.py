@@ -210,7 +210,7 @@ def test_criterion_11_property_suites(uq2):
         rng = random.Random(11)
         for name, kw in specs:
             p = catalog(name, **kw)
-            p.ensure_degree(6)  # certify products of two degree-3 elements
+            p = p.ensure_degree(6)  # certify products of two degree-3 elements
             elems = [random_poly(rng, p.alphabet, degree=3, terms=4)
                      for _ in range(200)]
             normals = [p.nf(x) for x in elems]

@@ -119,6 +119,25 @@ def test_normalize_file_target(tmp_path, capsys):
     assert out.strip() == "q*x*y"
 
 
+def test_normalize_certifies_to_the_input_degree(tmp_path, capsys):
+    # the file builds at degree 3; the overlap xyx.yx of degree 5 only
+    # resolves once the system is completed to the degree of the input
+    f = tmp_path / "xyx.alg"
+    f.write_text("algebra xyx\ngenerators x y\nrelation x*y*x - y\n")
+    code, out, _ = run(capsys, "normalize", str(f), "x*y*x*y*x")
+    assert code == 0
+    assert out.strip() == "x*y*y"
+
+
+def test_normalize_does_not_depend_on_earlier_commands(capsys):
+    want = "q*z11*z11 + -1*q*tau*z11*z11*z11*z22"
+    code, out, _ = run(capsys, "normalize", "Uq2m2", "tau*z11*z11*z12*z21")
+    assert code == 0 and out.strip() == want
+    assert run(capsys, "verify", "Uq2m2", "--suite", "haar")[0] == 0
+    code, out, _ = run(capsys, "normalize", "Uq2m2", "tau*z11*z11*z12*z21")
+    assert code == 0 and out.strip() == want
+
+
 def test_parse_echo(capsys):
     code, out, _ = run(capsys, "parse", "GLq2", "x11*(x12 + x21)")
     assert code == 0

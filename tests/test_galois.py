@@ -124,6 +124,13 @@ def test_opposite_keyed_by_content():
     assert op2.relations == [p2.parse("x*y - q^2*y*x")]
 
 
+def test_opposite_keyed_by_completion_degree():
+    src = "algebra qplane\ngenerators x y\nrelation y*x - q*x*y\n"
+    for d in (2, 3):
+        p = parse_presentation_text(src, completion_degree=d)
+        assert opposite(p).rewrite.completion_degree == d
+
+
 def test_aufg_witness_validates():
     c = coaction("AuFG")
     w = aufg_witness(c)

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from qgal import presentations
-from qgal.cli import resolve_coaction, resolve_presentation
+from qgal.cli import main, resolve_coaction, resolve_presentation
 from qgal.ncpoly import NCPoly, StarMap, TensorPoly
 from qgal.presentations import (
     CatalogError,
@@ -40,6 +40,26 @@ def test_catalog_is_cached(uq2m2):
     assert catalog("Onp", n=2, p=1) is catalog("Onp", n=2, p=1)
     # defaults fill in before the cache key is formed
     assert catalog("Onp") is catalog("Onp", n=2, p=1)
+
+
+def test_presentations_are_immutable(uq2m2):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        uq2m2.rewrite = uq2m2.rewrite
+    d = uq2m2.rewrite.completion_degree
+    assert all(uq2m2.ensure_degree(k) is uq2m2 for k in range(d + 1))
+    p6 = uq2m2.ensure_degree(6)
+    assert p6 is uq2m2.ensure_degree(6)
+    assert p6.rewrite.completion_degree == 6
+    assert uq2m2.rewrite.completion_degree == d
+
+
+def test_verify_all_leaves_the_catalog_unchanged(capsys):
+    before = {name: catalog(name).rewrite for name in ("Uq2m2", "Uq2")}
+    assert main(["verify", "Uq2m2", "--suite", "all"]) == 0
+    capsys.readouterr()
+    for name, rs in before.items():
+        assert catalog(name).rewrite is rs
+        assert rs.completion_degree == 4
 
 
 def test_aufg_coaction_shares_the_catalog_entries(c_aufg):

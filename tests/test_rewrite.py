@@ -107,7 +107,7 @@ def test_completion_grows_for_determinant_relation(glq2m2):
 def test_completion_budget(glq2m2):
     # the inverse relation generates rules without end; a tight cap trips
     order = glq2m2.rewrite.order
-    rels = glq2m2.meta["rule_relations"]
+    rels = glq2m2.relations
     with pytest.raises(CompletionBudgetError):
         rs = build_system(glq2m2.alphabet, rels, order, rule_cap=14)
         complete(rs, 6)
@@ -116,7 +116,7 @@ def test_completion_budget(glq2m2):
 def test_nf_properties_random(glq2, uq2m2, rng):
     for p in (glq2, uq2m2):
         # products of degree-3 elements reach degree 6; certify that range
-        p.ensure_degree(6)
+        p = p.ensure_degree(6)
         for _ in range(30):
             x = random_poly(rng, p.alphabet, degree=3)
             y = random_poly(rng, p.alphabet, degree=3)
@@ -137,15 +137,16 @@ def test_clean_completion_records_its_degree(monkeypatch):
                                 "relation y*x - q*x*y\n")
     assert p.rewrite.completion_degree == 3
     rules = p.rewrite.rules
-    p.ensure_degree(5)
-    assert p.rewrite.completion_degree == 5
-    assert p.rewrite.rules == rules
-    assert p.rewrite.check_overlaps(5) == []
+    p5 = p.ensure_degree(5)
+    assert p.rewrite.completion_degree == 3
+    assert p5.rewrite.completion_degree == 5
+    assert p5.rewrite.rules == rules
+    assert p5.rewrite.check_overlaps(5) == []
     scans = []
     original = RewriteSystem._obstructions
     monkeypatch.setattr(RewriteSystem, "_obstructions",
                         lambda rs, d: scans.append(d) or original(rs, d))
-    p.ensure_degree(5)
+    assert p.ensure_degree(5) is p5 and p5.ensure_degree(5) is p5
     assert scans == []
 
 
