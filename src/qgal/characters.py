@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 from .report import Report, timed
-from .scalars import S_ONE, S_ZERO, ScalarQ
+from .scalars import S_ONE, S_ZERO
 
 DEFAULT_DEGREE_CAP = 12
 

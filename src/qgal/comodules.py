@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 from .linalg import LinearSolveError, mat_inv
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
-from .presentations import (
-    CatalogError,
-    Presentation,
-    counit_of_word,
-    delta_ext,
-    reduce_legs,
-    sandwich,
-)
+from .presentations import Presentation, counit_of_word, delta_ext, reduce_legs, sandwich
 from .report import Report, timed
-from .scalars import Q, S_ONE, S_ZERO, ScalarC, ScalarQ
+from .scalars import S_ONE, S_ZERO, ScalarC, ScalarQ
 
 
 class ComoduleError(AlgebraError):

@@ -16,10 +16,10 @@ from .comodules import Corep, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
-from .presentations import CoactionData, extend_reduced, reduce_legs
+from .presentations import CoactionData, alpha_ext, extend_reduced, reduce_legs
 from .report import Report, timed
 from .rewrite import word_basis
-from .scalars import S_ONE, S_ZERO
+from .scalars import S_ZERO
 
 
 class CotensorError(AlgebraError):
@@ -45,15 +45,14 @@ class CotensorElement:
 
 def kernel_member(x: CotensorElement) -> bool:
     """Exact membership: for each k, sum_i v_ki (x) z_i = alpha_Z(z_k)."""
-    c = x.coaction
-    total = c.total.ensure_degree(x.degree() + 1)
-    aext = extend_reduced(c.alpha, (c.base, total))
+    c = x.coaction.ensure_degree(x.degree(), x.degree() + 1)
+    aext = alpha_ext(c)
     v = x.comodule.matrix
     for k in range(x.comodule.dim):
         lhs = TensorPoly((c.base.alphabet, c.total.alphabet))
         for i in range(x.comodule.dim):
             lhs = lhs + TensorPoly.of(v[k][i], x.coeffs[i])
-        lhs = reduce_legs(lhs, (c.base.rewrite, total.rewrite))
+        lhs = reduce_legs(lhs, (c.base.rewrite, c.total.rewrite))
         rhs = TensorPoly((c.base.alphabet, c.total.alphabet))
         for word, coeff in x.coeffs[k].terms.items():
             rhs = rhs + aext(word).scale(coeff)
@@ -68,7 +67,7 @@ def compute_cotensor(v: Corep, c: CoactionData, d: int):
     The elements keep the caller's `c` as their coaction."""
     total = c.total.ensure_degree(d + 1)
     zbasis = word_basis(total.rewrite, d)
-    aext = extend_reduced(c.alpha, (c.base, total))
+    aext = extend_reduced(c.alpha, (c.base.ensure_degree(d), total))
     n = v.dim
     rows = {}
 

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (
-    InconsistentSystemError,
-    NonUniqueSolutionError,
-    RowReducer,
-)
+from .linalg import RowReducer
 from .ncpoly import AlgebraError, NCPoly
 from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
 from .report import Report, timed

@@ -7,7 +7,7 @@ nullspace routine backs the cotensor kernel computation.
 
 from __future__ import annotations
 
-from .scalars import S_ONE, S_ZERO, ScalarC, ScalarQ
+from .scalars import S_ONE, S_ZERO, ScalarC
 
 
 class LinearSolveError(Exception):
@@ -154,28 +154,6 @@ def _one_like_var(rows, _var):
 
 
 # -- dense matrices over scalars (small sizes only) -------------------------
-
-
-def mat_identity(n, one=S_ONE):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = a[i][0] * b[0][j]
-            for k in range(1, m):
-                s = s + a[i][k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def mat_conj_transpose(a):
-    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a[0]))]
 
 
 def mat_inv(a):

@@ -331,23 +331,6 @@ class TensorPoly:
         return f"<TensorPoly {self.pretty()}>"
 
 
-def extend_to_words(images, alphabets):
-    """Extend generator -> TensorPoly images multiplicatively to words.
-
-    Returns a function word -> TensorPoly (memoized by prefix).
-    """
-    cache = {(): TensorPoly.one(alphabets)}
-
-    def ext(word):
-        if word in cache:
-            return cache[word]
-        out = ext(word[:-1]) * images[word[-1]]
-        cache[word] = out
-        return out
-
-    return ext
-
-
 def extend_anti(images, alphabet):
     """Extend generator -> NCPoly images antimultiplicatively to words."""
 

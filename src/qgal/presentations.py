@@ -21,12 +21,11 @@ from .ncpoly import (
     StarMap,
     TensorPoly,
     extend_anti,
-    extend_to_words,
     parse_expr,
 )
 from .report import Report, timed
-from .rewrite import MonomialOrder, RewriteSystem, build_system, complete
-from .scalars import Q, QINV, S_ONE, S_ZERO, ScalarC, ScalarQ
+from .rewrite import ConfluenceError, MonomialOrder, RewriteSystem, build_system, complete
+from .scalars import Q, S_ONE, S_ZERO, ScalarC, ScalarQ
 
 
 class CatalogError(AlgebraError):
@@ -98,11 +97,33 @@ class CoactionData:
 
 
 def extend_reduced(images, legs):
-    """The map given on generators by `images` extended multiplicatively
-    to words, each leg reduced by the presentation of its slot."""
-    ext = extend_to_words(images, tuple(p.alphabet for p in legs))
+    """The map given on generators by `images` (generator -> TensorPoly)
+    extended multiplicatively to words, each leg reduced by the
+    presentation of its slot.  It reduces as it extends, memoised on
+    prefixes: ext(w x) = reduce_legs(ext(w) * images[x]), so `ext.memo`
+    holds reduced tensors only.  That equals reducing the whole product
+    once where normal forms are unique, which is the precondition: ext
+    raises ConfluenceError when len(word) times the largest word degree
+    of an image in a leg exceeds that leg's completion degree."""
     systems = tuple(p.rewrite for p in legs)
-    return lambda word: reduce_legs(ext(word), systems)
+    widths = [max((len(k[i]) for t in images.values() for k in t.terms), default=0)
+              for i in range(len(legs))]
+    memo = {(): TensorPoly.one(tuple(p.alphabet for p in legs))}
+
+    def ext(word):
+        out = memo.get(word)
+        if out is None:
+            for p, width in zip(legs, widths):
+                if len(word) * width > p.rewrite.completion_degree:
+                    raise ConfluenceError(
+                        f"{p.name}: degree {len(word) * width} exceeds "
+                        f"completion bound {p.rewrite.completion_degree}")
+            out = reduce_legs(ext(word[:-1]) * images[word[-1]], systems)
+            memo[word] = out
+        return out
+
+    ext.memo = memo
+    return ext
 
 
 def delta_ext(p: Presentation):
@@ -116,14 +137,22 @@ def alpha_ext(c: CoactionData):
 
 
 def reduce_legs(t: TensorPoly, systems) -> TensorPoly:
-    for leg, rs in enumerate(systems):
-        if rs is not None:
-            t = t.map_leg(leg, lambda w, rs=rs: _word_poly(rs, w))
-    return t
-
-
-def _word_poly(rs: RewriteSystem, word) -> NCPoly:
-    return NCPoly(rs.alphabet, dict(rs._nf_word(word)))
+    """t with each leg reduced by the rewrite system of its slot, in one
+    pass over the terms of t."""
+    out = {}
+    for key, c in t.terms.items():
+        terms = [((), c)]
+        for rs, word in zip(systems, key):
+            terms = [(k + (w,), v if cw is S_ONE else v * cw)
+                     for k, v in terms for w, cw in rs._nf_word(word).items()]
+        for k, v in terms:
+            s = out.get(k)
+            s = v if s is None else s + v
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return TensorPoly(t.alphabets, out)
 
 
 def expand_leg(t: TensorPoly, leg, fn, inner_alphabets) -> TensorPoly:

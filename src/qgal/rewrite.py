@@ -9,7 +9,7 @@ divergent reductions until the bound is clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ncpoly import AlgebraError, Alphabet, NCPoly
 from .scalars import S_ONE

@@ -187,32 +187,42 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Euclidean division of ordinary (non-negative exponent) polynomials."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.coeffs)
     quo = {}
-    db, lb = b.degree(), b.leading_coeff()
+    rem = _poly_rem(a.coeffs, b.coeffs, quo)
+    return LaurentPoly(quo), LaurentPoly(rem)
+
+
+def _poly_rem(a: dict, b: dict, quo=None) -> dict:
+    """Remainder of the ordinary polynomial a by a nonzero b, both given
+    as coefficient maps exponent -> coefficient.  The quotient's terms
+    go into `quo` when a dict is given; the gcd builds none."""
+    rem = dict(a)
+    db = max(b)
+    lb = Fraction(b[db])
     while rem:
         da = max(rem)
         if da < db:
             break
         f = rem[da] / lb
-        quo[da - db] = f
-        for e, c in b.coeffs.items():
+        if quo is not None:
+            quo[da - db] = f
+        for e, c in b.items():
             k = e + da - db
             v = rem.get(k, 0) - f * c
             if v:
                 rem[k] = v
             else:
                 rem.pop(k, None)
-    return LaurentPoly(quo), LaurentPoly(rem)
+    return rem
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of ordinary polynomials over Q."""
-    while not b.is_zero():
-        a, b = b, _poly_divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a * (1 / a.leading_coeff())
+    a, b = a.coeffs, b.coeffs
+    while b:
+        a, b = b, _poly_rem(a, b)
+    g = LaurentPoly(a)
+    return g * (1 / g.leading_coeff()) if a else g
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

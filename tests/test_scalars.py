@@ -15,6 +15,8 @@ from qgal.scalars import (
     UNIT_DEN,
     ScalarC,
     ScalarQ,
+    _poly_divmod,
+    _poly_gcd,
 )
 
 
@@ -183,6 +185,34 @@ def test_arithmetic_against_sympy(a, b):
     _assert_canonical_and_equal(a * b, sa * sb, sp, q)
     if not a.is_zero():
         _assert_canonical_and_equal(a.inv(), 1 / sa, sp, q)
+
+
+ordinary_polys = st.dictionaries(
+    st.integers(0, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=4,
+).map(LaurentPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordinary_polys, ordinary_polys, ordinary_polys)
+@example(LaurentPoly(), LaurentPoly(), LaurentPoly({0: 1}))
+@example(LaurentPoly({0: 1, 1: 1}), LaurentPoly(), LaurentPoly({0: 2}))
+def test_gcd_and_division_against_sympy(a, b, c):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    # a common factor makes gcds of positive degree frequent
+    a, b = a * c, b * c
+
+    def poly(x):
+        return sp.Poly(_sympy_laurent(x, sp, q), q, domain="QQ")
+
+    g = _poly_gcd(a, b)
+    assert_exact_coefficients(ScalarQ(g))
+    assert poly(g) == sp.gcd(poly(a), poly(b))
+    if not b.is_zero():
+        quo, rem = _poly_divmod(a, b)
+        assert (poly(quo), poly(rem)) == sp.div(poly(a), poly(b))
 
 
 def test_complex_scalars():
