@@ -19,6 +19,8 @@ the normal form it prints is certified unique.  Exit codes:
     3  usage, parse or algebra error (unknown target, a suite that needs
        a star structure the target lacks, ...)
     4  internal error, with its traceback on stderr
+    141  standard output was closed by its reader (`qgal ... | head`),
+       128 + SIGPIPE as a shell reports it; no traceback
 """
 
 from __future__ import annotations
@@ -370,7 +372,14 @@ def main(argv=None) -> int:
     try:
         if any(q0 == 0.0 for q0 in getattr(args, "q", [])):
             raise CliError("q = 0 is outside the valid parameter domain")
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # as the Python docs advise: stdout goes to devnull, so that the
+        # flush at interpreter exit finds no closed pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UNDECIDED_ERRORS as e:
         print(f"undecided: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

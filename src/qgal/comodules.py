@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .linalg import LinearSolveError, mat_inv
+from .linalg import LinearSolveError, eigvalsh, mat_inv
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
 from .presentations import Presentation, counit_of_word, delta_ext, reduce_legs, sandwich
 from .report import Report, timed
@@ -204,7 +204,11 @@ def verify_unitary_structure(u: UnitaryStructure,
                                    witness=s.pretty()[:120])
             report.add("invariance sum_kl v*_ki g_kl v_lj = g_ij", ok_all)
         for q0 in q_samples:
-            evs = _gram_eigs(g, q0)
+            try:
+                evs = _gram_eigs(g, q0)
+            except LinearSolveError as e:
+                report.add_undecided(f"gram positive at q = {q0}", witness=str(e))
+                continue
             report.add(f"gram positive at q = {q0}", min(evs) > 0.0,
                        witness=f"min eigenvalue {min(evs):.6g}")
     return report
@@ -221,15 +225,9 @@ def _q_part(c):
 
 
 def _gram_eigs(g, q0):
-    import numpy as np
-
-    n = len(g)
-    m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            v = g[i][j].eval(q0)
-            m[i, j] = v
-    return sorted(np.linalg.eigvalsh(m).tolist())
+    """Ascending eigenvalues of the gram evaluated at q0; raises
+    LinearSolveError when they do not converge."""
+    return eigvalsh([[x.eval(q0) for x in row] for row in g])
 
 
 def search_diagonal_gram(v: Corep, exp_range=4) -> UnitaryStructure:
@@ -276,7 +274,9 @@ def duality_maps(u: UnitaryStructure, q_samples=(0.5, 0.9, 2.0)):
 
     eval acts by (e-bar_i, e_j) -> gram_ij; coeval inserts
     sum_kl c_kl e_k (x) e-bar_l with c = gram^{-1}, which is exactly what
-    the snake identities force.
+    the snake identities force.  Raises NonPositiveGramError when the gram
+    is not positive at a sample q, and LinearSolveError when its
+    eigenvalues there do not converge.
     """
     g = u.gram
     for q0 in q_samples:

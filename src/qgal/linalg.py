@@ -3,9 +3,15 @@
 Sparse rows are dicts keyed by an arbitrary hashable variable.  The
 incremental reducer is what the Haar solver feeds equations into; the
 nullspace routine backs the cotensor kernel computation.
+
+`eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
+a Gram matrix evaluated at a sample q, which are numerical evidence of
+positivity, not a proof.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scalars import S_ONE, S_ZERO, ScalarC
 
@@ -181,3 +187,54 @@ def mat_inv(a):
 
 def _one_like_entry(a):
     return ScalarC(S_ONE) if isinstance(a[0][0], ScalarC) else S_ONE
+
+
+# -- floating point: Hermitian eigenvalues -----------------------------------
+
+
+def eigvalsh(matrix, max_sweeps=50):
+    """Eigenvalues, ascending, of a Hermitian matrix given as a list of
+    lists of complex, by cyclic Jacobi rotations.
+
+    Each rotation first turns a_pq real by the phase of a_pq, then zeroes
+    it with a real rotation.  Sweeps stop once the off-diagonal Frobenius
+    norm is at most 1e-15 times the diagonal one; LinearSolveError is
+    raised when max_sweeps sweeps do not get there.
+    """
+    a = [[complex(x) for x in row] for row in matrix]
+    n = len(a)
+    sweeps = 0
+    while True:
+        off = math.fsum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j)
+        diag = math.fsum(a[i][i].real ** 2 for i in range(n))
+        if off <= 1e-30 * diag:  # squared norms: off <= 1e-15 * diag
+            return sorted(a[i][i].real for i in range(n))
+        if sweeps == max_sweeps:
+            raise LinearSolveError(
+                f"Jacobi eigenvalues did not converge in {max_sweeps} sweeps "
+                f"(off-diagonal norm {math.sqrt(off):.3e})")
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                r = abs(apq)
+                if r == 0.0:
+                    continue
+                phase = apq / r  # e^{i phi}; column q is turned by its conjugate
+                theta = (a[q][q].real - a[p][p].real) / (2.0 * r)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                sp = s * phase.conjugate()
+                cp = c * phase.conjugate()
+                for k in range(n):
+                    if k == p or k == q:
+                        continue
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - sp * akq
+                    a[k][q] = s * akp + cp * akq
+                    a[p][k] = a[k][p].conjugate()
+                    a[q][k] = a[k][q].conjugate()
+                a[p][p] = complex(a[p][p].real - t * r)
+                a[q][q] = complex(a[q][q].real + t * r)
+                a[p][q] = a[q][p] = 0j

@@ -154,14 +154,7 @@ class NCPoly:
             return "0"
         parts = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            mono = self.alphabet.word_str(w)
-            if c.is_one():
-                parts.append(mono)
-            elif mono == "1":
-                parts.append(_scalar_str(c))
-            else:
-                parts.append(f"{_scalar_str(c)}*{mono}")
+            parts.append(_term_str(self.terms[w], self.alphabet.word_str(w)))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -176,8 +169,16 @@ def _scalar_str(c) -> str:
         if e == 0:
             return str(f)
         qpart = "q" if e == 1 else f"q^{e}"
-        return qpart if f == 1 else f"{f}*{qpart}"
+        return qpart if f == 1 else f"-{qpart}" if f == -1 else f"{f}*{qpart}"
     return f"({c})"
+
+
+def _term_str(c, mono) -> str:
+    """Render c*mono, writing a coefficient of 1 or -1 as a sign only."""
+    s = _scalar_str(c)
+    if mono == "1":
+        return s
+    return mono if s == "1" else f"-{mono}" if s == "-1" else f"{s}*{mono}"
 
 
 class StarMap:
@@ -321,10 +322,7 @@ class TensorPoly:
         for k in sorted(self.terms, key=lambda k: tuple((len(w), w) for w in k)):
             c = self.terms[k]
             legs = " (x) ".join(a.word_str(w) for a, w in zip(self.alphabets, k))
-            if c.is_one():
-                parts.append(legs)
-            else:
-                parts.append(f"{_scalar_str(c)}*{legs}")
+            parts.append(_term_str(c, legs))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -347,9 +345,9 @@ def extend_anti(images, alphabet):
 # Expression parser
 #
 #   expr   := ['-'] term (('+'|'-') term)*
-#   term   := factor ('*' factor)*
+#   term   := factor (('*'|'/') factor)*     a divisor must be a nonzero scalar
 #   factor := scalar | ident | '(' expr ')'
-#   scalar := integer ['/' integer] | 'q' ['^' ['-'] integer]
+#   scalar := integer | 'q' ['^' ['-'] integer]
 # ---------------------------------------------------------------------------
 
 
@@ -469,9 +467,17 @@ class _Parser:
             if self.next()[0] == "-":
                 sign = -sign
         out = self.factor()
-        while self.peek()[0] == "*":
-            self.next()
-            out = out * self.factor()
+        while self.peek()[0] in ("*", "/"):
+            if self.next()[0] == "*":
+                out = out * self.factor()
+                continue
+            tok = self.peek()
+            d = self.factor()
+            if not d.terms:
+                self.error("division by zero", tok)
+            if set(d.terms) != {()}:
+                self.error("divisor is not a scalar", tok)
+            out = out.scale(d.terms[()].inv())
         return -out if sign < 0 else out
 
     def factor(self) -> NCPoly:
@@ -490,17 +496,7 @@ class _Parser:
             return out
         if kind == "int":
             self.next()
-            num = self.integer(tok)
-            if self.peek()[0] == "/":
-                self.next()
-                dtok = self.expect("int")
-                den = self.integer(dtok)
-                if not den:
-                    self.error("division by zero", dtok)
-                return NCPoly.scalar(
-                    self.alphabet, ScalarQ.from_fraction(Fraction(num, den))
-                )
-            return NCPoly.scalar(self.alphabet, ScalarQ.from_int(num))
+            return NCPoly.scalar(self.alphabet, ScalarQ.from_int(self.integer(tok)))
         if kind == "ident":
             self.next()
             if text == "q":

@@ -161,12 +161,15 @@ class LaurentPoly:
         parts = []
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
+            qpart = "q" if e == 1 else f"q^{e}"
             if e == 0:
                 parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*q" if c != 1 else "q")
+            elif c == 1:
+                parts.append(qpart)
+            elif c == -1:
+                parts.append(f"-{qpart}")
             else:
-                parts.append(f"{c}*q^{e}" if c != 1 else f"q^{e}")
+                parts.append(f"{c}*{qpart}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

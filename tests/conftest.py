@@ -1,8 +1,11 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qgal
 from qgal.ncpoly import NCPoly
 from qgal.presentations import catalog, coaction
 from qgal.scalars import S_ONE, ScalarQ
@@ -73,6 +76,14 @@ def random_poly(rng, alphabet, degree=3, terms=4):
         word = tuple(rng.randrange(n) for _ in range(rng.randint(0, degree)))
         out = out + NCPoly(alphabet, {word: S_ONE}).scale(random_scalar(rng))
     return out
+
+
+def subprocess_env(**extra):
+    """The environment for a child Python that imports this qgal."""
+    env = dict(os.environ, **extra)
+    src = str(Path(qgal.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

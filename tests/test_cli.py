@@ -1,8 +1,12 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import subprocess_env
 from qgal import cli
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
@@ -130,7 +134,7 @@ def test_normalize_certifies_to_the_input_degree(tmp_path, capsys):
 
 
 def test_normalize_does_not_depend_on_earlier_commands(capsys):
-    want = "q*z11*z11 + -1*q*tau*z11*z11*z11*z22"
+    want = "q*z11*z11 + -q*tau*z11*z11*z11*z22"
     code, out, _ = run(capsys, "normalize", "Uq2m2", "tau*z11*z11*z12*z21")
     assert code == 0 and out.strip() == want
     assert run(capsys, "verify", "Uq2m2", "--suite", "haar")[0] == 0
@@ -213,3 +217,34 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     code, _, err = run(capsys, "normalize", "GLq2", "x12*x11")
     assert code == 4
     assert "internal error: KeyError" in err
+
+
+QGAL = [sys.executable, "-c", "import sys; from qgal.cli import main; sys.exit(main())"]
+
+
+def test_closed_stdout_exits_141():
+    """`qgal ... | head -1`: the reader leaves after one line, while the
+    later suites are still to be printed."""
+    proc = subprocess.Popen(
+        QGAL + ["verify", "Uq2m2", "--suite", "all"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=subprocess_env(PYTHONUNBUFFERED="1"))
+    assert proc.stdout.readline().startswith(b"[PASS] ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 141
+    assert err == ""  # no traceback, no "internal error"
+
+
+def test_stdout_closed_before_buffered_output_exits_141():
+    """A reader gone before block-buffered output is flushed at the end."""
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(QGAL + ["parse", "GLq2", "x11*x12"], stdout=w,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -90,6 +90,22 @@ def test_duality_and_snake_dims_1_to_3(uq2):
         assert snake_check(ev, coev).ok
 
 
+def test_unitary_structure_undecided_without_convergence(uq2, monkeypatch):
+    from functools import partial
+
+    from qgal import comodules
+    from qgal.linalg import eigvalsh
+
+    monkeypatch.setattr(comodules, "eigvalsh", partial(eigvalsh, max_sweeps=0))
+    q = ScalarQ.q_power(1)
+    g = [[S_ONE, q], [q, S_ONE + q * q]]
+    r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))
+    pos = [i for i in r.items if i.desc.startswith("gram positive")]
+    assert len(pos) == 3
+    assert all(i.status == "undecided" and "did not converge" in i.witness
+               for i in pos)
+
+
 def test_duality_rejects_nonpositive_gram(uq2):
     g = [[S_ONE, S_ZERO], [S_ZERO, -S_ONE]]
     with pytest.raises(NonPositiveGramError):

@@ -1,11 +1,15 @@
-"""Every name a module of qgal imports is used in that module."""
+"""Every name a module of qgal imports is used in that module, and the
+runtime imports nothing outside the standard library."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qgal
+from conftest import subprocess_env
 
 MODULES = sorted(Path(qgal.__file__).parent.glob("*.py"))
 
@@ -54,3 +58,49 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source, package="qgal"):
+    """(line, module) of each absolute import that names neither a
+    standard-library module nor `package`; relative imports are the
+    package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {package}]
+    return found
+
+
+def test_checker_finds_foreign_imports():
+    src = ("from __future__ import annotations\n"
+           "import os.path, numpy as np\n"
+           "from scipy.linalg import eigh\n"
+           "from . import linalg\n"
+           "from .scalars import Q\n"
+           "from qgal.cli import main\n"
+           "def f():\n"
+           "    import sympy\n")
+    assert foreign_imports(src) == [(2, "numpy"), (3, "scipy.linalg"), (8, "sympy")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_runtime_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_haar_commands_load_no_numpy():
+    """The positivity evidence runs without numpy in the process."""
+    code = ("import sys\n"
+            "from qgal.cli import main\n"
+            "codes = [main(['haar', 'Uq2m2', '--degree', '1']),\n"
+            "         main(['verify', 'Uq2m2', '--suite', 'haar'])]\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out.splitlines()[-1] == "[0, 0] False"

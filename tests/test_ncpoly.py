@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
 from qgal.ncpoly import (
@@ -9,7 +10,7 @@ from qgal.ncpoly import (
     TensorPoly,
     parse_expr,
 )
-from qgal.scalars import Q, S_ONE
+from qgal.scalars import LaurentPoly, Q, S_ONE, ScalarQ
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +64,43 @@ def test_no_zero_coefficients_stored(ab, rng):
             assert not coeff.is_zero()
 
 
-def test_pretty_parse_round_trip(ab, rng):
-    for _ in range(150):
-        a = random_poly(rng, ab)
-        assert parse_expr(a.pretty(), ab) == a
+def _scalar(num, den):
+    return ScalarQ(LaurentPoly(num), LaurentPoly(den))
+
+
+SIGNS = st.sampled_from([1, -1])
+# +-1, +-q^k, and general elements of Q(q) over a few denominators
+COEFFS = st.one_of(
+    SIGNS.map(ScalarQ.from_int),
+    st.tuples(SIGNS, st.integers(-4, 4)).map(
+        lambda t: ScalarQ.from_int(t[0]) * ScalarQ.q_power(t[1])),
+    st.tuples(
+        st.dictionaries(st.integers(-3, 3),
+                        st.fractions(-9, 9, max_denominator=9).filter(bool),
+                        min_size=1, max_size=3),
+        st.sampled_from([{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1},
+                         {0: 2, 3: -1}]),
+    ).map(lambda t: _scalar(*t)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pretty_parse_round_trip(glq2, data):
+    A = glq2.alphabet
+    words = st.lists(st.integers(0, len(A) - 1), max_size=4).map(tuple)
+    p = NCPoly(A, data.draw(st.dictionaries(words, COEFFS, max_size=5)))
+    assert parse_expr(p.pretty(), A) == p
+
+
+def test_pretty_writes_unit_coefficients_as_signs(glq2):
+    A = glq2.alphabet
+    P = lambda s: parse_expr(s, A)
+    assert P("-q^2*x11").pretty() == "-q^2*x11"
+    assert P("-x21*x12").pretty() == "-x21*x12"
+    assert P("q - x11 + (1 - q^2)*x12 - 1").pretty() == \
+        "((-1 + q)) + -x11 + ((1 - q^2))*x12"
+    assert P("x11/(1 + q)").pretty() == "((1) / (1 + q))*x11"
 
 
 def test_star_examples():

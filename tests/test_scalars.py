@@ -74,6 +74,12 @@ def test_integral_results_are_stored_as_int():
     assert hash(p) == hash(LaurentPoly({0: Fraction(2), 1: Fraction(1, 3)}))
 
 
+def test_str_writes_unit_coefficients_as_signs():
+    p = LaurentPoly({-1: Fraction(-1, 2), 0: 1, 1: -1, 2: -1, 3: 1})
+    assert str(p) == "-1/2*q^-1 + 1 - q - q^2 + q^3"
+    assert str(LaurentPoly({2: -1})) == "-q^2"
+
+
 def test_eval_at_zero_pole():
     with pytest.raises(PoleError):
         Q.inv().eval(0.0)
