@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 
+from .presentations import abelianization
 from .report import Report, timed
 from .scalars import S_ONE, S_ZERO
 
@@ -191,21 +192,22 @@ def contains_one(basis) -> bool:
 
 def spectrum_empty(p, degree_cap: int | None = None) -> bool:
     """True iff the algebra has no characters over the generic-q field."""
-    from .presentations import abelianization
-
     cp = abelianization(p)
     basis = groebner(cp, degree_cap)
     return contains_one(basis)
 
 
-def _counit_character(p):
-    """The counit of a Hopf presentation as {generator name: scalar}, when
-    it kills the abelianized relations; None otherwise."""
-    from .presentations import abelianization
-
-    if getattr(p, "hopf", None) is None:
+def _counit_character(p, base=None):
+    """A counit that is a character of p, as {generator name: scalar}:
+    p's own when p is a Hopf presentation, else that of `base` (the Hopf
+    algebra coacting on p) carried over by generator name when the two
+    share their generator names.  None when there is no such counit or
+    it does not kill the abelianized relations of p."""
+    owner = p if getattr(p, "hopf", None) is not None else base
+    if getattr(owner, "hopf", None) is None or \
+            sorted(owner.alphabet.names) != sorted(p.alphabet.names):
         return None
-    point = {p.alphabet.names[i]: c for i, c in p.hopf.counit.items()}
+    point = {owner.alphabet.names[i]: c for i, c in owner.hopf.counit.items()}
     return point if _point_kills(abelianization(p), point) else None
 
 
@@ -216,8 +218,6 @@ def spectrum_witness(p):
     others, tries triangular back-substitution on the reduced basis;
     returns None when no point is enumerated.
     """
-    from .presentations import abelianization
-
     point = _counit_character(p)
     if point is not None:
         return point
@@ -306,12 +306,19 @@ def _substitute(g, values):
     return out
 
 
-def spectrum_report(p, degree_cap: int | None = None) -> Report:
+def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
+    """Whether p has a character.  `base` is the Hopf algebra that
+    coacts on p, when there is one: its counit is tried as well."""
     report = Report(f"spectrum({p.name})")
     with timed(report):
-        # the counit, when it is a character, decides nonemptiness
-        # without a Groebner basis
-        w = _counit_character(p)
+        # a counit that is a character decides nonemptiness without a
+        # Groebner basis
+        w = _counit_character(p, base)
+        note = ""
+        if w is not None and getattr(p, "hopf", None) is None:
+            note = (f"; the counit of {base.name}, carried over by "
+                    f"generator name: a Galois object with a character is "
+                    f"trivial")
         if w is None:
             try:
                 empty = spectrum_empty(p, degree_cap)
@@ -326,7 +333,7 @@ def spectrum_report(p, degree_cap: int | None = None) -> Report:
         if w is not None:
             desc = ", ".join(f"{k} -> {_fmt(v)}" for k, v in w.items())
             report.add("spectrum is nonempty", True,
-                       witness=f"character: {desc}")
+                       witness=f"character: {desc}{note}")
         else:
             report.add("spectrum is nonempty", True,
                        witness="nonempty, not enumerated")

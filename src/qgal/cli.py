@@ -21,6 +21,21 @@ the normal form it prints is certified unique.  Exit codes:
     4  internal error, with its traceback on stderr
     141  standard output was closed by its reader (`qgal ... | head`),
        128 + SIGPIPE as a shell reports it; no traceback
+
+At start-up this module imports only the core: presentations, and the
+ncpoly, rewrite, scalars and report modules it uses.  Each command
+imports the layers it runs, where it runs them:
+
+    parse, normalize, verify --suite star|hopf|coaction   the core only
+    verify --suite spectrum             characters
+    verify --suite galois               galois
+    haar, verify --suite haar           haar, linalg
+    cotensor, verify --suite cotensor|biunitarity
+                                        comodules, cotensor, haar, linalg
+    verify --suite all                  the layers of its suites
+
+Building AuF or AuFG also loads linalg, for the inverses of F and G.
+`python3 -X importtime -c "import qgal.cli"` shows what start-up costs.
 """
 
 from __future__ import annotations
@@ -28,20 +43,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
-from . import characters, comodules, cotensor, galois, haar, presentations
-from .linalg import NonUniqueSolutionError
+from . import presentations
 from .ncpoly import AlgebraError, ParseError, parse_expr
 from .presentations import CoactionData
-from .report import FAIL, PASS, Report, ReportItem, UNDECIDED
-from .rewrite import CompletionBudgetError, ConfluenceError
+from .report import FAIL, PASS, Report, ReportItem, UNDECIDED, Undecided, timed
 
 SUITES = ("hopf", "star", "coaction", "galois", "haar", "biunitarity",
           "cotensor", "spectrum", "all")
 STAR_SUITES = ("star", "biunitarity", "haar")
-# raised when a computation stops short of an answer: exit 2, not an error
-UNDECIDED_ERRORS = (NonUniqueSolutionError, CompletionBudgetError,
-                    ConfluenceError)
 
 
 class CliError(Exception):
@@ -85,6 +96,8 @@ def resolve_coaction(target, args) -> CoactionData:
 
 
 def galois_witness_for(target, c: CoactionData):
+    from . import galois
+
     entry = presentations.CATALOG.get(target)
     if entry is not None and entry.witness is not None:
         return entry.galois_witness(c)
@@ -94,6 +107,8 @@ def galois_witness_for(target, c: CoactionData):
 
 
 def comodule_for(spec, base):
+    from . import comodules
+
     spec = spec.lower()
     if spec == "trivial":
         return comodules.trivial(base)
@@ -114,6 +129,8 @@ def comodule_for(spec, base):
 def _haar_pair(c: CoactionData, degree):
     """J on the base and mu on the extension, deep enough for degree-d
     Gram matrices (star doubles word degree, products triple it)."""
+    from . import haar
+
     depth = 3 * degree
     J = haar.haar_on_hopf(c.base, d=depth)
     if c.base is c.total:
@@ -134,16 +151,28 @@ def run_suite(target, suite, args):
     if suite == "coaction":
         return presentations.verify_coaction(resolve_coaction(target, args))
     if suite == "spectrum":
-        return characters.spectrum_report(resolve_presentation(target, args))
+        from . import characters
+
+        # a coaction's base may lend the target its counit as a character
+        entry = presentations.CATALOG.get(target)
+        base = None
+        if entry is not None and entry.coaction is not None:
+            base = resolve_coaction(target, args).base
+        return characters.spectrum_report(resolve_presentation(target, args),
+                                          base=base)
     if suite == "galois":
+        from . import galois
+
         c = resolve_coaction(target, args)
         return galois.verify_galois(c, galois_witness_for(target, c), degree)
     if suite == "biunitarity":
+        from . import comodules, cotensor
+
         c = resolve_coaction(target, args)
         v = comodules.fundamental(c.total)
         return cotensor.verify_biunitarity(c, v.matrix)
     if suite == "haar":
-        import time
+        from . import haar
 
         t0 = time.perf_counter()
         c = resolve_coaction(target, args)
@@ -161,11 +190,11 @@ def run_suite(target, suite, args):
 
 
 def _cotensor_report(target, args, spec, degree, with_gram):
+    from . import cotensor
+
     c = resolve_coaction(target, args)
     v = comodule_for(spec, c.base)
     report = Report(f"cotensor({c.total.name}, {spec}, degree {degree})")
-    from .report import timed
-
     with timed(report):
         dims = {}
         elements = None
@@ -309,11 +338,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_haar(args) -> int:
+    from . import haar
+
     c = resolve_coaction(args.target, args)
     J, mu = _haar_pair(c, args.degree)
     report = Report(f"haar({c.total.name}, degree {args.degree})")
-    from .report import timed
-
     with timed(report):
         shown = [w for w in mu.basis if len(w) <= args.degree]
         table = "; ".join(
@@ -380,7 +409,7 @@ def main(argv=None) -> int:
         # flush at interpreter exit finds no closed pipe either
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except UNDECIDED_ERRORS as e:
+    except Undecided as e:
         print(f"undecided: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except ParseError as e:

@@ -45,9 +45,10 @@ class GaloisWitness:
     phi: dict                          # generator index of T -> NCPoly over Z
 
 
-def galois_map(x: NCPoly, y: NCPoly, c: CoactionData) -> TensorPoly:
-    """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed."""
-    aext = alpha_ext(c)
+def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
+    """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed.  aext is
+    alpha_ext(c), built here unless the caller shares one across calls."""
+    aext = aext or alpha_ext(c)
     out = TensorPoly((c.base.alphabet, c.total.alphabet))
     for word, coeff in x.terms.items():
         out = out + aext(word).scale(coeff)
@@ -55,11 +56,18 @@ def galois_map(x: NCPoly, y: NCPoly, c: CoactionData) -> TensorPoly:
     return reduce_legs(out, (c.base.rewrite, c.total.rewrite))
 
 
+def witness_exts(w: GaloisWitness, c: CoactionData):
+    """(delta extended to words of A, its legs reduced over Z and T;
+    phi extended antimultiplicatively to words of T)."""
+    return (extend_reduced(w.delta, (c.total, w.companion)),
+            extend_anti(w.phi, c.total.alphabet))
+
+
 def galois_inverse(a: NCPoly, y: NCPoly, w: GaloisWitness,
-                   c: CoactionData) -> TensorPoly:
-    """beta'(a (x) y), legs normal-formed over Z."""
-    dext = extend_reduced(w.delta, (c.total, w.companion))
-    phi_ext = extend_anti(w.phi, c.total.alphabet)
+                   c: CoactionData, exts=None) -> TensorPoly:
+    """beta'(a (x) y), legs normal-formed over Z.  exts is
+    witness_exts(w, c), built here unless the caller shares it."""
+    dext, phi_ext = exts or witness_exts(w, c)
     Z = c.total.alphabet
     out = TensorPoly((Z, Z))
     for word, coeff in a.terms.items():
@@ -70,20 +78,20 @@ def galois_inverse(a: NCPoly, y: NCPoly, w: GaloisWitness,
     return reduce_legs(out, (c.total.rewrite, c.total.rewrite))
 
 
-def validate_witness(c: CoactionData, w: GaloisWitness) -> Report:
+def validate_witness(c: CoactionData, w: GaloisWitness, exts=None) -> Report:
     """delta is an algebra map A -> Z (x) T and phi an anti-morphism
-    T -> Z; both checked relation by relation."""
+    T -> Z; both checked relation by relation.  exts as in
+    galois_inverse."""
     report = Report(
         f"witness({c.base.name} -> {c.total.name} (x) {w.companion.name})")
     with timed(report):
-        dext = extend_reduced(w.delta, (c.total, w.companion))
+        dext, phi_ext = exts or witness_exts(w, c)
         for rel in c.base.relations:
             t = TensorPoly((c.total.alphabet, w.companion.alphabet))
             for word, coeff in rel.terms.items():
                 t = t + dext(word).scale(coeff)
             report.add("delta kills relation " + _short(rel), t.is_zero(),
                        witness=t.pretty()[:120] if not t.is_zero() else "")
-        phi_ext = extend_anti(w.phi, c.total.alphabet)
         for rel in w.companion.relations:
             img = NCPoly.zero(c.total.alphabet)
             for word, coeff in rel.terms.items():
@@ -102,7 +110,10 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
         # the composites produce words up to triple the basis degree
         c = c.ensure_degree(max(d, 2), 3 * d)
         w = replace(w, companion=w.companion.ensure_degree(max(d, 2)))
-        val = validate_witness(c, w)
+        # one extension of each map for every check, so they share memos
+        aext = alpha_ext(c)
+        exts = witness_exts(w, c)
+        val = validate_witness(c, w, exts)
         report.add("witness validated", val.ok)
         if not val.ok:
             for item in val.items:
@@ -113,11 +124,11 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
         one_Z = NCPoly.one(Z)
         for wd in word_basis(c.base.rewrite, d):
             a = NCPoly(A, {wd: S_ONE})
-            t = galois_inverse(a, one_Z, w, c)
+            t = galois_inverse(a, one_Z, w, c, exts)
             back = TensorPoly((A, Z))
             for (w1, w2), coeff in t.terms.items():
                 back = back + galois_map(
-                    NCPoly(Z, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), c
+                    NCPoly(Z, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), c, aext
                 ).scale(coeff)
             back = reduce_legs(back, (c.base.rewrite, c.total.rewrite))
             want = TensorPoly((A, Z), {(wd, ()): S_ONE})
@@ -125,17 +136,17 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
                        witness=(back - want).pretty()[:120] if back != want else "")
         for wd in word_basis(c.total.rewrite, d):
             x = NCPoly(Z, {wd: S_ONE})
-            t = galois_map(x, one_Z, c)
+            t = galois_map(x, one_Z, c, aext)
             back = TensorPoly((Z, Z))
             for (w1, w2), coeff in t.terms.items():
                 back = back + galois_inverse(
-                    NCPoly(A, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), w, c
+                    NCPoly(A, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), w, c, exts
                 ).scale(coeff)
             back = reduce_legs(back, (c.total.rewrite, c.total.rewrite))
             want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
             report.add(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back == want,
                        witness=(back - want).pretty()[:120] if back != want else "")
-            t2 = galois_inverse(NCPoly.one(A), x, w, c)
+            t2 = galois_inverse(NCPoly.one(A), x, w, c, exts)
             want2 = TensorPoly((Z, Z), {((), wd): S_ONE})
             report.add(f"beta' beta fixes 1 (x) {Z.word_str(wd)}", t2 == want2)
     return report

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .report import Undecided
 from .scalars import S_ONE, S_ZERO, ScalarC
 
 
@@ -24,7 +25,7 @@ class InconsistentSystemError(LinearSolveError):
     pass
 
 
-class NonUniqueSolutionError(LinearSolveError):
+class NonUniqueSolutionError(LinearSolveError, Undecided):
     pass
 
 

@@ -155,7 +155,7 @@ class NCPoly:
         parts = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             parts.append(_term_str(self.terms[w], self.alphabet.word_str(w)))
-        return " + ".join(parts)
+        return _sum_str(parts)
 
     def __repr__(self):
         return f"<NCPoly {self.pretty()}>"
@@ -170,7 +170,8 @@ def _scalar_str(c) -> str:
             return str(f)
         qpart = "q" if e == 1 else f"q^{e}"
         return qpart if f == 1 else f"-{qpart}" if f == -1 else f"{f}*{qpart}"
-    return f"({c})"
+    # repr(c) is "(num)", or "(num) / (den)", which a product would split
+    return repr(c) if den is UNIT_DEN else f"({c!r})"
 
 
 def _term_str(c, mono) -> str:
@@ -179,6 +180,11 @@ def _term_str(c, mono) -> str:
     if mono == "1":
         return s
     return mono if s == "1" else f"-{mono}" if s == "-1" else f"{s}*{mono}"
+
+
+def _sum_str(parts) -> str:
+    """Join rendered terms, writing a negative term after " - "."""
+    return " + ".join(parts).replace(" + -", " - ")
 
 
 class StarMap:
@@ -323,7 +329,7 @@ class TensorPoly:
             c = self.terms[k]
             legs = " (x) ".join(a.word_str(w) for a, w in zip(self.alphabets, k))
             parts.append(_term_str(c, legs))
-        return " + ".join(parts)
+        return _sum_str(parts)
 
     def __repr__(self):
         return f"<TensorPoly {self.pretty()}>"

@@ -12,8 +12,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .characters import CommutativePresentation
-from .linalg import mat_inv
 from .ncpoly import (
     AlgebraError,
     Alphabet,
@@ -423,6 +421,8 @@ def _build_onp(n, p):
 
 
 def _build_aufg(F, G):
+    from .linalg import mat_inv
+
     F = [[_to_scalar(x) for x in row] for row in F]
     G = [[_to_scalar(x) for x in row] for row in G]
     n, p = len(F), len(G)
@@ -704,9 +704,12 @@ def findim_rep_obstruction(n: int, p: int) -> bool:
     return n == p
 
 
-def abelianization(p: Presentation) -> CommutativePresentation:
-    """Commutative image: same variables, relation words become sorted
-    exponent vectors (characters of the algebra factor through this)."""
+def abelianization(p: Presentation):
+    """Commutative image, a characters.CommutativePresentation: same
+    variables, relation words become sorted exponent vectors (characters
+    of the algebra factor through this)."""
+    from .characters import CommutativePresentation
+
     nvars = len(p.alphabet)
     gens = []
     for rel in p.relations:

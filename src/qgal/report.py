@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
 UNDECIDED = "undecided"
+
+
+class Undecided(Exception):
+    """A computation stopped short of an answer (a non-unique linear
+    solution, a completion budget, a degree above the completion degree):
+    the command reports undecided, not an error."""
 
 
 @dataclass
@@ -56,6 +61,8 @@ class Report:
         }
 
     def to_json(self, indent=2):
+        import json  # only --json output needs it: it would add to start-up
+
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def render(self):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ncpoly import AlgebraError, Alphabet, NCPoly
+from .report import Undecided
 from .scalars import S_ONE
 
 
@@ -23,11 +24,11 @@ class TrivialIdealError(RewriteError):
     """A reduction produced a nonzero scalar: the ideal contains 1."""
 
 
-class CompletionBudgetError(RewriteError):
+class CompletionBudgetError(RewriteError, Undecided):
     pass
 
 
-class ConfluenceError(RewriteError):
+class ConfluenceError(RewriteError, Undecided):
     pass
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from qgal import characters
@@ -149,6 +151,24 @@ def test_spectrum_report_tries_counit_first(c_aufg, monkeypatch):
     r = spectrum_report(c_aufg.base)
     assert r.ok
     assert any("character" in i.witness for i in r.items)
+
+
+def test_spectrum_report_carries_the_base_counit_by_name(c_aufg, c_uq,
+                                                         monkeypatch):
+    r = spectrum_report(c_uq.total, base=c_uq.base)
+    # Uq2m2 and Uq2 name their generators apart: Groebner decides
+    assert r.ok and r.items[0].witness == "empty"
+    monkeypatch.setattr(characters, "groebner", lambda *a, **k: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        spectrum_report(c_aufg.total)
+    r = spectrum_report(c_aufg.total, base=c_aufg.base)
+    assert r.ok and "the counit of AuF" in r.items[0].witness
+    # a counit that is not a character of the target is not taken for one
+    ones = SimpleNamespace(name="ones", alphabet=c_aufg.total.alphabet,
+                           hopf=SimpleNamespace(counit=dict.fromkeys(
+                               range(len(c_aufg.total.alphabet)), S_ONE)))
+    with pytest.raises(ZeroDivisionError):
+        spectrum_report(c_aufg.total, base=ones)
 
 
 def test_star_spectrum_note(uq2m2):

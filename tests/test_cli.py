@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from qgal import cli
+from qgal import characters, cli
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
 from qgal.linalg import NonUniqueSolutionError
@@ -134,7 +134,7 @@ def test_normalize_certifies_to_the_input_degree(tmp_path, capsys):
 
 
 def test_normalize_does_not_depend_on_earlier_commands(capsys):
-    want = "q*z11*z11 + -q*tau*z11*z11*z11*z22"
+    want = "q*z11*z11 - q*tau*z11*z11*z11*z22"
     code, out, _ = run(capsys, "normalize", "Uq2m2", "tau*z11*z11*z12*z21")
     assert code == 0 and out.strip() == want
     assert run(capsys, "verify", "Uq2m2", "--suite", "haar")[0] == 0
@@ -159,6 +159,25 @@ def test_spectrum_onp(capsys):
                        "--suite", "spectrum")
     assert code == 0
     assert "nonempty" in out
+
+
+def test_spectrum_aufg_has_the_counit_of_auf(monkeypatch, capsys):
+    # z_ij, z_ij* -> delta_ij kills the 36 abelianized relations of AuFG;
+    # Groebner passes its degree cap before it finds that out
+    def no_groebner(*args, **kwargs):
+        raise AssertionError("Groebner basis computed")
+
+    monkeypatch.setattr(characters, "groebner", no_groebner)
+    code, out, _ = run(capsys, "verify", "AuFG", "--suite", "spectrum",
+                       "--json")
+    assert code == 0
+    (item,) = json.loads(out)["items"]
+    assert item["desc"] == "spectrum is nonempty"
+    delta = ", ".join(f"z{i}{j}{s} -> ({int(i == j)})" for i in (1, 2, 3)
+                      for j in (1, 2, 3) for s in ("", "s"))
+    assert item["witness"] == (
+        f"character: {delta}; the counit of AuF, carried over by generator "
+        f"name: a Galois object with a character is trivial")
 
 
 def test_haar_command(capsys):

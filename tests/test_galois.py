@@ -1,5 +1,6 @@
 import pytest
 
+from qgal import galois
 from qgal.galois import (
     GaloisWitness,
     aufg_witness,
@@ -16,6 +17,7 @@ from qgal.presentations import (
     CoactionData,
     catalog,
     coaction,
+    extend_reduced,
     parse_presentation_text,
 )
 from qgal.scalars import S_ONE
@@ -79,6 +81,22 @@ def test_corrupted_witness_fails(c_glq, witness):
 def test_verify_galois_glq(c_glq, witness):
     r = verify_galois(c_glq, witness, 1)
     assert r.ok
+
+
+def test_verify_galois_extends_each_map_once(c_glq, witness, monkeypatch):
+    # every check shares one memo per extended map: alpha, and delta of
+    # the witness (validate_witness included)
+    built = []
+
+    def counting(images, legs):
+        built.append(tuple(p.name for p in legs))
+        return extend_reduced(images, legs)
+
+    monkeypatch.setattr(galois, "extend_reduced", counting)
+    monkeypatch.setattr(galois, "alpha_ext",
+                        lambda c: counting(c.alpha, (c.base, c.total)))
+    assert verify_galois(c_glq, witness, 2).ok
+    assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLqm22")]
 
 
 def test_verify_galois_uq(c_uq):

@@ -1,7 +1,9 @@
-"""Every name a module of qgal imports is used in that module, and the
-runtime imports nothing outside the standard library."""
+"""Every name a module of qgal imports is used in that module, the
+runtime imports nothing outside the standard library, and each command
+loads only the layers it runs."""
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +106,34 @@ def test_haar_commands_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     assert out.splitlines()[-1] == "[0, 0] False"
+
+
+# the modules that `import qgal.cli` leaves to the commands that run them
+LAYERS = ("characters", "comodules", "cotensor", "galois", "haar", "linalg")
+
+
+def layers_loaded(argv):
+    """The LAYERS in sys.modules of a fresh process that imports qgal.cli
+    and, when argv is not empty, runs main(argv) with stdout discarded."""
+    code = ("import contextlib, io, json, sys\n"
+            "from qgal.cli import main\n"
+            f"argv = {argv!r}\n"
+            "if argv:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print(json.dumps(sorted(m[5:] for m in sys.modules\n"
+            "                        if m.startswith('qgal.'))))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    return set(json.loads(out.splitlines()[-1])) & set(LAYERS)
+
+
+@pytest.mark.parametrize("argv,layers", [
+    ([], set()),
+    (["parse", "GLq2", "x11*(x12 + x21)"], set()),
+    (["normalize", "GLq2", "x12*x11"], set()),
+    (["verify", "Uq2m2", "--suite", "star"], set()),
+    (["haar", "Uq2m2", "--degree", "1"], {"haar", "linalg"}),
+], ids=["import", "parse", "normalize", "verify-star", "haar"])
+def test_commands_load_only_their_layers(argv, layers):
+    assert layers_loaded(argv) == layers

@@ -99,8 +99,21 @@ def test_pretty_writes_unit_coefficients_as_signs(glq2):
     assert P("-q^2*x11").pretty() == "-q^2*x11"
     assert P("-x21*x12").pretty() == "-x21*x12"
     assert P("q - x11 + (1 - q^2)*x12 - 1").pretty() == \
-        "((-1 + q)) + -x11 + ((1 - q^2))*x12"
+        "(-1 + q) - x11 + (1 - q^2)*x12"
     assert P("x11/(1 + q)").pretty() == "((1) / (1 + q))*x11"
+
+
+def test_pretty_writes_one_pair_of_parentheses_and_minus_signs(glq2):
+    A = glq2.alphabet
+    P = lambda s: parse_expr(s, A)
+    assert P("q - 1").pretty() == "(-1 + q)"
+    assert P("(1-q^2)*x11*x22 - q*x12*x21").pretty() == \
+        "(1 - q^2)*x11*x22 - q*x12*x21"
+    assert P("-2*x11 - 1/2*q*x12 + (1 - q)/(1 + q)*x21").pretty() == \
+        "-2*x11 - 1/2*q*x12 + ((1 - q) / (1 + q))*x21"
+    t = TensorPoly.of(P("x11"), P("(1 - q^2)*x12")) - \
+        TensorPoly.of(P("x12"), P("q*x21"))
+    assert t.pretty() == "(1 - q^2)*x11 (x) x12 - q*x12 (x) x21"
 
 
 def test_star_examples():
