@@ -9,7 +9,11 @@
 Targets are catalog names (GLq2, Uq2, GLq2m2, Uq2m2, GLqm22, Onp, AuFG,
 AuF) or presentation/coaction files in the text DSL.  `normalize` first
 completes the target's rewrite system to the degree of the expression, so
-the normal form it prints is certified unique.  Exit codes:
+the normal form it prints is certified unique.  --q takes a nonempty comma
+list of finite, nonzero reals.  --comodule takes trivial, fundamental (the
+default), conjugate, or tensor<k>: the k-fold tensor power of the
+fundamental comodule, for k >= 1 in digits (tensor alone is tensor2).
+Exit codes:
 
     0  pass
     1  fail
@@ -41,7 +45,9 @@ Building AuF or AuFG also loads linalg, for the inverses of F and G.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 import time
 
@@ -107,6 +113,8 @@ def galois_witness_for(target, c: CoactionData):
 
 
 def comodule_for(spec, base):
+    """The comodule that a --comodule spec names (see the module
+    docstring); CliError for any other spec."""
     from . import comodules
 
     spec = spec.lower()
@@ -116,14 +124,16 @@ def comodule_for(spec, base):
         return comodules.fundamental(base)
     if spec == "conjugate":
         return comodules.conjugate(comodules.fundamental(base))
-    if spec.startswith("tensor"):
-        k = int(spec[len("tensor"):] or "2")
-        v = comodules.fundamental(base)
-        out = v
-        for _ in range(k - 1):
-            out = comodules.tensor(out, v)
-        return out
-    raise CliError(f"unknown comodule spec {spec!r}")
+    m = re.fullmatch(r"tensor([0-9]*)", spec)
+    k = int(m.group(1) or "2") if m else 0
+    if k < 1:
+        raise CliError(f"unknown comodule spec {spec!r} (trivial, fundamental, "
+                       "conjugate or tensor<k> with k >= 1)")
+    v = comodules.fundamental(base)
+    out = v
+    for _ in range(k - 1):
+        out = comodules.tensor(out, v)
+    return out
 
 
 def _haar_pair(c: CoactionData, degree):
@@ -275,10 +285,20 @@ def run_all(target, args):
 
 
 def _q_list(text):
+    """--q: a nonempty comma list of finite, nonzero reals.  A list that
+    does not parse is an argparse error; a value outside the domain
+    raises CliError, which main reports with exit 3."""
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        qs = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}")
+    if not qs:
+        raise CliError(f"empty q list {text!r}")
+    if any(q0 == 0.0 for q0 in qs):
+        raise CliError("q = 0 is outside the valid parameter domain")
+    if not all(math.isfinite(q0) for q0 in qs):
+        raise CliError(f"q samples must be finite, got {text!r}")
+    return qs
 
 
 def build_parser():
@@ -390,7 +410,6 @@ def cmd_parse(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "haar": cmd_haar,
@@ -399,8 +418,7 @@ def main(argv=None) -> int:
         "parse": cmd_parse,
     }
     try:
-        if any(q0 == 0.0 for q0 in getattr(args, "q", [])):
-            raise CliError("q = 0 is outside the valid parameter domain")
+        args = build_parser().parse_args(argv)  # --q raises CliError here
         status = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status

@@ -10,12 +10,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 from .linalg import LinearSolveError, eigvalsh, mat_inv
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
-from .presentations import Presentation, counit_of_word, delta_ext, reduce_legs, sandwich
+from .presentations import (
+    Presentation,
+    apply_map,
+    apply_scalar_map,
+    coproduct_matrix,
+    counit_of_word,
+    delta_ext,
+    reduce_legs,
+    sandwich,
+    to_scalar,
+    unitarity_defects,
+)
 from .report import Report, timed
-from .scalars import S_ONE, S_ZERO, ScalarC, ScalarQ
+from .scalars import S_ONE, S_ZERO, ScalarQ
 
 
 class ComoduleError(AlgebraError):
@@ -101,22 +113,16 @@ def verify_corep(v: Corep) -> Report:
     with timed(report):
         dext = delta_ext(p)
         eps = counit_of_word(p.hopf)
+        delta_v = coproduct_matrix(v.matrix, v.matrix)
         n = v.dim
         for i in range(n):
             for j in range(n):
-                lhs = TensorPoly((p.alphabet, p.alphabet))
-                for w, c in v.matrix[i][j].terms.items():
-                    lhs = lhs + dext(w).scale(c)
-                rhs = TensorPoly((p.alphabet, p.alphabet))
-                for k in range(n):
-                    rhs = rhs + TensorPoly.of(v.matrix[i][k], v.matrix[k][j])
-                rhs = reduce_legs(rhs, (p.rewrite, p.rewrite))
+                lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))
+                rhs = reduce_legs(delta_v[i][j], (p.rewrite, p.rewrite))
                 report.add(f"coassociativity entry ({i + 1},{j + 1})",
                            lhs == rhs,
                            witness=(lhs - rhs).pretty()[:120] if lhs != rhs else "")
-                val = S_ZERO
-                for w, c in v.matrix[i][j].terms.items():
-                    val = val + c * eps(w)
+                val = apply_scalar_map(v.matrix[i][j], eps)
                 want = S_ONE if i == j else S_ZERO
                 report.add(f"counit entry ({i + 1},{j + 1})", val == want)
     return report
@@ -127,7 +133,7 @@ def unitarity_conjugator(v: Corep, F) -> Report:
     p = v.pres
     if p.star is None:
         raise ComoduleError(f"{p.name} carries no star structure")
-    F = [[_scal(x) for x in row] for row in F]
+    F = [[to_scalar(x) for x in row] for row in F]
     Finv = mat_inv(F)  # raises LinearSolveError when F is singular
     vbar = conjugate(v).matrix
     n = v.dim
@@ -135,32 +141,13 @@ def unitarity_conjugator(v: Corep, F) -> Report:
     wst = [[p.nf(p.star.apply(w[j][i])) for j in range(n)] for i in range(n)]
     report = Report(f"unitarity-conjugator({p.name}, dim {n})")
     with timed(report):
-        _unitary_items(report, p, w, wst, n)
+        ww_st, w_st_w = unitarity_defects(w, wst)
+        for (i, j), d1, d2 in zip(product(range(n), repeat=2), ww_st, w_st_w):
+            for label, s in (("w w*", d1), ("w* w", d2)):
+                s = p.nf(s)
+                report.add(f"({label})_{i + 1}{j + 1} = delta", s.is_zero(),
+                           witness=s.pretty()[:120] if not s.is_zero() else "")
     return report
-
-
-def _unitary_items(report, p, w, wst, n, label=""):
-    one = NCPoly.one(p.alphabet)
-    for i in range(n):
-        for j in range(n):
-            s = NCPoly.zero(p.alphabet)
-            for k in range(n):
-                s = s + w[i][k] * wst[k][j]
-            s = p.nf(s - (one if i == j else NCPoly.zero(p.alphabet)))
-            report.add(f"{label}(w w*)_{i + 1}{j + 1} = delta", s.is_zero(),
-                       witness=s.pretty()[:120] if not s.is_zero() else "")
-            s = NCPoly.zero(p.alphabet)
-            for k in range(n):
-                s = s + wst[i][k] * w[k][j]
-            s = p.nf(s - (one if i == j else NCPoly.zero(p.alphabet)))
-            report.add(f"{label}(w* w)_{i + 1}{j + 1} = delta", s.is_zero(),
-                       witness=s.pretty()[:120] if not s.is_zero() else "")
-
-
-def _scal(x):
-    if isinstance(x, (ScalarQ, ScalarC)):
-        return x
-    return ScalarQ.from_fraction(x)
 
 
 @dataclass
@@ -196,8 +183,8 @@ def verify_unitary_structure(u: UnitaryStructure,
                     s = NCPoly.zero(p.alphabet)
                     for k in range(n):
                         for l in range(n):
-                            s = s + (vst[i][k] * v.matrix[l][j]).scale(_q_part(g[k][l]))
-                    s = p.nf(s - NCPoly.scalar(p.alphabet, _q_part(g[i][j])))
+                            s = s + (vst[i][k] * v.matrix[l][j]).scale(g[k][l])
+                    s = p.nf(s - NCPoly.scalar(p.alphabet, g[i][j]))
                     if not s.is_zero():
                         ok_all = False
                         report.add(f"invariance entry ({i + 1},{j + 1})", False,
@@ -212,16 +199,6 @@ def verify_unitary_structure(u: UnitaryStructure,
             report.add(f"gram positive at q = {q0}", min(evs) > 0.0,
                        witness=f"min eigenvalue {min(evs):.6g}")
     return report
-
-
-def _q_part(c):
-    """Scalar usable inside an NCPoly over Q(q); complex entries only make
-    sense here when their imaginary part vanishes."""
-    if isinstance(c, ScalarC):
-        if not c.im.is_zero():
-            raise ComoduleError("invariance check needs a real-over-Q(q) gram")
-        return c.re
-    return c
 
 
 def _gram_eigs(g, q0):
@@ -296,8 +273,7 @@ def snake_check(ev, coev) -> Report:
         ok1 = ok2 = True
         for i in range(n):
             for j in range(n):
-                s1 = ev[0][0] - ev[0][0]
-                s2 = ev[0][0] - ev[0][0]
+                s1 = s2 = S_ZERO
                 for k in range(n):
                     s1 = s1 + coev[i][k] * ev[k][j]
                     s2 = s2 + ev[i][k] * coev[k][j]

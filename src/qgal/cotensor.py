@@ -11,12 +11,21 @@ coefficient legs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .comodules import Corep, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
-from .presentations import CoactionData, alpha_ext, extend_reduced, reduce_legs
+from .presentations import (
+    CoactionData,
+    alpha_ext,
+    apply_map,
+    coproduct_matrix,
+    extend_reduced,
+    reduce_legs,
+    unitarity_defects,
+)
 from .report import Report, timed
 from .rewrite import word_basis
 from .scalars import S_ZERO
@@ -47,15 +56,10 @@ def kernel_member(x: CotensorElement) -> bool:
     """Exact membership: for each k, sum_i v_ki (x) z_i = alpha_Z(z_k)."""
     c = x.coaction.ensure_degree(x.degree(), x.degree() + 1)
     aext = alpha_ext(c)
-    v = x.comodule.matrix
+    coacted = coproduct_matrix(x.comodule.matrix, [[z] for z in x.coeffs])
     for k in range(x.comodule.dim):
-        lhs = TensorPoly((c.base.alphabet, c.total.alphabet))
-        for i in range(x.comodule.dim):
-            lhs = lhs + TensorPoly.of(v[k][i], x.coeffs[i])
-        lhs = reduce_legs(lhs, (c.base.rewrite, c.total.rewrite))
-        rhs = TensorPoly((c.base.alphabet, c.total.alphabet))
-        for word, coeff in x.coeffs[k].terms.items():
-            rhs = rhs + aext(word).scale(coeff)
+        lhs = reduce_legs(coacted[k][0], (c.base.rewrite, c.total.rewrite))
+        rhs = apply_map(x.coeffs[k], aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
         if lhs != rhs:
             return False
     return True
@@ -165,21 +169,14 @@ def verify_biunitarity(c: CoactionData, zblock) -> Report:
     ncols = len(zblock[0])
     report = Report(f"biunitarity({Z.name}, {nrows}x{ncols} block)")
     with timed(report):
-        one = NCPoly.one(Z.alphabet)
-        for j in range(ncols):
-            for k in range(ncols):
-                s = NCPoly.zero(Z.alphabet)
-                for i in range(nrows):
-                    s = s + star.apply(zblock[i][j]) * zblock[i][k]
-                s = Z.nf(s - (one if j == k else NCPoly.zero(Z.alphabet)))
-                report.add(f"sum_i z*_i{j + 1} z_i{k + 1} = delta", s.is_zero(),
-                           witness=s.pretty()[:120] if not s.is_zero() else "")
-        for i in range(nrows):
-            for k in range(nrows):
-                s = NCPoly.zero(Z.alphabet)
-                for j in range(ncols):
-                    s = s + zblock[i][j] * star.apply(zblock[k][j])
-                s = Z.nf(s - (one if i == k else NCPoly.zero(Z.alphabet)))
-                report.add(f"sum_j z_{i + 1}j z*_{k + 1}j = delta", s.is_zero(),
-                           witness=s.pretty()[:120] if not s.is_zero() else "")
+        zst = [[star.apply(zblock[i][j]) for i in range(nrows)] for j in range(ncols)]
+        zz_st, z_st_z = unitarity_defects(zblock, zst)
+        items = [(f"sum_i z*_i{j + 1} z_i{k + 1} = delta", s)
+                 for (j, k), s in zip(product(range(ncols), repeat=2), z_st_z)]
+        items += [(f"sum_j z_{i + 1}j z*_{k + 1}j = delta", s)
+                  for (i, k), s in zip(product(range(nrows), repeat=2), zz_st)]
+        for desc, s in items:
+            s = Z.nf(s)
+            report.add(desc, s.is_zero(),
+                       witness=s.pretty()[:120] if not s.is_zero() else "")
     return report

@@ -20,10 +20,16 @@ from .presentations import (
     _finish,
     _short,
     alpha_ext,
+    apply_map,
     catalog,
+    coproduct_matrix,
     extend_reduced,
+    generator_block,
+    on_block,
     reduce_legs,
     sandwich,
+    transpose,
+    twisted_block,
 )
 from .report import Report, timed
 from .rewrite import word_basis
@@ -31,10 +37,6 @@ from .scalars import S_ONE
 
 
 class GaloisError(AlgebraError):
-    pass
-
-
-class InvalidWitnessError(GaloisError):
     pass
 
 
@@ -49,9 +51,7 @@ def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
     """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed.  aext is
     alpha_ext(c), built here unless the caller shares one across calls."""
     aext = aext or alpha_ext(c)
-    out = TensorPoly((c.base.alphabet, c.total.alphabet))
-    for word, coeff in x.terms.items():
-        out = out + aext(word).scale(coeff)
+    out = apply_map(x, aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
     out = out.mul_leg(1, y)
     return reduce_legs(out, (c.base.rewrite, c.total.rewrite))
 
@@ -69,11 +69,7 @@ def galois_inverse(a: NCPoly, y: NCPoly, w: GaloisWitness,
     witness_exts(w, c), built here unless the caller shares it."""
     dext, phi_ext = exts or witness_exts(w, c)
     Z = c.total.alphabet
-    out = TensorPoly((Z, Z))
-    for word, coeff in a.terms.items():
-        t = dext(word)
-        t = t.map_leg(1, phi_ext)
-        out = out + t.scale(coeff)
+    out = apply_map(a, lambda word: dext(word).map_leg(1, phi_ext), TensorPoly((Z, Z)))
     out = out.mul_leg(1, y)
     return reduce_legs(out, (c.total.rewrite, c.total.rewrite))
 
@@ -87,16 +83,11 @@ def validate_witness(c: CoactionData, w: GaloisWitness, exts=None) -> Report:
     with timed(report):
         dext, phi_ext = exts or witness_exts(w, c)
         for rel in c.base.relations:
-            t = TensorPoly((c.total.alphabet, w.companion.alphabet))
-            for word, coeff in rel.terms.items():
-                t = t + dext(word).scale(coeff)
+            t = apply_map(rel, dext, TensorPoly((c.total.alphabet, w.companion.alphabet)))
             report.add("delta kills relation " + _short(rel), t.is_zero(),
                        witness=t.pretty()[:120] if not t.is_zero() else "")
         for rel in w.companion.relations:
-            img = NCPoly.zero(c.total.alphabet)
-            for word, coeff in rel.terms.items():
-                img = img + phi_ext(word).scale(coeff)
-            img = c.total.nf(img)
+            img = c.total.nf(apply_map(rel, phi_ext, NCPoly.zero(c.total.alphabet)))
             report.add("phi kills relation " + _short(rel), img.is_zero(),
                        witness=img.pretty()[:120] if not img.is_zero() else "")
     return report
@@ -125,11 +116,9 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
         for wd in word_basis(c.base.rewrite, d):
             a = NCPoly(A, {wd: S_ONE})
             t = galois_inverse(a, one_Z, w, c, exts)
-            back = TensorPoly((A, Z))
-            for (w1, w2), coeff in t.terms.items():
-                back = back + galois_map(
-                    NCPoly(Z, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), c, aext
-                ).scale(coeff)
+            back = apply_map(t, lambda k: galois_map(
+                NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
+                TensorPoly((A, Z)))
             back = reduce_legs(back, (c.base.rewrite, c.total.rewrite))
             want = TensorPoly((A, Z), {(wd, ()): S_ONE})
             report.add(f"beta beta' fixes {A.word_str(wd)} (x) 1", back == want,
@@ -137,11 +126,9 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
         for wd in word_basis(c.total.rewrite, d):
             x = NCPoly(Z, {wd: S_ONE})
             t = galois_map(x, one_Z, c, aext)
-            back = TensorPoly((Z, Z))
-            for (w1, w2), coeff in t.terms.items():
-                back = back + galois_inverse(
-                    NCPoly(A, {w1: S_ONE}), NCPoly(Z, {w2: S_ONE}), w, c, exts
-                ).scale(coeff)
+            back = apply_map(t, lambda k: galois_inverse(
+                NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), w, c, exts),
+                TensorPoly((Z, Z)))
             back = reduce_legs(back, (c.total.rewrite, c.total.rewrite))
             want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
             report.add(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back == want,
@@ -163,13 +150,8 @@ def glq_witness(c: CoactionData) -> GaloisWitness:
     entries of the inverse of the generator matrix z."""
     T = catalog("GLqm22")
     A, Z, Ti = c.base.alphabet, c.total.alphabet, T.alphabet
-    delta = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            delta[A.index[f"x{i}{j}"]] = (
-                TensorPoly.of(Z.gen(f"z{i}1"), Ti.gen(f"t1{j}"))
-                + TensorPoly.of(Z.gen(f"z{i}2"), Ti.gen(f"t2{j}"))
-            )
+    delta = on_block(A, "x", coproduct_matrix(generator_block(Z, "z", 2, 2),
+                                              generator_block(Ti, "t", 2, 2)))
     delta[A.index["t"]] = TensorPoly.of(Z.gen("tau"), Ti.gen("xi"))
     PZ = c.total.parse
     phi = {
@@ -225,26 +207,13 @@ def aufg_witness(c: CoactionData) -> GaloisWitness:
     if n != p:
         raise GaloisError("translation witness needs a square generator block")
     T = opposite(c.total)
-    delta = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            d = None
-            ds = None
-            for k in range(1, n + 1):
-                # second leg carries the adjoint entry (z*)_kj = star(z_jk)
-                t = TensorPoly.of(Z.gen(f"z{i}{k}"), T.alphabet.gen(f"z{j}{k}s"))
-                d = t if d is None else d + t
-            delta[A.index[f"z{i}{j}"]] = d
+    # second leg carries the adjoint entry (z*)_kj = star(z_jk)
+    z_adj = transpose(generator_block(T.alphabet, "z", n, n, "s"))
+    delta = on_block(A, "z", coproduct_matrix(generator_block(Z, "z", n, n), z_adj))
     # the starred generators need the inverse of the conjugate block,
     # read off the unitarity of the twisted matrix
-    u = _zbar_inverse(c.total, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            d = None
-            for k in range(1, n + 1):
-                t = TensorPoly.of(Z.gen(f"z{i}{k}s"), u[k - 1][j - 1])
-                d = t if d is None else d + t
-            delta[A.index[f"z{i}{j}s"]] = d
+    zbar = generator_block(Z, "z", n, n, "s")
+    delta.update(on_block(A, "z", coproduct_matrix(zbar, _zbar_inverse(c.total, n)), "s"))
     phi = {gi: Z.gen(name) for gi, name in enumerate(T.alphabet.names)}
     return GaloisWitness(T, delta, phi)
 
@@ -262,9 +231,7 @@ def _zbar_inverse(total: Presentation, n):
         raise GaloisError("presentation lacks twist matrices")
     F, G = FG
     Ginv = mat_inv([list(r) for r in G])
-    Z = total.alphabet
-    zbar = [[Z.gen(f"z{i}{j}s") for j in range(1, n + 1)] for i in range(1, n + 1)]
-    B = sandwich(F, zbar, Ginv)
-    Badj = [[total.star.apply(B[j][i]) for j in range(n)] for i in range(n)]
+    zbar = generator_block(total.alphabet, "z", n, n, "s")
+    _, Badj = twisted_block(F, zbar, Ginv, total.star)
     out = sandwich(Ginv, Badj, F)
     return [[total.nf(e) for e in row] for row in out]

@@ -181,6 +181,10 @@ def gram_positivity(p: Presentation, mu: LinearFunctional, d: int,
             except PoleError as e:
                 report.add(f"evaluation at q = {q0}", False, witness=str(e))
                 continue
+            except OverflowError as e:
+                report.add_undecided(f"evaluation at q = {q0}",
+                                     witness=f"float overflow: {e}")
+                continue
             desc = f"PSD evidence at q = {q0} ({n}x{n} gram)"
             try:
                 evs = eigvalsh(m)

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the scalar fields.
+"""Exact linear algebra over Q(q).
 
 Sparse rows are dicts keyed by an arbitrary hashable variable.  The
 incremental reducer is what the Haar solver feeds equations into; the
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .report import Undecided
-from .scalars import S_ONE, S_ZERO, ScalarC
+from .scalars import S_ONE, S_ZERO
 
 
 class LinearSolveError(Exception):
@@ -134,12 +134,12 @@ def nullspace(rows, variables, var_key=None):
     for row in rows:
         filtered = {k: v for k, v in row.items() if not v.is_zero()}
         if filtered:
-            reducer.add_equation(filtered, _zero_like(next(iter(filtered.values()))))
+            reducer.add_equation(filtered, S_ZERO)
     pivots = set(reducer.rows)
     free = [v for v in variables if v not in pivots]
     basis = []
     for fvar in free:
-        vec = {fvar: _one_like_var(rows, fvar)}
+        vec = {fvar: S_ONE}
         for pvar, (prow, _rhs) in reducer.rows.items():
             c = prow.get(fvar)
             if c is not None:
@@ -148,27 +148,14 @@ def nullspace(rows, variables, var_key=None):
     return basis
 
 
-def _zero_like(sample):
-    return ScalarC(S_ZERO) if isinstance(sample, ScalarC) else S_ZERO
-
-
-def _one_like_var(rows, _var):
-    for row in rows:
-        for v in row.values():
-            if isinstance(v, ScalarC):
-                return ScalarC(S_ONE)
-    return S_ONE
-
-
 # -- dense matrices over scalars (small sizes only) -------------------------
 
 
 def mat_inv(a):
     """Inverse by Gauss-Jordan; raises on a singular matrix."""
     n = len(a)
-    one = a[0][0] - a[0][0] + _one_like_entry(a)
-    zero = one - one
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [S_ONE if i == j else S_ZERO for j in range(n)]
+           for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
         if pivot is None:
@@ -184,10 +171,6 @@ def mat_inv(a):
                 continue
             aug[r] = [x + (-f) * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def _one_like_entry(a):
-    return ScalarC(S_ONE) if isinstance(a[0][0], ScalarC) else S_ONE
 
 
 # -- floating point: Hermitian eigenvalues -----------------------------------

@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .scalars import S_ONE, S_ZERO, UNIT_DEN, ScalarQ
 
-Word = tuple
-
 
 class AlgebraError(Exception):
     pass

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .ncpoly import (
     AlgebraError,
@@ -23,7 +25,7 @@ from .ncpoly import (
 )
 from .report import Report, timed
 from .rewrite import ConfluenceError, MonomialOrder, RewriteSystem, build_system, complete
-from .scalars import Q, S_ONE, S_ZERO, ScalarC, ScalarQ
+from .scalars import Q, S_ONE, S_ZERO, ScalarQ
 
 
 class CatalogError(AlgebraError):
@@ -182,6 +184,99 @@ def counit_of_word(h: HopfData):
     return fn
 
 
+def apply_map(poly, ext, zero):
+    """The linear extension of ext, a map on words, at poly: the sum of
+    c * ext(w) over the terms c*w of poly, added in term order to zero.
+    poly may also be a TensorPoly, whose terms are keyed by word tuples."""
+    out = zero
+    for w, c in poly.terms.items():
+        out = out + ext(w).scale(c)
+    return out
+
+
+def apply_scalar_map(poly, eps):
+    """apply_map for a scalar-valued map on words."""
+    out = S_ZERO
+    for w, c in poly.terms.items():
+        out = out + c * eps(w)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# matrices over the generators
+# ---------------------------------------------------------------------------
+
+
+def generator_block(alphabet, prefix, n, p, suffix=""):
+    """The n x p matrix of the generators <prefix><i><j><suffix>."""
+    return [[alphabet.gen(f"{prefix}{i}{j}{suffix}") for j in range(1, p + 1)]
+            for i in range(1, n + 1)]
+
+
+def on_block(alphabet, prefix, mat, suffix=""):
+    """A map on generators given by a matrix: the index of generator
+    <prefix><i><j><suffix> -> mat[i-1][j-1]."""
+    return {alphabet.index[f"{prefix}{i}{j}{suffix}"]: e
+            for i, row in enumerate(mat, 1) for j, e in enumerate(row, 1)}
+
+
+def transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
+def coproduct_matrix(L, R):
+    """The matrix of sum_k L_ik (x) R_kj, summed over k in increasing
+    order: the shape of a matrix coproduct, coaction or translation map."""
+    return [[reduce(add, [TensorPoly.of(row[k], R[k][j]) for k in range(len(R))])
+             for j in range(len(R[0]))] for row in L]
+
+
+def unitarity_defects(M, Mst):
+    """The entries of M M* - I and of M* M - I, as two lists in row-major
+    order, for an n x p matrix M of NCPoly and its star-transpose Mst.
+    M is unitary when all of them vanish.  Each entry sums over k in
+    increasing order."""
+    one = NCPoly.one(M[0][0].alphabet)
+
+    def defects(L, R):
+        out = []
+        for i, row in enumerate(L):
+            for j in range(len(R[0])):
+                s = NCPoly.zero(one.alphabet)
+                for k, e in enumerate(row):
+                    s = s + e * R[k][j]
+                out.append(s - one if i == j else s)
+        return out
+
+    return defects(M, Mst), defects(Mst, M)
+
+
+def sandwich(F, mat, Ginv):
+    """F * mat * Ginv with scalar matrices F, Ginv and NCPoly mat."""
+    n, p = len(F), len(Ginv)
+    inner = len(mat)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            s = None
+            for k in range(inner):
+                for l in range(len(mat[0])):
+                    term = mat[k][l].scale(F[i][k] * Ginv[l][j])
+                    s = term if s is None else s + term
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def twisted_block(F, zbar, Ginv, star):
+    """B = F zbar G^-1 for scalar matrices F, G^-1 and a block zbar of
+    NCPoly, with its star-transpose B*.  The AuFG relations make B
+    unitary, and then G^-1 B* F is the inverse of zbar."""
+    B = sandwich(F, zbar, Ginv)
+    return B, transpose([[star.apply(e) for e in row] for row in B])
+
+
 # ---------------------------------------------------------------------------
 # catalog construction
 # ---------------------------------------------------------------------------
@@ -226,13 +321,14 @@ def _freeze(params):
     for k in sorted(params):
         v = params[k]
         if isinstance(v, list):
-            v = tuple(tuple(_to_scalar(x) for x in row) for row in v)
+            v = tuple(tuple(to_scalar(x) for x in row) for row in v)
         out.append((k, v))
     return tuple(out)
 
 
-def _to_scalar(x):
-    if isinstance(x, (ScalarQ, ScalarC)):
+def to_scalar(x):
+    """x as an element of Q(q): a ScalarQ as it is, else Fraction(x)."""
+    if isinstance(x, ScalarQ):
         return x
     return ScalarQ.from_fraction(Fraction(x))
 
@@ -286,13 +382,8 @@ def _build_glq2(star: bool):
     idx = A.index
     one = S_ONE
     zero = S_ZERO
-    delta = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            g = lambda a, b: A.gen(f"x{a}{b}")
-            delta[idx[f"x{i}{j}"]] = (
-                TensorPoly.of(g(i, 1), g(1, j)) + TensorPoly.of(g(i, 2), g(2, j))
-            )
+    x = generator_block(A, "x", 2, 2)
+    delta = on_block(A, "x", coproduct_matrix(x, x))
     delta[idx["t"]] = TensorPoly.of(A.gen("t"), A.gen("t"))
     counit = {
         idx["x11"]: one, idx["x12"]: zero, idx["x21"]: zero, idx["x22"]: one,
@@ -361,61 +452,29 @@ def _build_glqm22():
 
 
 def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionData:
-    alpha = {}
     Ai, Zi = base.alphabet, total.alphabet
-    for i in (1, 2):
-        for j in (1, 2):
-            alpha[Zi.index[f"z{i}{j}"]] = (
-                TensorPoly.of(Ai.gen(f"x{i}1"), Zi.gen(f"z1{j}"))
-                + TensorPoly.of(Ai.gen(f"x{i}2"), Zi.gen(f"z2{j}"))
-            )
+    alpha = on_block(Zi, "z", coproduct_matrix(generator_block(Ai, "x", 2, 2),
+                                               generator_block(Zi, "z", 2, 2)))
     alpha[Zi.index["tau"]] = TensorPoly.of(Ai.gen("t"), Zi.gen("tau"))
     return CoactionData(base, total, alpha)
 
 
 def _star_alphabet(prefix, n, p):
+    """(A, star, z, zbar): the alphabet of an n x p block z of generators
+    <prefix><i><j> and of their entrywise stars zbar, <prefix><i><j>s,
+    with the star map that swaps the two blocks."""
     names = [f"{prefix}{i}{j}" for i in range(1, n + 1) for j in range(1, p + 1)]
-    names += [f"{prefix}{i}{j}s" for i in range(1, n + 1) for j in range(1, p + 1)]
-    return Alphabet(names)
-
-
-def _unitary_relations(alphabet, mat, mat_star_t, n, p):
-    """Relations saying mat (n x p, entries NCPoly) is unitary:
-    mat mat* = I_n and mat* mat = I_p, with mat* = conjugate transpose."""
-    rels = []
-    one = NCPoly.one(alphabet)
-    for i in range(n):
-        for j in range(n):
-            s = NCPoly.zero(alphabet)
-            for k in range(p):
-                s = s + mat[i][k] * mat_star_t[k][j]
-            if i == j:
-                s = s - one
-            rels.append(s)
-    for i in range(p):
-        for j in range(p):
-            s = NCPoly.zero(alphabet)
-            for k in range(n):
-                s = s + mat_star_t[i][k] * mat[k][j]
-            if i == j:
-                s = s - one
-            rels.append(s)
-    return rels
+    A = Alphabet(names + [f"{name}s" for name in names])
+    z, zbar = generator_block(A, prefix, n, p), generator_block(A, prefix, n, p, "s")
+    star = StarMap(A, {**on_block(A, prefix, zbar), **on_block(A, prefix, z, "s")})
+    return A, star, z, zbar
 
 
 def _build_onp(n, p):
     if n < 1 or p < 1:
         raise CatalogError("Onp requires n, p >= 1")
-    A = _star_alphabet("a", n, p)
-    star_images = {}
-    for i in range(1, n + 1):
-        for j in range(1, p + 1):
-            star_images[A.index[f"a{i}{j}"]] = A.gen(f"a{i}{j}s")
-            star_images[A.index[f"a{i}{j}s"]] = A.gen(f"a{i}{j}")
-    smap = StarMap(A, star_images)
-    a = [[A.gen(f"a{i}{j}") for j in range(1, p + 1)] for i in range(1, n + 1)]
-    a_star_t = [[A.gen(f"a{i}{j}s") for i in range(1, n + 1)] for j in range(1, p + 1)]
-    relations = _unitary_relations(A, a, a_star_t, n, p)
+    A, smap, a, abar = _star_alphabet("a", n, p)
+    relations = sum(unitarity_defects(a, transpose(abar)), [])
     return _finish(f"Onp({n},{p})", A, relations, MonomialOrder(A), star=smap,
                    completion_degree=3)
 
@@ -423,78 +482,37 @@ def _build_onp(n, p):
 def _build_aufg(F, G):
     from .linalg import mat_inv
 
-    F = [[_to_scalar(x) for x in row] for row in F]
-    G = [[_to_scalar(x) for x in row] for row in G]
+    F = [[to_scalar(x) for x in row] for row in F]
+    G = [[to_scalar(x) for x in row] for row in G]
     n, p = len(F), len(G)
     Finv = mat_inv(F)   # also validates invertibility
     Ginv = mat_inv(G)
-    A = _star_alphabet("z", n, p)
-    star_images = {}
-    for i in range(1, n + 1):
-        for j in range(1, p + 1):
-            star_images[A.index[f"z{i}{j}"]] = A.gen(f"z{i}{j}s")
-            star_images[A.index[f"z{i}{j}s"]] = A.gen(f"z{i}{j}")
-    smap = StarMap(A, star_images)
-    z = [[A.gen(f"z{i}{j}") for j in range(1, p + 1)] for i in range(1, n + 1)]
-    z_star_t = [[A.gen(f"z{i}{j}s") for i in range(1, n + 1)] for j in range(1, p + 1)]
-    relations = _unitary_relations(A, z, z_star_t, n, p)
-    # F zbar G^-1 unitary; zbar is the entrywise star (no transpose)
-    zbar = [[A.gen(f"z{i}{j}s") for j in range(1, p + 1)] for i in range(1, n + 1)]
-    B = sandwich(F, zbar, Ginv)
-    Bst = [[smap.apply(B[j][i]) for j in range(n)] for i in range(p)]
-    relations += _unitary_relations(A, B, Bst, n, p)
+    A, smap, z, zbar = _star_alphabet("z", n, p)
+    B, Bst = twisted_block(F, zbar, Ginv, smap)
+    # z unitary, then B unitary; each as M M* - I, then M* M - I
+    relations = sum(unitarity_defects(z, transpose(zbar))
+                    + unitarity_defects(B, Bst), [])
     hopf = None
     if F == G:
-        hopf = _auf_hopf(A, F, Finv, smap, n)
+        hopf = _auf_hopf(A, F, Finv, Bst, n)
     name = "AuF" if F == G else "AuFG"
     return _finish(name, A, relations, MonomialOrder(A), star=smap, hopf=hopf,
                    completion_degree=3, meta={"FG": (F, G)})
 
 
-def sandwich(F, mat, Ginv):
-    """F * mat * Ginv with scalar matrices F, Ginv and NCPoly mat."""
-    n, p = len(F), len(Ginv)
-    inner = len(mat)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = None
-            for k in range(inner):
-                for l in range(len(mat[0])):
-                    term = mat[k][l].scale(F[i][k] * Ginv[l][j])
-                    s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def _auf_hopf(A: Alphabet, F, Finv, smap: StarMap, n):
-    idx = A.index
-    delta, counit, antipode = {}, {}, {}
-    one, zero = S_ONE, S_ZERO
+def _auf_hopf(A: Alphabet, F, Finv, Bst, n):
+    """Hopf data of AuF; Bst is the star-transpose of B = F zbar F^-1."""
+    z, zbar = generator_block(A, "z", n, n), generator_block(A, "z", n, n, "s")
+    delta = on_block(A, "z", coproduct_matrix(z, z))
+    delta.update(on_block(A, "z", coproduct_matrix(zbar, zbar), "s"))
+    counit = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            d = None
-            ds = None
-            for k in range(1, n + 1):
-                t = TensorPoly.of(A.gen(f"z{i}{k}"), A.gen(f"z{k}{j}"))
-                ts = TensorPoly.of(A.gen(f"z{i}{k}s"), A.gen(f"z{k}{j}s"))
-                d = t if d is None else d + t
-                ds = ts if ds is None else ds + ts
-            delta[idx[f"z{i}{j}"]] = d
-            delta[idx[f"z{i}{j}s"]] = ds
-            counit[idx[f"z{i}{j}"]] = one if i == j else zero
-            counit[idx[f"z{i}{j}s"]] = one if i == j else zero
-            antipode[idx[f"z{i}{j}"]] = A.gen(f"z{j}{i}s")
-    # S(zbar) = F^-1 (F zbar F^-1)^* F, the inverse of the conjugate matrix
-    zbar = [[A.gen(f"z{i}{j}s") for j in range(1, n + 1)] for i in range(1, n + 1)]
-    B = sandwich(F, zbar, Finv)
-    Bst = [[smap.apply(B[j][i]) for j in range(n)] for i in range(n)]
-    S_zbar = sandwich(Finv, Bst, F)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            antipode[idx[f"z{i}{j}s"]] = S_zbar[i - 1][j - 1]
+            counit[A.index[f"z{i}{j}"]] = S_ONE if i == j else S_ZERO
+            counit[A.index[f"z{i}{j}s"]] = S_ONE if i == j else S_ZERO
+    antipode = on_block(A, "z", transpose(zbar))
+    # S(zbar) = F^-1 B* F, the inverse of the conjugate matrix
+    antipode.update(on_block(A, "z", sandwich(Finv, Bst, F), "s"))
     return HopfData(delta, counit, antipode)
 
 
@@ -503,17 +521,9 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
     n = max(int(nm[1]) for nm in Ai.names if not nm.endswith("s"))
     p = max(int(nm[2]) for nm in Zi.names if not nm.endswith("s"))
     alpha = {}
-    for i in range(1, n + 1):
-        for j in range(1, p + 1):
-            d = None
-            ds = None
-            for k in range(1, n + 1):
-                t = TensorPoly.of(Ai.gen(f"z{i}{k}"), Zi.gen(f"z{k}{j}"))
-                ts = TensorPoly.of(Ai.gen(f"z{i}{k}s"), Zi.gen(f"z{k}{j}s"))
-                d = t if d is None else d + t
-                ds = ts if ds is None else ds + ts
-            alpha[Zi.index[f"z{i}{j}"]] = d
-            alpha[Zi.index[f"z{i}{j}s"]] = ds
+    for s in ("", "s"):  # z and its entrywise star zbar coact alike
+        alpha.update(on_block(Zi, "z", coproduct_matrix(
+            generator_block(Ai, "z", n, n, s), generator_block(Zi, "z", n, p, s)), s))
     return CoactionData(base, total, alpha)
 
 
@@ -603,10 +613,10 @@ def verify_hopf(p: Presentation, h: HopfData | None = None) -> Report:
         eps = counit_of_word(h)
         sext = extend_anti(h.antipode, A)
         for rel in p.relations:
-            t = _apply_tensor_map(rel, dext, (A, A))
+            t = apply_map(rel, dext, TensorPoly((A, A)))
             report.add("Delta kills relation " + _short(rel), t.is_zero(),
                        witness=t.pretty() if not t.is_zero() else "")
-            c = _apply_scalar_map(rel, eps)
+            c = apply_scalar_map(rel, eps)
             report.add("epsilon kills relation " + _short(rel), c.is_zero())
         for gi, name in enumerate(A.names):
             d = h.delta[gi]
@@ -621,11 +631,10 @@ def verify_hopf(p: Presentation, h: HopfData | None = None) -> Report:
             lhs = rs.normal_form(_tensor1_to_poly(ce_l, A))
             rhs = rs.normal_form(_tensor1_to_poly(ce_r, A))
             report.add(f"counit law on {name}", lhs == g_nf and rhs == g_nf)
-            m_s1 = NCPoly.zero(A)
-            m_1s = NCPoly.zero(A)
-            for (w1, w2), c in d.terms.items():
-                m_s1 = m_s1 + (sext(w1) * NCPoly(A, {w2: S_ONE})).scale(c)
-                m_1s = m_1s + (NCPoly(A, {w1: S_ONE}) * sext(w2)).scale(c)
+            m_s1 = apply_map(d, lambda k: sext(k[0]) * NCPoly(A, {k[1]: S_ONE}),
+                             NCPoly.zero(A))
+            m_1s = apply_map(d, lambda k: NCPoly(A, {k[0]: S_ONE}) * sext(k[1]),
+                             NCPoly.zero(A))
             target = NCPoly.scalar(A, h.counit[gi])
             ok = rs.normal_form(m_s1 - target).is_zero() and \
                 rs.normal_form(m_1s - target).is_zero()
@@ -640,7 +649,7 @@ def verify_coaction(c: CoactionData) -> Report:
     with timed(report):
         aext = alpha_ext(c)
         for rel in c.total.relations:
-            t = _apply_tensor_map(rel, aext, (A, Z))
+            t = apply_map(rel, aext, TensorPoly((A, Z)))
             report.add("alpha kills relation " + _short(rel), t.is_zero(),
                        witness=t.pretty() if not t.is_zero() else "")
         if c.base.hopf is None:
@@ -659,7 +668,8 @@ def verify_coaction(c: CoactionData) -> Report:
                            lhs == rsZ.normal_form(Z.gen(name)))
         if c.base.star is not None and c.total.star is not None:
             for gi, name in enumerate(Z.names):
-                lhs = _apply_tensor_map(c.total.star.apply(Z.gen(name)), aext, (A, Z))
+                lhs = apply_map(c.total.star.apply(Z.gen(name)), aext,
+                                TensorPoly((A, Z)))
                 rhs = c.alpha[gi].map_leg(0, lambda w: c.base.star.apply(
                     NCPoly(A, {w: S_ONE})))
                 rhs = rhs.map_leg(1, lambda w: c.total.star.apply(
@@ -667,20 +677,6 @@ def verify_coaction(c: CoactionData) -> Report:
                 rhs = reduce_legs(rhs, (rsA, rsZ))
                 report.add(f"alpha is a *-map on {name}", lhs == rhs)
     return report
-
-
-def _apply_tensor_map(poly: NCPoly, ext, alphabets) -> TensorPoly:
-    out = TensorPoly(alphabets)
-    for w, c in poly.terms.items():
-        out = out + ext(w).scale(c)
-    return out
-
-
-def _apply_scalar_map(poly: NCPoly, eps):
-    c_total = S_ZERO
-    for w, c in poly.terms.items():
-        c_total = c_total + c * eps(w)
-    return c_total
 
 
 def _tensor1_to_poly(t: TensorPoly, alphabet) -> NCPoly:

@@ -1,6 +1,5 @@
 """Exact arithmetic in Q(q): Laurent polynomials in q over the rationals
-and their fraction field, plus a complexified variant and numerical
-specialization at real q.
+and their fraction field, plus numerical specialization at real q.
 
 All values are immutable and hashable; every operation is pure.
 """
@@ -425,97 +424,3 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
 S_ZERO = ScalarQ.from_int(0)
 S_ONE = ScalarQ.from_int(1)
 Q = ScalarQ.q_power(1)
-QINV = ScalarQ.q_power(-1)
-
-
-class ScalarC:
-    """Complexified scalar a + b*i with a, b in Q(q); i^2 = -1.
-
-    Conjugation negates the imaginary part and fixes q.
-    """
-
-    __slots__ = ("re", "im", "_hash")
-
-    def __init__(self, re: ScalarQ, im: ScalarQ = S_ZERO):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarC is immutable")
-
-    @staticmethod
-    def from_scalar(x) -> "ScalarC":
-        if isinstance(x, ScalarC):
-            return x
-        if isinstance(x, ScalarQ):
-            return ScalarC(x)
-        return ScalarC(ScalarQ.from_fraction(x))
-
-    def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_one(self):
-        return self.re.is_one() and self.im.is_zero()
-
-    def __add__(self, other):
-        other = ScalarC.from_scalar(other)
-        return ScalarC(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ScalarC(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-ScalarC.from_scalar(other))
-
-    def __rsub__(self, other):
-        return ScalarC.from_scalar(other) - self
-
-    def __mul__(self, other):
-        other = ScalarC.from_scalar(other)
-        return ScalarC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "ScalarC":
-        n = self.re * self.re + self.im * self.im
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero complexified scalar")
-        ninv = n.inv()
-        return ScalarC(self.re * ninv, -self.im * ninv)
-
-    def __truediv__(self, other):
-        return self * ScalarC.from_scalar(other).inv()
-
-    def conj(self) -> "ScalarC":
-        return ScalarC(self.re, -self.im)
-
-    def __eq__(self, other):
-        if isinstance(other, (ScalarQ, int, Fraction)):
-            other = ScalarC.from_scalar(other)
-        if not isinstance(other, ScalarC):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.re, self.im)))
-        return self._hash
-
-    def eval(self, q0: float) -> complex:
-        return complex(self.re.eval(q0), self.im.eval(q0))
-
-    def __repr__(self):
-        if self.im.is_zero():
-            return repr(self.re)
-        return f"({self.re!r} + {self.im!r}*i)"
-
-
-C_ZERO = ScalarC(S_ZERO)
-C_ONE = ScalarC(S_ONE)
-C_I = ScalarC(S_ZERO, S_ONE)

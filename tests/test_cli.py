@@ -97,6 +97,27 @@ def test_q_zero_rejected(capsys):
     assert "q = 0" in err
 
 
+@pytest.mark.parametrize("q_list", [",", "nan", "inf", "0.5,nan"])
+def test_empty_or_nonfinite_q_rejected(capsys, q_list):
+    code, _, err = run(capsys, "haar", "Uq2m2", "--degree", "1", "--q", q_list)
+    assert code == 3
+    assert "CliError" in err
+
+
+def test_q_overflow_is_undecided(capsys):
+    code, out, _ = run(capsys, "haar", "Uq2m2", "--degree", "1", "--q", "0.5,1e308")
+    assert code == 2
+    assert "evaluation at q = 1e+308  [float overflow:" in out
+
+
+@pytest.mark.parametrize("spec", ["tensorx", "tensor0", "tensor-1", "tensor+2"])
+def test_bad_tensor_spec_exits_3(capsys, spec):
+    code, _, err = run(capsys, "cotensor", "Uq2m2", "--comodule", spec,
+                       "--degree", "1")
+    assert code == 3
+    assert "unknown comodule spec" in err
+
+
 def test_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "Uq2m2", "--suite", "star", "--json")
     assert code == 0

@@ -1,9 +1,11 @@
-"""Every name a module of qgal imports is used in that module, the
-runtime imports nothing outside the standard library, and each command
-loads only the layers it runs."""
+"""Every name a module of qgal imports is used in that module, every
+top-level name it defines is read somewhere, the runtime imports nothing
+outside the standard library, and each command loads only the layers it
+runs."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import qgal
 from conftest import subprocess_env
 
 MODULES = sorted(Path(qgal.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -60,6 +63,74 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source):
+    """(line, name) of each name a module binds at top level: functions,
+    classes and assignment targets.  Dunders are exempt."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(source):
+    """Every name a source reads: a Name that is not assigned, an
+    attribute, a name imported from a module, or a part of a string that
+    is a dotted name (getattr and the bench tracer name functions so)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            read.update(node.value.split("."))
+    return read
+
+
+def unread_names(defining, reading):
+    """(module, line, name) of each top-level name that a source of
+    `defining` binds and no source of `reading` reads; both map a module
+    label to its source text."""
+    read = set().union(*map(names_read, reading.values()))
+    return [(label, line, name) for label, source in defining.items()
+            for line, name in top_level_names(source) if name not in read]
+
+
+def test_checker_finds_unread_names():
+    module = ("import os\n"
+              "A = 1\n"
+              "B, _c = A, 3\n"
+              "__all__ = []\n"
+              "def f():\n"
+              "    return os.sep\n"
+              "class K:\n"
+              "    pass\n"
+              "def g(): pass\n"
+              "h: int = 0\n")
+    user = "from m import K\nx = m.g\ny = getattr(m, 'h')\n"
+    assert unread_names({"m": module}, {"m": module, "t": user}) == [
+        ("m", 3, "B"), ("m", 3, "_c"), ("m", 5, "f")]
+
+
+def test_every_top_level_name_is_read():
+    """A name that nothing in the package, its tests or its benchmark
+    reads is dead code."""
+    paths = [*MODULES, *sorted(TESTS.glob("*.py")),
+             *sorted((TESTS.parent / "perfbench").glob("*.py"))]
+    reading = {str(p): p.read_text() for p in paths}
+    defining = {p.name: p.read_text() for p in MODULES}
+    assert unread_names(defining, reading) == []
 
 
 def foreign_imports(source, package="qgal"):

@@ -13,7 +13,6 @@ from qgal.scalars import (
     S_ONE,
     S_ZERO,
     UNIT_DEN,
-    ScalarC,
     ScalarQ,
     _poly_divmod,
     _poly_gcd,
@@ -220,21 +219,3 @@ def test_gcd_and_division_against_sympy(a, b, c):
         quo, rem = _poly_divmod(a, b)
         assert (poly(quo), poly(rem)) == sp.div(poly(a), poly(b))
 
-
-def test_complex_scalars():
-    i = ScalarC(S_ZERO, S_ONE)
-    assert i * i == ScalarC.from_scalar(ScalarQ.from_int(-1))
-    z = ScalarC(Q, S_ONE - Q)
-    assert z.conj().conj() == z
-    assert z * z.inv() == ScalarC.from_scalar(S_ONE)
-    # conjugation fixes q itself: q is a real parameter
-    assert ScalarC.from_scalar(Q).conj() == ScalarC.from_scalar(Q)
-    v = z.eval(2.0)
-    assert isinstance(v, complex)
-    assert v == pytest.approx(complex(2.0, -1.0))
-
-
-def test_mixed_coercion():
-    i = ScalarC(S_ZERO, S_ONE)
-    assert Q * i == ScalarC(S_ZERO, Q)
-    assert (i + Q) - i == ScalarC.from_scalar(Q)
