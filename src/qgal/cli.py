@@ -20,8 +20,9 @@ Exit codes:
     2  undecided: an item of the report, or a computation that stopped
        short (a non-unique linear solution, a completion budget, a
        degree above the completion degree); the reason goes to stderr
-    3  usage, parse or algebra error (unknown target, a suite that needs
-       a star structure the target lacks, ...)
+    3  usage, parse or algebra error (unknown target, unknown flag or a
+       flag value that does not parse, a suite that needs a star
+       structure the target lacks, ...)
     4  internal error, with its traceback on stderr
     141  standard output was closed by its reader (`qgal ... | head`),
        128 + SIGPIPE as a shell reports it; no traceback
@@ -63,6 +64,16 @@ STAR_SUITES = ("star", "biunitarity", "haar")
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections are usage errors, exit 3, like
+    every other usage error; argparse itself exits 2, which qgal reserves
+    for undecided.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _catalog_params(entry, args):
@@ -287,7 +298,7 @@ def run_all(target, args):
 def _q_list(text):
     """--q: a nonempty comma list of finite, nonzero reals.  A list that
     does not parse is an argparse error; a value outside the domain
-    raises CliError, which main reports with exit 3."""
+    raises CliError.  main reports both with exit 3."""
     try:
         qs = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
@@ -302,7 +313,7 @@ def _q_list(text):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qgal",
         description="Exact workbench for q-deformed Hopf algebras, their "
                     "Galois extensions, Haar functionals and cotensor data.")
@@ -418,7 +429,7 @@ def main(argv=None) -> int:
         "parse": cmd_parse,
     }
     try:
-        args = build_parser().parse_args(argv)  # --q raises CliError here
+        args = build_parser().parse_args(argv)  # may raise CliError
         status = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status

@@ -110,6 +110,29 @@ def find_first_match(word, buckets):
     return None
 
 
+def _lhs_buckets(rules):
+    """The `buckets` of `find_first_match` for a list of rules; an entry
+    that is None (a rule reduced away) is left out but keeps its index."""
+    buckets = {}
+    for idx, rule in enumerate(rules):
+        if rule is not None:
+            buckets.setdefault(rule.lhs[0], []).append((rule.lhs, idx))
+    for bucket in buckets.values():
+        bucket.sort(key=lambda t: -len(t[0]))
+    return buckets
+
+
+def _has_other_lhs(word, buckets, skip):
+    """Whether `word` contains the lhs of a rule whose index is not `skip`."""
+    n = len(word)
+    for pos in range(n):
+        for lhs, idx in buckets.get(word[pos], ()):
+            m = len(lhs)
+            if idx != skip and m <= n - pos and word[pos : pos + m] == lhs:
+                return True
+    return False
+
+
 class RewriteSystem:
     """Immutable oriented rewriting system with a memoized normal form."""
 
@@ -120,12 +143,7 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.completion_degree = completion_degree
         self.rule_cap = rule_cap
-        buckets = {}
-        for idx, rule in enumerate(self.rules):
-            buckets.setdefault(rule.lhs[0], []).append((rule.lhs, idx))
-        for bucket in buckets.values():
-            bucket.sort(key=lambda t: -len(t[0]))
-        self._buckets = buckets
+        self._buckets = _lhs_buckets(self.rules)
         self._nf_cache = {(): {(): S_ONE}}
 
     # -- normal form -------------------------------------------------------
@@ -200,42 +218,68 @@ class RewriteSystem:
         return self._obstructions(d)
 
     def _obstructions(self, d: int):
-        out = []
+        """Every ambiguity of degree <= d whose two reductions disagree,
+        in the order of the all-pairs scan: for each rule i, for each rule
+        j, the overlaps of a suffix of lhs_i with a prefix of lhs_j by
+        increasing length k, then the inclusions of lhs_j (j != i) in
+        lhs_i by increasing position.  Completion appends the differences
+        in this order, so it fixes the order of the completed rules.
+
+        The candidate pairs come from two indexes instead of a scan of all
+        pairs: rules by each proper prefix of their lhs (an overlap of
+        length k is lhs_j with the prefix lhs_i[-k:]) and rules by their
+        whole lhs (an inclusion is lhs_j equal to a subword of lhs_i).
+        """
         rules = self.rules
+        by_prefix, by_lhs = {}, {}
+        for j, rule in enumerate(rules):
+            l2 = rule.lhs
+            by_lhs.setdefault(l2, []).append(j)
+            for k in range(1, len(l2)):
+                by_prefix.setdefault(l2[:k], []).append(j)
+        alphabet = self.alphabet
+        out = []
         for i, r1 in enumerate(rules):
             l1 = r1.lhs
-            for j, r2 in enumerate(rules):
+            n1 = len(l1)
+            # (j, 0, k) for an overlap of length k, (j, 1, pos) for an
+            # inclusion at pos; sorted, they are in the all-pairs order
+            found = []
+            for k in range(1, n1):
+                for j in by_prefix.get(l1[-k:], ()):
+                    if n1 + len(rules[j].lhs) - k <= d:
+                        found.append((j, 0, k))
+            # inclusion ambiguities, including duplicated left-hand sides
+            # (should not appear when inter-reduced)
+            if n1 <= d:
+                for pos in range(n1):
+                    for end in range(pos + 1, n1 + 1):
+                        for j in by_lhs.get(l1[pos:end], ()):
+                            if j != i:
+                                found.append((j, 1, pos))
+            found.sort()
+            for j, kind, at in found:
+                r2 = rules[j]
                 l2 = r2.lhs
-                # proper overlaps: a suffix of l1 equals a prefix of l2
-                for k in range(1, min(len(l1), len(l2))):
-                    if l1[-k:] != l2[:k]:
-                        continue
-                    word = l1 + l2[k:]
-                    if len(word) > d:
-                        continue
+                if kind == 0:
                     left = self.normal_form(
-                        r1.rhs * NCPoly(self.alphabet, {l2[k:]: S_ONE})
+                        r1.rhs * NCPoly(alphabet, {l2[at:]: S_ONE})
                     )
                     right = self.normal_form(
-                        NCPoly(self.alphabet, {l1[: len(l1) - k]: S_ONE}) * r2.rhs
+                        NCPoly(alphabet, {l1[: n1 - at]: S_ONE}) * r2.rhs
                     )
                     diff = left - right
-                    if not diff.is_zero():
-                        out.append(Obstruction(word, i, j, diff))
-                # inclusion ambiguities, including duplicated left-hand
-                # sides (should not appear when inter-reduced)
-                if i != j and len(l2) <= len(l1) and len(l1) <= d:
-                    for pos in range(len(l1) - len(l2) + 1):
-                        if l1[pos : pos + len(l2)] != l2:
-                            continue
-                        inner = (
-                            NCPoly(self.alphabet, {l1[:pos]: S_ONE})
-                            * r2.rhs
-                            * NCPoly(self.alphabet, {l1[pos + len(l2) :]: S_ONE})
-                        )
-                        diff = self.normal_form(r1.rhs) - self.normal_form(inner)
-                        if not diff.is_zero():
-                            out.append(Obstruction(l1, i, j, diff))
+                    word = l1 + l2[at:]
+                else:
+                    inner = (
+                        NCPoly(alphabet, {l1[:at]: S_ONE})
+                        * r2.rhs
+                        * NCPoly(alphabet, {l1[at + len(l2) :]: S_ONE})
+                    )
+                    diff = self.normal_form(r1.rhs) - self.normal_form(inner)
+                    word = l1
+                if not diff.is_zero():
+                    out.append(Obstruction(word, i, j, diff))
         return out
 
 
@@ -261,27 +305,36 @@ def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
 def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
     """Reduce every rule by the others until no rule's polynomial changes.
 
-    The oriented rules are kept next to their polynomials and oriented
-    again only when the polynomial changes; `orient` is pure, so this
-    returns the same rules as orienting every polynomial on every pass.
+    Rule i is reduced by a system of the others only when one of the
+    words of its polynomial contains the lhs of another live rule; else
+    that normal form would return the polynomial unchanged, and the build
+    is skipped.  One lhs index of the live rules answers that question;
+    it is rebuilt only when a rule changes.  The input rules are already
+    oriented, and orient(r.as_poly()) == r, so a rule is oriented again
+    only when its polynomial changes.  This returns the same rules, in the
+    same order, as rebuilding the others for every rule on every pass.
     """
-    polys = [r.as_poly(alphabet) for r in rules]
-    oriented = [orient(p, order) for p in polys]
+    oriented = list(rules)
+    polys = [r.as_poly(alphabet) for r in oriented]
+    buckets = _lhs_buckets(oriented)
     changed = True
     while changed:
         changed = False
-        for i in range(len(polys)):
-            if polys[i] is None:
+        for i, poly in enumerate(polys):
+            if poly is None or not any(
+                _has_other_lhs(w, buckets, i) for w in poly.terms
+            ):
                 continue
             others = [
                 r for j, r in enumerate(oriented) if j != i and r is not None
             ]
             rs = RewriteSystem(alphabet, others, order, completion_degree, rule_cap)
-            reduced = rs.normal_form(polys[i])
-            if reduced != polys[i]:
+            reduced = rs.normal_form(poly)
+            if reduced != poly:
                 changed = True
                 polys[i] = None if reduced.is_zero() else reduced
                 oriented[i] = orient(reduced, order)
+                buckets = _lhs_buckets(oriented)
     return [r for r in oriented if r is not None]
 
 
@@ -289,9 +342,12 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     """Bounded-degree completion: resolve all overlap obstructions of
     degree <= d by adding oriented differences of divergent reductions.
 
-    The result records d as its completion degree.  When `rs` is already
-    clean up to d, that is a system with the same rules that shares the
-    normal-form memo of `rs`.
+    Each round inter-reduces the rules of the current system, passed
+    through as they are, followed by orient(diff) for each obstruction in
+    the order `_obstructions` lists them; that order fixes the order of
+    the completed rules.  The result records d as its completion degree.
+    When `rs` is already clean up to d, that is a system with the same
+    rules that shares the normal-form memo of `rs`.
     """
     current = rs
     while True:
@@ -305,15 +361,13 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
             )
             certified._nf_cache = current._nf_cache
             return certified
-        polys = [r.as_poly(current.alphabet) for r in current.rules]
-        for ob in obstructions:
-            polys.append(ob.diff)
-        if len(polys) > current.rule_cap:
+        if len(current.rules) + len(obstructions) > current.rule_cap:
             raise CompletionBudgetError(
                 f"completion exceeded rule cap {current.rule_cap}"
             )
-        rules = [orient(p, current.order) for p in polys]
-        rules = [r for r in rules if r is not None]
+        # each diff is nonzero, so each orients to a rule
+        rules = list(current.rules)
+        rules += [orient(ob.diff, current.order) for ob in obstructions]
         rules = _interreduce(
             current.alphabet, rules, current.order,
             current.completion_degree, current.rule_cap,

@@ -337,6 +337,10 @@ class ScalarQ:
     def inv(self) -> "ScalarQ":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(q)")
+        if self.den is UNIT_DEN and len(self.num.coeffs) == 1:
+            # the inverse of a monomial c*q^k is (1/c)*q^-k, with no gcd
+            ((k, c),) = self.num.coeffs.items()
+            return _scalar(_laurent({-k: _exact(1 / Fraction(c))}), UNIT_DEN)
         return ScalarQ(self.den, self.num)
 
     def __truediv__(self, other):

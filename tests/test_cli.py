@@ -110,6 +110,27 @@ def test_q_overflow_is_undecided(capsys):
     assert "evaluation at q = 1e+308  [float overflow:" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--degree", "1", "--q", "abc"],    # a q list that does not parse
+    ["--bogus"],                        # an unknown flag
+    ["--degree", "x"],                  # a degree that is not an int
+    ["--q", "-inf"],                    # argparse reads -inf as an option
+])
+def test_argparse_rejection_exits_3(capsys, argv):
+    code, out, err = run(capsys, "haar", "Uq2m2", *argv)
+    assert code == 3
+    assert out == ""
+    assert "usage: qgal" in err and "error: CliError: qgal" in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["haar", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: qgal" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec", ["tensorx", "tensor0", "tensor-1", "tensor+2"])
 def test_bad_tensor_spec_exits_3(capsys, spec):
     code, _, err = run(capsys, "cotensor", "Uq2m2", "--comodule", spec,

@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import random_poly
-from qgal import rewrite
+from qgal import presentations, rewrite
 from qgal.ncpoly import Alphabet, NCPoly, parse_expr
 from qgal.presentations import CATALOG, catalog, parse_presentation_text
 from qgal.rewrite import (
     CompletionBudgetError,
     ConfluenceError,
     MonomialOrder,
+    Obstruction,
+    RewriteRule,
     RewriteSystem,
     build_system,
     complete,
@@ -15,7 +18,7 @@ from qgal.rewrite import (
     orient,
     word_basis,
 )
-from qgal.scalars import S_ONE
+from qgal.scalars import S_ONE, ScalarQ
 
 
 def test_normal_form_examples(glq2, glq2m2):
@@ -174,3 +177,207 @@ def test_aufg_build_orients_each_rule_once(monkeypatch):
     entry = CATALOG["AuFG"]
     entry.build(**entry.defaults)
     assert 0 < len(calls) < 2000
+
+
+# -- reference write path -------------------------------------------------
+#
+# The straightforward forms of the rewrite write path: every pair of rules
+# scanned for ambiguities, every rule reduced by a fresh system of all the
+# others on every pass, every rule oriented again each round.  The indexed
+# implementations must give the same obstructions and the same rules, in
+# the same order.
+
+
+def _reference_obstructions(rs, d):
+    out = []
+    rules = rs.rules
+    A = rs.alphabet
+    for i, r1 in enumerate(rules):
+        l1 = r1.lhs
+        for j, r2 in enumerate(rules):
+            l2 = r2.lhs
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] != l2[:k] or len(l1) + len(l2) - k > d:
+                    continue
+                left = rs.normal_form(r1.rhs * NCPoly(A, {l2[k:]: S_ONE}))
+                right = rs.normal_form(
+                    NCPoly(A, {l1[: len(l1) - k]: S_ONE}) * r2.rhs)
+                if left != right:
+                    out.append(Obstruction(l1 + l2[k:], i, j, left - right))
+            if i != j and len(l2) <= len(l1) <= d:
+                for pos in range(len(l1) - len(l2) + 1):
+                    if l1[pos : pos + len(l2)] != l2:
+                        continue
+                    inner = (NCPoly(A, {l1[:pos]: S_ONE}) * r2.rhs
+                             * NCPoly(A, {l1[pos + len(l2) :]: S_ONE}))
+                    diff = rs.normal_form(r1.rhs) - rs.normal_form(inner)
+                    if not diff.is_zero():
+                        out.append(Obstruction(l1, i, j, diff))
+    return out
+
+
+def _reference_interreduce(alphabet, rules, order, completion_degree, rule_cap):
+    polys = [r.as_poly(alphabet) for r in rules]
+    oriented = [orient(p, order) for p in polys]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(polys)):
+            if polys[i] is None:
+                continue
+            others = [r for j, r in enumerate(oriented)
+                      if j != i and r is not None]
+            rs = RewriteSystem(alphabet, others, order, completion_degree,
+                               rule_cap)
+            reduced = rs.normal_form(polys[i])
+            if reduced != polys[i]:
+                changed = True
+                polys[i] = None if reduced.is_zero() else reduced
+                oriented[i] = orient(reduced, order)
+    return [r for r in oriented if r is not None]
+
+
+def _reference_build_system(alphabet, relations, order, completion_degree=4,
+                            rule_cap=500):
+    rules = [r for r in (orient(rel, order) for rel in relations)
+             if r is not None]
+    rules = _reference_interreduce(alphabet, rules, order, completion_degree,
+                                   rule_cap)
+    return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
+
+
+def _reference_complete(rs, d):
+    current = rs
+    while True:
+        obstructions = _reference_obstructions(current, d)
+        if not obstructions:
+            return RewriteSystem(current.alphabet, current.rules, current.order,
+                                 max(d, current.completion_degree),
+                                 current.rule_cap)
+        polys = [r.as_poly(current.alphabet) for r in current.rules]
+        polys += [ob.diff for ob in obstructions]
+        assert len(polys) <= current.rule_cap
+        rules = [orient(p, current.order) for p in polys]
+        rules = _reference_interreduce(
+            current.alphabet, [r for r in rules if r is not None],
+            current.order, current.completion_degree, current.rule_cap)
+        current = RewriteSystem(current.alphabet, rules, current.order,
+                                max(current.completion_degree, d),
+                                current.rule_cap)
+
+
+def _obstruction_keys(obstructions):
+    return [(ob.word, ob.rule_i, ob.rule_j, ob.diff) for ob in obstructions]
+
+
+def _rule_keys(rules):
+    """Each rule with its rhs terms in their stored order."""
+    return [(r.lhs, list(r.rhs.terms.items())) for r in rules]
+
+
+def test_obstructions_match_all_pairs_scan_on_catalog(monkeypatch):
+    # every scan of a fresh catalog build (its completion rounds, which
+    # meet systems that are not clean) and one degree past its completion
+    found = {}
+    original = RewriteSystem._obstructions
+
+    def checked(rs, d):
+        out = original(rs, d)
+        assert _obstruction_keys(out) == \
+            _obstruction_keys(_reference_obstructions(rs, d))
+        found[name] += len(out)
+        return out
+
+    monkeypatch.setattr(RewriteSystem, "_obstructions", checked)
+    for name, entry in CATALOG.items():
+        found[name] = 0
+        rs = entry.build(**entry.defaults).rewrite
+        assert rs._obstructions(rs.completion_degree) == []
+        rs._obstructions(rs.completion_degree + 1)
+    # the rules of Onp(2,1) have no ambiguity at all; every other
+    # build resolves some
+    assert [n for n, k in found.items() if not k] == ["Onp"], found
+
+
+AB = Alphabet(["a", "b"])
+AB_ORDER = MonomialOrder(AB)
+_words = lambda lo, hi: st.lists(st.integers(0, 1), min_size=lo,
+                                 max_size=hi).map(tuple)
+
+
+@st.composite
+def _rule(draw):
+    """A rule over {a, b}: lhs of length 1..3, rhs of shorter words, so
+    that reduction terminates under the degree-lexicographic order."""
+    lhs = draw(_words(1, 3))
+    terms = draw(st.dictionaries(_words(0, len(lhs) - 1),
+                                 st.integers(-2, 2).filter(bool), max_size=3))
+    rhs = NCPoly(AB, {w: ScalarQ.from_int(c) * ScalarQ.q_power(len(w))
+                      for w, c in terms.items()})
+    return RewriteRule(lhs, rhs)
+
+
+_aa = RewriteRule((0, 0), NCPoly(AB, {(1,): S_ONE}))
+_aa2 = RewriteRule((0, 0), NCPoly(AB, {(): S_ONE}))
+_bab = RewriteRule((1, 0, 1), NCPoly(AB, {(0,): S_ONE}))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_rule(), max_size=6), st.integers(2, 5))
+# a self-overlap, a duplicated lhs, an inclusion of a in bab
+@example([_aa], 3)
+@example([_aa, _aa2, _bab], 4)
+@example([_bab, RewriteRule((0,), NCPoly(AB, {(): S_ONE}))], 5)
+def test_obstructions_match_all_pairs_scan_random(rules, d):
+    rs = RewriteSystem(AB, rules, AB_ORDER, d)
+    assert _obstruction_keys(rs._obstructions(d)) == \
+        _obstruction_keys(_reference_obstructions(rs, d))
+
+
+def _outcome(fn, *args):
+    """The rule keys fn returns, or the type of the error it raises."""
+    try:
+        return _rule_keys(fn(*args))
+    except rewrite.RewriteError as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_rule(), max_size=6))
+# a*a -> 1 turns a*a*a -> 0 into a -> 0, whose lhs then occurs in a*a:
+# the lhs index must follow a rule that changes
+@example([RewriteRule((0, 0, 0), NCPoly.zero(AB)), _aa2])
+def test_interreduce_matches_reference_random(rules):
+    args = (AB, rules, AB_ORDER, 4, 500)
+    assert _outcome(rewrite._interreduce, *args) == \
+        _outcome(_reference_interreduce, *args)
+
+
+def test_write_path_matches_reference(monkeypatch):
+    built = {name: catalog(name) for name in CATALOG}
+    family = ("GLq2", "Uq2", "GLq2m2", "Uq2m2", "GLqm22")
+    degree6 = {name: built[name].ensure_degree(6) for name in family}
+    monkeypatch.setattr(presentations, "build_system", _reference_build_system)
+    monkeypatch.setattr(presentations, "complete", _reference_complete)
+    for name, entry in CATALOG.items():
+        ref = entry.build(**entry.defaults)
+        assert _rule_keys(ref.rewrite.rules) == \
+            _rule_keys(built[name].rewrite.rules), name
+    for name in family:
+        ref = _reference_complete(built[name].rewrite, 6)
+        assert _rule_keys(ref.rules) == \
+            _rule_keys(degree6[name].rewrite.rules), name
+
+
+def test_aufg_build_skips_rebuilds(monkeypatch):
+    # reducing each rule by a fresh system of the others builds 332
+    # systems for one AuFG build; the lhs index leaves about 40
+    builds = []
+    init = RewriteSystem.__init__
+    monkeypatch.setattr(RewriteSystem, "__init__",
+                        lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
+    entry = CATALOG["AuFG"]
+    entry.build(**entry.defaults)
+    assert 0 < len(builds) <= 80

@@ -34,6 +34,24 @@ def test_inverse_examples():
         S_ZERO.inv()
 
 
+def test_monomial_inverse_matches_the_general_path():
+    # inv takes a short cut for c*q^k over UNIT_DEN; the general path is
+    # the canonicalising constructor ScalarQ(den, num)
+    rng = random.Random(11)
+    for _ in range(200):
+        c = rng.choice([rng.choice([-1, 1]) * rng.randint(1, 12),
+                        Fraction(rng.randint(-12, 12) or 1, rng.randint(1, 12))])
+        x = ScalarQ(LaurentPoly({rng.randint(-3, 3): c}))
+        assert x.den is UNIT_DEN and len(x.num.coeffs) == 1
+        fast, slow = x.inv(), ScalarQ(x.den, x.num)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast.den is slow.den is UNIT_DEN
+        assert fast.num.coeffs == slow.num.coeffs
+        assert [type(v) for v in fast.num.coeffs.values()] == \
+            [type(v) for v in slow.num.coeffs.values()]
+        assert x * fast == S_ONE
+
+
 def test_eval_examples():
     assert (Q + Q.inv()).eval(2.0) == pytest.approx(2.5)
     assert (Q - Q.inv()).eval(1.0) == pytest.approx(0.0)
