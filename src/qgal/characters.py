@@ -13,7 +13,7 @@ import os
 
 from .presentations import abelianization
 from .report import Report, timed
-from .scalars import S_ONE, S_ZERO
+from .scalars import S_ONE, S_ZERO, add_term
 
 DEFAULT_DEGREE_CAP = 12
 
@@ -62,13 +62,7 @@ def poly_sub_scaled(p, c, mono, g):
     """p - c * x^mono * g, in place on a fresh dict."""
     out = dict(p)
     for e, v in g.items():
-        key = _mono_mul(mono, e)
-        s = out.get(key)
-        s = -(c * v) if s is None else s - c * v
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, _mono_mul(mono, e), -(c * v))
     return out
 
 
@@ -105,16 +99,7 @@ def s_poly(f, g):
     lf, lg = leading_monomial(f), leading_monomial(g)
     l = _mono_lcm(lf, lg)
     a = poly_sub_scaled({}, -S_ONE * f[lf].inv(), _mono_div(l, lf), f)
-    b = poly_sub_scaled({}, -S_ONE * g[lg].inv(), _mono_div(l, lg), g)
-    out = dict(a)
-    for e, v in b.items():
-        s = out.get(e, None)
-        s = -v if s is None else s - v
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+    return poly_sub_scaled(a, g[lg].inv(), _mono_div(l, lg), g)
 
 
 class CommutativePresentation:
@@ -295,14 +280,7 @@ def _substitute(g, values):
                 for _ in range(k):
                     term = term * val
                 new_expo[v] = 0
-        if term.is_zero():
-            continue
-        key = tuple(new_expo)
-        s = out.get(key, S_ZERO) + term
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        add_term(out, tuple(new_expo), term)
     return out
 
 
@@ -331,7 +309,7 @@ def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
                 return report
             w = spectrum_witness(p)
         if w is not None:
-            desc = ", ".join(f"{k} -> {_fmt(v)}" for k, v in w.items())
+            desc = ", ".join(f"{k} -> {v!r}" for k, v in w.items())
             report.add("spectrum is nonempty", True,
                        witness=f"character: {desc}{note}")
         else:
@@ -339,37 +317,3 @@ def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
                        witness="nonempty, not enumerated")
     return report
 
-
-def star_spectrum_note(p, q0: float) -> Report:
-    """*-characters form a subset of characters, so emptiness is
-    inherited; no independent *-character search happens here."""
-    report = Report(f"star-spectrum({p.name})")
-    report.params = {"q0": q0}
-    with timed(report):
-        if getattr(p, "star", None) is None:
-            raise GroebnerError(f"{p.name} carries no star structure")
-        if abs(q0) < 1e-12 or abs(q0 + 1.0) < 1e-12:
-            report.add_undecided(
-                "specialization guard", witness=f"q0 = {q0} excluded (generic-q only)")
-            return report
-        try:
-            empty = spectrum_empty(p)
-        except DegreeCapError:
-            report.add_undecided("*-spectrum: undecided (degree cap)")
-            return report
-        if empty:
-            report.add("*-spectrum empty (inherited)", True,
-                       witness="Hom_* is a subset of Hom")
-        else:
-            w = spectrum_witness(p)
-            if w is not None and getattr(p, "hopf", None) is not None:
-                report.add("*-spectrum nonempty: the counit is a *-character",
-                           True)
-            else:
-                report.add("algebra spectrum nonempty; *-spectrum not decided",
-                           True, witness="no *-search performed")
-    return report
-
-
-def _fmt(c):
-    return repr(c)

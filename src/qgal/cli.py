@@ -2,7 +2,7 @@
 
     qgal verify <target> --suite <name> [--degree D] [--q LIST] [--json]
     qgal haar <target> [--degree D] [--q LIST] [--json]
-    qgal cotensor <target> [--comodule SPEC] [--degree D] [--json]
+    qgal cotensor <target> [--comodule SPEC] [--degree D] [--q LIST] [--json]
     qgal normalize <target> <expr> [--json]
     qgal parse <target> <expr>
 
@@ -206,16 +206,22 @@ def run_suite(target, suite, args):
         report.timing_ms = (time.perf_counter() - t0) * 1000.0
         return report
     if suite == "cotensor":
-        return _cotensor_report(target, args, "fundamental", degree, with_gram=True)
+        return _cotensor_report(target, args, "fundamental", degree)
     raise CliError(f"unknown suite {suite!r}")
 
 
-def _cotensor_report(target, args, spec, degree, with_gram):
-    from . import cotensor
+def _cotensor_report(target, args, spec, degree):
+    """Dimension of V wedge Z at `degree` and its stability from degree - 1,
+    then the Gram matrix of the kernel basis under the Haar measure.  For
+    the fundamental comodule that Gram is the identity; for any other V
+    the basis is only echelon, not orthonormal, so its Gram gets exact
+    conjugate symmetry and positivity evidence at the --q samples."""
+    from . import cotensor, haar
 
     c = resolve_coaction(target, args)
     v = comodule_for(spec, c.base)
     report = Report(f"cotensor({c.total.name}, {spec}, degree {degree})")
+    report.params = {"degree": degree, "comodule": spec}
     with timed(report):
         dims = {}
         elements = None
@@ -240,20 +246,20 @@ def _cotensor_report(target, args, spec, degree, with_gram):
                     f"coefficient degree {coeff_degree}"))
             else:
                 report.add(desc, stable, witness=witness)
-        if with_gram and c.total.star is not None and c.base.hopf is not None \
-                and elements:
+        if c.total.star is not None and c.base.hopf is not None and elements:
             _, mu = _haar_pair(c, max(e.degree() for e in elements))
             gram = [[cotensor.cotensor_inner(x, y, mu) for y in elements]
                     for x in elements]
-            ident = all(
-                (gram[i][j] == (1 if i == j else 0))
-                for i in range(len(gram)) for j in range(len(gram)))
-            pretty = "; ".join(
-                " ".join(repr(gram[i][j]) for j in range(len(gram)))
-                for i in range(len(gram)))
-            report.add("Gram matrix under the Haar measure is the identity",
-                       ident, witness=pretty)
-        report.params = {"degree": degree, "comodule": spec}
+            pretty = "; ".join(" ".join(repr(g) for g in row) for row in gram)
+            if spec == "fundamental":
+                ident = all(
+                    (gram[i][j] == (1 if i == j else 0))
+                    for i in range(len(gram)) for j in range(len(gram)))
+                report.add("Gram matrix under the Haar measure is the identity",
+                           ident, witness=pretty)
+            else:
+                haar.check_gram(report, gram, args.q, witness=pretty)
+                report.params["q_samples"] = list(args.q)
     return report
 
 
@@ -395,8 +401,7 @@ def cmd_haar(args) -> int:
 
 
 def cmd_cotensor(args) -> int:
-    report = _cotensor_report(args.target, args, args.comodule, args.degree,
-                              with_gram=True)
+    report = _cotensor_report(args.target, args, args.comodule, args.degree)
     return _emit(report, args.json)
 
 

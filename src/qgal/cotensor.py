@@ -28,7 +28,7 @@ from .presentations import (
 )
 from .report import Report, timed
 from .rewrite import word_basis
-from .scalars import S_ZERO
+from .scalars import add_term
 
 
 class CotensorError(AlgebraError):
@@ -74,23 +74,14 @@ def compute_cotensor(v: Corep, c: CoactionData, d: int):
     aext = extend_reduced(c.alpha, (c.base.ensure_degree(d), total))
     n = v.dim
     rows = {}
-
-    def bump(eq_key, var, val):
-        row = rows.setdefault(eq_key, {})
-        s = row.get(var, S_ZERO) + val
-        if s.is_zero():
-            row.pop(var, None)
-        else:
-            row[var] = s
-
     for k in range(n):
         for i in range(n):
             for wa, ca in v.matrix[k][i].terms.items():
                 for b in zbasis:
-                    bump((k, wa, b), (i, b), ca)
+                    add_term(rows.setdefault((k, wa, b), {}), (i, b), ca)
         for b in zbasis:
             for (wa, wz), coeff in aext(b).terms.items():
-                bump((k, wa, wz), (k, b), -coeff)
+                add_term(rows.setdefault((k, wa, wz), {}), (k, b), -coeff)
     variables = [(i, b) for i in range(n) for b in zbasis]
     order_key = total.rewrite.order.key
     vecs = nullspace(rows.values(), variables,

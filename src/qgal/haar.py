@@ -17,10 +17,16 @@ from dataclasses import dataclass
 
 from .linalg import LinearSolveError, RowReducer, eigvalsh
 from .ncpoly import AlgebraError, NCPoly
-from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
+from .presentations import (
+    CoactionData,
+    Presentation,
+    alpha_ext,
+    apply_scalar_map,
+    delta_ext,
+)
 from .report import Report, timed
 from .rewrite import word_basis
-from .scalars import PoleError, S_ONE, S_ZERO
+from .scalars import PoleError, S_ONE, S_ZERO, add_term
 
 
 class HaarError(AlgebraError):
@@ -48,10 +54,7 @@ class LinearFunctional:
                 f"word of degree {len(word)} outside the solved truncation")
 
     def __call__(self, poly: NCPoly):
-        total = S_ZERO
-        for word, c in poly.terms.items():
-            total = total + c * self.of_word(word)
-        return total
+        return apply_scalar_map(poly, self.of_word)
 
 
 def haar_on_hopf(p: Presentation, h=None, d: int = 2) -> LinearFunctional:
@@ -74,12 +77,10 @@ def haar_on_hopf(p: Presentation, h=None, d: int = 2) -> LinearFunctional:
         # right-leg word contributes one scalar equation
         by_right = {}
         for (w1, w2), c in expansion.terms.items():
-            row = by_right.setdefault(w2, {})
-            row[w1] = row.get(w1, S_ZERO) + c
+            by_right.setdefault(w2, {})[w1] = c
         for w2, row in by_right.items():
-            row = dict(row)
             if w2 == ():
-                row[b] = row.get(b, S_ZERO) - S_ONE
+                add_term(row, b, -S_ONE)
             reducer.add_equation(row, S_ZERO)
         # rows absent from Delta(b) compare 0 with J(b) * coefficient of
         # the unit: when the empty right leg never occurs, J(b) = 0
@@ -124,14 +125,7 @@ def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
         for b in basis:
             lhs = {}
             for (w1, w2), coeff in aext(b).terms.items():
-                v = coeff * mu.of_word(w2)
-                if v.is_zero():
-                    continue
-                s = lhs.get(w1, S_ZERO) + v
-                if s.is_zero():
-                    lhs.pop(w1, None)
-                else:
-                    lhs[w1] = s
+                add_term(lhs, w1, coeff * mu.of_word(w2))
             lhs_poly = NCPoly(A, lhs)
             rhs = NCPoly.scalar(A, mu.of_word(b))
             ok = lhs_poly == rhs
@@ -170,29 +164,37 @@ def gram_positivity(p: Presentation, mu: LinearFunctional, d: int,
     report.params = {"q_samples": list(q_samples), "degree": d,
                      "nature": "finite-degree numerical evidence, not a proof"}
     with timed(report):
-        basis, gram = gram_matrix(p, mu, d)
-        n = len(basis)
-        sym = all(gram[i][j] == gram[j][i].conj()
-                  for i in range(n) for j in range(n))
-        report.add("gram conjugate-symmetric exactly over the scalar field", sym)
-        for q0 in q_samples:
-            try:
-                m = [[gram[i][j].eval(q0) for j in range(n)] for i in range(n)]
-            except PoleError as e:
-                report.add(f"evaluation at q = {q0}", False, witness=str(e))
-                continue
-            except OverflowError as e:
-                report.add_undecided(f"evaluation at q = {q0}",
-                                     witness=f"float overflow: {e}")
-                continue
-            desc = f"PSD evidence at q = {q0} ({n}x{n} gram)"
-            try:
-                evs = eigvalsh(m)
-            except LinearSolveError as e:
-                report.add_undecided(desc, witness=str(e))
-                continue
-            lo, hi = evs[0], evs[-1]
-            tol = 1e-9 * max(hi, 1.0)
-            report.add(desc, lo >= -tol,
-                       witness=f"eigenvalues in [{lo:.3e}, {hi:.3e}]")
+        _, gram = gram_matrix(p, mu, d)
+        check_gram(report, gram, q_samples)
     return report
+
+
+def check_gram(report: Report, gram, q_samples, witness=""):
+    """Add to `report` the exact conjugate symmetry of a square matrix
+    over Q(q) (with `witness` on that item), then, at each sample q,
+    numerical evidence that it is positive semidefinite."""
+    n = len(gram)
+    sym = all(gram[i][j] == gram[j][i].conj()
+              for i in range(n) for j in range(n))
+    report.add("gram conjugate-symmetric exactly over the scalar field", sym,
+               witness=witness)
+    for q0 in q_samples:
+        try:
+            m = [[gram[i][j].eval(q0) for j in range(n)] for i in range(n)]
+        except PoleError as e:
+            report.add(f"evaluation at q = {q0}", False, witness=str(e))
+            continue
+        except OverflowError as e:
+            report.add_undecided(f"evaluation at q = {q0}",
+                                 witness=f"float overflow: {e}")
+            continue
+        desc = f"PSD evidence at q = {q0} ({n}x{n} gram)"
+        try:
+            evs = eigvalsh(m)
+        except LinearSolveError as e:
+            report.add_undecided(desc, witness=str(e))
+            continue
+        lo, hi = evs[0], evs[-1]
+        tol = 1e-9 * max(hi, 1.0)
+        report.add(desc, lo >= -tol,
+                   witness=f"eigenvalues in [{lo:.3e}, {hi:.3e}]")

@@ -1,8 +1,10 @@
 """Exact linear algebra over Q(q).
 
-Sparse rows are dicts keyed by an arbitrary hashable variable.  The
-incremental reducer is what the Haar solver feeds equations into; the
-nullspace routine backs the cotensor kernel computation.
+Sparse rows are dicts keyed by an arbitrary hashable variable, added
+into through `scalars.add_term`.  `RowReducer` is the one elimination
+routine: the Haar solver feeds equations into it, `nullspace` (the
+cotensor kernel) reads its reduced rows, and `mat_inv` reduces [A | I]
+with it.
 
 `eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
 a Gram matrix evaluated at a sample q, which are numerical evidence of
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .report import Undecided
-from .scalars import S_ONE, S_ZERO
+from .scalars import S_ONE, S_ZERO, add_term
 
 
 class LinearSolveError(Exception):
@@ -53,13 +55,8 @@ class RowReducer:
             prow, prhs = self.rows[hit]
             c = row.pop(hit)
             for var, v in prow.items():
-                if var == hit:
-                    continue
-                s = row.get(var, S_ZERO) + (-c) * v
-                if s.is_zero():
-                    row.pop(var, None)
-                else:
-                    row[var] = s
+                if var != hit:
+                    add_term(row, var, (-c) * v)
             rhs = rhs + (-c) * prhs
 
     def add_equation(self, row, rhs):
@@ -83,13 +80,8 @@ class RowReducer:
             new = dict(prow)
             del new[pivot]
             for var, v in row.items():
-                if var == pivot:
-                    continue
-                s = new.get(var, S_ZERO) + (-f) * v
-                if s.is_zero():
-                    new.pop(var, None)
-                else:
-                    new[var] = s
+                if var != pivot:
+                    add_term(new, var, (-f) * v)
             self.rows[pvar] = (new, prhs + (-f) * rhs)
         self.rows[pivot] = (row, rhs)
         return True
@@ -152,25 +144,16 @@ def nullspace(rows, variables, var_key=None):
 
 
 def mat_inv(a):
-    """Inverse by Gauss-Jordan; raises on a singular matrix."""
+    """Inverse of a square matrix, read off the reduced echelon form
+    [I | A^-1] of [A | I]; raises on a singular matrix."""
     n = len(a)
-    aug = [list(row) + [S_ONE if i == j else S_ZERO for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise LinearSolveError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [x + (-f) * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reducer = RowReducer()
+    for i, row in enumerate(a):
+        reducer.add_equation({**dict(enumerate(row)), n + i: S_ONE}, S_ZERO)
+    if any(j not in reducer.rows for j in range(n)):
+        raise LinearSolveError("singular matrix")
+    return [[reducer.rows[j][0].get(n + k, S_ZERO) for k in range(n)]
+            for j in range(n)]
 
 
 # -- floating point: Hermitian eigenvalues -----------------------------------

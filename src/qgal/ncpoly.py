@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import S_ONE, S_ZERO, UNIT_DEN, ScalarQ
+from .scalars import S_ONE, S_ZERO, UNIT_DEN, ScalarQ, add_term
 
 
 class AlgebraError(Exception):
@@ -97,11 +97,7 @@ class NCPoly:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, S_ZERO) + c
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
+            add_term(out, w, c)
         return NCPoly(self.alphabet, out)
 
     def __neg__(self):
@@ -116,12 +112,7 @@ class NCPoly:
             out = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    v = out.get(w, S_ZERO) + c1 * c2
-                    if v.is_zero():
-                        out.pop(w, None)
-                    else:
-                        out[w] = v
+                    add_term(out, w1 + w2, c1 * c2)
             return NCPoly(self.alphabet, out)
         return self.scale(other)
 
@@ -239,11 +230,7 @@ class TensorPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, S_ZERO) + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
+            add_term(out, k, c)
         return TensorPoly(self.alphabets, out)
 
     def __neg__(self):
@@ -256,12 +243,7 @@ class TensorPoly:
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                v = out.get(k, S_ZERO) + c1 * c2
-                if v.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = v
+                add_term(out, tuple(w1 + w2 for w1, w2 in zip(k1, k2)), c1 * c2)
         return TensorPoly(self.alphabets, out)
 
     def scale(self, c) -> "TensorPoly":
@@ -272,12 +254,7 @@ class TensorPoly:
         out = {}
         for k, c in self.terms.items():
             for w, cw in poly.terms.items():
-                key = k[:leg] + (k[leg] + w,) + k[leg + 1 :]
-                v = out.get(key, S_ZERO) + c * cw
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                add_term(out, k[:leg] + (k[leg] + w,) + k[leg + 1 :], c * cw)
         return TensorPoly(self.alphabets, out)
 
     def map_leg(self, leg, fn) -> "TensorPoly":
@@ -287,30 +264,15 @@ class TensorPoly:
         for k, c in self.terms.items():
             img = fn(k[leg])
             for w, cw in img.terms.items():
-                key = k[:leg] + (w,) + k[leg + 1 :]
-                v = out.get(key, S_ZERO) + c * cw
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                add_term(out, k[:leg] + (w,) + k[leg + 1 :], c * cw)
         return TensorPoly(self.alphabets, out)
 
-    def collapse_leg(self, leg, functional, alphabets=None) -> "TensorPoly":
+    def collapse_leg(self, leg, functional) -> "TensorPoly":
         """Apply a scalar-valued functional (word -> scalar) to one leg."""
-        if alphabets is None:
-            alphabets = self.alphabets[:leg] + self.alphabets[leg + 1 :]
         out = {}
         for k, c in self.terms.items():
-            f = functional(k[leg])
-            if f.is_zero():
-                continue
-            key = k[:leg] + k[leg + 1 :]
-            v = out.get(key, S_ZERO) + c * f
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return TensorPoly(alphabets, out)
+            add_term(out, k[:leg] + k[leg + 1 :], c * functional(k[leg]))
+        return TensorPoly(self.alphabets[:leg] + self.alphabets[leg + 1 :], out)
 
     def __eq__(self, other):
         return (

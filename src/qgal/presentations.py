@@ -25,7 +25,7 @@ from .ncpoly import (
 )
 from .report import Report, timed
 from .rewrite import ConfluenceError, MonomialOrder, RewriteSystem, build_system, complete
-from .scalars import Q, S_ONE, S_ZERO, ScalarQ
+from .scalars import Q, S_ONE, S_ZERO, ScalarQ, add_term
 
 
 class CatalogError(AlgebraError):
@@ -146,12 +146,7 @@ def reduce_legs(t: TensorPoly, systems) -> TensorPoly:
             terms = [(k + (w,), v if cw is S_ONE else v * cw)
                      for k, v in terms for w, cw in rs._nf_word(word).items()]
         for k, v in terms:
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, k, v)
     return TensorPoly(t.alphabets, out)
 
 
@@ -162,13 +157,7 @@ def expand_leg(t: TensorPoly, leg, fn, inner_alphabets) -> TensorPoly:
     for k, c in t.terms.items():
         img = fn(k[leg])
         for ik, ic in img.terms.items():
-            key = k[:leg] + ik + k[leg + 1 :]
-            v = out.get(key)
-            v = c * ic if v is None else v + c * ic
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
+            add_term(out, k[:leg] + ik + k[leg + 1 :], c * ic)
     return TensorPoly(alphabets, out)
 
 
@@ -714,12 +703,7 @@ def abelianization(p: Presentation):
             expo = [0] * nvars
             for letter in word:
                 expo[letter] += 1
-            key = tuple(expo)
-            v = poly.get(key, S_ZERO) + c
-            if v.is_zero():
-                poly.pop(key, None)
-            else:
-                poly[key] = v
+            add_term(poly, tuple(expo), c)
         if poly:
             gens.append(poly)
     return CommutativePresentation(list(p.alphabet.names), gens)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .ncpoly import AlgebraError, Alphabet, NCPoly
 from .report import Undecided
-from .scalars import S_ONE
+from .scalars import S_ONE, add_term
 
 
 class RewriteError(AlgebraError):
@@ -182,12 +182,7 @@ class RewriteSystem:
             acc = {}
             for child, c in children:
                 for w, v in cache[child].items():
-                    s = acc.get(w)
-                    s = c * v if s is None else s + c * v
-                    if s.is_zero():
-                        acc.pop(w, None)
-                    else:
-                        acc[w] = s
+                    add_term(acc, w, c * v)
             cache[cur] = acc
             stack.pop()
         return cache[word]
@@ -198,12 +193,7 @@ class RewriteSystem:
         acc = {}
         for word, c in poly.terms.items():
             for w, v in self._nf_word(word).items():
-                s = acc.get(w)
-                s = c * v if s is None else s + c * v
-                if s.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                add_term(acc, w, c * v)
         return NCPoly(self.alphabet, acc)
 
     # -- overlaps and completion ------------------------------------------

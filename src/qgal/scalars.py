@@ -2,6 +2,11 @@
 and their fraction field, plus numerical specialization at real q.
 
 All values are immutable and hashable; every operation is pure.
+
+Every sparse linear combination over Q(q) in qgal (polynomial and tensor
+terms, normal forms, linear-system rows, commutative polynomials) is a
+dict key -> nonzero scalar, and `add_term` is the one accumulator that
+adds into such a dict.
 """
 
 from __future__ import annotations
@@ -423,6 +428,24 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
         den = den * (1 / lc)
         n0 = n0 * (1 / lc)
     return n0.shift(t), (UNIT_DEN if den.degree() == 0 else den)
+
+
+def add_term(terms: dict, key, value: ScalarQ) -> None:
+    """terms[key] += value in place, dropping the key when the sum is 0.
+
+    An absent key takes value itself (not S_ZERO + value), unless value
+    is 0, so every stored scalar stays nonzero.
+    """
+    old = terms.get(key)
+    if old is None:
+        if not value.is_zero():
+            terms[key] = value
+        return
+    s = old + value
+    if s.is_zero():
+        del terms[key]
+    else:
+        terms[key] = s
 
 
 S_ZERO = ScalarQ.from_int(0)

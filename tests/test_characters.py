@@ -12,7 +12,6 @@ from qgal.characters import (
     spectrum_empty,
     spectrum_report,
     spectrum_witness,
-    star_spectrum_note,
 )
 from qgal.presentations import catalog
 from qgal.scalars import Q, S_ONE, S_ZERO
@@ -170,9 +169,3 @@ def test_spectrum_report_carries_the_base_counit_by_name(c_aufg, c_uq,
     with pytest.raises(ZeroDivisionError):
         spectrum_report(c_aufg.total, base=ones)
 
-
-def test_star_spectrum_note(uq2m2):
-    r = star_spectrum_note(uq2m2, 0.5)
-    assert r.ok
-    r0 = star_spectrum_note(uq2m2, 0.0)
-    assert r0.status == "undecided"

@@ -245,6 +245,52 @@ def test_cotensor_below_coefficient_degree_is_undecided(capsys):
     assert "below the comodule's coefficient degree 2" in out
 
 
+@pytest.mark.parametrize("spec", ["conjugate", "tensor2"])
+def test_cotensor_gram_of_other_comodules_is_checked_for_positivity(capsys, spec):
+    # the echelon kernel basis is orthonormal only for the fundamental
+    # comodule; here its Gram is 2/(1+q^2) I (conjugate) or has a 2x2
+    # block of determinant q^2 (tensor2): positive definite, not I
+    code, out, _ = run(capsys, "cotensor", "Uq2m2", "--comodule", spec,
+                       "--degree", "3")
+    assert code == 0
+    assert "Gram matrix under the Haar measure is the identity" not in out
+    assert "ok   gram conjugate-symmetric exactly over the scalar field" in out
+    assert out.count("ok   PSD evidence at q = ") == 3
+
+
+def test_cotensor_tensor2_at_its_coefficient_degree_is_undecided(capsys):
+    # degree 1 lies below the coefficient degree 2, so stability stays
+    # undecided; the Gram checks pass
+    code, out, _ = run(capsys, "cotensor", "Uq2m2", "--comodule", "tensor2",
+                       "--degree", "2", "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert [i["status"] for i in doc["items"]] == \
+        ["pass", "undecided", "pass", "pass", "pass", "pass"]
+    assert doc["params"]["q_samples"] == [0.5, 0.9, 2.0]
+
+
+def test_gram_check_fails_a_mutated_off_diagonal_entry():
+    from qgal.haar import check_gram
+    from qgal.report import Report
+    from qgal.scalars import Q, S_ONE, S_ZERO
+
+    q2, q4 = Q * Q, Q * Q * Q * Q
+    gram = [[q2 + q4, S_ZERO, q4, S_ZERO],
+            [S_ZERO, S_ONE, S_ZERO, S_ZERO],
+            [q4, S_ZERO, S_ONE - q2 + q4, S_ZERO],
+            [S_ZERO, S_ZERO, S_ZERO, S_ONE]]
+    report = Report("gram")
+    check_gram(report, gram, [0.5, 2.0])
+    assert report.ok and len(report.items) == 3
+    gram[0][2] = q4 + Q
+    report = Report("gram")
+    check_gram(report, gram, [0.5, 2.0])
+    first = report.items[0]
+    assert first.desc == "gram conjugate-symmetric exactly over the scalar field"
+    assert first.status == "fail"
+
+
 @pytest.mark.parametrize("error", [
     NonUniqueSolutionError("2 free variables"),
     CompletionBudgetError("budget of 5 rounds exhausted"),

@@ -1,7 +1,7 @@
 """Every name a module of qgal imports is used in that module, every
 top-level name it defines is read somewhere, the runtime imports nothing
-outside the standard library, and each command loads only the layers it
-runs."""
+outside the standard library, every sparse accumulate goes through
+`scalars.add_term`, and each command loads only the layers it runs."""
 
 import ast
 import json
@@ -177,6 +177,69 @@ def test_haar_commands_load_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
                          capture_output=True, text=True, timeout=300).stdout
     assert out.splitlines()[-1] == "[0, 0] False"
+
+
+def _calls(node, attr, none_second_arg=False):
+    """Whether node contains a call of a method named attr; with
+    none_second_arg, only a call whose second argument is None counts."""
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == attr
+               and (not none_second_arg or (
+                   len(n.args) == 2 and isinstance(n.args[1], ast.Constant)
+                   and n.args[1].value is None))
+               for n in ast.walk(node))
+
+
+def hand_written_accumulates(source):
+    """(line, enclosing function) of each `if` whose test calls
+    `.is_zero()` and whose branches call `.pop(..., None)`: "add to an
+    entry and drop it when the sum is 0", written out by hand."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.If) and _calls(child.test, "is_zero") \
+                    and any(_calls(b, "pop", True)
+                            for b in child.body + child.orelse):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_finds_hand_written_accumulates():
+    src = ("def f(out, k, c):\n"
+           "    s = out.get(k) + c\n"
+           "    if s.is_zero():\n"
+           "        out.pop(k, None)\n"
+           "    else:\n"
+           "        out[k] = s\n"
+           "    def bump(v):\n"
+           "        if not v.is_zero():\n"
+           "            out[k] = v\n"
+           "        else:\n"
+           "            out.pop(k, None)\n"
+           "    if s.is_zero():\n"
+           "        out.pop(k)\n"
+           "    if s:\n"
+           "        out.pop(k, None)\n"
+           "    if s.is_zero():\n"
+           "        stack.pop()\n"
+           "if x.is_zero():\n"
+           "    d.pop(1, None)\n")
+    assert hand_written_accumulates(src) == [(3, "f"), (8, "bump"), (18, None)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_sparse_accumulate_goes_through_add_term(path):
+    found = hand_written_accumulates(path.read_text())
+    if path.name == "scalars.py":
+        found = [(line, func) for line, func in found if func != "add_term"]
+    assert found == []
 
 
 # the modules that `import qgal.cli` leaves to the commands that run them

@@ -16,6 +16,7 @@ from qgal.scalars import (
     ScalarQ,
     _poly_divmod,
     _poly_gcd,
+    add_term,
 )
 
 
@@ -237,3 +238,35 @@ def test_gcd_and_division_against_sympy(a, b, c):
         quo, rem = _poly_divmod(a, b)
         assert (poly(quo), poly(rem)) == sp.div(poly(a), poly(b))
 
+
+
+def test_add_term_drops_cancelled_and_zero_terms():
+    terms = {"a": Q}
+    add_term(terms, "a", -Q)
+    assert terms == {}
+    add_term(terms, "b", S_ZERO)
+    assert terms == {}
+    add_term(terms, "c", Q)
+    add_term(terms, "c", S_ONE)
+    assert terms == {"c": Q + S_ONE}
+    # an absent key stores the value itself, not S_ZERO + value
+    x = Q.inv() + S_ONE
+    add_term(terms, "d", x)
+    assert terms["d"] is x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), oracle_scalars, st.booleans()),
+                max_size=12))
+@example([(0, Q, True), (1, S_ZERO, False)])
+def test_add_term_matches_per_key_sums(pairs):
+    # a pair flagged True is added again, negated, at the end, so that
+    # some keys cancel to zero
+    pairs = [(k, x) for k, x, _ in pairs] + [(k, -x) for k, x, neg in pairs if neg]
+    terms = {}
+    for k, x in pairs:
+        add_term(terms, k, x)
+    sums = {}
+    for k, x in pairs:
+        sums[k] = sums.get(k, S_ZERO) + x
+    assert terms == {k: v for k, v in sums.items() if not v.is_zero()}
