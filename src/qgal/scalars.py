@@ -3,6 +3,11 @@ and their fraction field, plus numerical specialization at real q.
 
 All values are immutable and hashable; every operation is pure.
 
+A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
+of reduced fractions take only the gcds that can be non-trivial
+(Henrici's rule), and every gcd runs over Z on primitive
+pseudo-remainders; see `_henrici_sum`, `ScalarQ.__mul__` and `_poly_gcd`.
+
 Every sparse linear combination over Q(q) in qgal (polynomial and tensor
 terms, normal forms, linear-system rows, commutative polynomials) is a
 dict key -> nonzero scalar, and `add_term` is the one accumulator that
@@ -11,6 +16,7 @@ adds into such a dict.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -154,7 +160,9 @@ class LaurentPoly:
     def eval(self, q0: float) -> float:
         if q0 == 0 and any(e < 0 for e in self.coeffs):
             raise PoleError("negative q-power evaluated at q = 0")
-        return float(sum(c * q0**e for e, c in self.coeffs.items()))
+        # fsum is exactly rounded, so the value does not depend on the
+        # order in which the coefficients were stored
+        return math.fsum(c * q0**e for e, c in self.coeffs.items())
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
@@ -194,42 +202,89 @@ def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
     """Euclidean division of ordinary (non-negative exponent) polynomials."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    quo = {}
-    rem = _poly_rem(a.coeffs, b.coeffs, quo)
-    return LaurentPoly(quo), LaurentPoly(rem)
-
-
-def _poly_rem(a: dict, b: dict, quo=None) -> dict:
-    """Remainder of the ordinary polynomial a by a nonzero b, both given
-    as coefficient maps exponent -> coefficient.  The quotient's terms
-    go into `quo` when a dict is given; the gcd builds none."""
-    rem = dict(a)
+    b = b.coeffs
     db = max(b)
-    lb = Fraction(b[db])
+    lb = b[db]
+    rem = dict(a.coeffs)
+    quo = {}
     while rem:
         da = max(rem)
         if da < db:
             break
-        f = rem[da] / lb
-        if quo is not None:
-            quo[da - db] = f
-        for e, c in b.items():
-            k = e + da - db
-            v = rem.get(k, 0) - f * c
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return rem
+        # a monic divisor (every gcd) needs no division, so integral
+        # quotients stay int
+        f = rem[da] if lb == 1 else rem[da] / Fraction(lb)
+        quo[da - db] = f
+        _sub_multiple(rem, f, da - db, b)
+    return LaurentPoly(quo), LaurentPoly(rem)
+
+
+def _sub_multiple(rem: dict, f, k: int, b: dict) -> None:
+    """rem -= f * q^k * b in place, on coefficient maps; a coefficient
+    that cancels is dropped."""
+    for e, c in b.items():
+        e += k
+        v = rem.get(e, 0) - f * c
+        if v:
+            rem[e] = v
+        else:
+            rem.pop(e, None)
+
+
+def _primitive(p: dict) -> dict:
+    """The primitive integer polynomial with positive leading coefficient
+    that is a rational multiple of the nonzero coefficient map p."""
+    m = math.lcm(*(c.denominator for c in p.values()))
+    p = {e: c.numerator * (m // c.denominator) for e, c in p.items()}
+    content = math.gcd(*p.values())
+    if p[max(p)] < 0:
+        content = -content
+    return p if content == 1 else {e: c // content for e, c in p.items()}
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials over Q."""
+    """Monic gcd of ordinary polynomials over Q, computed over Z."""
     a, b = a.coeffs, b.coeffs
-    while b:
-        a, b = b, _poly_rem(a, b)
-    g = LaurentPoly(a)
-    return g * (1 / g.leading_coeff()) if a else g
+    if not (a or b):
+        return LaurentPoly()
+    if a and b:
+        g = _integer_gcd(_primitive(a), _primitive(b))
+    else:
+        g = _primitive(a or b)
+    lc = g[max(g)]
+    if lc == 1:
+        return _laurent(g)
+    return _laurent({e: _exact(Fraction(c, lc)) for e, c in g.items()})
+
+
+def _integer_gcd(a: dict, b: dict) -> dict:
+    """gcd over Z of two primitive integer polynomials with positive
+    leading coefficients, in that form too.
+
+    Euclid on primitive pseudo-remainders (W. S. Brown, J. ACM 18, 1971):
+    each step scales the dividend by the least integer that makes the
+    next quotient term integral, and each remainder is replaced by its
+    primitive part, so no Fraction arises.
+    """
+    if max(a) < max(b):
+        a, b = b, a
+    while max(b):
+        db = max(b)
+        lb = b[db]
+        rem = dict(a)
+        while rem:
+            da = max(rem)
+            if da < db:
+                break
+            h = math.gcd(rem[da], lb)
+            s, f = lb // h, rem[da] // h
+            if s != 1:
+                rem = {e: c * s for e, c in rem.items()}
+            _sub_multiple(rem, f, da - db, b)
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)
+    return {0: 1}
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -237,6 +292,18 @@ def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not r.is_zero():
         raise ScalarError("inexact polynomial division")
     return q
+
+
+def _cancel(num: LaurentPoly, den: LaurentPoly):
+    """(num/g, den/g) for g the monic gcd of the ordinary den and num's
+    ordinary part (q never divides a canonical denominator, so num's own
+    q-power is pulled out first and put back after)."""
+    t = num.low()
+    n0 = num.shift(-t)
+    g = _poly_gcd(n0, den)
+    if not g.degree():
+        return num, den
+    return _poly_exact_div(n0, g).shift(t), _poly_exact_div(den, g)
 
 
 # The one denominator of every ScalarQ whose canonical denominator is 1.
@@ -251,11 +318,19 @@ class ScalarQ:
     the numerator.  Equality and hashing go through this form.  A
     denominator equal to 1 is always the shared object UNIT_DEN.  The
     public constructor canonicalises unless the denominator is UNIT_DEN:
-    a scalar over UNIT_DEN is canonical whatever its numerator.  Results
-    known to be canonical are built by _scalar, which takes over the pair
-    as it is: a negation, a sum with at most one denominator other than
-    UNIT_DEN, and a product of two scalars over UNIT_DEN or with a
-    monomial c*q^k over UNIT_DEN.
+    a scalar over UNIT_DEN is canonical whatever its numerator; any other
+    pair goes through one gcd of the whole numerator and denominator.
+
+    The operators build their results through _scalar, which takes over
+    the pair as it is, and take no gcd when none can be non-trivial: a
+    negation, a sum with at most one denominator other than UNIT_DEN, and
+    a product of two scalars over UNIT_DEN or with a monomial c*q^k over
+    UNIT_DEN.  A sum a/b + c/d of two other denominators takes gcd(b, d)
+    and, when that is not 1, gcd(t, gcd(b, d)) for the new numerator t
+    (`_henrici_sum`).  Any other product (a/b)(c/d) takes only the cross
+    gcds gcd(a, d) and gcd(c, b), skipping one whose denominator is
+    UNIT_DEN.  `inv` swaps numerator and denominator through the
+    constructor, except for a monomial over UNIT_DEN.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -303,9 +378,7 @@ class ScalarQ:
             return _scalar(self.num * other.den + other.num, other.den)
         if other.den is UNIT_DEN:
             return _scalar(self.num + other.num * self.den, self.den)
-        return ScalarQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return _henrici_sum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -335,7 +408,17 @@ class ScalarQ:
                 return _scalar(self.num * other.num, other.den)
         elif other.den is UNIT_DEN and len(other.num.coeffs) == 1:
             return _scalar(self.num * other.num, self.den)
-        return ScalarQ(self.num * other.num, self.den * other.den)
+        if not (self.num.coeffs and other.num.coeffs):
+            return S_ZERO
+        # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)): each fraction is
+        # reduced, so only the cross pairs can share a factor
+        a, d = self.num, other.den
+        if d is not UNIT_DEN:
+            a, d = _cancel(a, d)
+        c, b = other.num, self.den
+        if b is not UNIT_DEN:
+            c, b = _cancel(c, b)
+        return _scalar(a * c, _unit_or(b * d))
 
     __rmul__ = __mul__
 
@@ -409,25 +492,40 @@ def _coerce(x):
     return NotImplemented
 
 
+def _unit_or(den: LaurentPoly) -> LaurentPoly:
+    """den, or the shared UNIT_DEN when den is the monic constant 1."""
+    return UNIT_DEN if not den.degree() else den
+
+
+def _henrici_sum(a: LaurentPoly, b: LaurentPoly,
+                 c: LaurentPoly, d: LaurentPoly) -> ScalarQ:
+    """a/b + c/d for canonical fractions over denominators other than 1
+    (P. Henrici, J. ACM 3, 1956): with g = gcd(b, d) and
+    t = a (d/g) + c (b/g), the sum is (t/g2) / ((b/g)(d/g2)) for
+    g2 = gcd(t, g), and no other factor can cancel."""
+    g = _poly_gcd(b, d)
+    if not g.degree():
+        return _scalar(a * d + c * b, b * d)
+    b = _poly_exact_div(b, g)
+    d = _poly_exact_div(d, g)
+    t = a * d + c * b
+    if not t.coeffs:
+        return _scalar(t, UNIT_DEN)
+    t, g = _cancel(t, g)
+    return _scalar(t, _unit_or(b * g * d))
+
+
 def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
         return num, UNIT_DEN
     # shift the denominator so its lowest exponent is 0
     s = den.low()
-    den = den.shift(-s)
-    num = num.shift(-s)
-    # pull the numerator's own q-power out before taking the gcd
-    t = num.low()
-    n0 = num.shift(-t)
-    g = _poly_gcd(n0, den)
-    if not (g.degree() == 0 and g.coeffs.get(0) == 1):
-        n0 = _poly_exact_div(n0, g)
-        den = _poly_exact_div(den, g)
+    num, den = _cancel(num.shift(-s), den.shift(-s))
     lc = den.leading_coeff()
     if lc != 1:
         den = den * (1 / lc)
-        n0 = n0 * (1 / lc)
-    return n0.shift(t), (UNIT_DEN if den.degree() == 0 else den)
+        num = num * (1 / lc)
+    return num, _unit_or(den)
 
 
 def add_term(terms: dict, key, value: ScalarQ) -> None:

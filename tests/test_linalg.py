@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_scalar
+from conftest import random_nonzero_scalar, random_scalar
 from qgal.linalg import LinearSolveError, mat_inv
 from qgal.scalars import Q, S_ONE, S_ZERO
 
@@ -33,8 +33,8 @@ def gauss_jordan_inverse(a):
     return [row[n:] for row in aug]
 
 
-# denominators of the rational entries: few and small, so that the
-# eliminations stay fast
+# denominators of the rational entries; the denser 4x4 matrices of
+# test_dense_4x4_inverses cover products of arbitrary two-term inverses
 DENOMINATORS = [S_ONE + Q, S_ONE + Q * Q, Q - 2 * S_ONE]
 
 
@@ -50,7 +50,6 @@ def random_entry(rng):
 def test_inverse_matches_gauss_jordan_on_seeded_matrices():
     rng = random.Random(13)
     checked = 0
-    # 4x4 inverses over Q(q) are slow to canonicalise: only a few
     for n, count in ((0, 1), (1, 12), (2, 12), (3, 12), (4, 4)):
         for _ in range(count):
             a = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
@@ -68,16 +67,35 @@ def test_inverse_matches_gauss_jordan_on_seeded_matrices():
     assert checked >= 30  # most random matrices are invertible
 
 
+def assert_is_inverse(a, inv):
+    """A A^-1 = A^-1 A = I."""
+    n = len(a)
+    for x, y in ((a, inv), (inv, a)):
+        for i in range(n):
+            for j in range(n):
+                s = S_ZERO
+                for k in range(n):
+                    s = s + x[i][k] * y[k][j]
+                assert s == (S_ONE if i == j else S_ZERO)
+
+
 def test_inverse_times_matrix_is_identity():
     a = [[Q, S_ONE, S_ZERO], [S_ONE, Q.inv(), S_ONE], [S_ZERO, S_ONE, Q + S_ONE]]
-    inv = mat_inv(a)
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            s = S_ZERO
-            for k in range(n):
-                s = s + inv[i][k] * a[k][j]
-            assert s == (S_ONE if i == j else S_ZERO)
+    assert_is_inverse(a, mat_inv(a))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_4x4_inverses(seed):
+    # every entry a Laurent polynomial over a random two-term Laurent
+    # polynomial: the elimination's numerators and denominators grow to
+    # high degree, which makes the cost of each cancellation show
+    rng = random.Random(seed)
+    a = [[random_scalar(rng, terms=2, exp=2)
+          * random_nonzero_scalar(rng, terms=2, exp=2).inv()
+          for _ in range(4)] for _ in range(4)]
+    got = mat_inv(a)
+    assert got == gauss_jordan_inverse(a)
+    assert_is_inverse(a, got)
 
 
 @pytest.mark.parametrize("a", [

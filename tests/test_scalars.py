@@ -146,23 +146,43 @@ def test_eval_is_ring_homomorphism(e1, e2, c1, c2):
             a.eval(q0) + b.eval(q0), rel=1e-12, abs=1e-12)
 
 
-# denominators of the oracle's operands: 1, 1+q, 1+q^2, 1-q+q^2
-ORACLE_DENS = [{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1}]
+# the oracle's denominators are products of up to three of these
+# factors, with repetition, so that sums and products of two operands
+# often share a factor: 1+q, 1+q^2, 1-q+q^2, q-2
+ORACLE_FACTORS = [LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: 1}),
+                  LaurentPoly({0: 1, 1: -1, 2: 1}), LaurentPoly({0: -2, 1: 1})]
 
 # halves and thirds, so that sums and products often cancel to integers
 CANCELLING = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
               Fraction(1, 3), Fraction(2, 3), Fraction(-4, 3)]
 
+
+def _product(factors):
+    out = LaurentPoly({0: Fraction(1)})
+    for f in factors:
+        out = out * ORACLE_FACTORS[f]
+    return out
+
+
+def factor_lists(min_size, max_size):
+    return st.lists(st.integers(0, len(ORACLE_FACTORS) - 1),
+                    min_size=min_size, max_size=max_size)
+
+
+# a numerator may carry factors of its own, so that the cross pairs of a
+# product can cancel
 oracle_scalars = st.builds(
-    lambda coeffs, den: ScalarQ(
-        LaurentPoly({e: Fraction(c) for e, c in coeffs.items()}),
-        LaurentPoly({e: Fraction(c) for e, c in ORACLE_DENS[den].items()})),
+    lambda coeffs, num, den: ScalarQ(
+        LaurentPoly({e: Fraction(c) for e, c in coeffs.items()}) * _product(num),
+        _product(den)),
     st.dictionaries(st.integers(-3, 3),
                     st.one_of(st.fractions(min_value=-4, max_value=4,
                                            max_denominator=6),
                               st.sampled_from(CANCELLING)),
-                    max_size=3),
-    st.sampled_from([0, 0, 1, 2, 3]),
+                    min_size=1, max_size=3),
+    factor_lists(0, 1),
+    # some draws take the denominator 1
+    st.one_of(factor_lists(1, 3), st.just([])),
 )
 
 
@@ -195,12 +215,32 @@ def _assert_canonical_and_equal(result, expected, sp, q):
 HALF_PLUS_HALF_Q = ScalarQ(LaurentPoly({0: Fraction(1, 2), 1: Fraction(1, 2)}))
 
 
+def _frac(num, *factors):
+    """num / (product of ORACLE_FACTORS), num an exponent -> coefficient
+    map."""
+    return ScalarQ(LaurentPoly(num), _product(factors))
+
+
 @settings(max_examples=150, deadline=None)
 @given(oracle_scalars, oracle_scalars)
 @example(HALF_PLUS_HALF_Q, HALF_PLUS_HALF_Q)
 @example(HALF_PLUS_HALF_Q,
          ScalarQ(LaurentPoly({0: Fraction(3, 2), 1: Fraction(-1, 2)}),
                  LaurentPoly({0: 1, 1: 1})))
+# sums of two non-unit denominators b, d, with g = gcd(b, d) and t the
+# numerator over (b/g)(d/g): g = 1; g != 1 with gcd(t, g) = 1;
+# gcd(t, g) != 1; t = 0
+@example(_frac({-1: 1}, 0), _frac({0: Fraction(2, 3)}, 1, 3))
+@example(_frac({0: 1}, 0), _frac({0: 1}, 0, 1))
+@example(_frac({0: 1}, 0, 1), _frac({2: 1}, 0, 1))
+@example(_frac({0: Fraction(1, 2), 1: 3}, 0, 3),
+         -_frac({0: Fraction(1, 2), 1: 3}, 0, 3))
+# products that cancel on both cross pairs, to a non-unit denominator and
+# to 1 (which must be UNIT_DEN), and a sum whose denominator cancels to 1;
+# 1 + q^3 = (1+q)(1-q+q^2)
+@example(_frac({0: 1, 3: 1}, 3, 1), _frac({2: 3, 4: 3}, 0, 2))
+@example(_frac({-1: 1, 0: 1}, 1), _frac({0: 1, 2: 1}, 0))
+@example(_frac({0: 1}, 0), _frac({1: 1}, 0))
 def test_arithmetic_against_sympy(a, b):
     sp = pytest.importorskip("sympy")
     q = sp.Symbol("q")
@@ -211,21 +251,28 @@ def test_arithmetic_against_sympy(a, b):
         _assert_canonical_and_equal(a.inv(), 1 / sa, sp, q)
 
 
-ordinary_polys = st.dictionaries(
-    st.integers(0, 4),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-    max_size=4,
-).map(LaurentPoly)
+def ordinary_polys(degree):
+    """Ordinary polynomials up to `degree` with Fraction coefficients,
+    some of them integral."""
+    return st.dictionaries(
+        st.integers(0, degree),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        max_size=degree + 1,
+    ).map(LaurentPoly)
 
 
-@settings(max_examples=100, deadline=None)
-@given(ordinary_polys, ordinary_polys, ordinary_polys)
+@settings(max_examples=150, deadline=None)
+@given(ordinary_polys(5), ordinary_polys(5), ordinary_polys(3))
 @example(LaurentPoly(), LaurentPoly(), LaurentPoly({0: 1}))
 @example(LaurentPoly({0: 1, 1: 1}), LaurentPoly(), LaurentPoly({0: 2}))
+@example(LaurentPoly(), LaurentPoly({0: Fraction(1, 2), 1: 1}), LaurentPoly({0: 3}))
+@example(LaurentPoly({0: Fraction(-2, 3)}), LaurentPoly({1: Fraction(5, 2), 4: -3}),
+         LaurentPoly({0: Fraction(1, 6), 1: Fraction(-1, 2), 3: Fraction(5, 4)}))
 def test_gcd_and_division_against_sympy(a, b, c):
     sp = pytest.importorskip("sympy")
     q = sp.Symbol("q")
-    # a common factor makes gcds of positive degree frequent
+    # a common factor of degree up to 3 makes gcds of positive degree
+    # frequent; the operands have degree up to 8
     a, b = a * c, b * c
 
     def poly(x):
@@ -238,6 +285,51 @@ def test_gcd_and_division_against_sympy(a, b, c):
         quo, rem = _poly_divmod(a, b)
         assert (poly(quo), poly(rem)) == sp.div(poly(a), poly(b))
 
+
+def _random_fraction(rng):
+    """A scalar over a non-unit denominator that divides a product of one
+    to three ORACLE_FACTORS; its numerator is drawn with some of them."""
+    while True:
+        num = LaurentPoly({e: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                           for e in rng.sample(range(-2, 3), rng.randint(1, 3))})
+        for _ in range(rng.randint(0, 2)):
+            num = num * rng.choice(ORACLE_FACTORS)
+        den = _product(rng.choices(range(len(ORACLE_FACTORS)), k=rng.randint(1, 3)))
+        if not num.is_zero():
+            x = ScalarQ(num, den)
+            if x.den is not UNIT_DEN:
+                return x
+
+
+def _assert_same_scalar(got, expected):
+    """Equal by value and hash, with the same coefficient dicts and
+    coefficient types, and the shared UNIT_DEN for a denominator 1."""
+    assert got == expected and hash(got) == hash(expected)
+    for mine, theirs in ((got.num, expected.num), (got.den, expected.den)):
+        assert mine.coeffs == theirs.coeffs
+        assert {e: type(c) for e, c in mine.coeffs.items()} == \
+            {e: type(c) for e, c in theirs.coeffs.items()}
+    assert (got.den is UNIT_DEN) == (expected.den is UNIT_DEN)
+    if got.den == UNIT_DEN:
+        assert got.den is UNIT_DEN
+
+
+def test_sum_and_product_match_the_constructor():
+    # the sum and the product cancel only what can cancel; the
+    # constructor takes the gcd of the whole naive numerator and
+    # denominator, and must land on the same canonical form
+    rng = random.Random(14)
+    unit_dens = 0
+    for _ in range(400):
+        x, y = _random_fraction(rng), _random_fraction(rng)
+        assert x.den is not UNIT_DEN and y.den is not UNIT_DEN
+        total = ScalarQ(x.num * y.den + y.num * x.den, x.den * y.den)
+        product = ScalarQ(x.num * y.num, x.den * y.den)
+        _assert_same_scalar(x + y, total)
+        _assert_same_scalar(x * y, product)
+        _assert_same_scalar(x + (-x), S_ZERO)
+        unit_dens += (total.den is UNIT_DEN) + (product.den is UNIT_DEN)
+    assert unit_dens > 0
 
 
 def test_add_term_drops_cancelled_and_zero_terms():
