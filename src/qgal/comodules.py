@@ -4,6 +4,11 @@ A comodule is carried purely by its corepresentation matrix: an n x n
 array of algebra elements v_ij with Delta(v_ij) = sum_k v_ik (x) v_kj
 and epsilon(v_ij) = delta_ij modulo relations.  Conjugates, tensor
 products, unitarity data and exact duality (snake) maps live here.
+
+The commands reach the comodules of `--comodule` and `add_unitarity`
+(`verify --suite biunitarity`).  verify_corep, unitarity_conjugator,
+verify_unitary_structure, search_diagonal_gram, duality_maps and
+snake_check are Python API with no command yet.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .linalg import LinearSolveError, eigvalsh, mat_inv
+from .haar import add_gram_sample
+from .linalg import LinearSolveError, mat_inv
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
 from .presentations import (
     Presentation,
@@ -23,10 +29,11 @@ from .presentations import (
     delta_ext,
     reduce_legs,
     sandwich,
+    star_transpose,
     to_scalar,
     unitarity_defects,
 )
-from .report import Report, timed
+from .report import FAIL, PASS, Report, Undecided, timed
 from .scalars import S_ONE, S_ZERO, ScalarQ
 
 
@@ -119,9 +126,7 @@ def verify_corep(v: Corep) -> Report:
             for j in range(n):
                 lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))
                 rhs = reduce_legs(delta_v[i][j], (p.rewrite, p.rewrite))
-                report.add(f"coassociativity entry ({i + 1},{j + 1})",
-                           lhs == rhs,
-                           witness=(lhs - rhs).pretty()[:120] if lhs != rhs else "")
+                report.add_zero(f"coassociativity entry ({i + 1},{j + 1})", lhs - rhs)
                 val = apply_scalar_map(v.matrix[i][j], eps)
                 want = S_ONE if i == j else S_ZERO
                 report.add(f"counit entry ({i + 1},{j + 1})", val == want)
@@ -129,31 +134,52 @@ def verify_corep(v: Corep) -> Report:
 
 
 def unitarity_conjugator(v: Corep, F) -> Report:
-    """Whether w = F vbar F^-1 is unitary modulo relations."""
-    p = v.pres
-    if p.star is None:
-        raise ComoduleError(f"{p.name} carries no star structure")
-    F = [[to_scalar(x) for x in row] for row in F]
-    Finv = mat_inv(F)  # raises LinearSolveError when F is singular
+    """Whether w = F vbar F^-1 is unitary modulo relations, with the
+    items of add_unitarity."""
     vbar = conjugate(v).matrix
-    n = v.dim
-    w = sandwich(F, vbar, Finv)
-    wst = [[p.nf(p.star.apply(w[j][i])) for j in range(n)] for i in range(n)]
-    report = Report(f"unitarity-conjugator({p.name}, dim {n})")
+    F = [[to_scalar(x) for x in row] for row in F]
+    w = sandwich(F, vbar, mat_inv(F))  # LinearSolveError when F is singular
+    report = Report(f"unitarity-conjugator({v.pres.name}, dim {v.dim})")
     with timed(report):
-        ww_st, w_st_w = unitarity_defects(w, wst)
-        for (i, j), d1, d2 in zip(product(range(n), repeat=2), ww_st, w_st_w):
-            for label, s in (("w w*", d1), ("w* w", d2)):
-                s = p.nf(s)
-                report.add(f"({label})_{i + 1}{j + 1} = delta", s.is_zero(),
-                           witness=s.pretty()[:120] if not s.is_zero() else "")
+        add_unitarity(report, v.pres, w)
     return report
+
+
+def add_unitarity(report: Report, p: Presentation, M):
+    """Add to `report` one item per entry of M* M - I, then one per entry
+    of M M* - I, each in normal form over p, for an n x m block M of
+    elements of p, named z in the items.  M is unitary modulo relations
+    when every item passes."""
+    Mst = [[p.nf(e) for e in row] for row in star_transpose(p.star, M)]
+    MMst, MstM = unitarity_defects(M, Mst)
+    items = [(f"sum_i z*_i{j + 1} z_i{k + 1} = delta", s)
+             for (j, k), s in zip(product(range(len(M[0])), repeat=2), MstM)]
+    items += [(f"sum_j z_{i + 1}j z*_{k + 1}j = delta", s)
+              for (i, k), s in zip(product(range(len(M)), repeat=2), MMst)]
+    for desc, s in items:
+        report.add_zero(desc, p.nf(s))
 
 
 @dataclass
 class UnitaryStructure:
     corep: Corep
     gram: list  # n x n scalar matrix, conjugate-symmetric and invertible
+
+
+def invariance_defects(v: Corep, g):
+    """The entries sum_kl v*_ki g_kl v_lj - g_ij in row-major order, in
+    normal form: the scalar product g is invariant for v when all of
+    them vanish.  A generator, so a search can stop at the first."""
+    p = v.pres
+    n = v.dim
+    # vst[i][k] = (v_ki)*
+    vst = [[p.nf(e) for e in row] for row in star_transpose(p.star, v.matrix)]
+    for i, j in product(range(n), repeat=2):
+        s = -NCPoly.scalar(p.alphabet, g[i][j])
+        for k, l in product(range(n), repeat=2):
+            if not g[k][l].is_zero():
+                s = s + (vst[i][k] * v.matrix[l][j]).scale(g[k][l])
+        yield p.nf(s)
 
 
 def verify_unitary_structure(u: UnitaryStructure,
@@ -175,36 +201,19 @@ def verify_unitary_structure(u: UnitaryStructure,
         if p.star is None:
             report.add_undecided("invariance (no star structure)")
         else:
-            vst = [[p.nf(p.star.apply(v.matrix[k][i])) for k in range(n)]
-                   for i in range(n)]  # vst[i][k] = (v_ki)*
-            ok_all = True
-            for i in range(n):
-                for j in range(n):
-                    s = NCPoly.zero(p.alphabet)
-                    for k in range(n):
-                        for l in range(n):
-                            s = s + (vst[i][k] * v.matrix[l][j]).scale(g[k][l])
-                    s = p.nf(s - NCPoly.scalar(p.alphabet, g[i][j]))
-                    if not s.is_zero():
-                        ok_all = False
-                        report.add(f"invariance entry ({i + 1},{j + 1})", False,
-                                   witness=s.pretty()[:120])
-            report.add("invariance sum_kl v*_ki g_kl v_lj = g_ij", ok_all)
-        for q0 in q_samples:
-            try:
-                evs = _gram_eigs(g, q0)
-            except LinearSolveError as e:
-                report.add_undecided(f"gram positive at q = {q0}", witness=str(e))
-                continue
-            report.add(f"gram positive at q = {q0}", min(evs) > 0.0,
-                       witness=f"min eigenvalue {min(evs):.6g}")
+            for (i, j), s in zip(product(range(n), repeat=2), invariance_defects(v, g)):
+                report.add_zero(f"invariance entry ({i + 1},{j + 1}): "
+                                "sum_kl v*_ki g_kl v_lj = g_ij", s)
+        _add_positivity(report, g, q_samples)
     return report
 
 
-def _gram_eigs(g, q0):
-    """Ascending eigenvalues of the gram evaluated at q0; raises
-    LinearSolveError when they do not converge."""
-    return eigvalsh([[x.eval(q0) for x in row] for row in g])
+def _add_positivity(report, g, q_samples):
+    """Items "gram positive at q = q0": at each sample q the least
+    eigenvalue of g is > 0 (see haar.add_gram_sample)."""
+    for q0 in q_samples:
+        add_gram_sample(report, g, q0, f"gram positive at q = {q0}",
+                        lambda evs: (evs[0] > 0.0, f"min eigenvalue {evs[0]:.6g}"))
 
 
 def search_diagonal_gram(v: Corep, exp_range=4) -> UnitaryStructure:
@@ -214,33 +223,12 @@ def search_diagonal_gram(v: Corep, exp_range=4) -> UnitaryStructure:
     if p.star is None:
         raise ComoduleError(f"{p.name} carries no star structure")
     n = v.dim
-    vst = [[p.nf(p.star.apply(v.matrix[k][i])) for k in range(n)]
-           for i in range(n)]
-
-    def works(exps):
-        g = [[ScalarQ.q_power(exps[i]) if i == j else S_ZERO
-              for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                s = NCPoly.zero(p.alphabet)
-                for k in range(n):
-                    s = s + (vst[i][k] * v.matrix[k][j]).scale(g[k][k])
-                s = p.nf(s - NCPoly.scalar(p.alphabet, g[i][j]))
-                if not s.is_zero():
-                    return None
-        return g
-
-    def enumerate_exps(pos):
-        if pos == n:
-            yield []
-            return
-        for rest in enumerate_exps(pos + 1):
-            for e in range(-2 * exp_range, 2 * exp_range + 1, 2):
-                yield [e] + rest
-
-    for exps in enumerate_exps(1):
-        g = works([0] + exps)
-        if g is not None:
+    steps = range(-2 * exp_range, 2 * exp_range + 1, 2)
+    for exps in product(steps, repeat=n - 1):
+        # e_2 varies fastest
+        g = [[ScalarQ.q_power(e) if i == j else S_ZERO for j in range(n)]
+             for i, e in enumerate((0, *reversed(exps)))]
+        if all(s.is_zero() for s in invariance_defects(v, g)):
             return UnitaryStructure(v, g)
     raise ComoduleError(
         f"{p.name}: no diagonal gram q^(2k) found in range {exp_range}")
@@ -252,21 +240,25 @@ def duality_maps(u: UnitaryStructure, q_samples=(0.5, 0.9, 2.0)):
     eval acts by (e-bar_i, e_j) -> gram_ij; coeval inserts
     sum_kl c_kl e_k (x) e-bar_l with c = gram^{-1}, which is exactly what
     the snake identities force.  Raises NonPositiveGramError when the gram
-    is not positive at a sample q, and LinearSolveError when its
-    eigenvalues there do not converge.
+    is not positive at a sample q (a pole there included), and
+    report.Undecided when a float overflow or eigenvalues that do not
+    converge leave that open.
     """
-    g = u.gram
-    for q0 in q_samples:
-        evs = _gram_eigs(g, q0)
-        if min(evs) <= 0.0:
-            raise NonPositiveGramError(
-                f"gram not positive at q = {q0} (min eigenvalue {min(evs):.3g})")
-    c = mat_inv([list(r) for r in g])
-    return g, c
+    report = Report("duality")
+    _add_positivity(report, u.gram, q_samples)
+    for item in report.items:
+        if item.status != PASS:
+            error = NonPositiveGramError if item.status == FAIL else Undecided
+            raise error(f"{item.desc}: {item.status} ({item.witness})")
+    return u.gram, mat_inv([list(r) for r in u.gram])
 
 
 def snake_check(ev, coev) -> Report:
-    """Exact snake identities for a duality pair given as matrices."""
+    """Exact snake identities for a duality pair given as matrices.
+
+    For an invertible gram they cannot fail: duality_maps sets
+    coev = gram^-1, so both hold by construction, and a pass certifies
+    that inverse, not that coev is a comodule map."""
     n = len(ev)
     report = Report(f"snake(dim {n})")
     with timed(report):

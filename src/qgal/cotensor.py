@@ -6,14 +6,16 @@ alpha_V (x) 1 and 1 (x) alpha_Z agree on it.  The kernel is computed by
 exact linear algebra over the normal-word basis, the scalar product is
 induced by the Haar measure, and the monoidal constraint multiplies
 coefficient legs.
+
+monoidal_constraint and conjugation_map are Python API with no command
+yet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .comodules import Corep, conjugate, tensor, trivial
+from .comodules import Corep, add_unitarity, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly
@@ -24,7 +26,6 @@ from .presentations import (
     coproduct_matrix,
     extend_reduced,
     reduce_legs,
-    unitarity_defects,
 )
 from .report import Report, timed
 from .rewrite import word_basis
@@ -152,22 +153,10 @@ def trivial_element(c: CoactionData) -> CotensorElement:
 def verify_biunitarity(c: CoactionData, zblock) -> Report:
     """Both orthonormality families for a block of Z elements:
     sum_i star(z_ij) z_ik = delta_jk and sum_j z_ij star(z_kj) = delta_ik."""
-    star = c.total.star
-    if star is None:
+    if c.total.star is None:
         raise CotensorError(f"{c.total.name} carries no star structure")
-    Z = c.total
-    nrows = len(zblock)
-    ncols = len(zblock[0])
-    report = Report(f"biunitarity({Z.name}, {nrows}x{ncols} block)")
+    report = Report(
+        f"biunitarity({c.total.name}, {len(zblock)}x{len(zblock[0])} block)")
     with timed(report):
-        zst = [[star.apply(zblock[i][j]) for i in range(nrows)] for j in range(ncols)]
-        zz_st, z_st_z = unitarity_defects(zblock, zst)
-        items = [(f"sum_i z*_i{j + 1} z_i{k + 1} = delta", s)
-                 for (j, k), s in zip(product(range(ncols), repeat=2), z_st_z)]
-        items += [(f"sum_j z_{i + 1}j z*_{k + 1}j = delta", s)
-                  for (i, k), s in zip(product(range(nrows), repeat=2), zz_st)]
-        for desc, s in items:
-            s = Z.nf(s)
-            report.add(desc, s.is_zero(),
-                       witness=s.pretty()[:120] if not s.is_zero() else "")
+        add_unitarity(report, c.total, zblock)
     return report

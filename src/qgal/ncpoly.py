@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import S_ONE, S_ZERO, UNIT_DEN, ScalarQ, add_term
+from .scalars import S_ONE, UNIT_DEN, ScalarQ, add_term
 
 
 class AlgebraError(Exception):
@@ -49,9 +49,6 @@ class Alphabet:
 
     def gen(self, name) -> "NCPoly":
         return NCPoly(self, {(self.index[name],): S_ONE})
-
-    def gens(self):
-        return [self.gen(n) for n in self.names]
 
     def word_str(self, word) -> str:
         if not word:
@@ -134,9 +131,6 @@ class NCPoly:
 
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def coeff(self, word):
-        return self.terms.get(word, S_ZERO)
 
     def pretty(self) -> str:
         if not self.terms:

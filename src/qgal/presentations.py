@@ -213,6 +213,11 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
+def star_transpose(star, M):
+    """M*, the transpose of M with the star map applied entrywise."""
+    return transpose([[star.apply(e) for e in row] for row in M])
+
+
 def coproduct_matrix(L, R):
     """The matrix of sum_k L_ik (x) R_kj, summed over k in increasing
     order: the shape of a matrix coproduct, coaction or translation map."""
@@ -263,7 +268,7 @@ def twisted_block(F, zbar, Ginv, star):
     NCPoly, with its star-transpose B*.  The AuFG relations make B
     unitary, and then G^-1 B* F is the inverse of zbar."""
     B = sandwich(F, zbar, Ginv)
-    return B, transpose([[star.apply(e) for e in row] for row in B])
+    return B, star_transpose(star, B)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +512,7 @@ def _auf_hopf(A: Alphabet, F, Finv, Bst, n):
 
 def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
     Ai, Zi = base.alphabet, total.alphabet
-    n = max(int(nm[1]) for nm in Ai.names if not nm.endswith("s"))
-    p = max(int(nm[2]) for nm in Zi.names if not nm.endswith("s"))
+    n, p = map(len, total.meta["FG"])
     alpha = {}
     for s in ("", "s"):  # z and its entrywise star zbar coact alike
         alpha.update(on_block(Zi, "z", coproduct_matrix(
@@ -579,19 +583,17 @@ def verify_star(p: Presentation) -> Report:
     with timed(report):
         checked = [rule.as_poly(p.alphabet) for rule in p.rewrite.rules]
         for k, rel in enumerate(checked):
-            img = p.nf(p.star.apply(rel))
-            report.add(f"star(relation {k + 1}) reduces to 0", img.is_zero(),
-                       witness=img.pretty() if not img.is_zero() else "")
-        for i, name in enumerate(p.alphabet.names):
+            report.add_zero(f"star(relation {k + 1}) reduces to 0",
+                            p.nf(p.star.apply(rel)))
+        for name in p.alphabet.names:
             g = p.alphabet.gen(name)
-            back = p.nf(p.star.apply(p.star.apply(g)) - g)
-            report.add(f"star involutive on {name}", back.is_zero(),
-                       witness=back.pretty() if not back.is_zero() else "")
+            report.add_zero(f"star involutive on {name}",
+                            p.nf(p.star.apply(p.star.apply(g)) - g))
     return report
 
 
-def verify_hopf(p: Presentation, h: HopfData | None = None) -> Report:
-    h = h or p.hopf
+def verify_hopf(p: Presentation) -> Report:
+    h = p.hopf
     if h is None:
         raise CatalogError(f"{p.name} carries no Hopf data")
     report = Report(f"hopf({p.name})")
@@ -602,9 +604,8 @@ def verify_hopf(p: Presentation, h: HopfData | None = None) -> Report:
         eps = counit_of_word(h)
         sext = extend_anti(h.antipode, A)
         for rel in p.relations:
-            t = apply_map(rel, dext, TensorPoly((A, A)))
-            report.add("Delta kills relation " + _short(rel), t.is_zero(),
-                       witness=t.pretty() if not t.is_zero() else "")
+            report.add_zero("Delta kills relation " + _short(rel),
+                            apply_map(rel, dext, TensorPoly((A, A))))
             c = apply_scalar_map(rel, eps)
             report.add("epsilon kills relation " + _short(rel), c.is_zero())
         for gi, name in enumerate(A.names):
@@ -638,9 +639,8 @@ def verify_coaction(c: CoactionData) -> Report:
     with timed(report):
         aext = alpha_ext(c)
         for rel in c.total.relations:
-            t = apply_map(rel, aext, TensorPoly((A, Z)))
-            report.add("alpha kills relation " + _short(rel), t.is_zero(),
-                       witness=t.pretty() if not t.is_zero() else "")
+            report.add_zero("alpha kills relation " + _short(rel),
+                            apply_map(rel, aext, TensorPoly((A, Z))))
         if c.base.hopf is None:
             report.add_undecided("coassociativity (base has no Hopf data)")
         else:

@@ -33,6 +33,12 @@ class Report:
     def add(self, desc, ok, witness=""):
         self.items.append(ReportItem(desc, PASS if ok else FAIL, witness))
 
+    def add_zero(self, desc, residual):
+        """A pass when `residual`, a polynomial or a tensor, is 0; else a
+        fail whose witness is the residual, cut to 120 characters."""
+        ok = residual.is_zero()
+        self.add(desc, ok, witness="" if ok else residual.pretty()[:120])
+
     def add_undecided(self, desc, witness=""):
         self.items.append(ReportItem(desc, UNDECIDED, witness))
 

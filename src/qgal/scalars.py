@@ -362,9 +362,6 @@ class ScalarQ:
     def is_zero(self) -> bool:
         return not self.num.coeffs
 
-    def is_one(self) -> bool:
-        return self.den is UNIT_DEN and self.num.coeffs == {0: 1}
-
     def __add__(self, other):
         if type(other) is not ScalarQ:
             other = _coerce(other)

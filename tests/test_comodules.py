@@ -16,7 +16,11 @@ from qgal.comodules import (
     verify_corep,
     verify_unitary_structure,
 )
-from qgal.scalars import S_ONE, S_ZERO, ScalarQ
+from qgal.cotensor import verify_biunitarity
+from qgal.linalg import mat_inv
+from qgal.presentations import CoactionData, sandwich
+from qgal.report import Undecided
+from qgal.scalars import Q, S_ONE, S_ZERO, ScalarQ
 
 
 def test_trivial_and_fundamental(uq2):
@@ -57,6 +61,22 @@ def test_unitarity_of_conjugated_fundamental(uq2):
     assert not unitarity_conjugator(v, identity).ok
 
 
+@pytest.mark.parametrize("twisted", [True, False], ids=["twisted", "untwisted"])
+def test_conjugator_and_biunitarity_report_alike(uq2, twisted):
+    """Both check block unitarity through one routine: on w = F vbar F^-1
+    they give the same items, all passing for F = diag(1, q^-1) and some
+    failing for F = 1."""
+    v = fundamental(uq2)
+    F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1 if twisted else 0)]]
+    w = sandwich(F, conjugate(v).matrix, mat_inv(F))
+    hopf_on_itself = CoactionData(uq2, uq2, dict(uq2.hopf.delta))
+    conj = unitarity_conjugator(v, F)
+    biun = verify_biunitarity(hopf_on_itself, w)
+    assert [(i.desc, i.status) for i in conj.items] == \
+        [(i.desc, i.status) for i in biun.items]
+    assert len(conj.items) == 8 and conj.ok is twisted
+
+
 def test_unitarity_conjugator_singular_F(uq2):
     from qgal.linalg import LinearSolveError
 
@@ -93,10 +113,11 @@ def test_duality_and_snake_dims_1_to_3(uq2):
 def test_unitary_structure_undecided_without_convergence(uq2, monkeypatch):
     from functools import partial
 
-    from qgal import comodules
+    from qgal import haar
     from qgal.linalg import eigvalsh
 
-    monkeypatch.setattr(comodules, "eigvalsh", partial(eigvalsh, max_sweeps=0))
+    # haar.add_gram_sample evaluates every sampled gram
+    monkeypatch.setattr(haar, "eigvalsh", partial(eigvalsh, max_sweeps=0))
     q = ScalarQ.q_power(1)
     g = [[S_ONE, q], [q, S_ONE + q * q]]
     r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))
@@ -104,6 +125,19 @@ def test_unitary_structure_undecided_without_convergence(uq2, monkeypatch):
     assert len(pos) == 3
     assert all(i.status == "undecided" and "did not converge" in i.witness
                for i in pos)
+    with pytest.raises(Undecided, match="did not converge"):
+        duality_maps(UnitaryStructure(fundamental(uq2), g))
+
+
+def test_unitary_structure_reports_a_pole(uq2):
+    """A gram with a pole at a sample q fails there, as in haar.check_gram,
+    and raises nothing."""
+    g = [[S_ONE, S_ZERO], [S_ZERO, (Q - 2).inv()]]
+    r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))
+    at2 = [i for i in r.items if i.desc == "evaluation at q = 2.0"]
+    assert len(at2) == 1 and at2[0].status == "fail"
+    assert at2[0].witness == "denominator vanishes at q = 2.0"
+    assert not r.ok
 
 
 def test_duality_rejects_nonpositive_gram(uq2):

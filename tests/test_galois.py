@@ -12,9 +12,10 @@ from qgal.galois import (
     validate_witness,
     verify_galois,
 )
-from qgal.ncpoly import NCPoly, TensorPoly
+from qgal.ncpoly import NCPoly, TensorPoly, extend_anti
 from qgal.presentations import (
     CoactionData,
+    apply_map,
     catalog,
     coaction,
     extend_reduced,
@@ -76,6 +77,19 @@ def test_corrupted_witness_fails(c_glq, witness):
     assert not validate_witness(c_glq, bad).ok
     r = verify_galois(c_glq, bad, 1)
     assert not r.ok
+
+
+def test_corrupted_witness_shows_its_residual_cut_to_120(c_glq, witness):
+    T, Z = witness.companion, c_glq.total
+    phi = dict(witness.phi)
+    phi[T.alphabet.index["t11"]] = Z.parse("z11")
+    r = validate_witness(c_glq, GaloisWitness(T, dict(witness.delta), phi))
+    phi_ext = extend_anti(phi, Z.alphabet)
+    residuals = [Z.nf(apply_map(rel, phi_ext, NCPoly.zero(Z.alphabet))).pretty()
+                 for rel in T.relations]
+    failed = [i.witness for i in r.items if i.status == "fail"]
+    assert failed == [s[:120] for s in residuals if s != "0"]
+    assert any(len(s) > 120 for s in residuals)
 
 
 def test_verify_galois_glq(c_glq, witness):

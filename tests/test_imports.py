@@ -1,5 +1,6 @@
 """Every name a module of qgal imports is used in that module, every
-top-level name it defines is read somewhere, the runtime imports nothing
+top-level name and every method it defines is read somewhere, the
+runtime imports nothing
 outside the standard library, every sparse accumulate goes through
 `scalars.add_term`, and each command loads only the layers it runs."""
 
@@ -80,21 +81,32 @@ def top_level_names(source):
             if not (name.startswith("__") and name.endswith("__"))]
 
 
-def names_read(source):
-    """Every name a source reads: a Name that is not assigned, an
-    attribute, a name imported from a module, or a part of a string that
-    is a dotted name (getattr and the bench tracer name functions so)."""
+def attributes_read(source):
+    """Every attribute a source reads, and every part of a string that is
+    a dotted name (the bench tracer names functions and methods so)."""
     read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value):
+            read.update(node.value.split("."))
+    return read
+
+
+def names_read(source):
+    """Every name a source reads: a Name that is not assigned, a name
+    imported from a module, a string that is a name (getattr names
+    functions so), or one of its attributes_read."""
+    read = attributes_read(source)
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             read.update(a.name for a in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
-            read.update(node.value.split("."))
+                and node.value.isidentifier():
+            read.add(node.value)
     return read
 
 
@@ -123,14 +135,58 @@ def test_checker_finds_unread_names():
         ("m", 3, "B"), ("m", 3, "_c"), ("m", 5, "f")]
 
 
+def _package_tests_and_bench():
+    """(defining, reading): the package's sources, and those of the
+    package, its tests and its benchmark."""
+    paths = [*MODULES, *sorted(TESTS.glob("*.py")),
+             *sorted((TESTS.parent / "perfbench").glob("*.py"))]
+    return ({p.name: p.read_text() for p in MODULES},
+            {str(p): p.read_text() for p in paths})
+
+
 def test_every_top_level_name_is_read():
     """A name that nothing in the package, its tests or its benchmark
     reads is dead code."""
-    paths = [*MODULES, *sorted(TESTS.glob("*.py")),
-             *sorted((TESTS.parent / "perfbench").glob("*.py"))]
-    reading = {str(p): p.read_text() for p in paths}
-    defining = {p.name: p.read_text() for p in MODULES}
-    assert unread_names(defining, reading) == []
+    assert unread_names(*_package_tests_and_bench()) == []
+
+
+def unread_methods(defining, reading):
+    """(module, line, Class.method) of each method that a class of a
+    `defining` source binds and no source of `reading` reads as an
+    attribute or names in a dotted string.  Dunders are exempt."""
+    read = set().union(*map(attributes_read, reading.values()))
+    return [(label, f.lineno, f"{node.name}.{f.name}")
+            for label, source in defining.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for f in node.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))
+            and f.name not in read]
+
+
+def test_checker_finds_unread_methods():
+    module = ("class K:\n"
+              "    def __init__(self):\n"
+              "        self.x = self.called()\n"
+              "    def called(self): pass\n"
+              "    def traced(self): pass\n"
+              "    def shadowed(self): pass\n"
+              "    @property\n"
+              "    def unread(self): pass\n"
+              "def free(): pass\n"
+              "class L:\n"
+              "    def free(self): pass\n")
+    # a bare name, a string that is not dotted or a call of a function
+    # does not read a method
+    user = "shadowed = free()\ngetattr(K, 'unread')\nspans = ['K.traced']\n"
+    assert unread_methods({"m": module}, {"m": module, "t": user}) == [
+        ("m", 6, "K.shadowed"), ("m", 8, "K.unread"), ("m", 11, "L.free")]
+
+
+def test_every_method_is_read():
+    """A method that nothing in the package, its tests or its benchmark
+    reads is dead code."""
+    assert unread_methods(*_package_tests_and_bench()) == []
 
 
 def foreign_imports(source, package="qgal"):

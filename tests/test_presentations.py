@@ -203,7 +203,14 @@ def test_parse_presentation_text():
 
 def test_parse_presentation_text_star_failure():
     p = parse_presentation_text(QPLANE_STAR_BAD)
-    assert not verify_star(p).ok
+    r = verify_star(p)
+    assert not r.ok
+    # the failing item shows the residual, cut to 120 characters
+    rel = p.rewrite.rules[0].as_poly(p.alphabet)
+    residual = p.nf(p.star.apply(rel))
+    assert not residual.is_zero()
+    assert r.items[0].status == "fail"
+    assert r.items[0].witness == residual.pretty()[:120]
 
 
 def test_parse_presentation_text_errors():
