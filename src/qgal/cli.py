@@ -159,6 +159,13 @@ def _haar_pair(c: CoactionData, degree):
     return J, haar.haar_on_extension(c, J, depth)
 
 
+def _haar_params(J, mu):
+    """A Haar report's provenance: how J, and mu when it is not J, were
+    solved (see LinearFunctional.provenance)."""
+    return {"J": J.provenance} if mu is J else \
+        {"J": J.provenance, "mu": mu.provenance}
+
+
 # -- suites -----------------------------------------------------------------
 
 
@@ -202,7 +209,7 @@ def run_suite(target, suite, args):
         pos = haar.gram_positivity(c.total, mu, degree, q_samples)
         report.items.extend(pos.items)
         report.check_name = f"haar({c.total.name}, degree {degree})"
-        report.params = dict(pos.params)
+        report.params = {**pos.params, **_haar_params(J, mu)}
         report.timing_ms = (time.perf_counter() - t0) * 1000.0
         return report
     if suite == "cotensor":
@@ -394,6 +401,7 @@ def cmd_haar(args) -> int:
         if pos is not None:
             report.items.extend(pos.items)
             report.params = dict(pos.params)
+        report.params.update(_haar_params(J, mu))
     if not args.json:
         for w in shown:
             print(f"  {c.total.alphabet.word_str(w):24s} {mu.values[w]!r}")

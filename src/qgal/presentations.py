@@ -73,6 +73,9 @@ class HopfData:
     delta: dict       # generator index -> TensorPoly (A, A)
     counit: dict      # generator index -> scalar
     antipode: dict    # generator index -> NCPoly
+    # generator index -> (left, right) integer grade vectors, the row and
+    # column gradings; None declares none.  The Haar layer checks them
+    grades: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,9 @@ class CoactionData:
     base: Presentation
     total: Presentation
     alpha: dict       # generator index of Z -> TensorPoly (A, Z)
+    # generator index of Z -> the left grade of alpha's left legs, in the
+    # coordinates of the base's left grades; None declares none
+    left_grades: dict | None = None
 
     def ensure_degree(self, d_base: int, d_total: int) -> "CoactionData":
         """This coaction with the base certified to d_base and the total
@@ -207,6 +213,11 @@ def on_block(alphabet, prefix, mat, suffix=""):
     <prefix><i><j><suffix> -> mat[i-1][j-1]."""
     return {alphabet.index[f"{prefix}{i}{j}{suffix}"]: e
             for i, row in enumerate(mat, 1) for j, e in enumerate(row, 1)}
+
+
+def unit_vector(i, n, sign=1):
+    """sign * e_i in Z^n, with i counted from 1."""
+    return tuple(sign if k == i else 0 for k in range(1, n + 1))
 
 
 def transpose(mat):
@@ -390,7 +401,11 @@ def _build_glq2(star: bool):
         idx["x22"]: P("x11*t"),
         idx["t"]: P("x11*x22 - q^-1*x12*x21"),
     }
-    hopf = HopfData(delta, counit, antipode)
+    # x_ij has row grade e_i and column grade e_j; t inverts the determinant
+    grades = on_block(A, "x", [[(unit_vector(i, 2), unit_vector(j, 2))
+                                 for j in (1, 2)] for i in (1, 2)])
+    grades[idx["t"]] = ((-1, -1), (-1, -1))
+    hopf = HopfData(delta, counit, antipode, grades)
     return _finish("Uq2" if star else "GLq2", A, relations, MonomialOrder(A),
                    star=smap, hopf=hopf, relations_from_rules=True)
 
@@ -450,7 +465,9 @@ def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionDat
     alpha = on_block(Zi, "z", coproduct_matrix(generator_block(Ai, "x", 2, 2),
                                                generator_block(Zi, "z", 2, 2)))
     alpha[Zi.index["tau"]] = TensorPoly.of(Ai.gen("t"), Zi.gen("tau"))
-    return CoactionData(base, total, alpha)
+    left = on_block(Zi, "z", [[unit_vector(i, 2)] * 2 for i in (1, 2)])
+    left[Zi.index["tau"]] = (-1, -1)
+    return CoactionData(base, total, alpha, left)
 
 
 def _star_alphabet(prefix, n, p):
@@ -507,17 +524,24 @@ def _auf_hopf(A: Alphabet, F, Finv, Bst, n):
     antipode = on_block(A, "z", transpose(zbar))
     # S(zbar) = F^-1 B* F, the inverse of the conjugate matrix
     antipode.update(on_block(A, "z", sandwich(Finv, Bst, F), "s"))
-    return HopfData(delta, counit, antipode)
+    grades = {}
+    for s, sign in (("", 1), ("s", -1)):  # z_ij* has the negated grades
+        grades.update(on_block(A, "z", [
+            [(unit_vector(i, n, sign), unit_vector(j, n, sign))
+             for j in range(1, n + 1)] for i in range(1, n + 1)], s))
+    return HopfData(delta, counit, antipode, grades)
 
 
 def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
     Ai, Zi = base.alphabet, total.alphabet
     n, p = map(len, total.meta["FG"])
-    alpha = {}
-    for s in ("", "s"):  # z and its entrywise star zbar coact alike
+    alpha, left = {}, {}
+    for s, sign in (("", 1), ("s", -1)):  # z and zbar coact alike
         alpha.update(on_block(Zi, "z", coproduct_matrix(
             generator_block(Ai, "z", n, n, s), generator_block(Zi, "z", n, p, s)), s))
-    return CoactionData(base, total, alpha)
+        left.update(on_block(Zi, "z", [[unit_vector(i, n, sign)] * p
+                                       for i in range(1, n + 1)], s))
+    return CoactionData(base, total, alpha, left)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from qgal import characters, cli
+from qgal import characters, cli, presentations
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
 from qgal.linalg import NonUniqueSolutionError
@@ -226,6 +226,32 @@ def test_haar_command(capsys):
     code, out, _ = run(capsys, "haar", "Uq2m2", "--degree", "1")
     assert code == 0
     assert "PSD evidence" in out
+
+
+@pytest.mark.parametrize("argv", [["haar", "Uq2m2", "--degree", "1"],
+                                  ["verify", "Uq2m2", "--suite", "haar",
+                                   "--degree", "1"]], ids=["haar", "suite"])
+def test_haar_reports_how_J_and_mu_were_solved(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    params = json.loads(out)["params"]
+    # depth 3 * degree: 55 normal words of degree <= 3 on each 2x2 algebra
+    for name, grading in (("J", "row and column"), ("mu", "row")):
+        prov = params[name]
+        assert set(prov) == {"depth", "basis_words", "solved_words", "grading"}
+        assert (prov["depth"], prov["basis_words"]) == (3, 55)
+        assert 0 < prov["solved_words"] < 55
+        assert prov["grading"] == grading
+
+
+def test_haar_auf_degree_1(capsys):
+    code, out, _ = run(capsys, "haar", "AuF", "--degree", "1")
+    assert code == 0
+    table = dict(line.split() for line in out.splitlines()[:19])
+    assert table.pop("1") == "(1)"
+    assert sorted(table) == sorted(presentations.catalog("AuF").alphabet.names)
+    assert len(table) == 18
+    assert set(table.values()) == {"(0)"}
 
 
 def test_cotensor_command(capsys):

@@ -1,0 +1,298 @@
+"""The Haar solve by graded blocks: the same J and mu as the one-block
+solve, gradings that are checked and refused when wrong, the work the
+blocks save, and oracles for J that do not go through the solver."""
+
+from dataclasses import replace
+
+import pytest
+
+from qgal import haar, presentations
+from qgal.haar import (
+    LinearFunctional,
+    extension_grading,
+    haar_on_extension,
+    haar_on_hopf,
+    hopf_grading,
+)
+from qgal.ncpoly import NCPoly, TensorPoly
+from qgal.presentations import (
+    CoactionData,
+    HopfData,
+    catalog,
+    delta_ext,
+    parse_presentation_text,
+    unit_vector,
+)
+from qgal.rewrite import word_basis
+from qgal.scalars import S_ONE, S_ZERO
+
+
+@pytest.fixture(scope="module")
+def auf():
+    return catalog("AuF")
+
+
+def one_block(p):
+    """p with no grading declared on its Hopf data."""
+    return replace(p, hopf=replace(p.hopf, grades=None))
+
+
+def regraded(p, **changes):
+    """p with the grades of the named generators replaced."""
+    grades = dict(p.hopf.grades)
+    for name, grade in changes.items():
+        grades[p.alphabet.index[name]] = grade
+    return replace(p, hopf=replace(p.hopf, grades=grades))
+
+
+def assert_one_block(F):
+    assert F.provenance["grading"].startswith("none: ")
+    assert F.provenance["solved_words"] == F.provenance["basis_words"]
+
+
+# -- graded equals one block ------------------------------------------------
+
+
+@pytest.mark.parametrize("target, d", [("Uq2", 3), ("Uq2", 6), ("AuF", 2),
+                                       ("AuF", 3)])
+def test_graded_J_equals_one_block_J(target, d):
+    p = catalog(target)
+    graded = haar_on_hopf(p, d=d)
+    full = haar_on_hopf(one_block(p), d=d)
+    assert graded.provenance["grading"] == "row and column"
+    assert graded.provenance["solved_words"] < graded.provenance["basis_words"]
+    assert_one_block(full)
+    assert graded.basis == full.basis
+    assert graded.values == full.values
+
+
+@pytest.mark.parametrize("f", [None, lambda word: S_ONE], ids=["unit", "ones"])
+def test_graded_mu_equals_one_block_mu_on_uq2m2(c_uq, f):
+    J = haar_on_hopf(c_uq.base, d=6)
+    graded = haar_on_extension(c_uq, J, 6, f=f)
+    full = haar_on_extension(replace(c_uq, left_grades=None), J, 6, f=f)
+    assert graded.provenance["grading"] == "row"
+    assert_one_block(full)
+    assert graded.values == full.values
+
+
+def test_graded_mu_equals_one_block_mu_on_aufg(c_aufg):
+    J = haar_on_hopf(c_aufg.base, d=2)
+    graded = haar_on_extension(c_aufg, J, 2)
+    full = haar_on_extension(replace(c_aufg, left_grades=None), J, 2)
+    assert graded.provenance["grading"] == "row"
+    assert graded.provenance["solved_words"] < graded.provenance["basis_words"]
+    assert_one_block(full)
+    assert graded.values == full.values
+
+
+# -- the checks are not vacuous ---------------------------------------------
+
+
+def test_catalog_gradings_hold(uq2, auf, c_uq, c_aufg):
+    assert hopf_grading(uq2.ensure_degree(6))[2] == "row and column"
+    assert hopf_grading(auf.ensure_degree(3))[2] == "row and column"
+    assert extension_grading(c_uq.ensure_degree(6, 6))[2] == "row"
+    assert extension_grading(c_aufg.ensure_degree(3, 3))[2] == "row"
+
+
+E1, E2 = unit_vector(1, 2), unit_vector(2, 2)
+
+
+@pytest.mark.parametrize("changes, failed", [
+    # x12's right grade swapped: a rule mixes column grades
+    ({"x12": (E1, E1)}, "not homogeneous for the column grading"),
+    # row and column swapped: every rule stays homogeneous, Delta does not
+    ({f"x{i}{j}": (unit_vector(j, 2), unit_vector(i, 2))
+      for i in (1, 2) for j in (1, 2)}, "Delta(x11) does not keep the grades"),
+    ({"t": ((0, 0), (0, 0))}, "not homogeneous for the row grading"),
+    ({"t": ((-1,), (-1,))}, "grades not declared on every generator in one Z^n"),
+], ids=["x12-right", "transposed", "t-grade", "short-vector"])
+def test_mutated_hopf_grading_falls_back_to_one_block(uq2, changes, failed):
+    J = haar_on_hopf(uq2, d=3)
+    bad = haar_on_hopf(regraded(uq2, **changes), d=3)
+    assert failed in bad.provenance["grading"]
+    assert_one_block(bad)
+    assert bad.values == J.values
+
+
+GROUP = """
+algebra {name}
+generators g h
+relation g*h - 1
+relation h*g - 1
+{extra}
+"""
+
+
+def group_algebra(name, extra=""):
+    """The group algebra of Z, or of a quotient by an extra relation, on
+    g and h = g^-1, with g grouplike of bigrade ((1,), (1,))."""
+    p = parse_presentation_text(GROUP.format(name=name, extra=extra),
+                                completion_degree=6)
+    A = p.alphabet
+    g, h = A.index["g"], A.index["h"]
+    hopf = HopfData({g: TensorPoly.of(A.gen("g"), A.gen("g")),
+                     h: TensorPoly.of(A.gen("h"), A.gen("h"))},
+                    {g: S_ONE, h: S_ONE}, {g: A.gen("h"), h: A.gen("g")},
+                    {g: ((1,), (1,)), h: ((-1,), (-1,))})
+    return replace(p, hopf=hopf)
+
+
+def test_test_built_group_algebra_grading():
+    Z = group_algebra("Z")
+    J = haar_on_hopf(Z, d=4)
+    assert J.provenance["grading"] == "row and column"
+    # the Haar state of a group algebra is the unit coefficient
+    assert J.values == {w: S_ONE if w == () else S_ZERO for w in J.basis}
+    # g^3 = 1 is not homogeneous for g of grade 1
+    Z3 = group_algebra("Z3", "relation g*g*g - 1")
+    bad = haar_on_hopf(Z3, d=4)
+    assert bad.provenance["grading"].endswith(
+        "not homogeneous for the row grading")
+    assert_one_block(bad)
+    assert bad.values == haar_on_hopf(one_block(Z3), d=4).values
+
+
+def test_non_homogeneous_total_falls_back_to_one_block():
+    """k[Z] coacts on k[Z/3] by g -> g (x) g; the legs keep the grades,
+    but Z's rule g^3 -> 1 does not."""
+    base, total = group_algebra("Z"), group_algebra("Z3", "relation g*g*g - 1")
+    A, Zt = base.alphabet, total.alphabet
+    alpha = {Zt.index[n]: TensorPoly.of(A.gen(n), Zt.gen(n)) for n in "gh"}
+    c = CoactionData(base, total, alpha,
+                     {Zt.index["g"]: (1,), Zt.index["h"]: (-1,)})
+    J = haar_on_hopf(base, d=3)
+    mu = haar_on_extension(c, J, 3)
+    assert mu.provenance["grading"].endswith(
+        "not homogeneous for the row grading")
+    assert_one_block(mu)
+    assert mu.values == {w: S_ONE if w == () else S_ZERO for w in mu.basis}
+
+
+def test_wrong_alpha_grade_falls_back_to_one_block(c_uq):
+    J = haar_on_hopf(c_uq.base, d=3)
+    mu = haar_on_extension(c_uq, J, 3)
+    left = dict(c_uq.left_grades)
+    left[c_uq.total.alphabet.index["z11"]] = E2
+    bad = haar_on_extension(replace(c_uq, left_grades=left), J, 3)
+    assert bad.provenance["grading"] == "none: alpha(z11) does not keep the grade"
+    assert_one_block(bad)
+    assert bad.values == mu.values
+
+
+def test_wide_alpha_leg_falls_back_to_one_block(c_uq):
+    """alpha(tau) = t (x) tau written as t det t (x) tau, with det t = 1:
+    the same coaction, with left legs of four letters."""
+    wide = c_uq.base.parse("t*x11*x22*t - q^-1*t*x12*x21*t")
+    alpha = dict(c_uq.alpha)
+    tau = c_uq.total.alphabet.index["tau"]
+    alpha[tau] = TensorPoly.of(wide, c_uq.total.gen("tau"))
+    J = haar_on_hopf(c_uq.base, d=4)
+    bad = haar_on_extension(replace(c_uq, alpha=alpha), J, 1)
+    assert bad.provenance["grading"] == (
+        "none: alpha(tau) has a left leg of more than one letter")
+    assert_one_block(bad)
+    assert bad.values == haar_on_extension(c_uq, J, 1).values
+
+
+def test_base_without_grading_drops_the_extension_grading(c_uq):
+    c = replace(c_uq, base=one_block(c_uq.base))
+    J = haar_on_hopf(c.base, d=3)
+    mu = haar_on_extension(c, J, 3)
+    assert mu.provenance["grading"] == "none: no grading declared on the base"
+    assert_one_block(mu)
+
+
+# -- the work the blocks save -----------------------------------------------
+
+
+def test_graded_solve_builds_delta_and_alpha_on_few_words(monkeypatch, c_uq):
+    """At depth 6 the Uq2 basis has 406 words; solving every block builds
+    Delta on all of them, and alpha on all 406 words of Uq2m2."""
+    deltas, built = [], set()
+
+    def spy_delta(p):
+        ext = presentations.delta_ext(p)
+        deltas.append(ext)
+        return ext
+
+    def spy_alpha(c):
+        ext = presentations.alpha_ext(c)
+
+        def counted(word):
+            built.add(word)
+            return ext(word)
+
+        return counted
+
+    monkeypatch.setattr(haar, "delta_ext", spy_delta)
+    monkeypatch.setattr(haar, "alpha_ext", spy_alpha)
+    J = haar_on_hopf(c_uq.base, d=6)
+    haar_on_extension(c_uq, J, 6)
+    (dext,) = deltas
+    assert len(dext.memo) <= 120
+    assert len(built) == 9
+
+
+# -- oracles for J that do not go through the solver ------------------------
+
+
+def left_invariance_defects(p, J, d):
+    """Basis words b of degree <= d with (id (x) J) Delta(b) != J(b) * 1,
+    Delta built here on every basis word."""
+    p = p.ensure_degree(d)
+    dext = delta_ext(p)
+    bad = []
+    for b in word_basis(p.rewrite, d):
+        acc = {}
+        for (w1, w2), c in dext(b).terms.items():
+            acc[w1] = acc.get(w1, S_ZERO) + c * J.of_word(w2)
+        lhs = NCPoly(p.alphabet, {w: v for w, v in acc.items() if not v.is_zero()})
+        if lhs != NCPoly.scalar(p.alphabet, J.of_word(b)):
+            bad.append(b)
+    return bad
+
+
+def bigrade_by_name(name):
+    """The (row, column) bigrade of a 2x2 or 3x3 catalog generator, read
+    off its name here, apart from the catalog's declaration: x_ij and z_ij
+    have (e_i, e_j), z_ij* (written z_ijs) and t their negatives."""
+    if name == "t":
+        return (-1, -1, 0), (-1, -1, 0)
+    sign = -1 if name.endswith("s") else 1
+    i, j = int(name[1]), int(name[2])
+    return unit_vector(i, 3, sign), unit_vector(j, 3, sign)
+
+
+def off_bigrade_zero(p, J):
+    """Words outside bigrade (0, 0) on which J does not vanish."""
+    grades = [bigrade_by_name(n) for n in p.alphabet.names]
+    bad = []
+    for w, v in J.values.items():
+        row = [sum(grades[x][0][k] for x in w) for k in range(3)]
+        col = [sum(grades[x][1][k] for x in w) for k in range(3)]
+        if (any(row) or any(col)) and not v.is_zero():
+            bad.append(w)
+    return bad
+
+
+def mutated(J, word, value):
+    values = dict(J.values)
+    values[word] = value
+    return LinearFunctional(J.basis, values)
+
+
+@pytest.mark.parametrize("target, d", [("Uq2", 6), ("AuF", 2)])
+def test_J_is_left_invariant_and_lives_in_bigrade_zero(target, d):
+    p = catalog(target)
+    J = haar_on_hopf(p, d=d)
+    assert any(not v.is_zero() for w, v in J.values.items() if w)
+    assert left_invariance_defects(p, J, d) == []
+    assert off_bigrade_zero(p, J) == []
+    # one value changed: a word of bigrade (0, 0) breaks invariance, a
+    # generator breaks the vanishing
+    w0 = next(w for w, v in J.values.items() if w and not v.is_zero())
+    assert w0 in left_invariance_defects(p, mutated(J, w0, J.values[w0] + S_ONE), d)
+    g = (0,)
+    assert off_bigrade_zero(p, mutated(J, g, S_ONE)) == [g]
