@@ -14,7 +14,6 @@ snake_check are Python API with no command yet.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 
 from .haar import add_gram_sample
@@ -45,13 +44,15 @@ class NonPositiveGramError(ComoduleError):
     pass
 
 
-@dataclass
 class Corep:
-    pres: Presentation
-    matrix: list  # n x n nested list of NCPoly, kept in normal form
+    """A corepresentation of `pres`: its n x n matrix of NCPoly, kept in
+    normal form."""
 
-    def __post_init__(self):
-        self.matrix = [[self.pres.nf(e) for e in row] for row in self.matrix]
+    __slots__ = ("pres", "matrix")
+
+    def __init__(self, pres: Presentation, matrix: list):
+        self.pres = pres
+        self.matrix = [[pres.nf(e) for e in row] for row in matrix]
 
     @property
     def dim(self):
@@ -160,10 +161,14 @@ def add_unitarity(report: Report, p: Presentation, M):
         report.add_zero(desc, p.nf(s))
 
 
-@dataclass
 class UnitaryStructure:
-    corep: Corep
-    gram: list  # n x n scalar matrix, conjugate-symmetric and invertible
+    """A corepresentation with an invariant scalar product on it."""
+
+    __slots__ = ("corep", "gram")
+
+    def __init__(self, corep: Corep, gram: list):
+        self.corep = corep
+        self.gram = gram    # n x n scalar matrix, conjugate-symmetric and invertible
 
 
 def invariance_defects(v: Corep, g):

@@ -13,8 +13,6 @@ yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .comodules import Corep, add_unitarity, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
@@ -36,11 +34,15 @@ class CotensorError(AlgebraError):
     pass
 
 
-@dataclass
 class CotensorElement:
-    comodule: Corep
-    coaction: CoactionData
-    coeffs: list  # NCPoly over Z, one per comodule basis vector
+    """sum_i e_i (x) coeffs[i] in V (x) Z, for the basis e_i of V."""
+
+    __slots__ = ("comodule", "coaction", "coeffs")
+
+    def __init__(self, comodule: Corep, coaction: CoactionData, coeffs: list):
+        self.comodule = comodule
+        self.coaction = coaction
+        self.coeffs = coeffs    # NCPoly over Z, one per comodule basis vector
 
     def degree(self):
         return max((z.degree() for z in self.coeffs), default=0)

@@ -10,8 +10,6 @@ witness properties are verified by rewriting before use, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, extend_anti
 from .presentations import (
     CoactionData,
@@ -40,11 +38,16 @@ class GaloisError(AlgebraError):
     pass
 
 
-@dataclass
 class GaloisWitness:
-    companion: Presentation            # T
-    delta: dict                        # generator index of A -> TensorPoly (Z, T)
-    phi: dict                          # generator index of T -> NCPoly over Z
+    """The inverse data of a Galois map: a companion presentation T, an
+    algebra map delta: A -> Z (x) T and an anti-morphism phi: T -> Z."""
+
+    __slots__ = ("companion", "delta", "phi")
+
+    def __init__(self, companion: Presentation, delta: dict, phi: dict):
+        self.companion = companion
+        self.delta = delta      # generator index of A -> TensorPoly (Z, T)
+        self.phi = phi          # generator index of T -> NCPoly over Z
 
 
 def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
@@ -98,7 +101,7 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
     with timed(report):
         # the composites produce words up to triple the basis degree
         c = c.ensure_degree(max(d, 2), 3 * d)
-        w = replace(w, companion=w.companion.ensure_degree(max(d, 2)))
+        w = GaloisWitness(w.companion.ensure_degree(max(d, 2)), w.delta, w.phi)
         # one extension of each map for every check, so they share memos
         aext = alpha_ext(c)
         exts = witness_exts(w, c)

@@ -41,8 +41,7 @@ built only for the other words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import add
+from operator import add, sub
 
 from .linalg import LinearSolveError, RowReducer, eigvalsh
 from .ncpoly import AlgebraError, NCPoly
@@ -66,17 +65,25 @@ class TruncationOverflowError(HaarError):
     """A value outside the solved truncation was requested."""
 
 
-@dataclass
 class LinearFunctional:
-    basis: list            # normal words the functional is defined on
-    values: dict           # word -> scalar
-    # how it was solved: depth, basis_words, solved_words (the words not
-    # pinned to 0 by the grading) and grading (which held, or why none)
-    provenance: dict = field(default_factory=dict)
+    """A functional given by its values on the normal words `basis`,
+    normalized by value 1 on the unit."""
 
-    def __post_init__(self):
-        if self.values.get((), S_ZERO) != S_ONE:
+    __slots__ = ("basis", "values", "provenance", "grades")
+
+    def __init__(self, basis: list, values: dict, provenance: dict | None = None,
+                 grades: dict | None = None):
+        if values.get((), S_ZERO) != S_ONE:
             raise HaarError("functional must be normalized by value 1 on the unit")
+        self.basis = basis      # normal words the functional is defined on
+        self.values = values    # word -> scalar
+        # how it was solved: depth, basis_words, solved_words (the words
+        # not pinned to 0 by the grading) and grading (which held, or why
+        # none)
+        self.provenance = {} if provenance is None else provenance
+        # generator index -> grade vector of the grading that held where
+        # it was solved, or None; gram_matrix prunes by it
+        self.grades = grades
 
     def of_word(self, word):
         try:
@@ -227,9 +234,11 @@ def haar_on_hopf(p: Presentation, d: int = 2) -> LinearFunctional:
             reducer.add_equation({b: S_ONE}, S_ZERO)
     values = dict.fromkeys(basis, S_ZERO)
     values.update(reducer.solution(solved))
+    bigrades = None if left is _trivial else {
+        g: (*row, *col) for g, (row, col) in p.hopf.grades.items()}
     return LinearFunctional(basis, values, {
         "depth": d, "basis_words": len(basis), "solved_words": len(solved),
-        "grading": held})
+        "grading": held}, bigrades)
 
 
 def unit_coefficient_functional():
@@ -267,7 +276,7 @@ def haar_on_extension(c: CoactionData, J: LinearFunctional, d: int,
         values[b] = total
     return LinearFunctional(basis, values, {
         "depth": d, "basis_words": len(basis), "solved_words": solved,
-        "grading": held})
+        "grading": held}, None if zleft is _trivial else c.left_grades)
 
 
 def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
@@ -287,20 +296,52 @@ def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
     return report
 
 
+def _star_grader(p: Presentation, grades):
+    """The word -> grade map of `grades` (generator index -> vector) when
+    it covers p's generators in one Z^n, p's completed rules are
+    homogeneous for it, and star sends each generator g to words of grade
+    -grade(g); else None.  Then star(b) * w has grade grade(w) - grade(b)
+    and so has its normal form."""
+    if grades is None:
+        return None
+    grade = _declared(p.alphabet, grades)
+    if grade is None or _inhomogeneous(p, grade, "star"):
+        return None
+    for g, image in p.star.images.items():
+        negated = tuple(-x for x in grade((g,)))
+        if any(grade(w) != negated for w in image.terms):
+            return None
+    return grade
+
+
 def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
-    """Exact Gram matrix mu(star(b) * w) over basis words of degree <= d."""
+    """Exact Gram matrix mu(star(b) * w) over basis words of degree <= d.
+
+    Where mu carries the grading it was solved under and star negates it
+    (see _star_grader), the entry is 0 without a product when mu is 0 on
+    every basis word of grade grade(w) - grade(b) and star(b) * w stays
+    within mu's depth; every other entry is computed."""
     if p.star is None:
         raise HaarError(f"{p.name} carries no star structure")
     # star(b) * w reaches past d: certify the whole depth of mu
-    p = p.ensure_degree(max(map(len, mu.basis)))
+    depth = max(map(len, mu.basis))
+    p = p.ensure_degree(depth)
     basis = [w for w in mu.basis if len(w) <= d]
     starred = [p.nf(p.star.apply(NCPoly(p.alphabet, {b: S_ONE}))) for b in basis]
     plain = [NCPoly(p.alphabet, {b: S_ONE}) for b in basis]
+    grade = _star_grader(p, mu.grades) or _trivial
+    live = {grade(w) for w, v in mu.values.items() if not v.is_zero()}
+    grades = [grade(b) for b in basis]
     gram = []
     for i in range(len(basis)):
+        reach = depth - starred[i].degree()
         row = []
         for j in range(len(basis)):
-            row.append(mu(p.nf(starred[i] * plain[j])))
+            if (len(basis[j]) <= reach
+                    and tuple(map(sub, grades[j], grades[i])) not in live):
+                row.append(S_ZERO)
+            else:
+                row.append(mu(p.nf(starred[i] * plain[j])))
         gram.append(row)
     return basis, gram
 

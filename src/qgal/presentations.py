@@ -9,7 +9,6 @@ Uq2m2, GLqm22, Onp, AuFG and AuF.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -32,18 +31,30 @@ class CatalogError(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
 class Presentation:
-    name: str
-    alphabet: Alphabet
-    relations: list
-    rewrite: RewriteSystem
-    star: StarMap | None = None
-    hopf: "HopfData | None" = None
-    meta: dict = field(default_factory=dict)
-    # degree -> the certified copy ensure_degree returned for it
-    _certified: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    """A named finite presentation: generators, relations, the rewrite
+    system they complete to, and optional star and Hopf data.  Immutable
+    once built; ensure_degree gives a copy over a longer completion."""
+
+    __slots__ = ("name", "alphabet", "relations", "rewrite", "star", "hopf",
+                 "meta", "_certified")
+
+    def __init__(self, name: str, alphabet: Alphabet, relations: list,
+                 rewrite: RewriteSystem, star: StarMap | None = None,
+                 hopf: "HopfData | None" = None, meta: dict | None = None):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "alphabet", alphabet)
+        init(self, "relations", relations)
+        init(self, "rewrite", rewrite)
+        init(self, "star", star)
+        init(self, "hopf", hopf)
+        init(self, "meta", {} if meta is None else meta)
+        # degree -> the certified copy ensure_degree returned for it
+        init(self, "_certified", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Presentation is immutable")
 
     def nf(self, poly):
         return self.rewrite.normal_form(poly)
@@ -57,7 +68,9 @@ class Presentation:
             return self
         out = self._certified.get(d)
         if out is None:
-            out = replace(self, rewrite=complete(self.rewrite, d))
+            out = Presentation(self.name, self.alphabet, self.relations,
+                               complete(self.rewrite, d), self.star, self.hopf,
+                               self.meta)
             self._certified[d] = out
         return out
 
@@ -68,33 +81,47 @@ class Presentation:
         return self.alphabet.gen(name)
 
 
-@dataclass
 class HopfData:
-    delta: dict       # generator index -> TensorPoly (A, A)
-    counit: dict      # generator index -> scalar
-    antipode: dict    # generator index -> NCPoly
-    # generator index -> (left, right) integer grade vectors, the row and
-    # column gradings; None declares none.  The Haar layer checks them
-    grades: dict | None = None
+    """Coproduct, counit and antipode on generators, with the declared
+    row and column gradings: generator index -> (left, right) integer
+    grade vectors, or None for none.  The Haar layer checks them."""
+
+    __slots__ = ("delta", "counit", "antipode", "grades")
+
+    def __init__(self, delta: dict, counit: dict, antipode: dict,
+                 grades: dict | None = None):
+        self.delta = delta          # generator index -> TensorPoly (A, A)
+        self.counit = counit        # generator index -> scalar
+        self.antipode = antipode    # generator index -> NCPoly
+        self.grades = grades
 
 
-@dataclass(frozen=True)
 class CoactionData:
-    """A coaction alpha: Z -> A (x) Z of the base A on the total Z; frozen,
-    so a computation certifies its legs on the copy ensure_degree returns."""
+    """A coaction alpha: Z -> A (x) Z of the base A on the total Z;
+    immutable, so a computation certifies its legs on the copy
+    ensure_degree returns."""
 
-    base: Presentation
-    total: Presentation
-    alpha: dict       # generator index of Z -> TensorPoly (A, Z)
-    # generator index of Z -> the left grade of alpha's left legs, in the
-    # coordinates of the base's left grades; None declares none
-    left_grades: dict | None = None
+    __slots__ = ("base", "total", "alpha", "left_grades")
+
+    def __init__(self, base: Presentation, total: Presentation, alpha: dict,
+                 left_grades: dict | None = None):
+        init = object.__setattr__
+        init(self, "base", base)
+        init(self, "total", total)
+        init(self, "alpha", alpha)    # generator index of Z -> TensorPoly (A, Z)
+        # generator index of Z -> the left grade of alpha's left legs, in
+        # the coordinates of the base's left grades; None declares none
+        init(self, "left_grades", left_grades)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoactionData is immutable")
 
     def ensure_degree(self, d_base: int, d_total: int) -> "CoactionData":
         """This coaction with the base certified to d_base and the total
         to d_total (see Presentation.ensure_degree)."""
-        return replace(self, base=self.base.ensure_degree(d_base),
-                       total=self.total.ensure_degree(d_total))
+        return CoactionData(self.base.ensure_degree(d_base),
+                            self.total.ensure_degree(d_total), self.alpha,
+                            self.left_grades)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +576,21 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
     """How to build one catalog target, and the data that comes with it."""
 
-    build: Callable                  # (**params) -> Presentation
-    defaults: dict = field(default_factory=dict)
-    coaction: Callable | None = None   # (**params) -> CoactionData
-    witness: str | None = None       # galois constructor of the Galois witness
+    __slots__ = ("build", "defaults", "coaction", "witness")
+
+    def __init__(self, build: Callable, defaults: dict | None = None,
+                 coaction: Callable | None = None, witness: str | None = None):
+        init = object.__setattr__
+        init(self, "build", build)                # (**params) -> Presentation
+        init(self, "defaults", {} if defaults is None else defaults)
+        init(self, "coaction", coaction)          # (**params) -> CoactionData
+        init(self, "witness", witness)  # galois constructor of the Galois witness
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CatalogEntry is immutable")
 
     def galois_witness(self, c: CoactionData):
         from . import galois  # galois imports this module

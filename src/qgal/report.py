@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 PASS = "pass"
 FAIL = "fail"
@@ -16,19 +15,23 @@ class Undecided(Exception):
     the command reports undecided, not an error."""
 
 
-@dataclass
 class ReportItem:
-    desc: str
-    status: str
-    witness: str = ""
+    __slots__ = ("desc", "status", "witness")
+
+    def __init__(self, desc: str, status: str, witness: str = ""):
+        self.desc = desc
+        self.status = status
+        self.witness = witness
 
 
-@dataclass
 class Report:
-    check_name: str
-    items: list = field(default_factory=list)
-    timing_ms: float = 0.0
-    params: dict = field(default_factory=dict)
+    __slots__ = ("check_name", "items", "timing_ms", "params")
+
+    def __init__(self, check_name: str):
+        self.check_name = check_name
+        self.items = []
+        self.timing_ms = 0.0
+        self.params = {}
 
     def add(self, desc, ok, witness=""):
         self.items.append(ReportItem(desc, PASS if ok else FAIL, witness))

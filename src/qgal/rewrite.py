@@ -9,8 +9,6 @@ divergent reductions until the bound is clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ncpoly import AlgebraError, Alphabet, NCPoly
 from .report import Undecided
 from .scalars import S_ONE, add_term
@@ -61,10 +59,23 @@ class MonomialOrder:
         return max(poly.terms, key=self.key)
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    lhs: tuple
-    rhs: NCPoly
+    """lhs -> rhs: a word rewritten to a polynomial of smaller words."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: tuple, rhs: NCPoly):
+        init = object.__setattr__
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RewriteRule is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RewriteRule):
+            return NotImplemented
+        return self.lhs == other.lhs and self.rhs == other.rhs
 
     def as_poly(self, alphabet) -> NCPoly:
         return NCPoly(alphabet, {self.lhs: S_ONE}) - self.rhs
@@ -145,6 +156,9 @@ class RewriteSystem:
         self.rule_cap = rule_cap
         self._buckets = _lhs_buckets(self.rules)
         self._nf_cache = {(): {(): S_ONE}}
+        # the largest degree at which _obstructions came back empty, as
+        # complete or word_basis found it; -1 before any scan
+        self._confluent_to = -1
 
     # -- normal form -------------------------------------------------------
 
@@ -273,12 +287,23 @@ class RewriteSystem:
         return out
 
 
-@dataclass
 class Obstruction:
-    word: tuple
-    rule_i: int
-    rule_j: int
-    diff: NCPoly
+    """An ambiguity at `word` of rules rule_i and rule_j whose two
+    reductions differ by the nonzero `diff`."""
+
+    __slots__ = ("word", "rule_i", "rule_j", "diff")
+
+    def __init__(self, word: tuple, rule_i: int, rule_j: int, diff: NCPoly):
+        self.word = word
+        self.rule_i = rule_i
+        self.rule_j = rule_j
+        self.diff = diff
+
+    def __eq__(self, other):
+        if not isinstance(other, Obstruction):
+            return NotImplemented
+        return (self.word == other.word and self.rule_i == other.rule_i
+                and self.rule_j == other.rule_j and self.diff == other.diff)
 
 
 def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
@@ -344,12 +369,14 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
         obstructions = current._obstructions(d)
         if not obstructions:
             if d <= current.completion_degree:
+                current._confluent_to = max(current._confluent_to, d)
                 return current
             certified = RewriteSystem(
                 current.alphabet, current.rules, current.order, d,
                 current.rule_cap,
             )
             certified._nf_cache = current._nf_cache
+            certified._confluent_to = d
             return certified
         if len(current.rules) + len(obstructions) > current.rule_cap:
             raise CompletionBudgetError(
@@ -378,16 +405,19 @@ def word_basis(rs: RewriteSystem, d: int):
     Requires the system to be confluence-certified at degree d, so the
     diamond lemma makes these a basis of the degree truncation: raises
     ConfluenceError when d exceeds the completion degree or an overlap
-    of degree <= d does not resolve.
+    of degree <= d does not resolve.  The overlaps are scanned once per
+    system: a clean scan at some degree covers every degree below it.
     """
     if d > rs.completion_degree:
         raise ConfluenceError(
             f"degree {d} exceeds completion bound {rs.completion_degree}"
         )
-    if rs._obstructions(d):
-        raise ConfluenceError(
-            f"system is not locally confluent up to degree {d}"
-        )
+    if d > rs._confluent_to:
+        if rs._obstructions(d):
+            raise ConfluenceError(
+                f"system is not locally confluent up to degree {d}"
+            )
+        rs._confluent_to = d
     ngen = len(rs.alphabet)
     words = []
 

@@ -2,22 +2,22 @@
 solve, gradings that are checked and refused when wrong, the work the
 blocks save, and oracles for J that do not go through the solver."""
 
-from dataclasses import replace
-
 import pytest
 
 from qgal import haar, presentations
 from qgal.haar import (
     LinearFunctional,
     extension_grading,
+    gram_matrix,
     haar_on_extension,
     haar_on_hopf,
     hopf_grading,
 )
-from qgal.ncpoly import NCPoly, TensorPoly
+from qgal.ncpoly import NCPoly, StarMap, TensorPoly
 from qgal.presentations import (
     CoactionData,
     HopfData,
+    Presentation,
     catalog,
     delta_ext,
     parse_presentation_text,
@@ -32,9 +32,21 @@ def auf():
     return catalog("AuF")
 
 
+def with_hopf(p, hopf):
+    """p with its Hopf data replaced by `hopf`."""
+    return Presentation(p.name, p.alphabet, p.relations, p.rewrite, p.star,
+                        hopf, p.meta)
+
+
+def with_grades(p, grades):
+    """p with the grades of its Hopf data replaced by `grades`."""
+    h = p.hopf
+    return with_hopf(p, HopfData(h.delta, h.counit, h.antipode, grades))
+
+
 def one_block(p):
     """p with no grading declared on its Hopf data."""
-    return replace(p, hopf=replace(p.hopf, grades=None))
+    return with_grades(p, None)
 
 
 def regraded(p, **changes):
@@ -42,7 +54,12 @@ def regraded(p, **changes):
     grades = dict(p.hopf.grades)
     for name, grade in changes.items():
         grades[p.alphabet.index[name]] = grade
-    return replace(p, hopf=replace(p.hopf, grades=grades))
+    return with_grades(p, grades)
+
+
+def ungraded(c):
+    """The coaction c with no grading declared on its left legs."""
+    return CoactionData(c.base, c.total, c.alpha)
 
 
 def assert_one_block(F):
@@ -70,7 +87,7 @@ def test_graded_J_equals_one_block_J(target, d):
 def test_graded_mu_equals_one_block_mu_on_uq2m2(c_uq, f):
     J = haar_on_hopf(c_uq.base, d=6)
     graded = haar_on_extension(c_uq, J, 6, f=f)
-    full = haar_on_extension(replace(c_uq, left_grades=None), J, 6, f=f)
+    full = haar_on_extension(ungraded(c_uq), J, 6, f=f)
     assert graded.provenance["grading"] == "row"
     assert_one_block(full)
     assert graded.values == full.values
@@ -79,7 +96,7 @@ def test_graded_mu_equals_one_block_mu_on_uq2m2(c_uq, f):
 def test_graded_mu_equals_one_block_mu_on_aufg(c_aufg):
     J = haar_on_hopf(c_aufg.base, d=2)
     graded = haar_on_extension(c_aufg, J, 2)
-    full = haar_on_extension(replace(c_aufg, left_grades=None), J, 2)
+    full = haar_on_extension(ungraded(c_aufg), J, 2)
     assert graded.provenance["grading"] == "row"
     assert graded.provenance["solved_words"] < graded.provenance["basis_words"]
     assert_one_block(full)
@@ -136,7 +153,7 @@ def group_algebra(name, extra=""):
                      h: TensorPoly.of(A.gen("h"), A.gen("h"))},
                     {g: S_ONE, h: S_ONE}, {g: A.gen("h"), h: A.gen("g")},
                     {g: ((1,), (1,)), h: ((-1,), (-1,))})
-    return replace(p, hopf=hopf)
+    return with_hopf(p, hopf)
 
 
 def test_test_built_group_algebra_grading():
@@ -175,7 +192,8 @@ def test_wrong_alpha_grade_falls_back_to_one_block(c_uq):
     mu = haar_on_extension(c_uq, J, 3)
     left = dict(c_uq.left_grades)
     left[c_uq.total.alphabet.index["z11"]] = E2
-    bad = haar_on_extension(replace(c_uq, left_grades=left), J, 3)
+    bad = haar_on_extension(CoactionData(c_uq.base, c_uq.total, c_uq.alpha, left),
+                            J, 3)
     assert bad.provenance["grading"] == "none: alpha(z11) does not keep the grade"
     assert_one_block(bad)
     assert bad.values == mu.values
@@ -189,7 +207,8 @@ def test_wide_alpha_leg_falls_back_to_one_block(c_uq):
     tau = c_uq.total.alphabet.index["tau"]
     alpha[tau] = TensorPoly.of(wide, c_uq.total.gen("tau"))
     J = haar_on_hopf(c_uq.base, d=4)
-    bad = haar_on_extension(replace(c_uq, alpha=alpha), J, 1)
+    bad = haar_on_extension(
+        CoactionData(c_uq.base, c_uq.total, alpha, c_uq.left_grades), J, 1)
     assert bad.provenance["grading"] == (
         "none: alpha(tau) has a left leg of more than one letter")
     assert_one_block(bad)
@@ -197,7 +216,7 @@ def test_wide_alpha_leg_falls_back_to_one_block(c_uq):
 
 
 def test_base_without_grading_drops_the_extension_grading(c_uq):
-    c = replace(c_uq, base=one_block(c_uq.base))
+    c = CoactionData(one_block(c_uq.base), c_uq.total, c_uq.alpha, c_uq.left_grades)
     J = haar_on_hopf(c.base, d=3)
     mu = haar_on_extension(c, J, 3)
     assert mu.provenance["grading"] == "none: no grading declared on the base"
@@ -233,6 +252,61 @@ def test_graded_solve_builds_delta_and_alpha_on_few_words(monkeypatch, c_uq):
     (dext,) = deltas
     assert len(dext.memo) <= 120
     assert len(built) == 9
+
+
+def counted_gram(monkeypatch, p, mu, d):
+    """(gram_matrix(p, mu, d), the number of products mu was applied to)."""
+    calls = []
+    original = LinearFunctional.__call__
+    monkeypatch.setattr(LinearFunctional, "__call__",
+                        lambda self, poly: calls.append(1) or original(self, poly))
+    _, gram = gram_matrix(p, mu, d)
+    monkeypatch.undo()
+    return gram, len(calls)
+
+
+def ungraded_functional(mu):
+    """mu without the grading it was solved under."""
+    return LinearFunctional(mu.basis, mu.values, mu.provenance)
+
+
+@pytest.fixture(scope="module")
+def mu9(c_uq):
+    """mu on Uq2m2 at depth 9, deep enough for Gram matrices of degree 3."""
+    return haar_on_extension(c_uq, haar_on_hopf(c_uq.base, d=9), 9)
+
+
+@pytest.mark.parametrize("d, products", [(1, 10), (2, 53), (3, 199)])
+def test_graded_gram_equals_full_gram_on_uq2m2(monkeypatch, c_uq, mu9, d,
+                                               products):
+    gram, pruned = counted_gram(monkeypatch, c_uq.total, mu9, d)
+    full, every = counted_gram(monkeypatch, c_uq.total, ungraded_functional(mu9), d)
+    assert every == len(gram) ** 2
+    assert pruned == products
+    assert gram == full
+
+
+def test_graded_gram_equals_full_gram_on_aufg_and_uq2(monkeypatch, c_aufg, uq2):
+    J = haar_on_hopf(c_aufg.base, d=3)
+    for p, mu in ((c_aufg.total, haar_on_extension(c_aufg, J, 3)),
+                  (uq2, haar_on_hopf(uq2, d=3))):
+        gram, pruned = counted_gram(monkeypatch, p, mu, 1)
+        full, every = counted_gram(monkeypatch, p, ungraded_functional(mu), 1)
+        assert pruned < every == len(gram) ** 2
+        assert gram == full
+
+
+def test_star_off_the_grading_computes_every_product(monkeypatch, c_uq, mu9):
+    """star(z11) = z22 tau has grade -e1; z22 tau + z11 mixes in e1."""
+    p = c_uq.total.ensure_degree(9)
+    images = dict(p.star.images)
+    images[p.alphabet.index["z11"]] = p.parse("z22*tau + z11")
+    bad = Presentation(p.name, p.alphabet, p.relations, p.rewrite,
+                       StarMap(p.alphabet, images), p.hopf, p.meta)
+    gram, products = counted_gram(monkeypatch, bad, mu9, 1)
+    full, every = counted_gram(monkeypatch, bad, ungraded_functional(mu9), 1)
+    assert products == every == len(gram) ** 2
+    assert gram == full
 
 
 # -- oracles for J that do not go through the solver ------------------------

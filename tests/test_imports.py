@@ -2,7 +2,8 @@
 top-level name and every method it defines is read somewhere, the
 runtime imports nothing
 outside the standard library, every sparse accumulate goes through
-`scalars.add_term`, and each command loads only the layers it runs."""
+`scalars.add_term`, each command loads only the layers it runs, and
+none loads `dataclasses` or `inspect`."""
 
 import ast
 import json
@@ -302,20 +303,26 @@ def test_every_sparse_accumulate_goes_through_add_term(path):
 LAYERS = ("characters", "comodules", "cotensor", "galois", "haar", "linalg")
 
 
-def layers_loaded(argv):
-    """The LAYERS in sys.modules of a fresh process that imports qgal.cli
-    and, when argv is not empty, runs main(argv) with stdout discarded."""
+def modules_loaded(argv):
+    """sys.modules of a fresh process that imports qgal.cli and, when argv
+    is not empty, runs main(argv) with stdout discarded; with argv None,
+    of one that imports no qgal, in the same environment."""
     code = ("import contextlib, io, json, sys\n"
-            "from qgal.cli import main\n"
             f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    from qgal.cli import main\n"
             "if argv:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"
-            "print(json.dumps(sorted(m[5:] for m in sys.modules\n"
-            "                        if m.startswith('qgal.'))))\n")
+            "print(json.dumps(sorted(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), check=True,
                          capture_output=True, text=True, timeout=300).stdout
-    return set(json.loads(out.splitlines()[-1])) & set(LAYERS)
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def layers_loaded(argv):
+    """The LAYERS that modules_loaded(argv) holds."""
+    return {m[5:] for m in modules_loaded(argv) if m.startswith("qgal.")} & set(LAYERS)
 
 
 @pytest.mark.parametrize("argv,layers", [
@@ -327,3 +334,13 @@ def layers_loaded(argv):
 ], ids=["import", "parse", "normalize", "verify-star", "haar"])
 def test_commands_load_only_their_layers(argv, layers):
     assert layers_loaded(argv) == layers
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["verify", "Uq2m2", "--suite", "all", "--json"],
+], ids=["import", "verify-all-json"])
+def test_commands_load_no_dataclasses_or_inspect(argv):
+    """Neither is needed at start-up or by any layer; `dataclasses` would
+    bring `inspect`, `ast`, `dis` and `tokenize` with it."""
+    added = modules_loaded(argv) - modules_loaded(None)
+    assert added & {"dataclasses", "inspect"} == set()

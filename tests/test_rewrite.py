@@ -153,6 +153,34 @@ def test_clean_completion_records_its_degree(monkeypatch):
     assert scans == []
 
 
+def test_word_basis_scans_overlaps_once_per_system(monkeypatch):
+    p = parse_presentation_text("algebra qplane\ngenerators x y\n"
+                                "relation y*x - q*x*y\n")
+    scans = []
+    original = RewriteSystem._obstructions
+    monkeypatch.setattr(RewriteSystem, "_obstructions",
+                        lambda rs, d: scans.append(d) or original(rs, d))
+    # complete's clean scan at the completion degree covers every basis
+    rs = p.rewrite
+    assert [len(word_basis(rs, d)) for d in (3, 2, 3, 0)] == [10, 6, 10, 1]
+    assert scans == []
+    # a system built by hand is scanned once, at each new top degree
+    fresh = RewriteSystem(rs.alphabet, rs.rules, rs.order, 5)
+    for d in (4, 2, 4, 5, 5):
+        word_basis(fresh, d)
+    assert scans == [4, 5]
+    # an unresolved overlap is found again on every call
+    ab = Alphabet(["a", "b"])
+    order = MonomialOrder(ab)
+    bad = RewriteSystem(ab, [orient(parse_expr("b*a - a*b", ab), order),
+                             orient(parse_expr("b*a - 2*a*b", ab), order)],
+                        order, 3)
+    for _ in range(3):
+        with pytest.raises(ConfluenceError, match="not locally confluent"):
+            word_basis(bad, 2)
+    assert scans == [4, 5, 2, 2, 2]
+
+
 def _assert_interreduced(rules):
     """No word of any rule contains the lhs of another rule."""
     for i, rule in enumerate(rules):
