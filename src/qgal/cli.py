@@ -186,10 +186,11 @@ def run_suite(target, suite, args):
     if suite == "spectrum":
         from . import characters
 
-        # a coaction's base may lend the target its counit as a character
+        # a coaction's base may lend the target its counit as a character;
+        # the entry says whether their generator names can match at all
         entry = presentations.CATALOG.get(target)
         base = None
-        if entry is not None and entry.coaction is not None:
+        if entry is not None and entry.base_names:
             base = resolve_coaction(target, args).base
         return characters.spectrum_report(resolve_presentation(target, args),
                                           base=base)

@@ -579,15 +579,19 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
 class CatalogEntry:
     """How to build one catalog target, and the data that comes with it."""
 
-    __slots__ = ("build", "defaults", "coaction", "witness")
+    __slots__ = ("build", "defaults", "coaction", "witness", "base_names")
 
     def __init__(self, build: Callable, defaults: dict | None = None,
-                 coaction: Callable | None = None, witness: str | None = None):
+                 coaction: Callable | None = None, witness: str | None = None,
+                 base_names: bool = False):
         init = object.__setattr__
         init(self, "build", build)                # (**params) -> Presentation
         init(self, "defaults", {} if defaults is None else defaults)
         init(self, "coaction", coaction)          # (**params) -> CoactionData
         init(self, "witness", witness)  # galois constructor of the Galois witness
+        # whether the coaction's base may share the target's generator
+        # names, so that its counit can carry over as a character
+        init(self, "base_names", base_names)
 
     def __setattr__(self, name, value):
         raise AttributeError("CatalogEntry is immutable")
@@ -617,7 +621,7 @@ CATALOG = {
         _build_aufg, defaults={"F": matrix_fq(1), "G": matrix_fq(-1)},
         coaction=lambda F, G: _coaction_aufg(catalog("AuF", F=F),
                                              catalog("AuFG", F=F, G=G)),
-        witness="aufg_witness"),
+        witness="aufg_witness", base_names=True),
     "AuF": CatalogEntry(lambda F: _build_aufg(F, F),
                         defaults={"F": matrix_fq(1)}),
 }

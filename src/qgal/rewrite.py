@@ -5,9 +5,18 @@ degree-lexicographic order, so reduction terminates and never raises
 degree.  Overlap (diamond-lemma) checking certifies local confluence up
 to a degree bound; bounded completion adds oriented differences of
 divergent reductions until the bound is clean.
+
+The criterion is Bergman's diamond lemma (G. M. Bergman, The diamond
+lemma for ring theory, Adv. Math. 29 (1978), Thm 1.2): when every
+ambiguity of degree <= d is resolvable relative to the order, the words
+of degree <= d have unique normal forms.  Completion resolves each
+ambiguity relative to the order, and examines each one once per
+completion (see `complete`).
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .ncpoly import AlgebraError, Alphabet, NCPoly
 from .report import Undecided
@@ -133,6 +142,15 @@ def _lhs_buckets(rules):
     return buckets
 
 
+def _move_lhs(buckets, idx, old, new):
+    """Update `buckets` in place for rule idx changing from `old` to
+    `new` (None when reduced away), in the order `_lhs_buckets` gives."""
+    buckets[old.lhs[0]].remove((old.lhs, idx))
+    if new is not None:
+        insort(buckets.setdefault(new.lhs[0], []), (new.lhs, idx),
+               key=lambda t: (-len(t[0]), t[1]))
+
+
 def _has_other_lhs(word, buckets, skip):
     """Whether `word` contains the lhs of a rule whose index is not `skip`."""
     n = len(word)
@@ -156,8 +174,9 @@ class RewriteSystem:
         self.rule_cap = rule_cap
         self._buckets = _lhs_buckets(self.rules)
         self._nf_cache = {(): {(): S_ONE}}
-        # the largest degree at which _obstructions came back empty, as
-        # complete or word_basis found it; -1 before any scan
+        # the largest degree up to which every ambiguity is resolvable:
+        # complete resolved them all or a full scan by word_basis came
+        # back empty; -1 before either
         self._confluent_to = -1
 
     # -- normal form -------------------------------------------------------
@@ -221,13 +240,13 @@ class RewriteSystem:
             )
         return self._obstructions(d)
 
-    def _obstructions(self, d: int):
-        """Every ambiguity of degree <= d whose two reductions disagree,
-        in the order of the all-pairs scan: for each rule i, for each rule
-        j, the overlaps of a suffix of lhs_i with a prefix of lhs_j by
-        increasing length k, then the inclusions of lhs_j (j != i) in
-        lhs_i by increasing position.  Completion appends the differences
-        in this order, so it fixes the order of the completed rules.
+    def _ambiguities(self, d: int):
+        """Every ambiguity of degree <= d as (i, j, key), in the order of
+        the all-pairs scan: for each rule i, for each rule j, the overlaps
+        of a suffix of lhs_i with a prefix of lhs_j by increasing length
+        k, then the inclusions of lhs_j (j != i) in lhs_i by increasing
+        position.  key is (lhs_i, lhs_j, 0, k) for an overlap and
+        (lhs_i, lhs_j, 1, position) for an inclusion.
 
         The candidate pairs come from two indexes instead of a scan of all
         pairs: rules by each proper prefix of their lhs (an overlap of
@@ -241,8 +260,6 @@ class RewriteSystem:
             by_lhs.setdefault(l2, []).append(j)
             for k in range(1, len(l2)):
                 by_prefix.setdefault(l2[:k], []).append(j)
-        alphabet = self.alphabet
-        out = []
         for i, r1 in enumerate(rules):
             l1 = r1.lhs
             n1 = len(l1)
@@ -263,27 +280,49 @@ class RewriteSystem:
                                 found.append((j, 1, pos))
             found.sort()
             for j, kind, at in found:
-                r2 = rules[j]
-                l2 = r2.lhs
-                if kind == 0:
-                    left = self.normal_form(
-                        r1.rhs * NCPoly(alphabet, {l2[at:]: S_ONE})
-                    )
-                    right = self.normal_form(
-                        NCPoly(alphabet, {l1[: n1 - at]: S_ONE}) * r2.rhs
-                    )
-                    diff = left - right
-                    word = l1 + l2[at:]
-                else:
-                    inner = (
-                        NCPoly(alphabet, {l1[:at]: S_ONE})
-                        * r2.rhs
-                        * NCPoly(alphabet, {l1[at + len(l2) :]: S_ONE})
-                    )
-                    diff = self.normal_form(r1.rhs) - self.normal_form(inner)
-                    word = l1
-                if not diff.is_zero():
-                    out.append(Obstruction(word, i, j, diff))
+                yield i, j, (l1, rules[j].lhs, kind, at)
+
+    def _obstructions(self, d: int, resolved=None):
+        """Every ambiguity of degree <= d whose two reductions disagree,
+        in the order of `_ambiguities`.  Completion appends the
+        differences in this order, so it fixes the order of the completed
+        rules.
+
+        With a set `resolved` of ambiguity keys, the ambiguities whose key
+        is in it are skipped, and the keys of the others join it after the
+        scan: `complete` examines each ambiguity once.
+        """
+        rules = self.rules
+        alphabet = self.alphabet
+        out, examined = [], []
+        for i, j, key in self._ambiguities(d):
+            if resolved is not None:
+                if key in resolved:
+                    continue
+                examined.append(key)
+            l1, l2, kind, at = key
+            r1, r2 = rules[i], rules[j]
+            if kind == 0:
+                left = self.normal_form(
+                    r1.rhs * NCPoly(alphabet, {l2[at:]: S_ONE})
+                )
+                right = self.normal_form(
+                    NCPoly(alphabet, {l1[: len(l1) - at]: S_ONE}) * r2.rhs
+                )
+                diff = left - right
+                word = l1 + l2[at:]
+            else:
+                inner = (
+                    NCPoly(alphabet, {l1[:at]: S_ONE})
+                    * r2.rhs
+                    * NCPoly(alphabet, {l1[at + len(l2) :]: S_ONE})
+                )
+                diff = self.normal_form(r1.rhs) - self.normal_form(inner)
+                word = l1
+            if not diff.is_zero():
+                out.append(Obstruction(word, i, j, diff))
+        if resolved is not None:
+            resolved.update(examined)
         return out
 
 
@@ -324,10 +363,11 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
     words of its polynomial contains the lhs of another live rule; else
     that normal form would return the polynomial unchanged, and the build
     is skipped.  One lhs index of the live rules answers that question;
-    it is rebuilt only when a rule changes.  The input rules are already
-    oriented, and orient(r.as_poly()) == r, so a rule is oriented again
-    only when its polynomial changes.  This returns the same rules, in the
-    same order, as rebuilding the others for every rule on every pass.
+    when a rule changes, only its entry moves.  The input rules are
+    already oriented, and orient(r.as_poly()) == r, so a rule is oriented
+    again only when its polynomial changes.  This returns the same rules,
+    in the same order, as rebuilding the others for every rule on every
+    pass.
     """
     oriented = list(rules)
     polys = [r.as_poly(alphabet) for r in oriented]
@@ -348,8 +388,8 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
             if reduced != poly:
                 changed = True
                 polys[i] = None if reduced.is_zero() else reduced
-                oriented[i] = orient(reduced, order)
-                buckets = _lhs_buckets(oriented)
+                old, oriented[i] = oriented[i], orient(reduced, order)
+                _move_lhs(buckets, i, old, oriented[i])
     return [r for r in oriented if r is not None]
 
 
@@ -363,10 +403,29 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     the completed rules.  The result records d as its completion degree.
     When `rs` is already clean up to d, that is a system with the same
     rules that shares the normal-form memo of `rs`.
+
+    Each ambiguity is examined once per completion.  The set `resolved`
+    holds the keys (lhs_i, lhs_j, kind, position) of the ambiguities
+    examined in earlier rounds, seeded with those of degree <=
+    rs._confluent_to; a round examines only the others.  This is sound
+    by Bergman's diamond lemma (G. M. Bergman, The diamond lemma for ring
+    theory, Adv. Math. 29 (1978), Thm 1.2).  An ambiguity at w
+    that reduced to a common value, or whose difference was added as a
+    rule, is resolvable relative to the order: its two sides differ by an
+    element of I_w, the span of the a*(lhs - rhs)*b with a*lhs*b < w.  It
+    stays so in every later system.  An added rule only enlarges I_w.
+    Inter-reduction rewrites a rule's lhs - rhs through the others at
+    words <= its lhs, so I_w never shrinks.  A rule whose rhs changed
+    differs from the old one by an element of I_lhs, and a rule whose lhs
+    changed has new keys.  So the final system has every ambiguity of
+    degree <= d resolvable relative to the order: condition (b) of the
+    lemma up to degree d, which is equivalent to unique normal forms (a)
+    and to the normal words spanning a complement of the ideal (c).
     """
     current = rs
+    resolved = {key for _, _, key in rs._ambiguities(rs._confluent_to)}
     while True:
-        obstructions = current._obstructions(d)
+        obstructions = current._obstructions(d, resolved)
         if not obstructions:
             if d <= current.completion_degree:
                 current._confluent_to = max(current._confluent_to, d)
@@ -406,7 +465,8 @@ def word_basis(rs: RewriteSystem, d: int):
     diamond lemma makes these a basis of the degree truncation: raises
     ConfluenceError when d exceeds the completion degree or an overlap
     of degree <= d does not resolve.  The overlaps are scanned once per
-    system: a clean scan at some degree covers every degree below it.
+    system, all pairs: a clean scan at some degree, or a completion to
+    it, covers every degree below it.
     """
     if d > rs.completion_degree:
         raise ConfluenceError(

@@ -222,6 +222,27 @@ def test_spectrum_aufg_has_the_counit_of_auf(monkeypatch, capsys):
         f"name: a Galois object with a character is trivial")
 
 
+def test_spectrum_glq2m2_builds_no_coaction_base(monkeypatch, capsys):
+    # GLq2, the base of GLq2m2's coaction, has other generator names, so
+    # its counit cannot carry over: the suite builds GLq2m2 alone
+    monkeypatch.setattr(presentations, "_CACHE", {})
+    code, out, _ = run(capsys, "verify", "GLq2m2", "--suite", "spectrum")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "[PASS] spectrum(GLq2m2)",
+        "  ok   spectrum is empty (1 lies in the abelianized ideal)"]
+    assert [key[0] for key in presentations._CACHE] == ["GLq2m2"]
+
+
+def test_base_names_flags_the_coactions_whose_names_match(c_glq, c_uq,
+                                                         c_aufg):
+    for name, c in (("GLq2m2", c_glq), ("Uq2m2", c_uq), ("AuFG", c_aufg)):
+        same = sorted(c.base.alphabet.names) == sorted(c.total.alphabet.names)
+        assert presentations.CATALOG[name].base_names == same, name
+    assert [name for name, entry in presentations.CATALOG.items()
+            if entry.coaction is not None] == ["GLq2m2", "Uq2m2", "AuFG"]
+
+
 def test_haar_command(capsys):
     code, out, _ = run(capsys, "haar", "Uq2m2", "--degree", "1")
     assert code == 0

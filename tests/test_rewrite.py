@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from qgal.rewrite import (
     orient,
     word_basis,
 )
-from qgal.scalars import S_ONE, ScalarQ
+from qgal.scalars import Q, S_ONE, ScalarQ
 
 
 def test_normal_form_examples(glq2, glq2m2):
@@ -216,8 +218,20 @@ def test_aufg_build_orients_each_rule_once(monkeypatch):
 # the same order.
 
 
-def _reference_obstructions(rs, d):
-    out = []
+def _reference_obstructions(rs, d, resolved=None):
+    """With a set `resolved` of keys (lhs_i, lhs_j, kind, position), the
+    ambiguities whose key is in it are skipped, and the keys of the others
+    join it after the scan."""
+    out, examined = [], []
+
+    def skipped(key):
+        if resolved is None:
+            return False
+        if key in resolved:
+            return True
+        examined.append(key)
+        return False
+
     rules = rs.rules
     A = rs.alphabet
     for i, r1 in enumerate(rules):
@@ -225,7 +239,8 @@ def _reference_obstructions(rs, d):
         for j, r2 in enumerate(rules):
             l2 = r2.lhs
             for k in range(1, min(len(l1), len(l2))):
-                if l1[-k:] != l2[:k] or len(l1) + len(l2) - k > d:
+                if l1[-k:] != l2[:k] or len(l1) + len(l2) - k > d \
+                        or skipped((l1, l2, 0, k)):
                     continue
                 left = rs.normal_form(r1.rhs * NCPoly(A, {l2[k:]: S_ONE}))
                 right = rs.normal_form(
@@ -234,13 +249,16 @@ def _reference_obstructions(rs, d):
                     out.append(Obstruction(l1 + l2[k:], i, j, left - right))
             if i != j and len(l2) <= len(l1) <= d:
                 for pos in range(len(l1) - len(l2) + 1):
-                    if l1[pos : pos + len(l2)] != l2:
+                    if l1[pos : pos + len(l2)] != l2 \
+                            or skipped((l1, l2, 1, pos)):
                         continue
                     inner = (NCPoly(A, {l1[:pos]: S_ONE}) * r2.rhs
                              * NCPoly(A, {l1[pos + len(l2) :]: S_ONE}))
                     diff = rs.normal_form(r1.rhs) - rs.normal_form(inner)
                     if not diff.is_zero():
                         out.append(Obstruction(l1, i, j, diff))
+    if resolved is not None:
+        resolved.update(examined)
     return out
 
 
@@ -305,14 +323,17 @@ def _rule_keys(rules):
 
 def test_obstructions_match_all_pairs_scan_on_catalog(monkeypatch):
     # every scan of a fresh catalog build (its completion rounds, which
-    # meet systems that are not clean) and one degree past its completion
+    # meet systems that are not clean and skip the ambiguities that earlier
+    # rounds resolved) and one full scan degree past its completion
     found = {}
     original = RewriteSystem._obstructions
 
-    def checked(rs, d):
-        out = original(rs, d)
+    def checked(rs, d, resolved=None):
+        before = None if resolved is None else set(resolved)
+        out = original(rs, d, resolved)
         assert _obstruction_keys(out) == \
-            _obstruction_keys(_reference_obstructions(rs, d))
+            _obstruction_keys(_reference_obstructions(rs, d, before))
+        assert resolved == before
         found[name] += len(out)
         return out
 
@@ -397,6 +418,102 @@ def test_write_path_matches_reference(monkeypatch):
         ref = _reference_complete(built[name].rewrite, 6)
         assert _rule_keys(ref.rules) == \
             _rule_keys(degree6[name].rewrite.rules), name
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+# degrees up to 4: at degree 5 a few random systems take over 10 s each,
+# their Q(q) coefficients growing through the completion rounds
+@given(st.lists(_rule(), max_size=6),
+       st.sampled_from([(2, 3), (2, 4), (3, 4)]))
+# a*b*b -> 0 and b*a -> 1 - 2q*a are clean at degree 3.  At degree 4 they
+# give rules for a*b, b*b and a*a, whose ambiguities of degree 3 are new
+# and must be examined: they rewrite b to a polynomial in a
+@example([RewriteRule((0, 1, 1), NCPoly.zero(AB)),
+          RewriteRule((1, 0), NCPoly(AB, {(): S_ONE, (0,): -2 * Q}))], (3, 4))
+def test_complete_matches_reference_random(rules, degrees):
+    # a completion to d1, then one to d2 > d1 over the rules it returned
+    d1, d2 = degrees
+
+    def twice(complete_to, rs):
+        return complete_to(complete_to(rs, d1), d2).rules
+
+    rs = RewriteSystem(AB, rules, AB_ORDER, d1)
+    assert _outcome(twice, complete, rs) == \
+        _outcome(twice, _reference_complete, rs)
+
+
+def _catalog_completions():
+    """(name, rewrite system) of every catalog build, each coaction's base
+    and total, and each 2x2 algebra completed to degree 6."""
+    for name in CATALOG:
+        yield name, catalog(name).rewrite
+        if CATALOG[name].coaction is not None:
+            c = presentations.coaction(name)
+            yield f"{name} base", c.base.rewrite
+            yield f"{name} total", c.total.rewrite
+    for name in ("GLq2", "Uq2", "GLq2m2", "Uq2m2", "GLqm22"):
+        yield f"{name} at 6", catalog(name).ensure_degree(6).rewrite
+
+
+def test_catalog_completions_are_clean_under_all_pairs_scan():
+    for name, rs in _catalog_completions():
+        assert _reference_obstructions(rs, rs.completion_degree) == [], name
+
+
+def test_completion_examines_each_ambiguity_once(monkeypatch):
+    # count the normal forms of each completion round; a round that only
+    # meets ambiguities of earlier rounds computes none
+    calls, rounds = [], []
+    nf, scan = RewriteSystem.normal_form, RewriteSystem._obstructions
+    monkeypatch.setattr(RewriteSystem, "normal_form",
+                        lambda rs, poly: calls.append(1) or nf(rs, poly))
+
+    def counted(rs, *args):
+        start = len(calls)
+        out = scan(rs, *args)
+        rounds.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(RewriteSystem, "_obstructions", counted)
+    counts = {}
+    for name, entry in CATALOG.items():
+        rounds.clear()
+        p = entry.build(**entry.defaults)
+        counts[name] = list(rounds)
+        if name in ("GLq2", "Uq2", "GLq2m2", "Uq2m2", "GLqm22"):
+            rounds.clear()
+            p.ensure_degree(6)
+            counts[f"{name} at 6"] = list(rounds)
+    # Onp(2,1) is clean in one round; every other completion adds rules,
+    # and its last round meets only ambiguities resolved before
+    assert counts.pop("Onp") == [8]
+    for name, per_round in counts.items():
+        assert len(per_round) > 1 and per_round[-1] == 0, (name, per_round)
+        assert min(per_round[:-1]) > 0, (name, per_round)
+
+
+def test_interreduce_moves_one_index_entry_per_changed_rule(monkeypatch):
+    # after each move the lhs index is the one _lhs_buckets builds for the
+    # rules it holds, and it holds the changed rule under its new lhs only
+    moves = []
+    move = rewrite._move_lhs
+
+    def checked(buckets, idx, old, new):
+        move(buckets, idx, old, new)
+        lhs_of = {i: lhs for bucket in buckets.values() for lhs, i in bucket}
+        assert len(lhs_of) == sum(map(len, buckets.values()))
+        assert lhs_of.get(idx) == (None if new is None else new.lhs)
+        rules = [SimpleNamespace(lhs=lhs_of[i]) if i in lhs_of else None
+                 for i in range(max(lhs_of) + 1)]
+        assert {k: b for k, b in buckets.items() if b} == \
+            rewrite._lhs_buckets(rules)
+        moves.append(idx)
+
+    monkeypatch.setattr(rewrite, "_move_lhs", checked)
+    entry = CATALOG["AuFG"]
+    entry.build(**entry.defaults)
+    assert moves
 
 
 def test_aufg_build_skips_rebuilds(monkeypatch):
