@@ -182,34 +182,23 @@ def spectrum_empty(p, degree_cap: int | None = None) -> bool:
     return contains_one(basis)
 
 
-def _counit_character(p, base=None):
+def _counit_character(p, cp, base=None):
     """A counit that is a character of p, as {generator name: scalar}:
     p's own when p is a Hopf presentation, else that of `base` (the Hopf
     algebra coacting on p) carried over by generator name when the two
     share their generator names.  None when there is no such counit or
-    it does not kill the abelianized relations of p."""
+    it does not kill cp, the abelianization of p."""
     owner = p if getattr(p, "hopf", None) is not None else base
     if getattr(owner, "hopf", None) is None or \
             sorted(owner.alphabet.names) != sorted(p.alphabet.names):
         return None
     point = {owner.alphabet.names[i]: c for i, c in owner.hopf.counit.items()}
-    return point if _point_kills(abelianization(p), point) else None
+    return point if _point_kills(cp, point) else None
 
 
-def spectrum_witness(p):
-    """A character as {generator name: scalar}, when one is exhibited.
-
-    For Hopf presentations the counit is the canonical character.  For
-    others, tries triangular back-substitution on the reduced basis;
-    returns None when no point is enumerated.
-    """
-    point = _counit_character(p)
-    if point is not None:
-        return point
-    cp = abelianization(p)
-    basis = groebner(cp)
-    if contains_one(basis):
-        return None
+def _enumerated_point(cp, basis):
+    """A point that kills cp, by back-substitution on its reduced
+    Groebner basis or by a constant probe; None when neither finds one."""
     point = _back_substitute(cp.variables, basis)
     if point is not None and _point_kills(cp, point):
         return point
@@ -219,6 +208,21 @@ def spectrum_witness(p):
         if _point_kills(cp, probe):
             return probe
     return None
+
+
+def spectrum_witness(p):
+    """A character as {generator name: scalar}, when one is exhibited.
+
+    For Hopf presentations the counit is the canonical character.  For
+    others, tries triangular back-substitution on the reduced basis;
+    returns None when no point is enumerated.
+    """
+    cp = abelianization(p)
+    point = _counit_character(p, cp)
+    if point is not None:
+        return point
+    basis = groebner(cp)
+    return None if contains_one(basis) else _enumerated_point(cp, basis)
 
 
 def _point_kills(cp: CommutativePresentation, point):
@@ -289,9 +293,10 @@ def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
     coacts on p, when there is one: its counit is tried as well."""
     report = Report(f"spectrum({p.name})")
     with timed(report):
+        cp = abelianization(p)
         # a counit that is a character decides nonemptiness without a
         # Groebner basis
-        w = _counit_character(p, base)
+        w = _counit_character(p, cp, base)
         note = ""
         if w is not None and getattr(p, "hopf", None) is None:
             note = (f"; the counit of {base.name}, carried over by "
@@ -299,15 +304,15 @@ def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
                     f"trivial")
         if w is None:
             try:
-                empty = spectrum_empty(p, degree_cap)
+                basis = groebner(cp, degree_cap)
             except DegreeCapError as e:
                 report.add_undecided("spectrum emptiness", witness=str(e))
                 return report
-            if empty:
+            if contains_one(basis):
                 report.add("spectrum is empty (1 lies in the abelianized "
                            "ideal)", True, witness="empty")
                 return report
-            w = spectrum_witness(p)
+            w = _enumerated_point(cp, basis)
         if w is not None:
             desc = ", ".join(f"{k} -> {v!r}" for k, v in w.items())
             report.add("spectrum is nonempty", True,

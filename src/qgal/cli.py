@@ -64,7 +64,6 @@ from .report import FAIL, PASS, Report, ReportItem, UNDECIDED, Undecided, timed
 
 SUITES = ("hopf", "star", "coaction", "galois", "haar", "biunitarity",
           "cotensor", "spectrum", "all")
-STAR_SUITES = ("star", "biunitarity", "haar")
 
 
 class CliError(Exception):
@@ -87,15 +86,27 @@ def _catalog_params(entry, args):
             if getattr(args, k, None) is not None}
 
 
-def resolve_presentation(target, args):
+def _load(target, args):
+    """A catalog target's presentation, or a file target parsed: a
+    coaction file to its CoactionData, any other to its Presentation."""
     entry = presentations.CATALOG.get(target)
     if entry is not None:
         return presentations.catalog(target, **_catalog_params(entry, args))
-    if os.path.exists(target):
-        with open(target) as fh:
-            text = fh.read()
-        return presentations.parse_presentation_text(text)
-    raise CliError(f"unknown target {target!r} (not a catalog name or file)")
+    if not os.path.exists(target):
+        raise CliError(f"unknown target {target!r} (not a catalog name or file)")
+    with open(target) as fh:
+        text = fh.read()
+    if any(head == "coaction" for _, head, _ in presentations.directives(text)):
+        return presentations.parse_coaction_text(
+            text, lambda name: resolve_presentation(name, args))
+    return presentations.parse_presentation_text(text)
+
+
+def resolve_presentation(target, args):
+    """The target's presentation; that of a coaction file is its total.
+    A catalog target's coaction is not built."""
+    data = _load(target, args)
+    return data.total if isinstance(data, CoactionData) else data
 
 
 def resolve_coaction(target, args) -> CoactionData:
@@ -104,25 +115,21 @@ def resolve_coaction(target, args) -> CoactionData:
     entry = presentations.CATALOG.get(target)
     if entry is not None and entry.coaction is not None:
         return presentations.coaction(target, **_catalog_params(entry, args))
-    if entry is not None:
-        p = resolve_presentation(target, args)
-        if p.hopf is not None:
-            return CoactionData(p, p, dict(p.hopf.delta))
-    elif os.path.exists(target):
-        with open(target) as fh:
-            text = fh.read()
-        if "coaction " in text:
-            return presentations.parse_coaction_text(
-                text, lambda name: resolve_presentation(name, args))
+    data = _load(target, args)
+    if isinstance(data, CoactionData):
+        return data
+    if data.hopf is not None:
+        return CoactionData(data, data, dict(data.hopf.delta))
     raise CliError(f"no coaction data for target {target!r}")
 
 
-def galois_witness_for(target, c: CoactionData):
+def galois_witness_for(target, c: CoactionData, args):
+    """The catalog entry's witness, or a Hopf algebra's on itself."""
     from . import galois
 
     entry = presentations.CATALOG.get(target)
     if entry is not None and entry.witness is not None:
-        return entry.galois_witness(c)
+        return entry.galois_witness(c, **_catalog_params(entry, args))
     if c.base is c.total and c.base.hopf is not None:
         return galois.hopf_witness(c.base)
     raise CliError(f"no Galois witness construction for {target!r}")
@@ -198,13 +205,14 @@ def run_suite(target, suite, args):
         from . import galois
 
         c = resolve_coaction(target, args)
-        return galois.verify_galois(c, galois_witness_for(target, c), degree)
+        return galois.verify_galois(c, galois_witness_for(target, c, args), degree)
     if suite == "biunitarity":
-        from . import comodules, cotensor
+        from . import cotensor
 
         c = resolve_coaction(target, args)
-        v = comodules.fundamental(c.total)
-        return cotensor.verify_biunitarity(c, v.matrix)
+        if c.total.block is None:
+            raise CliError(f"{c.total.name} declares no generator block")
+        return cotensor.verify_biunitarity(c, c.total.block)
     if suite == "haar":
         from . import haar
 
@@ -277,20 +285,29 @@ def _cotensor_report(target, args, spec, degree):
 
 
 def suites_for(target, args):
-    """The suites that apply to the target, read off its built data: the
-    suites in STAR_SUITES need a star structure, the coaction suites a
-    catalog coaction, and a Hopf algebra without one coacts on itself."""
+    """Each suite whose data the resolved target has.  A Hopf algebra
+    coacting on itself by its coproduct gets haar and galois, but no
+    suite of a coaction of its own."""
     p = resolve_presentation(target, args)
+    try:
+        c = resolve_coaction(target, args)
+    except CliError:
+        c = None
+    own = c is not None and c.base is not c.total
     entry = presentations.CATALOG.get(target)
-    suites = ["hopf"] if p.hopf is not None else []
-    suites += ["star", "spectrum"]
-    if entry is not None and entry.coaction is not None:
-        suites += ["coaction", "biunitarity", "haar", "cotensor", "galois"]
-    elif p.hopf is not None:
-        suites += ["haar", "galois"]
-    if p.star is None:
-        suites = [s for s in suites if s not in STAR_SUITES]
-    return suites
+    has = {
+        "hopf": p.hopf is not None,
+        "star": p.star is not None,
+        "spectrum": True,
+        "coaction": own,
+        "biunitarity": own and p.star is not None and p.block is not None,
+        "haar": c is not None and p.star is not None and c.base.hopf is not None,
+        "cotensor": own and c.base.block is not None,
+        # the catalog entry's witness, or the Hopf witness
+        "galois": c is not None and (
+            not own or getattr(entry, "witness", None) is not None),
+    }
+    return [suite for suite, ok in has.items() if ok]
 
 
 def run_all(target, args):

@@ -5,6 +5,10 @@ array of algebra elements v_ij with Delta(v_ij) = sum_k v_ik (x) v_kj
 and epsilon(v_ij) = delta_ij modulo relations.  Conjugates, tensor
 products, unitarity data and exact duality (snake) maps live here.
 
+The fundamental comodule is the generator block that the presentation's
+catalog builder declares (Presentation.block), never one guessed from
+generator names; a presentation read from a file declares none.
+
 The commands reach the comodules of `--comodule` and `add_unitarity`
 (`verify --suite biunitarity`).  verify_corep, unitarity_conjugator,
 verify_unitary_structure, search_diagonal_gram, duality_maps and
@@ -13,7 +17,6 @@ snake_check are Python API with no command yet.
 
 from __future__ import annotations
 
-import re
 from itertools import product
 
 from .haar import add_gram_sample
@@ -28,8 +31,9 @@ from .presentations import (
     delta_ext,
     reduce_legs,
     sandwich,
+    scalar_matrix,
+    star_entries,
     star_transpose,
-    to_scalar,
     unitarity_defects,
 )
 from .report import FAIL, PASS, Report, Undecided, timed
@@ -68,37 +72,24 @@ def one_dim(p: Presentation, poly: NCPoly) -> Corep:
 
 
 def fundamental(p: Presentation) -> Corep:
-    """The generator block v_ij read off the naming scheme: the largest
-    family of generators named <prefix><i><j> forming a square matrix."""
-    groups = {}
-    for name in p.alphabet.names:
-        m = re.fullmatch(r"([a-z]+)([1-9])([1-9])", name)
-        if m:
-            groups.setdefault(m.group(1), {})[
-                (int(m.group(2)), int(m.group(3)))
-            ] = name
-    best = None
-    for prefix, cells in groups.items():
-        n = max(i for i, _ in cells)
-        if all((i, j) in cells for i in range(1, n + 1) for j in range(1, n + 1)):
-            if best is None or n > best[0]:
-                best = (n, prefix, cells)
-    if best is None:
-        raise ComoduleError(f"{p.name}: no square generator block found")
-    n, _, cells = best
-    return Corep(p, [[p.gen(cells[(i, j)]) for j in range(1, n + 1)]
-                     for i in range(1, n + 1)])
+    """The generator block v_ij that p's builder declared (p.block),
+    which must be square."""
+    if p.block is None or len(p.block) != len(p.block[0]):
+        raise ComoduleError(f"{p.name}: declares no square generator block")
+    return Corep(p, p.block)
 
 
 def conjugate(v: Corep) -> Corep:
     if v.pres.star is None:
         raise ComoduleError(f"{v.pres.name} carries no star structure")
-    star = v.pres.star
-    return Corep(v.pres, [[star.apply(e) for e in row] for row in v.matrix])
+    return Corep(v.pres, star_entries(v.pres.star, v.matrix))
 
 
 def tensor(v: Corep, w: Corep) -> Corep:
-    if v.pres is not w.pres and v.pres.name != w.pres.name:
+    """v (x) w over v's presentation; w's must have the same alphabet
+    and relations, as the copies ensure_degree returns do."""
+    p, r = v.pres, w.pres
+    if p is not r and (p.alphabet != r.alphabet or p.relations != r.relations):
         raise ComoduleError("tensor factors live over different presentations")
     n, m = v.dim, w.dim
     out = []
@@ -138,7 +129,7 @@ def unitarity_conjugator(v: Corep, F) -> Report:
     """Whether w = F vbar F^-1 is unitary modulo relations, with the
     items of add_unitarity."""
     vbar = conjugate(v).matrix
-    F = [[to_scalar(x) for x in row] for row in F]
+    F = scalar_matrix(F)
     w = sandwich(F, vbar, mat_inv(F))  # LinearSolveError when F is singular
     report = Report(f"unitarity-conjugator({v.pres.name}, dim {v.dim})")
     with timed(report):

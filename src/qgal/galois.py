@@ -22,10 +22,11 @@ from .presentations import (
     catalog,
     coproduct_matrix,
     extend_reduced,
-    generator_block,
     on_block,
     reduce_legs,
     sandwich,
+    scalar_matrix,
+    star_entries,
     transpose,
     twisted_block,
 )
@@ -149,17 +150,12 @@ def glq_witness(c: CoactionData) -> GaloisWitness:
     entries of the inverse of the generator matrix z."""
     T = catalog("GLqm22")
     A, Z, Ti = c.base.alphabet, c.total.alphabet, T.alphabet
-    delta = on_block(A, "x", coproduct_matrix(generator_block(Z, "z", 2, 2),
-                                              generator_block(Ti, "t", 2, 2)))
+    delta = on_block(c.base.block, coproduct_matrix(c.total.block, T.block))
     delta[A.index["t"]] = TensorPoly.of(Z.gen("tau"), Ti.gen("xi"))
     PZ = c.total.parse
-    phi = {
-        Ti.index["t11"]: PZ("z22*tau"),
-        Ti.index["t12"]: PZ("q*tau*z12"),
-        Ti.index["t21"]: PZ("q^-1*z21*tau"),
-        Ti.index["t22"]: PZ("tau*z11"),
-        Ti.index["xi"]: PZ("z11*z22 + q^-1*z12*z21"),
-    }
+    phi = on_block(T.block, [[PZ("z22*tau"), PZ("q*tau*z12")],
+                             [PZ("q^-1*z21*tau"), PZ("tau*z11")]])
+    phi[Ti.index["xi"]] = PZ("z11*z22 + q^-1*z12*z21")
     return GaloisWitness(T, delta, phi)
 
 
@@ -192,44 +188,32 @@ def opposite(p: Presentation) -> Presentation:
     return out
 
 
-def aufg_witness(c: CoactionData) -> GaloisWitness:
+def aufg_witness(c: CoactionData, F, G) -> GaloisWitness:
     """Translation-map witness for the universal unitary extensions:
     companion is the opposite algebra of Z, delta(a_ij) = sum z_ik (x) z*_kj
     (second leg multiplied in reverse), phi the identity on generators.
+    F and G are the twist matrices Z was built from; validate_witness
+    catches a pair that does not match Z.
 
     Only defined for a square generator block.
     """
-    A, Z = c.base.alphabet, c.total.alphabet
-    FG = c.total.meta.get("FG")
-    if FG is None:
-        raise GaloisError("presentation lacks twist matrices")
-    F, G = FG
-    n = len(F)
-    if n != len(G):
-        raise GaloisError("translation witness needs a square generator block")
-    T = opposite(c.total)
-    # second leg carries the adjoint entry (z*)_kj = star(z_jk)
-    z_adj = transpose(generator_block(T.alphabet, "z", n, n, "s"))
-    delta = on_block(A, "z", coproduct_matrix(generator_block(Z, "z", n, n), z_adj))
-    # the starred generators need the inverse of the conjugate block,
-    # read off the unitarity of the twisted matrix
-    zbar = generator_block(Z, "z", n, n, "s")
-    zbar_inv = _zbar_inverse(c.total, zbar, F, G)
-    delta.update(on_block(A, "z", coproduct_matrix(zbar, zbar_inv), "s"))
-    phi = {gi: Z.gen(name) for gi, name in enumerate(T.alphabet.names)}
-    return GaloisWitness(T, delta, phi)
-
-
-def _zbar_inverse(total: Presentation, zbar, F, G):
-    """Inverse of the conjugate generator block zbar of Z, for twist
-    matrices F and G of one size.
-
-    With B = F zbar G^-1 unitary (B^-1 = B^adj by the defining
-    relations), zbar^-1 = G^-1 B^adj F, entrywise over Z.
-    """
     from .linalg import mat_inv
 
-    Ginv = mat_inv([list(r) for r in G])
-    _, Badj = twisted_block(F, zbar, Ginv, total.star)
-    out = sandwich(Ginv, Badj, F)
-    return [[total.nf(e) for e in row] for row in out]
+    z, Z = c.total.block, c.total
+    if len(z) != len(z[0]):
+        raise GaloisError("translation witness needs a square generator block")
+    # T shares the alphabet of Z; its second leg carries the adjoint
+    # entry (z*)_kj = star(z_jk)
+    T = opposite(Z)
+    zbar = star_entries(Z.star, z)
+    delta = on_block(c.base.block, coproduct_matrix(z, transpose(zbar)))
+    # the starred generators need the inverse of the conjugate block: with
+    # B = F zbar G^-1 unitary (B^-1 = B* by the defining relations),
+    # zbar^-1 = G^-1 B* F, entrywise over Z
+    F, Ginv = scalar_matrix(F), mat_inv(scalar_matrix(G))
+    _, Bst = twisted_block(F, zbar, Ginv, Z.star)
+    zbar_inv = [[Z.nf(e) for e in row] for row in sandwich(Ginv, Bst, F)]
+    delta.update(on_block(star_entries(c.base.star, c.base.block),
+                          coproduct_matrix(zbar, zbar_inv)))
+    phi = {gi: Z.alphabet.gen(name) for gi, name in enumerate(T.alphabet.names)}
+    return GaloisWitness(T, delta, phi)

@@ -33,15 +33,17 @@ class CatalogError(AlgebraError):
 
 class Presentation:
     """A named finite presentation: generators, relations, the rewrite
-    system they complete to, and optional star and Hopf data.  Immutable
-    once built; ensure_degree gives a copy over a longer completion."""
+    system they complete to, optional star and Hopf data, and the block
+    of generators its builder wrote the relations in (None for a file).
+    Immutable once built; ensure_degree gives a copy over a longer
+    completion."""
 
     __slots__ = ("name", "alphabet", "relations", "rewrite", "star", "hopf",
-                 "meta", "_certified")
+                 "block", "_certified")
 
     def __init__(self, name: str, alphabet: Alphabet, relations: list,
                  rewrite: RewriteSystem, star: StarMap | None = None,
-                 hopf: "HopfData | None" = None, meta: dict | None = None):
+                 hopf: "HopfData | None" = None, block: list | None = None):
         init = object.__setattr__
         init(self, "name", name)
         init(self, "alphabet", alphabet)
@@ -49,7 +51,7 @@ class Presentation:
         init(self, "rewrite", rewrite)
         init(self, "star", star)
         init(self, "hopf", hopf)
-        init(self, "meta", {} if meta is None else meta)
+        init(self, "block", block)
         # degree -> the certified copy ensure_degree returned for it
         init(self, "_certified", {})
 
@@ -70,7 +72,7 @@ class Presentation:
         if out is None:
             out = Presentation(self.name, self.alphabet, self.relations,
                                complete(self.rewrite, d), self.star, self.hopf,
-                               self.meta)
+                               self.block)
             self._certified[d] = out
         return out
 
@@ -235,11 +237,11 @@ def generator_block(alphabet, prefix, n, p, suffix=""):
             for i in range(1, n + 1)]
 
 
-def on_block(alphabet, prefix, mat, suffix=""):
-    """A map on generators given by a matrix: the index of generator
-    <prefix><i><j><suffix> -> mat[i-1][j-1]."""
-    return {alphabet.index[f"{prefix}{i}{j}{suffix}"]: e
-            for i, row in enumerate(mat, 1) for j, e in enumerate(row, 1)}
+def on_block(block, mat):
+    """A map on generators given by a matrix: the index of the generator
+    block[i][j] -> mat[i][j]."""
+    return {next(iter(g.terms))[0]: e
+            for gens, row in zip(block, mat) for g, e in zip(gens, row)}
 
 
 def unit_vector(i, n, sign=1):
@@ -251,9 +253,14 @@ def transpose(mat):
     return [list(col) for col in zip(*mat)]
 
 
+def star_entries(star, M):
+    """M with the star map applied entrywise."""
+    return [[star.apply(e) for e in row] for row in M]
+
+
 def star_transpose(star, M):
-    """M*, the transpose of M with the star map applied entrywise."""
-    return transpose([[star.apply(e) for e in row] for row in M])
+    """M*, the transpose of star_entries(star, M)."""
+    return transpose(star_entries(star, M))
 
 
 def coproduct_matrix(L, R):
@@ -365,6 +372,11 @@ def to_scalar(x):
     return ScalarQ.from_fraction(Fraction(x))
 
 
+def scalar_matrix(M):
+    """M with every entry taken to Q(q) by to_scalar."""
+    return [[to_scalar(x) for x in row] for row in M]
+
+
 def matrix_fq(sign=1):
     """The 3x3 twist matrix with q replaced by sign*q."""
     qq = Q if sign > 0 else -Q
@@ -373,7 +385,7 @@ def matrix_fq(sign=1):
 
 
 def _finish(name, alphabet, relations, order, star=None, hopf=None,
-            completion_degree=4, relations_from_rules=False, meta=None):
+            completion_degree=4, relations_from_rules=False, block=None):
     rs = build_system(alphabet, relations, order,
                       completion_degree=completion_degree)
     rs = complete(rs, completion_degree)
@@ -383,7 +395,7 @@ def _finish(name, alphabet, relations, order, star=None, hopf=None,
     if relations_from_rules:
         relations = [rule.as_poly(alphabet) for rule in rs.rules]
     return Presentation(name, alphabet, list(relations), rs, star=star,
-                        hopf=hopf, meta=meta or {})
+                        hopf=hopf, block=block)
 
 
 def _build_glq2(star: bool):
@@ -402,39 +414,28 @@ def _build_glq2(star: bool):
         P("x21*t - t*x21"),
         P("(x11*x22 - q^-1*x12*x21)*t - 1"),
     ]
+    idx = A.index
+    x = generator_block(A, "x", 2, 2)
+    det = P("x11*x22 - q^-1*x12*x21")
     smap = None
     if star:
-        smap = StarMap(A, {
-            A.index["x11"]: P("x22*t"),
-            A.index["x12"]: P("-q^-1*x21*t"),
-            A.index["x21"]: P("-q*x12*t"),
-            A.index["x22"]: P("x11*t"),
-            A.index["t"]: P("x11*x22 - q^-1*x12*x21"),
-        })
-    idx = A.index
-    one = S_ONE
-    zero = S_ZERO
-    x = generator_block(A, "x", 2, 2)
-    delta = on_block(A, "x", coproduct_matrix(x, x))
+        smap = StarMap(A, {**on_block(x, [[P("x22*t"), P("-q^-1*x21*t")],
+                                          [P("-q*x12*t"), P("x11*t")]]),
+                           idx["t"]: det})
+    delta = on_block(x, coproduct_matrix(x, x))
     delta[idx["t"]] = TensorPoly.of(A.gen("t"), A.gen("t"))
-    counit = {
-        idx["x11"]: one, idx["x12"]: zero, idx["x21"]: zero, idx["x22"]: one,
-        idx["t"]: one,
-    }
-    antipode = {
-        idx["x11"]: P("x22*t"),
-        idx["x12"]: P("-q*x12*t"),
-        idx["x21"]: P("-q^-1*x21*t"),
-        idx["x22"]: P("x11*t"),
-        idx["t"]: P("x11*x22 - q^-1*x12*x21"),
-    }
+    counit = on_block(x, [[S_ONE, S_ZERO], [S_ZERO, S_ONE]])
+    counit[idx["t"]] = S_ONE
+    antipode = on_block(x, [[P("x22*t"), P("-q*x12*t")],
+                            [P("-q^-1*x21*t"), P("x11*t")]])
+    antipode[idx["t"]] = det
     # x_ij has row grade e_i and column grade e_j; t inverts the determinant
-    grades = on_block(A, "x", [[(unit_vector(i, 2), unit_vector(j, 2))
-                                 for j in (1, 2)] for i in (1, 2)])
+    grades = on_block(x, [[(unit_vector(i, 2), unit_vector(j, 2))
+                           for j in (1, 2)] for i in (1, 2)])
     grades[idx["t"]] = ((-1, -1), (-1, -1))
     hopf = HopfData(delta, counit, antipode, grades)
     return _finish("Uq2" if star else "GLq2", A, relations, MonomialOrder(A),
-                   star=smap, hopf=hopf, relations_from_rules=True)
+                   star=smap, hopf=hopf, relations_from_rules=True, block=x)
 
 
 def _build_glq2m2(star: bool):
@@ -454,17 +455,14 @@ def _build_glq2m2(star: bool):
         P("z21*tau + tau*z21"),
         P("(z11*z22 + q^-1*z12*z21)*tau - 1"),
     ]
+    z = generator_block(A, "z", 2, 2)
     smap = None
     if star:
-        smap = StarMap(A, {
-            A.index["z11"]: P("z22*tau"),
-            A.index["z12"]: P("q^-1*z21*tau"),
-            A.index["z21"]: P("q*tau*z12"),
-            A.index["z22"]: P("tau*z11"),
-            A.index["tau"]: P("z11*z22 + q^-1*z12*z21"),
-        })
+        smap = StarMap(A, {**on_block(z, [[P("z22*tau"), P("q^-1*z21*tau")],
+                                          [P("q*tau*z12"), P("tau*z11")]]),
+                           A.index["tau"]: P("z11*z22 + q^-1*z12*z21")})
     return _finish("Uq2m2" if star else "GLq2m2", A, relations,
-                   MonomialOrder(A), star=smap, relations_from_rules=True)
+                   MonomialOrder(A), star=smap, relations_from_rules=True, block=z)
 
 
 def _build_glqm22():
@@ -484,15 +482,14 @@ def _build_glqm22():
         P("(t11*t22 - q^-1*t12*t21)*xi - 1"),
     ]
     return _finish("GLqm22", A, relations, MonomialOrder(A),
-                   relations_from_rules=True)
+                   relations_from_rules=True, block=generator_block(A, "t", 2, 2))
 
 
 def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionData:
-    Ai, Zi = base.alphabet, total.alphabet
-    alpha = on_block(Zi, "z", coproduct_matrix(generator_block(Ai, "x", 2, 2),
-                                               generator_block(Zi, "z", 2, 2)))
+    Ai, Zi, z = base.alphabet, total.alphabet, total.block
+    alpha = on_block(z, coproduct_matrix(base.block, z))
     alpha[Zi.index["tau"]] = TensorPoly.of(Ai.gen("t"), Zi.gen("tau"))
-    left = on_block(Zi, "z", [[unit_vector(i, 2)] * 2 for i in (1, 2)])
+    left = on_block(z, [[unit_vector(i, 2)] * 2 for i in (1, 2)])
     left[Zi.index["tau"]] = (-1, -1)
     return CoactionData(base, total, alpha, left)
 
@@ -504,7 +501,7 @@ def _star_alphabet(prefix, n, p):
     names = [f"{prefix}{i}{j}" for i in range(1, n + 1) for j in range(1, p + 1)]
     A = Alphabet(names + [f"{name}s" for name in names])
     z, zbar = generator_block(A, prefix, n, p), generator_block(A, prefix, n, p, "s")
-    star = StarMap(A, {**on_block(A, prefix, zbar), **on_block(A, prefix, z, "s")})
+    star = StarMap(A, {**on_block(z, zbar), **on_block(zbar, z)})
     return A, star, z, zbar
 
 
@@ -514,60 +511,58 @@ def _build_onp(n, p):
     A, smap, a, abar = _star_alphabet("a", n, p)
     relations = sum(unitarity_defects(a, transpose(abar)), [])
     return _finish(f"Onp({n},{p})", A, relations, MonomialOrder(A), star=smap,
-                   completion_degree=3)
+                   completion_degree=3, block=a)
 
 
 def _build_aufg(F, G):
     from .linalg import mat_inv
 
-    F = [[to_scalar(x) for x in row] for row in F]
-    G = [[to_scalar(x) for x in row] for row in G]
-    n, p = len(F), len(G)
+    F, G = scalar_matrix(F), scalar_matrix(G)
     Finv = mat_inv(F)   # also validates invertibility
     Ginv = mat_inv(G)
-    A, smap, z, zbar = _star_alphabet("z", n, p)
+    A, smap, z, zbar = _star_alphabet("z", len(F), len(G))
     B, Bst = twisted_block(F, zbar, Ginv, smap)
     # z unitary, then B unitary; each as M M* - I, then M* M - I
     relations = sum(unitarity_defects(z, transpose(zbar))
                     + unitarity_defects(B, Bst), [])
     hopf = None
     if F == G:
-        hopf = _auf_hopf(A, F, Finv, Bst, n)
+        hopf = _auf_hopf(z, zbar, F, Finv, Bst)
     name = "AuF" if F == G else "AuFG"
     return _finish(name, A, relations, MonomialOrder(A), star=smap, hopf=hopf,
-                   completion_degree=3, meta={"FG": (F, G)})
+                   completion_degree=3, block=z)
 
 
-def _auf_hopf(A: Alphabet, F, Finv, Bst, n):
-    """Hopf data of AuF; Bst is the star-transpose of B = F zbar F^-1."""
-    z, zbar = generator_block(A, "z", n, n), generator_block(A, "z", n, n, "s")
-    delta = on_block(A, "z", coproduct_matrix(z, z))
-    delta.update(on_block(A, "z", coproduct_matrix(zbar, zbar), "s"))
-    counit = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            counit[A.index[f"z{i}{j}"]] = S_ONE if i == j else S_ZERO
-            counit[A.index[f"z{i}{j}s"]] = S_ONE if i == j else S_ZERO
-    antipode = on_block(A, "z", transpose(zbar))
+def _auf_hopf(z, zbar, F, Finv, Bst):
+    """Hopf data of AuF on the square block z and its entrywise star
+    zbar; Bst is the star-transpose of B = F zbar F^-1."""
+    n = len(z)
+    delta = on_block(z, coproduct_matrix(z, z))
+    delta.update(on_block(zbar, coproduct_matrix(zbar, zbar)))
+    # z_ij and z_ij* in turn, the order a counit character lists them in
+    pairs = [[g, gs] for row, srow in zip(z, zbar) for g, gs in zip(row, srow)]
+    counit = on_block(pairs, [[S_ONE if i == j else S_ZERO] * 2
+                              for i in range(n) for j in range(n)])
+    antipode = on_block(z, transpose(zbar))
     # S(zbar) = F^-1 B* F, the inverse of the conjugate matrix
-    antipode.update(on_block(A, "z", sandwich(Finv, Bst, F), "s"))
+    antipode.update(on_block(zbar, sandwich(Finv, Bst, F)))
     grades = {}
-    for s, sign in (("", 1), ("s", -1)):  # z_ij* has the negated grades
-        grades.update(on_block(A, "z", [
+    for block, sign in ((z, 1), (zbar, -1)):  # z_ij* has the negated grades
+        grades.update(on_block(block, [
             [(unit_vector(i, n, sign), unit_vector(j, n, sign))
-             for j in range(1, n + 1)] for i in range(1, n + 1)], s))
+             for j in range(1, n + 1)] for i in range(1, n + 1)]))
     return HopfData(delta, counit, antipode, grades)
 
 
 def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
-    Ai, Zi = base.alphabet, total.alphabet
-    n, p = map(len, total.meta["FG"])
+    n, p = len(total.block), len(total.block[0])
     alpha, left = {}, {}
-    for s, sign in (("", 1), ("s", -1)):  # z and zbar coact alike
-        alpha.update(on_block(Zi, "z", coproduct_matrix(
-            generator_block(Ai, "z", n, n, s), generator_block(Zi, "z", n, p, s)), s))
-        left.update(on_block(Zi, "z", [[unit_vector(i, n, sign)] * p
-                                       for i in range(1, n + 1)], s))
+    for x, z, sign in ((base.block, total.block, 1),  # z and zbar coact alike
+                       (star_entries(base.star, base.block),
+                        star_entries(total.star, total.block), -1)):
+        alpha.update(on_block(z, coproduct_matrix(x, z)))
+        left.update(on_block(z, [[unit_vector(i, n, sign)] * p
+                                 for i in range(1, n + 1)]))
     return CoactionData(base, total, alpha, left)
 
 
@@ -596,10 +591,11 @@ class CatalogEntry:
     def __setattr__(self, name, value):
         raise AttributeError("CatalogEntry is immutable")
 
-    def galois_witness(self, c: CoactionData):
+    def galois_witness(self, c: CoactionData, **params):
+        """c's Galois witness at the entry's defaults updated by params."""
         from . import galois  # galois imports this module
 
-        return getattr(galois, self.witness)(c)
+        return getattr(galois, self.witness)(c, **{**self.defaults, **params})
 
 
 CATALOG = {
@@ -776,6 +772,16 @@ def abelianization(p: Presentation):
 # ---------------------------------------------------------------------------
 
 
+def directives(text: str):
+    """(line number, directive, rest of the line) for each line of a DSL
+    text that holds more than a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield lineno, head, rest.strip()
+
+
 def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentation:
     """Parse the presentation DSL:
 
@@ -790,12 +796,7 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
     order_names = None
     star_lines = []
     relation_srcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "algebra":
             name = rest
         elif head == "generators":
@@ -851,12 +852,7 @@ def parse_coaction_text(text: str, resolve) -> CoactionData:
     """
     total = base = None
     alpha_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "coaction":
             zname, _, aname = rest.partition(" over ")
             total = resolve(zname.strip())

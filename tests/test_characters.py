@@ -13,7 +13,7 @@ from qgal.characters import (
     spectrum_report,
     spectrum_witness,
 )
-from qgal.presentations import catalog
+from qgal.presentations import catalog, parse_presentation_text
 from qgal.scalars import Q, S_ONE, S_ZERO
 
 
@@ -169,3 +169,24 @@ def test_spectrum_report_carries_the_base_counit_by_name(c_aufg, c_uq,
     with pytest.raises(ZeroDivisionError):
         spectrum_report(c_aufg.total, base=ones)
 
+
+
+def test_spectrum_report_computes_each_step_once(monkeypatch):
+    """A nonempty spectrum with no counit: one abelianization and one
+    Groebner basis serve both the emptiness test and the enumeration."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("abelianization", "groebner"):
+        monkeypatch.setattr(characters, name, counted(getattr(characters, name)))
+    qplane = parse_presentation_text(
+        "algebra qplane\ngenerators x y\nrelation y*x - q*x*y\n")
+    r = spectrum_report(qplane)
+    assert r.ok and r.items[0].desc == "spectrum is nonempty"
+    assert r.items[0].witness == "character: x -> (0), y -> (0)"
+    assert sorted(calls) == ["abelianization", "groebner"]

@@ -83,6 +83,47 @@ def test_suites_for_each_catalog_target(c_aufg):
             assert suites_for(target, args) == suites, target
 
 
+LINE = "algebra line\ngenerators x\nstar x -> x\n"
+
+
+@pytest.fixture
+def trivial_coaction(tmp_path):
+    """A coaction file: Uq2 coacting trivially on the free *-algebra on
+    one self-adjoint generator."""
+    (tmp_path / "line.alg").write_text(LINE)
+    f = tmp_path / "trivial.coa"
+    f.write_text(f"coaction {tmp_path / 'line.alg'} over Uq2\n"
+                 "alpha x -> 1 (x) x\n")
+    return str(f)
+
+
+def test_coaction_file_runs_its_suites(capsys, trivial_coaction):
+    args = argparse.Namespace(n=None, p=None, degree=2)
+    # no declared block, no Galois witness: biunitarity and galois are out
+    assert suites_for(trivial_coaction, args) == [
+        "star", "spectrum", "coaction", "haar", "cotensor"]
+    for suite in ("all", "star", "spectrum"):
+        code, out, err = run(capsys, "verify", trivial_coaction, "--suite", suite)
+        assert code == 0, err
+        assert "[PASS]" in out and "[FAIL]" not in out
+    code, out, _ = run(capsys, "verify", trivial_coaction, "--suite", "star")
+    assert out.startswith("[PASS] star(line)")
+    for suite, message in (("biunitarity", "declares no generator block"),
+                           ("galois", "no Galois witness construction")):
+        code, _, err = run(capsys, "verify", trivial_coaction, "--suite", suite)
+        assert code == 3 and message in err
+
+
+def test_file_base_has_no_fundamental_comodule(tmp_path, capsys):
+    (tmp_path / "line.alg").write_text(LINE)
+    f = tmp_path / "self.coa"
+    f.write_text(f"coaction {tmp_path / 'line.alg'} over {tmp_path / 'line.alg'}\n"
+                 "alpha x -> 1 (x) x\n")
+    code, _, err = run(capsys, "cotensor", str(f))
+    assert code == 3
+    assert "ComoduleError: line: declares no square generator block" in err
+
+
 @pytest.mark.parametrize("target", ["GLq2", "GLq2m2"])
 def test_verify_all_without_star(capsys, target):
     code, out, err = run(capsys, "verify", target, "--suite", "all")

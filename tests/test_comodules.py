@@ -1,6 +1,8 @@
 import pytest
 
+from qgal import presentations
 from qgal.comodules import (
+    ComoduleError,
     Corep,
     NonPositiveGramError,
     UnitaryStructure,
@@ -18,7 +20,13 @@ from qgal.comodules import (
 )
 from qgal.cotensor import verify_biunitarity
 from qgal.linalg import mat_inv
-from qgal.presentations import CoactionData, sandwich
+from qgal.presentations import (
+    CoactionData,
+    catalog,
+    coaction,
+    parse_presentation_text,
+    sandwich,
+)
 from qgal.report import Undecided
 from qgal.scalars import Q, S_ONE, S_ZERO, ScalarQ
 
@@ -144,3 +152,50 @@ def test_duality_rejects_nonpositive_gram(uq2):
     g = [[S_ONE, S_ZERO], [S_ZERO, -S_ONE]]
     with pytest.raises(NonPositiveGramError):
         duality_maps(UnitaryStructure(fundamental(uq2), g))
+
+
+# the square blocks of the catalog, named independently of the builders
+SQUARE = [("GLq2", {}, "x", 2), ("Uq2", {}, "x", 2), ("GLq2m2", {}, "z", 2),
+          ("Uq2m2", {}, "z", 2), ("GLqm22", {}, "t", 2),
+          ("Onp", {"n": 2, "p": 2}, "a", 2), ("AuF", {}, "z", 3),
+          ("AuFG", {}, "z", 3)]
+
+
+@pytest.mark.parametrize("name,params,prefix,n", SQUARE)
+def test_fundamental_is_the_declared_block(name, params, prefix, n):
+    p = catalog(name, **params)
+    names = [[f"{prefix}{i}{j}" for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert fundamental(p).matrix == [[p.gen(g) for g in row] for row in names]
+
+
+def test_fundamental_needs_a_declared_square_block():
+    with pytest.raises(ComoduleError, match="declares no square generator block"):
+        fundamental(parse_presentation_text("algebra m\ngenerators z11 z12 z21 z22\n"))
+    with pytest.raises(ComoduleError, match=r"Onp\(2,1\): declares no square"):
+        fundamental(catalog("Onp"))
+
+
+def test_rectangular_block_is_unitary_as_a_whole(monkeypatch):
+    """z is 2x3 on AuFG(F, I3): both unitarity families hold on all of
+    it, 9 + 4 items, where a 2x2 corner of it is not unitary."""
+    monkeypatch.setattr(presentations, "_CACHE", dict(presentations._CACHE))
+    c = coaction("AuFG", F=[[1, 1], [0, 1]], G=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    r = verify_biunitarity(c, c.total.block)
+    assert r.check_name == "biunitarity(AuFG, 2x3 block)"
+    assert len(r.items) == 13 and r.ok
+    corner = [row[:2] for row in c.total.block]
+    assert not verify_biunitarity(c, corner).ok
+    with pytest.raises(ComoduleError, match="AuFG: declares no square"):
+        fundamental(c.total)
+
+
+def test_tensor_compares_presentations_by_content(monkeypatch, uq2):
+    monkeypatch.setattr(presentations, "_CACHE", dict(presentations._CACHE))
+    v = fundamental(catalog("AuF"))
+    w = fundamental(catalog("AuF", F=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert v.pres.name == w.pres.name
+    with pytest.raises(ComoduleError, match="different presentations"):
+        tensor(v, w)
+    u = fundamental(uq2)
+    vw = tensor(u, fundamental(uq2.ensure_degree(5)))
+    assert vw.dim == 4 and vw.pres is uq2

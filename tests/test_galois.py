@@ -14,6 +14,7 @@ from qgal.galois import (
 )
 from qgal.ncpoly import NCPoly, TensorPoly, extend_anti
 from qgal.presentations import (
+    CATALOG,
     CoactionData,
     apply_map,
     catalog,
@@ -165,5 +166,5 @@ def test_opposite_keyed_by_completion_degree():
 
 def test_aufg_witness_validates():
     c = coaction("AuFG")
-    w = aufg_witness(c)
+    w = aufg_witness(c, **CATALOG["AuFG"].defaults)
     assert validate_witness(c, w).ok

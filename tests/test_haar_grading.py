@@ -35,7 +35,7 @@ def auf():
 def with_hopf(p, hopf):
     """p with its Hopf data replaced by `hopf`."""
     return Presentation(p.name, p.alphabet, p.relations, p.rewrite, p.star,
-                        hopf, p.meta)
+                        hopf, p.block)
 
 
 def with_grades(p, grades):
@@ -302,7 +302,7 @@ def test_star_off_the_grading_computes_every_product(monkeypatch, c_uq, mu9):
     images = dict(p.star.images)
     images[p.alphabet.index["z11"]] = p.parse("z22*tau + z11")
     bad = Presentation(p.name, p.alphabet, p.relations, p.rewrite,
-                       StarMap(p.alphabet, images), p.hopf, p.meta)
+                       StarMap(p.alphabet, images), p.hopf, p.block)
     gram, products = counted_gram(monkeypatch, bad, mu9, 1)
     full, every = counted_gram(monkeypatch, bad, ungraded_functional(mu9), 1)
     assert products == every == len(gram) ** 2

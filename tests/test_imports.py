@@ -2,8 +2,9 @@
 top-level name and every method it defines is read somewhere, the
 runtime imports nothing
 outside the standard library, every sparse accumulate goes through
-`scalars.add_term`, each command loads only the layers it runs, and
-none loads `dataclasses` or `inspect`."""
+`scalars.add_term`, only the command line imports `re`, each command
+loads only the layers it runs, and none loads `dataclasses` or
+`inspect`."""
 
 import ast
 import json
@@ -65,6 +66,37 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def importers(sources, module):
+    """The labels of the sources that import `module`, by `import` or
+    `from ... import`; sources maps a label to its source text."""
+    def imports(source):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == module for a in node.names):
+                return True
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == module:
+                return True
+        return False
+
+    return sorted(label for label, source in sources.items() if imports(source))
+
+
+def test_checker_finds_importers():
+    sources = {"a": "import os, re\n", "b": "from re import fullmatch\n",
+               "c": "import regex\nfrom .re import x\n",
+               "d": "def f():\n    import re as r\n",
+               "e": "s = 're'\n"}
+    assert importers(sources, "re") == ["a", "b", "d"]
+
+
+def test_only_the_cli_parses_text_with_re():
+    """`re` stays in qgal.cli, which parses the one text spec
+    `--comodule tensor<k>`: no other module reads structure out of
+    strings such as generator names."""
+    assert importers({p.name: p.read_text() for p in MODULES}, "re") == ["cli.py"]
 
 
 def top_level_names(source):

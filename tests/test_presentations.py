@@ -89,7 +89,7 @@ def test_verify_star_corrupted(uq2m2):
     images = dict(uq2m2.star.images)
     images[A.index["z11"]] = A.gen("z11")
     bad = Presentation(uq2m2.name, A, uq2m2.relations, uq2m2.rewrite,
-                       StarMap(A, images), uq2m2.hopf, uq2m2.meta)
+                       StarMap(A, images), uq2m2.hopf, uq2m2.block)
     r = verify_star(bad)
     assert not r.ok
     assert any("involutive" in i.desc and i.status == "fail" for i in r.items)
@@ -106,7 +106,7 @@ def test_verify_hopf_corrupted(uq2):
     delta[A.index["x11"]] = TensorPoly.of(A.gen("x11"), A.gen("x11"))
     bad = Presentation(uq2.name, A, uq2.relations, uq2.rewrite, uq2.star,
                        HopfData(delta, dict(uq2.hopf.counit),
-                                dict(uq2.hopf.antipode)), uq2.meta)
+                                dict(uq2.hopf.antipode)), uq2.block)
     assert not verify_hopf(bad).ok
 
 
@@ -231,3 +231,39 @@ alpha tau -> t (x) tau
     c = parse_coaction_text(text, catalog)
     assert c.base is c_glq.base and c.total is c_glq.total
     assert c.alpha == c_glq.alpha
+
+
+def named_block(p, prefix, n, m):
+    """The n x m matrix of the generators of p named <prefix><i><j>."""
+    return [[p.gen(f"{prefix}{i}{j}") for j in range(1, m + 1)]
+            for i in range(1, n + 1)]
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+# (catalog name, parameters, prefix, rows, columns) of each builder's block
+BLOCKS = [
+    ("GLq2", {}, "x", 2, 2), ("Uq2", {}, "x", 2, 2),
+    ("GLq2m2", {}, "z", 2, 2), ("Uq2m2", {}, "z", 2, 2),
+    ("GLqm22", {}, "t", 2, 2),
+    ("Onp", {}, "a", 2, 1), ("Onp", {"n": 2, "p": 2}, "a", 2, 2),
+    ("AuF", {}, "z", 3, 3), ("AuFG", {}, "z", 3, 3),
+    ("AuFG", {"F": [[1, 1], [0, 1]], "G": I3}, "z", 2, 3),
+]
+
+
+@pytest.mark.parametrize("name,params,prefix,n,m", BLOCKS)
+def test_catalog_block(monkeypatch, name, params, prefix, n, m):
+    # builds at other parameters stay out of the shared catalog cache
+    monkeypatch.setattr(presentations, "_CACHE", dict(presentations._CACHE))
+    p = catalog(name, **params)
+    assert p.block == named_block(p, prefix, n, m)
+
+
+def test_certified_copies_carry_the_block(uq2m2):
+    assert uq2m2.ensure_degree(6).block is uq2m2.block
+
+
+def test_file_presentation_declares_no_block():
+    p = parse_presentation_text("algebra line\ngenerators x\n")
+    assert p.block is None
