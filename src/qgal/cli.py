@@ -80,26 +80,45 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _catalog_params(entry, args):
-    """The entry's parameters that the command line sets (--n, --p)."""
-    return {k: getattr(args, k) for k in entry.defaults
-            if getattr(args, k, None) is not None}
+def _catalog_params(target, args):
+    """The target's parameters that the command line sets (--n, --p);
+    CliError for a flag that the target does not take."""
+    entry = presentations.CATALOG.get(target)
+    params = {k: v for k in ("n", "p") if (v := getattr(args, k, None)) is not None}
+    extra = params.keys() - (entry.defaults if entry else {}).keys()
+    if extra:
+        raise CliError(f"target {target!r} takes no --{min(extra)}")
+    return params
+
+
+# (real path, text, the presentations a coaction file names) -> the file
+# parsed, so that a process parses each file once
+_FILES = {}
 
 
 def _load(target, args):
     """A catalog target's presentation, or a file target parsed: a
-    coaction file to its CoactionData, any other to its Presentation."""
-    entry = presentations.CATALOG.get(target)
-    if entry is not None:
-        return presentations.catalog(target, **_catalog_params(entry, args))
-    if not os.path.exists(target):
+    coaction file to its CoactionData, any other to its Presentation.
+    A name in a coaction file that is no catalog entry is a file path
+    relative to the coaction file's directory."""
+    catalogued = target in presentations.CATALOG
+    if not (catalogued or os.path.isfile(target)):
         raise CliError(f"unknown target {target!r} (not a catalog name or file)")
-    with open(target) as fh:
+    params = _catalog_params(target, args)
+    if catalogued:
+        return presentations.catalog(target, **params)
+    path = os.path.realpath(target)
+    with open(path) as fh:
         text = fh.read()
-    if any(head == "coaction" for _, head, _ in presentations.directives(text)):
-        return presentations.parse_coaction_text(
-            text, lambda name: resolve_presentation(name, args))
-    return presentations.parse_presentation_text(text)
+    names = presentations.coaction_names(text) or ()
+    legs = tuple(resolve_presentation(name if name in presentations.CATALOG else
+                                      os.path.join(os.path.dirname(target), name), args)
+                 for name in names)
+    key = (path, text, legs)
+    if key not in _FILES:
+        _FILES[key] = (presentations.parse_coaction_text(text, dict(zip(names, legs)).get)
+                       if names else presentations.parse_presentation_text(text))
+    return _FILES[key]
 
 
 def resolve_presentation(target, args):
@@ -114,7 +133,7 @@ def resolve_coaction(target, args) -> CoactionData:
     by its coproduct."""
     entry = presentations.CATALOG.get(target)
     if entry is not None and entry.coaction is not None:
-        return presentations.coaction(target, **_catalog_params(entry, args))
+        return presentations.coaction(target, **_catalog_params(target, args))
     data = _load(target, args)
     if isinstance(data, CoactionData):
         return data
@@ -123,14 +142,22 @@ def resolve_coaction(target, args) -> CoactionData:
     raise CliError(f"no coaction data for target {target!r}")
 
 
+def _by_coproduct(c: CoactionData) -> bool:
+    """Whether c is a Hopf algebra coacting on itself by its coproduct.
+    A coaction file may name one presentation as both legs, and then its
+    base is its total, but its alpha is its own."""
+    return (c.base is c.total and c.base.hopf is not None
+            and c.alpha == c.base.hopf.delta)
+
+
 def galois_witness_for(target, c: CoactionData, args):
     """The catalog entry's witness, or a Hopf algebra's on itself."""
     from . import galois
 
     entry = presentations.CATALOG.get(target)
     if entry is not None and entry.witness is not None:
-        return entry.galois_witness(c, **_catalog_params(entry, args))
-    if c.base is c.total and c.base.hopf is not None:
+        return entry.galois_witness(c, **_catalog_params(target, args))
+    if _by_coproduct(c):
         return galois.hopf_witness(c.base)
     raise CliError(f"no Galois witness construction for {target!r}")
 
@@ -166,7 +193,7 @@ def _haar_pair(c: CoactionData, degree):
 
     depth = 3 * degree
     J = haar.haar_on_hopf(c.base, d=depth)
-    if c.base is c.total:
+    if _by_coproduct(c):
         return J, J
     return J, haar.haar_on_extension(c, J, depth)
 
@@ -293,7 +320,7 @@ def suites_for(target, args):
         c = resolve_coaction(target, args)
     except CliError:
         c = None
-    own = c is not None and c.base is not c.total
+    own = c is not None and not _by_coproduct(c)
     entry = presentations.CATALOG.get(target)
     has = {
         "hopf": p.hopf is not None,

@@ -4,6 +4,9 @@ A comodule is carried purely by its corepresentation matrix: an n x n
 array of algebra elements v_ij with Delta(v_ij) = sum_k v_ik (x) v_kj
 and epsilon(v_ij) = delta_ij modulo relations.  Conjugates, tensor
 products, unitarity data and exact duality (snake) maps live here.
+Every matrix product among them, save the Kronecker product of
+`tensor`, is presentations.mat_mul: the coproduct of v, the twisted
+conjugate F vbar F^-1, v v* and v* g v, and the snake composites.
 
 The fundamental comodule is the generator block that the presentation's
 catalog builder declares (Presentation.block), never one guessed from
@@ -26,11 +29,10 @@ from .presentations import (
     Presentation,
     apply_map,
     apply_scalar_map,
-    coproduct_matrix,
     counit_of_word,
     delta_ext,
+    mat_mul,
     reduce_legs,
-    sandwich,
     scalar_matrix,
     star_entries,
     star_transpose,
@@ -91,16 +93,9 @@ def tensor(v: Corep, w: Corep) -> Corep:
     p, r = v.pres, w.pres
     if p is not r and (p.alphabet != r.alphabet or p.relations != r.relations):
         raise ComoduleError("tensor factors live over different presentations")
-    n, m = v.dim, w.dim
-    out = []
-    for i in range(n):
-        for j in range(m):
-            row = []
-            for k in range(n):
-                for l in range(m):
-                    row.append(v.matrix[i][k] * w.matrix[j][l])
-            out.append(row)
-    return Corep(v.pres, out)
+    # entry ((i, j), (k, l)) is v_ik w_jl
+    return Corep(v.pres, [[vik * wjl for vik in vi for wjl in wj]
+                          for vi in v.matrix for wj in w.matrix])
 
 
 def verify_corep(v: Corep) -> Report:
@@ -112,25 +107,23 @@ def verify_corep(v: Corep) -> Report:
     with timed(report):
         dext = delta_ext(p)
         eps = counit_of_word(p.hopf)
-        delta_v = coproduct_matrix(v.matrix, v.matrix)
-        n = v.dim
-        for i in range(n):
-            for j in range(n):
-                lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))
-                rhs = reduce_legs(delta_v[i][j], (p.rewrite, p.rewrite))
-                report.add_zero(f"coassociativity entry ({i + 1},{j + 1})", lhs - rhs)
-                val = apply_scalar_map(v.matrix[i][j], eps)
-                want = S_ONE if i == j else S_ZERO
-                report.add(f"counit entry ({i + 1},{j + 1})", val == want)
+        delta_v = mat_mul(v.matrix, v.matrix, TensorPoly.of)
+        for i, j in product(range(v.dim), repeat=2):
+            lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))
+            rhs = reduce_legs(delta_v[i][j], (p.rewrite, p.rewrite))
+            report.add_zero(f"coassociativity entry ({i + 1},{j + 1})", lhs - rhs)
+            val = apply_scalar_map(v.matrix[i][j], eps)
+            want = S_ONE if i == j else S_ZERO
+            report.add(f"counit entry ({i + 1},{j + 1})", val == want)
     return report
 
 
 def unitarity_conjugator(v: Corep, F) -> Report:
     """Whether w = F vbar F^-1 is unitary modulo relations, with the
     items of add_unitarity."""
-    vbar = conjugate(v).matrix
     F = scalar_matrix(F)
-    w = sandwich(F, vbar, mat_inv(F))  # LinearSolveError when F is singular
+    # mat_inv raises LinearSolveError when F is singular
+    w = mat_mul(mat_mul(F, conjugate(v).matrix), mat_inv(F))
     report = Report(f"unitarity-conjugator({v.pres.name}, dim {v.dim})")
     with timed(report):
         add_unitarity(report, v.pres, w)
@@ -163,19 +156,15 @@ class UnitaryStructure:
 
 
 def invariance_defects(v: Corep, g):
-    """The entries sum_kl v*_ki g_kl v_lj - g_ij in row-major order, in
-    normal form: the scalar product g is invariant for v when all of
-    them vanish.  A generator, so a search can stop at the first."""
+    """The entries of v* g v - g in row-major order, in normal form: the
+    scalar product g is invariant for v when all of them vanish.  A
+    generator that normalises each entry only when asked, so a search
+    can stop at the first that does not vanish."""
     p = v.pres
-    n = v.dim
-    # vst[i][k] = (v_ki)*
     vst = [[p.nf(e) for e in row] for row in star_transpose(p.star, v.matrix)]
-    for i, j in product(range(n), repeat=2):
-        s = -NCPoly.scalar(p.alphabet, g[i][j])
-        for k, l in product(range(n), repeat=2):
-            if not g[k][l].is_zero():
-                s = s + (vst[i][k] * v.matrix[l][j]).scale(g[k][l])
-        yield p.nf(s)
+    for row, g_row in zip(mat_mul(mat_mul(vst, g), v.matrix), g):
+        for s, g_ij in zip(row, g_row):
+            yield p.nf(s - NCPoly.scalar(p.alphabet, g_ij))
 
 
 def verify_unitary_structure(u: UnitaryStructure,
@@ -256,20 +245,9 @@ def snake_check(ev, coev) -> Report:
     coev = gram^-1, so both hold by construction, and a pass certifies
     that inverse, not that coev is a comodule map."""
     n = len(ev)
+    ident = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
     report = Report(f"snake(dim {n})")
     with timed(report):
-        ok1 = ok2 = True
-        for i in range(n):
-            for j in range(n):
-                s1 = s2 = S_ZERO
-                for k in range(n):
-                    s1 = s1 + coev[i][k] * ev[k][j]
-                    s2 = s2 + ev[i][k] * coev[k][j]
-                want = S_ONE if i == j else S_ZERO
-                if not (s1 == want):
-                    ok1 = False
-                if not (s2 == want):
-                    ok2 = False
-        report.add("(1 (x) eval)(coeval (x) 1) = 1", ok1)
-        report.add("(eval (x) 1)(1 (x) coeval) = 1", ok2)
+        report.add("(1 (x) eval)(coeval (x) 1) = 1", mat_mul(coev, ev) == ident)
+        report.add("(eval (x) 1)(1 (x) coeval) = 1", mat_mul(ev, coev) == ident)
     return report

@@ -21,8 +21,8 @@ from .presentations import (
     CoactionData,
     alpha_ext,
     apply_map,
-    coproduct_matrix,
     extend_reduced,
+    mat_mul,
     reduce_legs,
 )
 from .report import Report, timed
@@ -59,13 +59,10 @@ def kernel_member(x: CotensorElement) -> bool:
     """Exact membership: for each k, sum_i v_ki (x) z_i = alpha_Z(z_k)."""
     c = x.coaction.ensure_degree(x.degree(), x.degree() + 1)
     aext = alpha_ext(c)
-    coacted = coproduct_matrix(x.comodule.matrix, [[z] for z in x.coeffs])
-    for k in range(x.comodule.dim):
-        lhs = reduce_legs(coacted[k][0], (c.base.rewrite, c.total.rewrite))
-        rhs = apply_map(x.coeffs[k], aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
-        if lhs != rhs:
-            return False
-    return True
+    coacted = mat_mul(x.comodule.matrix, [[z] for z in x.coeffs], TensorPoly.of)
+    zero = TensorPoly((c.base.alphabet, c.total.alphabet))
+    return all(reduce_legs(row[0], (c.base.rewrite, c.total.rewrite))
+               == apply_map(z, aext, zero) for row, z in zip(coacted, x.coeffs))
 
 
 def compute_cotensor(v: Corep, c: CoactionData, d: int):
@@ -123,10 +120,7 @@ def monoidal_constraint(x: CotensorElement, y: CotensorElement) -> CotensorEleme
     if x.coaction is not y.coaction:
         raise CotensorError("elements live over different extensions")
     vw = tensor(x.comodule, y.comodule)
-    coeffs = []
-    for zi in x.coeffs:
-        for wj in y.coeffs:
-            coeffs.append(x.coaction.total.nf(zi * wj))
+    coeffs = [x.coaction.total.nf(zi * wj) for zi in x.coeffs for wj in y.coeffs]
     out = CotensorElement(vw, x.coaction, coeffs)
     if not kernel_member(out):
         raise CotensorError("monoidal image fails exact kernel membership")

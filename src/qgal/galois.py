@@ -20,11 +20,10 @@ from .presentations import (
     alpha_ext,
     apply_map,
     catalog,
-    coproduct_matrix,
     extend_reduced,
+    mat_mul,
     on_block,
     reduce_legs,
-    sandwich,
     scalar_matrix,
     star_entries,
     transpose,
@@ -150,7 +149,7 @@ def glq_witness(c: CoactionData) -> GaloisWitness:
     entries of the inverse of the generator matrix z."""
     T = catalog("GLqm22")
     A, Z, Ti = c.base.alphabet, c.total.alphabet, T.alphabet
-    delta = on_block(c.base.block, coproduct_matrix(c.total.block, T.block))
+    delta = on_block(c.base.block, mat_mul(c.total.block, T.block, TensorPoly.of))
     delta[A.index["t"]] = TensorPoly.of(Z.gen("tau"), Ti.gen("xi"))
     PZ = c.total.parse
     phi = on_block(T.block, [[PZ("z22*tau"), PZ("q*tau*z12")],
@@ -206,14 +205,14 @@ def aufg_witness(c: CoactionData, F, G) -> GaloisWitness:
     # entry (z*)_kj = star(z_jk)
     T = opposite(Z)
     zbar = star_entries(Z.star, z)
-    delta = on_block(c.base.block, coproduct_matrix(z, transpose(zbar)))
+    delta = on_block(c.base.block, mat_mul(z, transpose(zbar), TensorPoly.of))
     # the starred generators need the inverse of the conjugate block: with
     # B = F zbar G^-1 unitary (B^-1 = B* by the defining relations),
     # zbar^-1 = G^-1 B* F, entrywise over Z
     F, Ginv = scalar_matrix(F), mat_inv(scalar_matrix(G))
     _, Bst = twisted_block(F, zbar, Ginv, Z.star)
-    zbar_inv = [[Z.nf(e) for e in row] for row in sandwich(Ginv, Bst, F)]
+    zbar_inv = [[Z.nf(e) for e in row] for row in mat_mul(mat_mul(Ginv, Bst), F)]
     delta.update(on_block(star_entries(c.base.star, c.base.block),
-                          coproduct_matrix(zbar, zbar_inv)))
+                          mat_mul(zbar, zbar_inv, TensorPoly.of)))
     phi = {gi: Z.alphabet.gen(name) for gi, name in enumerate(T.alphabet.names)}
     return GaloisWitness(T, delta, phi)

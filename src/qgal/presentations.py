@@ -1,9 +1,11 @@
 """Catalog of the q-deformed algebras with their Hopf structure, star
 structure and coaction data, plus the structural verification operations
-(star well-definedness, Hopf axioms, comodule-algebra axioms).
+(star well-definedness, Hopf axioms with Delta a *-map on a *-algebra,
+comodule-algebra axioms).
 
 The registry CATALOG holds one entry per catalog name: GLq2, Uq2, GLq2m2,
-Uq2m2, GLqm22, Onp, AuFG and AuF.
+Uq2m2, GLqm22, Onp, AuFG and AuF.  Each builder writes its structure as
+matrix identities over a block of generators, all products by mat_mul.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 from .ncpoly import (
     AlgebraError,
@@ -231,10 +233,18 @@ def apply_scalar_map(poly, eps):
 # ---------------------------------------------------------------------------
 
 
-def generator_block(alphabet, prefix, n, p, suffix=""):
-    """The n x p matrix of the generators <prefix><i><j><suffix>."""
-    return [[alphabet.gen(f"{prefix}{i}{j}{suffix}") for j in range(1, p + 1)]
+def block_names(prefix, n, p, suffix=""):
+    """The n x p matrix of names <prefix><i><j><suffix>, each index padded
+    with zeros to the width of max(n, p): (1, 11) and (11, 1) differ."""
+    w = len(str(max(n, p)))
+    return [[f"{prefix}{i:0{w}}{j:0{w}}{suffix}" for j in range(1, p + 1)]
             for i in range(1, n + 1)]
+
+
+def generator_block(alphabet, prefix, n, p, suffix=""):
+    """The n x p matrix of the generators named by block_names."""
+    return [[alphabet.gen(name) for name in row]
+            for row in block_names(prefix, n, p, suffix)]
 
 
 def on_block(block, mat):
@@ -263,56 +273,34 @@ def star_transpose(star, M):
     return transpose(star_entries(star, M))
 
 
-def coproduct_matrix(L, R):
-    """The matrix of sum_k L_ik (x) R_kj, summed over k in increasing
-    order: the shape of a matrix coproduct, coaction or translation map."""
-    return [[reduce(add, [TensorPoly.of(row[k], R[k][j]) for k in range(len(R))])
-             for j in range(len(R[0]))] for row in L]
+def mat_mul(A, B, times=mul):
+    """The matrix product A B: entry (i, j) is the sum over k, in
+    increasing order, of times(A_ik, B_kj), and unequal inner dimensions
+    raise ValueError.  The default multiplies scalars, NCPolys, or a
+    scalar and an NCPoly; times=TensorPoly.of gives sum_k A_ik (x) B_kj,
+    the shape of a matrix coproduct, coaction or translation map."""
+    return [[reduce(add, [times(a, b[j]) for a, b in zip(row, B, strict=True)])
+             for j in range(len(B[0]))] for row in A]
 
 
 def unitarity_defects(M, Mst):
     """The entries of M M* - I and of M* M - I, as two lists in row-major
     order, for an n x p matrix M of NCPoly and its star-transpose Mst.
-    M is unitary when all of them vanish.  Each entry sums over k in
-    increasing order."""
+    M is unitary when all of them vanish."""
     one = NCPoly.one(M[0][0].alphabet)
 
     def defects(L, R):
-        out = []
-        for i, row in enumerate(L):
-            for j in range(len(R[0])):
-                s = NCPoly.zero(one.alphabet)
-                for k, e in enumerate(row):
-                    s = s + e * R[k][j]
-                out.append(s - one if i == j else s)
-        return out
+        return [s - one if i == j else s
+                for i, row in enumerate(mat_mul(L, R)) for j, s in enumerate(row)]
 
     return defects(M, Mst), defects(Mst, M)
-
-
-def sandwich(F, mat, Ginv):
-    """F * mat * Ginv with scalar matrices F, Ginv and NCPoly mat."""
-    n, p = len(F), len(Ginv)
-    inner = len(mat)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            s = None
-            for k in range(inner):
-                for l in range(len(mat[0])):
-                    term = mat[k][l].scale(F[i][k] * Ginv[l][j])
-                    s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def twisted_block(F, zbar, Ginv, star):
     """B = F zbar G^-1 for scalar matrices F, G^-1 and a block zbar of
     NCPoly, with its star-transpose B*.  The AuFG relations make B
     unitary, and then G^-1 B* F is the inverse of zbar."""
-    B = sandwich(F, zbar, Ginv)
+    B = mat_mul(mat_mul(F, zbar), Ginv)
     return B, star_transpose(star, B)
 
 
@@ -422,7 +410,7 @@ def _build_glq2(star: bool):
         smap = StarMap(A, {**on_block(x, [[P("x22*t"), P("-q^-1*x21*t")],
                                           [P("-q*x12*t"), P("x11*t")]]),
                            idx["t"]: det})
-    delta = on_block(x, coproduct_matrix(x, x))
+    delta = on_block(x, mat_mul(x, x, TensorPoly.of))
     delta[idx["t"]] = TensorPoly.of(A.gen("t"), A.gen("t"))
     counit = on_block(x, [[S_ONE, S_ZERO], [S_ZERO, S_ONE]])
     counit[idx["t"]] = S_ONE
@@ -487,7 +475,7 @@ def _build_glqm22():
 
 def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionData:
     Ai, Zi, z = base.alphabet, total.alphabet, total.block
-    alpha = on_block(z, coproduct_matrix(base.block, z))
+    alpha = on_block(z, mat_mul(base.block, z, TensorPoly.of))
     alpha[Zi.index["tau"]] = TensorPoly.of(Ai.gen("t"), Zi.gen("tau"))
     left = on_block(z, [[unit_vector(i, 2)] * 2 for i in (1, 2)])
     left[Zi.index["tau"]] = (-1, -1)
@@ -496,9 +484,10 @@ def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionDat
 
 def _star_alphabet(prefix, n, p):
     """(A, star, z, zbar): the alphabet of an n x p block z of generators
-    <prefix><i><j> and of their entrywise stars zbar, <prefix><i><j>s,
-    with the star map that swaps the two blocks."""
-    names = [f"{prefix}{i}{j}" for i in range(1, n + 1) for j in range(1, p + 1)]
+    named by block_names and of their entrywise stars zbar, the same
+    names with an "s" appended, with the star map that swaps the two
+    blocks."""
+    names = sum(block_names(prefix, n, p), [])
     A = Alphabet(names + [f"{name}s" for name in names])
     z, zbar = generator_block(A, prefix, n, p), generator_block(A, prefix, n, p, "s")
     star = StarMap(A, {**on_block(z, zbar), **on_block(zbar, z)})
@@ -537,15 +526,15 @@ def _auf_hopf(z, zbar, F, Finv, Bst):
     """Hopf data of AuF on the square block z and its entrywise star
     zbar; Bst is the star-transpose of B = F zbar F^-1."""
     n = len(z)
-    delta = on_block(z, coproduct_matrix(z, z))
-    delta.update(on_block(zbar, coproduct_matrix(zbar, zbar)))
+    delta = on_block(z, mat_mul(z, z, TensorPoly.of))
+    delta.update(on_block(zbar, mat_mul(zbar, zbar, TensorPoly.of)))
     # z_ij and z_ij* in turn, the order a counit character lists them in
     pairs = [[g, gs] for row, srow in zip(z, zbar) for g, gs in zip(row, srow)]
     counit = on_block(pairs, [[S_ONE if i == j else S_ZERO] * 2
                               for i in range(n) for j in range(n)])
     antipode = on_block(z, transpose(zbar))
     # S(zbar) = F^-1 B* F, the inverse of the conjugate matrix
-    antipode.update(on_block(zbar, sandwich(Finv, Bst, F)))
+    antipode.update(on_block(zbar, mat_mul(mat_mul(Finv, Bst), F)))
     grades = {}
     for block, sign in ((z, 1), (zbar, -1)):  # z_ij* has the negated grades
         grades.update(on_block(block, [
@@ -560,7 +549,7 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
     for x, z, sign in ((base.block, total.block, 1),  # z and zbar coact alike
                        (star_entries(base.star, base.block),
                         star_entries(total.star, total.block), -1)):
-        alpha.update(on_block(z, coproduct_matrix(x, z)))
+        alpha.update(on_block(z, mat_mul(x, z, TensorPoly.of)))
         left.update(on_block(z, [[unit_vector(i, n, sign)] * p
                                  for i in range(1, n + 1)]))
     return CoactionData(base, total, alpha, left)
@@ -668,16 +657,12 @@ def verify_hopf(p: Presentation) -> Report:
             report.add("epsilon kills relation " + _short(rel), c.is_zero())
         for gi, name in enumerate(A.names):
             d = h.delta[gi]
-            left = expand_leg(d, 0, dext, (A, A))
-            right = expand_leg(d, 1, dext, (A, A))
-            left = reduce_legs(left, (rs, rs, rs))
-            right = reduce_legs(right, (rs, rs, rs))
+            left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), (rs, rs, rs))
+                           for leg in (0, 1))
             report.add(f"coassociativity on {name}", left == right)
-            ce_l = d.collapse_leg(0, lambda w: eps(w))
-            ce_r = d.collapse_leg(1, lambda w: eps(w))
+            lhs, rhs = (rs.normal_form(_tensor1_to_poly(d.collapse_leg(leg, eps), A))
+                        for leg in (0, 1))
             g_nf = rs.normal_form(A.gen(name))
-            lhs = rs.normal_form(_tensor1_to_poly(ce_l, A))
-            rhs = rs.normal_form(_tensor1_to_poly(ce_r, A))
             report.add(f"counit law on {name}", lhs == g_nf and rhs == g_nf)
             m_s1 = apply_map(d, lambda k: sext(k[0]) * NCPoly(A, {k[1]: S_ONE}),
                              NCPoly.zero(A))
@@ -687,6 +672,8 @@ def verify_hopf(p: Presentation) -> Report:
             ok = rs.normal_form(m_s1 - target).is_zero() and \
                 rs.normal_form(m_1s - target).is_zero()
             report.add(f"antipode law on {name}", ok)
+        if p.star is not None:
+            add_star_map(report, "Delta", h.delta, dext, p, p)
     return report
 
 
@@ -709,21 +696,27 @@ def verify_coaction(c: CoactionData) -> Report:
                 left = reduce_legs(expand_leg(a, 0, dext, (A, A)), (rsA, rsA, rsZ))
                 right = reduce_legs(expand_leg(a, 1, aext, (A, Z)), (rsA, rsA, rsZ))
                 report.add(f"coassociativity on {name}", left == right)
-                ce = a.collapse_leg(0, lambda w: eps(w))
+                ce = a.collapse_leg(0, eps)
                 lhs = rsZ.normal_form(_tensor1_to_poly(ce, Z))
                 report.add(f"counit law on {name}",
                            lhs == rsZ.normal_form(Z.gen(name)))
         if c.base.star is not None and c.total.star is not None:
-            for gi, name in enumerate(Z.names):
-                lhs = apply_map(c.total.star.apply(Z.gen(name)), aext,
-                                TensorPoly((A, Z)))
-                rhs = c.alpha[gi].map_leg(0, lambda w: c.base.star.apply(
-                    NCPoly(A, {w: S_ONE})))
-                rhs = rhs.map_leg(1, lambda w: c.total.star.apply(
-                    NCPoly(Z, {w: S_ONE})))
-                rhs = reduce_legs(rhs, (rsA, rsZ))
-                report.add(f"alpha is a *-map on {name}", lhs == rhs)
+            add_star_map(report, "alpha", c.alpha, aext, c.base, c.total)
     return report
+
+
+def add_star_map(report: Report, label, images, ext, base, source):
+    """Add one item "<label> is a *-map on g" per generator g of source,
+    for a map source -> base (x) source given on generators by `images`
+    and extended to words by `ext`, legs reduced: the image of g* must
+    equal (* (x) *) of the image of g."""
+    A, Z = base.alphabet, source.alphabet
+    for gi, name in enumerate(Z.names):
+        lhs = apply_map(source.star.apply(Z.gen(name)), ext, TensorPoly((A, Z)))
+        rhs = images[gi].map_leg(0, lambda w: base.star.apply(NCPoly(A, {w: S_ONE})))
+        rhs = rhs.map_leg(1, lambda w: source.star.apply(NCPoly(Z, {w: S_ONE})))
+        rhs = reduce_legs(rhs, (base.rewrite, source.rewrite))
+        report.add(f"{label} is a *-map on {name}", lhs == rhs)
 
 
 def _tensor1_to_poly(t: TensorPoly, alphabet) -> NCPoly:
@@ -842,6 +835,17 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
                    completion_degree=completion_degree)
 
 
+def coaction_names(text: str):
+    """The (Z, A) names of the 'coaction Z over A' line of a DSL text,
+    the last one if there are several, or None for a text without one."""
+    names = None
+    for _, head, rest in directives(text):
+        if head == "coaction":
+            zname, _, aname = rest.partition(" over ")
+            names = zname.strip(), aname.strip()
+    return names
+
+
 def parse_coaction_text(text: str, resolve) -> CoactionData:
     """Parse the coaction DSL:
 
@@ -850,20 +854,17 @@ def parse_coaction_text(text: str, resolve) -> CoactionData:
 
     `resolve` maps a name to a Presentation (catalog or parsed file).
     """
-    total = base = None
+    names = coaction_names(text)
+    if names is None:
+        raise CatalogError("coaction file needs a 'coaction Z over A' line")
+    total, base = map(resolve, names)
     alpha_lines = []
     for lineno, head, rest in directives(text):
-        if head == "coaction":
-            zname, _, aname = rest.partition(" over ")
-            total = resolve(zname.strip())
-            base = resolve(aname.strip())
-        elif head == "alpha":
+        if head == "alpha":
             gname, _, expr = rest.partition("->")
             alpha_lines.append((lineno, gname.strip(), expr.strip()))
-        else:
+        elif head != "coaction":
             raise CatalogError(f"line {lineno}: unknown directive {head!r}")
-    if total is None or base is None:
-        raise CatalogError("coaction file needs a 'coaction Z over A' line")
     alpha = {}
     for lineno, gname, expr in alpha_lines:
         if gname not in total.alphabet.index:

@@ -56,6 +56,12 @@ def test_unknown_target_exits_3(capsys):
     assert "error" in err
 
 
+def test_directory_target_exits_3(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", str(tmp_path), "--suite", "star")
+    assert code == 3
+    assert "unknown target" in err
+
+
 def test_inapplicable_suite_exits_3(capsys):
     code, _, err = run(capsys, "verify", "GLq2", "--suite", "star")
     assert code == 3
@@ -112,6 +118,36 @@ def test_coaction_file_runs_its_suites(capsys, trivial_coaction):
                            ("galois", "no Galois witness construction")):
         code, _, err = run(capsys, "verify", trivial_coaction, "--suite", suite)
         assert code == 3 and message in err
+
+
+def test_coaction_file_names_resolve_next_to_it(tmp_path, monkeypatch, capsys):
+    (tmp_path / "line.alg").write_text(LINE)
+    f = tmp_path / "triv.coa"
+    f.write_text("coaction line.alg over Uq2\nalpha x -> 1 (x) x\n")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, out, err = run(capsys, "verify", str(f), "--suite", "coaction")
+    assert code == 0, err
+    assert out.startswith("[PASS] coaction(line over Uq2)")
+
+
+def test_each_file_is_parsed_once(tmp_path, monkeypatch, capsys):
+    (tmp_path / "line.alg").write_text(LINE)
+    f = tmp_path / "triv.coa"
+    f.write_text(f"coaction {tmp_path / 'line.alg'} over Uq2\n"
+                 "alpha x -> 1 (x) x\n")
+    calls = []
+    parse = presentations.parse_presentation_text
+    monkeypatch.setattr(presentations, "parse_presentation_text",
+                        lambda *a, **k: calls.append(a) or parse(*a, **k))
+    code, _, err = run(capsys, "verify", str(f), "--suite", "all")
+    assert code == 0, err
+    assert len(calls) == 1
+    # another text at the same path is another input
+    (tmp_path / "line.alg").write_text(LINE + "relation x*x - x\n")
+    run(capsys, "verify", str(f), "--suite", "star")
+    assert len(calls) == 2
 
 
 def test_file_base_has_no_fundamental_comodule(tmp_path, capsys):
@@ -443,3 +479,16 @@ def test_stdout_closed_before_buffered_output_exits_141():
         os.close(w)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_n_and_p_only_where_the_target_takes_them(tmp_path, capsys):
+    code, _, err = run(capsys, "normalize", "Uq2", "x12*x11", "--n", "5")
+    assert code == 3 and "takes no --n" in err
+    f = tmp_path / "qplane.alg"
+    f.write_text(QPLANE)
+    code, _, err = run(capsys, "normalize", str(f), "y*x", "--p", "3")
+    assert code == 3 and "takes no --p" in err
+    code, out, err = run(capsys, "verify", "Onp", "--n", "3", "--p", "2",
+                         "--suite", "star")
+    assert code == 0, err
+    assert out.startswith("[PASS] star(Onp(3,2))")

@@ -24,8 +24,8 @@ from qgal.presentations import (
     CoactionData,
     catalog,
     coaction,
+    mat_mul,
     parse_presentation_text,
-    sandwich,
 )
 from qgal.report import Undecided
 from qgal.scalars import Q, S_ONE, S_ZERO, ScalarQ
@@ -76,7 +76,7 @@ def test_conjugator_and_biunitarity_report_alike(uq2, twisted):
     failing for F = 1."""
     v = fundamental(uq2)
     F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1 if twisted else 0)]]
-    w = sandwich(F, conjugate(v).matrix, mat_inv(F))
+    w = mat_mul(mat_mul(F, conjugate(v).matrix), mat_inv(F))
     hopf_on_itself = CoactionData(uq2, uq2, dict(uq2.hopf.delta))
     conj = unitarity_conjugator(v, F)
     biun = verify_biunitarity(hopf_on_itself, w)

@@ -2,18 +2,21 @@ import argparse
 
 import pytest
 
+from conftest import random_poly, random_scalar
 from qgal import presentations
 from qgal.cli import main, resolve_coaction, resolve_presentation
-from qgal.ncpoly import NCPoly, StarMap, TensorPoly
+from qgal.ncpoly import Alphabet, NCPoly, StarMap, TensorPoly
 from qgal.presentations import (
     CatalogError,
     CoactionData,
     HopfData,
     Presentation,
+    _star_alphabet,
     abelianization,
     catalog,
     coaction,
     findim_rep_obstruction,
+    mat_mul,
     matrix_fq,
     parse_coaction_text,
     parse_presentation_text,
@@ -108,6 +111,29 @@ def test_verify_hopf_corrupted(uq2):
                        HopfData(delta, dict(uq2.hopf.counit),
                                 dict(uq2.hopf.antipode)), uq2.block)
     assert not verify_hopf(bad).ok
+
+
+def star_map_items(report):
+    return [i for i in report.items if "is a *-map" in i.desc]
+
+
+def test_verify_hopf_checks_delta_is_a_star_map(glq2, uq2):
+    assert star_map_items(verify_hopf(glq2)) == []
+    items = star_map_items(verify_hopf(uq2))
+    assert [i.desc for i in items] == [f"Delta is a *-map on {g}"
+                                       for g in uq2.alphabet.names]
+    assert all(i.status == "pass" for i in items)
+    # Delta(x12) and Delta(x21) swapped: no longer a *-map
+    A = uq2.alphabet
+    delta = dict(uq2.hopf.delta)
+    i12, i21 = A.index["x12"], A.index["x21"]
+    delta[i12], delta[i21] = delta[i21], delta[i12]
+    bad = Presentation(uq2.name, A, uq2.relations, uq2.rewrite, uq2.star,
+                       HopfData(delta, dict(uq2.hopf.counit),
+                                dict(uq2.hopf.antipode)), uq2.block)
+    failed = [i.desc for i in star_map_items(verify_hopf(bad)) if i.status == "fail"]
+    assert "Delta is a *-map on x12" in failed
+    assert "Delta is a *-map on x21" in failed
 
 
 def test_verify_coaction(c_uq, c_glq):
@@ -267,3 +293,75 @@ def test_certified_copies_carry_the_block(uq2m2):
 def test_file_presentation_declares_no_block():
     p = parse_presentation_text("algebra line\ngenerators x\n")
     assert p.block is None
+
+
+def test_star_alphabet_names_large_blocks_apart():
+    A, _, z, zbar = _star_alphabet("z", 11, 11)
+    assert len(A) == len(set(A.names)) == 242
+    # both indices padded to two digits: z_{1,11} and z_{11,1} differ
+    assert A.names[10] == "z0111" and A.names[110] == "z1101"
+    assert z[0][10] == A.gen("z0111") and zbar[10][0] == A.gen("z1101s")
+    A, _, _, _ = _star_alphabet("z", 2, 3)
+    names = ["z11", "z12", "z13", "z21", "z22", "z23"]
+    assert A.names == tuple(names + [f"{g}s" for g in names])
+
+
+def _sympy_of(c, sp, q):
+    def laurent(p):
+        return sum((sp.Rational(v) * q**e for e, v in p.coeffs.items()),
+                   sp.Integer(0))
+    return laurent(c.num) / laurent(c.den)
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 2, 2), (3, 2, 4)])
+def test_mat_mul_scalars_against_sympy(rng, n, m, p):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    A = [[random_scalar(rng) for _ in range(m)] for _ in range(n)]
+    B = [[random_scalar(rng) for _ in range(p)] for _ in range(m)]
+    want = sp.Matrix([[_sympy_of(c, sp, q) for c in row] for row in A]) * \
+        sp.Matrix([[_sympy_of(c, sp, q) for c in row] for row in B])
+    got = mat_mul(A, B)
+    assert [len(row) for row in got] == [p] * n
+    for i in range(n):
+        for j in range(p):
+            assert sp.cancel(_sympy_of(got[i][j], sp, q) - want[i, j]) == 0
+
+
+def test_mat_mul_polynomials_against_a_triple_loop(rng):
+    X = Alphabet(["a", "b", "c"])
+    A = [[random_poly(rng, X) for _ in range(3)] for _ in range(2)]
+    B = [[random_poly(rng, X) for _ in range(4)] for _ in range(3)]
+    F = [[random_scalar(rng) for _ in range(2)] for _ in range(2)]
+    G = [[random_scalar(rng) for _ in range(2)] for _ in range(3)]
+    AB = [[NCPoly.zero(X) for _ in range(4)] for _ in range(2)]
+    FA = [[NCPoly.zero(X) for _ in range(3)] for _ in range(2)]
+    AG = [[NCPoly.zero(X) for _ in range(2)] for _ in range(2)]
+    for i in range(2):
+        for k in range(3):
+            for j in range(4):
+                AB[i][j] = AB[i][j] + A[i][k] * B[k][j]
+            for j in range(2):
+                AG[i][j] = AG[i][j] + A[i][k].scale(G[k][j])
+        for k in range(2):
+            for j in range(3):
+                FA[i][j] = FA[i][j] + A[k][j].scale(F[i][k])
+    assert mat_mul(A, B) == AB
+    # a scalar matrix on either side of a block of NCPoly
+    assert mat_mul(F, A) == FA
+    assert mat_mul(A, G) == AG
+    with pytest.raises(ValueError):
+        mat_mul(A, A)  # 2 x 3 times 2 x 3
+
+
+def test_mat_mul_tensor_shape(rng):
+    X, Y = Alphabet(["a", "b"]), Alphabet(["u", "v", "w"])
+    A = [[random_poly(rng, X) for _ in range(3)] for _ in range(2)]
+    B = [[random_poly(rng, Y)] for _ in range(3)]
+    got = mat_mul(A, B, TensorPoly.of)
+    assert [len(row) for row in got] == [1, 1]
+    for i in range(2):
+        want = TensorPoly((X, Y))
+        for k in range(3):
+            want = want + TensorPoly.of(A[i][k], B[k][0])
+        assert got[i][0] == want
