@@ -96,11 +96,12 @@ def _catalog_params(target, args):
 _FILES = {}
 
 
-def _load(target, args):
+def _load(target, args, chain=()):
     """A catalog target's presentation, or a file target parsed: a
     coaction file to its CoactionData, any other to its Presentation.
     A name in a coaction file that is no catalog entry is a file path
-    relative to the coaction file's directory."""
+    relative to the coaction file's directory.  `chain` holds the real
+    paths of the coaction files being resolved; naming one is a CliError."""
     catalogued = target in presentations.CATALOG
     if not (catalogued or os.path.isfile(target)):
         raise CliError(f"unknown target {target!r} (not a catalog name or file)")
@@ -108,11 +109,14 @@ def _load(target, args):
     if catalogued:
         return presentations.catalog(target, **params)
     path = os.path.realpath(target)
+    if path in chain:
+        raise CliError(f"cycle of coaction files: {' -> '.join(chain + (path,))}")
     with open(path) as fh:
         text = fh.read()
     names = presentations.coaction_names(text) or ()
     legs = tuple(resolve_presentation(name if name in presentations.CATALOG else
-                                      os.path.join(os.path.dirname(target), name), args)
+                                      os.path.join(os.path.dirname(target), name),
+                                      args, chain + (path,))
                  for name in names)
     key = (path, text, legs)
     if key not in _FILES:
@@ -121,10 +125,10 @@ def _load(target, args):
     return _FILES[key]
 
 
-def resolve_presentation(target, args):
+def resolve_presentation(target, args, chain=()):
     """The target's presentation; that of a coaction file is its total.
-    A catalog target's coaction is not built."""
-    data = _load(target, args)
+    A catalog target's coaction is not built.  `chain` is `_load`'s."""
+    data = _load(target, args, chain)
     return data.total if isinstance(data, CoactionData) else data
 
 
@@ -375,6 +379,13 @@ def _q_list(text):
     return qs
 
 
+def _degree(text):
+    """--degree: an integer >= 0; main reports any other value with exit 3."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"degree must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     ap = _Parser(
         prog="qgal",
@@ -385,7 +396,7 @@ def build_parser():
     def common(sp, with_degree=True):
         sp.add_argument("target")
         if with_degree:
-            sp.add_argument("--degree", type=int, default=2)
+            sp.add_argument("--degree", type=_degree, default=2)
         sp.add_argument("--q", type=_q_list, default=[0.5, 0.9, 2.0])
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--n", type=int, default=None)

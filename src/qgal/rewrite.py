@@ -2,9 +2,10 @@
 
 Rules rewrite a leading word to a strictly smaller polynomial under a
 degree-lexicographic order, so reduction terminates and never raises
-degree.  Overlap (diamond-lemma) checking certifies local confluence up
-to a degree bound; bounded completion adds oriented differences of
-divergent reductions until the bound is clean.
+degree.  One `LhsIndex` of the lhs words finds where a rule applies.
+Overlap (diamond-lemma) checking certifies local confluence up to a
+degree bound; bounded completion adds oriented differences of divergent
+reductions until the bound is clean.
 
 The criterion is Bergman's diamond lemma (G. M. Bergman, The diamond
 lemma for ring theory, Adv. Math. 29 (1978), Thm 1.2): when every
@@ -108,58 +109,52 @@ def orient(poly: NCPoly, order: MonomialOrder) -> RewriteRule | None:
     return RewriteRule(lead, rhs)
 
 
-def find_first_match(word, buckets):
-    """Leftmost occurrence of any rule lhs inside `word`.
+class LhsIndex:
+    """The lhs words of a list of rules, read by normal forms,
+    inter-reduction, word bases and inclusion ambiguities.  `lhs_map` maps
+    each lhs to the indices of its rules in increasing order; `lengths`
+    maps each first letter of an lhs to the lengths of the lhs that start
+    with it, longest first.  A rule that is None (reduced away) is left out
+    but keeps its index."""
 
-    `buckets` maps a first letter to a list of (lhs, rule_index) pairs,
-    with each bucket sorted longest lhs first so ties at one position
-    pick the longest (and thus most specific) rule.
+    __slots__ = ("lhs_map", "lengths")
 
-    Returns (position, rule_index, lhs_length) or None.
-    """
-    n = len(word)
-    for pos in range(n):
-        bucket = buckets.get(word[pos])
-        if not bucket:
-            continue
-        rest = n - pos
-        for lhs, idx in bucket:
-            m = len(lhs)
-            if m <= rest and word[pos : pos + m] == lhs:
-                return pos, idx, m
-    return None
+    def __init__(self, rules):
+        self.lhs_map = {}
+        for idx, rule in enumerate(rules):
+            if rule is not None:
+                self.lhs_map.setdefault(rule.lhs, []).append(idx)
+        self._set_lengths()
 
+    def _set_lengths(self):
+        lengths = {}
+        for lhs in self.lhs_map:
+            lengths.setdefault(lhs[0], set()).add(len(lhs))
+        self.lengths = {g: sorted(ms, reverse=True) for g, ms in lengths.items()}
 
-def _lhs_buckets(rules):
-    """The `buckets` of `find_first_match` for a list of rules; an entry
-    that is None (a rule reduced away) is left out but keeps its index."""
-    buckets = {}
-    for idx, rule in enumerate(rules):
-        if rule is not None:
-            buckets.setdefault(rule.lhs[0], []).append((rule.lhs, idx))
-    for bucket in buckets.values():
-        bucket.sort(key=lambda t: -len(t[0]))
-    return buckets
+    def match(self, word, skip=None):
+        """Leftmost occurrence in `word` of the lhs of a rule whose index
+        is not `skip`, as (position, rule index, lhs length), or None.  At
+        one position the longest lhs wins, then the smallest index."""
+        get, lengths = self.lhs_map.get, self.lengths
+        n = len(word)
+        for pos in range(n):
+            for m in lengths.get(word[pos], ()):
+                if pos + m <= n:
+                    for idx in get(word[pos : pos + m], ()):
+                        if idx != skip:
+                            return pos, idx, m
+        return None
 
-
-def _move_lhs(buckets, idx, old, new):
-    """Update `buckets` in place for rule idx changing from `old` to
-    `new` (None when reduced away), in the order `_lhs_buckets` gives."""
-    buckets[old.lhs[0]].remove((old.lhs, idx))
-    if new is not None:
-        insort(buckets.setdefault(new.lhs[0], []), (new.lhs, idx),
-               key=lambda t: (-len(t[0]), t[1]))
-
-
-def _has_other_lhs(word, buckets, skip):
-    """Whether `word` contains the lhs of a rule whose index is not `skip`."""
-    n = len(word)
-    for pos in range(n):
-        for lhs, idx in buckets.get(word[pos], ()):
-            m = len(lhs)
-            if idx != skip and m <= n - pos and word[pos : pos + m] == lhs:
-                return True
-    return False
+    def move(self, idx, old, new):
+        """Rule idx changed from `old` to `new` (None when reduced away)."""
+        idxs = self.lhs_map[old.lhs]
+        idxs.remove(idx)
+        if not idxs:
+            del self.lhs_map[old.lhs]
+        if new is not None:
+            insort(self.lhs_map.setdefault(new.lhs, []), idx)
+        self._set_lengths()
 
 
 class RewriteSystem:
@@ -172,7 +167,7 @@ class RewriteSystem:
         self.rules = tuple(rules)
         self.completion_degree = completion_degree
         self.rule_cap = rule_cap
-        self._buckets = _lhs_buckets(self.rules)
+        self.index = LhsIndex(self.rules)
         self._nf_cache = {(): {(): S_ONE}}
         # the largest degree up to which every ambiguity is resolvable:
         # complete resolved them all or a full scan by word_basis came
@@ -188,13 +183,13 @@ class RewriteSystem:
         if hit is not None:
             return hit
         stack = [word]
-        find = find_first_match
+        match = self.index.match
         while stack:
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
-            m = find(cur, self._buckets)
+            m = match(cur)
             if m is None:
                 cache[cur] = {cur: S_ONE}
                 stack.pop()
@@ -250,16 +245,15 @@ class RewriteSystem:
 
         The candidate pairs come from two indexes instead of a scan of all
         pairs: rules by each proper prefix of their lhs (an overlap of
-        length k is lhs_j with the prefix lhs_i[-k:]) and rules by their
-        whole lhs (an inclusion is lhs_j equal to a subword of lhs_i).
+        length k is lhs_j with the prefix lhs_i[-k:]) and the system's lhs
+        index (an inclusion is lhs_j equal to a subword of lhs_i).
         """
         rules = self.rules
-        by_prefix, by_lhs = {}, {}
+        by_lhs = self.index.lhs_map
+        by_prefix = {}
         for j, rule in enumerate(rules):
-            l2 = rule.lhs
-            by_lhs.setdefault(l2, []).append(j)
-            for k in range(1, len(l2)):
-                by_prefix.setdefault(l2[:k], []).append(j)
+            for k in range(1, len(rule.lhs)):
+                by_prefix.setdefault(rule.lhs[:k], []).append(j)
         for i, r1 in enumerate(rules):
             l1 = r1.lhs
             n1 = len(l1)
@@ -362,7 +356,7 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
     Rule i is reduced by a system of the others only when one of the
     words of its polynomial contains the lhs of another live rule; else
     that normal form would return the polynomial unchanged, and the build
-    is skipped.  One lhs index of the live rules answers that question;
+    is skipped.  An `LhsIndex` of the live rules answers that question;
     when a rule changes, only its entry moves.  The input rules are
     already oriented, and orient(r.as_poly()) == r, so a rule is oriented
     again only when its polynomial changes.  This returns the same rules,
@@ -371,14 +365,12 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
     """
     oriented = list(rules)
     polys = [r.as_poly(alphabet) for r in oriented]
-    buckets = _lhs_buckets(oriented)
+    index = LhsIndex(oriented)
     changed = True
     while changed:
         changed = False
         for i, poly in enumerate(polys):
-            if poly is None or not any(
-                _has_other_lhs(w, buckets, i) for w in poly.terms
-            ):
+            if poly is None or not any(index.match(w, i) for w in poly.terms):
                 continue
             others = [
                 r for j, r in enumerate(oriented) if j != i and r is not None
@@ -389,7 +381,7 @@ def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
                 changed = True
                 polys[i] = None if reduced.is_zero() else reduced
                 old, oriented[i] = oriented[i], orient(reduced, order)
-                _move_lhs(buckets, i, old, oriented[i])
+                index.move(i, old, oriented[i])
     return [r for r in oriented if r is not None]
 
 
@@ -466,8 +458,10 @@ def word_basis(rs: RewriteSystem, d: int):
     ConfluenceError when d exceeds the completion degree or an overlap
     of degree <= d does not resolve.  The overlaps are scanned once per
     system, all pairs: a clean scan at some degree, or a completion to
-    it, covers every degree below it.
+    it, covers every degree below it.  A negative d raises RewriteError.
     """
+    if d < 0:
+        raise RewriteError(f"word degree must be >= 0, got {d}")
     if d > rs.completion_degree:
         raise ConfluenceError(
             f"degree {d} exceeds completion bound {rs.completion_degree}"
@@ -479,6 +473,8 @@ def word_basis(rs: RewriteSystem, d: int):
             )
         rs._confluent_to = d
     ngen = len(rs.alphabet)
+    lhs_map = rs.index.lhs_map
+    lengths = {len(lhs) for lhs in lhs_map}
     words = []
 
     def extend(word):
@@ -487,18 +483,10 @@ def word_basis(rs: RewriteSystem, d: int):
             return
         for g in range(ngen):
             w = word + (g,)
-            # only the new suffixes can introduce a lhs occurrence
-            if _suffix_normal(w, rs):
+            # word is normal, so an lhs in w ends at its last letter
+            if not any(w[-m:] in lhs_map for m in lengths):
                 extend(w)
 
     extend(())
     words.sort(key=rs.order.key)
     return words
-
-
-def _suffix_normal(word, rs: RewriteSystem):
-    for rule in rs.rules:
-        m = len(rule.lhs)
-        if m <= len(word) and word[-m:] == rule.lhs:
-            return False
-    return True

@@ -160,6 +160,25 @@ def test_file_base_has_no_fundamental_comodule(tmp_path, capsys):
     assert "ComoduleError: line: declares no square generator block" in err
 
 
+def test_coaction_file_naming_itself_exits_3(tmp_path, capsys):
+    f = tmp_path / "loop.coa"
+    f.write_text("coaction loop.coa over Uq2\n")
+    code, out, err = run(capsys, "verify", str(f), "--suite", "star")
+    assert code == 3 and out == ""
+    path = os.path.realpath(f)
+    assert f"CliError: cycle of coaction files: {path} -> {path}\n" in err
+
+
+def test_coaction_files_naming_each_other_exit_3(tmp_path, capsys):
+    a, b = tmp_path / "a.coa", tmp_path / "b.coa"
+    a.write_text("coaction b.coa over Uq2\n")
+    b.write_text("coaction a.coa over Uq2\n")
+    code, out, err = run(capsys, "verify", str(a), "--suite", "star")
+    assert code == 3 and out == ""
+    pa, pb = os.path.realpath(a), os.path.realpath(b)
+    assert f"CliError: cycle of coaction files: {pa} -> {pb} -> {pa}\n" in err
+
+
 @pytest.mark.parametrize("target", ["GLq2", "GLq2m2"])
 def test_verify_all_without_star(capsys, target):
     code, out, err = run(capsys, "verify", target, "--suite", "all")
@@ -198,6 +217,25 @@ def test_argparse_rejection_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert "usage: qgal" in err and "error: CliError: qgal" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["haar", "Uq2m2", "--degree", "-1"],
+    ["verify", "GLq2m2", "--suite", "galois", "--degree", "-1"],
+    # run, it would pass vacuously: dim(V wedge Z) = 0 at degree -2
+    ["cotensor", "Uq2m2", "--degree", "-2"],
+])
+def test_negative_degree_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "argument --degree: degree must be an integer >= 0, got '-" in err
+
+
+def test_degree_0_runs_every_suite(capsys):
+    code, out, err = run(capsys, "verify", "Uq2m2", "--suite", "all",
+                         "--degree", "0")
+    assert code == 0, err
+    assert out.startswith("[PASS] star(Uq2m2)") and "[FAIL]" not in out
 
 
 def test_help_exits_0(capsys):

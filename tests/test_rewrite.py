@@ -1,3 +1,4 @@
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -10,13 +11,14 @@ from qgal.presentations import CATALOG, catalog, parse_presentation_text
 from qgal.rewrite import (
     CompletionBudgetError,
     ConfluenceError,
+    LhsIndex,
     MonomialOrder,
     Obstruction,
+    RewriteError,
     RewriteRule,
     RewriteSystem,
     build_system,
     complete,
-    find_first_match,
     orient,
     word_basis,
 )
@@ -31,10 +33,71 @@ def test_normal_form_examples(glq2, glq2m2):
     assert glq2m2.nf(Z("z22*z11")) == Z("-z11*z22 + (q - q^-1)*z12*z21")
 
 
-def test_find_first_match_basics():
-    buckets = {1: [((1, 0), 0)]}
-    assert find_first_match((0, 1, 0, 2), buckets) == (1, 0, 2)
-    assert find_first_match((0, 2), buckets) is None
+def _contains(word, sub):
+    """Whether `sub` is a subword of `word`, by a plain scan."""
+    m = len(sub)
+    return any(word[i:i + m] == sub for i in range(len(word) - m + 1))
+
+
+def _first_match(rules, word, skip=None):
+    """`LhsIndex.match` by a scan of every position and every rule."""
+    found = [(pos, -len(r.lhs), j) for j, r in enumerate(rules)
+             if r is not None and j != skip
+             for pos in range(len(word)) if word[pos:pos + len(r.lhs)] == r.lhs]
+    if not found:
+        return None
+    pos, minus_len, j = min(found)
+    return pos, j, -minus_len
+
+
+def _lhs_only(lhs):
+    return SimpleNamespace(lhs=lhs)
+
+
+def test_lhs_index_match_basics():
+    rules = [_lhs_only((1, 0)), None, _lhs_only((1, 0, 2)), _lhs_only((1, 0))]
+    index = LhsIndex(rules)
+    assert index.lhs_map == {(1, 0): [0, 3], (1, 0, 2): [2]}
+    assert index.lengths == {1: [3, 2]}
+    # the leftmost position, then the longest lhs, then the smallest index
+    assert index.match((0, 1, 0, 2)) == (1, 2, 3)
+    assert index.match((0, 1, 0, 1, 0, 2)) == (1, 0, 2)
+    assert index.match((0, 1, 0, 2), skip=2) == (1, 0, 2)
+    assert index.match((0, 1, 0), skip=0) == (1, 3, 2)
+    assert index.match((0, 2)) is None and index.match(()) is None
+
+
+_lhs3 = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+_rule_or_none = st.one_of(st.none(), _lhs3.map(_lhs_only))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rule_or_none, max_size=8),
+       st.lists(st.lists(st.integers(0, 2), max_size=8).map(tuple),
+                min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(0, 7), _rule_or_none), max_size=4))
+# a duplicated lhs, and one inside a longer lhs at the same position
+@example([_lhs_only((0, 1)), None, _lhs_only((0, 1)), _lhs_only((0, 1, 2))],
+         [(2, 0, 1, 2), (0, 1)], [(3, None), (0, _lhs_only((1,)))])
+def test_lhs_index_match_is_the_leftmost_longest_occurrence(rules, words, moves):
+    # after each move, match agrees with the scan over the moved rules, and
+    # the index is the one a fresh build gives
+    rules = list(rules)
+    index = LhsIndex(rules)
+    for step in range(len(moves) + 1):
+        for word in words:
+            for skip in (None, *range(len(rules))):
+                assert index.match(word, skip) == _first_match(rules, word, skip)
+        fresh = LhsIndex(rules)
+        assert (index.lhs_map, index.lengths) == (fresh.lhs_map, fresh.lengths)
+        if step < len(moves):
+            live = [i for i, r in enumerate(rules) if r is not None]
+            if not live:
+                break
+            i, new = moves[step]
+            i = live[i % len(live)]
+            index.move(i, rules[i], new)
+            rules[i] = new
 
 
 def test_word_basis_counts(glq2):
@@ -48,6 +111,31 @@ def test_word_basis_refuses_degree_above_completion(glq2):
     rs = glq2.rewrite
     with pytest.raises(ConfluenceError):
         word_basis(rs, rs.completion_degree + 1)
+
+
+def test_word_basis_refuses_negative_degree(glq2):
+    with pytest.raises(RewriteError, match="must be >= 0"):
+        word_basis(glq2.rewrite, -1)
+
+
+def _scanned_basis(rs, d):
+    """Every word of length <= d with no lhs as a subword, from a scan of
+    all words over the alphabet, sorted by the monomial order."""
+    lhss = {r.lhs for r in rs.rules}
+    words = [w for n in range(d + 1)
+             for w in product(range(len(rs.alphabet)), repeat=n)
+             if lhss.isdisjoint(w[i:j] for i in range(n)
+                                for j in range(i + 1, n + 1))]
+    return sorted(words, key=rs.order.key)
+
+
+def test_word_basis_is_every_word_without_an_lhs(uq2):
+    # AuF and AuFG: 18 letters, 5,832 words of length 3
+    for name in CATALOG:
+        rs = catalog(name).rewrite
+        assert word_basis(rs, 3) == _scanned_basis(rs, 3), name
+    rs = uq2.ensure_degree(6).rewrite
+    assert word_basis(rs, 6) == _scanned_basis(rs, 6)
 
 
 def test_basis_words_are_normal(glq2, glq2m2, uq2m2):
@@ -186,12 +274,10 @@ def test_word_basis_scans_overlaps_once_per_system(monkeypatch):
 def _assert_interreduced(rules):
     """No word of any rule contains the lhs of another rule."""
     for i, rule in enumerate(rules):
-        others = {}
-        for j, other in enumerate(rules):
-            if j != i:
-                others.setdefault(other.lhs[0], []).append((other.lhs, j))
         for word in (rule.lhs, *rule.rhs.terms):
-            assert find_first_match(word, others) is None, (rule.lhs, word)
+            for j, other in enumerate(rules):
+                assert j == i or not _contains(word, other.lhs), \
+                    (rule.lhs, word, other.lhs)
 
 
 def test_catalog_rules_are_interreduced(c_aufg):
@@ -494,23 +580,22 @@ def test_completion_examines_each_ambiguity_once(monkeypatch):
 
 
 def test_interreduce_moves_one_index_entry_per_changed_rule(monkeypatch):
-    # after each move the lhs index is the one _lhs_buckets builds for the
+    # after each move the lhs index is the one LhsIndex builds for the
     # rules it holds, and it holds the changed rule under its new lhs only
     moves = []
-    move = rewrite._move_lhs
+    move = LhsIndex.move
 
-    def checked(buckets, idx, old, new):
-        move(buckets, idx, old, new)
-        lhs_of = {i: lhs for bucket in buckets.values() for lhs, i in bucket}
-        assert len(lhs_of) == sum(map(len, buckets.values()))
+    def checked(index, idx, old, new):
+        move(index, idx, old, new)
+        lhs_of = {i: lhs for lhs, idxs in index.lhs_map.items() for i in idxs}
+        assert len(lhs_of) == sum(map(len, index.lhs_map.values()))
         assert lhs_of.get(idx) == (None if new is None else new.lhs)
-        rules = [SimpleNamespace(lhs=lhs_of[i]) if i in lhs_of else None
-                 for i in range(max(lhs_of) + 1)]
-        assert {k: b for k, b in buckets.items() if b} == \
-            rewrite._lhs_buckets(rules)
+        fresh = LhsIndex([_lhs_only(lhs_of[i]) if i in lhs_of else None
+                          for i in range(max(lhs_of) + 1)])
+        assert (index.lhs_map, index.lengths) == (fresh.lhs_map, fresh.lengths)
         moves.append(idx)
 
-    monkeypatch.setattr(rewrite, "_move_lhs", checked)
+    monkeypatch.setattr(LhsIndex, "move", checked)
     entry = CATALOG["AuFG"]
     entry.build(**entry.defaults)
     assert moves
