@@ -13,6 +13,13 @@ ambiguity of degree <= d is resolvable relative to the order, the words
 of degree <= d have unique normal forms.  Completion resolves each
 ambiguity relative to the order, and examines each one once per
 completion (see `complete`).
+
+The write path builds no throwaway systems or polynomial products.  The
+two sides of an ambiguity are summed from the system's normal-form memo.
+Inter-reduction keeps one memo of normal forms by every live rule, and
+clears it whenever a rule changes.  That memo serves rule i, to be
+reduced by the others, because under deglex a word below lhs_i never
+contains lhs_i, nor does any of its reducts (see `_interreduce`).
 """
 
 from __future__ import annotations
@@ -62,9 +69,6 @@ class MonomialOrder:
     def key(self, word):
         return (len(word), tuple(self.rank[i] for i in word))
 
-    def less(self, a, b) -> bool:
-        return self.key(a) < self.key(b)
-
     def leading_word(self, poly: NCPoly):
         return max(poly.terms, key=self.key)
 
@@ -103,8 +107,9 @@ def orient(poly: NCPoly, order: MonomialOrder) -> RewriteRule | None:
         poly.alphabet, {w: v for w, v in poly.terms.items() if w != lead}
     )
     rhs = rest.scale(-c.inv())
+    lead_key = order.key(lead)
     for w in rhs.terms:
-        if not order.less(w, lead):
+        if not order.key(w) < lead_key:
             raise RewriteError("orientation failed: rhs word not smaller than lhs")
     return RewriteRule(lead, rhs)
 
@@ -124,9 +129,6 @@ class LhsIndex:
         for idx, rule in enumerate(rules):
             if rule is not None:
                 self.lhs_map.setdefault(rule.lhs, []).append(idx)
-        self._set_lengths()
-
-    def _set_lengths(self):
         lengths = {}
         for lhs in self.lhs_map:
             lengths.setdefault(lhs[0], set()).add(len(lhs))
@@ -147,14 +149,69 @@ class LhsIndex:
         return None
 
     def move(self, idx, old, new):
-        """Rule idx changed from `old` to `new` (None when reduced away)."""
-        idxs = self.lhs_map[old.lhs]
+        """Rule idx changed from `old` to `new` (None when reduced away).
+        Only the lengths under the first letters of the two lhs change."""
+        lhs_map, lengths = self.lhs_map, self.lengths
+        idxs = lhs_map[old.lhs]
         idxs.remove(idx)
         if not idxs:
-            del self.lhs_map[old.lhs]
+            del lhs_map[old.lhs]
+            g, m = old.lhs[0], len(old.lhs)
+            if not any(len(w) == m and w[0] == g for w in lhs_map):
+                lengths[g].remove(m)
+                if not lengths[g]:
+                    del lengths[g]
         if new is not None:
-            insort(self.lhs_map.setdefault(new.lhs, []), idx)
-        self._set_lengths()
+            insort(lhs_map.setdefault(new.lhs, []), idx)
+            ms = lengths.setdefault(new.lhs[0], [])
+            if len(new.lhs) not in ms:
+                ms.append(len(new.lhs))
+                ms.sort(reverse=True)
+
+
+def _reduce_word(word, rules, match, cache):
+    """Normal form of `word` by `rules`, whose lhs `match` (an
+    `LhsIndex.match`) finds, as a map word -> scalar.  The normal form of
+    every word met on the way is stored in `cache`."""
+    stack = [word]
+    while stack:
+        cur = stack[-1]
+        if cur in cache:
+            stack.pop()
+            continue
+        m = match(cur)
+        if m is None:
+            cache[cur] = {cur: S_ONE}
+            stack.pop()
+            continue
+        pos, idx, llen = m
+        prefix, suffix = cur[:pos], cur[pos + llen :]
+        pending = []
+        children = []
+        for w, c in rules[idx].rhs.terms.items():
+            child = prefix + w + suffix
+            children.append((child, c))
+            if child not in cache:
+                pending.append(child)
+        if pending:
+            stack.extend(pending)
+            continue
+        acc = {}
+        for child, c in children:
+            for w, v in cache[child].items():
+                add_term(acc, w, c if v is S_ONE else c * v)
+        cache[cur] = acc
+        stack.pop()
+    return cache[word]
+
+
+def _add_nf(acc, terms, nf, prefix=(), suffix=()):
+    """Add c * nf(prefix + w + suffix) to the map `acc` for each (w, c) of
+    `terms`, in order, and return it.  nf(word) is a map word -> scalar."""
+    for w, c in terms:
+        for u, v in nf(prefix + w + suffix).items():
+            add_term(acc, u, c if v is S_ONE else c * v)
+    return acc
 
 
 class RewriteSystem:
@@ -178,42 +235,10 @@ class RewriteSystem:
 
     def _nf_word(self, word):
         """Normal form of a single word as a map word -> scalar."""
-        cache = self._nf_cache
-        hit = cache.get(word)
+        hit = self._nf_cache.get(word)
         if hit is not None:
             return hit
-        stack = [word]
-        match = self.index.match
-        while stack:
-            cur = stack[-1]
-            if cur in cache:
-                stack.pop()
-                continue
-            m = match(cur)
-            if m is None:
-                cache[cur] = {cur: S_ONE}
-                stack.pop()
-                continue
-            pos, idx, llen = m
-            rule = self.rules[idx]
-            prefix, suffix = cur[:pos], cur[pos + llen :]
-            pending = []
-            children = []
-            for w, c in rule.rhs.terms.items():
-                child = prefix + w + suffix
-                children.append((child, c))
-                if child not in cache:
-                    pending.append(child)
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = {}
-            for child, c in children:
-                for w, v in cache[child].items():
-                    add_term(acc, w, c * v)
-            cache[cur] = acc
-            stack.pop()
-        return cache[word]
+        return _reduce_word(word, self.rules, self.index.match, self._nf_cache)
 
     def normal_form(self, poly: NCPoly) -> NCPoly:
         if poly.alphabet != self.alphabet:
@@ -285,9 +310,14 @@ class RewriteSystem:
         With a set `resolved` of ambiguity keys, the ambiguities whose key
         is in it are skipped, and the keys of the others join it after the
         scan: `complete` examines each ambiguity once.
+
+        Each side of an ambiguity is summed word by word from the system's
+        normal-form memo (`_add_nf`), with no polynomial product, and the
+        right side is then subtracted from the left in the order of its
+        terms.  The memo is never cleared, since the rules never change.
         """
         rules = self.rules
-        alphabet = self.alphabet
+        nf = self._nf_word
         out, examined = [], []
         for i, j, key in self._ambiguities(d):
             if resolved is not None:
@@ -295,26 +325,19 @@ class RewriteSystem:
                     continue
                 examined.append(key)
             l1, l2, kind, at = key
-            r1, r2 = rules[i], rules[j]
+            rhs1, rhs2 = rules[i].rhs.terms.items(), rules[j].rhs.terms.items()
             if kind == 0:
-                left = self.normal_form(
-                    r1.rhs * NCPoly(alphabet, {l2[at:]: S_ONE})
-                )
-                right = self.normal_form(
-                    NCPoly(alphabet, {l1[: len(l1) - at]: S_ONE}) * r2.rhs
-                )
-                diff = left - right
                 word = l1 + l2[at:]
+                diff = _add_nf({}, rhs1, nf, (), l2[at:])
+                right = _add_nf({}, rhs2, nf, l1[: len(l1) - at])
             else:
-                inner = (
-                    NCPoly(alphabet, {l1[:at]: S_ONE})
-                    * r2.rhs
-                    * NCPoly(alphabet, {l1[at + len(l2) :]: S_ONE})
-                )
-                diff = self.normal_form(r1.rhs) - self.normal_form(inner)
                 word = l1
-            if not diff.is_zero():
-                out.append(Obstruction(word, i, j, diff))
+                diff = _add_nf({}, rhs1, nf)
+                right = _add_nf({}, rhs2, nf, l1[:at], l1[at + len(l2) :])
+            for w, v in right.items():
+                add_term(diff, w, -v)
+            if diff:
+                out.append(Obstruction(word, i, j, NCPoly(self.alphabet, diff)))
         if resolved is not None:
             resolved.update(examined)
         return out
@@ -346,43 +369,72 @@ def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
         rule = orient(rel, order)
         if rule is not None:
             rules.append(rule)
-    rules = _interreduce(alphabet, rules, order, completion_degree, rule_cap)
+    rules = _interreduce(alphabet, rules, order)
     return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
 
 
-def _interreduce(alphabet, rules, order, completion_degree, rule_cap):
-    """Reduce every rule by the others until no rule's polynomial changes.
+def _interreduce(alphabet, rules, order):
+    """Reduce every rule by the others until no rule changes.
 
-    Rule i is reduced by a system of the others only when one of the
-    words of its polynomial contains the lhs of another live rule; else
-    that normal form would return the polynomial unchanged, and the build
-    is skipped.  An `LhsIndex` of the live rules answers that question;
-    when a rule changes, only its entry moves.  The input rules are
-    already oriented, and orient(r.as_poly()) == r, so a rule is oriented
-    again only when its polynomial changes.  This returns the same rules,
-    in the same order, as rebuilding the others for every rule on every
-    pass.
+    Rule i is reduced only when its lhs or an rhs word contains the lhs of
+    another live rule, which an `LhsIndex` of the live rules answers.  It
+    becomes nf(lhs_i - rhs_i) by the others, summed over the words of the
+    relation in the order its last reduction left them (lhs first before).
+
+    One memo of normal forms by every live rule serves all the rules, and
+    it is cleared whenever a rule changes.  Under deglex a word below
+    lhs_i never contains lhs_i (a word that does is lhs_i or longer), nor
+    does any of its reducts, so the others reduce it as every live rule
+    does.  That covers the rhs words and the words that one rewrite of
+    lhs_i (`index.match(lhs, i)`) gives; the result of that rewrite is
+    never stored.  An irreducible lhs_i gives lhs_i -> nf(rhs_i) with no
+    orienting; a reducible one is oriented again and moves in the index.
+    The rules and their order are those that reducing each rule by a
+    fresh system of the others on every pass gives.
     """
-    oriented = list(rules)
-    polys = [r.as_poly(alphabet) for r in oriented]
-    index = LhsIndex(oriented)
+    rules = list(rules)
+    # the position of each lhs among the words of its relation
+    lead_at = [0] * len(rules)
+    index = LhsIndex(rules)
+    memo = {}
+    nf = lambda w: _reduce_word(w, rules, index.match, memo)
     changed = True
     while changed:
         changed = False
-        for i, poly in enumerate(polys):
-            if poly is None or not any(index.match(w, i) for w in poly.terms):
+        for i, rule in enumerate(rules):
+            if rule is None:
                 continue
-            others = [
-                r for j, r in enumerate(oriented) if j != i and r is not None
-            ]
-            rs = RewriteSystem(alphabet, others, order, completion_degree, rule_cap)
-            reduced = rs.normal_form(poly)
-            if reduced != poly:
-                changed = True
-                polys[i] = None if reduced.is_zero() else reduced
-                old, oriented[i] = oriented[i], orient(reduced, order)
-                index.move(i, old, oriented[i])
-    return [r for r in oriented if r is not None]
+            lhs = rule.lhs
+            step = index.match(lhs, i)
+            if step is not None:
+                pos, j, m = step
+                lhs_nf = _add_nf({}, rules[j].rhs.terms.items(), nf,
+                                 lhs[:pos], lhs[pos + m :])
+            elif any(index.match(w) for w in rule.rhs.terms):
+                lhs_nf = {lhs: S_ONE}
+            else:
+                continue
+            rhs = list(rule.rhs.terms.items())
+            p = lead_at[i]
+            # nf(rhs_i - lhs_i): lhs_i - rhs_i up to sign, which the
+            # orientation removes
+            reduced = _add_nf({}, rhs[:p], nf)
+            for w, v in lhs_nf.items():
+                add_term(reduced, w, -v)
+            _add_nf(reduced, rhs[p:], nf)
+            # a word of the relation is reducible, so rule i changes
+            changed = True
+            memo.clear()
+            if step is None:
+                lead_at[i] = list(reduced).index(lhs)
+                del reduced[lhs]
+                rules[i] = RewriteRule(lhs, NCPoly(alphabet, reduced))
+                continue
+            rules[i] = orient(NCPoly(alphabet, reduced), order)
+            index.move(i, rule, rules[i])
+            if rules[i] is not None:
+                lead_at[i] = list(reduced).index(rules[i].lhs)
+    return [r for r in rules if r is not None]
 
 
 def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
@@ -436,10 +488,7 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
         # each diff is nonzero, so each orients to a rule
         rules = list(current.rules)
         rules += [orient(ob.diff, current.order) for ob in obstructions]
-        rules = _interreduce(
-            current.alphabet, rules, current.order,
-            current.completion_degree, current.rule_cap,
-        )
+        rules = _interreduce(current.alphabet, rules, current.order)
         if len(rules) > current.rule_cap:
             raise CompletionBudgetError(
                 f"completion exceeded rule cap {current.rule_cap}"
