@@ -175,10 +175,10 @@ def contains_one(basis) -> bool:
                for g in basis if g)
 
 
-def spectrum_empty(p, degree_cap: int | None = None) -> bool:
+def spectrum_empty(p) -> bool:
     """True iff the algebra has no characters over the generic-q field."""
     cp = abelianization(p)
-    basis = groebner(cp, degree_cap)
+    basis = groebner(cp)
     return contains_one(basis)
 
 
@@ -288,7 +288,7 @@ def _substitute(g, values):
     return out
 
 
-def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
+def spectrum_report(p, base=None) -> Report:
     """Whether p has a character.  `base` is the Hopf algebra that
     coacts on p, when there is one: its counit is tried as well."""
     report = Report(f"spectrum({p.name})")
@@ -304,7 +304,7 @@ def spectrum_report(p, degree_cap: int | None = None, base=None) -> Report:
                     f"trivial")
         if w is None:
             try:
-                basis = groebner(cp, degree_cap)
+                basis = groebner(cp)
             except DegreeCapError as e:
                 report.add_undecided("spectrum emptiness", witness=str(e))
                 return report

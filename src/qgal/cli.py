@@ -42,10 +42,8 @@ imports the layers it runs, where it runs them:
 Building AuF or AuFG also loads linalg, for the inverses of F and G.
 `python3 -X importtime -c "import qgal.cli"` shows what start-up costs.
 No module of qgal imports the standard dataclass module, which would
-bring `inspect`, `ast`, `dis` and `tokenize` with it: the records are
-plain classes with __slots__.  On a 2-core Linux host under Python 3.11 (median of 21 runs),
-that took the import of qgal.cli from 23.7 to 9.5 ms with a bytecode
-cache, and from 59.4 to 47.6 ms without one.
+bring `inspect`, `ast`, `dis` and `tokenize` with it and so slow
+start-up: the records are plain classes with __slots__.
 """
 
 from __future__ import annotations
@@ -61,6 +59,7 @@ from . import presentations
 from .ncpoly import AlgebraError, ParseError, parse_expr
 from .presentations import CoactionData
 from .report import FAIL, PASS, Report, ReportItem, UNDECIDED, Undecided, timed
+from .scalars import Q_SAMPLES
 
 SUITES = ("hopf", "star", "coaction", "galois", "haar", "biunitarity",
           "cotensor", "spectrum", "all")
@@ -397,7 +396,7 @@ def build_parser():
         sp.add_argument("target")
         if with_degree:
             sp.add_argument("--degree", type=_degree, default=2)
-        sp.add_argument("--q", type=_q_list, default=[0.5, 0.9, 2.0])
+        sp.add_argument("--q", type=_q_list, default=list(Q_SAMPLES))
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--p", type=int, default=None)

@@ -16,11 +16,10 @@ from __future__ import annotations
 from .comodules import Corep, add_unitarity, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
-from .ncpoly import AlgebraError, NCPoly, TensorPoly
+from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
 from .presentations import (
     CoactionData,
     alpha_ext,
-    apply_map,
     extend_reduced,
     mat_mul,
     reduce_legs,

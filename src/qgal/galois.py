@@ -10,7 +10,7 @@ witness properties are verified by rewriting before use, never assumed.
 
 from __future__ import annotations
 
-from .ncpoly import AlgebraError, NCPoly, TensorPoly, extend_anti
+from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map, extend_anti
 from .presentations import (
     CoactionData,
     MonomialOrder,
@@ -18,7 +18,6 @@ from .presentations import (
     _finish,
     _short,
     alpha_ext,
-    apply_map,
     catalog,
     extend_reduced,
     mat_mul,

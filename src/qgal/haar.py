@@ -44,17 +44,11 @@ from __future__ import annotations
 from operator import add, sub
 
 from .linalg import LinearSolveError, RowReducer, eigvalsh
-from .ncpoly import AlgebraError, NCPoly
-from .presentations import (
-    CoactionData,
-    Presentation,
-    alpha_ext,
-    apply_scalar_map,
-    delta_ext,
-)
+from .ncpoly import AlgebraError, NCPoly, apply_map
+from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
 from .report import Report, timed
 from .rewrite import word_basis
-from .scalars import PoleError, S_ONE, S_ZERO, add_term
+from .scalars import PoleError, Q_SAMPLES, S_ONE, S_ZERO, add_term
 
 
 class HaarError(AlgebraError):
@@ -93,7 +87,7 @@ class LinearFunctional:
                 f"word of degree {len(word)} outside the solved truncation")
 
     def __call__(self, poly: NCPoly):
-        return apply_scalar_map(poly, self.of_word)
+        return apply_map(poly, self.of_word, S_ZERO)
 
 
 def _grader(vecs, dim):
@@ -327,7 +321,7 @@ def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
     depth = max(map(len, mu.basis))
     p = p.ensure_degree(depth)
     basis = [w for w in mu.basis if len(w) <= d]
-    starred = [p.nf(p.star.apply(NCPoly(p.alphabet, {b: S_ONE}))) for b in basis]
+    starred = [p.nf(p.star.of_word(b)) for b in basis]
     plain = [NCPoly(p.alphabet, {b: S_ONE}) for b in basis]
     grade = _star_grader(p, mu.grades) or _trivial
     live = {grade(w) for w, v in mu.values.items() if not v.is_zero()}
@@ -347,7 +341,7 @@ def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
 
 
 def gram_positivity(p: Presentation, mu: LinearFunctional, d: int,
-                    q_samples=(0.5, 0.9, 2.0)) -> Report:
+                    q_samples=Q_SAMPLES) -> Report:
     """Positive semidefiniteness of the Gram matrix at sample q.
 
     Exact conjugate symmetry is checked symbolically first; the
@@ -365,11 +359,11 @@ def gram_positivity(p: Presentation, mu: LinearFunctional, d: int,
 
 def check_gram(report: Report, gram, q_samples, witness=""):
     """Add to `report` the exact conjugate symmetry of a square matrix
-    over Q(q) (with `witness` on that item), then, at each sample q,
+    over Q(q), which is symmetry since conjugation on Q(q) is the
+    identity (with `witness` on that item), then, at each sample q,
     numerical evidence that it is positive semidefinite."""
     n = len(gram)
-    sym = all(gram[i][j] == gram[j][i].conj()
-              for i in range(n) for j in range(n))
+    sym = all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
     report.add("gram conjugate-symmetric exactly over the scalar field", sym,
                witness=witness)
 

@@ -171,10 +171,12 @@ def _sum_str(parts) -> str:
 
 
 class StarMap:
-    """Star images of each generator, extended antimultiplicatively and
-    conjugate-linearly to the whole free algebra (no relation reduction)."""
+    """Star images of each generator, extended antimultiplicatively to
+    words (of_word) and linearly to the whole free algebra (apply), with
+    no relation reduction.  A star is conjugate-linear, and conjugation
+    on Q(q) is the identity."""
 
-    __slots__ = ("alphabet", "images")
+    __slots__ = ("alphabet", "images", "of_word")
 
     def __init__(self, alphabet: Alphabet, images):
         self.alphabet = alphabet
@@ -182,15 +184,10 @@ class StarMap:
         missing = [alphabet.names[i] for i in range(len(alphabet)) if i not in self.images]
         if missing:
             raise AlgebraError(f"star images missing for generators: {missing}")
+        self.of_word = extend_anti(self.images, alphabet)
 
     def apply(self, poly: NCPoly) -> NCPoly:
-        out = NCPoly.zero(poly.alphabet)
-        for word, c in poly.terms.items():
-            img = NCPoly.scalar(poly.alphabet, c.conj())
-            for letter in reversed(word):
-                img = img * self.images[letter]
-            out = out + img
-        return out
+        return apply_map(poly, self.of_word, NCPoly.zero(poly.alphabet))
 
 
 class TensorPoly:
@@ -234,6 +231,8 @@ class TensorPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, TensorPoly):
+            return self.scale(other)
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -261,13 +260,6 @@ class TensorPoly:
                 add_term(out, k[:leg] + (w,) + k[leg + 1 :], c * cw)
         return TensorPoly(self.alphabets, out)
 
-    def collapse_leg(self, leg, functional) -> "TensorPoly":
-        """Apply a scalar-valued functional (word -> scalar) to one leg."""
-        out = {}
-        for k, c in self.terms.items():
-            add_term(out, k[:leg] + k[leg + 1 :], c * functional(k[leg]))
-        return TensorPoly(self.alphabets[:leg] + self.alphabets[leg + 1 :], out)
-
     def __eq__(self, other):
         return (
             isinstance(other, TensorPoly)
@@ -289,6 +281,17 @@ class TensorPoly:
         return f"<TensorPoly {self.pretty()}>"
 
 
+def apply_map(poly, ext, zero):
+    """The linear extension of ext, a map on words, at poly: the sum of
+    ext(w) * c over the terms c*w of poly, added in term order to zero.
+    The values of ext may be scalars, NCPolys or TensorPolys, and poly a
+    TensorPoly, whose terms are keyed by word tuples."""
+    out = zero
+    for w, c in poly.terms.items():
+        out = out + ext(w) * c
+    return out
+
+
 def extend_anti(images, alphabet):
     """Extend generator -> NCPoly images antimultiplicatively to words."""
 
@@ -305,9 +308,17 @@ def extend_anti(images, alphabet):
 # Expression parser
 #
 #   expr   := ['-'] term (('+'|'-') term)*
-#   term   := factor (('*'|'/') factor)*     a divisor must be a nonzero scalar
+#   term   := ('+'|'-')* factor (('*'|'/') factor)*
+#                                            a divisor must be a nonzero scalar
 #   factor := scalar | ident | '(' expr ')'
 #   scalar := integer | 'q' ['^' ['-'] integer]
+#
+#   tensor := ['-'] tterm (('+'|'-') tterm)*
+#   tterm  := term '(x)' term                the left term over the first
+#                                            alphabet, the right over the second
+#
+# Nothing follows a term by juxtaposition, so '(' 'x' ')' after a term
+# is the tensor sign even where a generator is named x.
 # ---------------------------------------------------------------------------
 
 
@@ -316,65 +327,54 @@ DIGITS = frozenset("0123456789")
 MAX_NESTING = 100
 
 
-class _Tokenizer:
-    def __init__(self, src):
-        self.src = src
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = []
-        self._run()
-
-    def _error(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _run(self):
-        src = self.src
-        i = 0
-        line, col = 1, 1
-        n = len(src)
-        while i < n:
-            ch = src[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            start_col = col
-            if ch in "+-*/()^":
-                self.tokens.append((ch, ch, line, start_col))
-                i += 1
-                col += 1
-            elif ch in DIGITS:
-                j = i
-                while j < n and src[j] in DIGITS:
-                    j += 1
-                self.tokens.append(("int", src[i:j], line, start_col))
-                col += j - i
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and (src[j].isalnum()):
-                    j += 1
-                self.tokens.append(("ident", src[i:j], line, start_col))
-                col += j - i
-                i = j
-            else:
-                self.line, self.col = line, start_col
-                self._error(f"unexpected character {ch!r}")
-        self.tokens.append(("eof", "", line, col))
+def _tokens(src, line, col):
+    """The (kind, text, line, column) tokens of src, each placed as if src
+    began at (line, col) of a file, ending with an "eof" token."""
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        start_col = col
+        if ch in "+-*/()^":
+            tokens.append((ch, ch, line, start_col))
+            i += 1
+            col += 1
+        elif ch in DIGITS:
+            j = i
+            while j < n and src[j] in DIGITS:
+                j += 1
+            tokens.append(("int", src[i:j], line, start_col))
+            col += j - i
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < n and (src[j].isalnum()):
+                j += 1
+            tokens.append(("ident", src[i:j], line, start_col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, src, alphabet: Alphabet):
-        self.tokens = _Tokenizer(src).tokens
+    def __init__(self, src, alphabet: Alphabet, at):
+        self.tokens = _tokens(src, *at)
         self.pos = 0
         self.depth = 0
-        self.alphabet = alphabet
+        self.alphabet = alphabet  # the alphabet factor reads generators from
 
     def peek(self):
         return self.tokens[self.pos]
@@ -400,26 +400,38 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             self.error(f"integer of {len(tok[1])} digits is too long", tok)
 
-    def parse(self) -> NCPoly:
-        out = self.expr()
+    def parse(self, term):
+        out = self.expr(term)
         tok = self.peek()
         if tok[0] != "eof":
             self.error(f"trailing input {tok[1]!r}", tok)
         return out
 
-    def expr(self) -> NCPoly:
+    def expr(self, term=None):
+        """A signed sum of the terms that `term` reads (default: term)."""
+        term = term or self.term
         sign = 1
         if self.peek()[0] == "-":
             self.next()
             sign = -1
-        out = self.term()
+        out = term()
         if sign < 0:
             out = -out
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.term()
+            rhs = term()
             out = out + rhs if op == "+" else out - rhs
         return out
+
+    def tensor_term(self, left: Alphabet, right: Alphabet) -> "TensorPoly":
+        self.alphabet = left
+        a = self.term()
+        for kind, text in (("(", "("), ("ident", "x"), (")", ")")):
+            tok = self.next()
+            if tok[:2] != (kind, text):
+                self.error(f"expected '(x)', found {tok[1]!r}", tok)
+        self.alphabet = right
+        return TensorPoly.of(a, self.term())
 
     def term(self) -> NCPoly:
         sign = 1
@@ -476,6 +488,15 @@ class _Parser:
         self.error(f"unexpected token {text!r}", tok)
 
 
-def parse_expr(src: str, alphabet: Alphabet) -> NCPoly:
-    """Parse an expression in the grammar above to an NCPoly."""
-    return _Parser(src, alphabet).parse()
+def parse_expr(src: str, alphabet: Alphabet, at=(1, 1)) -> NCPoly:
+    """Parse an expression in the grammar above to an NCPoly.  A
+    ParseError gives its place as if src began at (line, column) `at`."""
+    parser = _Parser(src, alphabet, at)
+    return parser.parse(parser.term)
+
+
+def parse_tensor(src: str, left: Alphabet, right: Alphabet, at=(1, 1)) -> TensorPoly:
+    """Parse a tensor in the grammar above to a TensorPoly over
+    (left, right); `at` as in parse_expr."""
+    parser = _Parser(src, left, at)
+    return parser.parse(lambda: parser.tensor_term(left, right))

@@ -21,8 +21,10 @@ from .ncpoly import (
     NCPoly,
     StarMap,
     TensorPoly,
+    apply_map,
     extend_anti,
     parse_expr,
+    parse_tensor,
 )
 from .report import Report, timed
 from .rewrite import ConfluenceError, MonomialOrder, RewriteSystem, build_system, complete
@@ -208,24 +210,6 @@ def counit_of_word(h: HopfData):
         return c
 
     return fn
-
-
-def apply_map(poly, ext, zero):
-    """The linear extension of ext, a map on words, at poly: the sum of
-    c * ext(w) over the terms c*w of poly, added in term order to zero.
-    poly may also be a TensorPoly, whose terms are keyed by word tuples."""
-    out = zero
-    for w, c in poly.terms.items():
-        out = out + ext(w).scale(c)
-    return out
-
-
-def apply_scalar_map(poly, eps):
-    """apply_map for a scalar-valued map on words."""
-    out = S_ZERO
-    for w, c in poly.terms.items():
-        out = out + c * eps(w)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +637,18 @@ def verify_hopf(p: Presentation) -> Report:
         for rel in p.relations:
             report.add_zero("Delta kills relation " + _short(rel),
                             apply_map(rel, dext, TensorPoly((A, A))))
-            c = apply_scalar_map(rel, eps)
-            report.add("epsilon kills relation " + _short(rel), c.is_zero())
+            report.add("epsilon kills relation " + _short(rel),
+                       apply_map(rel, eps, S_ZERO).is_zero())
         for gi, name in enumerate(A.names):
             d = h.delta[gi]
             left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), (rs, rs, rs))
                            for leg in (0, 1))
             report.add(f"coassociativity on {name}", left == right)
-            lhs, rhs = (rs.normal_form(_tensor1_to_poly(d.collapse_leg(leg, eps), A))
-                        for leg in (0, 1))
+            lhs = apply_map(d, lambda k: NCPoly(A, {k[1]: eps(k[0])}), NCPoly.zero(A))
+            rhs = apply_map(d, lambda k: NCPoly(A, {k[0]: eps(k[1])}), NCPoly.zero(A))
             g_nf = rs.normal_form(A.gen(name))
-            report.add(f"counit law on {name}", lhs == g_nf and rhs == g_nf)
+            report.add(f"counit law on {name}",
+                       rs.normal_form(lhs) == g_nf and rs.normal_form(rhs) == g_nf)
             m_s1 = apply_map(d, lambda k: sext(k[0]) * NCPoly(A, {k[1]: S_ONE}),
                              NCPoly.zero(A))
             m_1s = apply_map(d, lambda k: NCPoly(A, {k[0]: S_ONE}) * sext(k[1]),
@@ -696,10 +681,10 @@ def verify_coaction(c: CoactionData) -> Report:
                 left = reduce_legs(expand_leg(a, 0, dext, (A, A)), (rsA, rsA, rsZ))
                 right = reduce_legs(expand_leg(a, 1, aext, (A, Z)), (rsA, rsA, rsZ))
                 report.add(f"coassociativity on {name}", left == right)
-                ce = a.collapse_leg(0, eps)
-                lhs = rsZ.normal_form(_tensor1_to_poly(ce, Z))
+                lhs = apply_map(a, lambda k: NCPoly(Z, {k[1]: eps(k[0])}),
+                                NCPoly.zero(Z))
                 report.add(f"counit law on {name}",
-                           lhs == rsZ.normal_form(Z.gen(name)))
+                           rsZ.normal_form(lhs) == rsZ.normal_form(Z.gen(name)))
         if c.base.star is not None and c.total.star is not None:
             add_star_map(report, "alpha", c.alpha, aext, c.base, c.total)
     return report
@@ -713,14 +698,9 @@ def add_star_map(report: Report, label, images, ext, base, source):
     A, Z = base.alphabet, source.alphabet
     for gi, name in enumerate(Z.names):
         lhs = apply_map(source.star.apply(Z.gen(name)), ext, TensorPoly((A, Z)))
-        rhs = images[gi].map_leg(0, lambda w: base.star.apply(NCPoly(A, {w: S_ONE})))
-        rhs = rhs.map_leg(1, lambda w: source.star.apply(NCPoly(Z, {w: S_ONE})))
+        rhs = images[gi].map_leg(0, base.star.of_word).map_leg(1, source.star.of_word)
         rhs = reduce_legs(rhs, (base.rewrite, source.rewrite))
         report.add(f"{label} is a *-map on {name}", lhs == rhs)
-
-
-def _tensor1_to_poly(t: TensorPoly, alphabet) -> NCPoly:
-    return NCPoly(alphabet, {k[0]: c for k, c in t.terms.items()})
 
 
 def _short(poly: NCPoly, limit=40) -> str:
@@ -766,13 +746,44 @@ def abelianization(p: Presentation):
 
 
 def directives(text: str):
-    """(line number, directive, rest of the line) for each line of a DSL
-    text that holds more than a comment."""
+    """(line number, directive, rest of the line, column of the rest) for
+    each line of a DSL text that holds more than a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line, col = _stripped(raw.split("#", 1)[0], 1)
         if line:
             head, _, rest = line.partition(" ")
-            yield lineno, head, rest.strip()
+            yield lineno, head, *_stripped(rest, col + len(head) + 1)
+
+
+def _stripped(s, col):
+    """(s without surrounding whitespace, the column where that begins),
+    for s beginning at column col."""
+    t = s.lstrip()
+    return t.rstrip(), col + len(s) - len(t)
+
+
+def _images(lines, alphabet, parse, what):
+    """generator index -> parse(expr, place) for the `g -> expr` lines,
+    given as (line number, text, column), where place is the (line,
+    column) of expr in the file.  Each generator of alphabet is given
+    once; `what` names the images in the errors."""
+    images, first = {}, {}
+    for lineno, rest, col in lines:
+        gname, _, expr = rest.partition("->")
+        expr, ecol = _stripped(expr, col + len(gname) + 2)
+        gname = gname.strip()
+        g = alphabet.index.get(gname)
+        if g is None:
+            raise CatalogError(f"line {lineno}: unknown generator {gname!r}")
+        if g in first:
+            raise CatalogError(f"line {lineno}: {what} for {gname!r} given again "
+                               f"(first on line {first[g]})")
+        first[g] = lineno
+        images[g] = parse(expr, (lineno, ecol))
+    missing = [n for n in alphabet.names if alphabet.index[n] not in images]
+    if missing:
+        raise CatalogError(f"{what} missing for generators: {missing}")
+    return images
 
 
 def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentation:
@@ -789,7 +800,7 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
     order_names = None
     star_lines = []
     relation_srcs = []
-    for lineno, head, rest in directives(text):
+    for lineno, head, rest, col in directives(text):
         if head == "algebra":
             name = rest
         elif head == "generators":
@@ -797,10 +808,9 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
         elif head == "order":
             order_names = [t.strip() for t in rest.split("<")]
         elif head == "star":
-            gname, _, expr = rest.partition("->")
-            star_lines.append((lineno, gname.strip(), expr.strip()))
+            star_lines.append((lineno, rest, col))
         elif head == "relation":
-            relation_srcs.append((lineno, rest))
+            relation_srcs.append((rest, (lineno, col)))
         else:
             raise CatalogError(f"line {lineno}: unknown directive {head!r}")
     if not name or not gen_names:
@@ -819,18 +829,11 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
         order = MonomialOrder(A, [A.index[n] for n in order_names])
     else:
         order = MonomialOrder(A)
-    relations = [parse_expr(src, A) for _, src in relation_srcs]
+    relations = [parse_expr(src, A, at) for src, at in relation_srcs]
     smap = None
     if star_lines:
-        images = {}
-        for lineno, gname, expr in star_lines:
-            if gname not in A.index:
-                raise CatalogError(f"line {lineno}: unknown generator {gname!r}")
-            images[A.index[gname]] = parse_expr(expr, A)
-        missing = [g for g in gen_names if A.index[g] not in images]
-        if missing:
-            raise CatalogError(f"star images missing for generators: {missing}")
-        smap = StarMap(A, images)
+        smap = StarMap(A, _images(star_lines, A, lambda src, at: parse_expr(src, A, at),
+                                  "star images"))
     return _finish(name, A, relations, order, star=smap,
                    completion_degree=completion_degree)
 
@@ -839,7 +842,7 @@ def coaction_names(text: str):
     """The (Z, A) names of the 'coaction Z over A' line of a DSL text,
     the last one if there are several, or None for a text without one."""
     names = None
-    for _, head, rest in directives(text):
+    for _, head, rest, _ in directives(text):
         if head == "coaction":
             zname, _, aname = rest.partition(" over ")
             names = zname.strip(), aname.strip()
@@ -850,63 +853,22 @@ def parse_coaction_text(text: str, resolve) -> CoactionData:
     """Parse the coaction DSL:
 
         coaction ZNAME over ANAME
-        alpha g -> exprA (x) exprZ + exprA (x) exprZ ...
+        alpha g -> tensor             (one per generator of Z)
 
-    `resolve` maps a name to a Presentation (catalog or parsed file).
+    where tensor is a signed sum of terms exprA (x) exprZ, each expr a
+    product (see ncpoly's grammar).  `resolve` maps a name to a
+    Presentation (catalog or parsed file).
     """
     names = coaction_names(text)
     if names is None:
         raise CatalogError("coaction file needs a 'coaction Z over A' line")
     total, base = map(resolve, names)
     alpha_lines = []
-    for lineno, head, rest in directives(text):
+    for lineno, head, rest, col in directives(text):
         if head == "alpha":
-            gname, _, expr = rest.partition("->")
-            alpha_lines.append((lineno, gname.strip(), expr.strip()))
+            alpha_lines.append((lineno, rest, col))
         elif head != "coaction":
             raise CatalogError(f"line {lineno}: unknown directive {head!r}")
-    alpha = {}
-    for lineno, gname, expr in alpha_lines:
-        if gname not in total.alphabet.index:
-            raise CatalogError(f"line {lineno}: unknown generator {gname!r}")
-        alpha[total.alphabet.index[gname]] = _parse_tensor_sum(
-            expr, base.alphabet, total.alphabet)
-    missing = [n for n in total.alphabet.names
-               if total.alphabet.index[n] not in alpha]
-    if missing:
-        raise CatalogError(f"alpha missing for generators: {missing}")
+    alpha = _images(alpha_lines, total.alphabet, lambda src, at: parse_tensor(
+        src, base.alphabet, total.alphabet, at), "alpha")
     return CoactionData(base, total, alpha)
-
-
-def _parse_tensor_sum(src, alph1, alph2) -> TensorPoly:
-    out = TensorPoly((alph1, alph2))
-    for sign, summand in _split_top_level(src):
-        left, sep, right = summand.partition("(x)")
-        if not sep:
-            raise CatalogError(f"tensor summand without '(x)': {summand!r}")
-        t = TensorPoly.of(parse_expr(left.strip(), alph1),
-                          parse_expr(right.strip(), alph2))
-        out = out + t if sign > 0 else out - t
-    return out
-
-
-def _split_top_level(src):
-    """Split 'a (x) b + c (x) d - ...' into signed summands at depth 0."""
-    parts = []
-    depth = 0
-    current = []
-    sign = 1
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and current and current[-1] not in "*^(/+-":
-            parts.append((sign, "".join(current)))
-            sign = 1 if ch == "+" else -1
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        parts.append((sign, "".join(current)))
-    return parts

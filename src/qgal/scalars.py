@@ -1,7 +1,10 @@
 """Exact arithmetic in Q(q): Laurent polynomials in q over the rationals
 and their fraction field, plus numerical specialization at real q.
 
-All values are immutable and hashable; every operation is pure.
+All values are immutable and hashable; every operation is pure.  q is a
+real parameter and the coefficients are rational, so complex conjugation
+on Q(q) is the identity: a star structure is linear over Q(q), and a
+conjugate-symmetric scalar matrix is a symmetric one.
 
 A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
 of reduced fractions take only the gcds that can be non-trivial
@@ -437,10 +440,6 @@ class ScalarQ:
     def __rtruediv__(self, other):
         return _coerce(other) * self.inv()
 
-    def conj(self) -> "ScalarQ":
-        # q is treated as a real parameter, so conjugation is trivial
-        return self
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -546,3 +545,6 @@ def add_term(terms: dict, key, value: ScalarQ) -> None:
 S_ZERO = ScalarQ.from_int(0)
 S_ONE = ScalarQ.from_int(1)
 Q = ScalarQ.q_power(1)
+# the real q at which numerical evidence (Gram positivity) is taken when
+# no --q is given
+Q_SAMPLES = (0.5, 0.9, 2.0)

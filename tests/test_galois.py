@@ -12,11 +12,10 @@ from qgal.galois import (
     validate_witness,
     verify_galois,
 )
-from qgal.ncpoly import NCPoly, TensorPoly, extend_anti
+from qgal.ncpoly import NCPoly, TensorPoly, apply_map, extend_anti
 from qgal.presentations import (
     CATALOG,
     CoactionData,
-    apply_map,
     catalog,
     coaction,
     extend_reduced,

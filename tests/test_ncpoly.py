@@ -9,6 +9,7 @@ from qgal.ncpoly import (
     StarMap,
     TensorPoly,
     parse_expr,
+    parse_tensor,
 )
 from qgal.scalars import LaurentPoly, Q, S_ONE, ScalarQ
 
@@ -91,6 +92,14 @@ def test_pretty_parse_round_trip(glq2, data):
     words = st.lists(st.integers(0, len(A) - 1), max_size=4).map(tuple)
     p = NCPoly(A, data.draw(st.dictionaries(words, COEFFS, max_size=5)))
     assert parse_expr(p.pretty(), A) == p
+    # a nonzero tensor (0 is written 0 (x) 1), where a generator named x
+    # meets the tensor sign (x)
+    L, R = Alphabet(["x", "x11"]), Alphabet(["y", "x"])
+    keys = st.tuples(*(st.lists(st.integers(0, 1), max_size=3).map(tuple)
+                       for _ in "LR"))
+    t = TensorPoly((L, R), data.draw(st.dictionaries(keys, COEFFS, min_size=1,
+                                                     max_size=5)))
+    assert parse_tensor(t.pretty(), L, R) == t
 
 
 def test_pretty_writes_unit_coefficients_as_signs(glq2):

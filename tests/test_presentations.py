@@ -5,7 +5,7 @@ import pytest
 from conftest import random_poly, random_scalar
 from qgal import presentations
 from qgal.cli import main, resolve_coaction, resolve_presentation
-from qgal.ncpoly import Alphabet, NCPoly, StarMap, TensorPoly
+from qgal.ncpoly import Alphabet, NCPoly, ParseError, StarMap, TensorPoly
 from qgal.presentations import (
     CatalogError,
     CoactionData,
@@ -257,6 +257,52 @@ alpha tau -> t (x) tau
     c = parse_coaction_text(text, catalog)
     assert c.base is c_glq.base and c.total is c_glq.total
     assert c.alpha == c_glq.alpha
+
+
+LINE = parse_presentation_text("algebra line\ngenerators x\n")
+
+
+def line_coaction(alpha):
+    """The coaction file of `line` over itself whose alpha line reads
+    `alpha x -> <alpha>`."""
+    return parse_coaction_text(f"coaction line over line\nalpha x -> {alpha}\n",
+                               {"line": LINE}.get)
+
+
+def test_alpha_line_reads_a_signed_right_leg():
+    x = LINE.gen("x")
+    want = -TensorPoly.of(NCPoly.one(LINE.alphabet), x)
+    assert line_coaction("1 (x) -x").alpha[0] == want
+    assert line_coaction("-1 (x) x").alpha[0] == want
+    assert line_coaction("x (x) 1 - (x - 1) (x) -x").alpha[0] == \
+        TensorPoly.of(x, NCPoly.one(LINE.alphabet)) + TensorPoly.of(x - NCPoly.one(LINE.alphabet), x)
+
+
+@pytest.mark.parametrize("alpha,col", [("1 (x) x +", 21), ("1 (x) x -", 21),
+                                       ("", 11), ("1 (x)", 17), ("1 x", 14)])
+def test_alpha_line_without_a_whole_tensor_is_a_parse_error(alpha, col):
+    with pytest.raises(ParseError, match=rf"\(line 2, column {col}\)"):
+        line_coaction(alpha)
+
+
+@pytest.mark.parametrize("text,line,col", [
+    (QPLANE + "relation x*y +* y\n", 6, 15),
+    (QPLANE + "star x -> x\n  star y ->  y*/x\n", 7, 16),
+    ("\n\tgenerators x y\nalgebra a\nrelation (x\n", 4, 12),
+], ids=["relation", "indented-star", "tab"])
+def test_parse_errors_give_their_place_in_the_file(text, line, col):
+    with pytest.raises(ParseError, match=rf"\(line {line}, column {col}\)$"):
+        parse_presentation_text(text)
+
+
+def test_a_generator_given_twice_names_both_lines():
+    with pytest.raises(CatalogError, match=r"line 7: star images for 'x' given "
+                                           r"again \(first on line 6\)"):
+        parse_presentation_text(QPLANE + "star x -> x\nstar x -> y\nstar y -> y\n")
+    with pytest.raises(CatalogError, match=r"line 3: alpha for 'x' given again "
+                                           r"\(first on line 2\)"):
+        parse_coaction_text("coaction line over line\nalpha x -> 1 (x) x\n"
+                            "alpha x -> x (x) 1\n", {"line": LINE}.get)
 
 
 def named_block(p, prefix, n, m):
