@@ -33,7 +33,7 @@ imports the layers it runs, where it runs them:
 
     parse, normalize, verify --suite star|hopf|coaction   the core only
     verify --suite spectrum             characters
-    verify --suite galois               galois
+    verify --suite galois               galois, haar, linalg
     haar, verify --suite haar           haar, linalg
     cotensor, verify --suite cotensor|biunitarity
                                         comodules, cotensor, haar, linalg
@@ -141,7 +141,10 @@ def resolve_coaction(target, args) -> CoactionData:
     if isinstance(data, CoactionData):
         return data
     if data.hopf is not None:
-        return CoactionData(data, data, dict(data.hopf.delta))
+        # the Hopf row grades are those of Delta's left legs
+        grades = data.hopf.grades
+        return CoactionData(data, data, dict(data.hopf.delta), None if grades is None
+                            else {g: left for g, (left, _) in grades.items()})
     raise CliError(f"no coaction data for target {target!r}")
 
 
@@ -151,18 +154,6 @@ def _by_coproduct(c: CoactionData) -> bool:
     base is its total, but its alpha is its own."""
     return (c.base is c.total and c.base.hopf is not None
             and c.alpha == c.base.hopf.delta)
-
-
-def galois_witness_for(target, c: CoactionData, args):
-    """The catalog entry's witness, or a Hopf algebra's on itself."""
-    from . import galois
-
-    entry = presentations.CATALOG.get(target)
-    if entry is not None and entry.witness is not None:
-        return entry.galois_witness(c, **_catalog_params(target, args))
-    if _by_coproduct(c):
-        return galois.hopf_witness(c.base)
-    raise CliError(f"no Galois witness construction for {target!r}")
 
 
 def comodule_for(spec, base):
@@ -234,8 +225,7 @@ def run_suite(target, suite, args):
     if suite == "galois":
         from . import galois
 
-        c = resolve_coaction(target, args)
-        return galois.verify_galois(c, galois_witness_for(target, c, args), degree)
+        return galois.verify_galois(resolve_coaction(target, args), degree)
     if suite == "biunitarity":
         from . import cotensor
 
@@ -324,7 +314,6 @@ def suites_for(target, args):
     except CliError:
         c = None
     own = c is not None and not _by_coproduct(c)
-    entry = presentations.CATALOG.get(target)
     has = {
         "hopf": p.hopf is not None,
         "star": p.star is not None,
@@ -333,9 +322,7 @@ def suites_for(target, args):
         "biunitarity": own and p.star is not None and p.block is not None,
         "haar": c is not None and p.star is not None and c.base.hopf is not None,
         "cotensor": own and c.base.block is not None,
-        # the catalog entry's witness, or the Hopf witness
-        "galois": c is not None and (
-            not own or getattr(entry, "witness", None) is not None),
+        "galois": c is not None,
     }
     return [suite for suite, ok in has.items() if ok]
 

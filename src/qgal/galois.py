@@ -1,16 +1,17 @@
-"""The Galois map of a comodule-algebra extension and its explicit
-inverse data.
-
-beta(x (x) y) = alpha(x) * (1 (x) y) maps Z (x) Z into A (x) Z.  A
-witness consists of a companion presentation T, an algebra map
-delta: A -> Z (x) T, and an anti-morphism phi: T -> Z; the candidate
-inverse is beta' = (1 (x) m) (1 (x) phi (x) 1) (delta (x) 1).  All
-witness properties are verified by rewriting before use, never assumed.
+"""The Galois map beta(x (x) y) = alpha(x) * (1 (x) y): Z (x) Z -> A (x) Z
+and its inverse, derived from the translation map.  When Z is A-Galois,
+tau(a) = beta^-1(a (x) 1) is an algebra map A -> Z (x) Z^op (Schneider,
+Israel J. Math. 72, 1990; Schauenburg, Comm. Algebra 24, 1996).  The
+witness is tau on generators (index -> TensorPoly over Z and Z^op, which
+share an alphabet): `translation_witness` solves it from beta, and
+`verify_galois` checks it exactly, so nothing about the solve is assumed.
 """
 
 from __future__ import annotations
 
-from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map, extend_anti
+from .haar import extension_grading
+from .linalg import RowReducer
+from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
 from .presentations import (
     CoactionData,
     MonomialOrder,
@@ -18,35 +19,25 @@ from .presentations import (
     _finish,
     _short,
     alpha_ext,
-    catalog,
     extend_reduced,
-    mat_mul,
-    on_block,
     reduce_legs,
-    scalar_matrix,
-    star_entries,
-    transpose,
-    twisted_block,
 )
-from .report import Report, timed
+from .report import Report, Undecided, timed
 from .rewrite import word_basis
-from .scalars import S_ONE
+from .scalars import S_ONE, S_ZERO
+
+# translation_witness solves beta up to this degree, in graded blocks of
+# at most this many unknowns
+WITNESS_DEGREE_CAP = 4
+WITNESS_BLOCK_BUDGET = 4000
 
 
-class GaloisError(AlgebraError):
-    pass
+class NotGaloisError(AlgebraError):
+    """beta has a nonzero kernel vector: Z is not A-Galois."""
 
 
-class GaloisWitness:
-    """The inverse data of a Galois map: a companion presentation T, an
-    algebra map delta: A -> Z (x) T and an anti-morphism phi: T -> Z."""
-
-    __slots__ = ("companion", "delta", "phi")
-
-    def __init__(self, companion: Presentation, delta: dict, phi: dict):
-        self.companion = companion
-        self.delta = delta      # generator index of A -> TensorPoly (Z, T)
-        self.phi = phi          # generator index of T -> NCPoly over Z
+class WitnessUndecided(AlgebraError, Undecided):
+    """The solve for tau stopped short of a value on every generator."""
 
 
 def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
@@ -54,57 +45,71 @@ def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
     alpha_ext(c), built here unless the caller shares one across calls."""
     aext = aext or alpha_ext(c)
     out = apply_map(x, aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
-    out = out.mul_leg(1, y)
-    return reduce_legs(out, (c.base.rewrite, c.total.rewrite))
+    return reduce_legs(out.mul_leg(1, y), (c.base.rewrite, c.total.rewrite))
 
 
-def witness_exts(w: GaloisWitness, c: CoactionData):
-    """(delta extended to words of A, its legs reduced over Z and T;
-    phi extended antimultiplicatively to words of T)."""
-    return (extend_reduced(w.delta, (c.total, w.companion)),
-            extend_anti(w.phi, c.total.alphabet))
+def _width(images, leg):
+    """The largest word degree in one leg of the tensor images."""
+    return max((len(k[leg]) for t in images.values() for k in t.terms), default=0)
 
 
-def galois_inverse(a: NCPoly, y: NCPoly, w: GaloisWitness,
-                   c: CoactionData, exts=None) -> TensorPoly:
-    """beta'(a (x) y), legs normal-formed over Z.  exts is
-    witness_exts(w, c), built here unless the caller shares it."""
-    dext, phi_ext = exts or witness_exts(w, c)
+def tau_ext(tau, c: CoactionData, k: int):
+    """tau extended to the words of A of length <= k, legs reduced over
+    Z and over Z^op certified as deep as those words reach."""
+    return extend_reduced(tau, (c.total, opposite(c.total, k * _width(tau, 1))))
+
+
+def galois_inverse(a: NCPoly, y: NCPoly, tau, c: CoactionData, text=None) -> TensorPoly:
+    """beta^-1(a (x) y) = tau(a) (1 (x) y), the right leg of tau(a) read
+    from Z^op into Z by reversing its words; legs normal-formed over Z.
+    text is tau_ext(tau, c, k) for some k >= a.degree(), built here
+    unless the caller shares it."""
+    text = text or tau_ext(tau, c, a.degree())
     Z = c.total.alphabet
-    out = apply_map(a, lambda word: dext(word).map_leg(1, phi_ext), TensorPoly((Z, Z)))
-    out = out.mul_leg(1, y)
-    return reduce_legs(out, (c.total.rewrite, c.total.rewrite))
+    t = apply_map(a, text, TensorPoly((Z, Z)))
+    out = TensorPoly((Z, Z), {(u, v[::-1]): s for (u, v), s in t.terms.items()})
+    return reduce_legs(out.mul_leg(1, y), (c.total.rewrite, c.total.rewrite))
 
 
-def validate_witness(c: CoactionData, w: GaloisWitness, exts=None) -> Report:
-    """delta is an algebra map A -> Z (x) T and phi an anti-morphism
-    T -> Z; both checked relation by relation.  exts as in
-    galois_inverse."""
-    report = Report(
-        f"witness({c.base.name} -> {c.total.name} (x) {w.companion.name})")
+def validate_witness(c: CoactionData, tau, text=None) -> Report:
+    """tau is an algebra map A -> Z (x) Z^op: it kills every relation of
+    A.  text as in galois_inverse, for k the largest relation degree."""
+    report = Report(f"witness({c.base.name} -> {c.total.name} (x) {c.total.name}^op)")
     with timed(report):
-        dext, phi_ext = exts or witness_exts(w, c)
+        text = text or tau_ext(tau, c, max(r.degree() for r in c.base.relations))
         for rel in c.base.relations:
-            report.add_zero("delta kills relation " + _short(rel), apply_map(
-                rel, dext, TensorPoly((c.total.alphabet, w.companion.alphabet))))
-        for rel in w.companion.relations:
-            report.add_zero("phi kills relation " + _short(rel), c.total.nf(
-                apply_map(rel, phi_ext, NCPoly.zero(c.total.alphabet))))
+            report.add_zero("tau kills relation " + _short(rel), apply_map(
+                rel, text, TensorPoly((c.total.alphabet, c.total.alphabet))))
     return report
 
 
-def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
-    """beta beta' = id on basis words of A tensor 1, and beta' beta = id
-    on basis words of Z in either slot, exactly."""
+def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
+    """beta beta^-1 = id on basis words of A tensor 1, and beta^-1 beta =
+    id on basis words of Z in either slot, exactly, with beta^-1 from
+    the witness tau, solved by translation_witness when None.  A kernel
+    vector of beta fails the report; a solve that stops short leaves it
+    undecided, naming the generators of A it did not reach."""
     report = Report(f"galois({c.total.name} over {c.base.name}, degree {d})")
     with timed(report):
-        # the composites produce words up to triple the basis degree
-        c = c.ensure_degree(max(d, 2), 3 * d)
-        w = GaloisWitness(w.companion.ensure_degree(max(d, 2)), w.delta, w.phi)
+        try:
+            tau = tau or translation_witness(c)
+        except NotGaloisError as e:
+            report.add(f"beta(k) = 0, so {c.total.name} is not Galois", False,
+                       witness=str(e)[:120])
+            return report
+        except WitnessUndecided as e:
+            report.add_undecided("translation map solved from beta", witness=str(e))
+            return report
+        # certify what the checks reach: tau on relations of A and on alpha's
+        # left legs, whose right legs multiply the reversed right legs of tau
+        wA, wZ, wR = _width(c.alpha, 0), _width(c.alpha, 1), _width(tau, 1)
+        reach = max(max(r.degree() for r in c.base.relations), d * wA)
+        c = c.ensure_degree(max(d, 2, d * wA),
+                            max(3 * d, reach * _width(tau, 0), d * wA * wR + d * wZ))
         # one extension of each map for every check, so they share memos
         aext = alpha_ext(c)
-        exts = witness_exts(w, c)
-        val = validate_witness(c, w, exts)
+        text = tau_ext(tau, c, reach)
+        val = validate_witness(c, tau, text)
         report.add("witness validated", val.ok)
         if not val.ok:
             for item in val.items:
@@ -115,7 +120,7 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
         one_Z = NCPoly.one(Z)
         for wd in word_basis(c.base.rewrite, d):
             a = NCPoly(A, {wd: S_ONE})
-            t = galois_inverse(a, one_Z, w, c, exts)
+            t = galois_inverse(a, one_Z, tau, c, text)
             back = apply_map(t, lambda k: galois_map(
                 NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
                 TensorPoly((A, Z)))
@@ -126,92 +131,104 @@ def verify_galois(c: CoactionData, w: GaloisWitness, d: int) -> Report:
             x = NCPoly(Z, {wd: S_ONE})
             t = galois_map(x, one_Z, c, aext)
             back = apply_map(t, lambda k: galois_inverse(
-                NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), w, c, exts),
+                NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), tau, c, text),
                 TensorPoly((Z, Z)))
             back = reduce_legs(back, (c.total.rewrite, c.total.rewrite))
             want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
             report.add_zero(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back - want)
-            t2 = galois_inverse(NCPoly.one(A), x, w, c, exts)
+            t2 = galois_inverse(NCPoly.one(A), x, tau, c, text)
             want2 = TensorPoly((Z, Z), {((), wd): S_ONE})
             report.add_zero(f"beta' beta fixes 1 (x) {Z.word_str(wd)}", t2 - want2)
     return report
 
 
-# ---------------------------------------------------------------------------
-# witness constructors for the catalog extensions
-# ---------------------------------------------------------------------------
+def translation_witness(c: CoactionData) -> dict:
+    """tau on the generators of A, solved from beta(t) = a (x) 1 over the
+    pairs u (x) v of normal words of Z with |u| + |v| <= e, for e = 1, 2,
+    ... up to WITNESS_DEGREE_CAP.  One elimination serves every generator
+    a, as mat_inv reduces [A | I]: its rows say beta(t) = sum_a r_a (a (x)
+    1).  beta(u (x) v) has left legs of the row grade of u (see
+    haar.extension_grading), so the blocks of one grade each are solved
+    apart, those of generators not yet reached.  A free unknown is an
+    exact kernel vector of beta: NotGaloisError shows it.  Passing the cap
+    or WITNESS_BLOCK_BUDGET first is WitnessUndecided, naming the
+    generators still missing."""
+    A, Z = c.base.alphabet, c.total.alphabet
+    wA, wZ = _width(c.alpha, 0), _width(c.alpha, 1)
+    solved, cols = {}, {}   # generator -> tau of it; (u, v) -> beta(u (x) v)
+    for e in range(1, WITNESS_DEGREE_CAP + 1):
+        ce = c.ensure_degree(e * wA, e * max(wZ, 1))
+        zleft, aleft, _ = extension_grading(ce)
+        aext = alpha_ext(ce)
+        words = word_basis(ce.total.rewrite, e)
+        blocks = {}
+        for g in range(len(A)):
+            if g not in solved:
+                blocks.setdefault(aleft((g,)), []).append(g)
+        for grade, gens in blocks.items():
+            pairs = [(u, v) for u in words if zleft(u) == grade
+                     for v in words if len(u) + len(v) <= e]
+            if len(pairs) > WITNESS_BLOCK_BUDGET:
+                raise WitnessUndecided(f"{_missing(A, solved)}: the block of row grade "
+                                       f"{grade} has {len(pairs)} unknowns at degree "
+                                       f"{e}, over the budget of {WITNESS_BLOCK_BUDGET}")
+            for u, v in pairs:
+                if (u, v) not in cols:
+                    cols[u, v] = galois_map(NCPoly(Z, {u: S_ONE}),
+                                            NCPoly(Z, {v: S_ONE}), ce, aext)
+            solved.update(_solve_block(ce, pairs, cols, gens))
+        if len(solved) == len(A):
+            return solved
+    raise WitnessUndecided(
+        f"{_missing(A, solved)}: no solution up to degree {WITNESS_DEGREE_CAP}, the cap")
 
 
-def glq_witness(c: CoactionData) -> GaloisWitness:
-    """Companion is the mirror deformation; delta(x_ij) = sum z_ik (x) t_kj,
-    delta(t) = tau (x) xi; phi sends the companion generators to the
-    entries of the inverse of the generator matrix z."""
-    T = catalog("GLqm22")
-    A, Z, Ti = c.base.alphabet, c.total.alphabet, T.alphabet
-    delta = on_block(c.base.block, mat_mul(c.total.block, T.block, TensorPoly.of))
-    delta[A.index["t"]] = TensorPoly.of(Z.gen("tau"), Ti.gen("xi"))
-    PZ = c.total.parse
-    phi = on_block(T.block, [[PZ("z22*tau"), PZ("q*tau*z12")],
-                             [PZ("q^-1*z21*tau"), PZ("tau*z11")]])
-    phi[Ti.index["xi"]] = PZ("z11*z22 + q^-1*z12*z21")
-    return GaloisWitness(T, delta, phi)
+def _solve_block(c: CoactionData, pairs, cols, gens):
+    """generator g -> tau(g), from t with beta(t) = g (x) 1 over the
+    unknowns `pairs`, for each g in gens that they reach; NotGaloisError
+    on a free unknown.  The variable r_g is the int g, pivoted on last."""
+    A, Z = c.base.alphabet, c.total.alphabet
+    rows = {}
+    for pair in pairs:
+        for key, s in cols[pair].terms.items():
+            rows.setdefault(key, {})[pair] = s
+    for g in gens:
+        for wd, s in c.base.nf(NCPoly(A, {(g,): S_ONE})).terms.items():
+            rows.setdefault((wd, ()), {})[g] = -s
+    reducer = RowReducer(lambda x: (1, x) if type(x) is int else (0, x[1], x[0]))
+    for row in rows.values():
+        reducer.add_equation(row, S_ZERO)
+    pivots = reducer.rows
+    for free in pairs:
+        if free not in pivots:
+            k = {free: S_ONE, **{p: -row[free] for p, (row, _) in pivots.items()
+                                 if free in row}}
+            raise NotGaloisError(f"k = {TensorPoly((Z, Z), k).pretty()}")
+    # g is reached when no row pivoted on a generator holds r_g
+    held = {x for p, (row, _) in pivots.items() if type(p) is int for x in row}
+    return {g: TensorPoly((Z, Z), {(p[0], p[1][::-1]): -row[g]
+                                   for p, (row, _) in pivots.items() if g in row})
+            for g in gens if g not in held}
 
 
-def hopf_witness(p: Presentation) -> GaloisWitness:
-    """A Hopf presentation over itself: delta = Delta, phi = antipode."""
-    if p.hopf is None:
-        raise GaloisError(f"{p.name} carries no Hopf data")
-    delta = {gi: t for gi, t in p.hopf.delta.items()}
-    return GaloisWitness(p, delta, dict(p.hopf.antipode))
+def _missing(A, solved):
+    """The generators of A without a value, as an error message names them."""
+    return "no value for " + ", ".join(
+        name for g, name in enumerate(A.names) if g not in solved)
 
 
 _OPPOSITE_CACHE = {}
 
 
-def opposite(p: Presentation) -> Presentation:
-    """Opposite presentation: every relation word reversed."""
-    # keyed by content and certified degree: two file presentations may
-    # share a name
-    key = (p.alphabet, tuple(p.relations), p.rewrite.completion_degree)
-    if key in _OPPOSITE_CACHE:
-        return _OPPOSITE_CACHE[key]
-    rels = [
-        NCPoly(p.alphabet, {tuple(reversed(wd)): coeff
-                            for wd, coeff in rel.terms.items()})
-        for rel in p.relations
-    ]
-    out = _finish(p.name + "^op", p.alphabet, rels, MonomialOrder(p.alphabet),
-                  completion_degree=p.rewrite.completion_degree)
-    _OPPOSITE_CACHE[key] = out
-    return out
-
-
-def aufg_witness(c: CoactionData, F, G) -> GaloisWitness:
-    """Translation-map witness for the universal unitary extensions:
-    companion is the opposite algebra of Z, delta(a_ij) = sum z_ik (x) z*_kj
-    (second leg multiplied in reverse), phi the identity on generators.
-    F and G are the twist matrices Z was built from; validate_witness
-    catches a pair that does not match Z.
-
-    Only defined for a square generator block.
-    """
-    from .linalg import mat_inv
-
-    z, Z = c.total.block, c.total
-    if len(z) != len(z[0]):
-        raise GaloisError("translation witness needs a square generator block")
-    # T shares the alphabet of Z; its second leg carries the adjoint
-    # entry (z*)_kj = star(z_jk)
-    T = opposite(Z)
-    zbar = star_entries(Z.star, z)
-    delta = on_block(c.base.block, mat_mul(z, transpose(zbar), TensorPoly.of))
-    # the starred generators need the inverse of the conjugate block: with
-    # B = F zbar G^-1 unitary (B^-1 = B* by the defining relations),
-    # zbar^-1 = G^-1 B* F, entrywise over Z
-    F, Ginv = scalar_matrix(F), mat_inv(scalar_matrix(G))
-    _, Bst = twisted_block(F, zbar, Ginv, Z.star)
-    zbar_inv = [[Z.nf(e) for e in row] for row in mat_mul(mat_mul(Ginv, Bst), F)]
-    delta.update(on_block(star_entries(c.base.star, c.base.block),
-                          mat_mul(zbar, zbar_inv, TensorPoly.of)))
-    phi = {gi: Z.alphabet.gen(name) for gi, name in enumerate(T.alphabet.names)}
-    return GaloisWitness(T, delta, phi)
+def opposite(p: Presentation, d: int) -> Presentation:
+    """Opposite presentation: every relation word reversed, completed to
+    degree d."""
+    # keyed by content and certified degree, since two file presentations
+    # may share a name, and by name, since GLq2m2 and Uq2m2 share content
+    key = (p.name, p.alphabet, tuple(p.relations), d)
+    if key not in _OPPOSITE_CACHE:
+        rels = [NCPoly(p.alphabet, {wd[::-1]: s for wd, s in rel.terms.items()})
+                for rel in p.relations]
+        _OPPOSITE_CACHE[key] = _finish(p.name + "^op", p.alphabet, rels,
+                                       MonomialOrder(p.alphabet), completion_degree=d)
+    return _OPPOSITE_CACHE[key]

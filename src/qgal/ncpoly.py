@@ -250,16 +250,6 @@ class TensorPoly:
                 add_term(out, k[:leg] + (k[leg] + w,) + k[leg + 1 :], c * cw)
         return TensorPoly(self.alphabets, out)
 
-    def map_leg(self, leg, fn) -> "TensorPoly":
-        """Apply a linear map (NCPoly -> NCPoly on the same leg alphabet,
-        given word by word) to one leg and recollect."""
-        out = {}
-        for k, c in self.terms.items():
-            img = fn(k[leg])
-            for w, cw in img.terms.items():
-                add_term(out, k[:leg] + (w,) + k[leg + 1 :], c * cw)
-        return TensorPoly(self.alphabets, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, TensorPoly)
@@ -391,7 +381,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
+            self.error(f"expected {kind!r}, found {_found(tok)}", tok)
         return tok
 
     def integer(self, tok) -> int:
@@ -429,7 +419,7 @@ class _Parser:
         for kind, text in (("(", "("), ("ident", "x"), (")", ")")):
             tok = self.next()
             if tok[:2] != (kind, text):
-                self.error(f"expected '(x)', found {tok[1]!r}", tok)
+                self.error(f"expected '(x)', found {_found(tok)}", tok)
         self.alphabet = right
         return TensorPoly.of(a, self.term())
 
@@ -485,7 +475,13 @@ class _Parser:
             if text not in self.alphabet.index:
                 self.error(f"unknown generator {text!r}", tok)
             return self.alphabet.gen(text)
-        self.error(f"unexpected token {text!r}", tok)
+        self.error("unexpected end of input" if kind == "eof"
+                   else f"unexpected token {text!r}", tok)
+
+
+def _found(tok) -> str:
+    """A token as an error message names it."""
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
 def parse_expr(src: str, alphabet: Alphabet, at=(1, 1)) -> NCPoly:

@@ -280,14 +280,6 @@ def unitarity_defects(M, Mst):
     return defects(M, Mst), defects(Mst, M)
 
 
-def twisted_block(F, zbar, Ginv, star):
-    """B = F zbar G^-1 for scalar matrices F, G^-1 and a block zbar of
-    NCPoly, with its star-transpose B*.  The AuFG relations make B
-    unitary, and then G^-1 B* F is the inverse of zbar."""
-    B = mat_mul(mat_mul(F, zbar), Ginv)
-    return B, star_transpose(star, B)
-
-
 # ---------------------------------------------------------------------------
 # catalog construction
 # ---------------------------------------------------------------------------
@@ -494,7 +486,8 @@ def _build_aufg(F, G):
     Finv = mat_inv(F)   # also validates invertibility
     Ginv = mat_inv(G)
     A, smap, z, zbar = _star_alphabet("z", len(F), len(G))
-    B, Bst = twisted_block(F, zbar, Ginv, smap)
+    B = mat_mul(mat_mul(F, zbar), Ginv)
+    Bst = star_transpose(smap, B)
     # z unitary, then B unitary; each as M M* - I, then M* M - I
     relations = sum(unitarity_defects(z, transpose(zbar))
                     + unitarity_defects(B, Bst), [])
@@ -547,28 +540,20 @@ def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
 class CatalogEntry:
     """How to build one catalog target, and the data that comes with it."""
 
-    __slots__ = ("build", "defaults", "coaction", "witness", "base_names")
+    __slots__ = ("build", "defaults", "coaction", "base_names")
 
     def __init__(self, build: Callable, defaults: dict | None = None,
-                 coaction: Callable | None = None, witness: str | None = None,
-                 base_names: bool = False):
+                 coaction: Callable | None = None, base_names: bool = False):
         init = object.__setattr__
         init(self, "build", build)                # (**params) -> Presentation
         init(self, "defaults", {} if defaults is None else defaults)
         init(self, "coaction", coaction)          # (**params) -> CoactionData
-        init(self, "witness", witness)  # galois constructor of the Galois witness
         # whether the coaction's base may share the target's generator
         # names, so that its counit can carry over as a character
         init(self, "base_names", base_names)
 
     def __setattr__(self, name, value):
         raise AttributeError("CatalogEntry is immutable")
-
-    def galois_witness(self, c: CoactionData, **params):
-        """c's Galois witness at the entry's defaults updated by params."""
-        from . import galois  # galois imports this module
-
-        return getattr(galois, self.witness)(c, **{**self.defaults, **params})
 
 
 CATALOG = {
@@ -577,20 +562,18 @@ CATALOG = {
     "GLq2m2": CatalogEntry(
         lambda: _build_glq2m2(star=False),
         coaction=lambda: _coaction_glq_family(catalog("GLq2"),
-                                              catalog("GLq2m2")),
-        witness="glq_witness"),
+                                              catalog("GLq2m2"))),
     "Uq2m2": CatalogEntry(
         lambda: _build_glq2m2(star=True),
         coaction=lambda: _coaction_glq_family(catalog("Uq2"),
-                                              catalog("Uq2m2")),
-        witness="glq_witness"),
+                                              catalog("Uq2m2"))),
     "GLqm22": CatalogEntry(_build_glqm22),
     "Onp": CatalogEntry(_build_onp, defaults={"n": 2, "p": 1}),
     "AuFG": CatalogEntry(
         _build_aufg, defaults={"F": matrix_fq(1), "G": matrix_fq(-1)},
         coaction=lambda F, G: _coaction_aufg(catalog("AuF", F=F),
                                              catalog("AuFG", F=F, G=G)),
-        witness="aufg_witness", base_names=True),
+        base_names=True),
     "AuF": CatalogEntry(lambda F: _build_aufg(F, F),
                         defaults={"F": matrix_fq(1)}),
 }
@@ -698,7 +681,8 @@ def add_star_map(report: Report, label, images, ext, base, source):
     A, Z = base.alphabet, source.alphabet
     for gi, name in enumerate(Z.names):
         lhs = apply_map(source.star.apply(Z.gen(name)), ext, TensorPoly((A, Z)))
-        rhs = images[gi].map_leg(0, base.star.of_word).map_leg(1, source.star.of_word)
+        rhs = apply_map(images[gi], lambda k: TensorPoly.of(
+            base.star.of_word(k[0]), source.star.of_word(k[1])), TensorPoly((A, Z)))
         rhs = reduce_legs(rhs, (base.rewrite, source.rewrite))
         report.add(f"{label} is a *-map on {name}", lhs == rhs)
 
@@ -751,8 +735,17 @@ def directives(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, col = _stripped(raw.split("#", 1)[0], 1)
         if line:
-            head, _, rest = line.partition(" ")
-            yield lineno, head, *_stripped(rest, col + len(head) + 1)
+            head = line.split(maxsplit=1)[0]
+            yield lineno, head, *_stripped(line[len(head):], col + len(head))
+
+
+def _once(seen, head, lineno):
+    """Record that directive `head` is on line lineno; a CatalogError
+    naming both lines when `seen` already holds it."""
+    if head in seen:
+        raise CatalogError(f"line {lineno}: {head!r} given again "
+                           f"(first on line {seen[head]})")
+    seen[head] = lineno
 
 
 def _stripped(s, col):
@@ -800,7 +793,10 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
     order_names = None
     star_lines = []
     relation_srcs = []
+    seen = {}
     for lineno, head, rest, col in directives(text):
+        if head in ("algebra", "generators", "order"):
+            _once(seen, head, lineno)
         if head == "algebra":
             name = rest
         elif head == "generators":
@@ -839,11 +835,13 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
 
 
 def coaction_names(text: str):
-    """The (Z, A) names of the 'coaction Z over A' line of a DSL text,
-    the last one if there are several, or None for a text without one."""
+    """The (Z, A) names of the 'coaction Z over A' line of a DSL text, or
+    None for a text without one; a CatalogError when there are several."""
     names = None
-    for _, head, rest, _ in directives(text):
+    seen = {}
+    for lineno, head, rest, _ in directives(text):
         if head == "coaction":
+            _once(seen, head, lineno)
             zname, _, aname = rest.partition(" over ")
             names = zname.strip(), aname.strip()
     return names

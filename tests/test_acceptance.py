@@ -17,7 +17,6 @@ from qgal.cli import main as cli_main
 from qgal.comodules import UnitaryStructure, duality_maps, fundamental, \
     snake_check, trivial
 from qgal.cotensor import compute_cotensor, cotensor_inner, verify_biunitarity
-from qgal.galois import glq_witness, verify_galois
 from qgal.haar import gram_positivity, haar_on_extension, haar_on_hopf
 from qgal.ncpoly import NCPoly
 from qgal.presentations import catalog, findim_rep_obstruction

@@ -105,19 +105,24 @@ def trivial_coaction(tmp_path):
 
 def test_coaction_file_runs_its_suites(capsys, trivial_coaction):
     args = argparse.Namespace(n=None, p=None, degree=2)
-    # no declared block, no Galois witness: biunitarity and galois are out
+    # no declared block: biunitarity is out
     assert suites_for(trivial_coaction, args) == [
-        "star", "spectrum", "coaction", "haar", "cotensor"]
-    for suite in ("all", "star", "spectrum"):
+        "star", "spectrum", "coaction", "haar", "cotensor", "galois"]
+    for suite in ("star", "spectrum"):
         code, out, err = run(capsys, "verify", trivial_coaction, "--suite", suite)
         assert code == 0, err
         assert "[PASS]" in out and "[FAIL]" not in out
     code, out, _ = run(capsys, "verify", trivial_coaction, "--suite", "star")
     assert out.startswith("[PASS] star(line)")
-    for suite, message in (("biunitarity", "declares no generator block"),
-                           ("galois", "no Galois witness construction")):
-        code, _, err = run(capsys, "verify", trivial_coaction, "--suite", suite)
-        assert code == 3 and message in err
+    # alpha(x) = 1 (x) x is not Galois: beta has a kernel vector
+    code, out, _ = run(capsys, "verify", trivial_coaction, "--suite", "galois")
+    assert code == 1
+    assert "FAIL beta(k) = 0, so line is not Galois  [k = 1 (x) x - x (x) 1]" in out
+    code, out, _ = run(capsys, "verify", trivial_coaction, "--suite", "all")
+    assert code == 1
+    assert "FAIL suite galois: galois(line over Uq2, degree 2)" in out
+    code, _, err = run(capsys, "verify", trivial_coaction, "--suite", "biunitarity")
+    assert code == 3 and "declares no generator block" in err
 
 
 def test_coaction_file_names_resolve_next_to_it(tmp_path, monkeypatch, capsys):
@@ -142,7 +147,7 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(presentations, "parse_presentation_text",
                         lambda *a, **k: calls.append(a) or parse(*a, **k))
     code, _, err = run(capsys, "verify", str(f), "--suite", "all")
-    assert code == 0, err
+    assert code == 1, err  # the coaction is not Galois
     assert len(calls) == 1
     # another text at the same path is another input
     (tmp_path / "line.alg").write_text(LINE + "relation x*x - x\n")
@@ -309,6 +314,12 @@ def test_parse_error_exits_3(capsys):
     code, _, err = run(capsys, "parse", "GLq2", "x11*(")
     assert code == 3
     assert "column" in err
+
+
+def test_parse_error_at_the_end_names_the_end_of_input(capsys):
+    code, _, err = run(capsys, "parse", "GLq2", "x11 +")
+    assert code == 3
+    assert err == "parse error: unexpected end of input (line 1, column 6)\n"
 
 
 def test_spectrum_onp(capsys):

@@ -3,7 +3,7 @@ are extended."""
 
 import pytest
 
-from qgal.ncpoly import NCPoly, TensorPoly
+from qgal.ncpoly import NCPoly, TensorPoly, apply_map
 from qgal.presentations import alpha_ext, catalog, coaction, delta_ext, extend_reduced
 from qgal.rewrite import ConfluenceError, RewriteSystem, word_basis
 from qgal.scalars import S_ONE
@@ -15,9 +15,9 @@ def _reduced_once(images, legs, word):
     t = TensorPoly.one([p.alphabet for p in legs])
     for x in word:
         t = t * images[x]
-    for leg, p in enumerate(legs):
-        t = t.map_leg(leg, lambda w, p=p: p.nf(NCPoly(p.alphabet, {w: S_ONE})))
-    return t
+    return apply_map(t, lambda key: TensorPoly.of(*(
+        p.nf(NCPoly(p.alphabet, {w: S_ONE})) for p, w in zip(legs, key))),
+        TensorPoly(t.alphabets))
 
 
 def _case(kind, name):

@@ -2,31 +2,38 @@ import pytest
 
 from qgal import galois
 from qgal.galois import (
-    GaloisWitness,
-    aufg_witness,
     galois_inverse,
     galois_map,
-    glq_witness,
-    hopf_witness,
     opposite,
+    translation_witness,
     validate_witness,
     verify_galois,
 )
-from qgal.ncpoly import NCPoly, TensorPoly, apply_map, extend_anti
+from qgal.ncpoly import NCPoly, TensorPoly, apply_map
 from qgal.presentations import (
-    CATALOG,
     CoactionData,
-    catalog,
-    coaction,
+    _build_aufg,
+    _coaction_aufg,
     extend_reduced,
     parse_presentation_text,
+    reduce_legs,
 )
-from qgal.scalars import S_ONE
 
 
 @pytest.fixture(scope="module")
 def witness(c_glq):
-    return glq_witness(c_glq)
+    return translation_witness(c_glq)
+
+
+def corrupted(w, A, name):
+    """The witness w with the coefficient of one term of tau(name) doubled."""
+    tau = dict(w)
+    g = A.alphabet.index[name]
+    terms = dict(tau[g].terms)
+    key = next(iter(terms))
+    terms[key] = terms[key] + terms[key]
+    tau[g] = TensorPoly(tau[g].alphabets, terms)
+    return tau
 
 
 def T2(c, pairs):
@@ -69,37 +76,54 @@ def test_validate_witness(c_glq, witness):
     assert validate_witness(c_glq, witness).ok
 
 
+def test_translation_map_glq(c_glq, witness):
+    # tau(x_ij) = sum_k z_ik (x) M_kj with M the inverse of z written out
+    # by hand (criterion 1), its right leg reversed into Z^op
+    A, Z = c_glq.base, c_glq.total
+    T = opposite(Z, 2)
+    P = Z.parse
+    z = [[P("z11"), P("z12")], [P("z21"), P("z22")]]
+    M = [[P("z22*tau"), P("q*tau*z12")],
+         [P("q^-1*z21*tau"), P("tau*z11")]]
+
+    def rev(poly):
+        return NCPoly(T.alphabet, {w[::-1]: s for w, s in poly.terms.items()})
+
+    for i in range(2):
+        for j in range(2):
+            want = TensorPoly.of(z[i][0], rev(M[0][j])) + \
+                TensorPoly.of(z[i][1], rev(M[1][j]))
+            got = witness[A.alphabet.index[f"x{i + 1}{j + 1}"]]
+            assert reduce_legs(got - want, (Z.rewrite, T.rewrite)).is_zero()
+
+
 def test_corrupted_witness_fails(c_glq, witness):
-    T = witness.companion
-    phi = dict(witness.phi)
-    phi[T.alphabet.index["t11"]] = c_glq.total.parse("z11")
-    bad = GaloisWitness(T, dict(witness.delta), phi)
+    bad = corrupted(witness, c_glq.base, "x11")
     assert not validate_witness(c_glq, bad).ok
-    r = verify_galois(c_glq, bad, 1)
+    r = verify_galois(c_glq, 1, bad)
     assert not r.ok
 
 
 def test_corrupted_witness_shows_its_residual_cut_to_120(c_glq, witness):
-    T, Z = witness.companion, c_glq.total
-    phi = dict(witness.phi)
-    phi[T.alphabet.index["t11"]] = Z.parse("z11")
-    r = validate_witness(c_glq, GaloisWitness(T, dict(witness.delta), phi))
-    phi_ext = extend_anti(phi, Z.alphabet)
-    residuals = [Z.nf(apply_map(rel, phi_ext, NCPoly.zero(Z.alphabet))).pretty()
-                 for rel in T.relations]
+    A, Z = c_glq.base, c_glq.total
+    bad = corrupted(witness, A, "x11")
+    r = validate_witness(c_glq, bad)
+    ext = extend_reduced(bad, (Z, opposite(Z, 8)))
+    residuals = [apply_map(rel, ext, TensorPoly((Z.alphabet, Z.alphabet))).pretty()
+                 for rel in A.relations]
     failed = [i.witness for i in r.items if i.status == "fail"]
     assert failed == [s[:120] for s in residuals if s != "0"]
     assert any(len(s) > 120 for s in residuals)
 
 
 def test_verify_galois_glq(c_glq, witness):
-    r = verify_galois(c_glq, witness, 1)
+    r = verify_galois(c_glq, 1, witness)
     assert r.ok
 
 
 def test_verify_galois_extends_each_map_once(c_glq, witness, monkeypatch):
-    # every check shares one memo per extended map: alpha, and delta of
-    # the witness (validate_witness included)
+    # every check shares one memo per extended map: alpha, and tau
+    # (validate_witness included)
     built = []
 
     def counting(images, legs):
@@ -109,18 +133,18 @@ def test_verify_galois_extends_each_map_once(c_glq, witness, monkeypatch):
     monkeypatch.setattr(galois, "extend_reduced", counting)
     monkeypatch.setattr(galois, "alpha_ext",
                         lambda c: counting(c.alpha, (c.base, c.total)))
-    assert verify_galois(c_glq, witness, 2).ok
-    assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLqm22")]
+    assert verify_galois(c_glq, 2, witness).ok
+    assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLq2m2^op")]
 
 
 def test_verify_galois_uq(c_uq):
-    r = verify_galois(c_uq, glq_witness(c_uq), 1)
+    r = verify_galois(c_uq, 1)
     assert r.ok
 
 
 def test_hopf_self_extension(uq2):
     c = CoactionData(uq2, uq2, dict(uq2.hopf.delta))
-    r = verify_galois(c, hopf_witness(uq2), 1)
+    r = verify_galois(c, 1)
     assert r.ok
 
 
@@ -132,13 +156,11 @@ def test_beta_left_linearity_sample(c_glq):
     y = Z.parse("tau")
     lhs = galois_map(x, y, c_glq)
     rhs = galois_map(x, NCPoly.one(Z.alphabet), c_glq).mul_leg(1, y)
-    from qgal.presentations import reduce_legs
-
     assert reduce_legs(rhs, (c_glq.base.rewrite, Z.rewrite)) == lhs
 
 
 def test_opposite_presentation(glqm22):
-    op = opposite(glqm22)
+    op = opposite(glqm22, 4)
     assert len(op.relations) == len(glqm22.relations)
     for rel in glqm22.relations:
         rev = NCPoly(op.alphabet, {tuple(reversed(w)): c
@@ -150,20 +172,52 @@ def test_opposite_keyed_by_content():
     src = "algebra qplane\ngenerators x y\nrelation {}\n"
     p1 = parse_presentation_text(src.format("y*x - q*x*y"))
     p2 = parse_presentation_text(src.format("y*x - q^2*x*y"))
-    op1, op2 = opposite(p1), opposite(p2)
+    op1, op2 = opposite(p1, 3), opposite(p2, 3)
     assert op2 is not op1
     assert op1.relations == [p1.parse("x*y - q*y*x")]
     assert op2.relations == [p2.parse("x*y - q^2*y*x")]
 
 
 def test_opposite_keyed_by_completion_degree():
-    src = "algebra qplane\ngenerators x y\nrelation y*x - q*x*y\n"
+    p = parse_presentation_text("algebra qplane\ngenerators x y\n"
+                                "relation y*x - q*x*y\n")
     for d in (2, 3):
-        p = parse_presentation_text(src, completion_degree=d)
-        assert opposite(p).rewrite.completion_degree == d
+        assert opposite(p, d).rewrite.completion_degree == d
+    assert opposite(p, 2) is not opposite(p, 3)
 
 
-def test_aufg_witness_validates():
-    c = coaction("AuFG")
-    w = aufg_witness(c, **CATALOG["AuFG"].defaults)
-    assert validate_witness(c, w).ok
+def test_aufg_witness_validates(c_aufg):
+    assert validate_witness(c_aufg, translation_witness(c_aufg)).ok
+
+
+def test_rectangular_pair_passes_at_degree_1():
+    # a 2 x 3 block, which no square-block construction reaches; built
+    # outside the catalog cache, which other tests count
+    F, G = [[1, 1], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    c = _coaction_aufg(_build_aufg(F, F), _build_aufg(F, G))
+    r = verify_galois(c, 1)
+    assert r.ok and len(r.items) == 36
+
+
+@pytest.mark.parametrize("constant,value,reason", [
+    ("WITNESS_BLOCK_BUDGET", 10, "has 12 unknowns at degree 2, over the budget of 10"),
+    ("WITNESS_DEGREE_CAP", 2, "no solution up to degree 2, the cap"),
+])
+def test_witness_solve_stopped_short_is_undecided(c_glq, monkeypatch, constant,
+                                                  value, reason):
+    monkeypatch.setattr(galois, constant, value)
+    r = verify_galois(c_glq, 1)
+    assert r.status == "undecided"
+    (item,) = r.items
+    assert item.witness.startswith("no value for x11, x12, x21, x22, t: ")
+    assert reason in item.witness
+
+
+def test_kernel_vector_fails(uq2):
+    line = parse_presentation_text("algebra line\ngenerators x\nstar x -> x\n")
+    alpha = {0: TensorPoly.of(NCPoly.one(uq2.alphabet), line.gen("x"))}
+    r = verify_galois(CoactionData(uq2, line, alpha), 2)
+    assert r.status == "fail"
+    (item,) = r.items
+    assert item.desc == "beta(k) = 0, so line is not Galois"
+    assert item.witness == "k = 1 (x) x - x (x) 1"

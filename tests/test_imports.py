@@ -363,7 +363,9 @@ def layers_loaded(argv):
     (["normalize", "GLq2", "x12*x11"], set()),
     (["verify", "Uq2m2", "--suite", "star"], set()),
     (["haar", "Uq2m2", "--degree", "1"], {"haar", "linalg"}),
-], ids=["import", "parse", "normalize", "verify-star", "haar"])
+    (["verify", "GLq2m2", "--suite", "galois", "--degree", "1"],
+     {"galois", "haar", "linalg"}),
+], ids=["import", "parse", "normalize", "verify-star", "haar", "verify-galois"])
 def test_commands_load_only_their_layers(argv, layers):
     assert layers_loaded(argv) == layers
 

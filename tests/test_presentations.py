@@ -305,6 +305,40 @@ def test_a_generator_given_twice_names_both_lines():
                             "alpha x -> x (x) 1\n", {"line": LINE}.get)
 
 
+@pytest.mark.parametrize("text,line,head,first", [
+    ("algebra a\nalgebra b\ngenerators x y\ngenerators x\n", 2, "algebra", 1),
+    ("algebra a\ngenerators x y\ngenerators x\n", 3, "generators", 2),
+    (QPLANE + "order y < x\n", 6, "order", 4),
+], ids=["algebra", "generators", "order"])
+def test_a_header_given_twice_names_both_lines(text, line, head, first):
+    with pytest.raises(CatalogError, match=rf"line {line}: '{head}' given again "
+                                           rf"\(first on line {first}\)"):
+        parse_presentation_text(text)
+
+
+def test_a_coaction_line_given_twice_names_both_lines():
+    text = "coaction line over line\ncoaction line over GLq2\nalpha x -> 1 (x) x\n"
+    with pytest.raises(CatalogError, match=r"line 2: 'coaction' given again "
+                                           r"\(first on line 1\)"):
+        parse_coaction_text(text, {"line": LINE}.get)
+
+
+def test_a_directive_ends_at_any_whitespace():
+    p = parse_presentation_text("algebra\tqplane\ngenerators x\ty\n"
+                                "relation\ty*x - q*x*y\n")
+    assert p.name == "qplane"
+    assert p.nf(p.parse("y*x")) == p.parse("q*x*y")
+    # the argument keeps its place: the tab is one column
+    with pytest.raises(ParseError, match=r"\(line 3, column 16\)$"):
+        parse_presentation_text("algebra a\ngenerators x y\nrelation\t y*x +\n")
+
+
+def test_an_alpha_line_cut_short_names_the_end_of_input():
+    with pytest.raises(ParseError, match=r"^unexpected end of input "
+                                         r"\(line 2, column 11\)$"):
+        line_coaction("")
+
+
 def named_block(p, prefix, n, m):
     """The n x m matrix of the generators of p named <prefix><i><j>."""
     return [[p.gen(f"{prefix}{i}{j}") for j in range(1, m + 1)]
