@@ -1,10 +1,13 @@
 """The Galois map beta(x (x) y) = alpha(x) * (1 (x) y): Z (x) Z -> A (x) Z
 and its inverse, derived from the translation map.  When Z is A-Galois,
 tau(a) = beta^-1(a (x) 1) is an algebra map A -> Z (x) Z^op (Schneider,
-Israel J. Math. 72, 1990; Schauenburg, Comm. Algebra 24, 1996).  The
-witness is tau on generators (index -> TensorPoly over Z and Z^op, which
-share an alphabet): `translation_witness` solves it from beta, and
-`verify_galois` checks it exactly, so nothing about the solve is assumed.
+Israel J. Math. 72, 1990; Schauenburg, Comm. Algebra 24, 1996).  Word
+reversal rev: Z^op -> Z is an algebra anti-isomorphism, so the witness
+is tau stored through it, (id (x) rev) tau on generators (index ->
+TensorPoly over Z and Z): multiplicative on its left leg,
+antimultiplicative on its right, and read in Z alone.
+`translation_witness` solves it from beta, and `verify_galois` checks it
+exactly, so nothing about the solve is assumed.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from .linalg import RowReducer
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
 from .presentations import (
     CoactionData,
-    MonomialOrder,
-    Presentation,
-    _finish,
     _short,
     alpha_ext,
     extend_reduced,
+    image_width,
     reduce_legs,
 )
 from .report import Report, Undecided, timed
@@ -48,32 +49,30 @@ def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
     return reduce_legs(out.mul_leg(1, y), (c.base.rewrite, c.total.rewrite))
 
 
-def _width(images, leg):
-    """The largest word degree in one leg of the tensor images."""
-    return max((len(k[leg]) for t in images.values() for k in t.terms), default=0)
-
-
 def tau_ext(tau, c: CoactionData, k: int):
-    """tau extended to the words of A of length <= k, legs reduced over
-    Z and over Z^op certified as deep as those words reach."""
-    return extend_reduced(tau, (c.total, opposite(c.total, k * _width(tau, 1))))
+    """tau, stored through rev, extended to the words of A of length <= k:
+    multiplicatively on the left leg and antimultiplicatively on the
+    right, so a word x1...xn has right legs v_n...v_1.  Both legs are
+    reduced over Z, certified as deep as those words reach."""
+    Z = c.total.ensure_degree(k * max(image_width(tau, 0), image_width(tau, 1)))
+    return extend_reduced(tau, (Z, Z), left=(1,))
 
 
 def galois_inverse(a: NCPoly, y: NCPoly, tau, c: CoactionData, text=None) -> TensorPoly:
-    """beta^-1(a (x) y) = tau(a) (1 (x) y), the right leg of tau(a) read
-    from Z^op into Z by reversing its words; legs normal-formed over Z.
-    text is tau_ext(tau, c, k) for some k >= a.degree(), built here
-    unless the caller shares it."""
+    """beta^-1(a (x) y) = tau(a) (1 (x) y).  tau is stored through rev, so
+    the right leg of tau(a) is already in Z and y multiplies it on the
+    right; legs normal-formed over Z.  text is tau_ext(tau, c, k) for
+    some k >= a.degree(), built here unless the caller shares it."""
     text = text or tau_ext(tau, c, a.degree())
-    Z = c.total.alphabet
-    t = apply_map(a, text, TensorPoly((Z, Z)))
-    out = TensorPoly((Z, Z), {(u, v[::-1]): s for (u, v), s in t.terms.items()})
-    return reduce_legs(out.mul_leg(1, y), (c.total.rewrite, c.total.rewrite))
+    t = apply_map(a, text, TensorPoly((c.total.alphabet,) * 2))
+    return reduce_legs(t.mul_leg(1, y), (c.total.rewrite, c.total.rewrite))
 
 
 def validate_witness(c: CoactionData, tau, text=None) -> Report:
-    """tau is an algebra map A -> Z (x) Z^op: it kills every relation of
-    A.  text as in galois_inverse, for k the largest relation degree."""
+    """tau is an algebra map A -> Z (x) Z^op: it kills every defining
+    relation of A, and so the ideal they generate.  text as in
+    galois_inverse, for k the largest relation degree; built here, it
+    certifies Z as deep as the relations reach."""
     report = Report(f"witness({c.base.name} -> {c.total.name} (x) {c.total.name}^op)")
     with timed(report):
         text = text or tau_ext(tau, c, max(r.degree() for r in c.base.relations))
@@ -91,8 +90,8 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
     undecided, naming the generators of A it did not reach."""
     report = Report(f"galois({c.total.name} over {c.base.name}, degree {d})")
     with timed(report):
-        try:
-            tau = tau or translation_witness(c)
+        try:   # solved_at is the degree of the solve, None for a given tau
+            tau, solved_at = (tau, None) if tau else translation_witness(c)
         except NotGaloisError as e:
             report.add(f"beta(k) = 0, so {c.total.name} is not Galois", False,
                        witness=str(e)[:120])
@@ -101,11 +100,17 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
             report.add_undecided("translation map solved from beta", witness=str(e))
             return report
         # certify what the checks reach: tau on relations of A and on alpha's
-        # left legs, whose right legs multiply the reversed right legs of tau
-        wA, wZ, wR = _width(c.alpha, 0), _width(c.alpha, 1), _width(tau, 1)
+        # left legs, both legs in Z, the right ones multiplied by alpha's
+        wA, wZ = image_width(c.alpha, 0), image_width(c.alpha, 1)
+        wL, wR = image_width(tau, 0), image_width(tau, 1)
         reach = max(max(r.degree() for r in c.base.relations), d * wA)
         c = c.ensure_degree(max(d, 2, d * wA),
-                            max(3 * d, reach * _width(tau, 0), d * wA * wR + d * wZ))
+                            max(3 * d, reach * max(wL, wR), d * wA * wR + d * wZ))
+        report.params = {
+            "degree": d, "relations_checked": len(c.base.relations),
+            "completion_degree": {"base": c.base.rewrite.completion_degree,
+                                  "total": c.total.rewrite.completion_degree},
+            "witness_degree": solved_at}
         # one extension of each map for every check, so they share memos
         aext = alpha_ext(c)
         text = tau_ext(tau, c, reach)
@@ -142,19 +147,20 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
     return report
 
 
-def translation_witness(c: CoactionData) -> dict:
-    """tau on the generators of A, solved from beta(t) = a (x) 1 over the
-    pairs u (x) v of normal words of Z with |u| + |v| <= e, for e = 1, 2,
-    ... up to WITNESS_DEGREE_CAP.  One elimination serves every generator
-    a, as mat_inv reduces [A | I]: its rows say beta(t) = sum_a r_a (a (x)
-    1).  beta(u (x) v) has left legs of the row grade of u (see
-    haar.extension_grading), so the blocks of one grade each are solved
-    apart, those of generators not yet reached.  A free unknown is an
+def translation_witness(c: CoactionData):
+    """(tau, e): tau on the generators of A, stored through rev, solved
+    from beta(t) = a (x) 1 over the pairs u (x) v of normal words of Z
+    with |u| + |v| <= e, for e = 1, 2, ... up to WITNESS_DEGREE_CAP, and
+    the e at which it reached every generator.  One elimination serves
+    every generator a, as mat_inv reduces [A | I]: its rows say beta(t) =
+    sum_a r_a (a (x) 1).  beta(u (x) v) has left legs of the row grade of
+    u (see haar.extension_grading), so the blocks of one grade each are
+    solved apart, those of generators not yet reached.  A free unknown is an
     exact kernel vector of beta: NotGaloisError shows it.  Passing the cap
     or WITNESS_BLOCK_BUDGET first is WitnessUndecided, naming the
     generators still missing."""
     A, Z = c.base.alphabet, c.total.alphabet
-    wA, wZ = _width(c.alpha, 0), _width(c.alpha, 1)
+    wA, wZ = image_width(c.alpha, 0), image_width(c.alpha, 1)
     solved, cols = {}, {}   # generator -> tau of it; (u, v) -> beta(u (x) v)
     for e in range(1, WITNESS_DEGREE_CAP + 1):
         ce = c.ensure_degree(e * wA, e * max(wZ, 1))
@@ -178,7 +184,7 @@ def translation_witness(c: CoactionData) -> dict:
                                             NCPoly(Z, {v: S_ONE}), ce, aext)
             solved.update(_solve_block(ce, pairs, cols, gens))
         if len(solved) == len(A):
-            return solved
+            return solved, e
     raise WitnessUndecided(
         f"{_missing(A, solved)}: no solution up to degree {WITNESS_DEGREE_CAP}, the cap")
 
@@ -206,8 +212,7 @@ def _solve_block(c: CoactionData, pairs, cols, gens):
             raise NotGaloisError(f"k = {TensorPoly((Z, Z), k).pretty()}")
     # g is reached when no row pivoted on a generator holds r_g
     held = {x for p, (row, _) in pivots.items() if type(p) is int for x in row}
-    return {g: TensorPoly((Z, Z), {(p[0], p[1][::-1]): -row[g]
-                                   for p, (row, _) in pivots.items() if g in row})
+    return {g: TensorPoly((Z, Z), {p: -row[g] for p, (row, _) in pivots.items() if g in row})
             for g in gens if g not in held}
 
 
@@ -215,20 +220,3 @@ def _missing(A, solved):
     """The generators of A without a value, as an error message names them."""
     return "no value for " + ", ".join(
         name for g, name in enumerate(A.names) if g not in solved)
-
-
-_OPPOSITE_CACHE = {}
-
-
-def opposite(p: Presentation, d: int) -> Presentation:
-    """Opposite presentation: every relation word reversed, completed to
-    degree d."""
-    # keyed by content and certified degree, since two file presentations
-    # may share a name, and by name, since GLq2m2 and Uq2m2 share content
-    key = (p.name, p.alphabet, tuple(p.relations), d)
-    if key not in _OPPOSITE_CACHE:
-        rels = [NCPoly(p.alphabet, {wd[::-1]: s for wd, s in rel.terms.items()})
-                for rel in p.relations]
-        _OPPOSITE_CACHE[key] = _finish(p.name + "^op", p.alphabet, rels,
-                                       MonomialOrder(p.alphabet), completion_degree=d)
-    return _OPPOSITE_CACHE[key]

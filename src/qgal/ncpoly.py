@@ -231,12 +231,17 @@ class TensorPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, TensorPoly):
-            return self.scale(other)
+        return self.times(other) if isinstance(other, TensorPoly) else self.scale(other)
+
+    def times(self, other: "TensorPoly", left=()) -> "TensorPoly":
+        """The product leg by leg, other's word first on the legs in `left`:
+        (u1 (x) v1).times(u2 (x) v2, (1,)) is u1 u2 (x) v2 v1."""
+        flip = [leg in left for leg in range(len(self.alphabets))]
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                add_term(out, tuple(w1 + w2 for w1, w2 in zip(k1, k2)), c1 * c2)
+                add_term(out, tuple(w2 + w1 if f else w1 + w2
+                                    for f, w1, w2 in zip(flip, k1, k2)), c1 * c2)
         return TensorPoly(self.alphabets, out)
 
     def scale(self, c) -> "TensorPoly":

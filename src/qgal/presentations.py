@@ -36,8 +36,9 @@ class CatalogError(AlgebraError):
 
 
 class Presentation:
-    """A named finite presentation: generators, relations, the rewrite
-    system they complete to, optional star and Hopf data, and the block
+    """A named finite presentation: generators, the defining relations as
+    written, the rewrite system that is their completion (its rules
+    generate the same ideal), optional star and Hopf data, and the block
     of generators its builder wrote the relations in (None for a file).
     Immutable once built; ensure_degree gives a copy over a longer
     completion."""
@@ -135,18 +136,18 @@ class CoactionData:
 # ---------------------------------------------------------------------------
 
 
-def extend_reduced(images, legs):
+def extend_reduced(images, legs, left=()):
     """The map given on generators by `images` (generator -> TensorPoly)
-    extended multiplicatively to words, each leg reduced by the
-    presentation of its slot.  It reduces as it extends, memoised on
-    prefixes: ext(w x) = reduce_legs(ext(w) * images[x]), so `ext.memo`
-    holds reduced tensors only.  That equals reducing the whole product
-    once where normal forms are unique, which is the precondition: ext
-    raises ConfluenceError when len(word) times the largest word degree
-    of an image in a leg exceeds that leg's completion degree."""
+    extended to words, antimultiplicatively on the legs in `left` and
+    multiplicatively on the others, each leg reduced by the presentation
+    of its slot.  It reduces as it extends, memoised on prefixes: ext(w x)
+    = reduce_legs(ext(w).times(images[x], left)), so `ext.memo` holds
+    reduced tensors only.  That equals reducing the whole product once
+    where normal forms are unique, which is the precondition: ext raises
+    ConfluenceError when len(word) times image_width of a leg exceeds
+    that leg's completion degree."""
     systems = tuple(p.rewrite for p in legs)
-    widths = [max((len(k[i]) for t in images.values() for k in t.terms), default=0)
-              for i in range(len(legs))]
+    widths = [image_width(images, leg) for leg in range(len(legs))]
     memo = {(): TensorPoly.one(tuple(p.alphabet for p in legs))}
 
     def ext(word):
@@ -157,12 +158,17 @@ def extend_reduced(images, legs):
                     raise ConfluenceError(
                         f"{p.name}: degree {len(word) * width} exceeds "
                         f"completion bound {p.rewrite.completion_degree}")
-            out = reduce_legs(ext(word[:-1]) * images[word[-1]], systems)
+            out = reduce_legs(ext(word[:-1]).times(images[word[-1]], left), systems)
             memo[word] = out
         return out
 
     ext.memo = memo
     return ext
+
+
+def image_width(images, leg):
+    """The largest word degree in one leg of the tensor images."""
+    return max((len(k[leg]) for t in images.values() for k in t.terms), default=0)
 
 
 def delta_ext(p: Presentation):
@@ -349,15 +355,13 @@ def matrix_fq(sign=1):
 
 
 def _finish(name, alphabet, relations, order, star=None, hopf=None,
-            completion_degree=4, relations_from_rules=False, block=None):
+            completion_degree=4, block=None):
     rs = build_system(alphabet, relations, order,
                       completion_degree=completion_degree)
     rs = complete(rs, completion_degree)
     for rel in relations:
         if not rs.normal_form(rel).is_zero():
             raise CatalogError(f"{name}: defining relation does not reduce to 0")
-    if relations_from_rules:
-        relations = [rule.as_poly(alphabet) for rule in rs.rules]
     return Presentation(name, alphabet, list(relations), rs, star=star,
                         hopf=hopf, block=block)
 
@@ -399,7 +403,7 @@ def _build_glq2(star: bool):
     grades[idx["t"]] = ((-1, -1), (-1, -1))
     hopf = HopfData(delta, counit, antipode, grades)
     return _finish("Uq2" if star else "GLq2", A, relations, MonomialOrder(A),
-                   star=smap, hopf=hopf, relations_from_rules=True, block=x)
+                   star=smap, hopf=hopf, block=x)
 
 
 def _build_glq2m2(star: bool):
@@ -426,7 +430,7 @@ def _build_glq2m2(star: bool):
                                           [P("q*tau*z12"), P("tau*z11")]]),
                            A.index["tau"]: P("z11*z22 + q^-1*z12*z21")})
     return _finish("Uq2m2" if star else "GLq2m2", A, relations,
-                   MonomialOrder(A), star=smap, relations_from_rules=True, block=z)
+                   MonomialOrder(A), star=smap, block=z)
 
 
 def _build_glqm22():
@@ -445,8 +449,8 @@ def _build_glqm22():
         P("t22*xi + xi*t22"),
         P("(t11*t22 - q^-1*t12*t21)*xi - 1"),
     ]
-    return _finish("GLqm22", A, relations, MonomialOrder(A),
-                   relations_from_rules=True, block=generator_block(A, "t", 2, 2))
+    t = generator_block(A, "t", 2, 2)
+    return _finish("GLqm22", A, relations, MonomialOrder(A), block=t)
 
 
 def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionData:

@@ -391,6 +391,17 @@ def test_haar_reports_how_J_and_mu_were_solved(capsys, argv):
         assert prov["grading"] == grading
 
 
+def test_galois_json_records_what_it_certified(capsys):
+    code, out, _ = run(capsys, "verify", "GLq2m2", "--suite", "galois", "--json")
+    assert code == 0
+    # the 11 defining relations of GLq2 checked against tau, GLq2 at its
+    # build degree and GLq2m2 completed to 6, and tau solved at degree 3
+    assert json.loads(out)["params"] == {
+        "degree": 2, "relations_checked": 11,
+        "completion_degree": {"base": 4, "total": 6}, "witness_degree": 3,
+        "q_samples": [0.5, 0.9, 2.0]}
+
+
 def test_haar_auf_degree_1(capsys):
     code, out, _ = run(capsys, "haar", "AuF", "--degree", "1")
     assert code == 0

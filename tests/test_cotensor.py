@@ -1,6 +1,6 @@
 import pytest
 
-from qgal.comodules import conjugate, fundamental, trivial
+from qgal.comodules import fundamental, trivial
 from qgal.cotensor import (
     CotensorElement,
     compute_cotensor,

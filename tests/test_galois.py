@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 
-from qgal import galois
+from qgal import galois, presentations
 from qgal.galois import (
     galois_inverse,
     galois_map,
-    opposite,
+    tau_ext,
     translation_witness,
     validate_witness,
     verify_galois,
@@ -12,17 +14,23 @@ from qgal.galois import (
 from qgal.ncpoly import NCPoly, TensorPoly, apply_map
 from qgal.presentations import (
     CoactionData,
+    Presentation,
     _build_aufg,
+    _build_glq2,
+    _build_glq2m2,
     _coaction_aufg,
+    _coaction_glq_family,
     extend_reduced,
     parse_presentation_text,
     reduce_legs,
 )
+from qgal.rewrite import ConfluenceError
+from qgal.scalars import S_ONE, add_term
 
 
 @pytest.fixture(scope="module")
 def witness(c_glq):
-    return translation_witness(c_glq)
+    return translation_witness(c_glq)[0]
 
 
 def corrupted(w, A, name):
@@ -78,23 +86,47 @@ def test_validate_witness(c_glq, witness):
 
 def test_translation_map_glq(c_glq, witness):
     # tau(x_ij) = sum_k z_ik (x) M_kj with M the inverse of z written out
-    # by hand (criterion 1), its right leg reversed into Z^op
+    # by hand (criterion 1), both legs read in Z with no reversal
     A, Z = c_glq.base, c_glq.total
-    T = opposite(Z, 2)
     P = Z.parse
     z = [[P("z11"), P("z12")], [P("z21"), P("z22")]]
     M = [[P("z22*tau"), P("q*tau*z12")],
          [P("q^-1*z21*tau"), P("tau*z11")]]
-
-    def rev(poly):
-        return NCPoly(T.alphabet, {w[::-1]: s for w, s in poly.terms.items()})
-
     for i in range(2):
         for j in range(2):
-            want = TensorPoly.of(z[i][0], rev(M[0][j])) + \
-                TensorPoly.of(z[i][1], rev(M[1][j]))
+            want = TensorPoly.of(z[i][0], M[0][j]) + TensorPoly.of(z[i][1], M[1][j])
             got = witness[A.alphabet.index[f"x{i + 1}{j + 1}"]]
-            assert reduce_legs(got - want, (Z.rewrite, T.rewrite)).is_zero()
+            assert reduce_legs(got - want, (Z.rewrite, Z.rewrite)).is_zero()
+
+
+def test_tau_ext_is_the_product_term_by_term(c_glq, witness):
+    # on a word x1...xn of A, tau stored through rev is the sum, over one
+    # term u_i (x) v_i of each tau(x_i), of u1...un (x) vn...v1: left legs
+    # in order, right legs in reverse, reduced once at the end
+    A, Z = c_glq.base.alphabet, c_glq.total.alphabet
+    ext = tau_ext(witness, c_glq, 3)
+    Z6 = c_glq.total.ensure_degree(6)
+
+    def nf(word):
+        return Z6.nf(NCPoly(Z, {word: S_ONE}))
+
+    for n in range(4):
+        for word in itertools.product(range(len(A)), repeat=n):
+            terms = {((), ()): S_ONE}
+            for x in word:
+                longer = {}
+                for (u, v), s in terms.items():
+                    for (u2, v2), s2 in witness[x].terms.items():
+                        add_term(longer, (u + u2, v2 + v), s * s2)
+                terms = longer
+            want = apply_map(TensorPoly((Z, Z), terms),
+                             lambda k: TensorPoly.of(nf(k[0]), nf(k[1])),
+                             TensorPoly((Z, Z)))
+            assert ext(word) == want, word
+    # tau(x) has right legs of degree 2: a word of length 4 reaches
+    # degree 8, past the degree 6 that Z is certified to
+    with pytest.raises(ConfluenceError):
+        ext((0, 1, 2, 3))
 
 
 def test_corrupted_witness_fails(c_glq, witness):
@@ -108,7 +140,8 @@ def test_corrupted_witness_shows_its_residual_cut_to_120(c_glq, witness):
     A, Z = c_glq.base, c_glq.total
     bad = corrupted(witness, A, "x11")
     r = validate_witness(c_glq, bad)
-    ext = extend_reduced(bad, (Z, opposite(Z, 8)))
+    Z6 = Z.ensure_degree(6)
+    ext = extend_reduced(bad, (Z6, Z6), left=(1,))
     residuals = [apply_map(rel, ext, TensorPoly((Z.alphabet, Z.alphabet))).pretty()
                  for rel in A.relations]
     failed = [i.witness for i in r.items if i.status == "fail"]
@@ -126,15 +159,38 @@ def test_verify_galois_extends_each_map_once(c_glq, witness, monkeypatch):
     # (validate_witness included)
     built = []
 
-    def counting(images, legs):
+    def counting(images, legs, left=()):
         built.append(tuple(p.name for p in legs))
-        return extend_reduced(images, legs)
+        return extend_reduced(images, legs, left)
 
     monkeypatch.setattr(galois, "extend_reduced", counting)
     monkeypatch.setattr(galois, "alpha_ext",
                         lambda c: counting(c.alpha, (c.base, c.total)))
     assert verify_galois(c_glq, 2, witness).ok
-    assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLq2m2^op")]
+    assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLq2m2")]
+
+
+def test_verify_galois_completes_only_z_and_only_to_degree_6(monkeypatch):
+    # a pair built outside the catalog cache, so that every completion
+    # the check needs happens here: Z to degree 6 for the relations of A
+    # (degree <= 3) and the checks at degree 2, and no other presentation
+    c = _coaction_glq_family(_build_glq2(False), _build_glq2m2(False))
+    degrees, built = [], []
+    complete, init = presentations.complete, Presentation.__init__
+
+    def counting_complete(rs, d):
+        degrees.append(d)
+        return complete(rs, d)
+
+    def counting_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(presentations, "complete", counting_complete)
+    monkeypatch.setattr(Presentation, "__init__", counting_init)
+    assert verify_galois(c, 2).ok
+    assert max(degrees, default=0) <= 6
+    assert set(built) <= {"GLq2", "GLq2m2"}
 
 
 def test_verify_galois_uq(c_uq):
@@ -159,35 +215,8 @@ def test_beta_left_linearity_sample(c_glq):
     assert reduce_legs(rhs, (c_glq.base.rewrite, Z.rewrite)) == lhs
 
 
-def test_opposite_presentation(glqm22):
-    op = opposite(glqm22, 4)
-    assert len(op.relations) == len(glqm22.relations)
-    for rel in glqm22.relations:
-        rev = NCPoly(op.alphabet, {tuple(reversed(w)): c
-                                   for w, c in rel.terms.items()})
-        assert op.nf(rev).is_zero()
-
-
-def test_opposite_keyed_by_content():
-    src = "algebra qplane\ngenerators x y\nrelation {}\n"
-    p1 = parse_presentation_text(src.format("y*x - q*x*y"))
-    p2 = parse_presentation_text(src.format("y*x - q^2*x*y"))
-    op1, op2 = opposite(p1, 3), opposite(p2, 3)
-    assert op2 is not op1
-    assert op1.relations == [p1.parse("x*y - q*y*x")]
-    assert op2.relations == [p2.parse("x*y - q^2*y*x")]
-
-
-def test_opposite_keyed_by_completion_degree():
-    p = parse_presentation_text("algebra qplane\ngenerators x y\n"
-                                "relation y*x - q*x*y\n")
-    for d in (2, 3):
-        assert opposite(p, d).rewrite.completion_degree == d
-    assert opposite(p, 2) is not opposite(p, 3)
-
-
 def test_aufg_witness_validates(c_aufg):
-    assert validate_witness(c_aufg, translation_witness(c_aufg)).ok
+    assert validate_witness(c_aufg, translation_witness(c_aufg)[0]).ok
 
 
 def test_rectangular_pair_passes_at_degree_1():

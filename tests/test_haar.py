@@ -7,7 +7,6 @@ from qgal.haar import (
     gram_positivity,
     haar_on_extension,
     haar_on_hopf,
-    unit_coefficient_functional,
     verify_invariance,
 )
 from qgal.ncpoly import NCPoly

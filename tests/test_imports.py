@@ -63,7 +63,12 @@ def test_checker_finds_unused_imports():
     assert unused_imports(src) == [(2, "system"), (3, "d"), (3, "g")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+TEST_MODULES = sorted(TESTS.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=[p.name for p in MODULES]
+                         + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

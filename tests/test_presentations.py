@@ -14,7 +14,6 @@ from qgal.presentations import (
     _star_alphabet,
     abelianization,
     catalog,
-    coaction,
     findim_rep_obstruction,
     mat_mul,
     matrix_fq,
@@ -29,7 +28,10 @@ from qgal.scalars import Q, S_ONE
 
 def test_catalog_shapes(glq2m2):
     assert len(glq2m2.alphabet) == 5
-    assert len(glq2m2.relations) == 13
+    # the 11 defining relations as written, and the 13 rules of their
+    # completion at the build degree
+    assert len(glq2m2.relations) == 11
+    assert len(glq2m2.rewrite.rules) == 13
     onp = catalog("Onp", n=2, p=1)
     # a a* = I_2 gives four relations, a* a = I_1 one more
     assert len(onp.alphabet) == 4
