@@ -62,8 +62,13 @@ def galois_inverse(a: NCPoly, y: NCPoly, tau, c: CoactionData, text=None) -> Ten
     """beta^-1(a (x) y) = tau(a) (1 (x) y).  tau is stored through rev, so
     the right leg of tau(a) is already in Z and y multiplies it on the
     right; legs normal-formed over Z.  text is tau_ext(tau, c, k) for
-    some k >= a.degree(), built here unless the caller shares it."""
-    text = text or tau_ext(tau, c, a.degree())
+    some k >= a.degree(), c certified as deep as both legs of the product
+    reach; built here, with c so certified, unless the caller shares it."""
+    if text is None:
+        k = a.degree()
+        c = c.ensure_degree(0, max(k * image_width(tau, 0),
+                                   k * image_width(tau, 1) + y.degree()))
+        text = tau_ext(tau, c, k)
     t = apply_map(a, text, TensorPoly((c.total.alphabet,) * 2))
     return reduce_legs(t.mul_leg(1, y), (c.total.rewrite, c.total.rewrite))
 

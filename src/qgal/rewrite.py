@@ -53,7 +53,7 @@ class MonomialOrder:
     generator_order lists generator indices from smallest to largest.
     """
 
-    __slots__ = ("generator_order", "rank")
+    __slots__ = ("generator_order", "rank", "key")
 
     def __init__(self, alphabet: Alphabet, generator_order=None):
         if generator_order is None:
@@ -65,12 +65,15 @@ class MonomialOrder:
         for pos, gen in enumerate(generator_order):
             rank[gen] = pos
         self.rank = tuple(rank)
+        # under the identity order a word is its own rank tuple
+        self.key = _deglex if rank == sorted(rank) else self._ranked
 
-    def key(self, word):
+    def _ranked(self, word):
         return (len(word), tuple(self.rank[i] for i in word))
 
-    def leading_word(self, poly: NCPoly):
-        return max(poly.terms, key=self.key)
+
+def _deglex(word):
+    return (len(word), word)
 
 
 class RewriteRule:
@@ -99,19 +102,18 @@ def orient(poly: NCPoly, order: MonomialOrder) -> RewriteRule | None:
     """Turn a relation (poly = 0) into a rule rewriting its leading word."""
     if poly.is_zero():
         return None
-    lead = order.leading_word(poly)
+    # the order is a permutation of the generators, so no two words share
+    # a key: every other word of poly lies below the leading one
+    lead = max(poly.terms, key=order.key)
     if not lead:
         raise TrivialIdealError("relation reduces to a nonzero scalar")
     c = poly.terms[lead]
-    rest = NCPoly(
-        poly.alphabet, {w: v for w, v in poly.terms.items() if w != lead}
-    )
-    rhs = rest.scale(-c.inv())
-    lead_key = order.key(lead)
-    for w in rhs.terms:
-        if not order.key(w) < lead_key:
-            raise RewriteError("orientation failed: rhs word not smaller than lhs")
-    return RewriteRule(lead, rhs)
+    if c == S_ONE:
+        rhs = {w: -v for w, v in poly.terms.items() if w != lead}
+    else:
+        f = -c.inv()
+        rhs = {w: f * v for w, v in poly.terms.items() if w != lead}
+    return RewriteRule(lead, NCPoly(poly.alphabet, rhs))
 
 
 class LhsIndex:
@@ -243,11 +245,8 @@ class RewriteSystem:
     def normal_form(self, poly: NCPoly) -> NCPoly:
         if poly.alphabet != self.alphabet:
             raise RewriteError("polynomial is over a different alphabet")
-        acc = {}
-        for word, c in poly.terms.items():
-            for w, v in self._nf_word(word).items():
-                add_term(acc, w, c * v)
-        return NCPoly(self.alphabet, acc)
+        return NCPoly(self.alphabet,
+                      _add_nf({}, poly.terms.items(), self._nf_word))
 
     # -- overlaps and completion ------------------------------------------
 
@@ -355,20 +354,10 @@ class Obstruction:
         self.rule_j = rule_j
         self.diff = diff
 
-    def __eq__(self, other):
-        if not isinstance(other, Obstruction):
-            return NotImplemented
-        return (self.word == other.word and self.rule_i == other.rule_i
-                and self.rule_j == other.rule_j and self.diff == other.diff)
-
 
 def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
     """Orient a relation list into an inter-reduced rewrite system."""
-    rules = []
-    for rel in relations:
-        rule = orient(rel, order)
-        if rule is not None:
-            rules.append(rule)
+    rules = [r for r in (orient(rel, order) for rel in relations) if r is not None]
     rules = _interreduce(alphabet, rules, order)
     return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
 
@@ -391,18 +380,25 @@ def _interreduce(alphabet, rules, order):
     orienting; a reducible one is oriented again and moves in the index.
     The rules and their order are those that reducing each rule by a
     fresh system of the others on every pass gives.
+
+    Whether rule i is reducible depends on rule i and the live lhs only:
+    a changed rhs never makes another rule reducible.  So a rule found
+    irreducible when the index had moved `moves` times (`clean_at`) is
+    skipped until an lhs moves again.
     """
     rules = list(rules)
     # the position of each lhs among the words of its relation
     lead_at = [0] * len(rules)
     index = LhsIndex(rules)
+    moves = 0
+    clean_at = [-1] * len(rules)
     memo = {}
     nf = lambda w: _reduce_word(w, rules, index.match, memo)
     changed = True
     while changed:
         changed = False
         for i, rule in enumerate(rules):
-            if rule is None:
+            if rule is None or clean_at[i] == moves:
                 continue
             lhs = rule.lhs
             step = index.match(lhs, i)
@@ -413,6 +409,7 @@ def _interreduce(alphabet, rules, order):
             elif any(index.match(w) for w in rule.rhs.terms):
                 lhs_nf = {lhs: S_ONE}
             else:
+                clean_at[i] = moves
                 continue
             rhs = list(rule.rhs.terms.items())
             p = lead_at[i]
@@ -432,6 +429,7 @@ def _interreduce(alphabet, rules, order):
                 continue
             rules[i] = orient(NCPoly(alphabet, reduced), order)
             index.move(i, rule, rules[i])
+            moves += 1
             if rules[i] is not None:
                 lead_at[i] = list(reduced).index(rules[i].lhs)
     return [r for r in rules if r is not None]
@@ -481,18 +479,14 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
             certified._nf_cache = current._nf_cache
             certified._confluent_to = d
             return certified
+        # inter-reduction never adds a rule, so this caps the next system
         if len(current.rules) + len(obstructions) > current.rule_cap:
             raise CompletionBudgetError(
-                f"completion exceeded rule cap {current.rule_cap}"
-            )
+                f"completion exceeded rule cap {current.rule_cap}")
         # each diff is nonzero, so each orients to a rule
         rules = list(current.rules)
         rules += [orient(ob.diff, current.order) for ob in obstructions]
         rules = _interreduce(current.alphabet, rules, current.order)
-        if len(rules) > current.rule_cap:
-            raise CompletionBudgetError(
-                f"completion exceeded rule cap {current.rule_cap}"
-            )
         current = RewriteSystem(
             current.alphabet, rules, current.order,
             max(current.completion_degree, d), current.rule_cap,

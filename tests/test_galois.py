@@ -24,7 +24,7 @@ from qgal.presentations import (
     parse_presentation_text,
     reduce_legs,
 )
-from qgal.rewrite import ConfluenceError
+from qgal.rewrite import ConfluenceError, word_basis
 from qgal.scalars import S_ONE, add_term
 
 
@@ -78,6 +78,25 @@ def test_galois_inverse_examples(c_glq, witness):
     want_t = TensorPoly.of(Z.parse("tau"),
                            Z.nf(Z.parse("z11*z22 + q^-1*z12*z21")))
     assert got_t == want_t
+
+
+def test_galois_inverse_certifies_what_it_reduces(c_glq, witness):
+    # c_glq's Z is certified to degree 4, but tau(a)(1 (x) y) on basis
+    # words a and y of degree <= 2 has right legs of degree up to 6: each
+    # result must equal the one reduced over Z completed to 8
+    A, Z = c_glq.base, c_glq.total
+    Z8 = Z.ensure_degree(8)
+    ext8 = extend_reduced(witness, (Z8, Z8), left=(1,))
+
+    def basis(p):
+        return [NCPoly(p.alphabet, {w: S_ONE}) for w in word_basis(p.rewrite, 2)]
+
+    pairs = [(a, y) for a in basis(A) for y in basis(Z)]
+    assert len(pairs) == 441
+    for a, y in pairs:
+        t = apply_map(a, ext8, TensorPoly((Z.alphabet, Z.alphabet)))
+        want = reduce_legs(t.mul_leg(1, y), (Z8.rewrite, Z8.rewrite))
+        assert galois_inverse(a, y, witness, c_glq) == want, (a, y)
 
 
 def test_validate_witness(c_glq, witness):

@@ -1,3 +1,5 @@
+import hashlib
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -17,12 +19,13 @@ from qgal.rewrite import (
     RewriteError,
     RewriteRule,
     RewriteSystem,
+    TrivialIdealError,
     build_system,
     complete,
     orient,
     word_basis,
 )
-from qgal.scalars import Q, S_ONE, ScalarQ
+from qgal.scalars import Q, S_ONE, ScalarQ, add_term
 
 
 def test_normal_form_examples(glq2, glq2m2):
@@ -436,8 +439,9 @@ def test_obstructions_match_all_pairs_scan_on_catalog(monkeypatch):
 
 AB = Alphabet(["a", "b"])
 AB_ORDER = MonomialOrder(AB)
-_words = lambda lo, hi: st.lists(st.integers(0, 1), min_size=lo,
-                                 max_size=hi).map(tuple)
+_words_over = lambda n, lo, hi: st.lists(st.integers(0, n - 1), min_size=lo,
+                                         max_size=hi).map(tuple)
+_words = lambda lo, hi: _words_over(2, lo, hi)
 
 
 @st.composite
@@ -567,6 +571,85 @@ def _catalog_completions():
 def test_catalog_completions_are_clean_under_all_pairs_scan():
     for name, rs in _catalog_completions():
         assert _reference_obstructions(rs, rs.completion_degree) == [], name
+
+
+def _scalar_key(c):
+    """A scalar as the (exponent, coefficient) pairs of its numerator and
+    of its denominator, by exponent."""
+    return sorted(c.num.coeffs.items()), sorted(c.den.coeffs.items())
+
+
+def test_completed_rules_are_pinned():
+    """One sha256 over the systems of `_catalog_completions` and AuF
+    completed to degree 4 (822 rules): for each system its name, then
+    each rule as the repr of (lhs, [(word, `_scalar_key`) for each rhs
+    term in stored order]), then the repr of its word basis at its
+    completion degree.  A change to a rule, to the order of the terms of
+    an rhs, or to a word basis changes the digest; recompute it only for
+    a change meant to alter the rules."""
+    systems = list(_catalog_completions())
+    systems.append(("AuF at 4", catalog("AuF").ensure_degree(4).rewrite))
+    digest = hashlib.sha256()
+    for name, rs in systems:
+        digest.update(name.encode())
+        for rule in rs.rules:
+            terms = [(w, _scalar_key(c)) for w, c in rule.rhs.terms.items()]
+            digest.update(repr((rule.lhs, terms)).encode())
+        digest.update(repr(word_basis(rs, rs.completion_degree)).encode())
+    assert sum(len(rs.rules) for _, rs in systems) == 822
+    assert digest.hexdigest() == \
+        "ea35789b205f4ebc5991d65ec94443860e8a20da3245395229160bcff3ba720f"
+
+
+ABC = Alphabet(["a", "b", "c"])
+# 1 and -1, monomials, and two quotients with a denominator
+_COEFFS = [S_ONE, -S_ONE, 2 * Q, ScalarQ.from_fraction(Fraction(-1, 3)) / (Q * Q),
+           (1 + Q) / (2 - Q), Q / (1 - Q * Q)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_words_over(3, 0, 3), st.sampled_from(_COEFFS),
+                       max_size=6),
+       st.permutations(range(3)))
+def test_orient_rewrites_the_leading_word_to_smaller_words(terms, perm):
+    # an independent deglex under the generator order perm, smallest first
+    rank = {g: pos for pos, g in enumerate(perm)}
+    below = lambda u, v: (len(u), [rank[g] for g in u]) < \
+        (len(v), [rank[g] for g in v])
+    p = NCPoly(ABC, terms)
+    order = MonomialOrder(ABC, perm)
+    if p.is_zero():
+        assert orient(p, order) is None
+        return
+    (lead,) = [w for w in p.terms
+               if all(below(u, w) for u in p.terms if u != w)]
+    if lead == ():
+        with pytest.raises(TrivialIdealError):
+            orient(p, order)
+        return
+    rule = orient(p, order)
+    assert rule.lhs == lead
+    assert all(below(w, rule.lhs) for w in rule.rhs.terms)
+    assert rule.as_poly(ABC) == p.scale(p.terms[lead].inv())
+
+
+def _term_by_term_normal_form(rs, poly):
+    """nf(poly) as the sum of c * v over each term c*w of poly and each
+    term v*u of nf(w), in that order."""
+    acc = {}
+    for word, c in poly.terms.items():
+        for w, v in rs._nf_word(word).items():
+            add_term(acc, w, c * v)
+    return NCPoly(rs.alphabet, acc)
+
+
+def test_normal_form_matches_term_by_term_sum(glq2, uq2m2, rng):
+    for p in (glq2, uq2m2):
+        for _ in range(100):
+            x = random_poly(rng, p.alphabet, degree=4, terms=8)
+            got = p.rewrite.normal_form(x)
+            want = _term_by_term_normal_form(p.rewrite, x)
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_completion_examines_each_ambiguity_once(monkeypatch):
