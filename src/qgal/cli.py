@@ -55,7 +55,7 @@ import re
 import sys
 import time
 
-from . import presentations
+from . import __version__, presentations
 from .ncpoly import AlgebraError, ParseError, parse_expr
 from .presentations import CoactionData
 from .report import FAIL, PASS, Report, ReportItem, UNDECIDED, Undecided, timed
@@ -409,8 +409,18 @@ def build_parser():
     return ap
 
 
-def _emit(report: Report, as_json: bool) -> int:
-    if as_json:
+def _emit(report: Report, args) -> int:
+    """Print a verify, haar or cotensor report.  Its params gain the
+    provenance of the run: the qgal version, the target, and the
+    completion degree and rule count of the longest completion of the
+    target's rewrite system in this process, which is the one the command
+    used, since each command runs in its own process.  A report's own
+    params win (galois gives the completion degrees of both legs)."""
+    rs = resolve_presentation(args.target, args).deepest().rewrite
+    report.params = {"qgal_version": __version__, "target": args.target,
+                     "completion_degree": rs.completion_degree,
+                     "rules": len(rs.rules), **report.params}
+    if args.json:
         print(report.to_json())
     else:
         print(report.render())
@@ -425,7 +435,7 @@ def cmd_verify(args) -> int:
         report = run_suite(args.target, args.suite, args)
         report.params.setdefault("degree", args.degree)
         report.params.setdefault("q_samples", list(args.q))
-    return _emit(report, args.json)
+    return _emit(report, args)
 
 
 def cmd_haar(args) -> int:
@@ -452,12 +462,12 @@ def cmd_haar(args) -> int:
     if not args.json:
         for w in shown:
             print(f"  {c.total.alphabet.word_str(w):24s} {mu.values[w]!r}")
-    return _emit(report, args.json)
+    return _emit(report, args)
 
 
 def cmd_cotensor(args) -> int:
     report = _cotensor_report(args.target, args, args.comodule, args.degree)
-    return _emit(report, args.json)
+    return _emit(report, args)
 
 
 def cmd_normalize(args) -> int:

@@ -81,6 +81,12 @@ class Presentation:
             self._certified[d] = out
         return out
 
+    def deepest(self) -> "Presentation":
+        """The copy over the longest completion that ensure_degree has
+        made from this presentation or from its copies, or self."""
+        return max((copy.deepest() for copy in self._certified.values()),
+                   key=lambda p: p.rewrite.completion_degree, default=self)
+
     def parse(self, src) -> NCPoly:
         return parse_expr(src, self.alphabet)
 

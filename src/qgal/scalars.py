@@ -10,6 +10,11 @@ A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
 of reduced fractions take only the gcds that can be non-trivial
 (Henrici's rule), and every gcd runs over Z on primitive
 pseudo-remainders; see `_henrici_sum`, `ScalarQ.__mul__` and `_poly_gcd`.
+Most scalars that completion meets are monomials c*q^k over the
+denominator 1.  A sum or product of two of them takes no gcd either, and
+no loop over Laurent terms: the operators form it from the two
+coefficients (the monomial lane), and a product with 1 is the other
+factor itself.
 
 Every sparse linear combination over Q(q) in qgal (polynomial and tensor
 terms, normal forms, linear-system rows, commutative polynomials) is a
@@ -126,26 +131,31 @@ class LaurentPoly:
             b = {0: _exact(other)} if other else {}
         else:
             return NotImplemented
+        # each coefficient is stored as it is made; a product or sum of
+        # ints is an int, so only one that a Fraction takes part in can be
+        # an integral Fraction to store as an int
+        out = {}
         if len(b) == 1:
             # a monomial factor: no two products share an exponent
             ((k, f),) = b.items()
-            out = {e + k: c * f for e, c in a.items()}
-        else:
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    if e in out:
-                        v = out[e] + c1 * c2
-                        if v:
-                            out[e] = v
-                        else:
-                            del out[e]
-                    else:
-                        out[e] = c1 * c2
-        for e, v in out.items():
-            if type(v) is not int and v.denominator == 1:
-                out[e] = v.numerator
+            for e, c in a.items():
+                c *= f
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                out[e + k] = c
+            return _laurent(out)
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                v = c1 * c2
+                if e in out:
+                    v += out[e]
+                    if not v:
+                        del out[e]
+                        continue
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                out[e] = v
         return _laurent(out)
 
     __rmul__ = __mul__
@@ -328,7 +338,9 @@ class ScalarQ:
     the pair as it is, and take no gcd when none can be non-trivial: a
     negation, a sum with at most one denominator other than UNIT_DEN, and
     a product of two scalars over UNIT_DEN or with a monomial c*q^k over
-    UNIT_DEN.  A sum a/b + c/d of two other denominators takes gcd(b, d)
+    UNIT_DEN.  In the monomial lane, a sum or product of two monomials
+    over UNIT_DEN is formed from their coefficients alone, and a product
+    with 1 returns the other operand.  A sum a/b + c/d of two other denominators takes gcd(b, d)
     and, when that is not 1, gcd(t, gcd(b, d)) for the new numerator t
     (`_henrici_sum`).  Any other product (a/b)(c/d) takes only the cross
     gcds gcd(a, d) and gcd(c, b), skipping one whose denominator is
@@ -374,6 +386,18 @@ class ScalarQ:
         # denominators need canonicalisation
         if self.den is UNIT_DEN:
             if other.den is UNIT_DEN:
+                a, b = self.num.coeffs, other.num.coeffs
+                if len(a) == 1 == len(b):
+                    # two monomials c*q^k: one coefficient sum, or two terms
+                    ((k, c),), ((j, d),) = a.items(), b.items()
+                    if k != j:
+                        return _scalar(_laurent({k: c, j: d}), UNIT_DEN)
+                    c += d
+                    if not c:
+                        return S_ZERO
+                    if type(c) is not int and c.denominator == 1:
+                        c = c.numerator
+                    return _scalar(_laurent({k: c}), UNIT_DEN)
                 return _scalar(self.num + other.num, UNIT_DEN)
             return _scalar(self.num * other.den + other.num, other.den)
         if other.den is UNIT_DEN:
@@ -392,7 +416,10 @@ class ScalarQ:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not ScalarQ:
@@ -401,13 +428,30 @@ class ScalarQ:
                 return NotImplemented
         # a monomial c*q^k is a unit of Q[q, 1/q], so a product with one
         # keeps the other factor's denominator and coprimality
-        if self.den is UNIT_DEN:
-            if other.den is UNIT_DEN:
-                return _scalar(self.num * other.num, UNIT_DEN)
-            if len(self.num.coeffs) == 1:
-                return _scalar(self.num * other.num, other.den)
+        if self.den is UNIT_DEN and len(self.num.coeffs) == 1:
+            x, y = self, other
         elif other.den is UNIT_DEN and len(other.num.coeffs) == 1:
-            return _scalar(self.num * other.num, self.den)
+            x, y = other, self
+        else:
+            x = None
+        if x is not None:
+            # x = c*q^k: a factor 1 gives y itself, and a product of two
+            # monomials is the one term (cd)*q^(k+j)
+            ((k, c),) = x.num.coeffs.items()
+            if c == 1 and not k:
+                return y
+            b = y.num.coeffs
+            if y.den is not UNIT_DEN or len(b) != 1:
+                return _scalar(x.num * y.num, y.den)
+            ((j, d),) = b.items()
+            if d == 1 and not j:
+                return x
+            c *= d
+            if type(c) is not int and c.denominator == 1:
+                c = c.numerator
+            return _scalar(_laurent({k + j: c}), UNIT_DEN)
+        if self.den is UNIT_DEN is other.den:
+            return _scalar(self.num * other.num, UNIT_DEN)
         if not (self.num.coeffs and other.num.coeffs):
             return S_ZERO
         # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)): each fraction is
@@ -438,7 +482,10 @@ class ScalarQ:
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inv()
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inv()
 
     def __eq__(self, other):
         other = _coerce(other)

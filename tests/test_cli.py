@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from qgal import characters, cli, presentations
+from qgal import __version__, characters, cli, presentations
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
 from qgal.linalg import NonUniqueSolutionError
@@ -259,7 +259,10 @@ def test_bad_tensor_spec_exits_3(capsys, spec):
     assert "unknown comodule spec" in err
 
 
-def test_json_schema(capsys):
+def test_json_schema(capsys, monkeypatch):
+    # an empty catalog cache, so that the provenance below is that of
+    # these commands alone, as in a fresh `qgal` process
+    monkeypatch.setattr(presentations, "_CACHE", {})
     code, out, _ = run(capsys, "verify", "Uq2m2", "--suite", "star", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -269,6 +272,19 @@ def test_json_schema(capsys):
         assert set(item) == {"desc", "status", "witness"}
     assert doc["params"]["degree"] == 2
     assert doc["params"]["q_samples"] == [0.5, 0.9, 2.0]
+    # Uq2m2 is built complete to degree 4, with 13 rules; haar at degree 1
+    # solves to depth 3 and needs no longer completion
+    _assert_provenance(doc["params"], "Uq2m2", 4, 13)
+    code, out, _ = run(capsys, "haar", "Uq2m2", "--degree", "1", "--json")
+    assert code == 0
+    _assert_provenance(json.loads(out)["params"], "Uq2m2", 4, 13)
+
+
+def _assert_provenance(params, target, completion_degree, rules):
+    assert params["qgal_version"] == __version__
+    assert params["target"] == target
+    assert params["completion_degree"] == completion_degree
+    assert params["rules"] == rules
 
 
 def test_normalize(capsys):
@@ -391,15 +407,18 @@ def test_haar_reports_how_J_and_mu_were_solved(capsys, argv):
         assert prov["grading"] == grading
 
 
-def test_galois_json_records_what_it_certified(capsys):
+def test_galois_json_records_what_it_certified(capsys, monkeypatch):
+    monkeypatch.setattr(presentations, "_CACHE", {})
     code, out, _ = run(capsys, "verify", "GLq2m2", "--suite", "galois", "--json")
     assert code == 0
     # the 11 defining relations of GLq2 checked against tau, GLq2 at its
-    # build degree and GLq2m2 completed to 6, and tau solved at degree 3
+    # build degree and GLq2m2 completed to 6 (20 rules), and tau solved at
+    # degree 3
     assert json.loads(out)["params"] == {
         "degree": 2, "relations_checked": 11,
         "completion_degree": {"base": 4, "total": 6}, "witness_degree": 3,
-        "q_samples": [0.5, 0.9, 2.0]}
+        "q_samples": [0.5, 0.9, 2.0], "qgal_version": __version__,
+        "target": "GLq2m2", "rules": 20}
 
 
 def test_haar_auf_degree_1(capsys):

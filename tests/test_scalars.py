@@ -240,6 +240,13 @@ def _frac(num, *factors):
 @example(_frac({0: 1, 3: 1}, 3, 1), _frac({2: 3, 4: 3}, 0, 2))
 @example(_frac({-1: 1, 0: 1}, 1), _frac({0: 1, 2: 1}, 0))
 @example(_frac({0: 1}, 0), _frac({1: 1}, 0))
+# the monomial lane: 1 times a rational, a product of two monomials, two
+# monomials that cancel to 0, and (1/2)q * 2, whose coefficient is integral
+@example(S_ONE, _frac({0: Fraction(1, 2), 1: 3}, 0, 3))
+@example(ScalarQ(LaurentPoly({2: Fraction(2, 3)})), ScalarQ(LaurentPoly({-1: -3})))
+@example(ScalarQ(LaurentPoly({1: Fraction(1, 2)})),
+         ScalarQ(LaurentPoly({1: Fraction(-1, 2)})))
+@example(ScalarQ(LaurentPoly({1: Fraction(1, 2)})), ScalarQ.from_int(2))
 def test_arithmetic_against_sympy(a, b):
     sp = pytest.importorskip("sympy")
     q = sp.Symbol("q")
@@ -329,6 +336,53 @@ def test_sum_and_product_match_the_constructor():
         _assert_same_scalar(x + (-x), S_ZERO)
         unit_dens += (total.den is UNIT_DEN) + (product.den is UNIT_DEN)
     assert unit_dens > 0
+
+
+# monomial coefficients: units, small ints, and Fractions whose sums and
+# products are often integral or 0
+MONOMIAL_COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2),
+                   Fraction(3, 2), Fraction(2, 3), Fraction(-4, 3)]
+
+
+def test_monomial_lane_matches_the_constructor():
+    # sums and products of two monomials c*q^k over UNIT_DEN skip the
+    # Laurent loops, and a factor 1 gives the other operand; each must
+    # land where the public constructor does
+    monomials = [(k, c) for k in (-1, 0, 2) for c in MONOMIAL_COEFFS]
+    seen = set()
+    for k, c in monomials:
+        x = ScalarQ(LaurentPoly({k: c}))
+        _assert_same_scalar(-x, ScalarQ(LaurentPoly({k: -c})))
+        for j, d in monomials:
+            y = ScalarQ(LaurentPoly({j: d}))
+            for op, e in ((x + y, d), (x - y, -d)):
+                want = {k: c + e} if k == j else {k: c, j: e}
+                _assert_same_scalar(op, ScalarQ(LaurentPoly(want)))
+            _assert_same_scalar(x * y, ScalarQ(LaurentPoly({k + j: c * d})))
+            fractional = Fraction in (type(c), type(d))
+            if k == j and c + d == 0:
+                seen.add("sum 0")
+            elif k == j and fractional and (c + d).denominator == 1:
+                seen.add("integral sum")
+            if fractional and (c * d).denominator == 1:
+                seen.add("integral product")
+    assert seen == {"sum 0", "integral sum", "integral product"}
+    rng = random.Random(29)
+    for _ in range(50):
+        x = _random_fraction(rng)
+        for one in (S_ONE, ScalarQ(LaurentPoly({0: Fraction(1)}))):
+            _assert_same_scalar(one * x, x)
+            _assert_same_scalar(x * one, x)
+
+
+def test_reflected_operators_reject_other_types():
+    # a float is no scalar of Q(q): the reflected operators give it back
+    # to Python, which raises a plain TypeError
+    with pytest.raises(TypeError, match="'float' and 'ScalarQ'"):
+        1.5 - S_ONE
+    with pytest.raises(TypeError, match="'float' and 'ScalarQ'"):
+        1.5 / S_ONE
+    assert 2 - S_ONE == S_ONE and 1 / Q == Q.inv()
 
 
 def test_add_term_drops_cancelled_and_zero_terms():
