@@ -5,13 +5,17 @@ spectrum is decided by a commutative Groebner basis over the q-rational
 scalar field: the spectrum is empty exactly when 1 lies in the
 abelianized ideal.  q is transcendental here, so coefficients such as
 1 + q are units.
+
+`_spectrum` is the one decision: a counit that is a character, else the
+Groebner basis, then a point enumerated from it.  `spectrum_report` and
+`spectrum_witness` read it; `spectrum_empty` is the bare Groebner test,
+kept apart as an oracle.
 """
 
 from __future__ import annotations
 
 import os
 
-from .presentations import abelianization
 from .report import Report, timed
 from .scalars import S_ONE, S_ZERO, add_term
 
@@ -175,25 +179,51 @@ def contains_one(basis) -> bool:
                for g in basis if g)
 
 
+def abelianization(p):
+    """Commutative image of a presentation: same variables, relation words
+    become sorted exponent vectors (characters of the algebra factor
+    through this)."""
+    nvars = len(p.alphabet)
+    gens = []
+    for rel in p.relations:
+        poly = {}
+        for word, c in rel.terms.items():
+            expo = [0] * nvars
+            for letter in word:
+                expo[letter] += 1
+            add_term(poly, tuple(expo), c)
+        if poly:
+            gens.append(poly)
+    return CommutativePresentation(list(p.alphabet.names), gens)
+
+
 def spectrum_empty(p) -> bool:
     """True iff the algebra has no characters over the generic-q field."""
+    return contains_one(groebner(abelianization(p)))
+
+
+def _spectrum(p, base=None):
+    """(point, empty, owner): a character of p as {generator name:
+    scalar}, or None when none is exhibited; whether the spectrum is
+    empty; and the presentation whose counit the point is, or None.
+
+    The counit comes first: p's own when p is a Hopf presentation, else
+    that of `base` (the Hopf algebra coacting on p) carried over by
+    generator name when the two share their generator names, taken when
+    it kills the abelianization.  Otherwise the reduced Groebner basis
+    decides emptiness, and triangular back-substitution on it or a
+    constant probe enumerates a point.  DegreeCapError propagates."""
     cp = abelianization(p)
-    basis = groebner(cp)
-    return contains_one(basis)
-
-
-def _counit_character(p, cp, base=None):
-    """A counit that is a character of p, as {generator name: scalar}:
-    p's own when p is a Hopf presentation, else that of `base` (the Hopf
-    algebra coacting on p) carried over by generator name when the two
-    share their generator names.  None when there is no such counit or
-    it does not kill cp, the abelianization of p."""
     owner = p if getattr(p, "hopf", None) is not None else base
-    if getattr(owner, "hopf", None) is None or \
-            sorted(owner.alphabet.names) != sorted(p.alphabet.names):
-        return None
-    point = {owner.alphabet.names[i]: c for i, c in owner.hopf.counit.items()}
-    return point if _point_kills(cp, point) else None
+    if getattr(owner, "hopf", None) is not None and \
+            sorted(owner.alphabet.names) == sorted(p.alphabet.names):
+        point = {owner.alphabet.names[i]: c for i, c in owner.hopf.counit.items()}
+        if _point_kills(cp, point):
+            return point, False, owner
+    basis = groebner(cp)
+    if contains_one(basis):
+        return None, True, None
+    return _enumerated_point(cp, basis), False, None
 
 
 def _enumerated_point(cp, basis):
@@ -211,33 +241,15 @@ def _enumerated_point(cp, basis):
 
 
 def spectrum_witness(p):
-    """A character as {generator name: scalar}, when one is exhibited.
-
-    For Hopf presentations the counit is the canonical character.  For
-    others, tries triangular back-substitution on the reduced basis;
-    returns None when no point is enumerated.
-    """
-    cp = abelianization(p)
-    point = _counit_character(p, cp)
-    if point is not None:
-        return point
-    basis = groebner(cp)
-    return None if contains_one(basis) else _enumerated_point(cp, basis)
+    """A character as {generator name: scalar}, when one is exhibited:
+    for Hopf presentations the counit, for others one enumerated from the
+    reduced basis; None when no point is enumerated."""
+    return _spectrum(p)[0]
 
 
 def _point_kills(cp: CommutativePresentation, point):
-    vals = [point[v] for v in cp.variables]
-    for g in cp.ideal_generators:
-        total = S_ZERO
-        for expo, c in g.items():
-            term = c
-            for var, e in enumerate(expo):
-                for _ in range(e):
-                    term = term * vals[var]
-            total = total + term
-        if not total.is_zero():
-            return False
-    return True
+    values = dict(enumerate(point[v] for v in cp.variables))
+    return not any(_substitute(g, values) for g in cp.ideal_generators)
 
 
 def _back_substitute(variables, basis):
@@ -293,32 +305,22 @@ def spectrum_report(p, base=None) -> Report:
     coacts on p, when there is one: its counit is tried as well."""
     report = Report(f"spectrum({p.name})")
     with timed(report):
-        cp = abelianization(p)
-        # a counit that is a character decides nonemptiness without a
-        # Groebner basis
-        w = _counit_character(p, cp, base)
-        note = ""
-        if w is not None and getattr(p, "hopf", None) is None:
-            note = (f"; the counit of {base.name}, carried over by "
-                    f"generator name: a Galois object with a character is "
-                    f"trivial")
-        if w is None:
-            try:
-                basis = groebner(cp)
-            except DegreeCapError as e:
-                report.add_undecided("spectrum emptiness", witness=str(e))
-                return report
-            if contains_one(basis):
-                report.add("spectrum is empty (1 lies in the abelianized "
-                           "ideal)", True, witness="empty")
-                return report
-            w = _enumerated_point(cp, basis)
-        if w is not None:
+        try:
+            w, empty, owner = _spectrum(p, base)
+        except DegreeCapError as e:
+            report.add_undecided("spectrum emptiness", witness=str(e))
+            return report
+        if empty:
+            report.add("spectrum is empty (1 lies in the abelianized "
+                       "ideal)", True, witness="empty")
+        elif w is None:
+            report.add("spectrum is nonempty", True,
+                       witness="nonempty, not enumerated")
+        else:
+            note = "" if owner is None or owner is p else (
+                f"; the counit of {owner.name}, carried over by generator name: "
+                f"a Galois object with a character is trivial")
             desc = ", ".join(f"{k} -> {v!r}" for k, v in w.items())
             report.add("spectrum is nonempty", True,
                        witness=f"character: {desc}{note}")
-        else:
-            report.add("spectrum is nonempty", True,
-                       witness="nonempty, not enumerated")
     return report
-

@@ -415,7 +415,8 @@ def _emit(report: Report, args) -> int:
     completion degree and rule count of the longest completion of the
     target's rewrite system in this process, which is the one the command
     used, since each command runs in its own process.  A report's own
-    params win (galois gives the completion degrees of both legs)."""
+    params win; galois names its legs' completion degrees apart
+    (`leg_completion_degrees`), so `completion_degree` is always this int."""
     rs = resolve_presentation(args.target, args).deepest().rewrite
     report.params = {"qgal_version": __version__, "target": args.target,
                      "completion_degree": rs.completion_degree,

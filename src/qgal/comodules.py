@@ -24,10 +24,9 @@ from itertools import product
 
 from .haar import add_gram_sample
 from .linalg import LinearSolveError, mat_inv
-from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
+from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map, extend_anti
 from .presentations import (
     Presentation,
-    counit_of_word,
     delta_ext,
     mat_mul,
     reduce_legs,
@@ -67,10 +66,6 @@ def trivial(p: Presentation) -> Corep:
     return Corep(p, [[NCPoly.one(p.alphabet)]])
 
 
-def one_dim(p: Presentation, poly: NCPoly) -> Corep:
-    return Corep(p, [[poly]])
-
-
 def fundamental(p: Presentation) -> Corep:
     """The generator block v_ij that p's builder declared (p.block),
     which must be square."""
@@ -104,7 +99,7 @@ def verify_corep(v: Corep) -> Report:
     report = Report(f"corep({p.name}, dim {v.dim})")
     with timed(report):
         dext = delta_ext(p)
-        eps = counit_of_word(p.hopf)
+        eps = extend_anti(p.hopf.counit, S_ONE)
         delta_v = mat_mul(v.matrix, v.matrix, TensorPoly.of)
         for i, j in product(range(v.dim), repeat=2):
             lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))

@@ -113,8 +113,8 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
                             max(3 * d, reach * max(wL, wR), d * wA * wR + d * wZ))
         report.params = {
             "degree": d, "relations_checked": len(c.base.relations),
-            "completion_degree": {"base": c.base.rewrite.completion_degree,
-                                  "total": c.total.rewrite.completion_degree},
+            "leg_completion_degrees": {"base": c.base.rewrite.completion_degree,
+                                       "total": c.total.rewrite.completion_degree},
             "witness_degree": solved_at}
         # one extension of each map for every check, so they share memos
         aext = alpha_ext(c)
@@ -134,7 +134,6 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
             back = apply_map(t, lambda k: galois_map(
                 NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
                 TensorPoly((A, Z)))
-            back = reduce_legs(back, (c.base.rewrite, c.total.rewrite))
             want = TensorPoly((A, Z), {(wd, ()): S_ONE})
             report.add_zero(f"beta beta' fixes {A.word_str(wd)} (x) 1", back - want)
         for wd in word_basis(c.total.rewrite, d):
@@ -143,7 +142,6 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
             back = apply_map(t, lambda k: galois_inverse(
                 NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), tau, c, text),
                 TensorPoly((Z, Z)))
-            back = reduce_legs(back, (c.total.rewrite, c.total.rewrite))
             want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
             report.add_zero(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back - want)
             t2 = galois_inverse(NCPoly.one(A), x, tau, c, text)
@@ -197,7 +195,8 @@ def translation_witness(c: CoactionData):
 def _solve_block(c: CoactionData, pairs, cols, gens):
     """generator g -> tau(g), from t with beta(t) = g (x) 1 over the
     unknowns `pairs`, for each g in gens that they reach; NotGaloisError
-    on a free unknown.  The variable r_g is the int g, pivoted on last."""
+    on a free unknown.  The variable r_g is the int g, pivoted on last, so
+    tau(g) is the kernel vector of a free r_g that holds no other r_g'."""
     A, Z = c.base.alphabet, c.total.alphabet
     rows = {}
     for pair in pairs:
@@ -209,16 +208,15 @@ def _solve_block(c: CoactionData, pairs, cols, gens):
     reducer = RowReducer(lambda x: (1, x) if type(x) is int else (0, x[1], x[0]))
     for row in rows.values():
         reducer.add_equation(row, S_ZERO)
-    pivots = reducer.rows
-    for free in pairs:
-        if free not in pivots:
-            k = {free: S_ONE, **{p: -row[free] for p, (row, _) in pivots.items()
-                                 if free in row}}
+    tau = {}
+    for var, k in reducer.kernel([*pairs, *gens]).items():
+        if type(var) is not int:
             raise NotGaloisError(f"k = {TensorPoly((Z, Z), k).pretty()}")
-    # g is reached when no row pivoted on a generator holds r_g
-    held = {x for p, (row, _) in pivots.items() if type(p) is int for x in row}
-    return {g: TensorPoly((Z, Z), {p: -row[g] for p, (row, _) in pivots.items() if g in row})
-            for g in gens if g not in held}
+        # g is reached when its kernel vector holds no other r_g'
+        del k[var]
+        if all(type(x) is not int for x in k):
+            tau[var] = TensorPoly((Z, Z), k)
+    return tau
 
 
 def _missing(A, solved):

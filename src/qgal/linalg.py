@@ -2,9 +2,10 @@
 
 Sparse rows are dicts keyed by an arbitrary hashable variable, added
 into through `scalars.add_term`.  `RowReducer` is the one elimination
-routine: the Haar solver feeds equations into it, `nullspace` (the
-cotensor kernel) reads its reduced rows, and `mat_inv` reduces [A | I]
-with it.
+routine, and it is read in two ways only: `solution` (the Haar solver)
+and `kernel`, the kernel vector of each free variable (`nullspace`, the
+cotensor kernel, and the Galois solve).  `mat_inv` reduces [A | I] with
+it.
 
 `eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
 a Gram matrix evaluated at a sample q, which are numerical evidence of
@@ -111,14 +112,23 @@ class RowReducer:
             )
         return out
 
+    def kernel(self, variables):
+        """free variable -> its kernel vector, for each of `variables` that
+        no row pivots on, in the order given: 1 at the free variable, -c at
+        the pivot of each row that holds it with coefficient c, and 0 at
+        every other free variable."""
+        return {v: {v: S_ONE, **{p: -row[v] for p, (row, _) in self.rows.items()
+                                 if v in row}}
+                for v in variables if v not in self.rows}
+
 
 def nullspace(rows, variables, var_key=None):
     """Basis of the solution space of a homogeneous sparse system.
 
     `rows` is an iterable of dicts var -> scalar; `variables` lists every
-    variable (including those absent from all rows).  Returns reduced
-    echelon basis vectors as dicts, pivots normalized to 1, ordered by
-    their pivot variable.
+    variable (including those absent from all rows).  Returns the
+    reducer's kernel vectors as dicts, one per free variable, ordered by
+    var_key.
     """
     key = var_key or (lambda v: v)
     variables = sorted(variables, key=key)
@@ -127,17 +137,7 @@ def nullspace(rows, variables, var_key=None):
         filtered = {k: v for k, v in row.items() if not v.is_zero()}
         if filtered:
             reducer.add_equation(filtered, S_ZERO)
-    pivots = set(reducer.rows)
-    free = [v for v in variables if v not in pivots]
-    basis = []
-    for fvar in free:
-        vec = {fvar: S_ONE}
-        for pvar, (prow, _rhs) in reducer.rows.items():
-            c = prow.get(fvar)
-            if c is not None:
-                vec[pvar] = -c
-        basis.append(vec)
-    return basis
+    return list(reducer.kernel(variables).values())
 
 
 # -- dense matrices over scalars (small sizes only) -------------------------
@@ -147,6 +147,9 @@ def mat_inv(a):
     """Inverse of a square matrix, read off the reduced echelon form
     [I | A^-1] of [A | I]; raises on a singular matrix."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise LinearSolveError(f"not a square matrix: {n} rows of lengths "
+                               f"{sorted({len(row) for row in a})}")
     reducer = RowReducer()
     for i, row in enumerate(a):
         reducer.add_equation({**dict(enumerate(row)), n + i: S_ONE}, S_ZERO)

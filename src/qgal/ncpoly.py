@@ -184,7 +184,7 @@ class StarMap:
         missing = [alphabet.names[i] for i in range(len(alphabet)) if i not in self.images]
         if missing:
             raise AlgebraError(f"star images missing for generators: {missing}")
-        self.of_word = extend_anti(self.images, alphabet)
+        self.of_word = extend_anti(self.images, NCPoly.one(alphabet))
 
     def apply(self, poly: NCPoly) -> NCPoly:
         return apply_map(poly, self.of_word, NCPoly.zero(poly.alphabet))
@@ -287,11 +287,15 @@ def apply_map(poly, ext, zero):
     return out
 
 
-def extend_anti(images, alphabet):
-    """Extend generator -> NCPoly images antimultiplicatively to words."""
+def extend_anti(images, one):
+    """Extend generator -> image antimultiplicatively to words, with no
+    reduction: a word's image is one times the images of its letters,
+    last letter first.  one is the unit the images multiply into, such as
+    NCPoly.one(alphabet); for scalars, S_ONE, which commute, so that is
+    the multiplicative extension."""
 
-    def ext(word) -> NCPoly:
-        out = NCPoly.one(alphabet)
+    def ext(word):
+        out = one
         for letter in reversed(word):
             out = out * images[letter]
         return out

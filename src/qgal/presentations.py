@@ -212,18 +212,6 @@ def expand_leg(t: TensorPoly, leg, fn, inner_alphabets) -> TensorPoly:
     return TensorPoly(alphabets, out)
 
 
-def counit_of_word(h: HopfData):
-    def fn(word):
-        c = S_ONE
-        for letter in word:
-            c = c * h.counit[letter]
-            if c.is_zero():
-                break
-        return c
-
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # matrices over the generators
 # ---------------------------------------------------------------------------
@@ -625,8 +613,8 @@ def verify_hopf(p: Presentation) -> Report:
     rs = p.rewrite
     with timed(report):
         dext = extend_reduced(h.delta, (p, p))
-        eps = counit_of_word(h)
-        sext = extend_anti(h.antipode, A)
+        eps = extend_anti(h.counit, S_ONE)
+        sext = extend_anti(h.antipode, NCPoly.one(A))
         for rel in p.relations:
             report.add_zero("Delta kills relation " + _short(rel),
                             apply_map(rel, dext, TensorPoly((A, A))))
@@ -668,7 +656,7 @@ def verify_coaction(c: CoactionData) -> Report:
             report.add_undecided("coassociativity (base has no Hopf data)")
         else:
             dext = delta_ext(c.base)
-            eps = counit_of_word(c.base.hopf)
+            eps = extend_anti(c.base.hopf.counit, S_ONE)
             for gi, name in enumerate(Z.names):
                 a = c.alpha[gi]
                 left = reduce_legs(expand_leg(a, 0, dext, (A, A)), (rsA, rsA, rsZ))
@@ -714,48 +702,31 @@ def findim_rep_obstruction(n: int, p: int) -> bool:
     return n == p
 
 
-def abelianization(p: Presentation):
-    """Commutative image, a characters.CommutativePresentation: same
-    variables, relation words become sorted exponent vectors (characters
-    of the algebra factor through this)."""
-    from .characters import CommutativePresentation
-
-    nvars = len(p.alphabet)
-    gens = []
-    for rel in p.relations:
-        poly = {}
-        for word, c in rel.terms.items():
-            expo = [0] * nvars
-            for letter in word:
-                expo[letter] += 1
-            add_term(poly, tuple(expo), c)
-        if poly:
-            gens.append(poly)
-    return CommutativePresentation(list(p.alphabet.names), gens)
-
-
 # ---------------------------------------------------------------------------
 # presentation / coaction file DSL
 # ---------------------------------------------------------------------------
 
 
-def directives(text: str):
-    """(line number, directive, rest of the line, column of the rest) for
-    each line of a DSL text that holds more than a comment."""
+def _sections(text: str, heads=None, once=()):
+    """directive -> [(line number, rest of the line, column of the rest)]
+    for the lines of a DSL text that hold more than a comment, read in one
+    pass, with a list for each directive of heads.  A line whose directive
+    is not in heads (None takes any), or that gives one of once again, is
+    a CatalogError naming it."""
+    out = {head: [] for head in heads or ()}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, col = _stripped(raw.split("#", 1)[0], 1)
-        if line:
-            head = line.split(maxsplit=1)[0]
-            yield lineno, head, *_stripped(line[len(head):], col + len(head))
-
-
-def _once(seen, head, lineno):
-    """Record that directive `head` is on line lineno; a CatalogError
-    naming both lines when `seen` already holds it."""
-    if head in seen:
-        raise CatalogError(f"line {lineno}: {head!r} given again "
-                           f"(first on line {seen[head]})")
-    seen[head] = lineno
+        if not line:
+            continue
+        head = line.split(maxsplit=1)[0]
+        if heads is not None and head not in heads:
+            raise CatalogError(f"line {lineno}: unknown directive {head!r}")
+        lines = out.setdefault(head, [])
+        if lines and head in once:
+            raise CatalogError(f"line {lineno}: {head!r} given again "
+                               f"(first on line {lines[0][0]})")
+        lines.append((lineno, *_stripped(line[len(head):], col + len(head))))
+    return out
 
 
 def _stripped(s, col):
@@ -798,27 +769,11 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
         star g -> expr                (optional, one per generator)
         relation expr                 (one per line; expr = 0)
     """
-    name = None
-    gen_names = None
-    order_names = None
-    star_lines = []
-    relation_srcs = []
-    seen = {}
-    for lineno, head, rest, col in directives(text):
-        if head in ("algebra", "generators", "order"):
-            _once(seen, head, lineno)
-        if head == "algebra":
-            name = rest
-        elif head == "generators":
-            gen_names = rest.split()
-        elif head == "order":
-            order_names = [t.strip() for t in rest.split("<")]
-        elif head == "star":
-            star_lines.append((lineno, rest, col))
-        elif head == "relation":
-            relation_srcs.append((rest, (lineno, col)))
-        else:
-            raise CatalogError(f"line {lineno}: unknown directive {head!r}")
+    headers = ("algebra", "generators", "order")
+    lines = _sections(text, (*headers, "star", "relation"), headers)
+    name, gen_names, order_names = (lines[h][0][1] if lines[h] else None
+                                    for h in headers)
+    gen_names = gen_names and gen_names.split()
     if not name or not gen_names:
         raise CatalogError("presentation file needs 'algebra' and 'generators'")
     # an identifier as the expression tokenizer reads one
@@ -829,16 +784,18 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
         A = Alphabet(gen_names)
     except AlgebraError as e:
         raise CatalogError(str(e)) from None
-    if order_names:
+    if order_names is not None:
+        order_names = [t.strip() for t in order_names.split("<")]
         if sorted(order_names) != sorted(gen_names):
             raise CatalogError("order line must list every generator once")
         order = MonomialOrder(A, [A.index[n] for n in order_names])
     else:
         order = MonomialOrder(A)
-    relations = [parse_expr(src, A, at) for src, at in relation_srcs]
+    relations = [parse_expr(src, A, (lineno, col))
+                 for lineno, src, col in lines["relation"]]
     smap = None
-    if star_lines:
-        smap = StarMap(A, _images(star_lines, A, lambda src, at: parse_expr(src, A, at),
+    if lines["star"]:
+        smap = StarMap(A, _images(lines["star"], A, lambda src, at: parse_expr(src, A, at),
                                   "star images"))
     return _finish(name, A, relations, order, star=smap,
                    completion_degree=completion_degree)
@@ -847,14 +804,14 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
 def coaction_names(text: str):
     """The (Z, A) names of the 'coaction Z over A' line of a DSL text, or
     None for a text without one; a CatalogError when there are several."""
-    names = None
-    seen = {}
-    for lineno, head, rest, _ in directives(text):
-        if head == "coaction":
-            _once(seen, head, lineno)
-            zname, _, aname = rest.partition(" over ")
-            names = zname.strip(), aname.strip()
-    return names
+    lines = _sections(text, once=("coaction",)).get("coaction")
+    return None if lines is None else _over(lines[0][1])
+
+
+def _over(rest):
+    """(Z, A) of the rest "Z over A" of a coaction line."""
+    zname, _, aname = rest.partition(" over ")
+    return zname.strip(), aname.strip()
 
 
 def parse_coaction_text(text: str, resolve) -> CoactionData:
@@ -867,16 +824,10 @@ def parse_coaction_text(text: str, resolve) -> CoactionData:
     product (see ncpoly's grammar).  `resolve` maps a name to a
     Presentation (catalog or parsed file).
     """
-    names = coaction_names(text)
-    if names is None:
+    lines = _sections(text, ("coaction", "alpha"), ("coaction",))
+    if not lines["coaction"]:
         raise CatalogError("coaction file needs a 'coaction Z over A' line")
-    total, base = map(resolve, names)
-    alpha_lines = []
-    for lineno, head, rest, col in directives(text):
-        if head == "alpha":
-            alpha_lines.append((lineno, rest, col))
-        elif head != "coaction":
-            raise CatalogError(f"line {lineno}: unknown directive {head!r}")
-    alpha = _images(alpha_lines, total.alphabet, lambda src, at: parse_tensor(
+    total, base = map(resolve, _over(lines["coaction"][0][1]))
+    alpha = _images(lines["alpha"], total.alphabet, lambda src, at: parse_tensor(
         src, base.alphabet, total.alphabet, at), "alpha")
     return CoactionData(base, total, alpha)

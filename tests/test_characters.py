@@ -190,3 +190,13 @@ def test_spectrum_report_computes_each_step_once(monkeypatch):
     assert r.ok and r.items[0].desc == "spectrum is nonempty"
     assert r.items[0].witness == "character: x -> (0), y -> (0)"
     assert sorted(calls) == ["abelianization", "groebner"]
+
+
+def test_spectrum_report_nonempty_not_enumerated():
+    """x*y = 2 has a character, x -> c, y -> 2/c for any c != 0, which
+    neither back-substitution nor the constant probes find."""
+    h = parse_presentation_text("algebra h\ngenerators x y\nrelation x*y - 2\n")
+    r = spectrum_report(h)
+    assert r.ok and [(i.desc, i.witness) for i in r.items] == [
+        ("spectrum is nonempty", "nonempty, not enumerated")]
+    assert spectrum_witness(h) is None and spectrum_empty(h) is False

@@ -413,12 +413,12 @@ def test_galois_json_records_what_it_certified(capsys, monkeypatch):
     assert code == 0
     # the 11 defining relations of GLq2 checked against tau, GLq2 at its
     # build degree and GLq2m2 completed to 6 (20 rules), and tau solved at
-    # degree 3
+    # degree 3; completion_degree is the int every report gives
     assert json.loads(out)["params"] == {
         "degree": 2, "relations_checked": 11,
-        "completion_degree": {"base": 4, "total": 6}, "witness_degree": 3,
+        "leg_completion_degrees": {"base": 4, "total": 6}, "witness_degree": 3,
         "q_samples": [0.5, 0.9, 2.0], "qgal_version": __version__,
-        "target": "GLq2m2", "rules": 20}
+        "target": "GLq2m2", "completion_degree": 6, "rules": 20}
 
 
 def test_haar_auf_degree_1(capsys):

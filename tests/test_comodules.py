@@ -9,7 +9,6 @@ from qgal.comodules import (
     conjugate,
     duality_maps,
     fundamental,
-    one_dim,
     search_diagonal_gram,
     snake_check,
     tensor,
@@ -40,7 +39,7 @@ def test_trivial_and_fundamental(uq2):
 
 def test_determinant_one_dim(uq2):
     # the group-like element x11 x22 - q^-1 x12 x21 is a 1-dim corep
-    d = one_dim(uq2, uq2.parse("x11*x22 - q^-1*x12*x21"))
+    d = Corep(uq2, [[uq2.parse("x11*x22 - q^-1*x12*x21")]])
     assert verify_corep(d).ok
 
 

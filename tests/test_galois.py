@@ -269,3 +269,11 @@ def test_kernel_vector_fails(uq2):
     (item,) = r.items
     assert item.desc == "beta(k) = 0, so line is not Galois"
     assert item.witness == "k = 1 (x) x - x (x) 1"
+
+
+def test_a_generator_whose_kernel_vector_holds_another_is_not_reached():
+    """b = a in A, and no unknown reaches a (x) 1: the row of the word a
+    says r_a + r_b = 0, so r_b is free, but its kernel vector holds r_a,
+    and neither generator gets a value."""
+    ab = parse_presentation_text("algebra ab\ngenerators a b\nrelation b - a\n")
+    assert galois._solve_block(CoactionData(ab, ab, {}), [], {}, [0, 1]) == {}

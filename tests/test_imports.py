@@ -383,3 +383,29 @@ def test_commands_load_no_dataclasses_or_inspect(argv):
     bring `inspect`, `ast`, `dis` and `tokenize` with it."""
     added = modules_loaded(argv) - modules_loaded(None)
     assert added & {"dataclasses", "inspect"} == set()
+
+
+def test_only_linalg_reads_reducer_rows():
+    """RowReducer is read through `solution` and `kernel`: no other module
+    reads its `rows`, so the elimination can change inside linalg alone."""
+    assert [p.name for p in MODULES
+            if p.name != "linalg.py" and "rows" in attributes_read(p.read_text())] == []
+
+
+def modules_imported_from(source):
+    """The package modules a source imports by relative import, at any
+    depth: `from .m import x` and `from . import m` both name m."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_presentations_imports_nothing_from_characters():
+    """presentations is the core every command loads; characters, which
+    needs it, is loaded only by the spectrum suite."""
+    source = (MODULES[0].parent / "presentations.py").read_text()
+    assert "characters" not in modules_imported_from(source)
+    assert modules_imported_from("from .a import b\ndef f():\n    from . import c\n"
+                                 "import d\nfrom e import f\n") == {"a", "c"}

@@ -1,36 +1,46 @@
 """mat_inv, which reads the inverse off RowReducer's reduced echelon form
-of [A | I], against the dense Gauss-Jordan elimination it replaced."""
+of [A | I], and nullspace, which reads RowReducer's kernel vectors,
+against a dense Gauss-Jordan elimination."""
 
 import random
 
 import pytest
 
 from conftest import random_nonzero_scalar, random_scalar
-from qgal.linalg import LinearSolveError, mat_inv
+from qgal.linalg import LinearSolveError, RowReducer, mat_inv, nullspace
 from qgal.scalars import Q, S_ONE, S_ZERO
 
 
-def gauss_jordan_inverse(a):
-    """Reference: dense Gauss-Jordan on [A | I], pivoting on the first
+def gauss_jordan(m):
+    """Reference: (the reduced row echelon form of a dense matrix, its
+    pivot columns), by Gauss-Jordan elimination pivoting on the first
     nonzero entry of each column."""
-    n = len(a)
-    aug = [list(row) + [S_ONE if i == j else S_ZERO for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+    m = [list(row) for row in m]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(m)) if not m[r][col].is_zero()), None)
         if pivot is None:
-            raise LinearSolveError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [inv * v for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [x + (-f) * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            continue
+        m[top], m[pivot] = m[pivot], m[top]
+        inv = m[top][col].inv()
+        m[top] = [inv * v for v in m[top]]
+        for r in range(len(m)):
+            f = m[r][col]
+            if r != top and not f.is_zero():
+                m[r] = [x + (-f) * y for x, y in zip(m[r], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def gauss_jordan_inverse(a):
+    """Reference: A^-1 read off the reduced row echelon form of [A | I]."""
+    n = len(a)
+    m, pivots = gauss_jordan([list(row) + [S_ONE if i == j else S_ZERO for j in range(n)]
+                              for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise LinearSolveError("singular matrix")
+    return [row[n:] for row in m[:n]]
 
 
 # denominators of the rational entries; the denser 4x4 matrices of
@@ -110,3 +120,61 @@ def test_singular_matrix_raises(a):
         gauss_jordan_inverse(a)
     with pytest.raises(LinearSolveError, match="singular matrix"):
         mat_inv(a)
+
+
+@pytest.mark.parametrize("a", [
+    [[S_ONE, Q, S_ZERO], [S_ZERO, S_ONE, Q]],
+    [[S_ONE], [Q]],
+    [[S_ONE, S_ZERO], [S_ZERO]],
+], ids=["2x3", "2x1", "ragged"])
+def test_non_square_matrix_raises(a):
+    # the identity columns n + i of [A | I] must not meet a column of A
+    with pytest.raises(LinearSolveError, match="not a square matrix"):
+        mat_inv(a)
+
+
+def random_system(rng, m, n):
+    """m sparse rows over the variables 0..n-1: dicts that may hold zero
+    entries, with an empty row, a row of zeros and a combination of two
+    earlier rows among them when m allows."""
+    rows = [{v: random_entry(rng) for v in rng.sample(range(n), rng.randint(1, n))}
+            for _ in range(m)]
+    if m >= 3:
+        rows[rng.randrange(m)] = {}
+        rows[rng.randrange(m)] = dict.fromkeys(range(n), S_ZERO)
+        i, j = rng.sample(range(m), 2)
+        c = random_entry(rng)
+        rows.append({v: rows[i].get(v, S_ZERO) + c * rows[j].get(v, S_ZERO)
+                     for v in range(n)})
+    return rows
+
+
+def test_nullspace_on_seeded_sparse_systems():
+    rng = random.Random(30)
+    ranks = set()
+    for m, n, count in ((0, 3, 1), (1, 1, 4), (2, 4, 8), (3, 3, 8), (4, 6, 8), (6, 4, 6)):
+        for _ in range(count):
+            rows = random_system(rng, m, n)
+            basis = nullspace(rows, range(n))
+            _, pivots = gauss_jordan([[row.get(v, S_ZERO) for v in range(n)]
+                                      for row in rows])
+            assert len(basis) == n - len(pivots)
+            ranks.add(len(pivots))
+            for vec in basis:
+                for row in rows:
+                    s = S_ZERO
+                    for v, c in row.items():
+                        s = s + c * vec.get(v, S_ZERO)
+                    assert s.is_zero()
+            reducer = RowReducer()
+            for row in rows:
+                row = {v: c for v, c in row.items() if not c.is_zero()}
+                if row:
+                    reducer.add_equation(row, S_ZERO)
+            kernel = reducer.kernel(range(n))
+            assert list(kernel.values()) == basis
+            for free, vec in kernel.items():
+                assert vec[free] == S_ONE
+                assert all(vec.get(other, S_ZERO).is_zero()
+                           for other in kernel if other != free)
+    assert ranks >= {0, 1, 2, 3}

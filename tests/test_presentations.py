@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_poly, random_scalar
 from qgal import presentations
+from qgal.characters import abelianization
 from qgal.cli import main, resolve_coaction, resolve_presentation
 from qgal.ncpoly import Alphabet, NCPoly, ParseError, StarMap, TensorPoly
 from qgal.presentations import (
@@ -12,7 +13,6 @@ from qgal.presentations import (
     HopfData,
     Presentation,
     _star_alphabet,
-    abelianization,
     catalog,
     findim_rep_obstruction,
     mat_mul,
