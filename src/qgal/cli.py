@@ -18,12 +18,14 @@ Exit codes:
     0  pass
     1  fail
     2  undecided: an item of the report, or a computation that stopped
-       short (a non-unique linear solution, a completion budget, a
-       degree above the completion degree); the reason goes to stderr
+       short (a non-unique linear solution, a block of a linear system
+       over the block budget, a completion budget, a degree above the
+       completion degree); the reason goes to stderr
     3  usage, parse or algebra error (unknown target, unknown flag or a
        flag value that does not parse, a suite that needs a star
        structure the target lacks, ...)
-    4  internal error, with its traceback on stderr
+    4  internal error, with its traceback on stderr; out of memory
+       prints a fixed message and no traceback
     141  standard output was closed by its reader (`qgal ... | head`),
        128 + SIGPIPE as a shell reports it; no traceback
 
@@ -409,16 +411,28 @@ def build_parser():
     return ap
 
 
+def _target_params(target, args):
+    """A catalog target's parameters in effect, its entry's defaults
+    updated by --n and --p, a matrix as rows of scalar reprs; None for a
+    file target."""
+    entry = presentations.CATALOG.get(target)
+    return None if entry is None else {
+        k: [list(map(repr, row)) for row in v] if isinstance(v, list) else v
+        for k, v in {**entry.defaults, **_catalog_params(target, args)}.items()}
+
+
 def _emit(report: Report, args) -> int:
-    """Print a verify, haar or cotensor report.  Its params gain the
-    provenance of the run: the qgal version, the target, and the
-    completion degree and rule count of the longest completion of the
-    target's rewrite system in this process, which is the one the command
-    used, since each command runs in its own process.  A report's own
-    params win; galois names its legs' completion degrees apart
-    (`leg_completion_degrees`), so `completion_degree` is always this int."""
+    """Print a verify, haar, cotensor or normalize report.  Its params
+    gain the provenance of the run: the qgal version, the target and its
+    parameters in effect (`target_params`), and the completion degree and
+    rule count of the longest completion of the target's rewrite system
+    in this process, which is the one the command used, since each
+    command runs in its own process.  A report's own params win; galois
+    names its legs' completion degrees apart (`leg_completion_degrees`),
+    so `completion_degree` is always this int."""
     rs = resolve_presentation(args.target, args).deepest().rewrite
     report.params = {"qgal_version": __version__, "target": args.target,
+                     "target_params": _target_params(args.target, args),
                      "completion_degree": rs.completion_degree,
                      "rules": len(rs.rules), **report.params}
     if args.json:
@@ -475,13 +489,12 @@ def cmd_normalize(args) -> int:
     p = resolve_presentation(args.target, args)
     expr = parse_expr(args.expr, p.alphabet)
     poly = p.ensure_degree(expr.degree()).nf(expr)
-    if args.json:
-        report = Report(f"normalize({args.target})")
-        report.add("normal form", True, witness=poly.pretty())
-        print(report.to_json())
-    else:
+    if not args.json:
         print(poly.pretty())
-    return 0
+        return 0
+    report = Report(f"normalize({args.target})")
+    report.add("normal form", True, witness=poly.pretty())
+    return _emit(report, args)
 
 
 def cmd_parse(args) -> int:
@@ -518,6 +531,11 @@ def main(argv=None) -> int:
     except (CliError, AlgebraError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # no traceback, whose module and text would need memory: a constant
+        # written straight to the file descriptor
+        os.write(2, b"internal error: out of memory\n")
+        return 4
     except Exception as e:
         import traceback  # only on this path: it would add to start-up
 

@@ -13,7 +13,7 @@ exactly, so nothing about the solve is assumed.
 from __future__ import annotations
 
 from .haar import extension_grading
-from .linalg import RowReducer
+from .linalg import BlockBudgetError, solve_blocks
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
 from .presentations import (
     CoactionData,
@@ -27,10 +27,8 @@ from .report import Report, Undecided, timed
 from .rewrite import word_basis
 from .scalars import S_ONE, S_ZERO
 
-# translation_witness solves beta up to this degree, in graded blocks of
-# at most this many unknowns
+# translation_witness solves beta up to this degree
 WITNESS_DEGREE_CAP = 4
-WITNESS_BLOCK_BUDGET = 4000
 
 
 class NotGaloisError(AlgebraError):
@@ -95,8 +93,9 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
     undecided, naming the generators of A it did not reach."""
     report = Report(f"galois({c.total.name} over {c.base.name}, degree {d})")
     with timed(report):
-        try:   # solved_at is the degree of the solve, None for a given tau
-            tau, solved_at = (tau, None) if tau else translation_witness(c)
+        try:   # solve says how tau was solved: a given tau was not
+            tau, solve = ((tau, {"witness_degree": None}) if tau
+                          else translation_witness(c))
         except NotGaloisError as e:
             report.add(f"beta(k) = 0, so {c.total.name} is not Galois", False,
                        witness=str(e)[:120])
@@ -115,7 +114,7 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
             "degree": d, "relations_checked": len(c.base.relations),
             "leg_completion_degrees": {"base": c.base.rewrite.completion_degree,
                                        "total": c.total.rewrite.completion_degree},
-            "witness_degree": solved_at}
+            **solve}
         # one extension of each map for every check, so they share memos
         aext = alpha_ext(c)
         text = tau_ext(tau, c, reach)
@@ -151,72 +150,81 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
 
 
 def translation_witness(c: CoactionData):
-    """(tau, e): tau on the generators of A, stored through rev, solved
+    """(tau, solve): tau on the generators of A, stored through rev, solved
     from beta(t) = a (x) 1 over the pairs u (x) v of normal words of Z
     with |u| + |v| <= e, for e = 1, 2, ... up to WITNESS_DEGREE_CAP, and
-    the e at which it reached every generator.  One elimination serves
-    every generator a, as mat_inv reduces [A | I]: its rows say beta(t) =
-    sum_a r_a (a (x) 1).  beta(u (x) v) has left legs of the row grade of
-    u (see haar.extension_grading), so the blocks of one grade each are
-    solved apart, those of generators not yet reached.  A free unknown is an
-    exact kernel vector of beta: NotGaloisError shows it.  Passing the cap
-    or WITNESS_BLOCK_BUDGET first is WitnessUndecided, naming the
+    how: the e at which it reached every generator (witness_degree), the
+    blocks eliminated and the unknowns of the largest.  One elimination
+    serves every generator a, as mat_inv reduces [A | I]: its rows say
+    beta(t) = sum_a r_a (a (x) 1).  beta(u (x) v) has left legs of the row
+    grade of u (see haar.extension_grading), so the blocks of one grade
+    each are solved apart, those of generators not yet reached.  Passing
+    the cap or linalg.BLOCK_BUDGET first is WitnessUndecided, naming the
     generators still missing."""
-    A, Z = c.base.alphabet, c.total.alphabet
+    A = c.base.alphabet
     wA, wZ = image_width(c.alpha, 0), image_width(c.alpha, 1)
     solved, cols = {}, {}   # generator -> tau of it; (u, v) -> beta(u (x) v)
+    sizes = []
     for e in range(1, WITNESS_DEGREE_CAP + 1):
         ce = c.ensure_degree(e * wA, e * max(wZ, 1))
         zleft, aleft, _ = extension_grading(ce)
-        aext = alpha_ext(ce)
         words = word_basis(ce.total.rewrite, e)
         blocks = {}
         for g in range(len(A)):
             if g not in solved:
                 blocks.setdefault(aleft((g,)), []).append(g)
-        for grade, gens in blocks.items():
-            pairs = [(u, v) for u in words if zleft(u) == grade
-                     for v in words if len(u) + len(v) <= e]
-            if len(pairs) > WITNESS_BLOCK_BUDGET:
-                raise WitnessUndecided(f"{_missing(A, solved)}: the block of row grade "
-                                       f"{grade} has {len(pairs)} unknowns at degree "
-                                       f"{e}, over the budget of {WITNESS_BLOCK_BUDGET}")
-            for u, v in pairs:
-                if (u, v) not in cols:
-                    cols[u, v] = galois_map(NCPoly(Z, {u: S_ONE}),
-                                            NCPoly(Z, {v: S_ONE}), ce, aext)
-            solved.update(_solve_block(ce, pairs, cols, gens))
+        blocks = {grade: [*((u, v) for u in words if zleft(u) == grade
+                            for v in words if len(u) + len(v) <= e), *gens]
+                  for grade, gens in blocks.items()}
+        try:
+            solved.update(_solve_tau(ce, blocks, cols))
+        except BlockBudgetError as err:
+            grade, size, budget = err.args
+            raise WitnessUndecided(
+                f"{_missing(A, solved)}: the block of row grade {grade} has {size} "
+                f"unknowns at degree {e}, over the budget of {budget}") from None
+        sizes.extend(map(len, blocks.values()))
         if len(solved) == len(A):
-            return solved, e
+            return solved, {"witness_degree": e, "blocks": len(sizes),
+                            "largest_block": max(sizes, default=0)}
     raise WitnessUndecided(
         f"{_missing(A, solved)}: no solution up to degree {WITNESS_DEGREE_CAP}, the cap")
 
 
-def _solve_block(c: CoactionData, pairs, cols, gens):
-    """generator g -> tau(g), from t with beta(t) = g (x) 1 over the
-    unknowns `pairs`, for each g in gens that they reach; NotGaloisError
-    on a free unknown.  The variable r_g is the int g, pivoted on last, so
-    tau(g) is the kernel vector of a free r_g that holds no other r_g'."""
+def _solve_tau(c: CoactionData, blocks, cols):
+    """Yield (g, tau(g)), from t with beta(t) = g (x) 1, for each g of
+    `blocks` (grade -> the pairs (u, v), then the generators g) that the
+    pairs of its block reach, with beta(u (x) v) memoised in cols.  A
+    free pair is an exact kernel vector of beta: NotGaloisError shows it.
+    The variable r_g is the int g, pivoted on last, so tau(g) is the
+    kernel vector of a free r_g that holds no other r_g'."""
     A, Z = c.base.alphabet, c.total.alphabet
-    rows = {}
-    for pair in pairs:
-        for key, s in cols[pair].terms.items():
-            rows.setdefault(key, {})[pair] = s
-    for g in gens:
-        for wd, s in c.base.nf(NCPoly(A, {(g,): S_ONE})).terms.items():
-            rows.setdefault((wd, ()), {})[g] = -s
-    reducer = RowReducer(lambda x: (1, x) if type(x) is int else (0, x[1], x[0]))
-    for row in rows.values():
-        reducer.add_equation(row, S_ZERO)
-    tau = {}
-    for var, k in reducer.kernel([*pairs, *gens]).items():
-        if type(var) is not int:
-            raise NotGaloisError(f"k = {TensorPoly((Z, Z), k).pretty()}")
-        # g is reached when its kernel vector holds no other r_g'
-        del k[var]
-        if all(type(x) is not int for x in k):
-            tau[var] = TensorPoly((Z, Z), k)
-    return tau
+    aext = alpha_ext(c)
+
+    def equations(grade):
+        rows = {}
+        for var in blocks[grade]:
+            if type(var) is int:
+                terms = c.base.nf(NCPoly(A, {(var,): S_ONE})).terms
+                for wd, s in terms.items():
+                    rows.setdefault((wd, ()), {})[var] = -s
+                continue
+            if var not in cols:
+                cols[var] = galois_map(NCPoly(Z, {var[0]: S_ONE}),
+                                       NCPoly(Z, {var[1]: S_ONE}), c, aext)
+            for key, s in cols[var].terms.items():
+                rows.setdefault(key, {})[var] = s
+        return ((row, S_ZERO) for row in rows.values())
+
+    for unknowns, reducer in solve_blocks(
+            blocks, equations, lambda x: (1, x) if type(x) is int else (0, x[1], x[0])):
+        for var, k in reducer.kernel(unknowns).items():
+            if type(var) is not int:
+                raise NotGaloisError(f"k = {TensorPoly((Z, Z), k).pretty()}")
+            # g is reached when its kernel vector holds no other r_g'
+            del k[var]
+            if all(type(x) is not int for x in k):
+                yield var, TensorPoly((Z, Z), k)
 
 
 def _missing(A, solved):

@@ -10,7 +10,7 @@ numerical evidence at sample q, clearly labeled as such: the Gram
 eigenvalues come from `linalg.eigvalsh`, and a Gram matrix whose
 eigenvalues do not converge gives an undecided item, never a pass.
 
-The solve runs one graded block at a time.  A Hopf presentation may
+The solve runs one elimination per graded block.  A Hopf presentation may
 declare a row grading `left` and a column grading `right` on its
 generators (`HopfData.grades`), and a coaction the row grade of alpha's
 left legs (`CoactionData.left_grades`).  They are checked on the
@@ -32,18 +32,20 @@ equations of Delta(b):
     pinned, so 0 solves it, uniquely.
 
 So J is solved over the words b with left(b) in G, from their equations
-alone, and is 0 on every other word; uniqueness and inconsistency are
-decided as by the whole system.  For mu the left legs of alpha(b) are
-words of grade left_Z(b) and of degree at most len(b), so mu(b) = 0, for
-any f, when J vanishes on every basis word of that grade: alpha(b) is
-built only for the other words.
+alone, and is 0 on every other word: one elimination per grade in G
+(`linalg.solve_blocks`), with J(1) = 1 in the block of grade 0.  No
+equation spans two blocks, so uniqueness and inconsistency are decided
+block by block as by the whole system.  For mu the left legs of alpha(b)
+are words of grade left_Z(b) and of degree at most len(b), so mu(b) = 0,
+for any f, when J vanishes on every basis word of that grade: alpha(b)
+is built only for the other words.
 """
 
 from __future__ import annotations
 
 from operator import add, sub
 
-from .linalg import LinearSolveError, RowReducer, eigvalsh
+from .linalg import LinearSolveError, eigvalsh, solve_blocks
 from .ncpoly import AlgebraError, NCPoly, apply_map
 from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
 from .report import Report, timed
@@ -72,8 +74,9 @@ class LinearFunctional:
         self.basis = basis      # normal words the functional is defined on
         self.values = values    # word -> scalar
         # how it was solved: depth, basis_words, solved_words (the words
-        # not pinned to 0 by the grading) and grading (which held, or why
-        # none)
+        # not pinned to 0 by the grading), grading (which held, or why
+        # none), and for J the blocks eliminated and the unknowns of the
+        # largest (largest_block)
         self.provenance = {} if provenance is None else provenance
         # generator index -> grade vector of the grading that held where
         # it was solved, or None; gram_matrix prunes by it
@@ -195,7 +198,8 @@ def extension_grading(c: CoactionData):
 
 def haar_on_hopf(p: Presentation, d: int = 2) -> LinearFunctional:
     """Solve the right-invariance system on the degree-d truncation, one
-    graded block at a time (see the module docstring).
+    elimination per row grade that holds a word of column grade 0 (see
+    the module docstring), with J(1) = 1 in the block of the unit.
 
     Non-uniqueness or inconsistency of the truncated system is raised,
     never silently resolved.
@@ -205,34 +209,41 @@ def haar_on_hopf(p: Presentation, d: int = 2) -> LinearFunctional:
     p = p.ensure_degree(d)
     basis = word_basis(p.rewrite, d)
     left, right, held = hopf_grading(p)
-    lefts = {b: left(b) for b in basis}
-    live = {lefts[b] for b in basis if not any(right(b))}
-    solved = [b for b in basis if lefts[b] in live]
+    blocks = {}
+    for b in basis:
+        blocks.setdefault(left(b), []).append(b)
+    blocks = {g: words for g, words in blocks.items()
+              if any(not any(right(w)) for w in words)}
     dext = delta_ext(p)
-    reducer = RowReducer(var_key=lambda w: (len(w), w))
-    reducer.add_equation({(): S_ONE}, S_ONE)
-    for b in solved:
-        expansion = dext(b)
-        # group Delta(b) = sum c * w1 (x) w2 by the right-leg word; each
-        # right-leg word contributes one scalar equation
-        by_right = {}
-        for (w1, w2), c in expansion.terms.items():
-            by_right.setdefault(w2, {})[w1] = c
-        for w2, row in by_right.items():
-            if w2 == ():
-                add_term(row, b, -S_ONE)
-            reducer.add_equation(row, S_ZERO)
-        # rows absent from Delta(b) compare 0 with J(b) * coefficient of
-        # the unit: when the empty right leg never occurs, J(b) = 0
-        if () not in by_right:
-            reducer.add_equation({b: S_ONE}, S_ZERO)
+
+    def equations(grade):
+        for b in blocks[grade]:
+            if b == ():
+                yield {(): S_ONE}, S_ONE
+            # group Delta(b) = sum c * w1 (x) w2 by the right-leg word;
+            # each right-leg word contributes one scalar equation
+            by_right = {}
+            for (w1, w2), c in dext(b).terms.items():
+                by_right.setdefault(w2, {})[w1] = c
+            for w2, row in by_right.items():
+                if w2 == ():
+                    add_term(row, b, -S_ONE)
+                yield row, S_ZERO
+            # rows absent from Delta(b) compare 0 with J(b) * coefficient
+            # of the unit: when the empty right leg never occurs, J(b) = 0
+            if () not in by_right:
+                yield {b: S_ONE}, S_ZERO
+
     values = dict.fromkeys(basis, S_ZERO)
-    values.update(reducer.solution(solved))
+    for words, reducer in solve_blocks(blocks, equations, lambda w: (len(w), w)):
+        values.update(reducer.solution(words))
     bigrades = None if left is _trivial else {
         g: (*row, *col) for g, (row, col) in p.hopf.grades.items()}
+    sizes = [*map(len, blocks.values())]
     return LinearFunctional(basis, values, {
-        "depth": d, "basis_words": len(basis), "solved_words": len(solved),
-        "grading": held}, bigrades)
+        "depth": d, "basis_words": len(basis), "solved_words": sum(sizes),
+        "grading": held, "blocks": len(sizes), "largest_block": max(sizes)},
+        bigrades)
 
 
 def unit_coefficient_functional():

@@ -2,10 +2,13 @@
 
 Sparse rows are dicts keyed by an arbitrary hashable variable, added
 into through `scalars.add_term`.  `RowReducer` is the one elimination
-routine, and it is read in two ways only: `solution` (the Haar solver)
-and `kernel`, the kernel vector of each free variable (`nullspace`, the
-cotensor kernel, and the Galois solve).  `mat_inv` reduces [A | I] with
-it.
+routine.  `solve_blocks`, the one solver of the other modules, eliminates
+each block of a block-diagonal system with a RowReducer of its own, once
+it has checked that the block has at most BLOCK_BUDGET unknowns (a larger
+block is undecided: BlockBudgetError).  A block's reducer is read in two
+ways only: `solution` (the Haar solve) and `kernel`, the kernel vector of
+each free variable (the Galois solve, and `nullspace`, one block, for the
+cotensor kernel).  `mat_inv` reduces [A | I] with a RowReducer.
 
 `eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
 a Gram matrix evaluated at a sample q, which are numerical evidence of
@@ -32,6 +35,17 @@ class NonUniqueSolutionError(LinearSolveError, Undecided):
     pass
 
 
+class BlockBudgetError(LinearSolveError, Undecided):
+    """A block of a linear system over the budget; args (grade, size, budget)."""
+
+    def __str__(self):
+        return "the block of grade {} has {} unknowns, over the budget of {}".format(
+            *self.args)
+
+
+BLOCK_BUDGET = 5000  # the most unknowns solve_blocks eliminates in one block
+
+
 class RowReducer:
     """Incremental Gaussian elimination for Ax = b with sparse rows.
 
@@ -43,28 +57,18 @@ class RowReducer:
         self.var_key = var_key or (lambda v: v)
         self.rows = {}  # pivot var -> (row dict, rhs)
 
-    def _reduce(self, row, rhs):
-        row = dict(row)
-        while True:
-            hit = None
-            for var in row:
-                if var in self.rows:
-                    hit = var
-                    break
-            if hit is None:
-                return row, rhs
+    def add_equation(self, row, rhs):
+        """Add one equation sum(row[v]*x_v) = rhs; returns True if it
+        carried new information.  Every row kept holds no pivot but its
+        own, so one pass over the pivots in `row` reduces it."""
+        row = {k: v for k, v in row.items() if not v.is_zero()}
+        for hit in [var for var in row if var in self.rows]:
             prow, prhs = self.rows[hit]
             c = row.pop(hit)
             for var, v in prow.items():
                 if var != hit:
                     add_term(row, var, (-c) * v)
             rhs = rhs + (-c) * prhs
-
-    def add_equation(self, row, rhs):
-        """Add one equation sum(row[v]*x_v) = rhs; returns True if it
-        carried new information."""
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        row, rhs = self._reduce(row, rhs)
         if not row:
             if not rhs.is_zero():
                 raise InconsistentSystemError("0 = nonzero in linear system")
@@ -73,44 +77,30 @@ class RowReducer:
         c = row[pivot].inv()
         row = {k: c * v for k, v in row.items()}
         rhs = c * rhs
-        # back-substitute into the existing rows
-        for pvar, (prow, prhs) in list(self.rows.items()):
-            f = prow.get(pivot)
-            if f is None:
-                continue
-            new = dict(prow)
-            del new[pivot]
-            for var, v in row.items():
-                if var != pivot:
-                    add_term(new, var, (-f) * v)
-            self.rows[pvar] = (new, prhs + (-f) * rhs)
+        # back-substitute into the existing rows, which no caller holds
+        for pvar, (prow, prhs) in self.rows.items():
+            f = prow.pop(pivot, None)
+            if f is not None:
+                for var, v in row.items():
+                    if var != pivot:
+                        add_term(prow, var, (-f) * v)
+                self.rows[pvar] = (prow, prhs + (-f) * rhs)
         self.rows[pivot] = (row, rhs)
         return True
 
     def solution(self, variables):
         """Unique solution restricted to `variables`.
 
-        Raises NonUniqueSolutionError when some variable is undetermined
-        (its value would depend on free parameters).
+        Raises NonUniqueSolutionError when some variable is undetermined:
+        no row pivots on it, or its row holds a free variable, on which its
+        value would depend.
         """
-        out = {}
-        undetermined = []
-        for var in variables:
-            entry = self.rows.get(var)
-            if entry is None:
-                undetermined.append(var)
-                continue
-            row, rhs = entry
-            free = [v for v in row if v != var]
-            if free:
-                undetermined.append(var)
-                continue
-            out[var] = rhs
+        undetermined = [v for v in variables
+                        if v not in self.rows or len(self.rows[v][0]) > 1]
         if undetermined:
             raise NonUniqueSolutionError(
-                f"{len(undetermined)} variables undetermined, e.g. {undetermined[0]!r}"
-            )
-        return out
+                f"{len(undetermined)} variables undetermined, e.g. {undetermined[0]!r}")
+        return {v: self.rows[v][1] for v in variables}
 
     def kernel(self, variables):
         """free variable -> its kernel vector, for each of `variables` that
@@ -122,21 +112,34 @@ class RowReducer:
                 for v in variables if v not in self.rows}
 
 
+def solve_blocks(blocks, equations, var_key=None):
+    """Yield (unknowns, reducer) for each grade -> unknowns of `blocks`, in
+    turn: the RowReducer, pivoting by var_key, of the equations (row, rhs)
+    that equations(grade) yields; no equation may span two blocks.  A block
+    of more than BLOCK_BUDGET unknowns raises BlockBudgetError before its
+    equations are asked for."""
+    for grade, unknowns in blocks.items():
+        if len(unknowns) > BLOCK_BUDGET:
+            raise BlockBudgetError(grade, len(unknowns), BLOCK_BUDGET)
+        reducer = RowReducer(var_key)
+        for row, rhs in equations(grade):
+            reducer.add_equation(row, rhs)
+        yield unknowns, reducer
+
+
 def nullspace(rows, variables, var_key=None):
-    """Basis of the solution space of a homogeneous sparse system.
+    """Basis of the solution space of a homogeneous sparse system, one block.
 
     `rows` is an iterable of dicts var -> scalar; `variables` lists every
     variable (including those absent from all rows).  Returns the
     reducer's kernel vectors as dicts, one per free variable, ordered by
     var_key.
     """
-    key = var_key or (lambda v: v)
-    variables = sorted(variables, key=key)
-    reducer = RowReducer(var_key=key)
-    for row in rows:
-        filtered = {k: v for k, v in row.items() if not v.is_zero()}
-        if filtered:
-            reducer.add_equation(filtered, S_ZERO)
+    variables = sorted(variables, key=var_key)
+    # an empty row says 0 = 0: it is not added
+    ((_, reducer),) = solve_blocks(
+        {(): variables}, lambda _: ((row, S_ZERO) for row in rows if row),
+        var_key)
     return list(reducer.kernel(variables).values())
 
 

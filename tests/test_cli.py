@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from conftest import subprocess_env
 from qgal import __version__, characters, cli, presentations
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
-from qgal.linalg import NonUniqueSolutionError
+from qgal.linalg import BlockBudgetError, NonUniqueSolutionError
 from qgal.rewrite import CompletionBudgetError, ConfluenceError
 
 QPLANE = """
@@ -293,6 +294,40 @@ def test_normalize(capsys):
     assert out.strip() == "q*x11*x12"
 
 
+def test_normalize_json_carries_the_provenance_of_the_run(capsys, monkeypatch):
+    monkeypatch.setattr(presentations, "_CACHE", {})
+    code, out, _ = run(capsys, "normalize", "GLq2", "x12*x11", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["check"] == "normalize(GLq2)"
+    assert doc["items"] == [{"desc": "normal form", "status": "pass",
+                             "witness": "q*x11*x12"}]
+    # GLq2 is built complete to degree 4, with 13 rules
+    _assert_provenance(doc["params"], "GLq2", 4, 13)
+    assert doc["params"]["target_params"] == {}
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["normalize", "Onp", "a11*a21", "--json"], {"n": 2, "p": 1}),
+    (["normalize", "Onp", "a11*a21", "--p", "2", "--json"], {"n": 2, "p": 2}),
+    (["verify", "Onp", "--n", "3", "--suite", "star", "--json"], {"n": 3, "p": 1}),
+    (["haar", "AuF", "--degree", "0", "--json"],
+     {"F": [["(0)", "(1)", "(0)"], ["(-q)", "(0)", "(0)"], ["(0)", "(0)", "(1)"]]}),
+], ids=["defaults", "p-set", "n-set", "matrix"])
+def test_json_records_the_catalog_parameters_in_effect(capsys, argv, params):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["params"]["target_params"] == params
+
+
+def test_file_target_has_no_catalog_parameters(tmp_path, capsys):
+    f = tmp_path / "qplane.alg"
+    f.write_text(QPLANE)
+    code, out, _ = run(capsys, "normalize", str(f), "y*x", "--json")
+    assert code == 0
+    assert json.loads(out)["params"]["target_params"] is None
+
+
 def test_normalize_file_target(tmp_path, capsys):
     f = tmp_path / "qplane.alg"
     f.write_text(QPLANE)
@@ -399,12 +434,17 @@ def test_haar_reports_how_J_and_mu_were_solved(capsys, argv):
     assert code == 0
     params = json.loads(out)["params"]
     # depth 3 * degree: 55 normal words of degree <= 3 on each 2x2 algebra
-    for name, grading in (("J", "row and column"), ("mu", "row")):
+    # J is eliminated in blocks, mu is no solve
+    for name, grading, solve in (("J", "row and column", {"blocks", "largest_block"}),
+                                 ("mu", "row", set())):
         prov = params[name]
-        assert set(prov) == {"depth", "basis_words", "solved_words", "grading"}
+        assert set(prov) == {"depth", "basis_words", "solved_words", "grading", *solve}
         assert (prov["depth"], prov["basis_words"]) == (3, 55)
         assert 0 < prov["solved_words"] < 55
         assert prov["grading"] == grading
+    # J's 10 solved words, in 3 blocks of one row grade each
+    assert (params["J"]["solved_words"], params["J"]["blocks"],
+            params["J"]["largest_block"]) == (10, 3, 4)
 
 
 def test_galois_json_records_what_it_certified(capsys, monkeypatch):
@@ -413,12 +453,15 @@ def test_galois_json_records_what_it_certified(capsys, monkeypatch):
     assert code == 0
     # the 11 defining relations of GLq2 checked against tau, GLq2 at its
     # build degree and GLq2m2 completed to 6 (20 rules), and tau solved at
-    # degree 3; completion_degree is the int every report gives
+    # degree 3, in 9 blocks of at most 44 unknowns over degrees 1 to 3;
+    # completion_degree is the int every report gives
     assert json.loads(out)["params"] == {
         "degree": 2, "relations_checked": 11,
         "leg_completion_degrees": {"base": 4, "total": 6}, "witness_degree": 3,
+        "blocks": 9, "largest_block": 44,
         "q_samples": [0.5, 0.9, 2.0], "qgal_version": __version__,
-        "target": "GLq2m2", "completion_degree": 6, "rules": 20}
+        "target": "GLq2m2", "target_params": {}, "completion_degree": 6,
+        "rules": 20}
 
 
 def test_haar_auf_degree_1(capsys):
@@ -498,6 +541,7 @@ def test_gram_check_fails_a_mutated_off_diagonal_entry():
     NonUniqueSolutionError("2 free variables"),
     CompletionBudgetError("budget of 5 rounds exhausted"),
     ConfluenceError("degree 7 exceeds the completion degree 6"),
+    BlockBudgetError((0, 0), 4, 3),
 ])
 def test_stopped_computation_exits_2(monkeypatch, capsys, error):
     def stop(args):
@@ -527,6 +571,31 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     code, _, err = run(capsys, "normalize", "GLq2", "x12*x11")
     assert code == 4
     assert "internal error: KeyError" in err
+
+
+def test_out_of_memory_exits_4_without_a_traceback(monkeypatch, capfd):
+    """Out of memory, importing `traceback` raised a second MemoryError,
+    and Python exited 1, the code of a fail; so can formatting a message
+    and writing it through sys.stderr.  Here the handler can do neither."""
+    class Exhausted:
+        def write(self, text):
+            raise MemoryError
+
+    def exhaust(args):
+        def refuse(*a, **k):
+            raise MemoryError
+
+        monkeypatch.setattr(sys, "stderr", Exhausted())
+        monkeypatch.setattr(builtins, "__import__", refuse)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_normalize", exhaust)
+    try:
+        code = main(["normalize", "GLq2", "x12*x11"])
+    finally:
+        monkeypatch.undo()  # imports and sys.stderr work again
+    assert code == 4
+    assert capfd.readouterr().err == "internal error: out of memory\n"
 
 
 QGAL = [sys.executable, "-c", "import sys; from qgal.cli import main; sys.exit(main())"]

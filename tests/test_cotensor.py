@@ -1,5 +1,6 @@
 import pytest
 
+from qgal import linalg
 from qgal.comodules import fundamental, trivial
 from qgal.cotensor import (
     CotensorElement,
@@ -12,6 +13,7 @@ from qgal.cotensor import (
     verify_biunitarity,
 )
 from qgal.haar import haar_on_extension, haar_on_hopf
+from qgal.linalg import BlockBudgetError
 from qgal.ncpoly import NCPoly
 from qgal.presentations import CoactionData
 from qgal.scalars import S_ONE, S_ZERO
@@ -33,6 +35,15 @@ def test_trivial_cotensor(c_uq):
     assert len(elems) == 1
     triv = trivial_element(c_uq)
     assert kernel_member(triv)
+
+
+def test_a_system_over_the_budget_is_undecided(c_uq, monkeypatch):
+    # one block of unknowns (i, b): i in 1..2, b one of the 6 normal
+    # words of Uq2m2 of degree <= 1
+    monkeypatch.setattr(linalg, "BLOCK_BUDGET", 11)
+    with pytest.raises(BlockBudgetError, match=r"the block of grade \(\) has 12 "
+                       "unknowns, over the budget of 11"):
+        compute_cotensor(fundamental(c_uq.base), c_uq, 1)
 
 
 def test_self_extension_dimension(uq2):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qgal import galois, presentations
+from qgal import galois, linalg, presentations
 from qgal.galois import (
     galois_inverse,
     galois_map,
@@ -248,12 +248,15 @@ def test_rectangular_pair_passes_at_degree_1():
 
 
 @pytest.mark.parametrize("constant,value,reason", [
-    ("WITNESS_BLOCK_BUDGET", 10, "has 12 unknowns at degree 2, over the budget of 10"),
+    # 12 pairs u (x) v and the variables r_g of the two generators of
+    # row grade (1, 0)
+    ("BLOCK_BUDGET", 10, "has 14 unknowns at degree 2, over the budget of 10"),
     ("WITNESS_DEGREE_CAP", 2, "no solution up to degree 2, the cap"),
 ])
 def test_witness_solve_stopped_short_is_undecided(c_glq, monkeypatch, constant,
                                                   value, reason):
-    monkeypatch.setattr(galois, constant, value)
+    monkeypatch.setattr(linalg if constant == "BLOCK_BUDGET" else galois,
+                        constant, value)
     r = verify_galois(c_glq, 1)
     assert r.status == "undecided"
     (item,) = r.items
@@ -276,4 +279,4 @@ def test_a_generator_whose_kernel_vector_holds_another_is_not_reached():
     says r_a + r_b = 0, so r_b is free, but its kernel vector holds r_a,
     and neither generator gets a value."""
     ab = parse_presentation_text("algebra ab\ngenerators a b\nrelation b - a\n")
-    assert galois._solve_block(CoactionData(ab, ab, {}), [], {}, [0, 1]) == {}
+    assert dict(galois._solve_tau(CoactionData(ab, ab, {}), {(): [0, 1]}, {})) == {}

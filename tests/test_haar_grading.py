@@ -4,7 +4,7 @@ blocks save, and oracles for J that do not go through the solver."""
 
 import pytest
 
-from qgal import haar, presentations
+from qgal import haar, linalg, presentations
 from qgal.haar import (
     LinearFunctional,
     extension_grading,
@@ -13,6 +13,7 @@ from qgal.haar import (
     haar_on_hopf,
     hopf_grading,
 )
+from qgal.linalg import BlockBudgetError
 from qgal.ncpoly import NCPoly, StarMap, TensorPoly
 from qgal.presentations import (
     CoactionData,
@@ -131,6 +132,15 @@ def test_mutated_hopf_grading_falls_back_to_one_block(uq2, changes, failed):
     assert failed in bad.provenance["grading"]
     assert_one_block(bad)
     assert bad.values == J.values
+
+
+def test_a_block_over_the_budget_is_undecided(uq2, monkeypatch):
+    # J on Uq2 at depth 3 solves 10 words in 3 blocks, the first of row
+    # grade (0, 0) and 4 words
+    monkeypatch.setattr(linalg, "BLOCK_BUDGET", 3)
+    with pytest.raises(BlockBudgetError, match=r"the block of grade \(0, 0\) has 4 "
+                       "unknowns, over the budget of 3"):
+        haar_on_hopf(uq2, d=3)
 
 
 GROUP = """

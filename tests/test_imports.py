@@ -2,9 +2,9 @@
 top-level name and every method it defines is read somewhere, the
 runtime imports nothing
 outside the standard library, every sparse accumulate goes through
-`scalars.add_term`, only the command line imports `re`, each command
-loads only the layers it runs, and none loads `dataclasses` or
-`inspect`."""
+`scalars.add_term`, only the command line imports `re`, only linalg
+builds a RowReducer, each command loads only the layers it runs, and
+none loads `dataclasses` or `inspect`."""
 
 import ast
 import json
@@ -390,6 +390,26 @@ def test_only_linalg_reads_reducer_rows():
     reads its `rows`, so the elimination can change inside linalg alone."""
     assert [p.name for p in MODULES
             if p.name != "linalg.py" and "rows" in attributes_read(p.read_text())] == []
+
+
+def reducer_builds(source):
+    """The line of each call of RowReducer, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and "RowReducer" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_checker_finds_reducer_builds():
+    src = ("r = RowReducer()\nlinalg.RowReducer(key)\n"
+           "RowReducer.solution(r, [])\nsolve_blocks({}, f)\n")
+    assert reducer_builds(src) == [1, 2]
+
+
+def test_only_linalg_builds_a_reducer():
+    """Every other module solves through `linalg.solve_blocks`, so the
+    elimination and its block budget live in linalg alone."""
+    assert [p.name for p in MODULES
+            if p.name != "linalg.py" and reducer_builds(p.read_text())] == []
 
 
 def modules_imported_from(source):

@@ -1,13 +1,23 @@
 """mat_inv, which reads the inverse off RowReducer's reduced echelon form
 of [A | I], and nullspace, which reads RowReducer's kernel vectors,
-against a dense Gauss-Jordan elimination."""
+against a dense Gauss-Jordan elimination; solve_blocks against one
+elimination of the whole system."""
 
 import random
 
 import pytest
 
 from conftest import random_nonzero_scalar, random_scalar
-from qgal.linalg import LinearSolveError, RowReducer, mat_inv, nullspace
+from qgal import linalg
+from qgal.linalg import (
+    BlockBudgetError,
+    LinearSolveError,
+    NonUniqueSolutionError,
+    RowReducer,
+    mat_inv,
+    nullspace,
+    solve_blocks,
+)
 from qgal.scalars import Q, S_ONE, S_ZERO
 
 
@@ -178,3 +188,98 @@ def test_nullspace_on_seeded_sparse_systems():
                 assert all(vec.get(other, S_ZERO).is_zero()
                            for other in kernel if other != free)
     assert ranks >= {0, 1, 2, 3}
+
+
+def block_diagonal_system(rng, sizes):
+    """grade -> its unknowns, and grade -> its equations (row, rhs): each
+    block a random_system over unknowns of its own, whose right-hand sides
+    are those of a random solution, so that the system is consistent."""
+    blocks, equations, start = {}, {}, 0
+    for grade, (m, n) in enumerate(sizes):
+        unknowns = list(range(start, start + n))
+        x = [random_entry(rng) for _ in unknowns]
+        eqs = []
+        for row in random_system(rng, m, n):
+            rhs = S_ZERO
+            for v, c in row.items():
+                rhs = rhs + c * x[v]
+            eqs.append(({start + v: c for v, c in row.items()}, rhs))
+        blocks[grade], equations[grade] = unknowns, eqs
+        start += n
+    return blocks, equations
+
+
+def one_block(equations):
+    """The reducer of every equation of a system, eliminated together."""
+    reducer = RowReducer()
+    for eqs in equations.values():
+        for row, rhs in eqs:
+            reducer.add_equation(row, rhs)
+    return reducer
+
+
+def determined(reducer, variables):
+    """variable -> its value, for each of `variables` the reducer fixes."""
+    out = {}
+    for v in variables:
+        try:
+            out.update(reducer.solution([v]))
+        except NonUniqueSolutionError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_blocks_give_the_one_block_kernel_and_solution(seed):
+    rng = random.Random(seed)
+    unique = 0
+    for _ in range(8):
+        sizes = [(rng.randint(0, 6), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 4))]
+        blocks, equations = block_diagonal_system(rng, sizes)
+        variables = [v for unknowns in blocks.values() for v in unknowns]
+        whole = one_block(equations)
+        kernel, values = {}, {}
+        for unknowns, reducer in solve_blocks(blocks, equations.get):
+            kernel.update(reducer.kernel(unknowns))
+            values.update(determined(reducer, unknowns))
+        assert kernel == whole.kernel(variables)
+        assert values == determined(whole, variables)
+        unique += not kernel
+    assert unique >= 1  # some systems have one solution, read whole
+
+
+def test_block_over_the_budget_raises_before_its_equations(monkeypatch):
+    monkeypatch.setattr(linalg, "BLOCK_BUDGET", 2)
+    asked = []
+
+    def equations(grade):
+        asked.append(grade)
+        return [({v: S_ONE}, S_ZERO) for v in blocks[grade]]
+
+    blocks = {(0, 1): [0, 1], (1, 0): [2, 3, 4], (2, 2): [5]}
+    solved = solve_blocks(blocks, equations)
+    assert next(solved)[0] == [0, 1]
+    with pytest.raises(BlockBudgetError, match=r"the block of grade \(1, 0\) has 3 "
+                       "unknowns, over the budget of 2") as exc:
+        next(solved)
+    assert exc.value.args == ((1, 0), 3, 2)
+    assert asked == [(0, 1)]
+
+
+def test_one_block_is_nullspace():
+    """nullspace is solve_blocks on one block, whose rows may hold zero
+    entries: the kernel of a RowReducer given only the nonzero ones."""
+    rng = random.Random(31)
+    for m, n in ((0, 2), (3, 3), (4, 6), (6, 4)):
+        rows = random_system(rng, m, n)
+        ((_, reducer),) = solve_blocks({(): list(range(n))},
+                                       lambda _: [(row, S_ZERO) for row in rows])
+        filtered = RowReducer()
+        for row in rows:
+            row = {v: c for v, c in row.items() if not c.is_zero()}
+            if row:
+                filtered.add_equation(row, S_ZERO)
+        kernel = list(reducer.kernel(range(n)).values())
+        assert kernel == list(filtered.kernel(range(n)).values())
+        assert kernel == nullspace(rows, range(n))
