@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 
+from .ncpoly import AlgebraError
 from .report import Report, timed
 from .scalars import S_ONE, S_ZERO, add_term
 
@@ -31,8 +32,14 @@ class DegreeCapError(GroebnerError):
 
 
 def _degree_cap(default=DEFAULT_DEGREE_CAP):
-    env = os.environ.get("QGAL_DEGREE_CAP")
-    return int(env) if env else default
+    """QGAL_DEGREE_CAP when set, an integer >= 0 (any other value is an
+    AlgebraError naming it), else the default."""
+    env = os.environ.get("QGAL_DEGREE_CAP", "").strip()
+    if not env:
+        return default
+    if not env.isdecimal():
+        raise AlgebraError(f"QGAL_DEGREE_CAP must be an integer >= 0, got {env!r}")
+    return int(env)
 
 
 # Polynomials are dicts: exponent tuple -> scalar.  Grevlex throughout.

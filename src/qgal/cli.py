@@ -7,23 +7,26 @@
     qgal parse <target> <expr>
 
 Targets are catalog names (GLq2, Uq2, GLq2m2, Uq2m2, GLqm22, Onp, AuFG,
-AuF) or presentation/coaction files in the text DSL.  `normalize` first
-completes the target's rewrite system to the degree of the expression, so
-the normal form it prints is certified unique.  --q takes a nonempty comma
-list of finite, nonzero reals.  --comodule takes trivial, fundamental (the
-default), conjugate, or tensor<k>: the k-fold tensor power of the
-fundamental comodule, for k >= 1 in digits (tensor alone is tensor2).
+AuF) or presentation/coaction files in the text DSL.  Every normal form a
+command reports or computes with is certified unique: the rewrite system
+is completed as deep as the words it reduces reach (see presentations),
+so `normalize` completes it to the degree of the expression.  --q takes
+a nonempty comma list of finite, nonzero reals.  --comodule takes
+trivial, fundamental (the default), conjugate, or tensor<k>: the k-fold
+tensor power of the fundamental comodule, for k >= 1 in digits (tensor
+alone is tensor2).
 Exit codes:
 
     0  pass
     1  fail
     2  undecided: an item of the report, or a computation that stopped
        short (a non-unique linear solution, a block of a linear system
-       over the block budget, a completion budget, a degree above the
-       completion degree); the reason goes to stderr
+       over the block budget, a completion budget); the reason goes to
+       stderr
     3  usage, parse or algebra error (unknown target, unknown flag or a
-       flag value that does not parse, a suite that needs a star
-       structure the target lacks, ...)
+       flag value that does not parse, a QGAL_DEGREE_CAP that is no
+       integer >= 0, a suite that needs a star structure the target
+       lacks, ...)
     4  internal error, with its traceback on stderr; out of memory
        prints a fixed message and no traceback
     141  standard output was closed by its reader (`qgal ... | head`),
@@ -428,8 +431,9 @@ def _emit(report: Report, args) -> int:
     rule count of the longest completion of the target's rewrite system
     in this process, which is the one the command used, since each
     command runs in its own process.  A report's own params win; galois
-    names its legs' completion degrees apart (`leg_completion_degrees`),
-    so `completion_degree` is always this int."""
+    names the completion degrees its legs were read at apart
+    (`leg_completion_degrees`), so `completion_degree` is always this
+    int."""
     rs = resolve_presentation(args.target, args).deepest().rewrite
     report.params = {"qgal_version": __version__, "target": args.target,
                      "target_params": _target_params(args.target, args),
@@ -488,7 +492,7 @@ def cmd_cotensor(args) -> int:
 def cmd_normalize(args) -> int:
     p = resolve_presentation(args.target, args)
     expr = parse_expr(args.expr, p.alphabet)
-    poly = p.ensure_degree(expr.degree()).nf(expr)
+    poly = p.nf(expr)
     if not args.json:
         print(poly.pretty())
         return 0

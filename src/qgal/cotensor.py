@@ -17,15 +17,8 @@ from .comodules import Corep, add_unitarity, conjugate, tensor, trivial
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
-from .presentations import (
-    CoactionData,
-    alpha_ext,
-    extend_reduced,
-    mat_mul,
-    reduce_legs,
-)
+from .presentations import CoactionData, alpha_ext, mat_mul, reduce_legs
 from .report import Report, timed
-from .rewrite import word_basis
 from .scalars import add_term
 
 
@@ -56,11 +49,11 @@ class CotensorElement:
 
 def kernel_member(x: CotensorElement) -> bool:
     """Exact membership: for each k, sum_i v_ki (x) z_i = alpha_Z(z_k)."""
-    c = x.coaction.ensure_degree(x.degree(), x.degree() + 1)
+    c = x.coaction
     aext = alpha_ext(c)
     coacted = mat_mul(x.comodule.matrix, [[z] for z in x.coeffs], TensorPoly.of)
     zero = TensorPoly((c.base.alphabet, c.total.alphabet))
-    return all(reduce_legs(row[0], (c.base.rewrite, c.total.rewrite))
+    return all(reduce_legs(row[0], (c.base, c.total))
                == apply_map(z, aext, zero) for row, z in zip(coacted, x.coeffs))
 
 
@@ -68,9 +61,8 @@ def compute_cotensor(v: Corep, c: CoactionData, d: int):
     """Basis of the kernel of alpha_V (x) 1 - 1 (x) alpha_Z on
     V (x) Z_{<= d}, by exact elimination over the normal-word basis.
     The elements keep the caller's `c` as their coaction."""
-    total = c.total.ensure_degree(d + 1)
-    zbasis = word_basis(total.rewrite, d)
-    aext = extend_reduced(c.alpha, (c.base.ensure_degree(d), total))
+    zbasis = c.total.basis(d)
+    aext = alpha_ext(c)
     n = v.dim
     rows = {}
     for k in range(n):
@@ -82,7 +74,7 @@ def compute_cotensor(v: Corep, c: CoactionData, d: int):
             for (wa, wz), coeff in aext(b).terms.items():
                 add_term(rows.setdefault((k, wa, wz), {}), (k, b), -coeff)
     variables = [(i, b) for i in range(n) for b in zbasis]
-    order_key = total.rewrite.order.key
+    order_key = c.total.rewrite.order.key
     vecs = nullspace(rows.values(), variables,
                      var_key=lambda v_: (v_[0], order_key(v_[1])))
     out = []
@@ -109,9 +101,7 @@ def cotensor_inner(x: CotensorElement, y: CotensorElement,
     total = NCPoly.zero(c.total.alphabet)
     for zi, wi in zip(x.coeffs, y.coeffs):
         total = total + star.apply(zi) * wi
-    # star(z_i) * z'_i reaches past the elements' degree: certify the
-    # whole depth of mu
-    return mu(c.total.ensure_degree(max(map(len, mu.basis))).nf(total))
+    return mu(c.total.nf(total))
 
 
 def monoidal_constraint(x: CotensorElement, y: CotensorElement) -> CotensorElement:

@@ -7,7 +7,10 @@ is tau stored through it, (id (x) rev) tau on generators (index ->
 TensorPoly over Z and Z): multiplicative on its left leg,
 antimultiplicative on its right, and read in Z alone.
 `translation_witness` solves it from beta, and `verify_galois` checks it
-exactly, so nothing about the solve is assumed.
+exactly, so nothing about the solve is assumed.  No function here works
+out a completion depth: the maps of `presentations` certify the legs they
+reduce as deep as the words they are given reach, and `verify_galois`
+reports the degrees its extensions ended on.
 """
 
 from __future__ import annotations
@@ -15,16 +18,8 @@ from __future__ import annotations
 from .haar import extension_grading
 from .linalg import BlockBudgetError, solve_blocks
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
-from .presentations import (
-    CoactionData,
-    _short,
-    alpha_ext,
-    extend_reduced,
-    image_width,
-    reduce_legs,
-)
+from .presentations import CoactionData, _short, alpha_ext, extend_reduced, reduce_legs
 from .report import Report, Undecided, timed
-from .rewrite import word_basis
 from .scalars import S_ONE, S_ZERO
 
 # translation_witness solves beta up to this degree
@@ -41,44 +36,39 @@ class WitnessUndecided(AlgebraError, Undecided):
 
 def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
     """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed.  aext is
-    alpha_ext(c), built here unless the caller shares one across calls."""
+    alpha_ext(c), built here unless the caller shares one across calls;
+    the product is reduced through its legs."""
     aext = aext or alpha_ext(c)
     out = apply_map(x, aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
-    return reduce_legs(out.mul_leg(1, y), (c.base.rewrite, c.total.rewrite))
+    return reduce_legs(out.mul_leg(1, y), aext.legs)
 
 
-def tau_ext(tau, c: CoactionData, k: int):
-    """tau, stored through rev, extended to the words of A of length <= k:
+def tau_ext(tau, c: CoactionData):
+    """tau, stored through rev, extended to the words of A:
     multiplicatively on the left leg and antimultiplicatively on the
     right, so a word x1...xn has right legs v_n...v_1.  Both legs are
-    reduced over Z, certified as deep as those words reach."""
-    Z = c.total.ensure_degree(k * max(image_width(tau, 0), image_width(tau, 1)))
-    return extend_reduced(tau, (Z, Z), left=(1,))
+    reduced over Z."""
+    return extend_reduced(tau, (c.total, c.total), left=(1,))
 
 
 def galois_inverse(a: NCPoly, y: NCPoly, tau, c: CoactionData, text=None) -> TensorPoly:
     """beta^-1(a (x) y) = tau(a) (1 (x) y).  tau is stored through rev, so
     the right leg of tau(a) is already in Z and y multiplies it on the
-    right; legs normal-formed over Z.  text is tau_ext(tau, c, k) for
-    some k >= a.degree(), c certified as deep as both legs of the product
-    reach; built here, with c so certified, unless the caller shares it."""
-    if text is None:
-        k = a.degree()
-        c = c.ensure_degree(0, max(k * image_width(tau, 0),
-                                   k * image_width(tau, 1) + y.degree()))
-        text = tau_ext(tau, c, k)
+    right; legs normal-formed over Z.  text is tau_ext(tau, c), built
+    here unless the caller shares it; the product is reduced through its
+    legs."""
+    text = text or tau_ext(tau, c)
     t = apply_map(a, text, TensorPoly((c.total.alphabet,) * 2))
-    return reduce_legs(t.mul_leg(1, y), (c.total.rewrite, c.total.rewrite))
+    return reduce_legs(t.mul_leg(1, y), text.legs)
 
 
 def validate_witness(c: CoactionData, tau, text=None) -> Report:
     """tau is an algebra map A -> Z (x) Z^op: it kills every defining
     relation of A, and so the ideal they generate.  text as in
-    galois_inverse, for k the largest relation degree; built here, it
-    certifies Z as deep as the relations reach."""
+    galois_inverse."""
     report = Report(f"witness({c.base.name} -> {c.total.name} (x) {c.total.name}^op)")
     with timed(report):
-        text = text or tau_ext(tau, c, max(r.degree() for r in c.base.relations))
+        text = text or tau_ext(tau, c)
         for rel in c.base.relations:
             report.add_zero("tau kills relation " + _short(rel), apply_map(
                 rel, text, TensorPoly((c.total.alphabet, c.total.alphabet))))
@@ -103,49 +93,43 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
         except WitnessUndecided as e:
             report.add_undecided("translation map solved from beta", witness=str(e))
             return report
-        # certify what the checks reach: tau on relations of A and on alpha's
-        # left legs, both legs in Z, the right ones multiplied by alpha's
-        wA, wZ = image_width(c.alpha, 0), image_width(c.alpha, 1)
-        wL, wR = image_width(tau, 0), image_width(tau, 1)
-        reach = max(max(r.degree() for r in c.base.relations), d * wA)
-        c = c.ensure_degree(max(d, 2, d * wA),
-                            max(3 * d, reach * max(wL, wR), d * wA * wR + d * wZ))
-        report.params = {
-            "degree": d, "relations_checked": len(c.base.relations),
-            "leg_completion_degrees": {"base": c.base.rewrite.completion_degree,
-                                       "total": c.total.rewrite.completion_degree},
-            **solve}
         # one extension of each map for every check, so they share memos
-        aext = alpha_ext(c)
-        text = tau_ext(tau, c, reach)
+        aext, text = alpha_ext(c), tau_ext(tau, c)
         val = validate_witness(c, tau, text)
         report.add("witness validated", val.ok)
-        if not val.ok:
-            for item in val.items:
-                if item.status != "pass":
-                    report.add(item.desc, False, witness=item.witness)
-            return report
+        for item in val.items:
+            if item.status != "pass":
+                report.add(item.desc, False, witness=item.witness)
         A, Z = c.base.alphabet, c.total.alphabet
         one_Z = NCPoly.one(Z)
-        for wd in word_basis(c.base.rewrite, d):
-            a = NCPoly(A, {wd: S_ONE})
-            t = galois_inverse(a, one_Z, tau, c, text)
-            back = apply_map(t, lambda k: galois_map(
-                NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
-                TensorPoly((A, Z)))
-            want = TensorPoly((A, Z), {(wd, ()): S_ONE})
-            report.add_zero(f"beta beta' fixes {A.word_str(wd)} (x) 1", back - want)
-        for wd in word_basis(c.total.rewrite, d):
-            x = NCPoly(Z, {wd: S_ONE})
-            t = galois_map(x, one_Z, c, aext)
-            back = apply_map(t, lambda k: galois_inverse(
-                NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), tau, c, text),
-                TensorPoly((Z, Z)))
-            want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
-            report.add_zero(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back - want)
-            t2 = galois_inverse(NCPoly.one(A), x, tau, c, text)
-            want2 = TensorPoly((Z, Z), {((), wd): S_ONE})
-            report.add_zero(f"beta' beta fixes 1 (x) {Z.word_str(wd)}", t2 - want2)
+        if val.ok:
+            for wd in c.base.basis(d):
+                a = NCPoly(A, {wd: S_ONE})
+                t = galois_inverse(a, one_Z, tau, c, text)
+                back = apply_map(t, lambda k: galois_map(
+                    NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
+                    TensorPoly((A, Z)))
+                want = TensorPoly((A, Z), {(wd, ()): S_ONE})
+                report.add_zero(f"beta beta' fixes {A.word_str(wd)} (x) 1", back - want)
+            for wd in c.total.basis(d):
+                x = NCPoly(Z, {wd: S_ONE})
+                t = galois_map(x, one_Z, c, aext)
+                back = apply_map(t, lambda k: galois_inverse(
+                    NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), tau, c, text),
+                    TensorPoly((Z, Z)))
+                want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
+                report.add_zero(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back - want)
+                t2 = galois_inverse(NCPoly.one(A), x, tau, c, text)
+                want2 = TensorPoly((Z, Z), {((), wd): S_ONE})
+                report.add_zero(f"beta' beta fixes 1 (x) {Z.word_str(wd)}", t2 - want2)
+        # every reduction of the checks went through these legs
+        report.params = {
+            "degree": d, "relations_checked": len(c.base.relations),
+            "leg_completion_degrees": {
+                "base": aext.legs[0].rewrite.completion_degree,
+                "total": max(p.rewrite.completion_degree
+                             for p in (aext.legs[1], *text.legs))},
+            **solve}
     return report
 
 
@@ -162,13 +146,11 @@ def translation_witness(c: CoactionData):
     the cap or linalg.BLOCK_BUDGET first is WitnessUndecided, naming the
     generators still missing."""
     A = c.base.alphabet
-    wA, wZ = image_width(c.alpha, 0), image_width(c.alpha, 1)
+    zleft, aleft, _ = extension_grading(c)
     solved, cols = {}, {}   # generator -> tau of it; (u, v) -> beta(u (x) v)
     sizes = []
     for e in range(1, WITNESS_DEGREE_CAP + 1):
-        ce = c.ensure_degree(e * wA, e * max(wZ, 1))
-        zleft, aleft, _ = extension_grading(ce)
-        words = word_basis(ce.total.rewrite, e)
+        words = c.total.basis(e)
         blocks = {}
         for g in range(len(A)):
             if g not in solved:
@@ -177,7 +159,7 @@ def translation_witness(c: CoactionData):
                             for v in words if len(u) + len(v) <= e), *gens]
                   for grade, gens in blocks.items()}
         try:
-            solved.update(_solve_tau(ce, blocks, cols))
+            solved.update(_solve_tau(c, blocks, cols))
         except BlockBudgetError as err:
             grade, size, budget = err.args
             raise WitnessUndecided(

@@ -14,13 +14,16 @@ The solve runs one elimination per graded block.  A Hopf presentation may
 declare a row grading `left` and a column grading `right` on its
 generators (`HopfData.grades`), and a coaction the row grade of alpha's
 left legs (`CoactionData.left_grades`).  They are checked on the
-presentation solved on: every completed rule is homogeneous for each
-grading, Delta(g) has left legs of grade left(g) and right legs of grade
-right(g), alpha(g) has left legs of one letter at most and of grade
-left_Z(g), and Z's rules are homogeneous for left_Z.  A presentation that
-declares nothing, or fails a check, puts every word in grade (): one
-block, the whole system.  Why the blocks are exact, with E_b the
-equations of Delta(b):
+presentation as it was built: every completed rule is homogeneous for
+each grading, Delta(g) has left legs of grade left(g) and right legs of
+grade right(g), alpha(g) has left legs of one letter at most and of
+grade left_Z(g), and Z's rules are homogeneous for left_Z.  That covers
+every deeper copy the solve reads through: homogeneous rules reduce a
+word to words of its grade, so the differences that completion orients
+into rules, and the rules that inter-reduction rewrites, are homogeneous
+too.  A presentation that declares nothing, or fails a check, puts every
+word in grade (): one block, the whole system.  Why the blocks are
+exact, with E_b the equations of Delta(b):
 
   - By homogeneity the system is block-diagonal by left(b): the unknowns
     of E_b are J on words of grade left(b), and J(b) itself when
@@ -49,7 +52,6 @@ from .linalg import LinearSolveError, eigvalsh, solve_blocks
 from .ncpoly import AlgebraError, NCPoly, apply_map
 from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
 from .report import Report, timed
-from .rewrite import word_basis
 from .scalars import PoleError, Q_SAMPLES, S_ONE, S_ZERO, add_term
 
 
@@ -206,8 +208,7 @@ def haar_on_hopf(p: Presentation, d: int = 2) -> LinearFunctional:
     """
     if p.hopf is None:
         raise HaarError(f"{p.name} carries no Hopf data")
-    p = p.ensure_degree(d)
-    basis = word_basis(p.rewrite, d)
+    basis = p.basis(d)
     left, right, held = hopf_grading(p)
     blocks = {}
     for b in basis:
@@ -257,8 +258,7 @@ def haar_on_extension(c: CoactionData, J: LinearFunctional, d: int,
     alpha(b) built only where J does not vanish on its left legs' grade
     (see the module docstring)."""
     f = f or unit_coefficient_functional()
-    c = c.ensure_degree(d, d)
-    basis = word_basis(c.total.rewrite, d)
+    basis = c.total.basis(d)
     zleft, aleft, held = extension_grading(c)
     # the left legs of alpha(b) have degree <= len(b): within J's basis
     # when len(b) <= depth, else left to of_word to raise
@@ -288,11 +288,9 @@ def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
     """(1 (x) mu) alpha_Z(b) = mu(b) * 1 for every basis word of Z."""
     report = Report(f"invariance({c.total.name}, degree {d})")
     with timed(report):
-        c = c.ensure_degree(d, d)
-        basis = word_basis(c.total.rewrite, d)
         A = c.base.alphabet
         aext = alpha_ext(c)
-        for b in basis:
+        for b in c.total.basis(d):
             lhs = {}
             for (w1, w2), coeff in aext(b).terms.items():
                 add_term(lhs, w1, coeff * mu.of_word(w2))
@@ -328,9 +326,7 @@ def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
     within mu's depth; every other entry is computed."""
     if p.star is None:
         raise HaarError(f"{p.name} carries no star structure")
-    # star(b) * w reaches past d: certify the whole depth of mu
     depth = max(map(len, mu.basis))
-    p = p.ensure_degree(depth)
     basis = [w for w in mu.basis if len(w) <= d]
     starred = [p.nf(p.star.of_word(b)) for b in basis]
     plain = [NCPoly(p.alphabet, {b: S_ONE}) for b in basis]

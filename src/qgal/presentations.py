@@ -6,6 +6,15 @@ comodule-algebra axioms).
 The registry CATALOG holds one entry per catalog name: GLq2, Uq2, GLq2m2,
 Uq2m2, GLqm22, Onp, AuFG and AuF.  Each builder writes its structure as
 matrix identities over a block of generators, all products by mat_mul.
+
+The readers here certify what they read, unique by Bergman's diamond
+lemma (Adv. Math. 29, 1978), so no caller works out a completion depth:
+`Presentation.nf` completes the rewrite system to the degree of its
+argument, `Presentation.basis(d)` to d, and `reduce_legs`, which
+`extend_reduced` extends through, each slot of a tensor to its longest
+word.  The completions are copies from `ensure_degree`, and a certified
+normal form is the same in every copy.  `verify_star` alone reduces
+uncertified, for a zero test that needs no certificate (see there).
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .ncpoly import (
     parse_tensor,
 )
 from .report import Report, timed
-from .rewrite import ConfluenceError, MonomialOrder, RewriteSystem, build_system, complete
+from .rewrite import MonomialOrder, RewriteSystem, build_system, complete, word_basis
 from .scalars import Q, S_ONE, S_ZERO, ScalarQ, add_term
 
 
@@ -41,7 +50,7 @@ class Presentation:
     generate the same ideal), optional star and Hopf data, and the block
     of generators its builder wrote the relations in (None for a file).
     Immutable once built; ensure_degree gives a copy over a longer
-    completion."""
+    completion, which nf and basis read."""
 
     __slots__ = ("name", "alphabet", "relations", "rewrite", "star", "hopf",
                  "block", "_certified")
@@ -57,35 +66,45 @@ class Presentation:
         init(self, "star", star)
         init(self, "hopf", hopf)
         init(self, "block", block)
-        # degree -> the certified copy ensure_degree returned for it
-        init(self, "_certified", {})
+        # completion degree -> the presentation as built and each copy that
+        # ensure_degree made of it: one dict, which they all share
+        init(self, "_certified", {rewrite.completion_degree: self})
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
 
     def nf(self, poly):
-        return self.rewrite.normal_form(poly)
+        """The normal form of poly, certified unique."""
+        return self.ensure_degree(poly.degree()).rewrite.normal_form(poly)
+
+    def basis(self, d: int):
+        """The normal words of length <= d, sorted by the monomial order: a
+        basis of the degree-d truncation."""
+        return word_basis(self.ensure_degree(d).rewrite, d)
 
     def ensure_degree(self, d: int) -> "Presentation":
         """This presentation with normal forms certified unique for all
         words of degree <= d: self when its completion degree reaches d,
-        otherwise a copy over the system completed to d.  The copy is
-        memoised, so one d always gives back the same object."""
+        otherwise a copy over the system as built, completed to d.  The
+        copies are memoised and shared by the presentation as built and
+        every copy of it, so one d always gives back the same object."""
         if d <= self.rewrite.completion_degree:
             return self
-        out = self._certified.get(d)
+        copies = self._certified
+        out = copies.get(d)
         if out is None:
+            built = copies[min(copies)]
             out = Presentation(self.name, self.alphabet, self.relations,
-                               complete(self.rewrite, d), self.star, self.hopf,
+                               complete(built.rewrite, d), self.star, self.hopf,
                                self.block)
-            self._certified[d] = out
+            object.__setattr__(out, "_certified", copies)
+            copies[d] = out
         return out
 
     def deepest(self) -> "Presentation":
         """The copy over the longest completion that ensure_degree has
-        made from this presentation or from its copies, or self."""
-        return max((copy.deepest() for copy in self._certified.values()),
-                   key=lambda p: p.rewrite.completion_degree, default=self)
+        made of this presentation, or the presentation as built."""
+        return self._certified[max(self._certified)]
 
     def parse(self, src) -> NCPoly:
         return parse_expr(src, self.alphabet)
@@ -111,8 +130,7 @@ class HopfData:
 
 class CoactionData:
     """A coaction alpha: Z -> A (x) Z of the base A on the total Z;
-    immutable, so a computation certifies its legs on the copy
-    ensure_degree returns."""
+    immutable.  Its readers certify the legs they reduce."""
 
     __slots__ = ("base", "total", "alpha", "left_grades")
 
@@ -129,13 +147,6 @@ class CoactionData:
     def __setattr__(self, name, value):
         raise AttributeError("CoactionData is immutable")
 
-    def ensure_degree(self, d_base: int, d_total: int) -> "CoactionData":
-        """This coaction with the base certified to d_base and the total
-        to d_total (see Presentation.ensure_degree)."""
-        return CoactionData(self.base.ensure_degree(d_base),
-                            self.total.ensure_degree(d_total), self.alpha,
-                            self.left_grades)
-
 
 # ---------------------------------------------------------------------------
 # extension helpers
@@ -147,34 +158,25 @@ def extend_reduced(images, legs, left=()):
     extended to words, antimultiplicatively on the legs in `left` and
     multiplicatively on the others, each leg reduced by the presentation
     of its slot.  It reduces as it extends, memoised on prefixes: ext(w x)
-    = reduce_legs(ext(w).times(images[x], left)), so `ext.memo` holds
-    reduced tensors only.  That equals reducing the whole product once
-    where normal forms are unique, which is the precondition: ext raises
-    ConfluenceError when len(word) times image_width of a leg exceeds
-    that leg's completion degree."""
-    systems = tuple(p.rewrite for p in legs)
-    widths = [image_width(images, leg) for leg in range(len(legs))]
+    = reduce_legs(ext(w).times(images[x], left), ext.legs), so `ext.memo`
+    holds reduced tensors only.  That equals reducing the whole product
+    once, since reduce_legs certifies each slot as deep as its words
+    reach.  `ext.legs` holds the presentations of the slots as deep as
+    they have been certified; a memo entry stays valid as they deepen,
+    since certified normal forms do not change."""
+    legs = list(legs)
     memo = {(): TensorPoly.one(tuple(p.alphabet for p in legs))}
 
     def ext(word):
         out = memo.get(word)
         if out is None:
-            for p, width in zip(legs, widths):
-                if len(word) * width > p.rewrite.completion_degree:
-                    raise ConfluenceError(
-                        f"{p.name}: degree {len(word) * width} exceeds "
-                        f"completion bound {p.rewrite.completion_degree}")
-            out = reduce_legs(ext(word[:-1]).times(images[word[-1]], left), systems)
-            memo[word] = out
+            out = memo[word] = reduce_legs(
+                ext(word[:-1]).times(images[word[-1]], left), legs)
         return out
 
+    ext.legs = legs
     ext.memo = memo
     return ext
-
-
-def image_width(images, leg):
-    """The largest word degree in one leg of the tensor images."""
-    return max((len(k[leg]) for t in images.values() for k in t.terms), default=0)
 
 
 def delta_ext(p: Presentation):
@@ -187,9 +189,17 @@ def alpha_ext(c: CoactionData):
     return extend_reduced(c.alpha, (c.base, c.total))
 
 
-def reduce_legs(t: TensorPoly, systems) -> TensorPoly:
-    """t with each leg reduced by the rewrite system of its slot, in one
-    pass over the terms of t."""
+def reduce_legs(t: TensorPoly, legs) -> TensorPoly:
+    """t with each leg reduced by the presentation of its slot, certified
+    to the longest word that slot holds, in one pass over the terms of t.
+    A list of legs, such as an `ext.legs`, takes the certified copies in
+    place, so that it holds its slots as deep as any reduction through it
+    certified them."""
+    reach = [max(map(len, words)) for words in zip(*t.terms)]
+    certified = [p.ensure_degree(d) for p, d in zip(legs, reach)]
+    if isinstance(legs, list):
+        legs[:len(certified)] = certified
+    systems = [p.rewrite for p in certified]
     out = {}
     for key, c in t.terms.items():
         terms = [((), c)]
@@ -588,6 +598,11 @@ def verify_star(p: Presentation) -> Report:
 
     The checked relation set is the completed rule list, which generates
     the same ideal as the input relations and reduces each of them to 0.
+    A starred rule is reduced by the system as built, uncertified: a
+    zero residual proves it lies in the ideal at any completion degree,
+    and certifying star(rule) to its degree would deepen the system
+    (to 8 on Uq2m2) for nothing.  Only a nonzero residual is recomputed
+    certified, and the item fails on that.
     """
     if p.star is None:
         raise CatalogError(f"{p.name} carries no star structure")
@@ -595,8 +610,11 @@ def verify_star(p: Presentation) -> Report:
     with timed(report):
         checked = [rule.as_poly(p.alphabet) for rule in p.rewrite.rules]
         for k, rel in enumerate(checked):
-            report.add_zero(f"star(relation {k + 1}) reduces to 0",
-                            p.nf(p.star.apply(rel)))
+            starred = p.star.apply(rel)
+            residual = p.rewrite.normal_form(starred)
+            if not residual.is_zero():
+                residual = p.nf(starred)
+            report.add_zero(f"star(relation {k + 1}) reduces to 0", residual)
         for name in p.alphabet.names:
             g = p.alphabet.gen(name)
             report.add_zero(f"star involutive on {name}",
@@ -610,7 +628,6 @@ def verify_hopf(p: Presentation) -> Report:
         raise CatalogError(f"{p.name} carries no Hopf data")
     report = Report(f"hopf({p.name})")
     A = p.alphabet
-    rs = p.rewrite
     with timed(report):
         dext = extend_reduced(h.delta, (p, p))
         eps = extend_anti(h.counit, S_ONE)
@@ -622,21 +639,19 @@ def verify_hopf(p: Presentation) -> Report:
                        apply_map(rel, eps, S_ZERO).is_zero())
         for gi, name in enumerate(A.names):
             d = h.delta[gi]
-            left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), (rs, rs, rs))
+            left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), (p, p, p))
                            for leg in (0, 1))
             report.add(f"coassociativity on {name}", left == right)
             lhs = apply_map(d, lambda k: NCPoly(A, {k[1]: eps(k[0])}), NCPoly.zero(A))
             rhs = apply_map(d, lambda k: NCPoly(A, {k[0]: eps(k[1])}), NCPoly.zero(A))
-            g_nf = rs.normal_form(A.gen(name))
-            report.add(f"counit law on {name}",
-                       rs.normal_form(lhs) == g_nf and rs.normal_form(rhs) == g_nf)
+            g_nf = p.nf(A.gen(name))
+            report.add(f"counit law on {name}", p.nf(lhs) == g_nf and p.nf(rhs) == g_nf)
             m_s1 = apply_map(d, lambda k: sext(k[0]) * NCPoly(A, {k[1]: S_ONE}),
                              NCPoly.zero(A))
             m_1s = apply_map(d, lambda k: NCPoly(A, {k[0]: S_ONE}) * sext(k[1]),
                              NCPoly.zero(A))
             target = NCPoly.scalar(A, h.counit[gi])
-            ok = rs.normal_form(m_s1 - target).is_zero() and \
-                rs.normal_form(m_1s - target).is_zero()
+            ok = p.nf(m_s1 - target).is_zero() and p.nf(m_1s - target).is_zero()
             report.add(f"antipode law on {name}", ok)
         if p.star is not None:
             add_star_map(report, "Delta", h.delta, dext, p, p)
@@ -646,7 +661,7 @@ def verify_hopf(p: Presentation) -> Report:
 def verify_coaction(c: CoactionData) -> Report:
     report = Report(f"coaction({c.total.name} over {c.base.name})")
     A, Z = c.base.alphabet, c.total.alphabet
-    rsA, rsZ = c.base.rewrite, c.total.rewrite
+    legs = (c.base, c.base, c.total)
     with timed(report):
         aext = alpha_ext(c)
         for rel in c.total.relations:
@@ -659,13 +674,13 @@ def verify_coaction(c: CoactionData) -> Report:
             eps = extend_anti(c.base.hopf.counit, S_ONE)
             for gi, name in enumerate(Z.names):
                 a = c.alpha[gi]
-                left = reduce_legs(expand_leg(a, 0, dext, (A, A)), (rsA, rsA, rsZ))
-                right = reduce_legs(expand_leg(a, 1, aext, (A, Z)), (rsA, rsA, rsZ))
+                left = reduce_legs(expand_leg(a, 0, dext, (A, A)), legs)
+                right = reduce_legs(expand_leg(a, 1, aext, (A, Z)), legs)
                 report.add(f"coassociativity on {name}", left == right)
                 lhs = apply_map(a, lambda k: NCPoly(Z, {k[1]: eps(k[0])}),
                                 NCPoly.zero(Z))
                 report.add(f"counit law on {name}",
-                           rsZ.normal_form(lhs) == rsZ.normal_form(Z.gen(name)))
+                           c.total.nf(lhs) == c.total.nf(Z.gen(name)))
         if c.base.star is not None and c.total.star is not None:
             add_star_map(report, "alpha", c.alpha, aext, c.base, c.total)
     return report
@@ -681,7 +696,7 @@ def add_star_map(report: Report, label, images, ext, base, source):
         lhs = apply_map(source.star.apply(Z.gen(name)), ext, TensorPoly((A, Z)))
         rhs = apply_map(images[gi], lambda k: TensorPoly.of(
             base.star.of_word(k[0]), source.star.of_word(k[1])), TensorPoly((A, Z)))
-        rhs = reduce_legs(rhs, (base.rewrite, source.rewrite))
+        rhs = reduce_legs(rhs, (base, source))
         report.add(f"{label} is a *-map on {name}", lhs == rhs)
 
 

@@ -51,6 +51,16 @@ def test_undecided_exits_2(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_malformed_degree_cap_exits_3(monkeypatch, capsys, value):
+    # a usage error that names the variable and its value, no traceback
+    monkeypatch.setenv("QGAL_DEGREE_CAP", value)
+    code, _, err = run(capsys, "verify", "Uq2m2", "--suite", "spectrum")
+    assert code == 3
+    assert err == ("error: AlgebraError: QGAL_DEGREE_CAP must be an integer >= 0, "
+                   f"got {value!r}\n")
+
+
 def test_unknown_target_exits_3(capsys):
     code, _, err = run(capsys, "verify", "Nope", "--suite", "star")
     assert code == 3

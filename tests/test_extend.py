@@ -4,8 +4,8 @@ are extended."""
 import pytest
 
 from qgal.ncpoly import NCPoly, TensorPoly, apply_map
-from qgal.presentations import alpha_ext, catalog, coaction, delta_ext, extend_reduced
-from qgal.rewrite import ConfluenceError, RewriteSystem, word_basis
+from qgal.presentations import catalog, coaction, delta_ext, extend_reduced
+from qgal.rewrite import RewriteSystem, word_basis
 from qgal.scalars import S_ONE
 
 
@@ -64,22 +64,40 @@ def test_delta_ext_work_on_uq2_degree_6(monkeypatch):
     assert calls[0] < 16_000
 
 
-def test_extension_refuses_words_above_the_completion_degree(uq2, c_uq):
-    assert uq2.rewrite.completion_degree == 4
-    word = (0,) * 5
-    with pytest.raises(ConfluenceError, match="Uq2: degree 5"):
-        delta_ext(uq2)(word)
-    assert delta_ext(uq2.ensure_degree(5))(word) == \
-        _reduced_once(uq2.hopf.delta, (uq2, uq2), word)
-    # the bound counts the degree of the images: with x -> x*x (x) x a
-    # word of degree 3 reaches degree 6 in the first leg
+def reduced_over_reach(images, legs, word, left=()):
+    """(t, reach): t the product of the generator images of `word`, taken
+    unreduced and then reduced once, each leg by its presentation
+    completed to reach, the length of the longest word in that leg."""
+    t = TensorPoly.one([p.alphabet for p in legs])
+    for x in word:
+        t = t.times(images[x], left)
+    reach = [max(map(len, words)) for words in zip(*t.terms)]
+    systems = [p.ensure_degree(d).rewrite for p, d in zip(legs, reach)]
+    return apply_map(t, lambda key: TensorPoly.of(*(
+        rs.normal_form(NCPoly(rs.alphabet, {w: S_ONE})) for rs, w in zip(systems, key))),
+        TensorPoly(t.alphabets)), reach
+
+
+def test_extension_deepens_its_legs_as_words_grow(uq2, c_uq):
+    # Uq2, and both legs of Uq2m2's coaction, are built to degree 4; a
+    # word that reaches past it deepens the legs it reaches, where the
+    # extension used to refuse it.  With x -> x*x (x) x a word of degree
+    # 3 reaches degree 6 in the first leg and 3 in the second.
     squares = {g: TensorPoly.of(uq2.alphabet.gen(n) * uq2.alphabet.gen(n),
                                 uq2.alphabet.gen(n))
                for g, n in enumerate(uq2.alphabet.names)}
-    ext = extend_reduced(squares, (uq2, uq2))
-    assert ext((0, 1)) == _reduced_once(squares, (uq2, uq2), (0, 1))
-    with pytest.raises(ConfluenceError, match="degree 6"):
-        ext((0, 1, 2))
-    # alpha's legs: the total of Uq2m2 is certified to 4 as built
-    with pytest.raises(ConfluenceError):
-        alpha_ext(c_uq)((0,) * 5)
+    cases = [(uq2.hopf.delta, (uq2, uq2), (0,) * 5, [5, 5]),
+             (squares, (uq2, uq2), (0, 1, 2), [6, 3]),
+             (c_uq.alpha, (c_uq.base, c_uq.total), (0,) * 5, [5, 5])]
+    for images, legs, word, reached in cases:
+        assert [p.rewrite.completion_degree for p in legs] == [4, 4]
+        ext = extend_reduced(images, legs)
+        short = ext(word[:2])
+        assert ext.legs == list(legs)
+        want, reach = reduced_over_reach(images, legs, word)
+        assert reach == reached
+        assert ext(word) == want, word
+        assert ext.legs == [p.ensure_degree(d) for p, d in zip(legs, reach)]
+        # a memo entry made before the legs deepened stays as it was
+        assert ext(word[:2]) is short
+        assert short == reduced_over_reach(images, legs, word[:2])[0]

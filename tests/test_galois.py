@@ -24,7 +24,6 @@ from qgal.presentations import (
     parse_presentation_text,
     reduce_legs,
 )
-from qgal.rewrite import ConfluenceError, word_basis
 from qgal.scalars import S_ONE, add_term
 
 
@@ -89,13 +88,13 @@ def test_galois_inverse_certifies_what_it_reduces(c_glq, witness):
     ext8 = extend_reduced(witness, (Z8, Z8), left=(1,))
 
     def basis(p):
-        return [NCPoly(p.alphabet, {w: S_ONE}) for w in word_basis(p.rewrite, 2)]
+        return [NCPoly(p.alphabet, {w: S_ONE}) for w in p.basis(2)]
 
     pairs = [(a, y) for a in basis(A) for y in basis(Z)]
     assert len(pairs) == 441
     for a, y in pairs:
         t = apply_map(a, ext8, TensorPoly((Z.alphabet, Z.alphabet)))
-        want = reduce_legs(t.mul_leg(1, y), (Z8.rewrite, Z8.rewrite))
+        want = reduce_legs(t.mul_leg(1, y), (Z8, Z8))
         assert galois_inverse(a, y, witness, c_glq) == want, (a, y)
 
 
@@ -115,37 +114,43 @@ def test_translation_map_glq(c_glq, witness):
         for j in range(2):
             want = TensorPoly.of(z[i][0], M[0][j]) + TensorPoly.of(z[i][1], M[1][j])
             got = witness[A.alphabet.index[f"x{i + 1}{j + 1}"]]
-            assert reduce_legs(got - want, (Z.rewrite, Z.rewrite)).is_zero()
+            assert reduce_legs(got - want, (Z, Z)).is_zero()
 
 
 def test_tau_ext_is_the_product_term_by_term(c_glq, witness):
     # on a word x1...xn of A, tau stored through rev is the sum, over one
     # term u_i (x) v_i of each tau(x_i), of u1...un (x) vn...v1: left legs
-    # in order, right legs in reverse, reduced once at the end
-    A, Z = c_glq.base.alphabet, c_glq.total.alphabet
-    ext = tau_ext(witness, c_glq, 3)
-    Z6 = c_glq.total.ensure_degree(6)
+    # in order, right legs in reverse, reduced once at the end over Z
+    # completed to the longest word of each leg
+    A, Z = c_glq.base.alphabet, c_glq.total
+    ext = tau_ext(witness, c_glq)
 
-    def nf(word):
-        return Z6.nf(NCPoly(Z, {word: S_ONE}))
+    def reduced_once(word):
+        terms = {((), ()): S_ONE}
+        for x in word:
+            longer = {}
+            for (u, v), s in terms.items():
+                for (u2, v2), s2 in witness[x].terms.items():
+                    add_term(longer, (u + u2, v2 + v), s * s2)
+            terms = longer
+        reach = [max(len(k[leg]) for k in terms) for leg in (0, 1)]
+        rs = [Z.ensure_degree(d).rewrite for d in reach]
+        return apply_map(TensorPoly((Z.alphabet,) * 2, terms), lambda k: TensorPoly.of(
+            *(r.normal_form(NCPoly(Z.alphabet, {w: S_ONE})) for r, w in zip(rs, k))),
+            TensorPoly((Z.alphabet,) * 2)), reach
 
     for n in range(4):
         for word in itertools.product(range(len(A)), repeat=n):
-            terms = {((), ()): S_ONE}
-            for x in word:
-                longer = {}
-                for (u, v), s in terms.items():
-                    for (u2, v2), s2 in witness[x].terms.items():
-                        add_term(longer, (u + u2, v2 + v), s * s2)
-                terms = longer
-            want = apply_map(TensorPoly((Z, Z), terms),
-                             lambda k: TensorPoly.of(nf(k[0]), nf(k[1])),
-                             TensorPoly((Z, Z)))
-            assert ext(word) == want, word
-    # tau(x) has right legs of degree 2: a word of length 4 reaches
-    # degree 8, past the degree 6 that Z is certified to
-    with pytest.raises(ConfluenceError):
-        ext((0, 1, 2, 3))
+            assert ext(word) == reduced_once(word)[0], word
+    # tau(x) has left legs of degree 1 and right legs of degree 2: words of
+    # length 3 reach degree 6 in the right leg, and Z is built to 4
+    assert ext.legs == [Z, Z.ensure_degree(6)]
+    # a word of length 4 reaches degree 8, where tau_ext used to refuse it
+    word = (0, 1, 2, 3)
+    want, reach = reduced_once(word)
+    assert reach == [4, 8]
+    assert ext(word) == want
+    assert ext.legs == [Z, Z.ensure_degree(8)]
 
 
 def test_corrupted_witness_fails(c_glq, witness):
@@ -231,7 +236,7 @@ def test_beta_left_linearity_sample(c_glq):
     y = Z.parse("tau")
     lhs = galois_map(x, y, c_glq)
     rhs = galois_map(x, NCPoly.one(Z.alphabet), c_glq).mul_leg(1, y)
-    assert reduce_legs(rhs, (c_glq.base.rewrite, Z.rewrite)) == lhs
+    assert reduce_legs(rhs, (c_glq.base, Z)) == lhs
 
 
 def test_aufg_witness_validates(c_aufg):

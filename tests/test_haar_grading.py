@@ -108,10 +108,16 @@ def test_graded_mu_equals_one_block_mu_on_aufg(c_aufg):
 
 
 def test_catalog_gradings_hold(uq2, auf, c_uq, c_aufg):
+    # the solve checks them on the presentations as built; they hold on
+    # the deeper copies it reads through as well
+    assert hopf_grading(uq2)[2] == "row and column"
     assert hopf_grading(uq2.ensure_degree(6))[2] == "row and column"
-    assert hopf_grading(auf.ensure_degree(3))[2] == "row and column"
-    assert extension_grading(c_uq.ensure_degree(6, 6))[2] == "row"
-    assert extension_grading(c_aufg.ensure_degree(3, 3))[2] == "row"
+    assert hopf_grading(auf)[2] == "row and column"
+    for c, d in ((c_uq, 6), (c_aufg, 4)):
+        assert extension_grading(c)[2] == "row"
+        deep = CoactionData(c.base.ensure_degree(d), c.total.ensure_degree(d),
+                            c.alpha, c.left_grades)
+        assert extension_grading(deep)[2] == "row"
 
 
 E1, E2 = unit_vector(1, 2), unit_vector(2, 2)

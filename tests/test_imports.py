@@ -3,8 +3,9 @@ top-level name and every method it defines is read somewhere, the
 runtime imports nothing
 outside the standard library, every sparse accumulate goes through
 `scalars.add_term`, only the command line imports `re`, only linalg
-builds a RowReducer, each command loads only the layers it runs, and
-none loads `dataclasses` or `inspect`."""
+builds a RowReducer, only presentations calls `ensure_degree` (and it
+and rewrite `word_basis`), each command loads only the layers it runs,
+and none loads `dataclasses` or `inspect`."""
 
 import ast
 import json
@@ -392,24 +393,44 @@ def test_only_linalg_reads_reducer_rows():
             if p.name != "linalg.py" and "rows" in attributes_read(p.read_text())] == []
 
 
-def reducer_builds(source):
-    """The line of each call of RowReducer, by name or as an attribute."""
+def calls(source, name):
+    """The line of each call of `name`, by name or as an attribute."""
     return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and "RowReducer" in (
+            if isinstance(node, ast.Call) and name in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def test_checker_finds_reducer_builds():
     src = ("r = RowReducer()\nlinalg.RowReducer(key)\n"
            "RowReducer.solution(r, [])\nsolve_blocks({}, f)\n")
-    assert reducer_builds(src) == [1, 2]
+    assert calls(src, "RowReducer") == [1, 2]
 
 
 def test_only_linalg_builds_a_reducer():
     """Every other module solves through `linalg.solve_blocks`, so the
     elimination and its block budget live in linalg alone."""
     assert [p.name for p in MODULES
-            if p.name != "linalg.py" and reducer_builds(p.read_text())] == []
+            if p.name != "linalg.py" and calls(p.read_text(), "RowReducer")] == []
+
+
+def test_checker_finds_certifying_calls():
+    src = ("p = p.ensure_degree(6)\nrs = word_basis(p.rewrite, 2)\n"
+           "rewrite.word_basis(rs, 3)\nensure_degree = 4\n"
+           "def ensure_degree(self, d): pass\nq.basis(2)\n")
+    assert calls(src, "ensure_degree") == [1]
+    assert calls(src, "word_basis") == [2, 3]
+
+
+@pytest.mark.parametrize("name, owners", [
+    ("ensure_degree", {"presentations.py"}),
+    ("word_basis", {"presentations.py", "rewrite.py"}),
+])
+def test_only_presentations_certifies(name, owners):
+    """A reader in presentations certifies what it reduces or lists (nf,
+    basis, reduce_legs, extend_reduced), so no other module completes a
+    system or works out how deep it must go."""
+    assert [p.name for p in MODULES
+            if p.name not in owners and calls(p.read_text(), name)] == []
 
 
 def modules_imported_from(source):

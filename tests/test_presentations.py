@@ -23,6 +23,7 @@ from qgal.presentations import (
     verify_hopf,
     verify_star,
 )
+from qgal.rewrite import RewriteSystem
 from qgal.scalars import Q, S_ONE
 
 
@@ -98,6 +99,66 @@ def test_verify_star_corrupted(uq2m2):
     r = verify_star(bad)
     assert not r.ok
     assert any("involutive" in i.desc and i.status == "fail" for i in r.items)
+
+
+def test_verify_star_fails_on_the_certified_residual(uq2m2):
+    # z11* = z11 is no star structure.  Its starred rules reach degree 8
+    # on a system built to degree 4: reduced raw, 3 of them leave a
+    # residual other than the unique one, and each item must fail on
+    # the unique one
+    A = uq2m2.alphabet
+    images = dict(uq2m2.star.images)
+    images[A.index["z11"]] = A.gen("z11")
+    bad = Presentation(uq2m2.name, A, uq2m2.relations, uq2m2.rewrite,
+                       StarMap(A, images), uq2m2.hopf, uq2m2.block)
+    r = verify_star(bad)
+    assert r.status == "fail"
+    items = [i for i in r.items if "reduces to 0" in i.desc]
+    assert len(items) == len(bad.rewrite.rules) == 13
+    uncertified = 0
+    for item, rule in zip(items, bad.rewrite.rules):
+        starred = bad.star.apply(rule.as_poly(A))
+        residual = bad.ensure_degree(starred.degree()).rewrite.normal_form(starred)
+        assert (item.status, item.witness) == (
+            ("pass", "") if residual.is_zero() else ("fail", residual.pretty()[:120]))
+        uncertified += bad.rewrite.normal_form(starred) != residual
+    assert uncertified == 3
+
+
+def test_every_reader_certifies_what_it_reduces(monkeypatch, capsys):
+    """No word is reduced by a rewrite system completed to less than its
+    length, on every command path but verify_star's raw zero test.  The
+    reductions inside a completion or an overlap scan are the completion's
+    own, and are left out."""
+    short = []
+    nf_word, obstructions = RewriteSystem._nf_word, RewriteSystem._obstructions
+    scanning = [0]
+
+    def checked(rs, word):
+        if not scanning[0] and len(word) > rs.completion_degree:
+            short.append((rs.completion_degree, word))
+        return nf_word(rs, word)
+
+    def scan(rs, *args):
+        scanning[0] += 1
+        try:
+            return obstructions(rs, *args)
+        finally:
+            scanning[0] -= 1
+
+    monkeypatch.setattr(RewriteSystem, "_nf_word", checked)
+    monkeypatch.setattr(RewriteSystem, "_obstructions", scan)
+    # the hopf suite runs on the bases, as the totals carry no Hopf data,
+    # and the Haar commands on Uq2m2, as GLq2m2 carries no star structure
+    runs = [["verify", "Uq2", "--suite", "hopf"], ["verify", "GLq2", "--suite", "hopf"],
+            ["haar", "Uq2m2"], ["verify", "Uq2m2", "--suite", "haar"]]
+    for target in ("Uq2m2", "GLq2m2"):
+        runs += [["cotensor", target]] + [["verify", target, "--suite", suite]
+                                          for suite in ("coaction", "galois", "cotensor")]
+    for argv in runs:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert short == []
 
 
 def test_verify_hopf_pass(glq2, uq2):
