@@ -304,7 +304,10 @@ def test_aufg_build_orients_each_rule_once(monkeypatch):
 # scanned for ambiguities, every rule reduced by a fresh system of all the
 # others on every pass, every rule oriented again each round.  The indexed
 # implementations must give the same obstructions and the same rules, in
-# the same order.
+# the same order.  A completion that scans every ambiguity in every round
+# can meet again one that `complete` resolved in an earlier round, and add
+# its difference as a rule: it ends with the same rules, but the rhs terms
+# of a rule may be stored in another order.
 
 
 def _reference_obstructions(rs, d, resolved=None):
@@ -381,10 +384,13 @@ def _reference_build_system(alphabet, relations, order, completion_degree=4,
     return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
 
 
-def _reference_complete(rs, d):
+def _reference_complete(rs, d, incremental=False):
+    """Every round scans every ambiguity, or with `incremental` only those
+    whose key no earlier round met, as `complete` does."""
     current = rs
+    resolved = set() if incremental else None
     while True:
-        obstructions = _reference_obstructions(current, d)
+        obstructions = _reference_obstructions(current, d, resolved)
         if not obstructions:
             return RewriteSystem(current.alphabet, current.rules, current.order,
                                  max(d, current.completion_degree),
@@ -408,6 +414,14 @@ def _obstruction_keys(obstructions):
 def _rule_keys(rules):
     """Each rule with its rhs terms in their stored order."""
     return [(r.lhs, list(r.rhs.terms.items())) for r in rules]
+
+
+def _rule_polys(keys):
+    """`_rule_keys` with each rhs as a map word -> scalar, whatever the
+    order of its terms; an error type as it is."""
+    if isinstance(keys, type):
+        return keys
+    return [(lhs, dict(terms)) for lhs, terms in keys]
 
 
 def test_obstructions_match_all_pairs_scan_on_catalog(monkeypatch):
@@ -543,6 +557,13 @@ def test_write_path_matches_reference(monkeypatch):
 # and must be examined: they rewrite b to a polynomial in a
 @example([RewriteRule((0, 1, 1), NCPoly.zero(AB)),
           RewriteRule((1, 0), NCPoly(AB, {(): S_ONE, (0,): -2 * Q}))], (3, 4))
+# b*b*b -> 0 and a*b*b -> 1 + q^2*a*a + q^2*b*a, completed to 2 then 4.  In
+# its fourth round the full scan meets again the ambiguity of b*b*b and
+# b*b*a, resolved the round before, and adds its difference as a rule; the
+# rules of a*a*a end with their rhs terms stored in different orders
+@example([RewriteRule((1, 1, 1), NCPoly.zero(AB)),
+          RewriteRule((0, 1, 1), NCPoly(AB, {(): S_ONE, (0, 0): Q * Q,
+                                             (1, 0): Q * Q}))], (2, 4))
 def test_complete_matches_reference_random(rules, degrees):
     # a completion to d1, then one to d2 > d1 over the rules it returned
     d1, d2 = degrees
@@ -550,9 +571,14 @@ def test_complete_matches_reference_random(rules, degrees):
     def twice(complete_to, rs):
         return complete_to(complete_to(rs, d1), d2).rules
 
+    def incremental(rs, d):
+        return _reference_complete(rs, d, incremental=True)
+
     rs = RewriteSystem(AB, rules, AB_ORDER, d1)
-    assert _outcome(twice, complete, rs) == \
-        _outcome(twice, _reference_complete, rs)
+    got = _outcome(twice, complete, rs)
+    assert got == _outcome(twice, incremental, rs)
+    assert _rule_polys(got) == \
+        _rule_polys(_outcome(twice, _reference_complete, rs))
 
 
 def _catalog_completions():
