@@ -85,20 +85,22 @@ class Presentation:
     def ensure_degree(self, d: int) -> "Presentation":
         """This presentation with normal forms certified unique for all
         words of degree <= d: self when its completion degree reaches d,
-        otherwise a copy over the system as built, completed to d.  The
+        otherwise the shallowest copy that reaches d, or, when there is
+        none, a copy over the system as built, completed to d.  The
         copies are memoised and shared by the presentation as built and
-        every copy of it, so one d always gives back the same object."""
+        every copy of it, so one d always gives back the same object.
+        Certified normal forms do not depend on the copy that gives them."""
         if d <= self.rewrite.completion_degree:
             return self
         copies = self._certified
-        out = copies.get(d)
-        if out is None:
-            built = copies[min(copies)]
-            out = Presentation(self.name, self.alphabet, self.relations,
-                               complete(built.rewrite, d), self.star, self.hopf,
-                               self.block)
-            object.__setattr__(out, "_certified", copies)
-            copies[d] = out
+        reach = [k for k in copies if k >= d]
+        if reach:
+            return copies[min(reach)]
+        out = Presentation(self.name, self.alphabet, self.relations,
+                           complete(copies[min(copies)].rewrite, d), self.star,
+                           self.hopf, self.block)
+        object.__setattr__(out, "_certified", copies)
+        copies[d] = out
         return out
 
     def deepest(self) -> "Presentation":

@@ -6,13 +6,20 @@ real parameter and the coefficients are rational, so complex conjugation
 on Q(q) is the identity: a star structure is linear over Q(q), and a
 conjugate-symmetric scalar matrix is a symmetric one.
 
+A Laurent polynomial is kept over Z, as integer numerators over one
+common denominator (see LaurentPoly).  Sums and products run on ints and
+bring their result to its one stored form with a single integer gcd,
+which they skip when the denominator is 1; no Fraction is made until
+`coeffs` is read.
+
 A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
-of reduced fractions take only the gcds that can be non-trivial
-(Henrici's rule), and every gcd runs over Z on primitive
-pseudo-remainders; see `_henrici_sum`, `ScalarQ.__mul__` and `_poly_gcd`.
-Most scalars that completion meets are monomials c*q^k over the
-denominator 1.  A sum or product of two of them takes no gcd either, and
-no loop over Laurent terms: the operators form it from the two
+of reduced fractions take only the polynomial gcds that can be
+non-trivial (Henrici's rule), and every polynomial gcd and exact division
+runs over Z on primitive parts, through the one pseudo-division
+`_pseudo_divmod`; see `_henrici_sum`, `ScalarQ.__mul__` and `_poly_gcd`.
+Most scalars that completion meets are monomials c*q^k with c an int,
+over the denominator 1.  A sum or product of two of them takes no gcd,
+and no loop over Laurent terms: the operators form it from the two
 coefficients (the monomial lane), and a product with 1 is the other
 factor itself.
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 
 class ScalarError(Exception):
@@ -36,34 +44,37 @@ class PoleError(ScalarError):
     """Denominator vanishes at the requested evaluation point."""
 
 
-def _exact(c):
-    """c as a stored coefficient: an int when it is integral, otherwise a
-    Fraction (whose denominator is then > 1)."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class LaurentPoly:
     """Laurent polynomial in q with exact rational coefficients.
 
-    Stored as a finitely supported map exponent -> coefficient.  Each
-    stored coefficient is a nonzero int, or a Fraction whose denominator
-    is > 1: never a Fraction equal to an integer, and never a float.  An
-    int and a Fraction of equal value compare and hash alike, so the
-    choice does not show in equality or hashing.  The public constructor
-    normalises its input; the operations build their results through
-    _laurent, which takes over a dict that already holds this invariant.
+    Stored over Z, as (1/m)·Σ n_e q^e.  `_n` is the flat list
+    [e0, n0, e1, n1, ...] of its terms, exponents increasing, and every
+    numerator n_e is a nonzero int; `_m` is the one common denominator
+    m >= 1, with gcd(m, every n_e) = 1 (so the zero polynomial is []
+    over m = 1).  Each value has exactly one stored form, which equality
+    and hashing read.  A flat list takes a third to a half of the memory
+    of a dict for the one- to four-term polynomials that normal forms
+    hold.  It is never changed once a LaurentPoly holds it, and no other
+    module of qgal reads `_n` or `_m`: the read is `coeffs`.
+
+    The public constructor takes a map exponent -> coefficient, of ints
+    and Fractions.  A sum merges the two term lists, and a product adds
+    up its terms in a dict.  The operations build their results through
+    _laurent, which takes over a pair already in the stored form, or
+    through _reduced, which first divides out gcd(m, every n_e) for
+    m > 1.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("_n", "_m")
 
     def __init__(self, coeffs=None):
-        _set_coeffs(self, {e: _exact(c) for e, c in (coeffs or {}).items()
-                           if c})
-        _set_lp_hash(self, None)
+        # over the lcm m of the reduced denominators no prime divides m
+        # and every numerator, so the pair is already in stored form
+        cs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
+        m = math.lcm(*(c.denominator for c in cs.values()))
+        _set_n(self, _flat(sorted((e, c.numerator * (m // c.denominator))
+                                  for e, c in cs.items())))
+        _set_m(self, m)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -74,118 +85,151 @@ class LaurentPoly:
 
     @staticmethod
     def q_power(k: int) -> "LaurentPoly":
-        return _laurent({k: 1})
+        return _laurent([k, 1], 1)
+
+    @property
+    def coeffs(self) -> dict:
+        """A new map exponent -> nonzero coefficient: an int where the
+        coefficient is integral, otherwise a Fraction (whose denominator
+        is then > 1)."""
+        m = self._m
+        if m == 1:
+            return _terms(self)
+        return {e: Fraction(c, m) if c % m else c // m
+                for e, c in _terms(self).items()}
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     def low(self) -> int:
-        if not self.coeffs:
+        if not self._n:
             raise ScalarError("zero polynomial has no lowest exponent")
-        return min(self.coeffs)
+        return self._n[0]
 
     def degree(self) -> int:
-        if not self.coeffs:
+        if not self._n:
             raise ScalarError("zero polynomial has no degree")
-        return max(self.coeffs)
+        return self._n[-2]
 
     def leading_coeff(self) -> Fraction:
-        # integral coefficients are ints, and 1 / int is a float;
-        # converting here keeps every division in canonicalisation exact
-        c = self.coeffs[self.degree()]
-        return c if type(c) is Fraction else Fraction(c)
+        return Fraction(self._n[-1], self._m)
 
     def shift(self, k: int) -> "LaurentPoly":
         if not k:
             return self
-        return _laurent({e + k: c for e, c in self.coeffs.items()})
+        n = self._n[:]
+        n[::2] = [e + k for e in n[::2]]
+        return _laurent(n, self._m)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            if e in out:
-                v = out[e] + c
-                if type(v) is not int and v.denominator == 1:
-                    v = v.numerator
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
+        a, m, b, k = self._n, self._m, other._n, other._m
+        if m != k:
+            # both over the lcm of the two denominators
+            g = math.gcd(m, k)
+            if k != g:
+                a = a[:]
+                a[1::2] = [c * (k // g) for c in a[1::2]]
+            if m != g:
+                b = b[:]
+                b[1::2] = [c * (m // g) for c in b[1::2]]
+            m = m // g * k
+        # merge the two increasing term lists
+        n = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            e, f = a[i], b[j]
+            if e < f:
+                n += (e, a[i + 1])
+                i += 2
+            elif f < e:
+                n += (f, b[j + 1])
+                j += 2
             else:
-                out[e] = c
-        return _laurent(out)
+                v = a[i + 1] + b[j + 1]
+                if v:
+                    n += (e, v)
+                i += 2
+                j += 2
+        n += a[i:]
+        n += b[j:]
+        return _laurent(n, 1) if m == 1 else _reduced(n, m)
 
     def __neg__(self):
-        return _laurent({e: -c for e, c in self.coeffs.items()})
+        n = self._n[:]
+        n[1::2] = [-c for c in n[1::2]]
+        return _laurent(n, self._m)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        a = self.coeffs
-        if type(other) is LaurentPoly:
-            b = other.coeffs
-            if len(a) == 1:
-                a, b = b, a
-        elif isinstance(other, (int, Fraction)):
-            b = {0: _exact(other)} if other else {}
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.from_fraction(other)
+        a, m, b, k = self._n, self._m, other._n, other._m
+        if len(a) == 2:
+            a, m, b, k = b, k, a, m
+        if len(b) == 2:
+            # a monomial factor (f/k)*q^j keeps the exponents apart and in
+            # order.  f is coprime to k and a's numerators to m, so for
+            # k = 1 only gcd(m, f) can cancel, and no other gcd is needed
+            j, f = b
+            if k == 1 and m != 1:
+                g = math.gcd(m, f)
+                if g != 1:
+                    f //= g
+                    m //= g
+            n = []
+            it = iter(a)
+            for e, c in zip(it, it):
+                n += (e + j, c * f)
+            if k == 1:
+                return _laurent(n, m)
         else:
-            return NotImplemented
-        # each coefficient is stored as it is made; a product or sum of
-        # ints is an int, so only one that a Fraction takes part in can be
-        # an integral Fraction to store as an int
-        out = {}
-        if len(b) == 1:
-            # a monomial factor: no two products share an exponent
-            ((k, f),) = b.items()
-            for e, c in a.items():
-                c *= f
-                if type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                out[e + k] = c
-            return _laurent(out)
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = c1 * c2
-                if e in out:
-                    v += out[e]
-                    if not v:
-                        del out[e]
-                        continue
-                if type(v) is not int and v.denominator == 1:
-                    v = v.numerator
-                out[e] = v
-        return _laurent(out)
+            out = {}
+            it = iter(b)
+            b = list(zip(it, it))
+            it = iter(a)
+            for e1, c1 in zip(it, it):
+                for e2, c2 in b:
+                    e = e1 + e2
+                    v = c1 * c2
+                    if e in out:
+                        v += out[e]
+                        if not v:
+                            del out[e]
+                            continue
+                    out[e] = v
+            n = _flat(sorted(out.items()))
+        m *= k
+        return _laurent(n, 1) if m == 1 else _reduced(n, m)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, LaurentPoly) and self._n == other._n
+                and self._m == other._m)
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self.coeffs.items()))
-            )
-        return self._hash
+        return hash((tuple(self._n), self._m))
 
     def eval(self, q0: float) -> float:
-        if q0 == 0 and any(e < 0 for e in self.coeffs):
+        n, m = self._n, self._m
+        if q0 == 0 and n and n[0] < 0:
             raise PoleError("negative q-power evaluated at q = 0")
-        # fsum is exactly rounded, so the value does not depend on the
-        # order in which the coefficients were stored
-        return math.fsum(c * q0**e for e, c in self.coeffs.items())
+        # each coefficient is rounded to a float once, as n/m, and fsum is
+        # exactly rounded, so the value does not depend on the stored form
+        return math.fsum((c if m == 1 else c / m) * q0**e
+                         for e, c in _terms(self).items())
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e, c in self.coeffs.items():
             qpart = "q" if e == 1 else f"q^{e}"
             if e == 0:
                 parts.append(str(c))
@@ -195,41 +239,43 @@ class LaurentPoly:
                 parts.append(f"-{qpart}")
             else:
                 parts.append(f"{c}*{qpart}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-_set_coeffs = LaurentPoly.coeffs.__set__
-_set_lp_hash = LaurentPoly._hash.__set__
+_set_n = LaurentPoly._n.__set__
+_set_m = LaurentPoly._m.__set__
 
 
-def _laurent(coeffs) -> LaurentPoly:
-    """A LaurentPoly that takes over coeffs, which must already hold the
-    coefficient invariant (nonzero, integral values as int)."""
+def _flat(pairs) -> list:
+    """The flat list [e0, n0, e1, n1, ...] of (exponent, numerator)
+    pairs."""
+    return list(chain.from_iterable(pairs))
+
+
+def _terms(p: LaurentPoly) -> dict:
+    """A new map exponent -> numerator of p."""
+    it = iter(p._n)
+    return dict(zip(it, it))
+
+
+def _laurent(n: list, m: int) -> LaurentPoly:
+    """A LaurentPoly that takes over (n, m), which must already be in the
+    stored form."""
     p = object.__new__(LaurentPoly)
-    _set_coeffs(p, coeffs)
-    _set_lp_hash(p, None)
+    _set_n(p, n)
+    _set_m(p, m)
     return p
 
 
-def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
-    """Euclidean division of ordinary (non-negative exponent) polynomials."""
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    b = b.coeffs
-    db = max(b)
-    lb = b[db]
-    rem = dict(a.coeffs)
-    quo = {}
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        # a monic divisor (every gcd) needs no division, so integral
-        # quotients stay int
-        f = rem[da] if lb == 1 else rem[da] / Fraction(lb)
-        quo[da - db] = f
-        _sub_multiple(rem, f, da - db, b)
-    return LaurentPoly(quo), LaurentPoly(rem)
+def _reduced(n: list, m: int) -> LaurentPoly:
+    """The LaurentPoly that takes over the flat list n of nonzero int
+    numerators, in increasing exponents, over m > 1, in the stored form:
+    one gcd of m and the numerators, divided out."""
+    g = math.gcd(m, *n[1::2])
+    if g != 1:
+        n[1::2] = [c // g for c in n[1::2]]
+        m //= g
+    return _laurent(n, m)
 
 
 def _sub_multiple(rem: dict, f, k: int, b: dict) -> None:
@@ -244,67 +290,89 @@ def _sub_multiple(rem: dict, f, k: int, b: dict) -> None:
             rem.pop(e, None)
 
 
-def _primitive(p: dict) -> dict:
-    """The primitive integer polynomial with positive leading coefficient
-    that is a rational multiple of the nonzero coefficient map p."""
-    m = math.lcm(*(c.denominator for c in p.values()))
-    p = {e: c.numerator * (m // c.denominator) for e, c in p.items()}
-    content = math.gcd(*p.values())
+def _pseudo_divmod(a: dict, b: dict):
+    """Pseudo-division over Z of the integer polynomial a by b, whose
+    leading coefficient is positive, on coefficient maps of ordinary
+    polynomials: (s, quo, rem) with s*a = quo*b + rem, deg rem < deg b.
+
+    Each step scales the dividend, and the quotient so far, by the least
+    positive integer that makes the next quotient term integral, and s
+    is the product of these scales, so no Fraction arises.  When b is
+    primitive and divides a over Q, the quotient is integral (Gauss's
+    lemma), every step takes the scale 1, and s = 1, rem = 0.
+    """
+    db = max(b)
+    lb = b[db]
+    rem = dict(a)
+    quo = {}
+    s = 1
+    while rem:
+        da = max(rem)
+        if da < db:
+            break
+        h = math.gcd(rem[da], lb)
+        t, f = lb // h, rem[da] // h
+        if t != 1:
+            rem = {e: c * t for e, c in rem.items()}
+            quo = {e: c * t for e, c in quo.items()}
+            s *= t
+        quo[da - db] = f
+        _sub_multiple(rem, f, da - db, b)
+    return s, quo, rem
+
+
+def _primitive(p: dict):
+    """(c, p/c) for the nonzero integer polynomial p, with c its content,
+    signed so that the primitive part p/c has a positive leading
+    coefficient."""
+    c = math.gcd(*p.values())
     if p[max(p)] < 0:
-        content = -content
-    return p if content == 1 else {e: c // content for e, c in p.items()}
+        c = -c
+    return c, p if c == 1 else {e: v // c for e, v in p.items()}
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials over Q, computed over Z."""
-    a, b = a.coeffs, b.coeffs
+    """Monic gcd of ordinary polynomials over Q, computed over Z on the
+    numerators."""
+    a, b = _terms(a), _terms(b)
     if not (a or b):
         return LaurentPoly()
     if a and b:
-        g = _integer_gcd(_primitive(a), _primitive(b))
+        g = _integer_gcd(_primitive(a)[1], _primitive(b)[1])
     else:
-        g = _primitive(a or b)
-    lc = g[max(g)]
-    if lc == 1:
-        return _laurent(g)
-    return _laurent({e: _exact(Fraction(c, lc)) for e, c in g.items()})
+        g = _primitive(a or b)[1]
+    # g is primitive, so g over its leading coefficient is in stored form
+    return _laurent(_flat(sorted(g.items())), g[max(g)])
 
 
 def _integer_gcd(a: dict, b: dict) -> dict:
     """gcd over Z of two primitive integer polynomials with positive
-    leading coefficients, in that form too.
-
-    Euclid on primitive pseudo-remainders (W. S. Brown, J. ACM 18, 1971):
-    each step scales the dividend by the least integer that makes the
-    next quotient term integral, and each remainder is replaced by its
-    primitive part, so no Fraction arises.
-    """
+    leading coefficients, in that form too: Euclid on primitive
+    pseudo-remainders (W. S. Brown, J. ACM 18, 1971)."""
     if max(a) < max(b):
         a, b = b, a
     while max(b):
-        db = max(b)
-        lb = b[db]
-        rem = dict(a)
-        while rem:
-            da = max(rem)
-            if da < db:
-                break
-            h = math.gcd(rem[da], lb)
-            s, f = lb // h, rem[da] // h
-            if s != 1:
-                rem = {e: c * s for e, c in rem.items()}
-            _sub_multiple(rem, f, da - db, b)
+        rem = _pseudo_divmod(a, b)[2]
         if not rem:
             return b
-        a, b = b, _primitive(rem)
+        a, b = b, _primitive(rem)[1]
     return {0: 1}
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    q, r = _poly_divmod(a, b)
-    if not r.is_zero():
+    """a / b for an ordinary polynomial b that divides a, over Z: with
+    b = (c/m_b)·P for P the primitive part of b's numerators, the
+    quotient A/P of a's numerators is integral, and
+    a / b = (m_b / (c·m_a))·(A/P)."""
+    c, p = _primitive(_terms(b))
+    s, quo, rem = _pseudo_divmod(_terms(a), p)
+    if s != 1 or rem:
         raise ScalarError("inexact polynomial division")
-    return q
+    m, k = c * a._m, b._m
+    if m < 0:
+        m, k = -m, -k
+    n = _flat(sorted((e, v * k) for e, v in quo.items()))
+    return _laurent(n, 1) if m == 1 else _reduced(n, m)
 
 
 def _cancel(num: LaurentPoly, den: LaurentPoly):
@@ -339,8 +407,9 @@ class ScalarQ:
     negation, a sum with at most one denominator other than UNIT_DEN, and
     a product of two scalars over UNIT_DEN or with a monomial c*q^k over
     UNIT_DEN.  In the monomial lane, a sum or product of two monomials
-    over UNIT_DEN is formed from their coefficients alone, and a product
-    with 1 returns the other operand.  A sum a/b + c/d of two other denominators takes gcd(b, d)
+    with int coefficients over UNIT_DEN is formed from the two
+    coefficients alone, and a product with 1 returns the other operand.
+    A sum a/b + c/d of two other denominators takes gcd(b, d)
     and, when that is not 1, gcd(t, gcd(b, d)) for the new numerator t
     (`_henrici_sum`).  Any other product (a/b)(c/d) takes only the cross
     gcds gcd(a, d) and gcd(c, b), skipping one whose denominator is
@@ -357,7 +426,6 @@ class ScalarQ:
             num, den = _canonicalize(num, den)
         _set_num(self, num)
         _set_den(self, den)
-        _set_sq_hash(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarQ is immutable")
@@ -375,7 +443,7 @@ class ScalarQ:
         return ScalarQ(LaurentPoly.q_power(k))
 
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.num._n
 
     def __add__(self, other):
         if type(other) is not ScalarQ:
@@ -386,19 +454,21 @@ class ScalarQ:
         # denominators need canonicalisation
         if self.den is UNIT_DEN:
             if other.den is UNIT_DEN:
-                a, b = self.num.coeffs, other.num.coeffs
-                if len(a) == 1 == len(b):
-                    # two monomials c*q^k: one coefficient sum, or two terms
-                    ((k, c),), ((j, d),) = a.items(), b.items()
+                x, y = self.num, other.num
+                a, b = x._n, y._n
+                if len(a) == 2 == len(b) and x._m == 1 == y._m:
+                    # two integral monomials c*q^k: one coefficient sum, or
+                    # two terms
+                    k, c = a
+                    j, d = b
                     if k != j:
-                        return _scalar(_laurent({k: c, j: d}), UNIT_DEN)
+                        n = [k, c, j, d] if k < j else [j, d, k, c]
+                        return _scalar(_laurent(n, 1), UNIT_DEN)
                     c += d
                     if not c:
                         return S_ZERO
-                    if type(c) is not int and c.denominator == 1:
-                        c = c.numerator
-                    return _scalar(_laurent({k: c}), UNIT_DEN)
-                return _scalar(self.num + other.num, UNIT_DEN)
+                    return _scalar(_laurent([k, c], 1), UNIT_DEN)
+                return _scalar(x + y, UNIT_DEN)
             return _scalar(self.num * other.den + other.num, other.den)
         if other.den is UNIT_DEN:
             return _scalar(self.num + other.num * self.den, self.den)
@@ -428,31 +498,31 @@ class ScalarQ:
                 return NotImplemented
         # a monomial c*q^k is a unit of Q[q, 1/q], so a product with one
         # keeps the other factor's denominator and coprimality
-        if self.den is UNIT_DEN and len(self.num.coeffs) == 1:
+        if self.den is UNIT_DEN and len(self.num._n) == 2:
             x, y = self, other
-        elif other.den is UNIT_DEN and len(other.num.coeffs) == 1:
+        elif other.den is UNIT_DEN and len(other.num._n) == 2:
             x, y = other, self
         else:
             x = None
         if x is not None:
             # x = c*q^k: a factor 1 gives y itself, and a product of two
-            # monomials is the one term (cd)*q^(k+j)
-            ((k, c),) = x.num.coeffs.items()
-            if c == 1 and not k:
+            # integral monomials is the one term (cd)*q^(k+j)
+            u, v = x.num, y.num
+            k, c = u._n
+            if c == 1 == u._m and not k:
                 return y
-            b = y.num.coeffs
-            if y.den is not UNIT_DEN or len(b) != 1:
-                return _scalar(x.num * y.num, y.den)
-            ((j, d),) = b.items()
-            if d == 1 and not j:
+            b = v._n
+            if y.den is not UNIT_DEN or len(b) != 2:
+                return _scalar(u * v, y.den)
+            j, d = b
+            if d == 1 == v._m and not j:
                 return x
-            c *= d
-            if type(c) is not int and c.denominator == 1:
-                c = c.numerator
-            return _scalar(_laurent({k + j: c}), UNIT_DEN)
+            if u._m == 1 == v._m:
+                return _scalar(_laurent([k + j, c * d], 1), UNIT_DEN)
+            return _scalar(u * v, UNIT_DEN)
         if self.den is UNIT_DEN is other.den:
             return _scalar(self.num * other.num, UNIT_DEN)
-        if not (self.num.coeffs and other.num.coeffs):
+        if not (self.num._n and other.num._n):
             return S_ZERO
         # (a/b)(c/d) = ((a/g1)(c/g2)) / ((b/g2)(d/g1)): each fraction is
         # reduced, so only the cross pairs can share a factor
@@ -469,10 +539,14 @@ class ScalarQ:
     def inv(self) -> "ScalarQ":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        if self.den is UNIT_DEN and len(self.num.coeffs) == 1:
-            # the inverse of a monomial c*q^k is (1/c)*q^-k, with no gcd
-            ((k, c),) = self.num.coeffs.items()
-            return _scalar(_laurent({-k: _exact(1 / Fraction(c))}), UNIT_DEN)
+        if self.den is UNIT_DEN and len(self.num._n) == 2:
+            # the inverse of a monomial (c/m)*q^k is (m/c)*q^-k, and c, m
+            # are coprime, so it takes no gcd
+            k, c = self.num._n
+            m = self.num._m
+            if c < 0:
+                c, m = -c, -m
+            return _scalar(_laurent([-k, m], c), UNIT_DEN)
         return ScalarQ(self.den, self.num)
 
     def __truediv__(self, other):
@@ -494,9 +568,13 @@ class ScalarQ:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.num, self.den)))
-        return self._hash
+        # the _hash slot is left unset until the first hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.num, self.den))
+            _set_sq_hash(self, h)
+            return h
 
     def eval(self, q0: float) -> float:
         if q0 == 0:
@@ -523,7 +601,6 @@ def _scalar(num: LaurentPoly, den: LaurentPoly) -> ScalarQ:
     x = object.__new__(ScalarQ)
     _set_num(x, num)
     _set_den(x, den)
-    _set_sq_hash(x, None)
     return x
 
 
@@ -552,7 +629,7 @@ def _henrici_sum(a: LaurentPoly, b: LaurentPoly,
     b = _poly_exact_div(b, g)
     d = _poly_exact_div(d, g)
     t = a * d + c * b
-    if not t.coeffs:
+    if not t._n:
         return _scalar(t, UNIT_DEN)
     t, g = _cancel(t, g)
     return _scalar(t, _unit_or(b * g * d))

@@ -291,6 +291,21 @@ def test_json_schema(capsys, monkeypatch):
     _assert_provenance(json.loads(out)["params"], "Uq2m2", 4, 13)
 
 
+def test_haar_completes_each_algebra_once_past_its_build(capsys, monkeypatch):
+    """haar Uq2m2 builds Uq2 and Uq2m2 complete to degree 4, and its
+    basis(6) completes each once more, to 6.  The words of length 5 that
+    the extension meets after take that degree-6 copy: ensure_degree
+    reuses the shallowest copy that reaches the degree asked."""
+    monkeypatch.setattr(presentations, "_CACHE", {})
+    degrees = []
+    complete = presentations.complete
+    monkeypatch.setattr(presentations, "complete",
+                        lambda rs, d: degrees.append(d) or complete(rs, d))
+    code, _, err = run(capsys, "haar", "Uq2m2")
+    assert code == 0, err
+    assert degrees == [4, 4, 6, 6]
+
+
 def _assert_provenance(params, target, completion_degree, rules):
     assert params["qgal_version"] == __version__
     assert params["target"] == target

@@ -393,6 +393,16 @@ def test_only_linalg_reads_reducer_rows():
             if p.name != "linalg.py" and "rows" in attributes_read(p.read_text())] == []
 
 
+def test_only_scalars_reads_laurent_storage():
+    """LaurentPoly is read through `coeffs` and its methods: no other
+    module of the package or of the benchmark reads its numerators `_n`
+    or its common denominator `_m`, so the stored form can change inside
+    scalars alone."""
+    bench = sorted((TESTS.parent / "perfbench").glob("*.py"))
+    assert [p.name for p in [*MODULES, *bench] if p.name != "scalars.py"
+            and {"_n", "_m"} & attributes_read(p.read_text())] == []
+
+
 def calls(source, name):
     """The line of each call of `name`, by name or as an attribute."""
     return [node.lineno for node in ast.walk(ast.parse(source))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,8 +14,9 @@ from qgal.scalars import (
     S_ZERO,
     UNIT_DEN,
     ScalarQ,
-    _poly_divmod,
+    _poly_exact_div,
     _poly_gcd,
+    _pseudo_divmod,
     add_term,
 )
 
@@ -287,9 +289,29 @@ def test_gcd_and_division_against_sympy(a, b, c):
     g = _poly_gcd(a, b)
     assert_exact_coefficients(ScalarQ(g))
     assert poly(g) == sp.gcd(poly(a), poly(b))
+    if not g.is_zero():
+        # the exact division that cancels a gcd, and one by a divisor of
+        # any content and sign
+        assert poly(_poly_exact_div(a, g)) == sp.quo(poly(a), poly(g))
+    if not c.is_zero():
+        assert poly(_poly_exact_div(a, c)) == sp.quo(poly(a), poly(c))
     if not b.is_zero():
-        quo, rem = _poly_divmod(a, b)
-        assert (poly(quo), poly(rem)) == sp.div(poly(a), poly(b))
+        # the pseudo-division under both, on the integer multiples of a
+        # and of b (made to lead positively): s*a = quo*b + rem
+        ia, ib = _integral(a), _integral(b)
+        if ib[max(ib)] < 0:
+            ib = {e: -v for e, v in ib.items()}
+        s, quo, rem = _pseudo_divmod(ia, ib)
+        assert s > 0
+        want = sp.div(poly(LaurentPoly(ia)), poly(LaurentPoly(ib)))
+        assert (poly(LaurentPoly(quo)), poly(LaurentPoly(rem))) == \
+            tuple(s * x for x in want)
+
+
+def _integral(x):
+    """The coefficient map of x times the lcm of its denominators."""
+    m = math.lcm(*(Fraction(v).denominator for v in x.coeffs.values()))
+    return (x * m).coeffs
 
 
 def _random_fraction(rng):
@@ -415,3 +437,108 @@ def test_add_term_matches_per_key_sums(pairs):
     for k, x in pairs:
         sums[k] = sums.get(k, S_ZERO) + x
     assert terms == {k: v for k, v in sums.items() if not v.is_zero()}
+
+
+def _assert_stored(p, values):
+    """p is in the one stored form (1/m)·Σ n_e q^e: the flat list
+    [e0, n0, e1, n1, ...] with exponents increasing and every n_e a
+    nonzero int, over m >= 1 with gcd(m, every n_e) = 1; and `coeffs`
+    reads the exponent -> value map `values` (zeros dropped), an int where
+    it is integral and a Fraction otherwise."""
+    n, m = p._n, p._m
+    assert type(n) is list and type(m) is int and m >= 1
+    exps, nums = n[::2], n[1::2]
+    assert exps == sorted(set(exps)) and len(exps) == len(nums)
+    assert all(type(c) is int and c for c in nums)
+    assert math.gcd(m, *nums) == 1
+    want = {e: v.numerator if v.denominator == 1 else v
+            for e, v in ((e, Fraction(v)) for e, v in values.items()) if v}
+    got = p.coeffs
+    assert got == want
+    assert {e: type(c) for e, c in got.items()} == \
+        {e: type(c) for e, c in want.items()}
+
+
+def _assert_stored_scalar(x):
+    _assert_stored(x.num, x.num.coeffs)
+    _assert_stored(x.den, x.den.coeffs)
+    assert (x.den is UNIT_DEN) == (x.den == UNIT_DEN)
+
+
+# a point at which no polynomial drawn below vanishes: by the rational
+# root theorem 97 would have to divide a leading numerator
+Q0 = Fraction(101, 97)
+
+
+def _at(x):
+    """The exact value of the scalar x at Q0."""
+    def laurent(p):
+        return sum((Fraction(c) * Q0**e for e, c in p.coeffs.items()), Fraction(0))
+    return laurent(x.num) / laurent(x.den)
+
+
+fraction_maps = st.dictionaries(
+    st.integers(-2, 3), st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_maps, fraction_maps, fraction_maps, st.integers(-3, 3))
+# results whose common denominator reduces: (1/2)q * 2 to 1, a sum of
+# halves to 1, 1/6 + 1/3 to 2, and monomials over 1 and over 3
+@example({1: Fraction(1, 2)}, {0: 2}, {}, 0)
+@example({0: Fraction(1, 2), 1: Fraction(1, 2)},
+         {0: Fraction(1, 2), 1: Fraction(-1, 2)}, {0: 1, 1: 1}, 1)
+@example({0: Fraction(1, 6)}, {0: Fraction(1, 3)}, {1: Fraction(2, 3)}, -1)
+@example({2: 3}, {-1: Fraction(-2, 3)}, {0: Fraction(3, 2), 2: 1}, 2)
+def test_every_result_is_in_the_one_stored_form(da, db, dc, k):
+    sp = pytest.importorskip("sympy")
+    a, b, c = LaurentPoly(da), LaurentPoly(db), LaurentPoly(dc)
+    for p, d in ((a, da), (b, db), (c, dc)):
+        _assert_stored(p, d)
+    keys = {*da, *db}
+    _assert_stored(a + b, {e: da.get(e, 0) + db.get(e, 0) for e in keys})
+    _assert_stored(a - b, {e: da.get(e, 0) - db.get(e, 0) for e in keys})
+    _assert_stored(-a, {e: -v for e, v in da.items()})
+    _assert_stored(a.shift(k), {e + k: v for e, v in da.items()})
+    product = {}
+    for e, u in da.items():
+        for j, v in db.items():
+            product[e + j] = product.get(e + j, 0) + u * v
+    _assert_stored(a * b, product)
+    # equal values built by different routes are equal and hash alike
+    for x, y in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a),
+                 ((a * b) * c, a * (b * c)), (a * (b + c), a * b + a * c),
+                 (LaurentPoly((a * b).coeffs), a * b)):
+        assert x == y and hash(x) == hash(y)
+
+    # the gcd and the exact division, on the ordinary parts
+    q = sp.Symbol("q")
+    a0, b0, c0 = (p.shift(-p.low()) if not p.is_zero() else p for p in (a, b, c))
+
+    def values(poly):
+        return {e: Fraction(int(v.p), int(v.q)) for (e,), v in poly.terms()
+                if v}
+
+    def poly(p):
+        return sp.Poly(_sympy_laurent(p, sp, q), q, domain="QQ")
+
+    _assert_stored(_poly_gcd(a0, b0), values(sp.gcd(poly(a0), poly(b0))))
+    if not c0.is_zero():
+        _assert_stored(_poly_exact_div(a0 * c0, c0), a0.coeffs)
+
+    # the ScalarQ operators, over unit, monomial and non-unit denominators
+    x = ScalarQ(a)
+    ys = [ScalarQ(b)] + ([ScalarQ(b, c)] if not c.is_zero() else [])
+    ys += [ScalarQ(LaurentPoly({e: v})) for e, v in list(db.items())[:1] if v]
+    for y in ys:
+        results = [(x + y, _at(x) + _at(y)), (x - y, _at(x) - _at(y)),
+                   (x * y, _at(x) * _at(y)), (-y, -_at(y))]
+        if not y.is_zero():
+            results += [(y.inv(), 1 / _at(y)), (x / y, _at(x) / _at(y))]
+        for r, value in results:
+            _assert_stored_scalar(r)
+            assert _at(r) == value
+        for u, v in ((x + y, y + x), (x * y, y * x), ((x + y) - y, x)):
+            assert u == v and hash(u) == hash(v)
+    assert UNIT_DEN._m == 1 and UNIT_DEN._n == [0, 1]
