@@ -362,9 +362,7 @@ def matrix_fq(sign=1):
 
 def _finish(name, alphabet, relations, order, star=None, hopf=None,
             completion_degree=4, block=None):
-    rs = build_system(alphabet, relations, order,
-                      completion_degree=completion_degree)
-    rs = complete(rs, completion_degree)
+    rs = complete(build_system(alphabet, relations, order), completion_degree)
     for rel in relations:
         if not rs.normal_form(rel).is_zero():
             raise CatalogError(f"{name}: defining relation does not reduce to 0")

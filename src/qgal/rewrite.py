@@ -3,16 +3,18 @@
 Rules rewrite a leading word to a strictly smaller polynomial under a
 degree-lexicographic order, so reduction terminates and never raises
 degree.  One `LhsIndex` of the lhs words finds where a rule applies.
-Overlap (diamond-lemma) checking certifies local confluence up to a
-degree bound; bounded completion adds oriented differences of divergent
-reductions until the bound is clean.
+Bounded completion adds oriented differences of divergent reductions
+until every ambiguity up to a degree resolves.
 
 The criterion is Bergman's diamond lemma (G. M. Bergman, The diamond
 lemma for ring theory, Adv. Math. 29 (1978), Thm 1.2): when every
 ambiguity of degree <= d is resolvable relative to the order, the words
 of degree <= d have unique normal forms.  Completion resolves each
 ambiguity relative to the order, and examines each one once per
-completion (see `complete`).
+completion (see `complete`).  A system's `completion_degree` is the one
+certificate: every ambiguity of degree <= it resolves (-1 for none).
+Only `complete` states it; `word_basis` reads it, and `check_overlaps`
+is a plain scan that certifies nothing.
 
 The write path builds no throwaway systems or polynomial products.  The
 two sides of an ambiguity are summed from the system's normal-form memo.
@@ -47,22 +49,24 @@ class ConfluenceError(RewriteError, Undecided):
     pass
 
 
+RULE_CAP = 500  # the most rules a completion round may hold
+
+
 class MonomialOrder:
     """Degree-lexicographic order on words, given a generator permutation.
 
-    generator_order lists generator indices from smallest to largest.
+    `generators` lists generator indices from smallest to largest.
     """
 
-    __slots__ = ("generator_order", "rank", "key")
+    __slots__ = ("rank", "key")
 
-    def __init__(self, alphabet: Alphabet, generator_order=None):
-        if generator_order is None:
-            generator_order = list(range(len(alphabet)))
-        if sorted(generator_order) != list(range(len(alphabet))):
-            raise RewriteError("generator_order must be a permutation of the alphabet")
-        self.generator_order = tuple(generator_order)
+    def __init__(self, alphabet: Alphabet, generators=None):
+        if generators is None:
+            generators = list(range(len(alphabet)))
+        if sorted(generators) != list(range(len(alphabet))):
+            raise RewriteError("the generator order must be a permutation of the alphabet")
         rank = [0] * len(alphabet)
-        for pos, gen in enumerate(generator_order):
+        for pos, gen in enumerate(generators):
             rank[gen] = pos
         self.rank = tuple(rank)
         # under the identity order a word is its own rank tuple
@@ -217,21 +221,18 @@ def _add_nf(acc, terms, nf, prefix=(), suffix=()):
 
 
 class RewriteSystem:
-    """Immutable oriented rewriting system with a memoized normal form."""
+    """Immutable oriented rewriting system with a memoized normal form.
+    Its `completion_degree` certifies that every ambiguity of degree <= it
+    resolves, -1 for none; `complete` states it."""
 
     def __init__(self, alphabet: Alphabet, rules, order: MonomialOrder,
-                 completion_degree: int = 4, rule_cap: int = 500):
+                 completion_degree: int = -1):
         self.alphabet = alphabet
         self.order = order
         self.rules = tuple(rules)
         self.completion_degree = completion_degree
-        self.rule_cap = rule_cap
         self.index = LhsIndex(self.rules)
         self._nf_cache = {(): {(): S_ONE}}
-        # the largest degree up to which every ambiguity is resolvable:
-        # complete resolved them all or a full scan by word_basis came
-        # back empty; -1 before either
-        self._confluent_to = -1
 
     # -- normal form -------------------------------------------------------
 
@@ -249,15 +250,6 @@ class RewriteSystem:
                       _add_nf({}, poly.terms.items(), self._nf_word))
 
     # -- overlaps and completion ------------------------------------------
-
-    def check_overlaps(self, d: int):
-        """All overlap ambiguities of total degree <= d whose two
-        reductions disagree.  Empty list = local confluence up to d."""
-        if d > self.completion_degree:
-            raise RewriteError(
-                f"requested degree {d} exceeds completion bound {self.completion_degree}"
-            )
-        return self._obstructions(d)
 
     def _ambiguities(self, d: int):
         """Every ambiguity of degree <= d as (i, j, key), in the order of
@@ -300,9 +292,11 @@ class RewriteSystem:
             for j, kind, at in found:
                 yield i, j, (l1, rules[j].lhs, kind, at)
 
-    def _obstructions(self, d: int, resolved=None):
+    def check_overlaps(self, d: int, resolved=None):
         """Every ambiguity of degree <= d whose two reductions disagree,
-        in the order of `_ambiguities`.  Completion appends the
+        in the order of `_ambiguities`: empty when all of them resolve.  A
+        plain scan at any degree that certifies nothing, which `complete`
+        runs and tests read as an oracle.  Completion appends the
         differences in this order, so it fixes the order of the completed
         rules.
 
@@ -355,11 +349,12 @@ class Obstruction:
         self.diff = diff
 
 
-def build_system(alphabet, relations, order, completion_degree=4, rule_cap=500):
-    """Orient a relation list into an inter-reduced rewrite system."""
+def build_system(alphabet, relations, order):
+    """Orient a relation list into an inter-reduced rewrite system, with
+    no degree certified: `complete` certifies one."""
     rules = [r for r in (orient(rel, order) for rel in relations) if r is not None]
     rules = _interreduce(alphabet, rules, order)
-    return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
+    return RewriteSystem(alphabet, rules, order)
 
 
 def _interreduce(alphabet, rules, order):
@@ -439,19 +434,22 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     """Bounded-degree completion: resolve all overlap obstructions of
     degree <= d by adding oriented differences of divergent reductions.
 
-    Each round inter-reduces the rules of the current system, passed
-    through as they are, followed by orient(diff) for each obstruction in
-    the order `_obstructions` lists them; that order fixes the order of
-    the completed rules.  The result records d as its completion degree.
-    When `rs` is already clean up to d, that is a system with the same
-    rules that shares the normal-form memo of `rs`.
+    `rs` itself when its completion degree reaches d.  Otherwise each
+    round inter-reduces the rules of the current system, passed through
+    as they are, followed by orient(diff) for each obstruction in the
+    order `check_overlaps` lists them; that order fixes the order of the
+    completed rules.  The system returned records d as its completion
+    degree: the last round's own system, or, when `rs` is already clean
+    up to d, a copy of it with the same rules that shares its normal-form
+    memo.  No system given to `complete` is changed.  A round that would
+    hold more than RULE_CAP rules raises CompletionBudgetError.
 
     Each ambiguity is examined once per completion.  The set `resolved`
     holds the keys (lhs_i, lhs_j, kind, position) of the ambiguities
     examined in earlier rounds, seeded with those of degree <=
-    rs._confluent_to; a round examines only the others.  This is sound
-    by Bergman's diamond lemma (G. M. Bergman, The diamond lemma for ring
-    theory, Adv. Math. 29 (1978), Thm 1.2).  An ambiguity at w
+    rs.completion_degree; a round examines only the others.  This is
+    sound by Bergman's diamond lemma (G. M. Bergman, The diamond lemma
+    for ring theory, Adv. Math. 29 (1978), Thm 1.2).  An ambiguity at w
     that reduced to a common value, or whose difference was added as a
     rule, is resolvable relative to the order: its two sides differ by an
     element of I_w, the span of the a*(lhs - rhs)*b with a*lhs*b < w.  It
@@ -464,44 +462,33 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     lemma up to degree d, which is equivalent to unique normal forms (a)
     and to the normal words spanning a complement of the ideal (c).
     """
+    if d <= rs.completion_degree:
+        return rs
     current = rs
-    resolved = {key for _, _, key in rs._ambiguities(rs._confluent_to)}
-    while True:
-        obstructions = current._obstructions(d, resolved)
-        if not obstructions:
-            if d <= current.completion_degree:
-                current._confluent_to = max(current._confluent_to, d)
-                return current
-            certified = RewriteSystem(
-                current.alphabet, current.rules, current.order, d,
-                current.rule_cap,
-            )
-            certified._nf_cache = current._nf_cache
-            certified._confluent_to = d
-            return certified
+    resolved = {key for _, _, key in rs._ambiguities(rs.completion_degree)}
+    while obstructions := current.check_overlaps(d, resolved):
         # inter-reduction never adds a rule, so this caps the next system
-        if len(current.rules) + len(obstructions) > current.rule_cap:
-            raise CompletionBudgetError(
-                f"completion exceeded rule cap {current.rule_cap}")
+        if len(current.rules) + len(obstructions) > RULE_CAP:
+            raise CompletionBudgetError(f"completion exceeded rule cap {RULE_CAP}")
         # each diff is nonzero, so each orients to a rule
         rules = list(current.rules)
         rules += [orient(ob.diff, current.order) for ob in obstructions]
         rules = _interreduce(current.alphabet, rules, current.order)
-        current = RewriteSystem(
-            current.alphabet, rules, current.order,
-            max(current.completion_degree, d), current.rule_cap,
-        )
+        current = RewriteSystem(current.alphabet, rules, current.order)
+    if current is rs:
+        current = RewriteSystem(rs.alphabet, rs.rules, rs.order)
+        current._nf_cache = rs._nf_cache
+    current.completion_degree = d
+    return current
 
 
 def word_basis(rs: RewriteSystem, d: int):
     """All normal words of length <= d, sorted by the monomial order.
 
-    Requires the system to be confluence-certified at degree d, so the
-    diamond lemma makes these a basis of the degree truncation: raises
-    ConfluenceError when d exceeds the completion degree or an overlap
-    of degree <= d does not resolve.  The overlaps are scanned once per
-    system, all pairs: a clean scan at some degree, or a completion to
-    it, covers every degree below it.  A negative d raises RewriteError.
+    By the diamond lemma they are a basis of the degree truncation when
+    the system is completed to d, so this raises ConfluenceError when d
+    exceeds its completion degree; it scans no overlap.  A negative d
+    raises RewriteError.
     """
     if d < 0:
         raise RewriteError(f"word degree must be >= 0, got {d}")
@@ -509,12 +496,6 @@ def word_basis(rs: RewriteSystem, d: int):
         raise ConfluenceError(
             f"degree {d} exceeds completion bound {rs.completion_degree}"
         )
-    if d > rs._confluent_to:
-        if rs._obstructions(d):
-            raise ConfluenceError(
-                f"system is not locally confluent up to degree {d}"
-            )
-        rs._confluent_to = d
     ngen = len(rs.alphabet)
     lhs_map = rs.index.lhs_map
     lengths = {len(lhs) for lhs in lhs_map}

@@ -1,11 +1,12 @@
 """Every name a module of qgal imports is used in that module, every
-top-level name and every method it defines is read somewhere, the
-runtime imports nothing
+top-level name, every method and every `__slots__` entry it defines is
+read somewhere, the runtime imports nothing
 outside the standard library, every sparse accumulate goes through
 `scalars.add_term`, only the command line imports `re`, only linalg
-builds a RowReducer, only presentations calls `ensure_degree` (and it
-and rewrite `word_basis`), each command loads only the layers it runs,
-and none loads `dataclasses` or `inspect`."""
+builds a RowReducer, only rewrite builds a RewriteSystem and only
+`complete` states its completion degree, only presentations calls
+`ensure_degree` (and it and rewrite `word_basis`), each command loads
+only the layers it runs, and none loads `dataclasses` or `inspect`."""
 
 import ast
 import json
@@ -228,6 +229,46 @@ def test_every_method_is_read():
     assert unread_methods(*_package_tests_and_bench()) == []
 
 
+def slot_entries(source):
+    """(line, Class.entry) of each entry of the `__slots__` of a class."""
+    return [(stmt.lineno, f"{node.name}.{entry}")
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for stmt in node.body if isinstance(stmt, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+            for entry in ast.literal_eval(stmt.value)]
+
+
+def unread_slots(defining, reading):
+    """(module, line, Class.entry) of each `__slots__` entry of a class of
+    a `defining` source that no source of `reading` reads as an
+    attribute: an attribute that is only assigned is not read."""
+    read = {node.attr for source in reading.values()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    return [(label, line, entry) for label, source in defining.items()
+            for line, entry in slot_entries(source)
+            if entry.split(".")[1] not in read]
+
+
+def test_checker_finds_unread_slots():
+    module = ("class K:\n"
+              "    __slots__ = ('kept', 'stored', 'named')\n"
+              "    def __init__(self):\n"
+              "        self.kept = self.stored = 1\n"
+              "        object.__setattr__(self, 'named', 2)\n"
+              "class L:\n"
+              "    __slots__ = ('deleted',)\n")
+    user = "print(k.kept)\ndel l.deleted\n"
+    assert unread_slots({"m": module}, {"m": module, "t": user}) == [
+        ("m", 2, "K.stored"), ("m", 2, "K.named")]
+
+
+def test_every_slot_is_read():
+    """A `__slots__` entry that nothing in the package, its tests or its
+    benchmark reads is state kept for no one."""
+    assert unread_slots(*_package_tests_and_bench()) == []
+
+
 def foreign_imports(source, package="qgal"):
     """(line, module) of each absolute import that names neither a
     standard-library module nor `package`; relative imports are the
@@ -421,6 +462,47 @@ def test_only_linalg_builds_a_reducer():
     elimination and its block budget live in linalg alone."""
     assert [p.name for p in MODULES
             if p.name != "linalg.py" and calls(p.read_text(), "RowReducer")] == []
+
+
+def test_only_rewrite_builds_a_rewrite_system():
+    """Every other module gets its systems from `build_system` and
+    `complete`, so only `complete` ever states a certified degree."""
+    assert [p.name for p in MODULES
+            if p.name != "rewrite.py" and calls(p.read_text(), "RewriteSystem")] == []
+
+
+def attribute_stores(source):
+    """{function: the attributes it assigns} for each top-level function
+    and each method, named Class.method."""
+    stores = {}
+    for node in ast.parse(source).body:
+        funcs = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for f in funcs:
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stores[prefix + f.name] = {
+                    n.attr for n in ast.walk(f)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    return stores
+
+
+def test_checker_finds_attribute_stores():
+    src = ("def f(x):\n    x.a = x.b\n    x.c += 1\n"
+           "class K:\n    def g(self):\n        self.d, y = 1, self.e\n"
+           "    def h(self):\n        pass\n")
+    assert attribute_stores(src) == {"f": {"a", "c"}, "K.g": {"d"}, "K.h": set()}
+
+
+def test_only_complete_states_a_certified_degree():
+    """The constructor takes a completion degree and `complete` records
+    one on a system it built; the readers `word_basis` and
+    `check_overlaps` assign nothing."""
+    stores = {p.name: attribute_stores(p.read_text()) for p in MODULES}
+    assert sorted((name, f) for name, funcs in stores.items()
+                  for f, attrs in funcs.items() if "completion_degree" in attrs) == [
+        ("rewrite.py", "RewriteSystem.__init__"), ("rewrite.py", "complete")]
+    rewrite = stores["rewrite.py"]
+    assert rewrite["word_basis"] == rewrite["RewriteSystem.check_overlaps"] == set()
 
 
 def test_checker_finds_certifying_calls():

@@ -131,7 +131,7 @@ def test_every_reader_certifies_what_it_reduces(monkeypatch, capsys):
     reductions inside a completion or an overlap scan are the completion's
     own, and are left out."""
     short = []
-    nf_word, obstructions = RewriteSystem._nf_word, RewriteSystem._obstructions
+    nf_word, obstructions = RewriteSystem._nf_word, RewriteSystem.check_overlaps
     scanning = [0]
 
     def checked(rs, word):
@@ -147,7 +147,7 @@ def test_every_reader_certifies_what_it_reduces(monkeypatch, capsys):
             scanning[0] -= 1
 
     monkeypatch.setattr(RewriteSystem, "_nf_word", checked)
-    monkeypatch.setattr(RewriteSystem, "_obstructions", scan)
+    monkeypatch.setattr(RewriteSystem, "check_overlaps", scan)
     # the hopf suite runs on the bases, as the totals carry no Hopf data,
     # and the Haar commands on Uq2m2, as GLq2m2 carries no star structure
     runs = [["verify", "Uq2", "--suite", "hopf"], ["verify", "GLq2", "--suite", "hopf"],

@@ -158,17 +158,18 @@ def test_overlaps_detect_inconsistency():
     order = MonomialOrder(ab)
     r1 = orient(parse_expr("b*a - a*b", ab), order)
     r2 = orient(parse_expr("b*a - 2*a*b", ab), order)
-    rs = RewriteSystem(ab, [r1, r2], order, 3)
+    rs = RewriteSystem(ab, [r1, r2], order)
     assert rs.check_overlaps(2) != []
 
 
 def test_empty_system():
     ab = Alphabet(["a", "b"])
     order = MonomialOrder(ab)
-    rs = RewriteSystem(ab, [], order, 3)
+    rs = RewriteSystem(ab, [], order)
     assert rs.check_overlaps(3) == []
-    assert len(complete(rs, 3).rules) == 0
-    assert len(word_basis(rs, 2)) == 7
+    done = complete(rs, 3)
+    assert len(done.rules) == 0 and done.completion_degree == 3
+    assert len(word_basis(done, 2)) == 7
 
 
 def test_hand_resolved_overlap():
@@ -200,12 +201,13 @@ def test_completion_grows_for_determinant_relation(glq2m2):
     assert len(glq2m2.rewrite.rules) >= 13
 
 
-def test_completion_budget(glq2m2):
+def test_completion_budget(glq2m2, monkeypatch):
     # the inverse relation generates rules without end; a tight cap trips
     order = glq2m2.rewrite.order
     rels = glq2m2.relations
-    with pytest.raises(CompletionBudgetError):
-        rs = build_system(glq2m2.alphabet, rels, order, rule_cap=14)
+    monkeypatch.setattr(rewrite, "RULE_CAP", 14)
+    with pytest.raises(CompletionBudgetError, match="rule cap 14"):
+        rs = build_system(glq2m2.alphabet, rels, order)
         complete(rs, 6)
 
 
@@ -239,39 +241,56 @@ def test_clean_completion_records_its_degree(monkeypatch):
     assert p5.rewrite.rules == rules
     assert p5.rewrite.check_overlaps(5) == []
     scans = []
-    original = RewriteSystem._obstructions
-    monkeypatch.setattr(RewriteSystem, "_obstructions",
+    original = RewriteSystem.check_overlaps
+    monkeypatch.setattr(RewriteSystem, "check_overlaps",
                         lambda rs, d: scans.append(d) or original(rs, d))
     assert p.ensure_degree(5) is p5 and p5.ensure_degree(5) is p5
     assert scans == []
 
 
-def test_word_basis_scans_overlaps_once_per_system(monkeypatch):
+def test_word_basis_on_a_completed_system_makes_no_scan(monkeypatch, glq2):
     p = parse_presentation_text("algebra qplane\ngenerators x y\n"
                                 "relation y*x - q*x*y\n")
     scans = []
-    original = RewriteSystem._obstructions
-    monkeypatch.setattr(RewriteSystem, "_obstructions",
+    original = RewriteSystem._ambiguities
+    monkeypatch.setattr(RewriteSystem, "_ambiguities",
                         lambda rs, d: scans.append(d) or original(rs, d))
-    # complete's clean scan at the completion degree covers every basis
+    # the completion degree certifies every basis below it
     rs = p.rewrite
     assert [len(word_basis(rs, d)) for d in (3, 2, 3, 0)] == [10, 6, 10, 1]
+    assert [len(word_basis(glq2.rewrite, d)) for d in (4, 1)] == [120, 6]
     assert scans == []
-    # a system built by hand is scanned once, at each new top degree
-    fresh = RewriteSystem(rs.alphabet, rs.rules, rs.order, 5)
-    for d in (4, 2, 4, 5, 5):
-        word_basis(fresh, d)
-    assert scans == [4, 5]
-    # an unresolved overlap is found again on every call
+
+
+def test_bare_build_lists_no_basis():
+    # a*a -> b and b*a -> a: a*a*a reduces to a and to a*b, and b*a*a
+    # to b and to b*b
     ab = Alphabet(["a", "b"])
     order = MonomialOrder(ab)
-    bad = RewriteSystem(ab, [orient(parse_expr("b*a - a*b", ab), order),
-                             orient(parse_expr("b*a - 2*a*b", ab), order)],
-                        order, 3)
-    for _ in range(3):
-        with pytest.raises(ConfluenceError, match="not locally confluent"):
-            word_basis(bad, 2)
-    assert scans == [4, 5, 2, 2, 2]
+    rs = build_system(ab, [parse_expr(s, ab) for s in ("a*a - b", "b*a - a")],
+                      order)
+    assert rs.completion_degree == -1
+    with pytest.raises(ConfluenceError, match="exceeds completion bound -1"):
+        word_basis(rs, 0)
+    assert [ob.word for ob in rs.check_overlaps(3)] == [(0, 0, 0), (1, 0, 0)]
+    # completing it certifies a basis, on a system of its own
+    done = complete(rs, 3)
+    assert done is not rs and rs.completion_degree == -1
+    assert done.check_overlaps(3) == []
+    assert word_basis(done, 3) == [(), (0,), (1,)]
+
+
+def test_complete_returns_a_system_certified_deep_enough(monkeypatch, glq2):
+    # a system completed to 4 is returned as it is for every degree up to
+    # 4, with no ambiguity enumerated
+    scans = []
+    original = RewriteSystem._ambiguities
+    monkeypatch.setattr(RewriteSystem, "_ambiguities",
+                        lambda rs, d: scans.append(d) or original(rs, d))
+    rs = glq2.rewrite
+    assert rs.completion_degree == 4
+    assert all(complete(rs, d) is rs for d in range(-1, 5))
+    assert scans == []
 
 
 def _assert_interreduced(rules):
@@ -310,7 +329,7 @@ def test_aufg_build_orients_each_rule_once(monkeypatch):
 # of a rule may be stored in another order.
 
 
-def _reference_obstructions(rs, d, resolved=None):
+def _reference_overlaps(rs, d, resolved=None):
     """With a set `resolved` of keys (lhs_i, lhs_j, kind, position), the
     ambiguities whose key is in it are skipped, and the keys of the others
     join it after the scan."""
@@ -354,7 +373,7 @@ def _reference_obstructions(rs, d, resolved=None):
     return out
 
 
-def _reference_interreduce(alphabet, rules, order, completion_degree, rule_cap):
+def _reference_interreduce(alphabet, rules, order):
     polys = [r.as_poly(alphabet) for r in rules]
     oriented = [orient(p, order) for p in polys]
     changed = True
@@ -365,8 +384,7 @@ def _reference_interreduce(alphabet, rules, order, completion_degree, rule_cap):
                 continue
             others = [r for j, r in enumerate(oriented)
                       if j != i and r is not None]
-            rs = RewriteSystem(alphabet, others, order, completion_degree,
-                               rule_cap)
+            rs = RewriteSystem(alphabet, others, order)
             reduced = rs.normal_form(polys[i])
             if reduced != polys[i]:
                 changed = True
@@ -375,13 +393,11 @@ def _reference_interreduce(alphabet, rules, order, completion_degree, rule_cap):
     return [r for r in oriented if r is not None]
 
 
-def _reference_build_system(alphabet, relations, order, completion_degree=4,
-                            rule_cap=500):
+def _reference_build_system(alphabet, relations, order):
     rules = [r for r in (orient(rel, order) for rel in relations)
              if r is not None]
-    rules = _reference_interreduce(alphabet, rules, order, completion_degree,
-                                   rule_cap)
-    return RewriteSystem(alphabet, rules, order, completion_degree, rule_cap)
+    return RewriteSystem(alphabet, _reference_interreduce(alphabet, rules, order),
+                         order)
 
 
 def _reference_complete(rs, d, incremental=False):
@@ -390,21 +406,18 @@ def _reference_complete(rs, d, incremental=False):
     current = rs
     resolved = set() if incremental else None
     while True:
-        obstructions = _reference_obstructions(current, d, resolved)
+        obstructions = _reference_overlaps(current, d, resolved)
         if not obstructions:
             return RewriteSystem(current.alphabet, current.rules, current.order,
-                                 max(d, current.completion_degree),
-                                 current.rule_cap)
+                                 d)
         polys = [r.as_poly(current.alphabet) for r in current.rules]
         polys += [ob.diff for ob in obstructions]
-        assert len(polys) <= current.rule_cap
+        assert len(polys) <= rewrite.RULE_CAP
         rules = [orient(p, current.order) for p in polys]
         rules = _reference_interreduce(
             current.alphabet, [r for r in rules if r is not None],
-            current.order, current.completion_degree, current.rule_cap)
-        current = RewriteSystem(current.alphabet, rules, current.order,
-                                max(current.completion_degree, d),
-                                current.rule_cap)
+            current.order)
+        current = RewriteSystem(current.alphabet, rules, current.order)
 
 
 def _obstruction_keys(obstructions):
@@ -424,28 +437,28 @@ def _rule_polys(keys):
     return [(lhs, dict(terms)) for lhs, terms in keys]
 
 
-def test_obstructions_match_all_pairs_scan_on_catalog(monkeypatch):
+def test_overlaps_match_all_pairs_scan_on_catalog(monkeypatch):
     # every scan of a fresh catalog build (its completion rounds, which
     # meet systems that are not clean and skip the ambiguities that earlier
     # rounds resolved) and one full scan degree past its completion
     found = {}
-    original = RewriteSystem._obstructions
+    original = RewriteSystem.check_overlaps
 
     def checked(rs, d, resolved=None):
         before = None if resolved is None else set(resolved)
         out = original(rs, d, resolved)
         assert _obstruction_keys(out) == \
-            _obstruction_keys(_reference_obstructions(rs, d, before))
+            _obstruction_keys(_reference_overlaps(rs, d, before))
         assert resolved == before
         found[name] += len(out)
         return out
 
-    monkeypatch.setattr(RewriteSystem, "_obstructions", checked)
+    monkeypatch.setattr(RewriteSystem, "check_overlaps", checked)
     for name, entry in CATALOG.items():
         found[name] = 0
         rs = entry.build(**entry.defaults).rewrite
-        assert rs._obstructions(rs.completion_degree) == []
-        rs._obstructions(rs.completion_degree + 1)
+        assert rs.check_overlaps(rs.completion_degree) == []
+        rs.check_overlaps(rs.completion_degree + 1)
     # the rules of Onp(2,1) have no ambiguity at all; every other
     # build resolves some
     assert [n for n, k in found.items() if not k] == ["Onp"], found
@@ -484,10 +497,10 @@ _baab = NCPoly(AB, {(1, 0, 0, 1): S_ONE})
 @example([_aa], 3)
 @example([_aa, _aa2, _bab], 4)
 @example([_bab, RewriteRule((0,), NCPoly(AB, {(): S_ONE}))], 5)
-def test_obstructions_match_all_pairs_scan_random(rules, d):
-    rs = RewriteSystem(AB, rules, AB_ORDER, d)
-    assert _obstruction_keys(rs._obstructions(d)) == \
-        _obstruction_keys(_reference_obstructions(rs, d))
+def test_overlaps_match_all_pairs_scan_random(rules, d):
+    rs = RewriteSystem(AB, rules, AB_ORDER)
+    assert _obstruction_keys(rs.check_overlaps(d)) == \
+        _obstruction_keys(_reference_overlaps(rs, d))
 
 
 def _outcome(fn, *args):
@@ -527,7 +540,7 @@ def _outcome(fn, *args):
           RewriteRule((0, 0), NCPoly(AB, {(0,): -Q}))])
 def test_interreduce_matches_reference_random(rules):
     assert _outcome(rewrite._interreduce, AB, rules, AB_ORDER) == \
-        _outcome(_reference_interreduce, AB, rules, AB_ORDER, 4, 500)
+        _outcome(_reference_interreduce, AB, rules, AB_ORDER)
 
 
 def test_write_path_matches_reference(monkeypatch):
@@ -574,7 +587,7 @@ def test_complete_matches_reference_random(rules, degrees):
     def incremental(rs, d):
         return _reference_complete(rs, d, incremental=True)
 
-    rs = RewriteSystem(AB, rules, AB_ORDER, d1)
+    rs = RewriteSystem(AB, rules, AB_ORDER)
     got = _outcome(twice, complete, rs)
     assert got == _outcome(twice, incremental, rs)
     assert _rule_polys(got) == \
@@ -596,7 +609,7 @@ def _catalog_completions():
 
 def test_catalog_completions_are_clean_under_all_pairs_scan():
     for name, rs in _catalog_completions():
-        assert _reference_obstructions(rs, rs.completion_degree) == [], name
+        assert _reference_overlaps(rs, rs.completion_degree) == [], name
 
 
 def _scalar_key(c):
@@ -683,7 +696,7 @@ def test_completion_examines_each_ambiguity_once(monkeypatch):
     # ambiguity; a round that only meets ambiguities of earlier rounds
     # sums none
     calls, rounds = [], []
-    add_nf, scan = rewrite._add_nf, RewriteSystem._obstructions
+    add_nf, scan = rewrite._add_nf, RewriteSystem.check_overlaps
     monkeypatch.setattr(rewrite, "_add_nf",
                         lambda *a: calls.append(1) or add_nf(*a))
 
@@ -693,7 +706,7 @@ def test_completion_examines_each_ambiguity_once(monkeypatch):
         rounds.append(len(calls) - start)
         return out
 
-    monkeypatch.setattr(RewriteSystem, "_obstructions", counted)
+    monkeypatch.setattr(RewriteSystem, "check_overlaps", counted)
     counts = {}
     for name, entry in CATALOG.items():
         rounds.clear()
