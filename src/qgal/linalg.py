@@ -56,6 +56,10 @@ class RowReducer:
     def __init__(self, var_key=None):
         self.var_key = var_key or (lambda v: v)
         self.rows = {}  # pivot var -> (row dict, rhs)
+        # var -> the pivots whose rows may hold it besides their own: an
+        # entry that cancels stays listed, and a pivot's list goes when
+        # it is eliminated from every other row
+        self.holders = {}
 
     def add_equation(self, row, rhs):
         """Add one equation sum(row[v]*x_v) = rhs; returns True if it
@@ -77,13 +81,18 @@ class RowReducer:
         c = row[pivot].inv()
         row = {k: c * v for k, v in row.items()}
         rhs = c * rhs
-        # back-substitute into the existing rows, which no caller holds
-        for pvar, (prow, prhs) in self.rows.items():
+        others = [var for var in row if var != pivot]
+        for var in others:
+            self.holders.setdefault(var, set()).add(pivot)
+        # back-substitute into the existing rows that hold the pivot, which
+        # no caller holds
+        for pvar in self.holders.pop(pivot, ()):
+            prow, prhs = self.rows[pvar]
             f = prow.pop(pivot, None)
             if f is not None:
-                for var, v in row.items():
-                    if var != pivot:
-                        add_term(prow, var, (-f) * v)
+                for var in others:
+                    add_term(prow, var, (-f) * row[var])
+                    self.holders[var].add(pvar)
                 self.rows[pvar] = (prow, prhs + (-f) * rhs)
         self.rows[pivot] = (row, rhs)
         return True

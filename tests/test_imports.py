@@ -9,6 +9,7 @@ builds a RowReducer, only rewrite builds a RewriteSystem and only
 only the layers it runs, and none loads `dataclasses` or `inspect`."""
 
 import ast
+import functools
 import json
 import re
 import subprocess
@@ -24,11 +25,18 @@ MODULES = sorted(Path(qgal.__file__).parent.glob("*.py"))
 TESTS = Path(__file__).resolve().parent
 
 
+@functools.cache
+def parse(source):
+    """The syntax tree of a source, parsed once: the checks below read the
+    same sources again and again, and never change a tree."""
+    return ast.parse(source)
+
+
 def unused_imports(source):
     """(line, name) of each imported name that the module never reads.
     `from __future__ import ...` is exempt; a name counts as read when it
     appears as a Name node, in a string annotation or in __all__."""
-    tree = ast.parse(source)
+    tree = parse(source)
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -79,7 +87,7 @@ def importers(sources, module):
     """The labels of the sources that import `module`, by `import` or
     `from ... import`; sources maps a label to its source text."""
     def imports(source):
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(parse(source)):
             if isinstance(node, ast.Import) and any(
                     a.name.split(".")[0] == module for a in node.names):
                 return True
@@ -110,7 +118,7 @@ def top_level_names(source):
     """(line, name) of each name a module binds at top level: functions,
     classes and assignment targets.  Dunders are exempt."""
     found = []
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.append((node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -125,7 +133,7 @@ def attributes_read(source):
     """Every attribute a source reads, and every part of a string that is
     a dotted name (the bench tracer names functions and methods so)."""
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
@@ -139,7 +147,7 @@ def names_read(source):
     imported from a module, a string that is a name (getattr names
     functions so), or one of its attributes_read."""
     read = attributes_read(source)
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             read.add(node.id)
         elif isinstance(node, ast.ImportFrom):
@@ -197,7 +205,7 @@ def unread_methods(defining, reading):
     read = set().union(*map(attributes_read, reading.values()))
     return [(label, f.lineno, f"{node.name}.{f.name}")
             for label, source in defining.items()
-            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for node in ast.walk(parse(source)) if isinstance(node, ast.ClassDef)
             for f in node.body
             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not (f.name.startswith("__") and f.name.endswith("__"))
@@ -232,7 +240,7 @@ def test_every_method_is_read():
 def slot_entries(source):
     """(line, Class.entry) of each entry of the `__slots__` of a class."""
     return [(stmt.lineno, f"{node.name}.{entry}")
-            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for node in ast.walk(parse(source)) if isinstance(node, ast.ClassDef)
             for stmt in node.body if isinstance(stmt, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
             for entry in ast.literal_eval(stmt.value)]
@@ -243,7 +251,7 @@ def unread_slots(defining, reading):
     a `defining` source that no source of `reading` reads as an
     attribute: an attribute that is only assigned is not read."""
     read = {node.attr for source in reading.values()
-            for node in ast.walk(ast.parse(source))
+            for node in ast.walk(parse(source))
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
     return [(label, line, entry) for label, source in defining.items()
             for line, entry in slot_entries(source)
@@ -274,7 +282,7 @@ def foreign_imports(source, package="qgal"):
     standard-library module nor `package`; relative imports are the
     package's own."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -343,7 +351,7 @@ def hand_written_accumulates(source):
                 found.append((child.lineno, func))
             visit(child, func)
 
-    visit(ast.parse(source), None)
+    visit(parse(source), None)
     return found
 
 
@@ -446,7 +454,7 @@ def test_only_scalars_reads_laurent_storage():
 
 def calls(source, name):
     """The line of each call of `name`, by name or as an attribute."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(parse(source))
             if isinstance(node, ast.Call) and name in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
@@ -475,7 +483,7 @@ def attribute_stores(source):
     """{function: the attributes it assigns} for each top-level function
     and each method, named Class.method."""
     stores = {}
-    for node in ast.parse(source).body:
+    for node in parse(source).body:
         funcs = node.body if isinstance(node, ast.ClassDef) else [node]
         prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
         for f in funcs:
@@ -529,7 +537,7 @@ def modules_imported_from(source):
     """The package modules a source imports by relative import, at any
     depth: `from .m import x` and `from . import m` both name m."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.ImportFrom) and node.level:
             found.update([node.module] if node.module else (a.name for a in node.names))
     return found

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,20 +87,30 @@ COEFFS = st.one_of(
 )
 
 
+@functools.cache
+def poly_terms(ngens):
+    """Terms of up to 5 words of length <= 4 over ngens generators.  One
+    strategy per alphabet size, built once: a strategy built inside an
+    example is validated again on every draw."""
+    words = st.lists(st.integers(0, ngens - 1), max_size=4).map(tuple)
+    return st.dictionaries(words, COEFFS, max_size=5)
+
+
+TENSOR_TERMS = st.dictionaries(
+    st.tuples(*(st.lists(st.integers(0, 1), max_size=3).map(tuple) for _ in "LR")),
+    COEFFS, min_size=1, max_size=5)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_pretty_parse_round_trip(glq2, data):
     A = glq2.alphabet
-    words = st.lists(st.integers(0, len(A) - 1), max_size=4).map(tuple)
-    p = NCPoly(A, data.draw(st.dictionaries(words, COEFFS, max_size=5)))
+    p = NCPoly(A, data.draw(poly_terms(len(A))))
     assert parse_expr(p.pretty(), A) == p
     # a nonzero tensor (0 is written 0 (x) 1), where a generator named x
     # meets the tensor sign (x)
     L, R = Alphabet(["x", "x11"]), Alphabet(["y", "x"])
-    keys = st.tuples(*(st.lists(st.integers(0, 1), max_size=3).map(tuple)
-                       for _ in "LR"))
-    t = TensorPoly((L, R), data.draw(st.dictionaries(keys, COEFFS, min_size=1,
-                                                     max_size=5)))
+    t = TensorPoly((L, R), data.draw(TENSOR_TERMS))
     assert parse_tensor(t.pretty(), L, R) == t
 
 

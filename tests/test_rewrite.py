@@ -471,13 +471,19 @@ _words_over = lambda n, lo, hi: st.lists(st.integers(0, n - 1), min_size=lo,
 _words = lambda lo, hi: _words_over(2, lo, hi)
 
 
+# the lhs of a rule and its rhs terms by the length of the lhs, built
+# once: a strategy built inside a draw is validated again on every draw
+_lhs = _words(1, 3)
+_rhs_terms = {n: st.dictionaries(_words(0, n - 1), st.integers(-2, 2).filter(bool),
+                                 max_size=3) for n in (1, 2, 3)}
+
+
 @st.composite
 def _rule(draw):
     """A rule over {a, b}: lhs of length 1..3, rhs of shorter words, so
     that reduction terminates under the degree-lexicographic order."""
-    lhs = draw(_words(1, 3))
-    terms = draw(st.dictionaries(_words(0, len(lhs) - 1),
-                                 st.integers(-2, 2).filter(bool), max_size=3))
+    lhs = draw(_lhs)
+    terms = draw(_rhs_terms[len(lhs)])
     rhs = NCPoly(AB, {w: ScalarQ.from_int(c) * ScalarQ.q_power(len(w))
                       for w, c in terms.items()})
     return RewriteRule(lhs, rhs)
