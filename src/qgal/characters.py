@@ -9,7 +9,8 @@ abelianized ideal.  q is transcendental here, so coefficients such as
 `_spectrum` is the one decision: a counit that is a character, else the
 Groebner basis, then a point enumerated from it.  `spectrum_report` and
 `spectrum_witness` read it; `spectrum_empty` is the bare Groebner test,
-kept apart as an oracle.
+kept apart as an oracle.  QGAL_DEGREE_CAP (`_degree_cap`) is the one cap
+on the degree of a Groebner completion.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ class DegreeCapError(GroebnerError):
     """Completion produced a polynomial above the degree cap."""
 
 
-def _degree_cap(default=DEFAULT_DEGREE_CAP):
+def _degree_cap():
     """QGAL_DEGREE_CAP when set, an integer >= 0 (any other value is an
-    AlgebraError naming it), else the default."""
+    AlgebraError naming it), else DEFAULT_DEGREE_CAP."""
     env = os.environ.get("QGAL_DEGREE_CAP", "").strip()
     if not env:
-        return default
+        return DEFAULT_DEGREE_CAP
     if not env.isdecimal():
         raise AlgebraError(f"QGAL_DEGREE_CAP must be an integer >= 0, got {env!r}")
     return int(env)
@@ -126,13 +127,13 @@ class CommutativePresentation:
                 f"{len(self.ideal_generators)} generators)")
 
 
-def groebner(cp: CommutativePresentation, degree_cap: int | None = None):
+def groebner(cp: CommutativePresentation):
     """Reduced grevlex Groebner basis by Buchberger completion.
 
     Raises DegreeCapError when an S-polynomial remainder exceeds the
     degree cap, so runaway user inputs fail loudly instead of spinning.
     """
-    cap = degree_cap if degree_cap is not None else _degree_cap()
+    cap = _degree_cap()
     basis = []
     for g in cp.ideal_generators:
         r = reduce_poly(g, basis)

@@ -384,32 +384,35 @@ def build_parser():
                     "Galois extensions, Haar functionals and cotensor data.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_degree=True):
+    flags = {"--degree": {"type": _degree, "default": 2},
+             "--q": {"type": _q_list, "default": list(Q_SAMPLES)},
+             "--json": {"action": "store_true"}}
+
+    def common(sp, *names):
+        """The target, --n, --p and, of the flags, those that sp reads."""
         sp.add_argument("target")
-        if with_degree:
-            sp.add_argument("--degree", type=_degree, default=2)
-        sp.add_argument("--q", type=_q_list, default=list(Q_SAMPLES))
-        sp.add_argument("--json", action="store_true")
+        for name in names:
+            sp.add_argument(name, **flags[name])
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--p", type=int, default=None)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    common(sp)
+    common(sp, "--degree", "--q", "--json")
     sp.add_argument("--suite", choices=SUITES, default="all")
 
     sp = sub.add_parser("haar", help="Haar functional table and positivity")
-    common(sp)
+    common(sp, "--degree", "--q", "--json")
 
     sp = sub.add_parser("cotensor", help="cotensor dimension and Gram data")
-    common(sp)
+    common(sp, "--degree", "--q", "--json")
     sp.add_argument("--comodule", default="fundamental")
 
     sp = sub.add_parser("normalize", help="normal form of an expression")
-    common(sp, with_degree=False)
+    common(sp, "--json")
     sp.add_argument("expr")
 
     sp = sub.add_parser("parse", help="parse and echo an expression")
-    common(sp, with_degree=False)
+    common(sp)
     sp.add_argument("expr")
     return ap
 

@@ -103,7 +103,7 @@ def verify_corep(v: Corep) -> Report:
         delta_v = mat_mul(v.matrix, v.matrix, TensorPoly.of)
         for i, j in product(range(v.dim), repeat=2):
             lhs = apply_map(v.matrix[i][j], dext, TensorPoly((p.alphabet, p.alphabet)))
-            rhs = reduce_legs(delta_v[i][j], (p, p))
+            rhs = reduce_legs(delta_v[i][j], [p, p])
             report.add_zero(f"coassociativity entry ({i + 1},{j + 1})", lhs - rhs)
             val = apply_map(v.matrix[i][j], eps, S_ZERO)
             want = S_ONE if i == j else S_ZERO

@@ -53,7 +53,7 @@ def kernel_member(x: CotensorElement) -> bool:
     aext = alpha_ext(c)
     coacted = mat_mul(x.comodule.matrix, [[z] for z in x.coeffs], TensorPoly.of)
     zero = TensorPoly((c.base.alphabet, c.total.alphabet))
-    return all(reduce_legs(row[0], (c.base, c.total))
+    return all(reduce_legs(row[0], [c.base, c.total])
                == apply_map(z, aext, zero) for row, z in zip(coacted, x.coeffs))
 
 

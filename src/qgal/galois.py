@@ -5,12 +5,15 @@ Israel J. Math. 72, 1990; Schauenburg, Comm. Algebra 24, 1996).  Word
 reversal rev: Z^op -> Z is an algebra anti-isomorphism, so the witness
 is tau stored through it, (id (x) rev) tau on generators (index ->
 TensorPoly over Z and Z): multiplicative on its left leg,
-antimultiplicative on its right, and read in Z alone.
-`translation_witness` solves it from beta, and `verify_galois` checks it
-exactly, so nothing about the solve is assumed.  No function here works
-out a completion depth: the maps of `presentations` certify the legs they
-reduce as deep as the words they are given reach, and `verify_galois`
-reports the degrees its extensions ended on.
+antimultiplicative on its right, and read in Z alone.  So beta and
+beta^-1 are one map, `galois_map`, of the extension it reads: alpha_ext
+or tau_ext.  Every function takes the extension it reads, or builds it
+once for all its reads.  `translation_witness` solves tau from beta, and
+`verify_galois` checks it exactly, so nothing about the solve is
+assumed.  No function here works out a completion depth: the maps of
+`presentations` certify the legs they reduce as deep as the words they
+are given reach, and `verify_galois` reports the degrees its extensions
+ended on.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ class WitnessUndecided(AlgebraError, Undecided):
     """The solve for tau stopped short of a value on every generator."""
 
 
-def galois_map(x: NCPoly, y: NCPoly, c: CoactionData, aext=None) -> TensorPoly:
-    """beta(x (x) y) = alpha(x) * (1 (x) y), legs normal-formed.  aext is
-    alpha_ext(c), built here unless the caller shares one across calls;
-    the product is reduced through its legs."""
-    aext = aext or alpha_ext(c)
-    out = apply_map(x, aext, TensorPoly((c.base.alphabet, c.total.alphabet)))
-    return reduce_legs(out.mul_leg(1, y), aext.legs)
+def galois_map(ext, x: NCPoly, y: NCPoly) -> TensorPoly:
+    """ext(x) * (1 (x) y), legs normal-formed through ext.legs: beta(x (x)
+    y) for ext = alpha_ext(c), and beta^-1(x (x) y) for ext = tau_ext(tau,
+    c), whose right legs are already in Z, since tau is stored through rev."""
+    out = apply_map(x, ext, TensorPoly(tuple(p.alphabet for p in ext.legs)))
+    return reduce_legs(out.mul_leg(1, y), ext.legs)
 
 
 def tau_ext(tau, c: CoactionData):
@@ -51,41 +53,28 @@ def tau_ext(tau, c: CoactionData):
     return extend_reduced(tau, (c.total, c.total), left=(1,))
 
 
-def galois_inverse(a: NCPoly, y: NCPoly, tau, c: CoactionData, text=None) -> TensorPoly:
-    """beta^-1(a (x) y) = tau(a) (1 (x) y).  tau is stored through rev, so
-    the right leg of tau(a) is already in Z and y multiplies it on the
-    right; legs normal-formed over Z.  text is tau_ext(tau, c), built
-    here unless the caller shares it; the product is reduced through its
-    legs."""
-    text = text or tau_ext(tau, c)
-    t = apply_map(a, text, TensorPoly((c.total.alphabet,) * 2))
-    return reduce_legs(t.mul_leg(1, y), text.legs)
-
-
-def validate_witness(c: CoactionData, tau, text=None) -> Report:
+def validate_witness(c: CoactionData, text) -> Report:
     """tau is an algebra map A -> Z (x) Z^op: it kills every defining
-    relation of A, and so the ideal they generate.  text as in
-    galois_inverse."""
+    relation of A, and so the ideal they generate.  text is
+    tau_ext(tau, c)."""
     report = Report(f"witness({c.base.name} -> {c.total.name} (x) {c.total.name}^op)")
     with timed(report):
-        text = text or tau_ext(tau, c)
         for rel in c.base.relations:
             report.add_zero("tau kills relation " + _short(rel), apply_map(
                 rel, text, TensorPoly((c.total.alphabet, c.total.alphabet))))
     return report
 
 
-def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
+def verify_galois(c: CoactionData, d: int) -> Report:
     """beta beta^-1 = id on basis words of A tensor 1, and beta^-1 beta =
     id on basis words of Z in either slot, exactly, with beta^-1 from
-    the witness tau, solved by translation_witness when None.  A kernel
-    vector of beta fails the report; a solve that stops short leaves it
-    undecided, naming the generators of A it did not reach."""
+    the witness tau that translation_witness solves.  A kernel vector of
+    beta fails the report; a solve that stops short leaves it undecided,
+    naming the generators of A it did not reach."""
     report = Report(f"galois({c.total.name} over {c.base.name}, degree {d})")
     with timed(report):
-        try:   # solve says how tau was solved: a given tau was not
-            tau, solve = ((tau, {"witness_degree": None}) if tau
-                          else translation_witness(c))
+        try:
+            tau, solve = translation_witness(c)
         except NotGaloisError as e:
             report.add(f"beta(k) = 0, so {c.total.name} is not Galois", False,
                        witness=str(e)[:120])
@@ -95,7 +84,7 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
             return report
         # one extension of each map for every check, so they share memos
         aext, text = alpha_ext(c), tau_ext(tau, c)
-        val = validate_witness(c, tau, text)
+        val = validate_witness(c, text)
         report.add("witness validated", val.ok)
         for item in val.items:
             if item.status != "pass":
@@ -104,22 +93,21 @@ def verify_galois(c: CoactionData, d: int, tau=None) -> Report:
         one_Z = NCPoly.one(Z)
         if val.ok:
             for wd in c.base.basis(d):
-                a = NCPoly(A, {wd: S_ONE})
-                t = galois_inverse(a, one_Z, tau, c, text)
+                t = galois_map(text, NCPoly(A, {wd: S_ONE}), one_Z)
                 back = apply_map(t, lambda k: galois_map(
-                    NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), c, aext),
+                    aext, NCPoly(Z, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE})),
                     TensorPoly((A, Z)))
                 want = TensorPoly((A, Z), {(wd, ()): S_ONE})
                 report.add_zero(f"beta beta' fixes {A.word_str(wd)} (x) 1", back - want)
             for wd in c.total.basis(d):
                 x = NCPoly(Z, {wd: S_ONE})
-                t = galois_map(x, one_Z, c, aext)
-                back = apply_map(t, lambda k: galois_inverse(
-                    NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE}), tau, c, text),
+                t = galois_map(aext, x, one_Z)
+                back = apply_map(t, lambda k: galois_map(
+                    text, NCPoly(A, {k[0]: S_ONE}), NCPoly(Z, {k[1]: S_ONE})),
                     TensorPoly((Z, Z)))
                 want = TensorPoly((Z, Z), {(wd, ()): S_ONE})
                 report.add_zero(f"beta' beta fixes {Z.word_str(wd)} (x) 1", back - want)
-                t2 = galois_inverse(NCPoly.one(A), x, tau, c, text)
+                t2 = galois_map(text, NCPoly.one(A), x)
                 want2 = TensorPoly((Z, Z), {((), wd): S_ONE})
                 report.add_zero(f"beta' beta fixes 1 (x) {Z.word_str(wd)}", t2 - want2)
         # every reduction of the checks went through these legs
@@ -147,6 +135,7 @@ def translation_witness(c: CoactionData):
     generators still missing."""
     A = c.base.alphabet
     zleft, aleft, _ = extension_grading(c)
+    aext = alpha_ext(c)   # one extension for every round, sharing its memo
     solved, cols = {}, {}   # generator -> tau of it; (u, v) -> beta(u (x) v)
     sizes = []
     for e in range(1, WITNESS_DEGREE_CAP + 1):
@@ -159,7 +148,7 @@ def translation_witness(c: CoactionData):
                             for v in words if len(u) + len(v) <= e), *gens]
                   for grade, gens in blocks.items()}
         try:
-            solved.update(_solve_tau(c, blocks, cols))
+            solved.update(_solve_tau(c, aext, blocks, cols))
         except BlockBudgetError as err:
             grade, size, budget = err.args
             raise WitnessUndecided(
@@ -173,15 +162,15 @@ def translation_witness(c: CoactionData):
         f"{_missing(A, solved)}: no solution up to degree {WITNESS_DEGREE_CAP}, the cap")
 
 
-def _solve_tau(c: CoactionData, blocks, cols):
+def _solve_tau(c: CoactionData, aext, blocks, cols):
     """Yield (g, tau(g)), from t with beta(t) = g (x) 1, for each g of
     `blocks` (grade -> the pairs (u, v), then the generators g) that the
-    pairs of its block reach, with beta(u (x) v) memoised in cols.  A
-    free pair is an exact kernel vector of beta: NotGaloisError shows it.
-    The variable r_g is the int g, pivoted on last, so tau(g) is the
-    kernel vector of a free r_g that holds no other r_g'."""
+    pairs of its block reach, with beta(u (x) v) read through aext =
+    alpha_ext(c) and memoised in cols.  A free pair is an exact kernel
+    vector of beta: NotGaloisError shows it.  The variable r_g is the int
+    g, pivoted on last, so tau(g) is the kernel vector of a free r_g that
+    holds no other r_g'."""
     A, Z = c.base.alphabet, c.total.alphabet
-    aext = alpha_ext(c)
 
     def equations(grade):
         rows = {}
@@ -192,8 +181,8 @@ def _solve_tau(c: CoactionData, blocks, cols):
                     rows.setdefault((wd, ()), {})[var] = -s
                 continue
             if var not in cols:
-                cols[var] = galois_map(NCPoly(Z, {var[0]: S_ONE}),
-                                       NCPoly(Z, {var[1]: S_ONE}), c, aext)
+                cols[var] = galois_map(aext, NCPoly(Z, {var[0]: S_ONE}),
+                                       NCPoly(Z, {var[1]: S_ONE}))
             for key, s in cols[var].terms.items():
                 rows.setdefault(key, {})[var] = s
         return ((row, S_ZERO) for row in rows.values())

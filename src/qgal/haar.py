@@ -198,7 +198,7 @@ def extension_grading(c: CoactionData):
     return zleft, aleft, "row"
 
 
-def haar_on_hopf(p: Presentation, d: int = 2) -> LinearFunctional:
+def haar_on_hopf(p: Presentation, d: int) -> LinearFunctional:
     """Solve the right-invariance system on the degree-d truncation, one
     elimination per row grade that holds a word of column grade 0 (see
     the module docstring), with J(1) = 1 in the block of the unit.

@@ -12,7 +12,8 @@ cotensor kernel).  `mat_inv` reduces [A | I] with a RowReducer.
 
 `eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
 a Gram matrix evaluated at a sample q, which are numerical evidence of
-positivity, not a proof.
+positivity, not a proof.  It makes at most MAX_SWEEPS Jacobi sweeps, a
+constant as BLOCK_BUDGET is, and raises LinearSolveError past them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class BlockBudgetError(LinearSolveError, Undecided):
 
 
 BLOCK_BUDGET = 5000  # the most unknowns solve_blocks eliminates in one block
+MAX_SWEEPS = 50  # the most Jacobi sweeps eigvalsh makes before it gives up
 
 
 class RowReducer:
@@ -174,14 +176,14 @@ def mat_inv(a):
 # -- floating point: Hermitian eigenvalues -----------------------------------
 
 
-def eigvalsh(matrix, max_sweeps=50):
+def eigvalsh(matrix):
     """Eigenvalues, ascending, of a Hermitian matrix given as a list of
     lists of complex, by cyclic Jacobi rotations.
 
     Each rotation first turns a_pq real by the phase of a_pq, then zeroes
     it with a real rotation.  Sweeps stop once the off-diagonal Frobenius
     norm is at most 1e-15 times the diagonal one; LinearSolveError is
-    raised when max_sweeps sweeps do not get there.
+    raised when MAX_SWEEPS sweeps do not get there.
     """
     a = [[complex(x) for x in row] for row in matrix]
     n = len(a)
@@ -191,9 +193,9 @@ def eigvalsh(matrix, max_sweeps=50):
         diag = math.fsum(a[i][i].real ** 2 for i in range(n))
         if off <= 1e-30 * diag:  # squared norms: off <= 1e-15 * diag
             return sorted(a[i][i].real for i in range(n))
-        if sweeps == max_sweeps:
+        if sweeps == MAX_SWEEPS:
             raise LinearSolveError(
-                f"Jacobi eigenvalues did not converge in {max_sweeps} sweeps "
+                f"Jacobi eigenvalues did not converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {math.sqrt(off):.3e})")
         sweeps += 1
         for p in range(n - 1):

@@ -12,9 +12,11 @@ lemma (Adv. Math. 29, 1978), so no caller works out a completion depth:
 `Presentation.nf` completes the rewrite system to the degree of its
 argument, `Presentation.basis(d)` to d, and `reduce_legs`, which
 `extend_reduced` extends through, each slot of a tensor to its longest
-word.  The completions are copies from `ensure_degree`, and a certified
-normal form is the same in every copy.  `verify_star` alone reduces
-uncertified, for a zero test that needs no certificate (see there).
+word, writing the certified copies back into its list of legs.  The
+completions are copies from `ensure_degree`, and a certified normal
+form is the same in every copy.  A file target is built to degree 3.
+`verify_star` alone reduces uncertified, for a zero test that needs no
+certificate (see there).
 """
 
 from __future__ import annotations
@@ -191,17 +193,15 @@ def alpha_ext(c: CoactionData):
     return extend_reduced(c.alpha, (c.base, c.total))
 
 
-def reduce_legs(t: TensorPoly, legs) -> TensorPoly:
+def reduce_legs(t: TensorPoly, legs: list) -> TensorPoly:
     """t with each leg reduced by the presentation of its slot, certified
     to the longest word that slot holds, in one pass over the terms of t.
-    A list of legs, such as an `ext.legs`, takes the certified copies in
+    The list of legs, such as an `ext.legs`, takes the certified copies in
     place, so that it holds its slots as deep as any reduction through it
     certified them."""
     reach = [max(map(len, words)) for words in zip(*t.terms)]
-    certified = [p.ensure_degree(d) for p, d in zip(legs, reach)]
-    if isinstance(legs, list):
-        legs[:len(certified)] = certified
-    systems = [p.rewrite for p in certified]
+    legs[:len(reach)] = [p.ensure_degree(d) for p, d in zip(legs, reach)]
+    systems = [p.rewrite for p in legs]
     out = {}
     for key, c in t.terms.items():
         terms = [((), c)]
@@ -639,7 +639,7 @@ def verify_hopf(p: Presentation) -> Report:
                        apply_map(rel, eps, S_ZERO).is_zero())
         for gi, name in enumerate(A.names):
             d = h.delta[gi]
-            left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), (p, p, p))
+            left, right = (reduce_legs(expand_leg(d, leg, dext, (A, A)), [p, p, p])
                            for leg in (0, 1))
             report.add(f"coassociativity on {name}", left == right)
             lhs = apply_map(d, lambda k: NCPoly(A, {k[1]: eps(k[0])}), NCPoly.zero(A))
@@ -661,7 +661,7 @@ def verify_hopf(p: Presentation) -> Report:
 def verify_coaction(c: CoactionData) -> Report:
     report = Report(f"coaction({c.total.name} over {c.base.name})")
     A, Z = c.base.alphabet, c.total.alphabet
-    legs = (c.base, c.base, c.total)
+    legs = [c.base, c.base, c.total]
     with timed(report):
         aext = alpha_ext(c)
         for rel in c.total.relations:
@@ -696,13 +696,13 @@ def add_star_map(report: Report, label, images, ext, base, source):
         lhs = apply_map(source.star.apply(Z.gen(name)), ext, TensorPoly((A, Z)))
         rhs = apply_map(images[gi], lambda k: TensorPoly.of(
             base.star.of_word(k[0]), source.star.of_word(k[1])), TensorPoly((A, Z)))
-        rhs = reduce_legs(rhs, (base, source))
+        rhs = reduce_legs(rhs, [base, source])
         report.add(f"{label} is a *-map on {name}", lhs == rhs)
 
 
-def _short(poly: NCPoly, limit=40) -> str:
+def _short(poly: NCPoly) -> str:
     s = poly.pretty()
-    return s if len(s) <= limit else s[: limit - 3] + "..."
+    return s if len(s) <= 40 else s[:37] + "..."
 
 
 def findim_rep_obstruction(n: int, p: int) -> bool:
@@ -775,8 +775,8 @@ def _images(lines, alphabet, parse, what):
     return images
 
 
-def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentation:
-    """Parse the presentation DSL:
+def parse_presentation_text(text: str) -> Presentation:
+    """Parse the presentation DSL, completed to degree 3:
 
         algebra NAME
         generators g1 g2 ...
@@ -812,8 +812,7 @@ def parse_presentation_text(text: str, completion_degree: int = 3) -> Presentati
     if lines["star"]:
         smap = StarMap(A, _images(lines["star"], A, lambda src, at: parse_expr(src, A, at),
                                   "star images"))
-    return _finish(name, A, relations, order, star=smap,
-                   completion_degree=completion_degree)
+    return _finish(name, A, relations, order, star=smap, completion_degree=3)
 
 
 def coaction_names(text: str):

@@ -69,10 +69,10 @@ class Report:
             "params": self.params,
         }
 
-    def to_json(self, indent=2):
+    def to_json(self):
         import json  # only --json output needs it: it would add to start-up
 
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def render(self):
         lines = [f"[{self.status.upper()}] {self.check_name}"]

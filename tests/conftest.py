@@ -1,9 +1,11 @@
+import functools
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import qgal
 from qgal.ncpoly import NCPoly
@@ -76,6 +78,25 @@ def random_poly(rng, alphabet, degree=3, terms=4):
         word = tuple(rng.randrange(n) for _ in range(rng.randint(0, degree)))
         out = out + NCPoly(alphabet, {word: S_ONE}).scale(random_scalar(rng))
     return out
+
+
+def fractions(lo, hi, max_denominator=None):
+    """The Fractions in [lo, hi], for ints lo < hi, that
+    st.fractions(lo, hi, max_denominator=...) draws, from the same
+    choices: a denominator d, then a numerator in [lo*d, hi*d].  Each
+    d's numerator strategy is built once, where st.fractions builds and
+    validates a new one on every draw."""
+    @functools.cache
+    def over(d):
+        return st.builds(Fraction, st.integers(lo * d, hi * d), st.just(d))
+
+    drawn = st.integers(1, max_denominator).flatmap(over)
+    if max_denominator is None:
+        return drawn
+    # limit_denominator changes no value here, but without it the draws
+    # inside st.dictionaries differ from those of st.fractions: hypothesis
+    # reads the structure of a strategy when it varies its choices
+    return drawn.map(lambda f: f.limit_denominator(max_denominator))
 
 
 def subprocess_env(**extra):

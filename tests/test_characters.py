@@ -95,13 +95,15 @@ def test_random_ideal_membership(rng):
         assert reduce_poly(combo, basis) == {}
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     # S-polynomial of x^2 - y and x*y - 1 has remainder y^2 - x: degree 2
     f = P(((2, 0), S_ONE), ((0, 1), -S_ONE))
     g = P(((1, 1), S_ONE), ((0, 0), -S_ONE))
+    monkeypatch.setenv("QGAL_DEGREE_CAP", "1")
     with pytest.raises(DegreeCapError):
-        groebner(CommutativePresentation(["x", "y"], [f, g]), degree_cap=1)
-    assert groebner(CommutativePresentation(["x", "y"], [f, g]), degree_cap=8)
+        groebner(CommutativePresentation(["x", "y"], [f, g]))
+    monkeypatch.setenv("QGAL_DEGREE_CAP", "8")
+    assert groebner(CommutativePresentation(["x", "y"], [f, g]))
 
 
 def test_degree_cap_env(monkeypatch):

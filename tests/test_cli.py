@@ -236,6 +236,19 @@ def test_argparse_rejection_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["parse", "GLq2", "x11", "--json"],
+    ["parse", "GLq2", "x11", "--q", "3"],
+    ["normalize", "GLq2", "x12*x11", "--q", "3"],
+])
+def test_a_flag_the_command_does_not_read_exits_3(capsys, argv):
+    """Each command takes only the flags it reads: parse prints no JSON
+    and samples no q, and normalize samples no q."""
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[3:])}" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["haar", "Uq2m2", "--degree", "-1"],
     ["verify", "GLq2m2", "--suite", "galois", "--degree", "-1"],
     # run, it would pass vacuously: dim(V wedge Z) = 0 at degree -2

@@ -118,13 +118,10 @@ def test_duality_and_snake_dims_1_to_3(uq2):
 
 
 def test_unitary_structure_undecided_without_convergence(uq2, monkeypatch):
-    from functools import partial
+    from qgal import linalg
 
-    from qgal import haar
-    from qgal.linalg import eigvalsh
-
-    # haar.add_gram_sample evaluates every sampled gram
-    monkeypatch.setattr(haar, "eigvalsh", partial(eigvalsh, max_sweeps=0))
+    # haar.add_gram_sample evaluates every sampled gram with linalg.eigvalsh
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     q = ScalarQ.q_power(1)
     g = [[S_ONE, q], [q, S_ONE + q * q]]
     r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))

@@ -1,11 +1,9 @@
 """linalg.eigvalsh against numpy's Hermitian eigenvalues, the oracle."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
-from qgal import haar
+from qgal import haar, linalg
 from qgal.haar import gram_matrix, haar_on_extension, haar_on_hopf
 from qgal.linalg import LinearSolveError, eigvalsh
 
@@ -98,17 +96,18 @@ def test_uq2m2_grams(c_uq, mu6, degree, q0):
     assert_matches_numpy([[x.eval(q0) for x in row] for row in gram])
 
 
-def test_no_convergence_raises():
+def test_no_convergence_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     a = [[1.0, 0.5j], [-0.5j, 2.0]]
     with pytest.raises(LinearSolveError, match="did not converge in 0 sweeps"):
-        eigvalsh(a, max_sweeps=0)
+        eigvalsh(a)
     # a diagonal matrix needs no sweep
-    assert eigvalsh([[2.0, 0.0], [0.0, 1.0]], max_sweeps=0) == [1.0, 2.0]
+    assert eigvalsh([[2.0, 0.0], [0.0, 1.0]]) == [1.0, 2.0]
 
 
 def test_gram_positivity_undecided_without_convergence(c_uq, mu6, monkeypatch):
     """A Gram matrix whose eigenvalues do not converge is never a pass."""
-    monkeypatch.setattr(haar, "eigvalsh", partial(eigvalsh, max_sweeps=0))
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     r = haar.gram_positivity(c_uq.total, mu6, 2)
     psd = [i for i in r.items if i.desc.startswith("PSD evidence")]
     assert len(psd) == 3

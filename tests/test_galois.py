@@ -4,7 +4,6 @@ import pytest
 
 from qgal import galois, linalg, presentations
 from qgal.galois import (
-    galois_inverse,
     galois_map,
     tau_ext,
     translation_witness,
@@ -20,6 +19,7 @@ from qgal.presentations import (
     _build_glq2m2,
     _coaction_aufg,
     _coaction_glq_family,
+    alpha_ext,
     extend_reduced,
     parse_presentation_text,
     reduce_legs,
@@ -30,6 +30,12 @@ from qgal.scalars import S_ONE, add_term
 @pytest.fixture(scope="module")
 def witness(c_glq):
     return translation_witness(c_glq)[0]
+
+
+def with_witness(monkeypatch, tau):
+    """verify_galois checks tau in place of the one it would solve."""
+    monkeypatch.setattr(galois, "translation_witness",
+                        lambda c: (tau, {"witness_degree": None}))
 
 
 def corrupted(w, A, name):
@@ -53,11 +59,12 @@ def T2(c, pairs):
 def test_galois_map_examples(c_glq):
     Z = c_glq.total
     one = NCPoly.one(Z.alphabet)
-    assert galois_map(Z.parse("z11"), one, c_glq) == \
+    aext = alpha_ext(c_glq)
+    assert galois_map(aext, Z.parse("z11"), one) == \
         T2(c_glq, [("x11", "z11"), ("x12", "z21")])
-    assert galois_map(Z.parse("tau"), one, c_glq) == T2(c_glq, [("t", "tau")])
+    assert galois_map(aext, Z.parse("tau"), one) == T2(c_glq, [("t", "tau")])
     y = Z.parse("z12*z21")
-    got = galois_map(one, y, c_glq)
+    got = galois_map(aext, one, y)
     want = TensorPoly((c_glq.base.alphabet, Z.alphabet))
     for w, coeff in Z.nf(y).terms.items():
         want = want + TensorPoly((c_glq.base.alphabet, Z.alphabet),
@@ -68,12 +75,13 @@ def test_galois_map_examples(c_glq):
 def test_galois_inverse_examples(c_glq, witness):
     A, Z = c_glq.base, c_glq.total
     one = NCPoly.one(Z.alphabet)
-    got = galois_inverse(A.parse("x11"), one, witness, c_glq)
+    text = tau_ext(witness, c_glq)
+    got = galois_map(text, A.parse("x11"), one)
     want = TensorPoly((Z.alphabet, Z.alphabet))
     want = want + TensorPoly.of(Z.parse("z11"), Z.nf(Z.parse("z22*tau")))
     want = want + TensorPoly.of(Z.parse("z12"), Z.nf(Z.parse("q^-1*z21*tau")))
     assert got == want
-    got_t = galois_inverse(A.parse("t"), one, witness, c_glq)
+    got_t = galois_map(text, A.parse("t"), one)
     want_t = TensorPoly.of(Z.parse("tau"),
                            Z.nf(Z.parse("z11*z22 + q^-1*z12*z21")))
     assert got_t == want_t
@@ -94,12 +102,12 @@ def test_galois_inverse_certifies_what_it_reduces(c_glq, witness):
     assert len(pairs) == 441
     for a, y in pairs:
         t = apply_map(a, ext8, TensorPoly((Z.alphabet, Z.alphabet)))
-        want = reduce_legs(t.mul_leg(1, y), (Z8, Z8))
-        assert galois_inverse(a, y, witness, c_glq) == want, (a, y)
+        want = reduce_legs(t.mul_leg(1, y), [Z8, Z8])
+        assert galois_map(tau_ext(witness, c_glq), a, y) == want, (a, y)
 
 
 def test_validate_witness(c_glq, witness):
-    assert validate_witness(c_glq, witness).ok
+    assert validate_witness(c_glq, tau_ext(witness, c_glq)).ok
 
 
 def test_translation_map_glq(c_glq, witness):
@@ -114,7 +122,7 @@ def test_translation_map_glq(c_glq, witness):
         for j in range(2):
             want = TensorPoly.of(z[i][0], M[0][j]) + TensorPoly.of(z[i][1], M[1][j])
             got = witness[A.alphabet.index[f"x{i + 1}{j + 1}"]]
-            assert reduce_legs(got - want, (Z, Z)).is_zero()
+            assert reduce_legs(got - want, [Z, Z]).is_zero()
 
 
 def test_tau_ext_is_the_product_term_by_term(c_glq, witness):
@@ -153,17 +161,18 @@ def test_tau_ext_is_the_product_term_by_term(c_glq, witness):
     assert ext.legs == [Z, Z.ensure_degree(8)]
 
 
-def test_corrupted_witness_fails(c_glq, witness):
+def test_corrupted_witness_fails(c_glq, witness, monkeypatch):
     bad = corrupted(witness, c_glq.base, "x11")
-    assert not validate_witness(c_glq, bad).ok
-    r = verify_galois(c_glq, 1, bad)
+    assert not validate_witness(c_glq, tau_ext(bad, c_glq)).ok
+    with_witness(monkeypatch, bad)
+    r = verify_galois(c_glq, 1)
     assert not r.ok
 
 
 def test_corrupted_witness_shows_its_residual_cut_to_120(c_glq, witness):
     A, Z = c_glq.base, c_glq.total
     bad = corrupted(witness, A, "x11")
-    r = validate_witness(c_glq, bad)
+    r = validate_witness(c_glq, tau_ext(bad, c_glq))
     Z6 = Z.ensure_degree(6)
     ext = extend_reduced(bad, (Z6, Z6), left=(1,))
     residuals = [apply_map(rel, ext, TensorPoly((Z.alphabet, Z.alphabet))).pretty()
@@ -173,8 +182,9 @@ def test_corrupted_witness_shows_its_residual_cut_to_120(c_glq, witness):
     assert any(len(s) > 120 for s in residuals)
 
 
-def test_verify_galois_glq(c_glq, witness):
-    r = verify_galois(c_glq, 1, witness)
+def test_verify_galois_glq(c_glq, witness, monkeypatch):
+    with_witness(monkeypatch, witness)
+    r = verify_galois(c_glq, 1)
     assert r.ok
 
 
@@ -187,10 +197,11 @@ def test_verify_galois_extends_each_map_once(c_glq, witness, monkeypatch):
         built.append(tuple(p.name for p in legs))
         return extend_reduced(images, legs, left)
 
+    with_witness(monkeypatch, witness)
     monkeypatch.setattr(galois, "extend_reduced", counting)
     monkeypatch.setattr(galois, "alpha_ext",
                         lambda c: counting(c.alpha, (c.base, c.total)))
-    assert verify_galois(c_glq, 2, witness).ok
+    assert verify_galois(c_glq, 2).ok
     assert sorted(built) == [("GLq2", "GLq2m2"), ("GLq2m2", "GLq2m2")]
 
 
@@ -234,13 +245,15 @@ def test_beta_left_linearity_sample(c_glq):
     Z = c_glq.total
     x = Z.parse("z11*z21")
     y = Z.parse("tau")
-    lhs = galois_map(x, y, c_glq)
-    rhs = galois_map(x, NCPoly.one(Z.alphabet), c_glq).mul_leg(1, y)
-    assert reduce_legs(rhs, (c_glq.base, Z)) == lhs
+    aext = alpha_ext(c_glq)
+    lhs = galois_map(aext, x, y)
+    rhs = galois_map(aext, x, NCPoly.one(Z.alphabet)).mul_leg(1, y)
+    assert reduce_legs(rhs, [c_glq.base, Z]) == lhs
 
 
 def test_aufg_witness_validates(c_aufg):
-    assert validate_witness(c_aufg, translation_witness(c_aufg)[0]).ok
+    text = tau_ext(translation_witness(c_aufg)[0], c_aufg)
+    assert validate_witness(c_aufg, text).ok
 
 
 def test_rectangular_pair_passes_at_degree_1():
@@ -284,4 +297,5 @@ def test_a_generator_whose_kernel_vector_holds_another_is_not_reached():
     says r_a + r_b = 0, so r_b is free, but its kernel vector holds r_a,
     and neither generator gets a value."""
     ab = parse_presentation_text("algebra ab\ngenerators a b\nrelation b - a\n")
-    assert dict(galois._solve_tau(CoactionData(ab, ab, {}), {(): [0, 1]}, {})) == {}
+    c = CoactionData(ab, ab, {})
+    assert dict(galois._solve_tau(c, alpha_ext(c), {(): [0, 1]}, {})) == {}

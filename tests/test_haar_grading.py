@@ -161,8 +161,7 @@ relation h*g - 1
 def group_algebra(name, extra=""):
     """The group algebra of Z, or of a quotient by an extra relation, on
     g and h = g^-1, with g grouplike of bigrade ((1,), (1,))."""
-    p = parse_presentation_text(GROUP.format(name=name, extra=extra),
-                                completion_degree=6)
+    p = parse_presentation_text(GROUP.format(name=name, extra=extra))
     A = p.alphabet
     g, h = A.index["g"], A.index["h"]
     hopf = HopfData({g: TensorPoly.of(A.gen("g"), A.gen("g")),

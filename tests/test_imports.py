@@ -277,6 +277,126 @@ def test_every_slot_is_read():
     assert unread_slots(*_package_tests_and_bench()) == []
 
 
+def defaulted_params(source):
+    """(line, callee, parameter, position) of each parameter of a `def`
+    that has a default.  The callee is the name a call uses: the
+    function's, or for `__init__` its class's.  The position counts the
+    arguments a call passes before it, with no self; None for a
+    keyword-only parameter."""
+    tree = parse(source)
+    owner = {f: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for f in node.body}
+    found = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = f.args
+        params = args.posonlyargs + args.args
+        skip = int(f in owner and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list))
+        callee = owner[f] if f.name == "__init__" and f in owner else f.name
+        first = len(params) - len(args.defaults)
+        found += [(f.lineno, callee, a.arg, i - skip)
+                  for i, a in enumerate(params) if i >= first]
+        found += [(f.lineno, callee, a.arg, None)
+                  for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return found
+
+
+def calls_by_name(source):
+    """(callee name, call) of each call in a source, by name or as an
+    attribute, except a call into another library: of a name that an
+    absolute import binds from outside qgal, or of an attribute of one."""
+    tree = parse(source)
+    foreign = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            foreign.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.split(".")[0] != "qgal")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] != "qgal":
+            foreign.update(a.asname or a.name for a in node.names)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            if not (isinstance(func.value, ast.Name) and func.value.id in foreign):
+                yield func.attr, node
+        elif isinstance(func, ast.Name) and func.id not in foreign:
+            yield func.id, node
+
+
+def unset_defaults(defining, calling, exempt=()):
+    """(module, line, callee.parameter) of each defaulted parameter of a
+    function of `defining` that a source of `defining` calls, which no
+    call in `calling` sets, by position or by keyword, and which is not
+    in `exempt`.  Calls are matched by the callee's name; one that
+    unpacks *args or **kwargs may set anything."""
+    called = {name for source in defining.values() for name, _ in calls_by_name(source)}
+    sets = {}
+    for source in calling.values():
+        for name, call in calls_by_name(source):
+            sets.setdefault(name, []).append(call)
+
+    def set_by(call, param, position):
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg in (None, param) for k in call.keywords):
+            return True
+        return position is not None and len(call.args) > position
+
+    return sorted((label, line, f"{callee}.{param}")
+                  for label, source in defining.items()
+                  for line, callee, param, position in defaulted_params(source)
+                  if callee in called and f"{callee}.{param}" not in exempt
+                  and not any(set_by(c, param, position) for c in sets.get(callee, ())))
+
+
+def test_checker_finds_unset_defaults():
+    module = ("import numpy\n"
+              "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "class K:\n"
+              "    def __init__(self, x=0, y=0): pass\n"
+              "    def m(self, z=1): pass\n"
+              "    @staticmethod\n"
+              "    def s(t=1): pass\n"
+              "def g(u=1): pass\n"
+              "def h(v=1): pass\n"
+              "def uncalled(w=1): pass\n"
+              "def run():\n"
+              "    f(0, 1, d=2)\n"
+              "    K(5)\n"
+              "    K().m()\n"
+              "    K.s(2)\n"
+              "    g(*[])\n"
+              "    h()\n"
+              "    numpy.h(v=2)\n")
+    assert unset_defaults({"m": module}, {"m": module}) == [
+        ("m", 2, "f.c"), ("m", 2, "f.e"), ("m", 4, "K.y"), ("m", 5, "m.z"),
+        ("m", 9, "h.v")]
+    bench = "from m import K\nK().m(z=2)\n"
+    assert unset_defaults({"m": module}, {"m": module, "b": bench}, {"f.c", "f.e"}) \
+        == [("m", 4, "K.y"), ("m", 9, "h.v")]
+
+
+def test_every_default_is_set_by_a_caller():
+    """A defaulted parameter that no call in the package or its benchmark
+    sets is a knob that nothing turns: it is a constant, or the function
+    reads what its callers already pass.  Exempt are the functions that
+    no module of the package calls (the comodules API that no command
+    reaches yet) and the parameters below."""
+    exempt = {
+        # criterion 4 of the acceptance tests compares two choices of f
+        "haar_on_extension.f",
+        # the benchmark's selftest builds a system as type(rs)(..., degree)
+        "RewriteSystem.completion_degree",
+    }
+    bench = sorted((TESTS.parent / "perfbench").glob("*.py"))
+    defining = {p.name: p.read_text() for p in MODULES}
+    assert unset_defaults(defining, {**defining, **{str(p): p.read_text() for p in bench}},
+                          exempt) == []
+
+
 def foreign_imports(source, package="qgal"):
     """(line, module) of each absolute import that names neither a
     standard-library module nor `package`; relative imports are the

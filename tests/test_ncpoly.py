@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import fractions, random_poly
 from qgal.ncpoly import (
     Alphabet,
     NCPoly,
@@ -79,7 +79,7 @@ COEFFS = st.one_of(
         lambda t: ScalarQ.from_int(t[0]) * ScalarQ.q_power(t[1])),
     st.tuples(
         st.dictionaries(st.integers(-3, 3),
-                        st.fractions(-9, 9, max_denominator=9).filter(bool),
+                        fractions(-9, 9, 9).filter(bool),
                         min_size=1, max_size=3),
         st.sampled_from([{0: 1}, {0: 1, 1: 1}, {0: 1, 2: 1}, {0: 1, 1: -1, 2: 1},
                          {0: 2, 3: -1}]),

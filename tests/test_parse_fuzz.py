@@ -59,7 +59,7 @@ def test_parse_expr_fuzz(text):
 @example("algebra a\ngenerators x y\nstar x -> x")
 def test_parse_presentation_text_fuzz(text):
     try:
-        parse_presentation_text(text, completion_degree=2)
+        parse_presentation_text(text)
     except (ParseError, CatalogError, *COMPLETION_VERDICTS):
         pass
 

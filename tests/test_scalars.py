@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_nonzero_scalar, random_scalar
+from conftest import fractions, random_nonzero_scalar, random_scalar
 from qgal.scalars import (
     LaurentPoly,
     PoleError,
@@ -133,9 +133,7 @@ def test_canonicalization_idempotent():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-4, 4), st.integers(-4, 4),
-       st.fractions(min_value=-5, max_value=5),
-       st.fractions(min_value=-5, max_value=5))
+@given(st.integers(-4, 4), st.integers(-4, 4), fractions(-5, 5), fractions(-5, 5))
 def test_eval_is_ring_homomorphism(e1, e2, c1, c2):
     a = ScalarQ.from_fraction(c1) * ScalarQ.q_power(e1) + S_ONE
     b = ScalarQ.from_fraction(c2) * ScalarQ.q_power(e2) - Q
@@ -152,6 +150,9 @@ def test_eval_is_ring_homomorphism(e1, e2, c1, c2):
 # often share a factor: 1+q, 1+q^2, 1-q+q^2, q-2
 ORACLE_FACTORS = [LaurentPoly({0: 1, 1: 1}), LaurentPoly({0: 1, 2: 1}),
                   LaurentPoly({0: 1, 1: -1, 2: 1}), LaurentPoly({0: -2, 1: 1})]
+
+# coefficients of the oracle scalars and of ordinary_polys
+SMALL_FRACTIONS = fractions(-4, 4, 6)
 
 # halves and thirds, so that sums and products often cancel to integers
 CANCELLING = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
@@ -177,9 +178,7 @@ oracle_scalars = st.builds(
         LaurentPoly({e: Fraction(c) for e, c in coeffs.items()}) * _product(num),
         _product(den)),
     st.dictionaries(st.integers(-3, 3),
-                    st.one_of(st.fractions(min_value=-4, max_value=4,
-                                           max_denominator=6),
-                              st.sampled_from(CANCELLING)),
+                    st.one_of(SMALL_FRACTIONS, st.sampled_from(CANCELLING)),
                     min_size=1, max_size=3),
     factor_lists(0, 1),
     # some draws take the denominator 1
@@ -272,7 +271,7 @@ def ordinary_polys(degree):
     some of them integral."""
     return st.dictionaries(
         st.integers(0, degree),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        SMALL_FRACTIONS,
         max_size=degree + 1,
     ).map(LaurentPoly)
 
@@ -486,7 +485,7 @@ def _at(x):
 
 
 fraction_maps = st.dictionaries(
-    st.integers(-2, 3), st.fractions(min_value=-6, max_value=6, max_denominator=6),
+    st.integers(-2, 3), fractions(-6, 6, 6),
     max_size=4)
 
 
