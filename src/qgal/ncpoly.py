@@ -84,7 +84,7 @@ class NCPoly:
         return not self.terms
 
     def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def _check(self, other):
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:

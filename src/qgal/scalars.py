@@ -14,9 +14,11 @@ which they skip when the denominator is 1; no Fraction is made until
 
 A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
 of reduced fractions take only the polynomial gcds that can be
-non-trivial (Henrici's rule), and every polynomial gcd and exact division
-runs over Z on primitive parts, through the one pseudo-division
-`_pseudo_divmod`; see `_henrici_sum`, `ScalarQ.__mul__` and `_poly_gcd`.
+non-trivial (Henrici's rule).  Every polynomial gcd and exact division
+runs over Z on dense int lists of numerators, constant term first: the
+gcd is Euclid on primitive pseudo-remainders (`_pseudo_rem`), and an
+exact division is one quotient loop that checks it leaves no remainder
+(`_exact_quo`); see `_henrici_sum`, `ScalarQ.__mul__` and `_cancel`.
 Most scalars that completion meets are monomials c*q^k with c an int,
 over the denominator 1.  A sum or product of two of them takes no gcd,
 and no loop over Laurent terms: the operators form it from the two
@@ -278,113 +280,134 @@ def _reduced(n: list, m: int) -> LaurentPoly:
     return _laurent(n, m)
 
 
-def _sub_multiple(rem: dict, f, k: int, b: dict) -> None:
-    """rem -= f * q^k * b in place, on coefficient maps; a coefficient
-    that cancels is dropped."""
-    for e, c in b.items():
-        e += k
-        v = rem.get(e, 0) - f * c
-        if v:
-            rem[e] = v
-        else:
-            rem.pop(e, None)
+def _dense(p: LaurentPoly, t: int) -> list:
+    """The numerators of p/q^t as a dense list, constant term first, for
+    t at most p's lowest exponent ([] for p = 0)."""
+    n = p._n
+    a = [0] * (n[-2] - t + 1) if n else []
+    for i in range(0, len(n), 2):
+        a[n[i] - t] = n[i + 1]
+    return a
 
 
-def _pseudo_divmod(a: dict, b: dict):
-    """Pseudo-division over Z of the integer polynomial a by b, whose
-    leading coefficient is positive, on coefficient maps of ordinary
-    polynomials: (s, quo, rem) with s*a = quo*b + rem, deg rem < deg b.
-
-    Each step scales the dividend, and the quotient so far, by the least
-    positive integer that makes the next quotient term integral, and s
-    is the product of these scales, so no Fraction arises.  When b is
-    primitive and divides a over Q, the quotient is integral (Gauss's
-    lemma), every step takes the scale 1, and s = 1, rem = 0.
-    """
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    quo = {}
-    s = 1
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        h = math.gcd(rem[da], lb)
-        t, f = lb // h, rem[da] // h
-        if t != 1:
-            rem = {e: c * t for e, c in rem.items()}
-            quo = {e: c * t for e, c in quo.items()}
-            s *= t
-        quo[da - db] = f
-        _sub_multiple(rem, f, da - db, b)
-    return s, quo, rem
+def _from_dense(a: list, k: int, m: int, t: int) -> LaurentPoly:
+    """The LaurentPoly (k/m)·q^t·Σ a_e q^e of the dense int list a, for
+    an int k and an int m > 0, in the stored form."""
+    n = [x for e, c in enumerate(a) if c for x in (e + t, c * k)]
+    return _laurent(n, 1) if m == 1 else _reduced(n, m)
 
 
-def _primitive(p: dict):
-    """(c, p/c) for the nonzero integer polynomial p, with c its content,
-    signed so that the primitive part p/c has a positive leading
-    coefficient."""
-    c = math.gcd(*p.values())
-    if p[max(p)] < 0:
+def _primitive(a: list) -> list:
+    """The nonzero dense integer polynomial a over its content, signed so
+    that it has a positive leading coefficient."""
+    c = math.gcd(*a)
+    if a[-1] < 0:
         c = -c
-    return c, p if c == 1 else {e: v // c for e, v in p.items()}
+    return a if c == 1 else [v // c for v in a]
+
+
+def _pseudo_rem(a: list, b: list):
+    """Pseudo-remainder over Z of the dense integer polynomial a by b,
+    whose leading coefficient is positive: (s, rem) with
+    rem = s*a mod b, deg rem < deg b.
+
+    Each step scales the dividend by the least positive integer that makes
+    the next quotient term integral, and s is the product of these
+    scales, so no Fraction arises.
+    """
+    rem = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    s = 1
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if c:
+            f, r = divmod(c, lb)
+            if r:
+                h = math.gcd(c, lb)
+                t, f = lb // h, c // h
+                rem = [v * t for v in rem]
+                s *= t
+            for i in range(db):
+                rem[k + i] -= f * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return s, rem
+
+
+def _exact_quo(a: list, b: list) -> list:
+    """a / b over Z for dense integer polynomials, b nonzero; ScalarError
+    when the quotient is not an integer polynomial."""
+    rem = a[:]
+    db = len(b) - 1
+    lb = b[-1]
+    quo = [0] * (len(a) - db)
+    for k in range(len(a) - len(b), -1, -1):
+        c = rem.pop()
+        if c:
+            f, r = divmod(c, lb)
+            if r:
+                raise ScalarError("inexact polynomial division")
+            quo[k] = f
+            for i in range(db):
+                rem[k + i] -= f * b[i]
+    if any(rem):
+        raise ScalarError("inexact polynomial division")
+    return quo
+
+
+def _dense_gcd(a: list, b: list) -> list:
+    """gcd over Z of two nonzero dense integer polynomials, primitive and
+    with a positive leading coefficient: Euclid on primitive
+    pseudo-remainders (W. S. Brown, J. ACM 18, 1971)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = _pseudo_rem(a, b)[1]
+        if not rem:
+            return b
+        a, b = b, _primitive(rem)
+    return [1]
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd of ordinary polynomials over Q, computed over Z on the
     numerators."""
-    a, b = _terms(a), _terms(b)
+    a, b = _dense(a, 0), _dense(b, 0)
     if not (a or b):
         return LaurentPoly()
-    if a and b:
-        g = _integer_gcd(_primitive(a)[1], _primitive(b)[1])
-    else:
-        g = _primitive(a or b)[1]
-    # g is primitive, so g over its leading coefficient is in stored form
-    return _laurent(_flat(sorted(g.items())), g[max(g)])
-
-
-def _integer_gcd(a: dict, b: dict) -> dict:
-    """gcd over Z of two primitive integer polynomials with positive
-    leading coefficients, in that form too: Euclid on primitive
-    pseudo-remainders (W. S. Brown, J. ACM 18, 1971)."""
-    if max(a) < max(b):
-        a, b = b, a
-    while max(b):
-        rem = _pseudo_divmod(a, b)[2]
-        if not rem:
-            return b
-        a, b = b, _primitive(rem)[1]
-    return {0: 1}
+    g = _dense_gcd(a, b) if a and b else _primitive(a or b)
+    return _from_dense(g, 1, g[-1], 0)
 
 
 def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """a / b for an ordinary polynomial b that divides a, over Z: with
     b = (c/m_b)·P for P the primitive part of b's numerators, the
-    quotient A/P of a's numerators is integral, and
+    quotient A/P of a's numerators is integral (Gauss's lemma), and
     a / b = (m_b / (c·m_a))·(A/P)."""
-    c, p = _primitive(_terms(b))
-    s, quo, rem = _pseudo_divmod(_terms(a), p)
-    if s != 1 or rem:
-        raise ScalarError("inexact polynomial division")
-    m, k = c * a._m, b._m
+    nb = _dense(b, 0)
+    p = _primitive(nb)
+    k, m = b._m, nb[-1] // p[-1] * a._m
     if m < 0:
-        m, k = -m, -k
-    n = _flat(sorted((e, v * k) for e, v in quo.items()))
-    return _laurent(n, 1) if m == 1 else _reduced(n, m)
+        k, m = -k, -m
+    return _from_dense(_exact_quo(_dense(a, 0), p), k, m, 0)
 
 
 def _cancel(num: LaurentPoly, den: LaurentPoly):
     """(num/g, den/g) for g the monic gcd of the ordinary den and num's
     ordinary part (q never divides a canonical denominator, so num's own
-    q-power is pulled out first and put back after)."""
+    q-power is pulled out first and put back after).  With G the
+    primitive gcd of the numerators and l its leading coefficient,
+    g = G/l, and num/g = (l/m_num)·(N/G) with N/G integral."""
     t = num.low()
-    n0 = num.shift(-t)
-    g = _poly_gcd(n0, den)
-    if not g.degree():
+    a, b = _dense(num, t), _dense(den, 0)
+    g = _dense_gcd(a, b)
+    if len(g) == 1:
         return num, den
-    return _poly_exact_div(n0, g).shift(t), _poly_exact_div(den, g)
+    lc = g[-1]
+    return (_from_dense(_exact_quo(a, g), lc, num._m, t),
+            _from_dense(_exact_quo(b, g), lc, den._m, 0))
 
 
 # The one denominator of every ScalarQ whose canonical denominator is 1.
@@ -396,11 +419,13 @@ class ScalarQ:
 
     Canonical form: the denominator is an ordinary polynomial (lowest
     q-exponent 0, so its constant term is nonzero), monic, and coprime to
-    the numerator.  Equality and hashing go through this form.  A
-    denominator equal to 1 is always the shared object UNIT_DEN.  The
-    public constructor canonicalises unless the denominator is UNIT_DEN:
-    a scalar over UNIT_DEN is canonical whatever its numerator; any other
-    pair goes through one gcd of the whole numerator and denominator.
+    the numerator.  Equality and hashing go through this form, except
+    that a constant over UNIT_DEN hashes as the int or Fraction it
+    equals.  A denominator equal to 1 is always the shared object
+    UNIT_DEN.  The public constructor canonicalises unless the
+    denominator is UNIT_DEN: a scalar over UNIT_DEN is canonical whatever
+    its numerator; any other pair goes through one gcd of the whole
+    numerator and denominator.
 
     The operators build their results through _scalar, which takes over
     the pair as it is, and take no gcd when none can be non-trivial: a
@@ -413,8 +438,10 @@ class ScalarQ:
     and, when that is not 1, gcd(t, gcd(b, d)) for the new numerator t
     (`_henrici_sum`).  Any other product (a/b)(c/d) takes only the cross
     gcds gcd(a, d) and gcd(c, b), skipping one whose denominator is
-    UNIT_DEN.  `inv` swaps numerator and denominator through the
-    constructor, except for a monomial over UNIT_DEN.
+    UNIT_DEN; `_cancel` takes each on dense int lists and divides both
+    sides by it made monic, so a canonical denominator stays monic.
+    `inv` swaps numerator and denominator through the constructor,
+    except for a monomial over UNIT_DEN.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -572,7 +599,12 @@ class ScalarQ:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.num, self.den))
+            n, m = self.num._n, self.num._m
+            if self.den is not UNIT_DEN or len(n) > 2 or n and n[0]:
+                h = hash((self.num, self.den))
+            else:
+                # a constant hashes as the int or Fraction it equals
+                h = hash(Fraction(n[1], m) if n else 0)
             _set_sq_hash(self, h)
             return h
 
@@ -622,7 +654,8 @@ def _henrici_sum(a: LaurentPoly, b: LaurentPoly,
     """a/b + c/d for canonical fractions over denominators other than 1
     (P. Henrici, J. ACM 3, 1956): with g = gcd(b, d) and
     t = a (d/g) + c (b/g), the sum is (t/g2) / ((b/g)(d/g2)) for
-    g2 = gcd(t, g), and no other factor can cancel."""
+    g2 = gcd(t, g), and no other factor can cancel.  Both gcds are
+    monic, and b/g and d/g are exact quotients over Z (`_exact_quo`)."""
     g = _poly_gcd(b, d)
     if not g.degree():
         return _scalar(a * d + c * b, b * d)

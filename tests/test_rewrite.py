@@ -646,6 +646,26 @@ def test_completed_rules_are_pinned():
         "ea35789b205f4ebc5991d65ec94443860e8a20da3245395229160bcff3ba720f"
 
 
+@pytest.mark.slow
+def test_coefficient_growth_case_is_pinned():
+    """a*a*b -> 2 - q*a - q^2*b*b and b*b*b -> -2q^2*a*b + q^2*b*a - q^2*b*b,
+    completed to degree 4 and then 5: the Q(q) coefficients grow through
+    the rounds, and the polynomial gcds under them take over 10 s.  One
+    sha256 over each completed rule as the repr of (lhs, rhs.pretty())."""
+    q2 = Q * Q
+    rules = [RewriteRule((0, 0, 1), NCPoly(AB, {(): 2 * S_ONE, (0,): -Q,
+                                                (1, 1): -q2})),
+             RewriteRule((1, 1, 1), NCPoly(AB, {(0, 1): -2 * q2, (1, 0): q2,
+                                                (1, 1): -q2}))]
+    done = complete(complete(RewriteSystem(AB, rules, AB_ORDER), 4), 5)
+    digest = hashlib.sha256()
+    for rule in done.rules:
+        digest.update(repr((rule.lhs, rule.rhs.pretty())).encode())
+    assert len(done.rules) == 5
+    assert digest.hexdigest() == \
+        "ce8b2246e90f0d6485cb23d908aaf9c52512666539bcf87200b923ec1a7cfbf7"
+
+
 ABC = Alphabet(["a", "b", "c"])
 # 1 and -1, monomials, and two quotients with a denominator
 _COEFFS = [S_ONE, -S_ONE, 2 * Q, ScalarQ.from_fraction(Fraction(-1, 3)) / (Q * Q),

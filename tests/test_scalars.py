@@ -13,10 +13,12 @@ from qgal.scalars import (
     S_ONE,
     S_ZERO,
     UNIT_DEN,
+    ScalarError,
     ScalarQ,
+    _exact_quo,
     _poly_exact_div,
     _poly_gcd,
-    _pseudo_divmod,
+    _pseudo_rem,
     add_term,
 )
 
@@ -52,6 +54,21 @@ def test_monomial_inverse_matches_the_general_path():
         assert [type(v) for v in fast.num.coeffs.values()] == \
             [type(v) for v in slow.num.coeffs.values()]
         assert x * fast == S_ONE
+
+
+def test_equal_scalars_hash_alike():
+    # a constant equals the int or Fraction it is, so it hashes as that
+    for v in (0, 1, -7, 2**70, Fraction(1, 2), Fraction(-5, 3)):
+        x = ScalarQ.from_fraction(v)
+        assert x == v and hash(x) == hash(v)
+        assert len({x, v}) == 1
+    assert len({S_ONE, 1, Fraction(1)}) == 1 and len({S_ZERO, 0}) == 1
+    # a constant built through a quotient, and a nonconstant scalar, which
+    # equals no number
+    half = (Q + 1) / (2 * Q + 2)
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    y = (1 + Q) / (2 - Q)
+    assert hash(y) == hash(y * 1 + 0) and len({y, y * 1 + 0, 1}) == 2
 
 
 def test_eval_examples():
@@ -303,22 +320,91 @@ def test_gcd_and_division_against_sympy(a, b, c):
     if not c.is_zero():
         assert poly(_poly_exact_div(a, c)) == sp.quo(poly(a), poly(c))
     if not b.is_zero():
-        # the pseudo-division under both, on the integer multiples of a
-        # and of b (made to lead positively): s*a = quo*b + rem
+        # the pseudo-remainder under the gcd, on the integer multiples of a
+        # and of b (made to lead positively): rem = s*a mod b
         ia, ib = _integral(a), _integral(b)
-        if ib[max(ib)] < 0:
-            ib = {e: -v for e, v in ib.items()}
-        s, quo, rem = _pseudo_divmod(ia, ib)
-        assert s > 0
-        want = sp.div(poly(LaurentPoly(ia)), poly(LaurentPoly(ib)))
-        assert (poly(LaurentPoly(quo)), poly(LaurentPoly(rem))) == \
-            tuple(s * x for x in want)
+        if ib[-1] < 0:
+            ib = [-v for v in ib]
+        s, rem = _pseudo_rem(ia, ib)
+        assert s > 0 and all(type(v) is int for v in rem)
+        assert not rem or rem[-1]
+        want = sp.div(s * poly(_from_list(ia)), poly(_from_list(ib)))[1]
+        assert poly(_from_list(rem)) == want
 
 
 def _integral(x):
-    """The coefficient map of x times the lcm of its denominators."""
+    """The dense coefficient list, constant term first, of x times the
+    lcm of its denominators."""
     m = math.lcm(*(Fraction(v).denominator for v in x.coeffs.values()))
-    return (x * m).coeffs
+    cs = (x * m).coeffs
+    return [cs.get(e, 0) for e in range(x.degree() + 1)] if cs else []
+
+
+def _from_list(cs):
+    """The ordinary polynomial with the dense coefficient list cs."""
+    return LaurentPoly(dict(enumerate(cs)))
+
+
+# integer polynomials of degree up to 15, some of whose coefficients
+# exceed 2^64; products of two of them reach degree 30
+big_polys = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)), max_size=16,
+).map(_from_list)
+
+TWO_Q_PLUS_1 = LaurentPoly({0: 1, 1: 2})
+
+
+@settings(max_examples=40, deadline=None)
+@given(big_polys, big_polys, big_polys)
+# a gcd 2q + 1 whose leading coefficient is not a unit: each fraction
+# must be divided by the monic gcd q + 1/2, or its denominator is not
+# monic
+@example(LaurentPoly({0: 3, 1: 1}), LaurentPoly({0: 5, 2: -1}), TWO_Q_PLUS_1)
+# a zero operand, and coefficients above 2^64
+@example(LaurentPoly(), LaurentPoly({0: 2**65 + 1, 3: -(2**66)}), TWO_Q_PLUS_1)
+def test_dense_kernels_against_sympy(a, b, c):
+    sp = pytest.importorskip("sympy")
+    q = sp.Symbol("q")
+    _, qf = sp.field("q", sp.QQ)
+    a, b = a * c, b * c
+
+    def poly(x):
+        return _sympy_poly(x, sp, q)
+
+    def values(p):
+        return {e: Fraction(int(v.p), int(v.q)) for (e,), v in p.terms() if v}
+
+    g = _poly_gcd(a, b)
+    _assert_stored(g, values(sp.gcd(poly(a), poly(b))))
+    for x in (a, b):
+        if not g.is_zero():
+            _assert_stored(_poly_exact_div(x, g),
+                           values(sp.quo(poly(x), poly(g))))
+        if not c.is_zero() and c.degree():
+            # x + 1 leaves the remainder 1 on division by c
+            with pytest.raises(ScalarError):
+                _poly_exact_div(x + LaurentPoly({0: 1}), c)
+    if c.is_zero() or not c.degree():
+        return
+    # c cancels across a product, and out of a sum of two fractions that
+    # share it in their denominators
+    u, v = LaurentPoly({0: 3, 1: 1}), LaurentPoly({0: -1, 1: 7})
+    x = ScalarQ(LaurentPoly({0: 1}), c * u)
+    for y in (ScalarQ(c * v, v * v + u), ScalarQ(a + u, c * v)):
+        for got, want in ((x * y, _in_field(x, sp, qf) * _in_field(y, sp, qf)),
+                          (x + y, _in_field(x, sp, qf) + _in_field(y, sp, qf))):
+            _assert_canonical_and_equal(got, want, sp)
+            _assert_stored_scalar(got)
+
+
+def test_exact_division_over_z_is_checked():
+    # (1 + q)/(2 + 2q) = 1/2 is exact over Q but not over Z
+    with pytest.raises(ScalarError):
+        _exact_quo([1, 1], [2, 2])
+    with pytest.raises(ScalarError):
+        _exact_quo([1, 0, 1], [1, 1])
+    assert _exact_quo([], [2, 2]) == []
+    assert _exact_quo([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def _random_fraction(rng):
