@@ -311,6 +311,7 @@ def extend_anti(images, one):
 #                                            a divisor must be a nonzero scalar
 #   factor := scalar | ident | '(' expr ')'
 #   scalar := integer | 'q' ['^' ['-'] integer]
+#                                            |exponent| <= MAX_Q_EXPONENT
 #
 #   tensor := ['-'] tterm (('+'|'-') tterm)*
 #   tterm  := term '(x)' term                the left term over the first
@@ -324,6 +325,9 @@ def extend_anti(images, one):
 DIGITS = frozenset("0123456789")
 # each level costs three stack frames (expr, term, factor)
 MAX_NESTING = 100
+# a Laurent polynomial is stored densely, in memory in proportion to the
+# span of its exponents
+MAX_Q_EXPONENT = 1000
 
 
 def _tokens(src, line, col):
@@ -480,6 +484,9 @@ class _Parser:
                         sign = -1
                     etok = self.expect("int")
                     k = sign * self.integer(etok)
+                    if abs(k) > MAX_Q_EXPONENT:
+                        self.error(f"q exponent {k} is beyond the limit "
+                                   f"+-{MAX_Q_EXPONENT}", etok)
                 return NCPoly.scalar(self.alphabet, ScalarQ.q_power(k))
             if text not in self.alphabet.index:
                 self.error(f"unknown generator {text!r}", tok)

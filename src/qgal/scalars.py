@@ -6,19 +6,22 @@ real parameter and the coefficients are rational, so complex conjugation
 on Q(q) is the identity: a star structure is linear over Q(q), and a
 conjugate-symmetric scalar matrix is a symmetric one.
 
-A Laurent polynomial is kept over Z, as integer numerators over one
-common denominator (see LaurentPoly).  Sums and products run on ints and
-bring their result to its one stored form with a single integer gcd,
-which they skip when the denominator is 1; no Fraction is made until
-`coeffs` is read.
+A Laurent polynomial has one format, from storage to gcd: its lowest
+exponent and the dense list of its integer numerators from there up,
+over one common denominator (see LaurentPoly).  Sums and products run on
+ints and bring their result to its one stored form with a single integer
+gcd, which they skip when the denominator is 1; no Fraction is made
+until `coeffs` is read.
 
 A scalar is kept as a reduced fraction (see ScalarQ).  Sums and products
 of reduced fractions take only the polynomial gcds that can be
 non-trivial (Henrici's rule).  Every polynomial gcd and exact division
-runs over Z on dense int lists of numerators, constant term first: the
-gcd is Euclid on primitive pseudo-remainders (`_pseudo_rem`), and an
-exact division is one quotient loop that checks it leaves no remainder
-(`_exact_quo`); see `_henrici_sum`, `ScalarQ.__mul__` and `_cancel`.
+runs over Z on the stored numerator lists themselves, lowest term first
+(a canonical denominator's lowest exponent is 0): the gcd is Euclid on
+primitive pseudo-remainders (`_pseudo_rem`, W. S. Brown, J. ACM 18,
+1971), and an exact division is one quotient loop that checks it leaves
+no remainder (`_exact_quo`); see `_henrici_sum`, `ScalarQ.__mul__` and
+`_cancel`.
 Most scalars that completion meets are monomials c*q^k with c an int,
 over the denominator 1.  A sum or product of two of them takes no gcd,
 and no loop over Laurent terms: the operators form it from the two
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 
 class ScalarError(Exception):
@@ -49,22 +51,22 @@ class PoleError(ScalarError):
 class LaurentPoly:
     """Laurent polynomial in q with exact rational coefficients.
 
-    Stored over Z, as (1/m)·Σ n_e q^e.  `_n` is the flat list
-    [e0, n0, e1, n1, ...] of its terms, exponents increasing, and every
-    numerator n_e is a nonzero int; `_m` is the one common denominator
-    m >= 1, with gcd(m, every n_e) = 1 (so the zero polynomial is []
-    over m = 1).  Each value has exactly one stored form, which equality
-    and hashing read.  A flat list takes a third to a half of the memory
-    of a dict for the one- to four-term polynomials that normal forms
-    hold.  It is never changed once a LaurentPoly holds it, and no other
-    module of qgal reads `_n` or `_m`: the read is `coeffs`.
+    Stored over Z, as (1/m)·q^t·Σ c_i q^i: `_n` is the dense list
+    [t, c0, c1, ..., ck] of the lowest exponent t and the int numerators
+    of q^t ... q^(t+k), with c0 and ck nonzero, and `_m` is the one
+    common denominator m >= 1, with gcd(m, c0, ..., ck) = 1 (so the zero
+    polynomial is [] over m = 1, and a monomial c*q^t is [t, c]).  Each
+    value has exactly one stored form, which equality and hashing read.
+    It is never changed once a LaurentPoly holds it, and no other module
+    of qgal reads `_n` or `_m`: the read is `coeffs`.
 
     The public constructor takes a map exponent -> coefficient, of ints
-    and Fractions.  A sum merges the two term lists, and a product adds
-    up its terms in a dict.  The operations build their results through
-    _laurent, which takes over a pair already in the stored form, or
-    through _reduced, which first divides out gcd(m, every n_e) for
-    m > 1.
+    and Fractions.  A shift changes t; a sum adds the two aligned lists
+    and trims zero ends; a product is the convolution of the two lists,
+    whose ends, products of nonzero ints, need no trim.  The operations
+    build their results through _laurent, which takes over a pair
+    already in the stored form, or through _reduced, which first divides
+    out gcd(m, every c_i).
     """
 
     __slots__ = ("_n", "_m")
@@ -74,8 +76,13 @@ class LaurentPoly:
         # and every numerator, so the pair is already in stored form
         cs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
         m = math.lcm(*(c.denominator for c in cs.values()))
-        _set_n(self, _flat(sorted((e, c.numerator * (m // c.denominator))
-                                  for e, c in cs.items())))
+        n = []
+        if cs:
+            t = min(cs)
+            n = [t] + [0] * (max(cs) - t + 1)
+            for e, c in cs.items():
+                n[e - t + 1] = c.numerator * (m // c.denominator)
+        _set_n(self, n)
         _set_m(self, m)
 
     def __setattr__(self, name, value):
@@ -91,14 +98,14 @@ class LaurentPoly:
 
     @property
     def coeffs(self) -> dict:
-        """A new map exponent -> nonzero coefficient: an int where the
-        coefficient is integral, otherwise a Fraction (whose denominator
-        is then > 1)."""
-        m = self._m
+        """A new map exponent -> nonzero coefficient, exponents
+        increasing: an int where the coefficient is integral, otherwise a
+        Fraction (whose denominator is then > 1)."""
+        n, m = self._n, self._m
+        terms = enumerate(n[1:], n[0]) if n else ()
         if m == 1:
-            return _terms(self)
-        return {e: Fraction(c, m) if c % m else c // m
-                for e, c in _terms(self).items()}
+            return {e: c for e, c in terms if c}
+        return {e: Fraction(c, m) if c % m else c // m for e, c in terms if c}
 
     def is_zero(self) -> bool:
         return not self._n
@@ -109,106 +116,102 @@ class LaurentPoly:
         return self._n[0]
 
     def degree(self) -> int:
-        if not self._n:
+        n = self._n
+        if not n:
             raise ScalarError("zero polynomial has no degree")
-        return self._n[-2]
-
-    def leading_coeff(self) -> Fraction:
-        return Fraction(self._n[-1], self._m)
+        return n[0] + len(n) - 2
 
     def shift(self, k: int) -> "LaurentPoly":
-        if not k:
+        if not k or not self._n:
             return self
         n = self._n[:]
-        n[::2] = [e + k for e in n[::2]]
+        n[0] += k
         return _laurent(n, self._m)
 
     def __add__(self, other):
         a, m, b, k = self._n, self._m, other._n, other._m
+        if not b:
+            return self
+        if not a:
+            return other
         if m != k:
             # both over the lcm of the two denominators
             g = math.gcd(m, k)
             if k != g:
-                a = a[:]
-                a[1::2] = [c * (k // g) for c in a[1::2]]
+                f = k // g
+                a = [c * f for c in a]
+                a[0] = self._n[0]
             if m != g:
-                b = b[:]
-                b[1::2] = [c * (m // g) for c in b[1::2]]
+                f = m // g
+                b = [c * f for c in b]
+                b[0] = other._n[0]
             m = m // g * k
-        # merge the two increasing term lists
-        n = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            e, f = a[i], b[j]
-            if e < f:
-                n += (e, a[i + 1])
-                i += 2
-            elif f < e:
-                n += (f, b[j + 1])
-                j += 2
-            else:
-                v = a[i + 1] + b[j + 1]
-                if v:
-                    n += (e, v)
-                i += 2
-                j += 2
-        n += a[i:]
-        n += b[j:]
-        return _laurent(n, 1) if m == 1 else _reduced(n, m)
+        if b[0] < a[0]:
+            a, b = b, a
+        # b's numerators added in at their place in a copy of a, which
+        # starts no higher
+        n = a[:]
+        i = b[0] - a[0]
+        gap = i + len(b) - len(n)
+        if gap > 0:
+            n += [0] * gap
+        for c in b[1:]:
+            i += 1
+            n[i] += c
+        # trim the zero ends where the highest or the lowest terms cancelled
+        while not n[-1]:
+            n.pop()
+            if len(n) == 1:
+                return _laurent([], 1)
+        if not n[1]:
+            i = 2
+            while not n[i]:
+                i += 1
+            del n[1:i]
+            n[0] += i - 1
+        return _reduced(n, m)
 
     def __neg__(self):
-        n = self._n[:]
-        n[1::2] = [-c for c in n[1::2]]
+        a = self._n
+        if not a:
+            return self
+        n = [-c for c in a]
+        n[0] = a[0]
         return _laurent(n, self._m)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is not LaurentPoly:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = LaurentPoly.from_fraction(other)
         a, m, b, k = self._n, self._m, other._n, other._m
+        if not (a and b):
+            return _laurent([], 1)
         if len(a) == 2:
             a, m, b, k = b, k, a, m
         if len(b) == 2:
-            # a monomial factor (f/k)*q^j keeps the exponents apart and in
-            # order.  f is coprime to k and a's numerators to m, so for
-            # k = 1 only gcd(m, f) can cancel, and no other gcd is needed
+            # a monomial factor (f/k)*q^j.  f is coprime to k and a's
+            # numerators to m, so for k = 1 only gcd(m, f) can cancel, and
+            # no other gcd is needed
             j, f = b
             if k == 1 and m != 1:
                 g = math.gcd(m, f)
                 if g != 1:
                     f //= g
                     m //= g
-            n = []
-            it = iter(a)
-            for e, c in zip(it, it):
-                n += (e + j, c * f)
+            n = [c * f for c in a]
+            n[0] = a[0] + j
             if k == 1:
                 return _laurent(n, m)
         else:
-            out = {}
-            it = iter(b)
-            b = list(zip(it, it))
-            it = iter(a)
-            for e1, c1 in zip(it, it):
-                for e2, c2 in b:
-                    e = e1 + e2
-                    v = c1 * c2
-                    if e in out:
-                        v += out[e]
-                        if not v:
-                            del out[e]
-                            continue
-                    out[e] = v
-            n = _flat(sorted(out.items()))
+            n = [0] * (len(a) + len(b) - 2)
+            n[0] = a[0] + b[0]
+            b = b[1:]
+            for i, x in enumerate(a[1:], 1):
+                if x:
+                    for j, y in enumerate(b, i):
+                        n[j] += x * y
         m *= k
-        return _laurent(n, 1) if m == 1 else _reduced(n, m)
-
-    __rmul__ = __mul__
+        return _reduced(n, m)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self._n == other._n
@@ -219,12 +222,14 @@ class LaurentPoly:
 
     def eval(self, q0: float) -> float:
         n, m = self._n, self._m
-        if q0 == 0 and n and n[0] < 0:
+        if not n:
+            return 0.0
+        if q0 == 0 and n[0] < 0:
             raise PoleError("negative q-power evaluated at q = 0")
         # each coefficient is rounded to a float once, as n/m, and fsum is
         # exactly rounded, so the value does not depend on the stored form
         return math.fsum((c if m == 1 else c / m) * q0**e
-                         for e, c in _terms(self).items())
+                         for e, c in enumerate(n[1:], n[0]) if c)
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
@@ -248,18 +253,6 @@ _set_n = LaurentPoly._n.__set__
 _set_m = LaurentPoly._m.__set__
 
 
-def _flat(pairs) -> list:
-    """The flat list [e0, n0, e1, n1, ...] of (exponent, numerator)
-    pairs."""
-    return list(chain.from_iterable(pairs))
-
-
-def _terms(p: LaurentPoly) -> dict:
-    """A new map exponent -> numerator of p."""
-    it = iter(p._n)
-    return dict(zip(it, it))
-
-
 def _laurent(n: list, m: int) -> LaurentPoly:
     """A LaurentPoly that takes over (n, m), which must already be in the
     stored form."""
@@ -270,31 +263,23 @@ def _laurent(n: list, m: int) -> LaurentPoly:
 
 
 def _reduced(n: list, m: int) -> LaurentPoly:
-    """The LaurentPoly that takes over the flat list n of nonzero int
-    numerators, in increasing exponents, over m > 1, in the stored form:
-    one gcd of m and the numerators, divided out."""
-    g = math.gcd(m, *n[1::2])
-    if g != 1:
-        n[1::2] = [c // g for c in n[1::2]]
-        m //= g
+    """The LaurentPoly that takes over the list n = [t, c0, ..., ck] of
+    int numerators with nonzero ends over m >= 1, in the stored form: for
+    m > 1, one gcd of m and the numerators, divided out."""
+    if m != 1:
+        g = math.gcd(m, *n[1:])
+        if g != 1:
+            n[1:] = [c // g for c in n[1:]]
+            m //= g
     return _laurent(n, m)
 
 
-def _dense(p: LaurentPoly, t: int) -> list:
-    """The numerators of p/q^t as a dense list, constant term first, for
-    t at most p's lowest exponent ([] for p = 0)."""
-    n = p._n
-    a = [0] * (n[-2] - t + 1) if n else []
-    for i in range(0, len(n), 2):
-        a[n[i] - t] = n[i + 1]
-    return a
-
-
-def _from_dense(a: list, k: int, m: int, t: int) -> LaurentPoly:
-    """The LaurentPoly (k/m)·q^t·Σ a_e q^e of the dense int list a, for
-    an int k and an int m > 0, in the stored form."""
-    n = [x for e, c in enumerate(a) if c for x in (e + t, c * k)]
-    return _laurent(n, 1) if m == 1 else _reduced(n, m)
+def _poly(t: int, a: list, k: int, m: int) -> LaurentPoly:
+    """The LaurentPoly (k/m)·q^t·Σ a_i q^i of the int list a with nonzero
+    ends, for a nonzero int k and an int m > 0, in the stored form."""
+    n = [t]
+    n += a if k == 1 else [c * k for c in a]
+    return _reduced(n, m)
 
 
 def _primitive(a: list) -> list:
@@ -371,43 +356,23 @@ def _dense_gcd(a: list, b: list) -> list:
     return [1]
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials over Q, computed over Z on the
-    numerators."""
-    a, b = _dense(a, 0), _dense(b, 0)
-    if not (a or b):
-        return LaurentPoly()
-    g = _dense_gcd(a, b) if a and b else _primitive(a or b)
-    return _from_dense(g, 1, g[-1], 0)
-
-
-def _poly_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a / b for an ordinary polynomial b that divides a, over Z: with
-    b = (c/m_b)·P for P the primitive part of b's numerators, the
-    quotient A/P of a's numerators is integral (Gauss's lemma), and
-    a / b = (m_b / (c·m_a))·(A/P)."""
-    nb = _dense(b, 0)
-    p = _primitive(nb)
-    k, m = b._m, nb[-1] // p[-1] * a._m
-    if m < 0:
-        k, m = -k, -m
-    return _from_dense(_exact_quo(_dense(a, 0), p), k, m, 0)
+def _quo(p: LaurentPoly, g: list) -> LaurentPoly:
+    """p / (g/l) for a primitive int list g with a positive leading
+    coefficient l that divides p's numerators over Q: with
+    p = (1/m)·q^t·P, P/g is integral (Gauss's lemma), and
+    p / (g/l) = (l/m)·q^t·(P/g)."""
+    n = p._n
+    return _poly(n[0], _exact_quo(n[1:], g), g[-1], p._m)
 
 
 def _cancel(num: LaurentPoly, den: LaurentPoly):
     """(num/g, den/g) for g the monic gcd of the ordinary den and num's
-    ordinary part (q never divides a canonical denominator, so num's own
-    q-power is pulled out first and put back after).  With G the
-    primitive gcd of the numerators and l its leading coefficient,
-    g = G/l, and num/g = (l/m_num)·(N/G) with N/G integral."""
-    t = num.low()
-    a, b = _dense(num, t), _dense(den, 0)
-    g = _dense_gcd(a, b)
+    ordinary part, taken on the numerator lists: q never divides a
+    canonical denominator, and num's own q^t stays out of the gcd."""
+    g = _dense_gcd(num._n[1:], den._n[1:])
     if len(g) == 1:
         return num, den
-    lc = g[-1]
-    return (_from_dense(_exact_quo(a, g), lc, num._m, t),
-            _from_dense(_exact_quo(b, g), lc, den._m, 0))
+    return _quo(num, g), _quo(den, g)
 
 
 # The one denominator of every ScalarQ whose canonical denominator is 1.
@@ -438,8 +403,10 @@ class ScalarQ:
     and, when that is not 1, gcd(t, gcd(b, d)) for the new numerator t
     (`_henrici_sum`).  Any other product (a/b)(c/d) takes only the cross
     gcds gcd(a, d) and gcd(c, b), skipping one whose denominator is
-    UNIT_DEN; `_cancel` takes each on dense int lists and divides both
-    sides by it made monic, so a canonical denominator stays monic.
+    UNIT_DEN; `_cancel` takes each on the stored numerator lists and
+    divides both sides by it made monic, so a canonical denominator stays
+    monic.  The monomial reads (`k, c = num._n`, `len(num._n) == 2`) are
+    reads of the stored form [k, c] of c*q^k.
     `inv` swaps numerator and denominator through the constructor,
     except for a monomial over UNIT_DEN.
     """
@@ -485,11 +452,14 @@ class ScalarQ:
                 a, b = x._n, y._n
                 if len(a) == 2 == len(b) and x._m == 1 == y._m:
                     # two integral monomials c*q^k: one coefficient sum, or
-                    # two terms
+                    # two terms with the gap between them
                     k, c = a
                     j, d = b
                     if k != j:
-                        n = [k, c, j, d] if k < j else [j, d, k, c]
+                        if j < k:
+                            k, c, j, d = j, d, k, c
+                        n = [k, c] + [0] * (j - k - 1)
+                        n.append(d)
                         return _scalar(_laurent(n, 1), UNIT_DEN)
                     c += d
                     if not c:
@@ -655,16 +625,16 @@ def _henrici_sum(a: LaurentPoly, b: LaurentPoly,
     (P. Henrici, J. ACM 3, 1956): with g = gcd(b, d) and
     t = a (d/g) + c (b/g), the sum is (t/g2) / ((b/g)(d/g2)) for
     g2 = gcd(t, g), and no other factor can cancel.  Both gcds are
-    monic, and b/g and d/g are exact quotients over Z (`_exact_quo`)."""
-    g = _poly_gcd(b, d)
-    if not g.degree():
+    monic, both are taken on the stored numerator lists, and b/g and d/g
+    are exact quotients over Z (`_quo`)."""
+    g = _dense_gcd(b._n[1:], d._n[1:])
+    if len(g) == 1:
         return _scalar(a * d + c * b, b * d)
-    b = _poly_exact_div(b, g)
-    d = _poly_exact_div(d, g)
+    b, d = _quo(b, g), _quo(d, g)
     t = a * d + c * b
     if not t._n:
         return _scalar(t, UNIT_DEN)
-    t, g = _cancel(t, g)
+    t, g = _cancel(t, _poly(0, g, 1, g[-1]))
     return _scalar(t, _unit_or(b * g * d))
 
 
@@ -674,10 +644,14 @@ def _canonicalize(num: LaurentPoly, den: LaurentPoly):
     # shift the denominator so its lowest exponent is 0
     s = den.low()
     num, den = _cancel(num.shift(-s), den.shift(-s))
-    lc = den.leading_coeff()
-    if lc != 1:
-        den = den * (1 / lc)
-        num = num * (1 / lc)
+    # den = (1/m)·Σ d_i q^i is made monic by one integer rescale of both
+    # numerator lists: den/(d_k/m) = Σ d_i q^i / d_k, num·(m/d_k)
+    a, b, m = num._n, den._n, den._m
+    lc = b[-1]
+    if lc != m:
+        k = 1 if lc > 0 else -1
+        num = _poly(a[0], a[1:], k * m, num._m * abs(lc))
+        den = _poly(0, b[1:], k, abs(lc))
     return num, _unit_or(den)
 
 

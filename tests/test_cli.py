@@ -12,6 +12,7 @@ from qgal import __version__, characters, cli, presentations
 from qgal.cli import main, suites_for
 from qgal.haar import HaarError
 from qgal.linalg import BlockBudgetError, NonUniqueSolutionError
+from qgal.ncpoly import MAX_Q_EXPONENT
 from qgal.rewrite import CompletionBudgetError, ConfluenceError
 
 QPLANE = """
@@ -403,6 +404,15 @@ def test_parse_error_exits_3(capsys):
     code, _, err = run(capsys, "parse", "GLq2", "x11*(")
     assert code == 3
     assert "column" in err
+
+
+def test_q_exponent_beyond_the_bound_exits_3(capsys):
+    # each exponent would cost a list of 10^8 numerators, in a gcd or in a
+    # product: the parser refuses both before any arithmetic
+    for expr in ("x11/(1+q^100000000)", "(1+q^100000000)*x11"):
+        code, out, err = run(capsys, "normalize", "Uq2", expr)
+        assert (code, out) == (3, "")
+        assert f"limit +-{MAX_Q_EXPONENT}" in err
 
 
 def test_parse_error_at_the_end_names_the_end_of_input(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fractions, random_poly
 from qgal.ncpoly import (
+    MAX_Q_EXPONENT,
     Alphabet,
     NCPoly,
     ParseError,
@@ -41,6 +42,17 @@ def test_parse_errors(ab):
         parse_expr("x11*(", ab)
     with pytest.raises(ParseError):
         parse_expr("q q", ab)
+
+
+def test_q_exponents_are_bounded(ab):
+    # a Laurent polynomial is stored densely, so q^k beyond the bound is a
+    # parse error that names the bound, not a list of k numerators
+    k = MAX_Q_EXPONENT
+    assert parse_expr(f"q^{k}*x11 + q^-{k}", ab) == \
+        parse_expr(f"q^-{k} + x11*q^{k}", ab)
+    for text in (f"q^{k + 1}", f"x11*q^-{k + 1}", "x11/(1+q^100000000)"):
+        with pytest.raises(ParseError, match=f"limit \\+-{k} "):
+            parse_expr(text, ab)
 
 
 def test_unit_and_distributivity(ab):

@@ -15,9 +15,10 @@ from qgal.scalars import (
     UNIT_DEN,
     ScalarError,
     ScalarQ,
+    _dense_gcd,
     _exact_quo,
-    _poly_exact_div,
-    _poly_gcd,
+    _poly,
+    _primitive,
     _pseudo_rem,
     add_term,
 )
@@ -224,7 +225,7 @@ def _assert_canonical_and_equal(result, expected, sp):
     assert _in_field(result, sp, expected.field.gens[0]) - expected == 0
     assert_exact_coefficients(result)
     den = result.den
-    assert den.low() == 0 and den.leading_coeff() == 1
+    assert den.low() == 0 and den.coeffs[den.degree()] == 1
     if not result.is_zero():
         q = sp.Symbol("q")
         num = result.num.shift(-result.num.low())
@@ -293,6 +294,38 @@ def ordinary_polys(degree):
     ).map(LaurentPoly)
 
 
+def _from_zero(p):
+    """The numerators of the ordinary polynomial p as an int list from
+    q^0 up ([] for p = 0)."""
+    n = p._n
+    return [0] * n[0] + n[1:] if n else []
+
+
+def _built(a, k, m):
+    """(k/m)·Σ a_i q^i in the stored form, for an int list a from q^0 up
+    and ints k != 0, m > 0."""
+    t = next((i for i, c in enumerate(a) if c), None)
+    return LaurentPoly() if t is None else _poly(t, a[t:], k, m)
+
+
+def _gcd(a, b):
+    """The monic gcd of the ordinary polynomials a and b, taken by
+    `_dense_gcd` on their numerators (gcd(0, b) is b made monic)."""
+    x, y = _from_zero(a), _from_zero(b)
+    g = _dense_gcd(x, y) if x and y else _primitive(x or y) if x or y else []
+    return _built(g, 1, g[-1]) if g else LaurentPoly()
+
+
+def _quotient(a, c):
+    """a / c for ordinary polynomials, c nonzero, taken by `_exact_quo` on
+    their numerators: with C = k·P for P primitive, A/P is integral when c
+    divides a (Gauss's lemma), and a / c = (m_c / (k·m_a))·(A/P)."""
+    x, y = _from_zero(a), _from_zero(c)
+    p = _primitive(y)
+    k = y[-1] // p[-1]
+    return _built(_exact_quo(x, p), c._m * (1 if k > 0 else -1), a._m * abs(k))
+
+
 @settings(max_examples=150, deadline=None)
 @given(ordinary_polys(5), ordinary_polys(5), ordinary_polys(3))
 @example(LaurentPoly(), LaurentPoly(), LaurentPoly({0: 1}))
@@ -310,15 +343,15 @@ def test_gcd_and_division_against_sympy(a, b, c):
     def poly(x):
         return _sympy_poly(x, sp, q)
 
-    g = _poly_gcd(a, b)
+    g = _gcd(a, b)
     assert_exact_coefficients(ScalarQ(g))
     assert poly(g) == sp.gcd(poly(a), poly(b))
     if not g.is_zero():
         # the exact division that cancels a gcd, and one by a divisor of
         # any content and sign
-        assert poly(_poly_exact_div(a, g)) == sp.quo(poly(a), poly(g))
+        assert poly(_quotient(a, g)) == sp.quo(poly(a), poly(g))
     if not c.is_zero():
-        assert poly(_poly_exact_div(a, c)) == sp.quo(poly(a), poly(c))
+        assert poly(_quotient(a, c)) == sp.quo(poly(a), poly(c))
     if not b.is_zero():
         # the pseudo-remainder under the gcd, on the integer multiples of a
         # and of b (made to lead positively): rem = s*a mod b
@@ -336,7 +369,7 @@ def _integral(x):
     """The dense coefficient list, constant term first, of x times the
     lcm of its denominators."""
     m = math.lcm(*(Fraction(v).denominator for v in x.coeffs.values()))
-    cs = (x * m).coeffs
+    cs = (x * LaurentPoly({0: m})).coeffs
     return [cs.get(e, 0) for e in range(x.degree() + 1)] if cs else []
 
 
@@ -374,16 +407,16 @@ def test_dense_kernels_against_sympy(a, b, c):
     def values(p):
         return {e: Fraction(int(v.p), int(v.q)) for (e,), v in p.terms() if v}
 
-    g = _poly_gcd(a, b)
+    g = _gcd(a, b)
     _assert_stored(g, values(sp.gcd(poly(a), poly(b))))
     for x in (a, b):
         if not g.is_zero():
-            _assert_stored(_poly_exact_div(x, g),
+            _assert_stored(_quotient(x, g),
                            values(sp.quo(poly(x), poly(g))))
         if not c.is_zero() and c.degree():
             # x + 1 leaves the remainder 1 on division by c
             with pytest.raises(ScalarError):
-                _poly_exact_div(x + LaurentPoly({0: 1}), c)
+                _quotient(x + LaurentPoly({0: 1}), c)
     if c.is_zero() or not c.degree():
         return
     # c cancels across a product, and out of a sum of two fractions that
@@ -533,17 +566,16 @@ def test_add_term_matches_per_key_sums(pairs):
 
 
 def _assert_stored(p, values):
-    """p is in the one stored form (1/m)·Σ n_e q^e: the flat list
-    [e0, n0, e1, n1, ...] with exponents increasing and every n_e a
-    nonzero int, over m >= 1 with gcd(m, every n_e) = 1; and `coeffs`
-    reads the exponent -> value map `values` (zeros dropped), an int where
-    it is integral and a Fraction otherwise."""
+    """p is in the one stored form (1/m)·q^t·Σ c_i q^i: the int list
+    [t, c0, ..., ck] with c0 and ck nonzero ([] for p = 0), over m >= 1
+    with gcd(m, c0, ..., ck) = 1; and `coeffs` reads the exponent -> value
+    map `values` (zeros dropped), an int where it is integral and a
+    Fraction otherwise."""
     n, m = p._n, p._m
     assert type(n) is list and type(m) is int and m >= 1
-    exps, nums = n[::2], n[1::2]
-    assert exps == sorted(set(exps)) and len(exps) == len(nums)
-    assert all(type(c) is int and c for c in nums)
-    assert math.gcd(m, *nums) == 1
+    assert all(type(c) is int for c in n)
+    assert not n or len(n) >= 2 and n[1] and n[-1]
+    assert math.gcd(m, *n[1:]) == 1
     want = {e: v.numerator if v.denominator == 1 else v
             for e, v in ((e, Fraction(v)) for e, v in values.items()) if v}
     got = p.coeffs
@@ -584,6 +616,16 @@ fraction_maps = st.dictionaries(
          {0: Fraction(1, 2), 1: Fraction(-1, 2)}, {0: 1, 1: 1}, 1)
 @example({0: Fraction(1, 6)}, {0: Fraction(1, 3)}, {1: Fraction(2, 3)}, -1)
 @example({2: 3}, {-1: Fraction(-2, 3)}, {0: Fraction(3, 2), 2: 1}, 2)
+# the ends of the dense list: a sum whose lowest terms cancel (t moves
+# up), one whose highest terms cancel, two integral monomials with a gap
+# between them (the monomial-lane sum, both ways round), shift and
+# negation of 0, and a product with a one-term factor
+@example({0: 1, 1: 2}, {0: -1, 3: 1}, {}, 1)
+@example({0: 1, 3: Fraction(1, 2)}, {1: 1, 3: Fraction(-1, 2)}, {}, 0)
+@example({-2: 3}, {2: -1}, {}, 0)
+@example({3: 3}, {-1: 5}, {}, 0)
+@example({}, {0: 1}, {}, 2)
+@example({1: Fraction(1, 2)}, {0: 2, 3: Fraction(1, 3)}, {0: 1}, -1)
 def test_every_result_is_in_the_one_stored_form(da, db, dc, k):
     sp = pytest.importorskip("sympy")
     a, b, c = LaurentPoly(da), LaurentPoly(db), LaurentPoly(dc)
@@ -616,9 +658,9 @@ def test_every_result_is_in_the_one_stored_form(da, db, dc, k):
     def poly(p):
         return _sympy_poly(p, sp, q)
 
-    _assert_stored(_poly_gcd(a0, b0), values(sp.gcd(poly(a0), poly(b0))))
+    _assert_stored(_gcd(a0, b0), values(sp.gcd(poly(a0), poly(b0))))
     if not c0.is_zero():
-        _assert_stored(_poly_exact_div(a0 * c0, c0), a0.coeffs)
+        _assert_stored(_quotient(a0 * c0, c0), a0.coeffs)
 
     # the ScalarQ operators, over unit, monomial and non-unit denominators
     x = ScalarQ(a)
