@@ -60,7 +60,12 @@ class Alphabet:
 
 
 class NCPoly:
-    """Noncommutative polynomial: finite map from words to scalars."""
+    """Noncommutative polynomial: finite map from words to scalars.
+
+    `terms` never holds a zero.  The constructor filters the zeros out of
+    the map it is given; `_ncpoly` takes over a map that holds none, as
+    the arithmetic here and the rewrite layer build them.
+    """
 
     __slots__ = ("alphabet", "terms")
 
@@ -95,10 +100,10 @@ class NCPoly:
         out = dict(self.terms)
         for w, c in other.terms.items():
             add_term(out, w, c)
-        return NCPoly(self.alphabet, out)
+        return _ncpoly(self.alphabet, out)
 
     def __neg__(self):
-        return NCPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
+        return _ncpoly(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -110,7 +115,7 @@ class NCPoly:
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
                     add_term(out, w1 + w2, c1 * c2)
-            return NCPoly(self.alphabet, out)
+            return _ncpoly(self.alphabet, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -142,6 +147,14 @@ class NCPoly:
 
     def __repr__(self):
         return f"<NCPoly {self.pretty()}>"
+
+
+def _ncpoly(alphabet: Alphabet, terms: dict) -> NCPoly:
+    """An NCPoly that takes over the map terms, which must hold no zero."""
+    p = object.__new__(NCPoly)
+    p.alphabet = alphabet
+    p.terms = terms
+    return p
 
 
 def _scalar_str(c) -> str:
@@ -193,8 +206,11 @@ class StarMap:
 class TensorPoly:
     """Element of a tensor product of free algebras (one alphabet per leg).
 
-    Stored as a map (word, ..., word) -> scalar.  Products are taken leg
-    by leg; legs are reduced independently by their rewrite systems.
+    Stored as a map (word, ..., word) -> scalar, `terms`, which never
+    holds a zero: the constructor filters the zeros out of the map it is
+    given, and `_tensor` takes over a map that holds none.  Products are
+    taken leg by leg; legs are reduced independently by their rewrite
+    systems.
     """
 
     __slots__ = ("alphabets", "terms")
@@ -222,10 +238,10 @@ class TensorPoly:
         out = dict(self.terms)
         for k, c in other.terms.items():
             add_term(out, k, c)
-        return TensorPoly(self.alphabets, out)
+        return _tensor(self.alphabets, out)
 
     def __neg__(self):
-        return TensorPoly(self.alphabets, {k: -c for k, c in self.terms.items()})
+        return _tensor(self.alphabets, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -242,7 +258,7 @@ class TensorPoly:
             for k2, c2 in other.terms.items():
                 add_term(out, tuple(w2 + w1 if f else w1 + w2
                                     for f, w1, w2 in zip(flip, k1, k2)), c1 * c2)
-        return TensorPoly(self.alphabets, out)
+        return _tensor(self.alphabets, out)
 
     def scale(self, c) -> "TensorPoly":
         return TensorPoly(self.alphabets, {k: c * v for k, v in self.terms.items()})
@@ -253,7 +269,7 @@ class TensorPoly:
         for k, c in self.terms.items():
             for w, cw in poly.terms.items():
                 add_term(out, k[:leg] + (k[leg] + w,) + k[leg + 1 :], c * cw)
-        return TensorPoly(self.alphabets, out)
+        return _tensor(self.alphabets, out)
 
     def __eq__(self, other):
         return (
@@ -274,6 +290,15 @@ class TensorPoly:
 
     def __repr__(self):
         return f"<TensorPoly {self.pretty()}>"
+
+
+def _tensor(alphabets: tuple, terms: dict) -> TensorPoly:
+    """A TensorPoly over the tuple alphabets that takes over the map
+    terms, which must hold no zero."""
+    t = object.__new__(TensorPoly)
+    t.alphabets = alphabets
+    t.terms = terms
+    return t
 
 
 def apply_map(poly, ext, zero):

@@ -32,6 +32,7 @@ from .ncpoly import (
     NCPoly,
     StarMap,
     TensorPoly,
+    _tensor,
     apply_map,
     extend_anti,
     parse_expr,
@@ -210,7 +211,7 @@ def reduce_legs(t: TensorPoly, legs: list) -> TensorPoly:
                      for k, v in terms for w, cw in rs._nf_word(word).items()]
         for k, v in terms:
             add_term(out, k, v)
-    return TensorPoly(t.alphabets, out)
+    return _tensor(t.alphabets, out)
 
 
 def expand_leg(t: TensorPoly, leg, fn, inner_alphabets) -> TensorPoly:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .ncpoly import AlgebraError, Alphabet, NCPoly
+from .ncpoly import AlgebraError, Alphabet, NCPoly, _ncpoly
 from .report import Undecided
 from .scalars import S_ONE, add_term
 
@@ -117,7 +117,7 @@ def orient(poly: NCPoly, order: MonomialOrder) -> RewriteRule | None:
     else:
         f = -c.inv()
         rhs = {w: f * v for w, v in poly.terms.items() if w != lead}
-    return RewriteRule(lead, NCPoly(poly.alphabet, rhs))
+    return RewriteRule(lead, _ncpoly(poly.alphabet, rhs))
 
 
 class LhsIndex:
@@ -178,36 +178,39 @@ class LhsIndex:
 def _reduce_word(word, rules, match, cache):
     """Normal form of `word` by `rules`, whose lhs `match` (an
     `LhsIndex.match`) finds, as a map word -> scalar.  The normal form of
-    every word met on the way is stored in `cache`."""
+    every word met on the way is stored in `cache`.
+
+    Each word is matched once: a reducible word goes back on the stack
+    under the list of its children (the words of its one rewrite, with
+    their coefficients), and above them the children not yet reduced.
+    When the list comes back to the top, every child is reduced, and the
+    word below it is their sum."""
     stack = [word]
     while stack:
-        cur = stack[-1]
+        cur = stack.pop()
+        if cur.__class__ is list:
+            acc = {}
+            for child, c in cur:
+                for w, v in cache[child].items():
+                    add_term(acc, w, c if v is S_ONE else c * v)
+            cache[stack.pop()] = acc
+            continue
         if cur in cache:
-            stack.pop()
             continue
         m = match(cur)
         if m is None:
             cache[cur] = {cur: S_ONE}
-            stack.pop()
             continue
         pos, idx, llen = m
         prefix, suffix = cur[:pos], cur[pos + llen :]
-        pending = []
         children = []
+        stack.append(cur)
+        stack.append(children)
         for w, c in rules[idx].rhs.terms.items():
             child = prefix + w + suffix
             children.append((child, c))
             if child not in cache:
-                pending.append(child)
-        if pending:
-            stack.extend(pending)
-            continue
-        acc = {}
-        for child, c in children:
-            for w, v in cache[child].items():
-                add_term(acc, w, c if v is S_ONE else c * v)
-        cache[cur] = acc
-        stack.pop()
+                stack.append(child)
     return cache[word]
 
 
@@ -246,8 +249,8 @@ class RewriteSystem:
     def normal_form(self, poly: NCPoly) -> NCPoly:
         if poly.alphabet != self.alphabet:
             raise RewriteError("polynomial is over a different alphabet")
-        return NCPoly(self.alphabet,
-                      _add_nf({}, poly.terms.items(), self._nf_word))
+        return _ncpoly(self.alphabet,
+                       _add_nf({}, poly.terms.items(), self._nf_word))
 
     # -- overlaps and completion ------------------------------------------
 
@@ -330,7 +333,7 @@ class RewriteSystem:
             for w, v in right.items():
                 add_term(diff, w, -v)
             if diff:
-                out.append(Obstruction(word, i, j, NCPoly(self.alphabet, diff)))
+                out.append(Obstruction(word, i, j, _ncpoly(self.alphabet, diff)))
         if resolved is not None:
             resolved.update(examined)
         return out
@@ -377,15 +380,16 @@ def _interreduce(alphabet, rules, order):
     fresh system of the others on every pass gives.
 
     Whether rule i is reducible depends on rule i and the live lhs only:
-    a changed rhs never makes another rule reducible.  So a rule found
-    irreducible when the index had moved `moves` times (`clean_at`) is
-    skipped until an lhs moves again.
+    a changed rhs never makes another rule reducible, nor does a rule
+    reduced away, which only removes its lhs.  So a rule found irreducible
+    when `adds` lhs had been added to the index (`clean_at`) is skipped
+    until an lhs is added.
     """
     rules = list(rules)
     # the position of each lhs among the words of its relation
     lead_at = [0] * len(rules)
     index = LhsIndex(rules)
-    moves = 0
+    adds = 0
     clean_at = [-1] * len(rules)
     memo = {}
     nf = lambda w: _reduce_word(w, rules, index.match, memo)
@@ -393,7 +397,7 @@ def _interreduce(alphabet, rules, order):
     while changed:
         changed = False
         for i, rule in enumerate(rules):
-            if rule is None or clean_at[i] == moves:
+            if rule is None or clean_at[i] == adds:
                 continue
             lhs = rule.lhs
             step = index.match(lhs, i)
@@ -404,7 +408,7 @@ def _interreduce(alphabet, rules, order):
             elif any(index.match(w) for w in rule.rhs.terms):
                 lhs_nf = {lhs: S_ONE}
             else:
-                clean_at[i] = moves
+                clean_at[i] = adds
                 continue
             rhs = list(rule.rhs.terms.items())
             p = lead_at[i]
@@ -420,12 +424,12 @@ def _interreduce(alphabet, rules, order):
             if step is None:
                 lead_at[i] = list(reduced).index(lhs)
                 del reduced[lhs]
-                rules[i] = RewriteRule(lhs, NCPoly(alphabet, reduced))
+                rules[i] = RewriteRule(lhs, _ncpoly(alphabet, reduced))
                 continue
-            rules[i] = orient(NCPoly(alphabet, reduced), order)
+            rules[i] = orient(_ncpoly(alphabet, reduced), order)
             index.move(i, rule, rules[i])
-            moves += 1
             if rules[i] is not None:
+                adds += 1
                 lead_at[i] = list(reduced).index(rules[i].lhs)
     return [r for r in rules if r is not None]
 
@@ -465,7 +469,10 @@ def complete(rs: RewriteSystem, d: int) -> RewriteSystem:
     if d <= rs.completion_degree:
         return rs
     current = rs
-    resolved = {key for _, _, key in rs._ambiguities(rs.completion_degree)}
+    # a system that certifies no degree (-1) has no ambiguity to seed
+    resolved = set()
+    if rs.completion_degree >= 0:
+        resolved.update(key for _, _, key in rs._ambiguities(rs.completion_degree))
     while obstructions := current.check_overlaps(d, resolved):
         # inter-reduction never adds a rule, so this caps the next system
         if len(current.rules) + len(obstructions) > RULE_CAP:

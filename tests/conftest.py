@@ -80,6 +80,11 @@ def random_poly(rng, alphabet, degree=3, terms=4):
     return out
 
 
+def zero_free(p):
+    """Whether no coefficient of the NCPoly or TensorPoly p is zero."""
+    return all(not c.is_zero() for c in p.terms.values())
+
+
 def fractions(lo, hi, max_denominator=None):
     """The Fractions in [lo, hi], for ints lo < hi, that
     st.fractions(lo, hi, max_denominator=...) draws, from the same

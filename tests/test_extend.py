@@ -3,6 +3,8 @@ are extended."""
 
 import pytest
 
+from conftest import zero_free
+
 from qgal.ncpoly import NCPoly, TensorPoly, apply_map
 from qgal.presentations import catalog, coaction, delta_ext, extend_reduced
 from qgal.rewrite import RewriteSystem, word_basis
@@ -36,10 +38,12 @@ def test_extend_reduced_equals_reducing_once(kind, name, d):
     basis = word_basis(source.rewrite, d)
     for word in basis:
         assert ext(word) == _reduced_once(images, legs, word), word
-    # the memo holds reduced tensors only: each leg word is normal
+    # the memo holds reduced tensors only: each leg word is normal, and no
+    # coefficient that reduce_legs summed is zero
     normal = [set(word_basis(p.rewrite, d)) for p in legs]
     assert len(ext.memo) >= len(basis)
     for t in ext.memo.values():
+        assert zero_free(t)
         for key in t.terms:
             assert all(w in n for w, n in zip(key, normal)), key
 

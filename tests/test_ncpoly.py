@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fractions, random_poly
+from conftest import fractions, random_poly, zero_free
 from qgal.ncpoly import (
     MAX_Q_EXPONENT,
     Alphabet,
@@ -68,15 +68,18 @@ def test_mul_associative_random(ab, rng):
         b = random_poly(rng, ab)
         c = random_poly(rng, ab)
         assert (a * b) * c == a * (b * c)
+        assert zero_free(a * b) and zero_free((a * b) * c)
 
 
 def test_no_zero_coefficients_stored(ab, rng):
     for _ in range(100):
         a = random_poly(rng, ab)
+        b = random_poly(rng, ab)
         d = a - a
         assert d.is_zero() and not d.terms
         for coeff in (a + a).terms.values():
             assert not coeff.is_zero()
+        assert all(map(zero_free, (-a, a - b, a * b, a * (b - b))))
 
 
 def _scalar(num, den):
@@ -190,12 +193,20 @@ def test_tensor_collects_summands(ab):
     assert (TensorPoly.of(a - a, z)).is_zero()
     two = TensorPoly.of(a, z) + TensorPoly.of(ab.gen("x12"), z)
     assert len(two.terms) == 2
+    assert (t - t).is_zero() and not (t - t).terms
+    assert all(map(zero_free, (t, -t, two - t, t * two, t.times(two, (1,)))))
 
 
 def test_tensor_leg_operations(ab):
     Z = Alphabet(["tau", "z11", "z12", "z21", "z22"])
     t = TensorPoly.of(ab.gen("x11"), Z.gen("z11"))
     t2 = t.mul_leg(1, Z.gen("z12"))
+    # (x11 (x) z11 + x11 (x) z11 z11) times z11 z11 - z11 on the right leg:
+    # the two products in x11 (x) z11^3 cancel
+    z, a = Z.gen("z11"), ab.gen("x11")
+    t3 = (TensorPoly.of(a, z) + TensorPoly.of(a, z * z)).mul_leg(1, z * z - z)
+    assert t3 == TensorPoly.of(a, z * z * z * z - z * z) and zero_free(t3)
+    assert zero_free(t2)
     (key,) = t2.terms
     assert key[1] == (Z.index["z11"], Z.index["z12"])
     scaled = t.scale(Q)

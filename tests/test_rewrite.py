@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import random_poly
+from conftest import random_poly, zero_free
 from qgal import presentations, rewrite
 from qgal.ncpoly import Alphabet, NCPoly, parse_expr
 from qgal.presentations import CATALOG, catalog, parse_presentation_text
@@ -219,6 +219,7 @@ def test_nf_properties_random(glq2, uq2m2, rng):
             x = random_poly(rng, p.alphabet, degree=3)
             y = random_poly(rng, p.alphabet, degree=3)
             nx = p.nf(x)
+            assert zero_free(nx)
             assert p.nf(nx) == nx
             assert p.nf(x + y) == p.nf(nx + p.nf(y))
             assert p.nf(x * y) == p.nf(nx * p.nf(y))
@@ -293,9 +294,25 @@ def test_complete_returns_a_system_certified_deep_enough(monkeypatch, glq2):
     assert scans == []
 
 
+def test_catalog_builds_enumerate_no_ambiguity_below_degree_0(monkeypatch):
+    # a system as built certifies no degree (-1); its completion starts
+    # from no resolved ambiguity, with no scan to seed them
+    scans = []
+    original = RewriteSystem._ambiguities
+    monkeypatch.setattr(RewriteSystem, "_ambiguities",
+                        lambda rs, d: scans.append(d) or original(rs, d))
+    for name, entry in CATALOG.items():
+        entry.build(**entry.defaults)
+    for name in ("GLq2m2", "Uq2m2", "AuFG"):
+        presentations.coaction(name)
+    assert scans and min(scans) >= 0, sorted(set(scans))
+
+
 def _assert_interreduced(rules):
-    """No word of any rule contains the lhs of another rule."""
+    """No word of any rule contains the lhs of another rule, and no rhs
+    holds a zero."""
     for i, rule in enumerate(rules):
+        assert zero_free(rule.rhs), rule.lhs
         for word in (rule.lhs, *rule.rhs.terms):
             for j, other in enumerate(rules):
                 assert j == i or not _contains(word, other.lhs), \
@@ -505,7 +522,9 @@ _baab = NCPoly(AB, {(1, 0, 0, 1): S_ONE})
 @example([_bab, RewriteRule((0,), NCPoly(AB, {(): S_ONE}))], 5)
 def test_overlaps_match_all_pairs_scan_random(rules, d):
     rs = RewriteSystem(AB, rules, AB_ORDER)
-    assert _obstruction_keys(rs.check_overlaps(d)) == \
+    obstructions = rs.check_overlaps(d)
+    assert all(zero_free(ob.diff) for ob in obstructions)
+    assert _obstruction_keys(obstructions) == \
         _obstruction_keys(_reference_overlaps(rs, d))
 
 
@@ -693,6 +712,7 @@ def test_orient_rewrites_the_leading_word_to_smaller_words(terms, perm):
             orient(p, order)
         return
     rule = orient(p, order)
+    assert zero_free(rule.rhs)
     assert rule.lhs == lead
     assert all(below(w, rule.lhs) for w in rule.rhs.terms)
     assert rule.as_poly(ABC) == p.scale(p.terms[lead].inv())
@@ -713,6 +733,7 @@ def test_normal_form_matches_term_by_term_sum(glq2, uq2m2, rng):
         for _ in range(100):
             x = random_poly(rng, p.alphabet, degree=4, terms=8)
             got = p.rewrite.normal_form(x)
+            assert zero_free(got)
             want = _term_by_term_normal_form(p.rewrite, x)
             assert list(got.terms.items()) == list(want.terms.items())
 
@@ -785,3 +806,71 @@ def test_aufg_build_skips_rebuilds(monkeypatch):
     entry = CATALOG["AuFG"]
     entry.build(**entry.defaults)
     assert 0 < len(builds) <= 2
+
+
+def test_reduce_word_matches_each_word_once(glq2m2):
+    # reduce the words of GLq2m2's degree-6 ambiguities on a fresh memo: a
+    # word whose rewrite has children still to reduce is not matched again
+    # when they are done
+    rs = glq2m2.ensure_degree(6).rewrite
+    words = {l1 + l2[at:] if kind == 0 else l1
+             for _, _, (l1, l2, kind, at) in rs._ambiguities(6)}
+    matched = []
+
+    def match(word):
+        matched.append(word)
+        return rs.index.match(word)
+
+    cache = {(): {(): S_ONE}}
+    for word in sorted(words):
+        got = rewrite._reduce_word(word, rs.rules, match, cache)
+        assert got == rs._nf_word(word), word
+    assert len(words) > 40 and len(matched) > 200
+    assert len(set(matched)) == len(matched)
+
+
+def test_interreduce_rechecks_no_clean_rule_after_a_removal(monkeypatch):
+    # inter-reduction rechecks a rule it found clean only after an lhs is
+    # added: a rule reduced away only removes its lhs, which makes no
+    # other rule reducible.  Each index records, in order, the rule it
+    # rechecks (match of lhs_i with skip i) and its moves; a rule that is
+    # the same object at two rechecks was found clean at the first
+    indexes = []
+
+    class Recording(LhsIndex):
+        def __init__(self, rules):
+            super().__init__(rules)
+            self.rules, self.events = rules, []
+            indexes.append(self)
+
+        def match(self, word, skip=None):
+            if skip is not None:
+                self.events.append(("check", skip, self.rules[skip]))
+            return super().match(word, skip)
+
+        def move(self, idx, old, new):
+            self.events.append(("remove" if new is None else "add", idx, new))
+            super().move(idx, old, new)
+
+    monkeypatch.setattr(rewrite, "LhsIndex", Recording)
+    # AuFG removes 22 rules and adds no lhs; GLq2m2 adds one, after which
+    # its clean rules are rechecked
+    entry = CATALOG["AuFG"]
+    entry.build(**entry.defaults)
+    entry = CATALOG["GLq2m2"]
+    entry.build(**entry.defaults).ensure_degree(6)
+    removals = rechecks = 0
+    for index in indexes:
+        adds, last = 0, {}
+        for kind, idx, rule in index.events:
+            if kind == "add":
+                adds += 1
+            elif kind == "remove":
+                removals += 1
+            else:
+                seen = last.get(idx)
+                if seen is not None and seen[0] is rule:
+                    rechecks += 1
+                    assert seen[1] < adds, (idx, rule.lhs)
+                last[idx] = (rule, adds)
+    assert removals > 0 and rechecks > 0
