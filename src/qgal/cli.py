@@ -117,15 +117,16 @@ def _load(target, args, chain=()):
         raise CliError(f"cycle of coaction files: {' -> '.join(chain + (path,))}")
     with open(path) as fh:
         text = fh.read()
-    names = presentations.coaction_names(text) or ()
+    sections, names = presentations.read_dsl(text)
     legs = tuple(resolve_presentation(name if name in presentations.CATALOG else
                                       os.path.join(os.path.dirname(target), name),
                                       args, chain + (path,))
-                 for name in names)
+                 for name in names or ())
     key = (path, text, legs)
     if key not in _FILES:
-        _FILES[key] = (presentations.parse_coaction_text(text, dict(zip(names, legs)).get)
-                       if names else presentations.parse_presentation_text(text))
+        _FILES[key] = (presentations.parse_coaction_text(
+            text, dict(zip(names, legs)).get, sections) if names
+            else presentations.parse_presentation_text(text, sections))
     return _FILES[key]
 
 
@@ -146,10 +147,7 @@ def resolve_coaction(target, args) -> CoactionData:
     if isinstance(data, CoactionData):
         return data
     if data.hopf is not None:
-        # the Hopf row grades are those of Delta's left legs
-        grades = data.hopf.grades
-        return CoactionData(data, data, dict(data.hopf.delta), None if grades is None
-                            else {g: left for g, (left, _) in grades.items()})
+        return CoactionData(data, data, dict(data.hopf.delta))
     raise CliError(f"no coaction data for target {target!r}")
 
 

@@ -10,20 +10,23 @@ numerical evidence at sample q, clearly labeled as such: the Gram
 eigenvalues come from `linalg.eigvalsh`, and a Gram matrix whose
 eigenvalues do not converge gives an undecided item, never a pass.
 
-The solve runs one elimination per graded block.  A Hopf presentation may
-declare a row grading `left` and a column grading `right` on its
-generators (`HopfData.grades`), and a coaction the row grade of alpha's
-left legs (`CoactionData.left_grades`).  They are checked on the
-presentation as it was built: every completed rule is homogeneous for
-each grading, Delta(g) has left legs of grade left(g) and right legs of
-grade right(g), alpha(g) has left legs of one letter at most and of
-grade left_Z(g), and Z's rules are homogeneous for left_Z.  That covers
-every deeper copy the solve reads through: homogeneous rules reduce a
-word to words of its grade, so the differences that completion orients
-into rules, and the rules that inter-reduction rewrites, are homogeneous
-too.  A presentation that declares nothing, or fails a check, puts every
-word in grade (): one block, the whole system.  Why the blocks are
-exact, with E_b the equations of Delta(b):
+The solve runs one elimination per graded block.  A grading gives each
+generator a vector in Z^n and a word the sum over its letters, and none
+is declared.  The row and column gradings `left` and `right` of a Hopf
+presentation are the finest for which every rule as built is homogeneous
+and Delta(g) has left legs of grade left(g), respectively right legs of
+grade right(g).  Each condition asks two words for one grade, so the
+gradings that hold form the kernel of the differences of their letter
+counts; `hopf_grading` grades a generator by its coordinates in a basis
+of it (`linalg.nullspace`, scaled to ints), and any grading that holds is
+coarser.  `extension_grading` gives a generator g of a coaction's total
+Z the one row grade of alpha(g)'s left legs, which must have one letter
+at most, and checks Z's rules as built for it.  Homogeneous rules reduce
+a word to words of its grade, so the rules of every deeper copy the
+solve reads through are homogeneous too.  A kernel of 0, or a coaction
+that fails a check or grades all of Z 0, puts every word in grade ():
+one block, the whole system.  Why the blocks are exact, with E_b the
+equations of Delta(b):
 
   - By homogeneity the system is block-diagonal by left(b): the unknowns
     of E_b are J on words of grade left(b), and J(b) itself when
@@ -46,13 +49,15 @@ is built only for the other words.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
-from .linalg import LinearSolveError, eigvalsh, solve_blocks
+from .linalg import LinearSolveError, eigvalsh, nullspace, solve_blocks
 from .ncpoly import AlgebraError, NCPoly, apply_map
 from .presentations import CoactionData, Presentation, alpha_ext, delta_ext
 from .report import Report, timed
-from .scalars import PoleError, Q_SAMPLES, S_ONE, S_ZERO, add_term
+from .scalars import PoleError, Q_SAMPLES, S_ONE, S_ZERO, ScalarQ, add_term
 
 
 class HaarError(AlgebraError):
@@ -67,10 +72,10 @@ class LinearFunctional:
     """A functional given by its values on the normal words `basis`,
     normalized by value 1 on the unit."""
 
-    __slots__ = ("basis", "values", "provenance", "grades")
+    __slots__ = ("basis", "values", "provenance", "grade")
 
     def __init__(self, basis: list, values: dict, provenance: dict | None = None,
-                 grades: dict | None = None):
+                 grade=None):
         if values.get((), S_ZERO) != S_ONE:
             raise HaarError("functional must be normalized by value 1 on the unit")
         self.basis = basis      # normal words the functional is defined on
@@ -80,9 +85,9 @@ class LinearFunctional:
         # none), and for J the blocks eliminated and the unknowns of the
         # largest (largest_block)
         self.provenance = {} if provenance is None else provenance
-        # generator index -> grade vector of the grading that held where
-        # it was solved, or None; gram_matrix prunes by it
-        self.grades = grades
+        # word -> grade map of the grading it was solved under, or None;
+        # gram_matrix prunes by it
+        self.grade = grade
 
     def of_word(self, word):
         try:
@@ -112,13 +117,31 @@ def _trivial(word):
     return ()
 
 
-def _declared(alphabet, vecs):
-    """The grader of a declaration covering every generator with vectors
-    of one length, else None."""
-    dims = {len(v) for v in vecs.values()}
-    if len(vecs) != len(alphabet) or len(dims) != 1:
-        return None
-    return _grader(vecs, dims.pop())
+def _finest(n, conditions):
+    """The word -> grade map of the finest integer grading of words in n
+    letters under which each of `conditions`, pairs (u, v) of words,
+    gives u and v one grade (see the module docstring), or _trivial when
+    that grading is 0."""
+    rows = set()
+    for u, v in conditions:
+        diff = [0] * n
+        for letter in u:
+            diff[letter] += 1
+        for letter in v:
+            diff[letter] -= 1
+        if any(diff):
+            rows.add(tuple(diff))
+    scalar = {x: ScalarQ.from_fraction(x) for x in set().union(*rows)}
+    kernel = nullspace([{g: scalar[x] for g, x in enumerate(r) if x} for r in rows],
+                       range(n))
+    if not kernel:
+        return _trivial
+    scaled = []
+    for vec in kernel:
+        vec = [Fraction(vec[g].num.coeffs[0]) if g in vec else 0 for g in range(n)]
+        m = lcm(*(x.denominator for x in vec))
+        scaled.append([int(x * m) for x in vec])
+    return _grader(dict(enumerate(zip(*scaled))), len(scaled))
 
 
 def _inhomogeneous(p: Presentation, grade, name):
@@ -131,68 +154,47 @@ def _inhomogeneous(p: Presentation, grade, name):
     return None
 
 
-def _delta_failure(p: Presentation, left, right):
-    """The failed check, when a term of Delta(g) has a left leg not of
-    grade left(g) or a right leg not of grade right(g)."""
-    for g, t in p.hopf.delta.items():
-        if any(left(w1) != left((g,)) or right(w2) != right((g,))
-               for w1, w2 in t.terms):
-            return f"Delta({p.alphabet.names[g]}) does not keep the grades"
-    return None
-
-
-def _alpha_failure(c: CoactionData, zleft, aleft):
-    """The failed check, when a left leg of alpha(g) has more than one
-    letter or a grade other than zleft(g)."""
-    for g, t in c.alpha.items():
-        name = c.total.alphabet.names[g]
-        if any(len(w1) > 1 for w1, _ in t.terms):
-            return f"alpha({name}) has a left leg of more than one letter"
-        if any(aleft(w1) != zleft((g,)) for w1, _ in t.terms):
-            return f"alpha({name}) does not keep the grade"
-    return None
-
-
 def hopf_grading(p: Presentation):
-    """(left, right, held): word -> grade maps for the row and column
-    gradings that p's Hopf data declares, after the checks of the module
-    docstring on p's completed rules and Delta, and which grading held.
-    When p declares none or a check fails, both maps are trivial and
-    `held` names the failure."""
-    grades = p.hopf.grades
-    if grades is None:
-        return _trivial, _trivial, "none: no grading declared"
-    left = _declared(p.alphabet, {g: v[0] for g, v in grades.items()})
-    right = _declared(p.alphabet, {g: v[1] for g, v in grades.items()})
-    if left is None or right is None:
-        return (_trivial, _trivial,
-                "none: grades not declared on every generator in one Z^n")
-    failed = (_inhomogeneous(p, left, "row") or _inhomogeneous(p, right, "column")
-              or _delta_failure(p, left, right))
-    if failed:
-        return _trivial, _trivial, f"none: {failed}"
-    return left, right, "row and column"
+    """(left, right, held): word -> grade maps for the finest row and
+    column gradings of p, derived from p's rules as built and Delta (see
+    the module docstring), and which of them is not 0, or why none is.
+    A grading that is 0 is the trivial map: every word in grade ()."""
+    rules = [(rule.lhs, w) for rule in p.rewrite.rules for w in rule.rhs.terms]
+    left, right = (_finest(len(p.alphabet), rules + [
+        ((g,), key[i]) for g, t in p.hopf.delta.items() for key in t.terms])
+        for i in (0, 1))
+    held = " and ".join(name for name, grade in (("row", left), ("column", right))
+                        if grade is not _trivial)
+    return left, right, held or "none: only the zero grading keeps the rules and Delta"
 
 
 def extension_grading(c: CoactionData):
-    """(zleft, aleft, held): word -> row grade maps on Z and on the base,
-    after the checks of the module docstring on the base's Hopf grading,
-    on alpha and on Z's completed rules, and which grading held.  When
-    the coaction declares none or a check fails, both maps are trivial
-    and `held` names the failure."""
-    if c.left_grades is None:
-        return _trivial, _trivial, "none: no grading declared"
+    """(zleft, aleft, held): word -> row grade maps on Z and on the base:
+    aleft the base's row grading, and zleft giving each generator g of Z
+    the one grade of alpha(g)'s left legs, after the checks of the module
+    docstring on those legs and on Z's rules as built, and which grading
+    held.  When the base has no row grading or a check fails, both maps
+    are trivial and `held` names the failure."""
     if c.base.hopf is None:
         return _trivial, _trivial, "none: the base has no Hopf data"
-    aleft, _, held = hopf_grading(c.base)
+    aleft = hopf_grading(c.base)[0]
     if aleft is _trivial:
-        return _trivial, _trivial, f"{held} on the base"
-    zleft = _declared(c.total.alphabet, c.left_grades)
-    if zleft is None or len(zleft(())) != len(aleft(())):
-        return (_trivial, _trivial, "none: grades not declared on every "
-                "generator of Z in the base's Z^n")
-    failed = (_alpha_failure(c, zleft, aleft)
-              or _inhomogeneous(c.total, zleft, "row"))
+        return _trivial, _trivial, "none: the base has only the zero row grading"
+    vecs = {}
+    for g, t in c.alpha.items():
+        name = c.total.alphabet.names[g]
+        if any(len(w1) > 1 for w1, _ in t.terms):
+            return (_trivial, _trivial,
+                    f"none: alpha({name}) has a left leg of more than one letter")
+        grades = {aleft(w1) for w1, _ in t.terms}
+        if len(grades) != 1:
+            return (_trivial, _trivial,
+                    f"none: alpha({name}) has left legs of {len(grades)} grades")
+        (vecs[g],) = grades
+    if not any(map(any, vecs.values())):
+        return _trivial, _trivial, "none: alpha's left legs give Z only the zero grading"
+    zleft = _grader(vecs, len(aleft(())))
+    failed = _inhomogeneous(c.total, zleft, "row")
     if failed:
         return _trivial, _trivial, f"none: {failed}"
     return zleft, aleft, "row"
@@ -238,13 +240,11 @@ def haar_on_hopf(p: Presentation, d: int) -> LinearFunctional:
     values = dict.fromkeys(basis, S_ZERO)
     for words, reducer in solve_blocks(blocks, equations, lambda w: (len(w), w)):
         values.update(reducer.solution(words))
-    bigrades = None if left is _trivial else {
-        g: (*row, *col) for g, (row, col) in p.hopf.grades.items()}
     sizes = [*map(len, blocks.values())]
     return LinearFunctional(basis, values, {
         "depth": d, "basis_words": len(basis), "solved_words": sum(sizes),
         "grading": held, "blocks": len(sizes), "largest_block": max(sizes)},
-        bigrades)
+        lambda w: (*left(w), *right(w)))
 
 
 def unit_coefficient_functional():
@@ -281,7 +281,7 @@ def haar_on_extension(c: CoactionData, J: LinearFunctional, d: int,
         values[b] = total
     return LinearFunctional(basis, values, {
         "depth": d, "basis_words": len(basis), "solved_words": solved,
-        "grading": held}, None if zleft is _trivial else c.left_grades)
+        "grading": held}, zleft)
 
 
 def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
@@ -299,15 +299,11 @@ def verify_invariance(c: CoactionData, mu: LinearFunctional, d: int) -> Report:
     return report
 
 
-def _star_grader(p: Presentation, grades):
-    """The word -> grade map of `grades` (generator index -> vector) when
-    it covers p's generators in one Z^n, p's completed rules are
-    homogeneous for it, and star sends each generator g to words of grade
-    -grade(g); else None.  Then star(b) * w has grade grade(w) - grade(b)
-    and so has its normal form."""
-    if grades is None:
-        return None
-    grade = _declared(p.alphabet, grades)
+def _star_grader(p: Presentation, grade):
+    """The word -> grade map `grade` when it is not None, p's completed
+    rules are homogeneous for it, and star sends each generator g to words
+    of grade -grade(g); else None.  Then star(b) * w has grade
+    grade(w) - grade(b) and so has its normal form."""
     if grade is None or _inhomogeneous(p, grade, "star"):
         return None
     for g, image in p.star.images.items():
@@ -330,7 +326,7 @@ def gram_matrix(p: Presentation, mu: LinearFunctional, d: int):
     basis = [w for w in mu.basis if len(w) <= d]
     starred = [p.nf(p.star.of_word(b)) for b in basis]
     plain = [NCPoly(p.alphabet, {b: S_ONE}) for b in basis]
-    grade = _star_grader(p, mu.grades) or _trivial
+    grade = _star_grader(p, mu.grade) or _trivial
     live = {grade(w) for w, v in mu.values.items() if not v.is_zero()}
     grades = [grade(b) for b in basis]
     gram = []

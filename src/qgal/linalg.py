@@ -8,7 +8,7 @@ it has checked that the block has at most BLOCK_BUDGET unknowns (a larger
 block is undecided: BlockBudgetError).  A block's reducer is read in two
 ways only: `solution` (the Haar solve) and `kernel`, the kernel vector of
 each free variable (the Galois solve, and `nullspace`, one block, for the
-cotensor kernel).  `mat_inv` reduces [A | I] with a RowReducer.
+cotensor kernel and the Haar gradings).  `mat_inv` reduces [A | I] with a RowReducer.
 
 `eigvalsh` is the one floating-point routine of qgal: the eigenvalues of
 a Gram matrix evaluated at a sample q, which are numerical evidence of

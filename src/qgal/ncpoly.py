@@ -337,6 +337,8 @@ def extend_anti(images, one):
 #   factor := scalar | ident | '(' expr ')'
 #   scalar := integer | 'q' ['^' ['-'] integer]
 #                                            |exponent| <= MAX_Q_EXPONENT
+#   Every sum, product and quotient formed keeps each coefficient's
+#   numerator and denominator q exponents within +-MAX_Q_EXPONENT too.
 #
 #   tensor := ['-'] tterm (('+'|'-') tterm)*
 #   tterm  := term '(x)' term                the left term over the first
@@ -428,6 +430,17 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             self.error(f"integer of {len(tok[1])} digits is too long", tok)
 
+    def bounded(self, poly, tok):
+        """poly, when every coefficient's numerator and denominator have
+        their lowest and highest q exponents within +-MAX_Q_EXPONENT;
+        else a ParseError at tok, the operator that formed poly."""
+        for c in poly.terms.values():
+            for k in (c.num.low(), c.num.degree(), c.den.low(), c.den.degree()):
+                if abs(k) > MAX_Q_EXPONENT:
+                    self.error(f"q exponent {k} of a coefficient is beyond "
+                               f"the limit +-{MAX_Q_EXPONENT}", tok)
+        return poly
+
     def parse(self, term):
         out = self.expr(term)
         tok = self.peek()
@@ -446,20 +459,21 @@ class _Parser:
         if sign < 0:
             out = -out
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op = self.next()
             rhs = term()
-            out = out + rhs if op == "+" else out - rhs
+            out = self.bounded(out + rhs if op[0] == "+" else out - rhs, op)
         return out
 
     def tensor_term(self, left: Alphabet, right: Alphabet) -> "TensorPoly":
         self.alphabet = left
         a = self.term()
+        op = self.peek()
         for kind, text in (("(", "("), ("ident", "x"), (")", ")")):
             tok = self.next()
             if tok[:2] != (kind, text):
                 self.error(f"expected '(x)', found {_found(tok)}", tok)
         self.alphabet = right
-        return TensorPoly.of(a, self.term())
+        return self.bounded(TensorPoly.of(a, self.term()), op)
 
     def term(self) -> NCPoly:
         sign = 1
@@ -468,8 +482,9 @@ class _Parser:
                 sign = -sign
         out = self.factor()
         while self.peek()[0] in ("*", "/"):
-            if self.next()[0] == "*":
-                out = out * self.factor()
+            op = self.next()
+            if op[0] == "*":
+                out = self.bounded(out * self.factor(), op)
                 continue
             tok = self.peek()
             d = self.factor()
@@ -477,7 +492,7 @@ class _Parser:
                 self.error("division by zero", tok)
             if set(d.terms) != {()}:
                 self.error("divisor is not a scalar", tok)
-            out = out.scale(d.terms[()].inv())
+            out = self.bounded(out.scale(d.terms[()].inv()), op)
         return -out if sign < 0 else out
 
     def factor(self) -> NCPoly:
@@ -496,7 +511,7 @@ class _Parser:
             return out
         if kind == "int":
             self.next()
-            return NCPoly.scalar(self.alphabet, ScalarQ.from_int(self.integer(tok)))
+            return NCPoly.scalar(self.alphabet, ScalarQ.from_fraction(self.integer(tok)))
         if kind == "ident":
             self.next()
             if text == "q":

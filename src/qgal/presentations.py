@@ -119,35 +119,30 @@ class Presentation:
 
 
 class HopfData:
-    """Coproduct, counit and antipode on generators, with the declared
-    row and column gradings: generator index -> (left, right) integer
-    grade vectors, or None for none.  The Haar layer checks them."""
+    """Coproduct, counit and antipode on generators.  No grading: the Haar
+    layer derives the finest row and column gradings from Delta and the
+    rules (haar.hopf_grading), so none can disagree with the data."""
 
-    __slots__ = ("delta", "counit", "antipode", "grades")
+    __slots__ = ("delta", "counit", "antipode")
 
-    def __init__(self, delta: dict, counit: dict, antipode: dict,
-                 grades: dict | None = None):
+    def __init__(self, delta: dict, counit: dict, antipode: dict):
         self.delta = delta          # generator index -> TensorPoly (A, A)
         self.counit = counit        # generator index -> scalar
         self.antipode = antipode    # generator index -> NCPoly
-        self.grades = grades
 
 
 class CoactionData:
     """A coaction alpha: Z -> A (x) Z of the base A on the total Z;
-    immutable.  Its readers certify the legs they reduce."""
+    immutable.  Its readers certify the legs they reduce.  It carries no
+    grading: the Haar layer reads Z's off alpha (haar.extension_grading)."""
 
-    __slots__ = ("base", "total", "alpha", "left_grades")
+    __slots__ = ("base", "total", "alpha")
 
-    def __init__(self, base: Presentation, total: Presentation, alpha: dict,
-                 left_grades: dict | None = None):
+    def __init__(self, base: Presentation, total: Presentation, alpha: dict):
         init = object.__setattr__
         init(self, "base", base)
         init(self, "total", total)
         init(self, "alpha", alpha)    # generator index of Z -> TensorPoly (A, Z)
-        # generator index of Z -> the left grade of alpha's left legs, in
-        # the coordinates of the base's left grades; None declares none
-        init(self, "left_grades", left_grades)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoactionData is immutable")
@@ -249,11 +244,6 @@ def on_block(block, mat):
     block[i][j] -> mat[i][j]."""
     return {next(iter(g.terms))[0]: e
             for gens, row in zip(block, mat) for g, e in zip(gens, row)}
-
-
-def unit_vector(i, n, sign=1):
-    """sign * e_i in Z^n, with i counted from 1."""
-    return tuple(sign if k == i else 0 for k in range(1, n + 1))
 
 
 def transpose(mat):
@@ -402,11 +392,7 @@ def _build_glq2(star: bool):
     antipode = on_block(x, [[P("x22*t"), P("-q*x12*t")],
                             [P("-q^-1*x21*t"), P("x11*t")]])
     antipode[idx["t"]] = det
-    # x_ij has row grade e_i and column grade e_j; t inverts the determinant
-    grades = on_block(x, [[(unit_vector(i, 2), unit_vector(j, 2))
-                           for j in (1, 2)] for i in (1, 2)])
-    grades[idx["t"]] = ((-1, -1), (-1, -1))
-    hopf = HopfData(delta, counit, antipode, grades)
+    hopf = HopfData(delta, counit, antipode)
     return _finish("Uq2" if star else "GLq2", A, relations, MonomialOrder(A),
                    star=smap, hopf=hopf, block=x)
 
@@ -462,9 +448,7 @@ def _coaction_glq_family(base: Presentation, total: Presentation) -> CoactionDat
     Ai, Zi, z = base.alphabet, total.alphabet, total.block
     alpha = on_block(z, mat_mul(base.block, z, TensorPoly.of))
     alpha[Zi.index["tau"]] = TensorPoly.of(Ai.gen("t"), Zi.gen("tau"))
-    left = on_block(z, [[unit_vector(i, 2)] * 2 for i in (1, 2)])
-    left[Zi.index["tau"]] = (-1, -1)
-    return CoactionData(base, total, alpha, left)
+    return CoactionData(base, total, alpha)
 
 
 def _star_alphabet(prefix, n, p):
@@ -521,24 +505,16 @@ def _auf_hopf(z, zbar, F, Finv, Bst):
     antipode = on_block(z, transpose(zbar))
     # S(zbar) = F^-1 B* F, the inverse of the conjugate matrix
     antipode.update(on_block(zbar, mat_mul(mat_mul(Finv, Bst), F)))
-    grades = {}
-    for block, sign in ((z, 1), (zbar, -1)):  # z_ij* has the negated grades
-        grades.update(on_block(block, [
-            [(unit_vector(i, n, sign), unit_vector(j, n, sign))
-             for j in range(1, n + 1)] for i in range(1, n + 1)]))
-    return HopfData(delta, counit, antipode, grades)
+    return HopfData(delta, counit, antipode)
 
 
 def _coaction_aufg(base: Presentation, total: Presentation) -> CoactionData:
-    n, p = len(total.block), len(total.block[0])
-    alpha, left = {}, {}
-    for x, z, sign in ((base.block, total.block, 1),  # z and zbar coact alike
-                       (star_entries(base.star, base.block),
-                        star_entries(total.star, total.block), -1)):
+    alpha = {}
+    for x, z in ((base.block, total.block),  # z and zbar coact alike
+                 (star_entries(base.star, base.block),
+                  star_entries(total.star, total.block))):
         alpha.update(on_block(z, mat_mul(x, z, TensorPoly.of)))
-        left.update(on_block(z, [[unit_vector(i, n, sign)] * p
-                                 for i in range(1, n + 1)]))
-    return CoactionData(base, total, alpha, left)
+    return CoactionData(base, total, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -723,26 +699,31 @@ def findim_rep_obstruction(n: int, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _sections(text: str, heads=None, once=()):
+def _sections(text: str):
     """directive -> [(line number, rest of the line, column of the rest)]
-    for the lines of a DSL text that hold more than a comment, read in one
-    pass, with a list for each directive of heads.  A line whose directive
-    is not in heads (None takes any), or that gives one of once again, is
-    a CatalogError naming it."""
-    out = {head: [] for head in heads or ()}
+    for the lines of a DSL text that hold more than a comment, in one
+    pass; `_checked` says which directives a file may give."""
+    out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line, col = _stripped(raw.split("#", 1)[0], 1)
-        if not line:
-            continue
-        head = line.split(maxsplit=1)[0]
-        if heads is not None and head not in heads:
-            raise CatalogError(f"line {lineno}: unknown directive {head!r}")
-        lines = out.setdefault(head, [])
-        if lines and head in once:
-            raise CatalogError(f"line {lineno}: {head!r} given again "
-                               f"(first on line {lines[0][0]})")
-        lines.append((lineno, *_stripped(line[len(head):], col + len(head))))
+        if line:
+            head = line.split(maxsplit=1)[0]
+            out.setdefault(head, []).append(
+                (lineno, *_stripped(line[len(head):], col + len(head))))
     return out
+
+
+def _checked(sections, heads, once):
+    """The sections of a DSL text with a list for each directive of
+    heads.  The first line in the text whose directive is not in heads,
+    or that gives one of once again, is a CatalogError naming it."""
+    errors = [(lines[0][0], f"unknown directive {head!r}") if head not in heads
+              else (lines[1][0], f"{head!r} given again (first on line {lines[0][0]})")
+              for head, lines in sections.items()
+              if head not in heads or head in once and len(lines) > 1]
+    if errors:
+        raise CatalogError("line {}: {}".format(*min(errors)))
+    return {head: sections.get(head, []) for head in heads}
 
 
 def _stripped(s, col):
@@ -776,7 +757,19 @@ def _images(lines, alphabet, parse, what):
     return images
 
 
-def parse_presentation_text(text: str) -> Presentation:
+def read_dsl(text: str):
+    """(sections, names): the lines of a DSL text by directive, read once
+    (see _sections), and the (Z, A) names of its 'coaction Z over A' line,
+    or None for a text without one; a CatalogError when there are
+    several.  The parsers below take the sections as they are."""
+    sections = _sections(text)
+    lines = sections.get("coaction")
+    if lines:
+        _checked({"coaction": lines}, ("coaction",), ("coaction",))
+    return sections, lines and _over(lines[0][1])
+
+
+def parse_presentation_text(text: str, sections=None) -> Presentation:
     """Parse the presentation DSL, completed to degree 3:
 
         algebra NAME
@@ -784,9 +777,12 @@ def parse_presentation_text(text: str) -> Presentation:
         order g1 < g2 < ...           (optional; defaults to listed order)
         star g -> expr                (optional, one per generator)
         relation expr                 (one per line; expr = 0)
+
+    `sections` is the text as read_dsl read it, when it has been read.
     """
     headers = ("algebra", "generators", "order")
-    lines = _sections(text, (*headers, "star", "relation"), headers)
+    lines = _checked(_sections(text) if sections is None else sections,
+                     (*headers, "star", "relation"), headers)
     name, gen_names, order_names = (lines[h][0][1] if lines[h] else None
                                     for h in headers)
     gen_names = gen_names and gen_names.split()
@@ -816,20 +812,13 @@ def parse_presentation_text(text: str) -> Presentation:
     return _finish(name, A, relations, order, star=smap, completion_degree=3)
 
 
-def coaction_names(text: str):
-    """The (Z, A) names of the 'coaction Z over A' line of a DSL text, or
-    None for a text without one; a CatalogError when there are several."""
-    lines = _sections(text, once=("coaction",)).get("coaction")
-    return None if lines is None else _over(lines[0][1])
-
-
 def _over(rest):
     """(Z, A) of the rest "Z over A" of a coaction line."""
     zname, _, aname = rest.partition(" over ")
     return zname.strip(), aname.strip()
 
 
-def parse_coaction_text(text: str, resolve) -> CoactionData:
+def parse_coaction_text(text: str, resolve, sections=None) -> CoactionData:
     """Parse the coaction DSL:
 
         coaction ZNAME over ANAME
@@ -837,9 +826,11 @@ def parse_coaction_text(text: str, resolve) -> CoactionData:
 
     where tensor is a signed sum of terms exprA (x) exprZ, each expr a
     product (see ncpoly's grammar).  `resolve` maps a name to a
-    Presentation (catalog or parsed file).
+    Presentation (catalog or parsed file); `sections` is as in
+    parse_presentation_text.
     """
-    lines = _sections(text, ("coaction", "alpha"), ("coaction",))
+    lines = _checked(_sections(text) if sections is None else sections,
+                     ("coaction", "alpha"), ("coaction",))
     if not lines["coaction"]:
         raise CatalogError("coaction file needs a 'coaction Z over A' line")
     total, base = map(resolve, _over(lines["coaction"][0][1]))

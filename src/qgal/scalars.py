@@ -425,10 +425,6 @@ class ScalarQ:
         raise AttributeError("ScalarQ is immutable")
 
     @staticmethod
-    def from_int(n) -> "ScalarQ":
-        return ScalarQ(LaurentPoly.from_fraction(n))
-
-    @staticmethod
     def from_fraction(c) -> "ScalarQ":
         return ScalarQ(LaurentPoly.from_fraction(c))
 
@@ -673,8 +669,8 @@ def add_term(terms: dict, key, value: ScalarQ) -> None:
         terms[key] = s
 
 
-S_ZERO = ScalarQ.from_int(0)
-S_ONE = ScalarQ.from_int(1)
+S_ZERO = ScalarQ.from_fraction(0)
+S_ONE = ScalarQ.from_fraction(1)
 Q = ScalarQ.q_power(1)
 # the real q at which numerical evidence (Gram positivity) is taken when
 # no --q is given

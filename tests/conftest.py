@@ -55,7 +55,7 @@ def c_aufg():
 
 def random_scalar(rng, terms=3, exp=4):
     """Random nonzero-ish element of the q-rational scalar field."""
-    total = ScalarQ.from_int(0)
+    total = ScalarQ.from_fraction(0)
     for _ in range(rng.randint(1, terms)):
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         total = total + ScalarQ.from_fraction(c) * ScalarQ.q_power(

@@ -167,6 +167,22 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_a_coaction_file_is_read_once(tmp_path, monkeypatch):
+    """Loading a coaction file reads its directives in one pass, which
+    both tells a coaction file from a presentation file and gives the
+    coaction parser its lines."""
+    f = tmp_path / "triv.coa"
+    f.write_text("coaction GLq2m2 over GLq2\n" + "".join(
+        f"alpha {g} -> 1 (x) {g}\n" for g in ("tau", "z11", "z12", "z21", "z22")))
+    calls = []
+    sections = presentations._sections
+    monkeypatch.setattr(presentations, "_sections",
+                        lambda *a, **k: calls.append(a) or sections(*a, **k))
+    c = cli.resolve_coaction(str(f), argparse.Namespace(n=None, p=None))
+    assert (c.base.name, c.total.name) == ("GLq2", "GLq2m2")
+    assert len(calls) == 1
+
+
 def test_file_base_has_no_fundamental_comodule(tmp_path, capsys):
     (tmp_path / "line.alg").write_text(LINE)
     f = tmp_path / "self.coa"
@@ -413,6 +429,18 @@ def test_q_exponent_beyond_the_bound_exits_3(capsys):
         code, out, err = run(capsys, "normalize", "Uq2", expr)
         assert (code, out) == (3, "")
         assert f"limit +-{MAX_Q_EXPONENT}" in err
+
+
+def test_parsed_scalars_beyond_the_bound_exit_3(capsys):
+    # each factor is within the bound, but the product of two is not: its
+    # numerator list alone would hold 10^4 numerators, and the gcds of the
+    # sum of two such quotients took seconds
+    P = "*".join(["(1+q^1000)"] * 10)
+    Q = "*".join(["(1-q^999)"] * 10)
+    code, out, err = run(capsys, "normalize", "Uq2", f"x11/({P}) + x11/({Q})")
+    assert (code, out) == (3, "")
+    assert err == (f"parse error: q exponent 2000 of a coefficient is beyond the "
+                   f"limit +-{MAX_Q_EXPONENT} (line 1, column 16)\n")
 
 
 def test_parse_error_at_the_end_names_the_end_of_input(capsys):

@@ -1,10 +1,14 @@
 """The Haar solve by graded blocks: the same J and mu as the one-block
-solve, gradings that are checked and refused when wrong, the work the
-blocks save, and oracles for J that do not go through the solver."""
+solve, gradings derived from the data that fall back to one block where
+the data allow none, the work the blocks save, and oracles for J that do
+not go through the solver."""
+
+import json
 
 import pytest
 
 from qgal import haar, linalg, presentations
+from qgal.cli import main
 from qgal.haar import (
     LinearFunctional,
     extension_grading,
@@ -20,9 +24,9 @@ from qgal.presentations import (
     HopfData,
     Presentation,
     catalog,
+    coaction,
     delta_ext,
     parse_presentation_text,
-    unit_vector,
 )
 from qgal.rewrite import word_basis
 from qgal.scalars import S_ONE, S_ZERO
@@ -39,28 +43,20 @@ def with_hopf(p, hopf):
                         hopf, p.block)
 
 
-def with_grades(p, grades):
-    """p with the grades of its Hopf data replaced by `grades`."""
-    h = p.hopf
-    return with_hopf(p, HopfData(h.delta, h.counit, h.antipode, grades))
+@pytest.fixture
+def one_block(monkeypatch):
+    """solve(fn, *args): fn(*args) with every grading the trivial one, so
+    that J and mu are solved in one block, the whole system."""
+    def trivial(data):
+        return haar._trivial, haar._trivial, "none: one block"
 
+    def solve(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(haar, "hopf_grading", trivial)
+            m.setattr(haar, "extension_grading", trivial)
+            return fn(*args, **kwargs)
 
-def one_block(p):
-    """p with no grading declared on its Hopf data."""
-    return with_grades(p, None)
-
-
-def regraded(p, **changes):
-    """p with the grades of the named generators replaced."""
-    grades = dict(p.hopf.grades)
-    for name, grade in changes.items():
-        grades[p.alphabet.index[name]] = grade
-    return with_grades(p, grades)
-
-
-def ungraded(c):
-    """The coaction c with no grading declared on its left legs."""
-    return CoactionData(c.base, c.total, c.alpha)
+    return solve
 
 
 def assert_one_block(F):
@@ -73,10 +69,10 @@ def assert_one_block(F):
 
 @pytest.mark.parametrize("target, d", [("Uq2", 3), ("Uq2", 6), ("AuF", 2),
                                        ("AuF", 3)])
-def test_graded_J_equals_one_block_J(target, d):
+def test_graded_J_equals_one_block_J(one_block, target, d):
     p = catalog(target)
     graded = haar_on_hopf(p, d=d)
-    full = haar_on_hopf(one_block(p), d=d)
+    full = one_block(haar_on_hopf, p, d=d)
     assert graded.provenance["grading"] == "row and column"
     assert graded.provenance["solved_words"] < graded.provenance["basis_words"]
     assert_one_block(full)
@@ -85,64 +81,128 @@ def test_graded_J_equals_one_block_J(target, d):
 
 
 @pytest.mark.parametrize("f", [None, lambda word: S_ONE], ids=["unit", "ones"])
-def test_graded_mu_equals_one_block_mu_on_uq2m2(c_uq, f):
+def test_graded_mu_equals_one_block_mu_on_uq2m2(one_block, c_uq, f):
     J = haar_on_hopf(c_uq.base, d=6)
     graded = haar_on_extension(c_uq, J, 6, f=f)
-    full = haar_on_extension(ungraded(c_uq), J, 6, f=f)
+    full = one_block(haar_on_extension, c_uq, J, 6, f=f)
     assert graded.provenance["grading"] == "row"
     assert_one_block(full)
     assert graded.values == full.values
 
 
-def test_graded_mu_equals_one_block_mu_on_aufg(c_aufg):
+def test_graded_mu_equals_one_block_mu_on_aufg(one_block, c_aufg):
     J = haar_on_hopf(c_aufg.base, d=2)
     graded = haar_on_extension(c_aufg, J, 2)
-    full = haar_on_extension(ungraded(c_aufg), J, 2)
+    full = one_block(haar_on_extension, c_aufg, J, 2)
     assert graded.provenance["grading"] == "row"
     assert graded.provenance["solved_words"] < graded.provenance["basis_words"]
     assert_one_block(full)
     assert graded.values == full.values
 
 
-# -- the checks are not vacuous ---------------------------------------------
+# -- the derived gradings ---------------------------------------------------
+
+
+def unit(i, n, sign=1):
+    """sign * e_i in Z^n, with i counted from 1."""
+    return tuple(sign if k == i else 0 for k in range(1, n + 1))
+
+
+def bigrade_by_name(name, n=3):
+    """The (row, column) bigrade in Z^n of a 2x2 or 3x3 catalog generator,
+    as the catalog declared it by hand before the gradings were derived,
+    read off its name: x_ij and z_ij have (e_i, e_j), z_ij* (written z_ijs)
+    their negatives, and t and tau -(e_1 + e_2) in both."""
+    if name in ("t", "tau"):
+        return (tuple(map(sum, zip(unit(1, n, -1), unit(2, n, -1)))),) * 2
+    sign = -1 if name.endswith("s") else 1
+    return unit(int(name[1]), n, sign), unit(int(name[2]), n, sign)
+
+
+def blocks(words, grade):
+    """The partition of words by grade, as a set of frozensets."""
+    out = {}
+    for w in words:
+        out.setdefault(grade(w), set()).add(w)
+    return {frozenset(ws) for ws in out.values()}
+
+
+def declared(p, n, side):
+    """The word -> grade map of the declared grading `side` (0 row, 1
+    column) on p's generators."""
+    vecs = [bigrade_by_name(name, n)[side] for name in p.alphabet.names]
+    return lambda w: tuple(map(sum, zip((0,) * n, *(vecs[x] for x in w))))
+
+
+@pytest.mark.parametrize("target, n, d", [("GLq2", 2, 6), ("Uq2", 2, 6),
+                                          ("AuF", 3, 3)])
+def test_derived_hopf_blocks_are_the_declared_ones(target, n, d):
+    p = catalog(target)
+    left, right, held = hopf_grading(p)
+    assert held == "row and column"
+    words = p.basis(d)
+    for side, derived in ((0, left), (1, right)):
+        assert blocks(words, derived) == blocks(words, declared(p, n, side))
+    # integer grades, so that a word's grade is a sum of ints
+    assert all(type(x) is int for g in range(len(p.alphabet))
+               for x in left((g,)) + right((g,)))
+
+
+@pytest.mark.parametrize("target, n, d", [("GLq2m2", 2, 6), ("Uq2m2", 2, 6),
+                                          ("AuFG", 3, 3)])
+def test_derived_extension_blocks_are_the_declared_ones(target, n, d):
+    c = coaction(target)
+    zleft, _, held = extension_grading(c)
+    assert held == "row"
+    words = c.total.basis(d)
+    assert blocks(words, zleft) == blocks(words, declared(c.total, n, 0))
 
 
 def test_catalog_gradings_hold(uq2, auf, c_uq, c_aufg):
-    # the solve checks them on the presentations as built; they hold on
-    # the deeper copies it reads through as well
+    # derived on the presentations as built; they hold on the deeper
+    # copies the solve reads through as well
     assert hopf_grading(uq2)[2] == "row and column"
     assert hopf_grading(uq2.ensure_degree(6))[2] == "row and column"
     assert hopf_grading(auf)[2] == "row and column"
     for c, d in ((c_uq, 6), (c_aufg, 4)):
         assert extension_grading(c)[2] == "row"
         deep = CoactionData(c.base.ensure_degree(d), c.total.ensure_degree(d),
-                            c.alpha, c.left_grades)
+                            c.alpha)
         assert extension_grading(deep)[2] == "row"
 
 
-E1, E2 = unit_vector(1, 2), unit_vector(2, 2)
+UQ2M2_FILE = """coaction Uq2m2 over Uq2
+alpha z11 -> x11 (x) z11 + x12 (x) z21
+alpha z12 -> x11 (x) z12 + x12 (x) z22
+alpha z21 -> x21 (x) z11 + x22 (x) z21
+alpha z22 -> x21 (x) z12 + x22 (x) z22
+alpha tau -> t (x) tau
+"""
 
 
-@pytest.mark.parametrize("changes, failed", [
-    # x12's right grade swapped: a rule mixes column grades
-    ({"x12": (E1, E1)}, "not homogeneous for the column grading"),
-    # row and column swapped: every rule stays homogeneous, Delta does not
-    ({f"x{i}{j}": (unit_vector(j, 2), unit_vector(i, 2))
-      for i in (1, 2) for j in (1, 2)}, "Delta(x11) does not keep the grades"),
-    ({"t": ((0, 0), (0, 0))}, "not homogeneous for the row grading"),
-    ({"t": ((-1,), (-1,))}, "grades not declared on every generator in one Z^n"),
-], ids=["x12-right", "transposed", "t-grade", "short-vector"])
-def test_mutated_hopf_grading_falls_back_to_one_block(uq2, changes, failed):
-    J = haar_on_hopf(uq2, d=3)
-    bad = haar_on_hopf(regraded(uq2, **changes), d=3)
-    assert failed in bad.provenance["grading"]
-    assert_one_block(bad)
-    assert bad.values == J.values
+def test_a_coaction_file_is_graded_as_the_catalog_coaction(tmp_path, capsys):
+    """The Uq2m2 coaction written as a file declares no grading and gets
+    the catalog's: the same mu, solved on the same 4 words."""
+    f = tmp_path / "uq2m2.coa"
+    f.write_text(UQ2M2_FILE)
+    reports = []
+    for target in (str(f), "Uq2m2"):
+        assert main(["haar", target, "--degree", "1", "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    from_file, from_catalog = reports
+    mu = from_file["params"]["mu"]
+    assert mu["grading"] == "row"
+    assert mu == from_catalog["params"]["mu"]
+    assert mu["solved_words"] == 4
+    assert from_file["items"] == from_catalog["items"]
 
 
 def test_a_block_over_the_budget_is_undecided(uq2, monkeypatch):
     # J on Uq2 at depth 3 solves 10 words in 3 blocks, the first of row
-    # grade (0, 0) and 4 words
+    # grade (0, 0) and 4 words.  The gradings are derived through linalg
+    # too, from a system of 5 unknowns, so they are derived first
+    grading = hopf_grading(uq2)
+    monkeypatch.setattr(haar, "hopf_grading", lambda p: grading)
     monkeypatch.setattr(linalg, "BLOCK_BUDGET", 3)
     with pytest.raises(BlockBudgetError, match=r"the block of grade \(0, 0\) has 4 "
                        "unknowns, over the budget of 3"):
@@ -160,40 +220,40 @@ relation h*g - 1
 
 def group_algebra(name, extra=""):
     """The group algebra of Z, or of a quotient by an extra relation, on
-    g and h = g^-1, with g grouplike of bigrade ((1,), (1,))."""
+    g and h = g^-1, with g grouplike."""
     p = parse_presentation_text(GROUP.format(name=name, extra=extra))
     A = p.alphabet
     g, h = A.index["g"], A.index["h"]
     hopf = HopfData({g: TensorPoly.of(A.gen("g"), A.gen("g")),
                      h: TensorPoly.of(A.gen("h"), A.gen("h"))},
-                    {g: S_ONE, h: S_ONE}, {g: A.gen("h"), h: A.gen("g")},
-                    {g: ((1,), (1,)), h: ((-1,), (-1,))})
+                    {g: S_ONE, h: S_ONE}, {g: A.gen("h"), h: A.gen("g")})
     return with_hopf(p, hopf)
 
 
 def test_test_built_group_algebra_grading():
     Z = group_algebra("Z")
+    left, right, held = hopf_grading(Z)
+    assert held == "row and column"
+    assert {left((0,)), left((1,))} == {(1,), (-1,)}
     J = haar_on_hopf(Z, d=4)
     assert J.provenance["grading"] == "row and column"
     # the Haar state of a group algebra is the unit coefficient
     assert J.values == {w: S_ONE if w == () else S_ZERO for w in J.basis}
-    # g^3 = 1 is not homogeneous for g of grade 1
+    # g^3 = 1 leaves only the zero grading: 3 grade(g) = 0
     Z3 = group_algebra("Z3", "relation g*g*g - 1")
-    bad = haar_on_hopf(Z3, d=4)
-    assert bad.provenance["grading"].endswith(
-        "not homogeneous for the row grading")
-    assert_one_block(bad)
-    assert bad.values == haar_on_hopf(one_block(Z3), d=4).values
+    one = haar_on_hopf(Z3, d=4)
+    assert one.provenance["grading"] == (
+        "none: only the zero grading keeps the rules and Delta")
+    assert_one_block(one)
 
 
 def test_non_homogeneous_total_falls_back_to_one_block():
-    """k[Z] coacts on k[Z/3] by g -> g (x) g; the legs keep the grades,
-    but Z's rule g^3 -> 1 does not."""
+    """k[Z] coacts on k[Z/3] by g -> g (x) g; the legs give g the grade of
+    g in k[Z], but Z's rule g^3 -> 1 does not keep it."""
     base, total = group_algebra("Z"), group_algebra("Z3", "relation g*g*g - 1")
     A, Zt = base.alphabet, total.alphabet
     alpha = {Zt.index[n]: TensorPoly.of(A.gen(n), Zt.gen(n)) for n in "gh"}
-    c = CoactionData(base, total, alpha,
-                     {Zt.index["g"]: (1,), Zt.index["h"]: (-1,)})
+    c = CoactionData(base, total, alpha)
     J = haar_on_hopf(base, d=3)
     mu = haar_on_extension(c, J, 3)
     assert mu.provenance["grading"].endswith(
@@ -202,14 +262,17 @@ def test_non_homogeneous_total_falls_back_to_one_block():
     assert mu.values == {w: S_ONE if w == () else S_ZERO for w in mu.basis}
 
 
-def test_wrong_alpha_grade_falls_back_to_one_block(c_uq):
+def test_alpha_legs_of_two_grades_fall_back_to_one_block(c_uq):
+    """alpha(z11) with x21 (x) (z12 z11 + q z11 z12) added, which is 0 in
+    Uq2m2: the same coaction, with left legs of row grades e1 and e2."""
     J = haar_on_hopf(c_uq.base, d=3)
     mu = haar_on_extension(c_uq, J, 3)
-    left = dict(c_uq.left_grades)
-    left[c_uq.total.alphabet.index["z11"]] = E2
-    bad = haar_on_extension(CoactionData(c_uq.base, c_uq.total, c_uq.alpha, left),
-                            J, 3)
-    assert bad.provenance["grading"] == "none: alpha(z11) does not keep the grade"
+    alpha = dict(c_uq.alpha)
+    z11 = c_uq.total.alphabet.index["z11"]
+    alpha[z11] = alpha[z11] + TensorPoly.of(
+        c_uq.base.gen("x21"), c_uq.total.parse("z12*z11 + q*z11*z12"))
+    bad = haar_on_extension(CoactionData(c_uq.base, c_uq.total, alpha), J, 3)
+    assert bad.provenance["grading"] == "none: alpha(z11) has left legs of 2 grades"
     assert_one_block(bad)
     assert bad.values == mu.values
 
@@ -222,19 +285,22 @@ def test_wide_alpha_leg_falls_back_to_one_block(c_uq):
     tau = c_uq.total.alphabet.index["tau"]
     alpha[tau] = TensorPoly.of(wide, c_uq.total.gen("tau"))
     J = haar_on_hopf(c_uq.base, d=4)
-    bad = haar_on_extension(
-        CoactionData(c_uq.base, c_uq.total, alpha, c_uq.left_grades), J, 1)
+    bad = haar_on_extension(CoactionData(c_uq.base, c_uq.total, alpha), J, 1)
     assert bad.provenance["grading"] == (
         "none: alpha(tau) has a left leg of more than one letter")
     assert_one_block(bad)
     assert bad.values == haar_on_extension(c_uq, J, 1).values
 
 
-def test_base_without_grading_drops_the_extension_grading(c_uq):
-    c = CoactionData(one_block(c_uq.base), c_uq.total, c_uq.alpha, c_uq.left_grades)
-    J = haar_on_hopf(c.base, d=3)
-    mu = haar_on_extension(c, J, 3)
-    assert mu.provenance["grading"] == "none: no grading declared on the base"
+def test_base_without_grading_drops_the_extension_grading():
+    """k[Z/3] coacting on itself by g -> g (x) g: its base has only the
+    zero grading, so mu is solved in one block."""
+    Z3 = group_algebra("Z3", "relation g*g*g - 1")
+    A = Z3.alphabet
+    c = CoactionData(Z3, Z3, {A.index[n]: TensorPoly.of(A.gen(n), A.gen(n))
+                              for n in "gh"})
+    mu = haar_on_extension(c, haar_on_hopf(Z3, d=3), 3)
+    assert mu.provenance["grading"] == "none: the base has only the zero row grading"
     assert_one_block(mu)
 
 
@@ -341,17 +407,6 @@ def left_invariance_defects(p, J, d):
         if lhs != NCPoly.scalar(p.alphabet, J.of_word(b)):
             bad.append(b)
     return bad
-
-
-def bigrade_by_name(name):
-    """The (row, column) bigrade of a 2x2 or 3x3 catalog generator, read
-    off its name here, apart from the catalog's declaration: x_ij and z_ij
-    have (e_i, e_j), z_ij* (written z_ijs) and t their negatives."""
-    if name == "t":
-        return (-1, -1, 0), (-1, -1, 0)
-    sign = -1 if name.endswith("s") else 1
-    i, j = int(name[1]), int(name[2])
-    return unit_vector(i, 3, sign), unit_vector(j, 3, sign)
 
 
 def off_bigrade_zero(p, J):

@@ -55,6 +55,25 @@ def test_q_exponents_are_bounded(ab):
             parse_expr(text, ab)
 
 
+def test_parsed_coefficients_are_bounded(ab):
+    """Each sum, product and quotient the parser forms keeps the q
+    exponents of every coefficient within the bound, numerator and
+    denominator alike; the error names the bound and the operator."""
+    k = MAX_Q_EXPONENT
+    half = k // 2
+    assert parse_expr(f"q^{half}*q^{half}*x11", ab) == parse_expr(f"q^{k}*x11", ab)
+    assert parse_expr(f"x11/(1+q^{half}) + x11/(1-q^{half})", ab) == \
+        parse_expr(f"2*x11/(1-q^{k})", ab)
+    for text, col in ((f"q^{k}*q", 7), (f"x11/(1+q^{half})/(1+q^{half + 1})", 14),
+                      (f"x11/(1+q^{k}) + x11/(1+q)", 16), (f"1/q^{k}/q", 9)):
+        with pytest.raises(ParseError, match=f"limit \\+-{k} \\(line 1, column {col}\\)"):
+            parse_expr(text, ab)
+    # a tensor term is the product of its two coefficients
+    assert parse_tensor(f"q^{k} (x) q^-{k}*x11", ab, ab) == parse_tensor("1 (x) x11", ab, ab)
+    with pytest.raises(ParseError, match=f"limit \\+-{k} \\(line 1, column 8\\)"):
+        parse_tensor(f"q^{k} (x) q*x11", ab, ab)
+
+
 def test_unit_and_distributivity(ab):
     one = NCPoly.one(ab)
     x11, x12, x21 = ab.gen("x11"), ab.gen("x12"), ab.gen("x21")
@@ -89,9 +108,9 @@ def _scalar(num, den):
 SIGNS = st.sampled_from([1, -1])
 # +-1, +-q^k, and general elements of Q(q) over a few denominators
 COEFFS = st.one_of(
-    SIGNS.map(ScalarQ.from_int),
+    SIGNS.map(ScalarQ.from_fraction),
     st.tuples(SIGNS, st.integers(-4, 4)).map(
-        lambda t: ScalarQ.from_int(t[0]) * ScalarQ.q_power(t[1])),
+        lambda t: ScalarQ.from_fraction(t[0]) * ScalarQ.q_power(t[1])),
     st.tuples(
         st.dictionaries(st.integers(-3, 3),
                         fractions(-9, 9, 9).filter(bool),

@@ -501,7 +501,7 @@ def _rule(draw):
     that reduction terminates under the degree-lexicographic order."""
     lhs = draw(_lhs)
     terms = draw(_rhs_terms[len(lhs)])
-    rhs = NCPoly(AB, {w: ScalarQ.from_int(c) * ScalarQ.q_power(len(w))
+    rhs = NCPoly(AB, {w: ScalarQ.from_fraction(c) * ScalarQ.q_power(len(w))
                       for w, c in terms.items()})
     return RewriteRule(lhs, rhs)
 
@@ -553,14 +553,14 @@ def _outcome(fn, *args):
 # one rewrite of b*a (to 2b) is its normal form by the others only: a*b*a
 # -> 0 reduces through b*a by the new b -> 0
 @example([RewriteRule((1, 0), NCPoly.zero(AB)),
-          RewriteRule((0,), NCPoly(AB, {(): ScalarQ.from_int(2)})),
+          RewriteRule((0,), NCPoly(AB, {(): ScalarQ.from_fraction(2)})),
           RewriteRule((0, 1, 0), NCPoly.zero(AB))])
 # the lhs a*a*a*a of the first rule is reducible by a*a -> -q*a, and the
 # lead word of the result is not the first of its words.  When that rule
 # is reduced again, its words are summed in that order, not lead first
 @example([RewriteRule((0, 0, 0, 0), NCPoly(AB, {
               (0, 1, 1): -2 * Q * Q * Q, (0,): -2 * Q,
-              (1, 0, 1): 2 * Q * Q * Q, (): ScalarQ.from_int(2)})),
+              (1, 0, 1): 2 * Q * Q * Q, (): ScalarQ.from_fraction(2)})),
           RewriteRule((1, 0, 0), NCPoly(AB, {(0,): -2 * Q, (1,): 2 * Q})),
           RewriteRule((0, 0), NCPoly(AB, {(0,): -Q}))])
 def test_interreduce_matches_reference_random(rules):
