@@ -98,6 +98,9 @@ def _catalog_params(target, args):
 # (real path, text, the presentations a coaction file names) -> the file
 # parsed, so that a process parses each file once
 _FILES = {}
+# DSL text -> its directives as presentations.read_dsl reads them, so that
+# a process reads each text once; an edited file is another text
+_READ = {}
 
 
 def _load(target, args, chain=()):
@@ -117,7 +120,9 @@ def _load(target, args, chain=()):
         raise CliError(f"cycle of coaction files: {' -> '.join(chain + (path,))}")
     with open(path) as fh:
         text = fh.read()
-    sections, names = presentations.read_dsl(text)
+    if text not in _READ:
+        _READ[text] = presentations.read_dsl(text)
+    sections, names = _READ[text]
     legs = tuple(resolve_presentation(name if name in presentations.CATALOG else
                                       os.path.join(os.path.dirname(target), name),
                                       args, chain + (path,))

@@ -455,9 +455,13 @@ def _star_alphabet(prefix, n, p):
     """(A, star, z, zbar): the alphabet of an n x p block z of generators
     named by block_names and of their entrywise stars zbar, the same
     names with an "s" appended, with the star map that swaps the two
-    blocks."""
+    blocks.  The starred names come in reverse, z_np* first and z_11*
+    last, so that the identity deglex order makes the relations of a
+    unitary block, and those of AuF and AuFG, inter-reduce to rules with
+    quadratic lhs whose ambiguities all resolve: by the diamond lemma, a
+    system complete in every degree as built."""
     names = sum(block_names(prefix, n, p), [])
-    A = Alphabet(names + [f"{name}s" for name in names])
+    A = Alphabet(names + [f"{name}s" for name in reversed(names)])
     z, zbar = generator_block(A, prefix, n, p), generator_block(A, prefix, n, p, "s")
     star = StarMap(A, {**on_block(z, zbar), **on_block(zbar, z)})
     return A, star, z, zbar

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import strategies as st
 
 import qgal
-from qgal.ncpoly import NCPoly
+from qgal import presentations
+from qgal.ncpoly import Alphabet, NCPoly, StarMap
 from qgal.presentations import catalog, coaction
 from qgal.scalars import S_ONE, ScalarQ
 
@@ -51,6 +52,29 @@ def c_uq():
 @pytest.fixture(scope="session")
 def c_aufg():
     return coaction("AuFG")
+
+
+def _old_star_alphabet(prefix, n, p):
+    """_star_alphabet as it was before the starred names came in reverse:
+    z11 ... znp, then z11s ... znps."""
+    names = sum(presentations.block_names(prefix, n, p), [])
+    A = Alphabet(names + [f"{name}s" for name in names])
+    z = presentations.generator_block(A, prefix, n, p)
+    zbar = presentations.generator_block(A, prefix, n, p, "s")
+    star = StarMap(A, {**presentations.on_block(z, zbar),
+                       **presentations.on_block(zbar, z)})
+    return A, star, z, zbar
+
+
+@functools.cache
+def auf_old_layout():
+    """AuF at its default F, built in the old layout of _star_alphabet and
+    completed to degree 3 as the catalog builds it: the same algebra, Hopf
+    data and star, under other generator indices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(presentations, "_star_alphabet", _old_star_alphabet)
+        return presentations._build_aufg(presentations.matrix_fq(1),
+                                         presentations.matrix_fq(1))
 
 
 def random_scalar(rng, terms=3, exp=4):

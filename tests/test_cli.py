@@ -167,6 +167,26 @@ def test_each_file_is_parsed_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_each_text_is_read_once(trivial_coaction, monkeypatch, capsys):
+    # one read of the coaction file's directives and one of the
+    # presentation file's, however often the suites load them; earlier
+    # tests read the same presentation text
+    monkeypatch.setattr(cli, "_READ", {})
+    calls = []
+    read = presentations.read_dsl
+    monkeypatch.setattr(presentations, "read_dsl",
+                        lambda text: calls.append(text) or read(text))
+    code, _, err = run(capsys, "verify", trivial_coaction, "--suite", "all")
+    assert code == 1, err  # the coaction is not Galois
+    assert len(calls) == len(set(calls)) == 2
+    # an edited file is another text, and is read again
+    line = os.path.join(os.path.dirname(trivial_coaction), "line.alg")
+    with open(line, "a") as fh:
+        fh.write("relation x*x - x\n")
+    run(capsys, "verify", trivial_coaction, "--suite", "star")
+    assert len(calls) == 3 and calls[2].endswith("relation x*x - x\n")
+
+
 def test_a_coaction_file_is_read_once(tmp_path, monkeypatch):
     """Loading a coaction file reads its directives in one pass, which
     both tells a coaction file from a presentation file and gives the
@@ -174,6 +194,8 @@ def test_a_coaction_file_is_read_once(tmp_path, monkeypatch):
     f = tmp_path / "triv.coa"
     f.write_text("coaction GLq2m2 over GLq2\n" + "".join(
         f"alpha {g} -> 1 (x) {g}\n" for g in ("tau", "z11", "z12", "z21", "z22")))
+    # a text that an earlier load in this process read is not read again
+    monkeypatch.setattr(cli, "_READ", {})
     calls = []
     sections = presentations._sections
     monkeypatch.setattr(presentations, "_sections",

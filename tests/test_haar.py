@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import auf_old_layout
 from qgal.haar import (
     LinearFunctional,
     TruncationOverflowError,
@@ -10,7 +11,7 @@ from qgal.haar import (
     verify_invariance,
 )
 from qgal.ncpoly import NCPoly
-from qgal.presentations import delta_ext
+from qgal.presentations import catalog, delta_ext
 from qgal.rewrite import word_basis
 from qgal.scalars import Q, S_ONE, S_ZERO
 
@@ -135,3 +136,17 @@ def test_uq2_gram_nonsingular(uq2, J3):
     m = np.array([[complex(g.eval(0.5)) for g in row] for row in gram])
     evs = np.linalg.eigvalsh(m)
     assert float(evs.min()) > 1e-8
+
+
+def test_haar_on_auf_is_the_same_functional_in_both_layouts():
+    # J solved at depth 3 on AuF as the catalog builds it and on an
+    # independent build in the old layout: on every old normal word w,
+    # J_old(w) = J_new(nf_new(w)), with w written in the new alphabet
+    new, old = catalog("AuF"), auf_old_layout()
+    J_new, J_old = haar_on_hopf(new, d=3), haar_on_hopf(old, d=3)
+    to_new = [new.alphabet.index[name] for name in old.alphabet.names]
+    assert len(J_old.basis) == len(J_new.basis) == 4953
+    for w in J_old.basis:
+        word = NCPoly(new.alphabet, {tuple(to_new[g] for g in w): S_ONE})
+        assert J_new(new.nf(word)) == J_old.of_word(w), w
+    assert sum(not v.is_zero() for v in J_old.values.values()) == 9

@@ -1,8 +1,10 @@
 import argparse
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_poly, random_scalar
+from conftest import auf_old_layout, random_poly, random_scalar
 from qgal import presentations
 from qgal.characters import abelianization
 from qgal.cli import main, resolve_coaction, resolve_presentation
@@ -23,7 +25,13 @@ from qgal.presentations import (
     verify_hopf,
     verify_star,
 )
-from qgal.rewrite import RewriteSystem
+from qgal.rewrite import (
+    MonomialOrder,
+    RewriteSystem,
+    build_system,
+    complete,
+    word_basis,
+)
 from qgal.scalars import Q, S_ONE
 
 
@@ -444,9 +452,60 @@ def test_star_alphabet_names_large_blocks_apart():
     # both indices padded to two digits: z_{1,11} and z_{11,1} differ
     assert A.names[10] == "z0111" and A.names[110] == "z1101"
     assert z[0][10] == A.gen("z0111") and zbar[10][0] == A.gen("z1101s")
+    # the starred block in reverse: z_{11,11}* first, z_{1,1}* last
+    assert A.names[121] == "z1111s" and A.names[241] == "z0101s"
     A, _, _, _ = _star_alphabet("z", 2, 3)
     names = ["z11", "z12", "z13", "z21", "z22", "z23"]
-    assert A.names == tuple(names + [f"{g}s" for g in names])
+    assert A.names == tuple(names + [f"{g}s" for g in reversed(names)])
+
+
+@pytest.mark.parametrize("name,params,rules", [
+    ("AuF", {}, 34), ("AuFG", {}, 34),
+    ("AuF", {"F": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 34),
+    ("AuF", {"F": [[1, 0], [0, 2]]}, 14)])
+def test_universal_objects_build_complete(name, params, rules):
+    # the relations inter-reduce to rules with quadratic lhs whose
+    # ambiguities, all of degree 3, resolve: completion adds no rule, and
+    # no ambiguity of any degree is an obstruction
+    p = catalog(name, **params)
+    rs = p.rewrite
+    assert len(rs.rules) == rules
+    assert {len(r.lhs) for r in rs.rules} == {2}
+    built = build_system(p.alphabet, p.relations, rs.order)
+    assert [(r.lhs, r.rhs) for r in complete(built, 3).rules] == \
+        [(r.lhs, r.rhs) for r in built.rules] == [(r.lhs, r.rhs) for r in rs.rules]
+    assert rs.check_overlaps(6) == []
+
+
+@pytest.mark.parametrize("n,p,rules", [(2, 1, 5), (2, 2, 8), (3, 1, 10),
+                                       (3, 2, 13), (3, 3, 18)])
+def test_onp_rule_counts(n, p, rules):
+    rs = catalog("Onp", n=n, p=p).rewrite
+    assert len(rs.rules) == rules
+    assert {len(r.lhs) for r in rs.rules} == {2}
+    assert rs.check_overlaps(6) == []
+
+
+def _counts(words, d):
+    """The number of words of each length 0..d."""
+    by_length = Counter(map(len, words))
+    return [by_length[k] for k in range(d + 1)]
+
+
+def test_auf_hilbert_function_is_the_old_layouts():
+    # an independent build in the old layout: the same algebra, so the
+    # same number of normal words in each degree
+    for p in (catalog("AuF"), auf_old_layout()):
+        assert _counts(p.basis(4), 4) == [1, 18, 290, 4644, 74344], p.alphabet.names
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.permutations(range(18)))
+def test_auf_hilbert_function_under_any_generator_order(perm):
+    p = catalog("AuF")
+    order = MonomialOrder(p.alphabet, perm)
+    rs = complete(build_system(p.alphabet, p.relations, order), 3)
+    assert _counts(word_basis(rs, 3), 3) == [1, 18, 290, 4644]
 
 
 def _sympy_of(c, sp, q):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import random_poly, zero_free
+from conftest import auf_old_layout, random_poly, zero_free
 from qgal import presentations, rewrite
 from qgal.ncpoly import Alphabet, NCPoly, parse_expr
 from qgal.presentations import CATALOG, catalog, parse_presentation_text
@@ -460,6 +460,7 @@ def test_overlaps_match_all_pairs_scan_on_catalog(monkeypatch):
     # rounds resolved) and one full scan degree past its completion
     found = {}
     original = RewriteSystem.check_overlaps
+    auf_old_layout()  # built before the scans are counted
 
     def checked(rs, d, resolved=None):
         before = None if resolved is None else set(resolved)
@@ -476,9 +477,16 @@ def test_overlaps_match_all_pairs_scan_on_catalog(monkeypatch):
         rs = entry.build(**entry.defaults).rewrite
         assert rs.check_overlaps(rs.completion_degree) == []
         rs.check_overlaps(rs.completion_degree + 1)
-    # the rules of Onp(2,1) have no ambiguity at all; every other
-    # build resolves some
-    assert [n for n, k in found.items() if not k] == ["Onp"], found
+    # AuF in the old layout: 106 obstructions in its one round that adds
+    # rules, then a round that skips the ambiguities that one resolved
+    name = "AuF old layout"
+    found[name] = 0
+    complete(_old_layout_system(), 3)
+    assert found[name] == 106
+    # the rules of Onp(2,1), AuFG and AuF are complete as built: no scan
+    # finds an obstruction; every other build resolves some
+    assert [n for n, k in found.items() if not k] == ["Onp", "AuFG", "AuF"], \
+        found
 
 
 AB = Alphabet(["a", "b"])
@@ -568,8 +576,22 @@ def test_interreduce_matches_reference_random(rules):
         _outcome(_reference_interreduce, AB, rules, AB_ORDER)
 
 
+def _old_layout_system():
+    """AuF's 36 relations in the old layout of `auf_old_layout`, oriented
+    and inter-reduced: 34 rules, which one completion round to degree 3
+    grows to 120 with lhs of length <= 3."""
+    old = auf_old_layout()
+    return build_system(old.alphabet, old.relations, old.rewrite.order)
+
+
 def test_write_path_matches_reference(monkeypatch):
     built = {name: catalog(name) for name in CATALOG}
+    old = auf_old_layout()
+    old_built = _old_layout_system()
+    old3 = complete(old_built, 3)
+    assert [len(old.relations), len(old_built.rules), len(old3.rules)] == \
+        [36, 34, 120]
+    assert max(len(r.lhs) for r in old3.rules) == 3
     family = ("GLq2", "Uq2", "GLq2m2", "Uq2m2", "GLqm22")
     degree6 = {name: built[name].ensure_degree(6) for name in family}
     monkeypatch.setattr(presentations, "build_system", _reference_build_system)
@@ -582,6 +604,12 @@ def test_write_path_matches_reference(monkeypatch):
         ref = _reference_complete(built[name].rewrite, 6)
         assert _rule_keys(ref.rules) == \
             _rule_keys(degree6[name].rewrite.rules), name
+    # a large multi-round case: AuF in the old layout
+    ref = _reference_build_system(old.alphabet, old.relations,
+                                  old.rewrite.order)
+    assert _rule_keys(ref.rules) == _rule_keys(old_built.rules)
+    assert _rule_keys(_reference_complete(ref, 3).rules) == \
+        _rule_keys(old3.rules)
 
 
 @settings(max_examples=300, deadline=None,
@@ -645,7 +673,7 @@ def _scalar_key(c):
 
 def test_completed_rules_are_pinned():
     """One sha256 over the systems of `_catalog_completions` and AuF
-    completed to degree 4 (822 rules): for each system its name, then
+    completed to degree 4 (392 rules): for each system its name, then
     each rule as the repr of (lhs, [(word, `_scalar_key`) for each rhs
     term in stored order]), then the repr of its word basis at its
     completion degree.  A change to a rule, to the order of the terms of
@@ -660,9 +688,9 @@ def test_completed_rules_are_pinned():
             terms = [(w, _scalar_key(c)) for w, c in rule.rhs.terms.items()]
             digest.update(repr((rule.lhs, terms)).encode())
         digest.update(repr(word_basis(rs, rs.completion_degree)).encode())
-    assert sum(len(rs.rules) for _, rs in systems) == 822
+    assert sum(len(rs.rules) for _, rs in systems) == 392
     assert digest.hexdigest() == \
-        "ea35789b205f4ebc5991d65ec94443860e8a20da3245395229160bcff3ba720f"
+        "45a0546ce575a77cfcbda366cdd19f9cb8d1615b9d9f583121fcfb5c27d1a7e8"
 
 
 @pytest.mark.slow
@@ -763,9 +791,11 @@ def test_completion_examines_each_ambiguity_once(monkeypatch):
             rounds.clear()
             p.ensure_degree(6)
             counts[f"{name} at 6"] = list(rounds)
-    # Onp(2,1) is clean in one round; every other completion adds rules,
-    # and its last round meets only ambiguities resolved before
-    assert counts.pop("Onp") == [8]
+    # Onp(2,1), AuFG and AuF are clean in one round; every other
+    # completion adds rules, and its last round meets only ambiguities
+    # resolved before
+    assert [counts.pop(name) for name in ("Onp", "AuFG", "AuF")] == \
+        [[8], [72], [72]]
     for name, per_round in counts.items():
         assert len(per_round) > 1 and per_round[-1] == 0, (name, per_round)
         assert min(per_round[:-1]) > 0, (name, per_round)
@@ -794,18 +824,16 @@ def test_interreduce_moves_one_index_entry_per_changed_rule(monkeypatch):
 
 
 def test_aufg_build_skips_rebuilds(monkeypatch):
-    # reducing each rule by a fresh system of the others builds 332
-    # systems for one AuFG build, and reducing only the rules that an lhs
-    # index finds reducible builds 40.  Inter-reduction on one memo builds
-    # none: one system for build_system and one for the completion round
-    # that adds rules
+    # inter-reduction on one memo builds no system, and the relations
+    # are complete as built: one system for build_system and one for the
+    # certified copy that the completion returns
     builds = []
     init = RewriteSystem.__init__
     monkeypatch.setattr(RewriteSystem, "__init__",
                         lambda self, *a, **k: builds.append(1) or init(self, *a, **k))
     entry = CATALOG["AuFG"]
     entry.build(**entry.defaults)
-    assert 0 < len(builds) <= 2
+    assert len(builds) == 2
 
 
 def test_reduce_word_matches_each_word_once(glq2m2):
@@ -853,7 +881,7 @@ def test_interreduce_rechecks_no_clean_rule_after_a_removal(monkeypatch):
             super().move(idx, old, new)
 
     monkeypatch.setattr(rewrite, "LhsIndex", Recording)
-    # AuFG removes 22 rules and adds no lhs; GLq2m2 adds one, after which
+    # AuFG removes 2 rules and adds no lhs; GLq2m2 adds one, after which
     # its clean rules are rechecked
     entry = CATALOG["AuFG"]
     entry.build(**entry.defaults)
