@@ -7,13 +7,15 @@ exact linear algebra over the normal-word basis, the scalar product is
 induced by the Haar measure, and the monoidal constraint multiplies
 coefficient legs.
 
-monoidal_constraint and conjugation_map are Python API with no command
-yet.
+The commands reach compute_cotensor and cotensor_inner (`cotensor` and
+`verify --suite cotensor`) and verify_biunitarity (`verify --suite
+biunitarity`).  monoidal_constraint and conjugation_map are Python API
+with no command yet.
 """
 
 from __future__ import annotations
 
-from .comodules import Corep, add_unitarity, conjugate, tensor, trivial
+from .comodules import Corep, add_unitarity, conjugate, tensor
 from .haar import LinearFunctional
 from .linalg import nullspace
 from .ncpoly import AlgebraError, NCPoly, TensorPoly, apply_map
@@ -128,11 +130,6 @@ def conjugation_map(x: CotensorElement) -> CotensorElement:
     if not kernel_member(out):
         raise CotensorError("conjugated element fails exact kernel membership")
     return out
-
-
-def trivial_element(c: CoactionData) -> CotensorElement:
-    return CotensorElement(trivial(c.base), c,
-                           [NCPoly.one(c.total.alphabet)])
 
 
 def verify_biunitarity(c: CoactionData, zblock) -> Report:

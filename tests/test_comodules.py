@@ -1,6 +1,6 @@
 import pytest
 
-from qgal import presentations
+from qgal import cli, presentations
 from qgal.comodules import (
     ComoduleError,
     Corep,
@@ -9,13 +9,10 @@ from qgal.comodules import (
     conjugate,
     duality_maps,
     fundamental,
-    search_diagonal_gram,
     snake_check,
     tensor,
     trivial,
-    unitarity_conjugator,
     verify_corep,
-    verify_unitary_structure,
 )
 from qgal.cotensor import verify_biunitarity
 from qgal.linalg import mat_inv
@@ -26,7 +23,7 @@ from qgal.presentations import (
     mat_mul,
     parse_presentation_text,
 )
-from qgal.report import Undecided
+from qgal.report import PASS, Undecided
 from qgal.scalars import Q, S_ONE, S_ZERO, ScalarQ
 
 
@@ -58,53 +55,28 @@ def test_corrupted_corep_fails(uq2):
     assert not verify_corep(bad).ok
 
 
-def test_unitarity_of_conjugated_fundamental(uq2):
-    # the conjugate matrix of the U_q(2) fundamental becomes unitary after
-    # twisting by F = diag(1, q^-1); the untwisted conjugate is not
-    v = fundamental(uq2)
-    F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1)]]
-    assert unitarity_conjugator(v, F).ok
-    identity = [[S_ONE, S_ZERO], [S_ZERO, S_ONE]]
-    assert not unitarity_conjugator(v, identity).ok
-
-
 @pytest.mark.parametrize("twisted", [True, False], ids=["twisted", "untwisted"])
-def test_conjugator_and_biunitarity_report_alike(uq2, twisted):
-    """Both check block unitarity through one routine: on w = F vbar F^-1
-    they give the same items, all passing for F = diag(1, q^-1) and some
-    failing for F = 1."""
+def test_biunitarity_of_the_twisted_conjugate(uq2, twisted):
+    """The conjugate matrix of the U_q(2) fundamental becomes unitary
+    after twisting by F = diag(1, q^-1): on w = F vbar F^-1 all 8 items
+    pass, and for F = 1 some fail."""
     v = fundamental(uq2)
     F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1 if twisted else 0)]]
     w = mat_mul(mat_mul(F, conjugate(v).matrix), mat_inv(F))
-    hopf_on_itself = CoactionData(uq2, uq2, dict(uq2.hopf.delta))
-    conj = unitarity_conjugator(v, F)
-    biun = verify_biunitarity(hopf_on_itself, w)
-    assert [(i.desc, i.status) for i in conj.items] == \
-        [(i.desc, i.status) for i in biun.items]
-    assert len(conj.items) == 8 and conj.ok is twisted
+    r = verify_biunitarity(CoactionData(uq2, uq2, dict(uq2.hopf.delta)), w)
+    assert len(r.items) == 8
+    assert all(i.status == PASS for i in r.items) is twisted
 
 
-def test_unitarity_conjugator_singular_F(uq2):
-    from qgal.linalg import LinearSolveError
-
-    F = [[S_ONE, S_ZERO], [S_ONE, S_ZERO]]
-    with pytest.raises(LinearSolveError):
-        unitarity_conjugator(fundamental(uq2), F)
-
-
-def test_search_diagonal_gram(uq2):
-    u = search_diagonal_gram(fundamental(uq2))
-    r = verify_unitary_structure(u)
-    assert r.ok
-
-
-def test_unitary_structure_rejects_bad_gram(uq2):
-    v = fundamental(uq2)
-    g = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(2)]]
-    r = verify_unitary_structure(UnitaryStructure(v, g))
-    # conjugate-symmetric and positive, but not invariant for this corep
-    assert not r.ok
-    assert any("invariance" in i.desc and i.status == "fail" for i in r.items)
+@pytest.mark.parametrize("name,spec", [
+    ("Uq2", "trivial"), ("Uq2", "fundamental"), ("Uq2", "conjugate"),
+    ("Uq2", "tensor2"), ("Uq2", "tensor3"),
+    ("AuF", "fundamental"), ("AuF", "conjugate"), ("AuF", "tensor2"),
+    ("GLq2", "fundamental"), ("GLq2", "tensor2"),
+])
+def test_every_comodule_spec_builds_a_corep(name, spec):
+    """What `cotensor --comodule` builds satisfies both comodule axioms."""
+    assert verify_corep(cli.comodule_for(spec, catalog(name))).ok
 
 
 def test_duality_and_snake_dims_1_to_3(uq2):
@@ -124,30 +96,19 @@ def test_unitary_structure_undecided_without_convergence(uq2, monkeypatch):
     monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
     q = ScalarQ.q_power(1)
     g = [[S_ONE, q], [q, S_ONE + q * q]]
-    r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))
-    pos = [i for i in r.items if i.desc.startswith("gram positive")]
-    assert len(pos) == 3
-    assert all(i.status == "undecided" and "did not converge" in i.witness
-               for i in pos)
     with pytest.raises(Undecided, match="did not converge"):
         duality_maps(UnitaryStructure(fundamental(uq2), g))
 
 
-def test_unitary_structure_reports_a_pole(uq2):
-    """A gram with a pole at a sample q fails there, as in haar.check_gram,
-    and raises nothing."""
-    g = [[S_ONE, S_ZERO], [S_ZERO, (Q - 2).inv()]]
-    r = verify_unitary_structure(UnitaryStructure(fundamental(uq2), g))
-    at2 = [i for i in r.items if i.desc == "evaluation at q = 2.0"]
-    assert len(at2) == 1 and at2[0].status == "fail"
-    assert at2[0].witness == "denominator vanishes at q = 2.0"
-    assert not r.ok
-
-
 def test_duality_rejects_nonpositive_gram(uq2):
-    g = [[S_ONE, S_ZERO], [S_ZERO, -S_ONE]]
-    with pytest.raises(NonPositiveGramError):
-        duality_maps(UnitaryStructure(fundamental(uq2), g))
+    """A gram that is negative at a sample q, or has a pole there: 1/(q-2)
+    is negative at q = 0.5 already, 1/(q-2)^2 is positive up to its pole."""
+    for g22, where in [(-S_ONE, "gram positive at q = 0.5"),
+                       ((Q - 2).inv(), "gram positive at q = 0.5"),
+                       (((Q - 2) * (Q - 2)).inv(), "evaluation at q = 2.0")]:
+        g = [[S_ONE, S_ZERO], [S_ZERO, g22]]
+        with pytest.raises(NonPositiveGramError, match=f"^Uq2: {where}: fail"):
+            duality_maps(UnitaryStructure(fundamental(uq2), g))
 
 
 # the square blocks of the catalog, named independently of the builders

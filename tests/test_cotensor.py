@@ -9,7 +9,6 @@ from qgal.cotensor import (
     cotensor_inner,
     kernel_member,
     monoidal_constraint,
-    trivial_element,
     verify_biunitarity,
 )
 from qgal.haar import haar_on_extension, haar_on_hopf
@@ -31,10 +30,10 @@ def sigma(c_uq):
 
 
 def test_trivial_cotensor(c_uq):
-    elems = compute_cotensor(trivial(c_uq.base), c_uq, 1)
-    assert len(elems) == 1
-    triv = trivial_element(c_uq)
-    assert kernel_member(triv)
+    [elem] = compute_cotensor(trivial(c_uq.base), c_uq, 1)
+    assert elem.comodule.dim == 1
+    assert elem.coeffs == [NCPoly.one(c_uq.total.alphabet)]
+    assert kernel_member(elem)
 
 
 def test_a_system_over_the_budget_is_undecided(c_uq, monkeypatch):

@@ -4,6 +4,7 @@ from conftest import auf_old_layout
 from qgal.haar import (
     LinearFunctional,
     TruncationOverflowError,
+    check_gram,
     gram_matrix,
     gram_positivity,
     haar_on_extension,
@@ -12,8 +13,9 @@ from qgal.haar import (
 )
 from qgal.ncpoly import NCPoly
 from qgal.presentations import catalog, delta_ext
+from qgal.report import Report
 from qgal.rewrite import word_basis
-from qgal.scalars import Q, S_ONE, S_ZERO
+from qgal.scalars import Q, Q_SAMPLES, S_ONE, S_ZERO
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +152,14 @@ def test_haar_on_auf_is_the_same_functional_in_both_layouts():
         word = NCPoly(new.alphabet, {tuple(to_new[g] for g in w): S_ONE})
         assert J_new(new.nf(word)) == J_old.of_word(w), w
     assert sum(not v.is_zero() for v in J_old.values.values()) == 9
+
+
+def test_check_gram_reports_a_pole():
+    """A gram with a pole at a sample q fails there, and raises nothing."""
+    g = [[S_ONE, S_ZERO], [S_ZERO, (Q - 2).inv()]]
+    report = Report("gram")
+    check_gram(report, g, Q_SAMPLES)
+    at2 = [i for i in report.items if i.desc == "evaluation at q = 2.0"]
+    assert len(at2) == 1 and at2[0].status == "fail"
+    assert at2[0].witness == "denominator vanishes at q = 2.0"
+    assert not report.ok

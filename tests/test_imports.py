@@ -1,6 +1,7 @@
 """Every name a module of qgal imports is used in that module, every
 top-level name, every method and every `__slots__` entry it defines is
-read somewhere, the runtime imports nothing
+read somewhere, every top-level function and class is reached from
+`cli.main` or from a listed root, the runtime imports nothing
 outside the standard library, every sparse accumulate goes through
 `scalars.add_term`, only the command line imports `re`, only linalg
 builds a RowReducer, only rewrite builds a RewriteSystem and only
@@ -383,8 +384,8 @@ def test_every_default_is_set_by_a_caller():
     """A defaulted parameter that no call in the package or its benchmark
     sets is a knob that nothing turns: it is a constant, or the function
     reads what its callers already pass.  Exempt are the functions that
-    no module of the package calls (the comodules API that no command
-    reaches yet) and the parameters below."""
+    no module of the package calls (the roots of UNREACHED_ROOTS, which
+    only tests call) and the parameters below."""
     exempt = {
         # criterion 4 of the acceptance tests compares two choices of f
         "haar_on_extension.f",
@@ -395,6 +396,99 @@ def test_every_default_is_set_by_a_caller():
     defining = {p.name: p.read_text() for p in MODULES}
     assert unset_defaults(defining, {**defining, **{str(p): p.read_text() for p in bench}},
                           exempt) == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_loaded(node):
+    """Every name a syntax tree reads as a Name or as an Attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and not isinstance(n.ctx, ast.Store)}
+
+
+def unreached_definitions(sources, roots):
+    """(module, line, name) of each top-level function or class of
+    `sources` (a module label to its source text) that neither `main` nor
+    a name in `roots` reaches.  The graph is by name: a reached definition
+    reaches every definition whose name it reads, a class its methods
+    with it, and every statement at module level is reached."""
+    defs = {}
+    todo = ["main", *roots]
+    for label, source in sources.items():
+        for node in parse(source).body:
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append((label, node))
+            else:
+                todo += names_loaded(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, ()):
+                todo += names_loaded(node)
+    return sorted((label, node.lineno, name) for name, found in defs.items()
+                  if name not in reached for label, node in found)
+
+
+def test_checker_finds_unreached_definitions():
+    module = ("import os\n"
+              "LIMIT = helper(1)\n"
+              "def main():\n"
+              "    return run(os.sep), cfg.option\n"
+              "def run(x): return K(x)\n"
+              "def option(): pass\n"
+              "class K:\n"
+              "    def m(self): return inner()\n"
+              "def inner(): pass\n"
+              "def helper(n): pass\n"
+              "def kept(): return used_by_kept()\n"
+              "def used_by_kept(): pass\n"
+              "def orphan(): return inner()\n")
+    assert unreached_definitions({"m": module}, {"kept": "why"}) == [("m", 13, "orphan")]
+
+
+# Each top-level definition that no command reaches, with why it stays.
+# A change may drop a root (give it a command, or delete it), never add one.
+UNREACHED_ROOTS = {
+    "spectrum_empty": "acceptance criterion 8 reads it",
+    "spectrum_witness": "acceptance criterion 8 reads it",
+    "findim_rep_obstruction": "acceptance criterion 10 reads it",
+    "UnitaryStructure": "acceptance criterion 11 reads it",
+    "duality_maps": "acceptance criterion 11 reads it",
+    "snake_check": "acceptance criterion 11 reads it",
+    "verify_corep": "ROADMAP item 6: the one check that `--comodule` builds "
+                    "corepresentations",
+    "monoidal_constraint": "ROADMAP item 6: the fibre suite's monoidal identity",
+    "conjugation_map": "ROADMAP item 6: the fibre suite's *-structure",
+}
+
+
+def test_every_definition_is_reached_from_a_command():
+    """A definition that no command reaches, and that is no root of
+    UNREACHED_ROOTS, is code that only tests reach.  Each root is still
+    unreached without the list, else it leaves the list."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unreached_definitions(sources, UNREACHED_ROOTS) == []
+    unlisted = {name for _, _, name in unreached_definitions(sources, ())}
+    assert set(UNREACHED_ROOTS) <= unlisted
+    assert len(UNREACHED_ROOTS) <= 9
+
+
+def test_readme_names_the_python_api_with_no_command():
+    """The README's paragraph on Python API with no command yet names
+    each root of UNREACHED_ROOTS with its module, and nothing else."""
+    text = (TESTS.parent / "README.md").read_text()
+    start = text.index("Python API with no command yet")
+    paragraph = text[start:text.index("\n\n", start)]
+    named = {(module, name)
+             for names, module in re.findall(r"((?:`\w+`[, and\n]*)+) in `qgal\.(\w+)`",
+                                             paragraph)
+             for name in re.findall(r"`(\w+)`", names)}
+    defined = {(p.stem, node.name) for p in MODULES for node in parse(p.read_text()).body
+               if isinstance(node, DEFINITIONS)}
+    assert named == {pair for pair in defined if pair[1] in UNREACHED_ROOTS}
 
 
 def foreign_imports(source, package="qgal"):
