@@ -6,6 +6,7 @@ from qgal.comodules import (
     Corep,
     NonPositiveGramError,
     UnitaryStructure,
+    add_unitarity,
     conjugate,
     duality_maps,
     fundamental,
@@ -23,7 +24,7 @@ from qgal.presentations import (
     mat_mul,
     parse_presentation_text,
 )
-from qgal.report import PASS, Undecided
+from qgal.report import Report, Undecided
 from qgal.scalars import Q, S_ONE, S_ZERO, ScalarQ
 
 
@@ -55,17 +56,38 @@ def test_corrupted_corep_fails(uq2):
     assert not verify_corep(bad).ok
 
 
+def _twisted_conjugate(p, F):
+    """w = F vbar F^-1 for the fundamental v of p."""
+    v = fundamental(p)
+    return mat_mul(mat_mul(F, conjugate(v).matrix), mat_inv(F))
+
+
+def test_unitarity_of_conjugated_fundamental(uq2):
+    # the conjugate matrix of the U_q(2) fundamental becomes unitary after
+    # twisting by F = diag(1, q^-1); the untwisted conjugate is not
+    F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1)]]
+    twisted = Report("twisted conjugate")
+    add_unitarity(twisted, uq2, _twisted_conjugate(uq2, F))
+    assert twisted.ok
+    identity = [[S_ONE, S_ZERO], [S_ZERO, S_ONE]]
+    untwisted = Report("untwisted conjugate")
+    add_unitarity(untwisted, uq2, _twisted_conjugate(uq2, identity))
+    assert not untwisted.ok
+
+
 @pytest.mark.parametrize("twisted", [True, False], ids=["twisted", "untwisted"])
-def test_biunitarity_of_the_twisted_conjugate(uq2, twisted):
-    """The conjugate matrix of the U_q(2) fundamental becomes unitary
-    after twisting by F = diag(1, q^-1): on w = F vbar F^-1 all 8 items
-    pass, and for F = 1 some fail."""
-    v = fundamental(uq2)
+def test_conjugator_and_biunitarity_report_alike(uq2, twisted):
+    """add_unitarity on the conjugated fundamental w = F vbar F^-1 and
+    verify_biunitarity of U_q(2) coacting on itself give the same items,
+    all 8 passing for F = diag(1, q^-1) and some failing for F = 1."""
     F = [[S_ONE, S_ZERO], [S_ZERO, ScalarQ.q_power(-1 if twisted else 0)]]
-    w = mat_mul(mat_mul(F, conjugate(v).matrix), mat_inv(F))
-    r = verify_biunitarity(CoactionData(uq2, uq2, dict(uq2.hopf.delta)), w)
-    assert len(r.items) == 8
-    assert all(i.status == PASS for i in r.items) is twisted
+    w = _twisted_conjugate(uq2, F)
+    conj = Report("conjugated fundamental")
+    add_unitarity(conj, uq2, w)
+    biun = verify_biunitarity(CoactionData(uq2, uq2, dict(uq2.hopf.delta)), w)
+    assert [(i.desc, i.status) for i in conj.items] == \
+        [(i.desc, i.status) for i in biun.items]
+    assert len(conj.items) == 8 and conj.ok is twisted
 
 
 @pytest.mark.parametrize("name,spec", [
